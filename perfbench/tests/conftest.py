@@ -1,0 +1,8 @@
+"""Put the benchmark's modules and the checkout's ``src`` on the path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent.parent / "src"))
+sys.path.insert(0, str(HERE.parent))
