@@ -32,10 +32,6 @@ class AstroError(Exception):
     """Base class for orbital-geometry errors."""
 
 
-class DegeneratePlanes(AstroError):
-    """The two orbit planes coincide; the node line is undefined."""
-
-
 class InvalidRevolutions(AstroError):
     """Phasing revolution count must be a positive integer."""
 
@@ -217,38 +213,6 @@ def dihedral_angle(a: GeoOrbit, b: GeoOrbit) -> float:
                       float(np.dot(ha, hb)))
 
 
-def node_intersections(a: GeoOrbit, b: GeoOrbit,
-                       consts: PhysicalConstants = GEO
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The two antipodal points where orbit planes ``a`` and ``b`` cross.
-
-    Returns positions at GEO radius along +/- (h_a x h_b). Raises
-    DegeneratePlanes when the planes are separated by less than
-    COPLANAR_TOL.
-    """
-    if dihedral_angle(a, b) < COPLANAR_TOL:
-        raise DegeneratePlanes("orbit planes coincide; node line undefined")
-    n = _unit(np.cross(angular_momentum_dir(a), angular_momentum_dir(b)))
-    r1 = n * consts.r_geo
-    return r1, -r1
-
-
-def plane_change_impulse(v_before: np.ndarray, alpha: float, axis: np.ndarray,
-                         consts: PhysicalConstants = GEO
-                         ) -> tuple[np.ndarray, float]:
-    """Impulse that rotates ``v_before`` by ``alpha`` about ``axis``.
-
-    ``axis`` is the unit vector along the node line; its sign selects the
-    rotation sense, so the caller orients it toward the target plane. The
-    speed is preserved and the returned vector and magnitude are in m/s
-    (magnitude 2 |v| sin(alpha/2)).
-    """
-    v_before = np.asarray(v_before, dtype=float)
-    v_after = _rotate(v_before, np.asarray(axis, dtype=float), alpha)
-    dv = (v_after - v_before) * 1000.0
-    return dv, float(np.linalg.norm(dv))
-
-
 def coast_time_to_node(state: CartesianState, node: np.ndarray,
                        orbit_normal: np.ndarray,
                        consts: PhysicalConstants = GEO) -> float:
@@ -264,20 +228,6 @@ def coast_time_to_node(state: CartesianState, node: np.ndarray,
     if float(np.dot(np.cross(r_hat, n_hat), orbit_normal)) < 0.0:
         ang = TWO_PI - ang
     return ang / TWO_PI * consts.t_geo
-
-
-def phase_angle(a: GeoOrbit, b: GeoOrbit, t: float,
-                consts: PhysicalConstants = GEO) -> float:
-    """Signed along-track separation of ``b`` relative to ``a`` at time ``t``.
-
-    Angular positions are compared in the common reference RAAN + argument
-    of latitude and folded into (-pi, pi]. Positive means ``b`` leads ``a``
-    prograde by the folded angle, the sign convention consumed by
-    ``phasing_impulses``; antisymmetric in its arguments.
-    """
-    lam_a = a.raan + a.arg_lat0 + consts.mean_motion * t
-    lam_b = b.raan + b.arg_lat0 + consts.mean_motion * t
-    return fold_angle(lam_b - lam_a)
 
 
 def phasing_solution(theta: float, k: int,
@@ -311,9 +261,10 @@ def phasing_impulses(v_m: np.ndarray, theta: float, dv_mag: float
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Split a phasing delta-v into its entry and exit burns (m/s).
 
-    ``theta`` here is signed with the ``phase_angle`` convention (positive:
-    the target leads, so the chaser enters a faster, lower ellipse with a
-    retrograde first burn). ``v_m`` sets the tangential direction at the
+    ``theta`` here is the target's signed along-track lead over the chaser
+    (positive: the target leads, so the chaser enters a faster, lower
+    ellipse with a retrograde first burn); ``rendezvous_mixed`` passes the
+    negated phase gap. ``v_m`` sets the tangential direction at the
     maneuver point; the burns cancel: dv3 = -dv2.
     """
     sgn = (theta > 0.0) - (theta < 0.0)
@@ -555,20 +506,3 @@ def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
     v1 = (r2 - fl * r1) / g
     v2 = (gdot * r2 - r1) / g
     return v1, v2
-
-
-def lambert_rendezvous_cost(servicer_state: CartesianState, target: GeoOrbit,
-                            tof: float, consts: PhysicalConstants = GEO
-                            ) -> float:
-    """Two-impulse Lambert rendezvous cost (m/s) for a given flight time.
-
-    Departs from the servicer state now, intercepts the target ``tof``
-    seconds later, and matches its velocity on arrival.
-    """
-    if tof <= 0.0:
-        raise ValueError("time of flight must be positive")
-    arrive = orbit_to_state(target, servicer_state.t + tof, consts)
-    v1, v2 = lambert_solve(servicer_state.r, arrive.r, tof, True, consts)
-    dv = (float(np.linalg.norm(v1 - servicer_state.v))
-          + float(np.linalg.norm(arrive.v - v2)))
-    return dv * 1000.0

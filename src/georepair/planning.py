@@ -3,16 +3,20 @@
 A mission plan assigns every target to exactly one servicer route and fixes
 the phasing revolution count of every leg. Plans are scored by a penalized
 fitness: total delta-v (m/s) plus weighted penalties for finishing repairs
-after the deadline and for exceeding per-servicer delta-v budgets.
+after the deadline and for exceeding per-servicer delta-v budgets;
+``penalized_fitness`` is the one place that formula is written.
 
-Two evaluation paths exist on purpose. ``evaluate_route``/``evaluate_plan``
-run the full vector rendezvous model and carry impulse vectors for schedule
-output. ``CostModel`` is a scalar engine used inside search loops: it
-exploits the fact that coast times and phase gaps are invariant under
-whole-revolution shifts of earlier legs, so a route's geometry can be
-computed once (with every leg at one revolution) and reused for any
-revolution allocation. The two paths agree to float precision and a test
-pins that agreement.
+``evaluate_route``/``evaluate_plan`` are the only code that builds an
+``Evaluation``. They fly every leg as a vector transfer, carrying impulse
+vectors for schedule output, and take the leg model as an argument: the
+default is the mixed rendezvous on the route's revolution counts, and the
+Lambert baseline in ``search`` passes its own two-impulse leg.
+``CostModel`` is a scalar engine for the mixed model used inside search
+loops: it exploits the fact that coast times and phase gaps are invariant
+under whole-revolution shifts of earlier legs, so a route's geometry can
+be computed once (with every leg at one revolution) and reused for any
+revolution allocation. It agrees with ``evaluate_plan`` to float precision
+and a test pins that agreement.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .astro import (
     COPLANAR_TOL,
     GEO,
     TWO_PI,
+    CartesianState,
     GeoOrbit,
     PhysicalConstants,
     RendezvousSolution,
@@ -36,6 +41,13 @@ from .astro import (
 
 DEFAULT_PHI = 1.0     # fitness per minute of deadline violation
 DEFAULT_GAMMA = 10.0  # fitness per m/s of budget excess
+
+
+def penalized_fitness(dv: float, p1: float, p2: float, phi: float,
+                      gamma: float) -> float:
+    """Delta-v (m/s) plus ``phi`` per minute of the deadline violation
+    ``p1`` (s) plus ``gamma`` per m/s of the budget excess ``p2``."""
+    return dv + phi * (p1 / 60.0) + gamma * p2
 
 
 class InstanceTooLarge(Exception):
@@ -161,11 +173,9 @@ class LegDetail:
 
 @dataclass
 class Evaluation:
-    """Penalized fitness of a plan.
-
-    ``deadline_penalty`` is in seconds but is weighted per minute:
-    fitness = total_dv + phi * deadline_penalty / 60 + gamma * budget_penalty.
-    """
+    """Penalized fitness of a plan: ``fitness`` is
+    ``penalized_fitness(total_dv, deadline_penalty, budget_penalty, phi,
+    gamma)``."""
 
     leg_details: list[LegDetail]
     per_servicer_dv: list[float]
@@ -425,7 +435,7 @@ class CostModel:
         """Route contribution to plan fitness (penalties included)."""
         dv, p1, _ = self.route_metrics(servicer_id, seq, revs)
         p2 = max(dv - self._budget[servicer_id], 0.0)
-        return dv + phi * (p1 / 60.0) + gamma * p2, dv, p1, p2
+        return penalized_fitness(dv, p1, p2, phi, gamma), dv, p1, p2
 
     # -- revolution allocation (one-pass heuristic) ---------------------------
 
@@ -491,7 +501,7 @@ class CostModel:
             total_dv += dv
             p1 += r_p1
             p2 += max(dv - self._budget[route.servicer_id], 0.0)
-        fitness = total_dv + phi * (p1 / 60.0) + gamma * p2
+        fitness = penalized_fitness(total_dv, p1, p2, phi, gamma)
         return fitness, total_dv, p1, p2, (p1 == 0.0 and p2 == 0.0)
 
     def plan_fitness(self, plan: MissionPlan, phi: float = DEFAULT_PHI,
@@ -543,12 +553,22 @@ class RouteResult:
     end_time: float  # completion of the route's last repair
 
 
-def evaluate_route(scenario: Scenario, route: Route) -> RouteResult:
-    """Simulate a route leg by leg with the full vector rendezvous model.
+def mixed_leg(route: Route, q: int, state: CartesianState, orbit: GeoOrbit,
+              consts: PhysicalConstants) -> RendezvousSolution:
+    """Leg ``q`` of ``route`` as a mixed rendezvous on its revolution count."""
+    return rendezvous_mixed(state, orbit, route.revolutions[q], consts)
 
-    The servicer departs its epoch state, repairs each target for its
-    repair duration on arrival, and the final move to a parking orbit is
-    free and not simulated.
+
+def evaluate_route(scenario: Scenario, route: Route,
+                   leg=mixed_leg) -> RouteResult:
+    """Simulate a route leg by leg with a vector transfer model.
+
+    ``leg(route, q, state, orbit, consts)`` flies the route's ``q``-th leg
+    from the servicer's ``CartesianState`` at departure to the target
+    ``orbit`` and returns its ``RendezvousSolution``, whose ``t2`` is the
+    arrival time. The servicer departs its epoch state, repairs each target
+    for its repair duration on arrival, and the final move to a parking
+    orbit is free and not simulated.
     """
     route.validate()
     servicer = scenario.servicer(route.servicer_id)
@@ -557,9 +577,9 @@ def evaluate_route(scenario: Scenario, route: Route) -> RouteResult:
     dv = 0.0
     state = orbit_to_state(servicer.orbit, 0.0, consts)
     t = 0.0
-    for tid, k in zip(route.target_sequence, route.revolutions):
+    for q, tid in enumerate(route.target_sequence):
         target = scenario.target(tid)
-        sol = rendezvous_mixed(state, target.orbit, k, consts)
+        sol = leg(route, q, state, target.orbit, consts)
         arrival = sol.t2
         completion = arrival + target.repair_duration
         legs.append(LegDetail(route.servicer_id, tid, sol, t, arrival,
@@ -571,24 +591,25 @@ def evaluate_route(scenario: Scenario, route: Route) -> RouteResult:
 
 
 def evaluate_plan(scenario: Scenario, plan: MissionPlan,
-                  phi: float = DEFAULT_PHI,
-                  gamma: float = DEFAULT_GAMMA) -> Evaluation:
-    """Penalized fitness of a complete plan (vector evaluation path)."""
+                  phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA,
+                  leg=mixed_leg) -> Evaluation:
+    """Penalized fitness of a complete plan, every leg flown by ``leg``
+    (see ``evaluate_route``)."""
     plan.validate_against(scenario)
     legs = []
     per_dv = []
     p1 = 0.0
     p2 = 0.0
     for route in plan.routes:
-        result = evaluate_route(scenario, route)
+        result = evaluate_route(scenario, route, leg)
         legs.extend(result.legs)
         per_dv.append(result.dv)
-        for leg in result.legs:
-            p1 += max(leg.completion_time - scenario.deadline, 0.0)
+        for detail in result.legs:
+            p1 += max(detail.completion_time - scenario.deadline, 0.0)
         budget = scenario.servicer(route.servicer_id).dv_budget
         p2 += max(result.dv - budget, 0.0)
     total_dv = sum(per_dv)
-    fitness = total_dv + phi * (p1 / 60.0) + gamma * p2
+    fitness = penalized_fitness(total_dv, p1, p2, phi, gamma)
     return Evaluation(leg_details=legs, per_servicer_dv=per_dv,
                       total_dv=total_dv, deadline_penalty=p1,
                       budget_penalty=p2, fitness=fitness,
@@ -651,7 +672,8 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
                         t += tm_tab[q][k - 1]
                         if t > deadline:
                             p1 += t - deadline
-                    score = dv + phi * (p1 / 60.0) + gamma * max(dv - budget, 0.0)
+                    score = penalized_fitness(dv, p1, max(dv - budget, 0.0),
+                                              phi, gamma)
                     if best is None or score < best[0]:
                         best = (score, perm, revs)
         best_route[key] = best

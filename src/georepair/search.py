@@ -9,7 +9,11 @@ w = 1/(fitness + eps) so their algebra keeps its maximization shape.
 Three solvers share one engine: the hybrid LNS-AGA, the plain adaptive GA
 (same pipeline minus the LNS hook) and a Lambert-transfer GA baseline that
 prices legs with two-impulse Lambert rendezvous instead of the mixed
-plane-change/phasing strategy.
+plane-change/phasing strategy. An adapter per leg model prices routes for
+the search; the best plan is then re-evaluated by ``planning.evaluate_plan``,
+with the mixed leg or with the Lambert adapter's leg, which flies each leg
+at the flight time the search chose and prices a failed leg as infinite,
+as the search does.
 """
 
 from __future__ import annotations
@@ -32,13 +36,13 @@ from .planning import (
     DEFAULT_PHI,
     CostModel,
     Evaluation,
-    LegDetail,
     MissionPlan,
     Route,
     Scenario,
     decode,
     encode_sequences,
     evaluate_plan,
+    penalized_fitness,
 )
 
 FITNESS_EPS = 1e-12
@@ -225,14 +229,12 @@ def swap_mutation(c, rng: random.Random) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def relatedness(i: int, j: int, plan: MissionPlan, beta: float,
-                scenario: Scenario, model: CostModel | None = None,
-                adjacency: bool = False) -> float:
+                scenario: Scenario, model: CostModel | None = None) -> float:
     """Similarity of two targets: higher for close orbits on one route.
 
     R = 1 / (C' + V + eps) where C' is the normalized orbit-difference cost
     beta*|dihedral| + (1-beta)*|phase gap| and V is 0 when both targets are
-    served by the same route. ``adjacency=True`` switches V to the literal
-    edge-traversal reading (0 only when j directly follows i on a route).
+    served by the same route.
     """
     if i == j:
         raise ValueError("relatedness needs two distinct targets")
@@ -241,15 +243,7 @@ def relatedness(i: int, j: int, plan: MissionPlan, beta: float,
     c_max = model.max_pair_cost(beta)
     c = model.target_pair_cost(i, j, beta)
     c_norm = c / c_max if c_max > 0.0 else 0.0
-    if adjacency:
-        v = 1.0
-        for route in plan.routes:
-            seq = route.target_sequence
-            for q in range(len(seq) - 1):
-                if seq[q] == i and seq[q + 1] == j:
-                    v = 0.0
-    else:
-        v = 0.0 if plan.route_of(i) == plan.route_of(j) else 1.0
+    v = 0.0 if plan.route_of(i) == plan.route_of(j) else 1.0
     return 1.0 / (c_norm + v + RELATEDNESS_EPS)
 
 
@@ -331,7 +325,7 @@ def insertion_cost(target_id: int, partial: MissionPlan, scenario: Scenario,
             revs = model.allocate(sid, cand, slack_rule)
             dv, p1, _ = model.route_metrics(sid, cand, revs)
             p2 = max(dv - model._budget[sid], 0.0)
-            delta = dv + phi * (p1 / 60.0) + gamma * p2 - old_score
+            delta = penalized_fitness(dv, p1, p2, phi, gamma) - old_score
             if p1 == 0.0 and p2 == 0.0:
                 if best is None or delta < best[0]:
                     best = (delta, (sid, pos))
@@ -417,7 +411,6 @@ class _MixedAdapter:
         self.gamma = gamma
         self.slack_rule = slack_rule
         self._cache = {}
-        self.supports_lns = True
 
     def route(self, sid: int, seq) -> tuple[list[int], float]:
         key = (sid, tuple(seq))
@@ -449,19 +442,16 @@ class _LambertAdapter:
     nearest grid alternatives are tried before the leg scores infinite.
     """
 
-    def __init__(self, scenario: Scenario, phi: float, gamma: float,
-                 tof_grid=None):
+    def __init__(self, scenario: Scenario, phi: float, gamma: float):
         self.scenario = scenario
         self.phi = phi
         self.gamma = gamma
-        c = scenario.constants
-        if tof_grid is None:
-            tof_grid = [f * c.t_geo for f in DEFAULT_TOF_FRACTIONS]
-        grid = sorted(t for t in tof_grid if 0.0 < t < scenario.deadline)
+        t_geo = scenario.constants.t_geo
+        grid = sorted(f * t_geo for f in DEFAULT_TOF_FRACTIONS
+                      if f * t_geo < scenario.deadline)
         if not grid:
-            raise ValueError("tof_grid has no entry below the deadline")
+            raise ValueError("no candidate flight time is below the deadline")
         self.grid = grid
-        self.model = CostModel(scenario)  # reused for static pair geometry
         self._orbits = {("S", s.id): s.orbit for s in scenario.servicers}
         self._orbits.update({t.id: t.orbit for t in scenario.targets})
         self._lam0 = {key: orb.raan + orb.arg_lat0
@@ -470,7 +460,6 @@ class _LambertAdapter:
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
         self._route_cache = {}
         self._leg_cache = {}
-        self.supports_lns = False
 
     def _allocate_tofs(self, sid: int, seq) -> list[float]:
         legs = len(seq)
@@ -551,10 +540,31 @@ class _LambertAdapter:
         return hit
 
     def route(self, sid: int, seq) -> tuple[list[int], float]:
-        tofs, dv, p1, _ = self.route_detail(sid, seq)
-        p2 = max(dv - self._budget[sid], 0.0) if math.isfinite(dv) else math.inf
-        score = dv + self.phi * (p1 / 60.0) + self.gamma * p2
+        _, dv, p1, _ = self.route_detail(sid, seq)
+        p2 = max(dv - self._budget[sid], 0.0)
+        score = penalized_fitness(dv, p1, p2, self.phi, self.gamma)
         return [1] * len(seq), score
+
+    def leg(self, route: Route, q: int, state, orbit, consts
+            ) -> RendezvousSolution:
+        """Leg ``q`` of ``route`` flown at the flight time ``route_detail``
+        chose; a Lambert failure gives NaN impulses and infinite delta-v."""
+        tof = self.route_detail(route.servicer_id,
+                                route.target_sequence)[0][q]
+        arrive = orbit_to_state(orbit, state.t + tof, consts)
+        try:
+            v1, v2 = lambert_solve(state.r, arrive.r, tof, True, consts)
+        except AstroError:
+            imp1 = imp2 = np.full(3, math.nan)
+            leg_dv = math.inf
+        else:
+            imp1 = (v1 - state.v) * 1000.0
+            imp2 = (arrive.v - v2) * 1000.0
+            leg_dv = float(np.linalg.norm(imp1)) + float(np.linalg.norm(imp2))
+        return RendezvousSolution(
+            impulse1=imp1, impulse2=imp2, t1=state.t, t2=state.t + tof,
+            coast_time=0.0, phase_time=tof, total_time=tof,
+            total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0)
 
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
         return evaluate_plan_lambert(self.scenario, plan, self.phi,
@@ -563,56 +573,13 @@ class _LambertAdapter:
 
 def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,
                           phi: float = DEFAULT_PHI,
-                          gamma: float = DEFAULT_GAMMA, tof_grid=None,
+                          gamma: float = DEFAULT_GAMMA,
                           adapter: _LambertAdapter | None = None
                           ) -> Evaluation:
     """Vector-level evaluation of a plan under the Lambert leg model."""
     if adapter is None:
-        adapter = _LambertAdapter(scenario, phi, gamma, tof_grid)
-    plan.validate_against(scenario)
-    consts = scenario.constants
-    legs = []
-    per_dv = []
-    p1 = 0.0
-    p2 = 0.0
-    for route in plan.routes:
-        sid = route.servicer_id
-        tofs, _, _, _ = adapter.route_detail(sid, route.target_sequence)
-        t = 0.0
-        dv = 0.0
-        from_key = ("S", sid)
-        for tid, tof in zip(route.target_sequence, tofs):
-            state = orbit_to_state(adapter._orbits[from_key], t, consts)
-            target = scenario.target(tid)
-            arrive = orbit_to_state(target.orbit, t + tof, consts)
-            try:
-                v1, v2 = lambert_solve(state.r, arrive.r, tof, True, consts)
-                imp1 = (v1 - state.v) * 1000.0
-                imp2 = (arrive.v - v2) * 1000.0
-            except AstroError:
-                imp1 = np.zeros(3)
-                imp2 = np.zeros(3)
-            leg_dv = float(np.linalg.norm(imp1)) + float(np.linalg.norm(imp2))
-            sol = RendezvousSolution(
-                impulse1=imp1, impulse2=imp2, t1=t, t2=t + tof,
-                coast_time=0.0, phase_time=tof, total_time=tof,
-                total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0)
-            arrival = t + tof
-            completion = arrival + target.repair_duration
-            legs.append(LegDetail(sid, tid, sol, t, arrival, completion))
-            p1 += max(completion - scenario.deadline, 0.0)
-            dv += leg_dv
-            t = completion
-            from_key = tid
-        per_dv.append(dv)
-        p2 += max(dv - scenario.servicer(sid).dv_budget, 0.0)
-    total_dv = sum(per_dv)
-    fitness = total_dv + phi * (p1 / 60.0) + gamma * p2
-    return Evaluation(leg_details=legs, per_servicer_dv=per_dv,
-                      total_dv=total_dv, deadline_penalty=p1,
-                      budget_penalty=p2, fitness=fitness,
-                      feasible=(p1 == 0.0 and p2 == 0.0), phi=phi,
-                      gamma=gamma)
+        adapter = _LambertAdapter(scenario, phi, gamma)
+    return evaluate_plan(scenario, plan, phi, gamma, leg=adapter.leg)
 
 
 def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
@@ -679,7 +646,7 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
         fits = [e[0] for e in evaluated]
         plans = [e[1] for e in evaluated]
 
-        if lns is not None and adapter.supports_lns:
+        if lns is not None:
             k_top = max(1, math.ceil(lns.elite_fraction * len(pop)))
             order = sorted(range(len(pop)), key=lambda i: fits[i])[:k_top]
             for i in order:
@@ -734,8 +701,8 @@ def solve_ga(scenario: Scenario, ga: GaParams | None = None, seed: int = 0,
 
 
 def solve_lambert_ga(scenario: Scenario, ga: GaParams | None = None,
-                     seed: int = 0, tof_grid=None) -> SolveResult:
+                     seed: int = 0) -> SolveResult:
     """GA baseline whose legs are two-impulse Lambert transfers."""
     ga = ga or GaParams()
-    adapter = _LambertAdapter(scenario, ga.phi, ga.gamma, tof_grid)
+    adapter = _LambertAdapter(scenario, ga.phi, ga.gamma)
     return _run_engine(scenario, ga, None, seed, adapter)

@@ -11,7 +11,6 @@ from georepair.astro import (
     TWO_PI,
     CartesianState,
     CollinearGeometry,
-    DegeneratePlanes,
     GeoOrbit,
     InvalidRevolutions,
     PhysicalConstants,
@@ -19,14 +18,10 @@ from georepair.astro import (
     coast_time_to_node,
     dihedral_angle,
     fold_angle,
-    lambert_rendezvous_cost,
     lambert_solve,
-    node_intersections,
     orbit_to_state,
-    phase_angle,
     phasing_impulses,
     phasing_solution,
-    plane_change_impulse,
     propagate_universal,
     rendezvous_mixed,
 )
@@ -129,82 +124,6 @@ class TestDihedral:
         assert dihedral_angle(a, b) == pytest.approx(expected, abs=1e-12)
 
 
-class TestNodeIntersections:
-    def test_equatorial_vs_inclined_node_line_is_x_axis(self):
-        a = GeoOrbit(0.0, 0.0, 0.0)
-        b = GeoOrbit.from_degrees(5.0, 0.0, 0.0)
-        n1, n2 = node_intersections(a, b)
-        np.testing.assert_allclose(np.abs(n1) / GEO.r_geo, [1.0, 0.0, 0.0],
-                                   atol=1e-12)
-        np.testing.assert_allclose(n2, -n1)
-
-    def test_coplanar_raises(self):
-        orb = GeoOrbit.from_degrees(2.0, 30.0, 0.0)
-        with pytest.raises(DegeneratePlanes):
-            node_intersections(orb, orb)
-
-    def test_case_study_pair_against_cross_product_oracle(self):
-        # Equatorial servicer vs an i=1.895 deg, raan=52.106 deg target:
-        # independent evaluation of the normals' cross product.
-        a = GeoOrbit(0.0, 0.0, 0.0)
-        b = GeoOrbit.from_degrees(1.895, 52.106, 274.212)
-        i, om = math.radians(1.895), math.radians(52.106)
-        hb = np.array([math.sin(om) * math.sin(i),
-                       -math.cos(om) * math.sin(i), math.cos(i)])
-        expected = np.cross([0.0, 0.0, 1.0], hb)
-        expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(expected[:2],
-                                   [math.cos(om), math.sin(om)], atol=1e-12)
-        n1, _ = node_intersections(a, b)
-        line = n1 / GEO.r_geo
-        assert min(np.linalg.norm(line - expected),
-                   np.linalg.norm(line + expected)) < 1e-12
-
-    def test_duality_properties(self):
-        rng = random.Random(4)
-        for _ in range(50):
-            a, b = random_orbit(rng), random_orbit(rng)
-            if dihedral_angle(a, b) < 1e-6:
-                continue
-            n1, n2 = node_intersections(a, b)
-            np.testing.assert_allclose(n1, -n2)
-            for n in (n1, n2):
-                assert abs(np.dot(n, angular_momentum_dir(a))) < 1e-9 * GEO.r_geo
-                assert abs(np.dot(n, angular_momentum_dir(b))) < 1e-9 * GEO.r_geo
-
-
-class TestPlaneChange:
-    def test_zero_angle(self):
-        v = np.array([0.0, GEO.v_geo, 0.0])
-        dv, mag = plane_change_impulse(v, 0.0, np.array([1.0, 0.0, 0.0]))
-        assert mag == 0.0
-        np.testing.assert_allclose(dv, 0.0, atol=1e-12)
-
-    def test_five_degree_magnitude(self):
-        v = np.array([0.0, GEO.v_geo, 0.0])
-        dv, mag = plane_change_impulse(v, math.radians(5.0),
-                                       np.array([1.0, 0.0, 0.0]))
-        closed_form = 2.0 * GEO.v_geo * 1000.0 * math.sin(math.radians(2.5))
-        assert mag == pytest.approx(closed_form, rel=1e-9)
-        assert mag == pytest.approx(268.2, abs=0.2)
-
-    def test_sixty_degrees_equals_speed(self):
-        v = np.array([0.0, GEO.v_geo, 0.0])
-        _, mag = plane_change_impulse(v, math.radians(60.0),
-                                      np.array([1.0, 0.0, 0.0]))
-        assert mag == pytest.approx(GEO.v_geo * 1000.0, rel=1e-12)
-
-    def test_preserves_speed(self):
-        rng = random.Random(5)
-        v = np.array([0.3, GEO.v_geo, -0.1])
-        axis = np.array([1.0, 0.0, 0.0])
-        for _ in range(20):
-            alpha = rng.uniform(0.0, math.pi)
-            dv, _ = plane_change_impulse(v, alpha, axis)
-            assert np.linalg.norm(v + dv / 1000.0) == pytest.approx(
-                np.linalg.norm(v), rel=1e-12)
-
-
 class TestCoastTime:
     def setup_method(self):
         self.orb = GeoOrbit(0.0, 0.0, 0.0)
@@ -224,28 +143,6 @@ class TestCoastTime:
         node = np.array([0.0, -GEO.r_geo, 0.0])
         assert coast_time_to_node(self.state, node, self.h) == pytest.approx(
             3.0 * GEO.t_geo / 4.0, rel=1e-12)
-
-
-class TestPhaseAngle:
-    def test_identical_positions(self):
-        orb = GeoOrbit.from_degrees(2.0, 10.0, 30.0)
-        assert phase_angle(orb, orb, 1234.0) == 0.0
-
-    def test_folds_beyond_half_turn(self):
-        a = GeoOrbit(0.0, 0.0, 0.0)
-        b = GeoOrbit(0.0, 0.0, math.radians(200.0))
-        th = phase_angle(a, b, 0.0)
-        assert abs(th) == pytest.approx(math.radians(160.0), abs=1e-12)
-        assert th < 0.0  # 200 deg ahead folds to 160 deg behind
-
-    def test_antisymmetry(self):
-        rng = random.Random(6)
-        for _ in range(100):
-            a, b = random_orbit(rng), random_orbit(rng)
-            t = rng.uniform(0.0, 30.0 * GEO.t_geo)
-            ta, tb = phase_angle(a, b, t), phase_angle(b, a, t)
-            assert ta == pytest.approx(-tb, abs=1e-12) or (
-                abs(ta) == pytest.approx(math.pi) and abs(tb) == pytest.approx(math.pi))
 
 
 class TestPhasingSolution:
@@ -474,31 +371,6 @@ class TestLambert:
         r1 = np.array([GEO.r_geo, 0.0, 0.0])
         with pytest.raises(CollinearGeometry):
             lambert_solve(r1, -r1, GEO.t_geo / 2.0)
-
-
-class TestLambertRendezvousCost:
-    def test_free_drift_costs_nothing(self):
-        target = GeoOrbit.from_degrees(2.0, 30.0, 50.0)
-        # Servicer sits on the target orbit, 90 degrees of sweep from a
-        # quarter-period rendezvous.
-        servicer_state = orbit_to_state(target, 0.0)
-        cost = lambert_rendezvous_cost(servicer_state, target, GEO.t_geo / 4.0)
-        assert cost == pytest.approx(0.0, abs=1e-6)
-
-    def test_finite_positive_on_random_pairs(self):
-        rng = random.Random(14)
-        produced = 0
-        for _ in range(1000):
-            a, b = random_orbit(rng), random_orbit(rng)
-            st = orbit_to_state(a, rng.uniform(0.0, GEO.t_geo))
-            tof = rng.uniform(0.1, 1.5) * GEO.t_geo
-            try:
-                cost = lambert_rendezvous_cost(st, b, tof)
-            except CollinearGeometry:
-                continue
-            assert math.isfinite(cost) and cost >= 0.0
-            produced += 1
-        assert produced > 950
 
 
 def test_fold_angle_range():

@@ -1,0 +1,72 @@
+"""Behaviour fingerprint of the three solvers on a small random scenario.
+
+Each hash covers, per solver seed, the final evaluation (fitness, total
+delta-v, per-servicer delta-v), the best plan, the generation count and the
+whole (best, mean) fitness history, all as exact float hex strings. A
+refactor that claims to leave the search unchanged must leave these hashes
+unchanged; a deliberate behaviour change must update them and say why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from georepair.scenarios import random_scenario
+from georepair.search import (
+    GaParams,
+    LnsParams,
+    solve_ga,
+    solve_lambert_ga,
+    solve_lns_aga,
+)
+
+SEEDS = (1, 2, 3)
+
+# Six targets and two servicers (scenario seed 7) over two deadlines: at six
+# days no solver finds a feasible plan, so penalties shape the search; at
+# ten the mixed-model solvers do while the Lambert baseline still cannot.
+DEADLINE_DAYS = {"tight": 6.0, "roomy": 10.0}
+
+EXPECTED = {
+    ("tight", "solve_lns_aga"): "628c0000d55c955d",
+    ("tight", "solve_ga"): "b69741596bd10e8d",
+    ("tight", "solve_lambert_ga"): "de5eac6084e23b66",
+    ("roomy", "solve_lns_aga"): "0b3983888b4ecac4",
+    ("roomy", "solve_ga"): "ced4a5ba8c293b07",
+    ("roomy", "solve_lambert_ga"): "1fcc22b3ac5db199",
+}
+
+
+def _ga():
+    return GaParams(population_size=20, min_iterations=20,
+                    stall_iterations=10)
+
+
+SOLVERS = {
+    "solve_lns_aga": lambda sc, seed: solve_lns_aga(
+        sc, _ga(), LnsParams(), seed=seed),
+    "solve_ga": lambda sc, seed: solve_ga(sc, _ga(), seed=seed),
+    "solve_lambert_ga": lambda sc, seed: solve_lambert_ga(sc, _ga(),
+                                                          seed=seed),
+}
+
+
+def fingerprint(results) -> str:
+    record = []
+    for r in results:
+        ev = r.best_evaluation
+        record.append([
+            r.seed, r.generations_run, ev.fitness.hex(), ev.total_dv.hex(),
+            [dv.hex() for dv in ev.per_servicer_dv], ev.feasible,
+            [[route.servicer_id, route.target_sequence, route.revolutions]
+             for route in r.best_plan.routes],
+            [[best.hex(), mean.hex()] for best, mean in r.history]])
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case, solver", sorted(EXPECTED))
+def test_solver_fingerprint(case, solver):
+    scenario = random_scenario(6, 2, DEADLINE_DAYS[case], seed=7)
+    results = [SOLVERS[solver](scenario, seed) for seed in SEEDS]
+    assert fingerprint(results) == EXPECTED[(case, solver)]

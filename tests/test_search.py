@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario, random_scenario_tuple
-from georepair.astro import GEO
+from georepair import search
+from georepair.astro import GEO, CollinearGeometry
 from georepair.planning import (
     CostModel,
     MissionPlan,
@@ -20,11 +21,13 @@ from georepair.planning import (
 )
 from georepair.search import (
     AllInfeasible,
+    _LambertAdapter,
     GaParams,
     LnsParams,
     adaptive_pc,
     adaptive_pm,
     destroy,
+    evaluate_plan_lambert,
     init_population,
     insertion_cost,
     lns_improve,
@@ -490,3 +493,24 @@ class TestSolvers:
         result = solve_lambert_ga(scenario, small_ga(), seed=2)
         assert any(leg.solution.phase_time < T
                    for leg in result.best_evaluation.leg_details)
+
+    def test_failed_lambert_leg_is_infinite_in_search_and_final_evaluation(
+            self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise CollinearGeometry("forced failure")
+
+        monkeypatch.setattr(search, "lambert_solve", fail)
+        scenario = random_scenario_tuple(random.Random(19), 3, 2,
+                                         deadline_s=8 * DAY)
+        adapter = _LambertAdapter(scenario, 1.0, 10.0)
+        _, score = adapter.route(1, [1, 2])
+        assert score == math.inf
+        plan = MissionPlan([Route(1, [1, 2], [1, 1]), Route(2, [3], [1])])
+        ev = evaluate_plan_lambert(scenario, plan)
+        assert ev.total_dv == math.inf and ev.fitness == math.inf
+        assert not ev.feasible
+        assert all(math.isnan(x) for x in ev.leg_details[0].solution.impulse1)
+        result = solve_lambert_ga(scenario, small_ga(), seed=1)
+        assert result.history[-1][0] == math.inf
+        assert result.best_evaluation.fitness == math.inf
+        assert not result.best_evaluation.feasible
