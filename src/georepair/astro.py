@@ -200,19 +200,6 @@ def angular_momentum_dir(orbit: GeoOrbit) -> np.ndarray:
     return h
 
 
-def dihedral_angle(a: GeoOrbit, b: GeoOrbit) -> float:
-    """Angle between two orbit planes, in [0, pi].
-
-    Equals acos(sin Ia sin Ib cos(raan_a - raan_b) + cos Ia cos Ib), i.e.
-    the angle between the plane normals, but is evaluated through
-    atan2(|ha x hb|, ha . hb): the clamped-arccos form cannot resolve
-    separations below ~1e-8 rad, while this one is exact at zero.
-    """
-    ha, hb = angular_momentum_dir(a), angular_momentum_dir(b)
-    return math.atan2(float(np.linalg.norm(np.cross(ha, hb))),
-                      float(np.dot(ha, hb)))
-
-
 def coast_time_to_node(state: CartesianState, node: np.ndarray,
                        orbit_normal: np.ndarray,
                        consts: PhysicalConstants = GEO) -> float:

@@ -12,11 +12,13 @@ vectors for schedule output, and take the leg model as an argument: the
 default is the mixed rendezvous on the route's revolution counts, and the
 Lambert baseline in ``search`` passes its own two-impulse leg.
 ``CostModel`` is a scalar engine for the mixed model used inside search
-loops: it exploits the fact that coast times and phase gaps are invariant
-under whole-revolution shifts of earlier legs, so a route's geometry can
-be computed once (with every leg at one revolution) and reused for any
-revolution allocation. It agrees with ``evaluate_plan`` to float precision
-and a test pins that agreement.
+loops. Coast times and phase gaps are invariant under whole-revolution
+shifts of earlier legs, so one simulation of a route with every leg at one
+revolution serves any revolution allocation. The engine keeps one bounded
+memo of priced routes: each (servicer, sequence, slack rule) is simulated,
+allocated and costed once, and the allocator, the LNS insertion scan and
+the GA's route scoring all read it. It agrees with ``evaluate_plan`` to
+float precision and a test pins that agreement.
 """
 
 from __future__ import annotations
@@ -289,17 +291,26 @@ class _RouteGeom:
 
 
 _ROUTE_CACHE_CAP = 400_000
+_SLACK_RULES = ("largest", "smallest")
+_EMPTY_ROUTE = ((), 0.0, 0.0, 0.0)
 
 
 class CostModel:
-    """Scalar per-leg transfer costs with route-geometry caching.
+    """Scalar per-leg transfer costs with one memo of priced routes.
 
     Leg geometry (coast to the nearest plane-intersection point, signed
     phase gap at that point) matches ``rendezvous_mixed`` to float
-    precision but runs on plain floats. Geometry is simulated once per
-    (servicer, sequence) at one revolution per leg and reused for every
-    revolution allocation, which is exact because changing a leg's
-    revolution count shifts all later departure phases by whole periods.
+    precision but runs on plain floats. A route's geometry is simulated at
+    one revolution per leg and serves every revolution allocation, which is
+    exact because changing a leg's revolution count shifts all later
+    departure phases by whole periods.
+
+    ``priced_route`` memoizes, per (servicer, sequence, slack rule), the
+    allocated revolutions with their delta-v, deadline violation and end
+    time, so each route's geometry is built and allocated once. The memo
+    empties itself when it reaches ``_ROUTE_CACHE_CAP`` entries.
+    ``route_metrics`` answers from it when given the memoized revolutions
+    and computes any other allocation fresh.
     """
 
     def __init__(self, scenario: Scenario):
@@ -320,7 +331,7 @@ class CostModel:
             self._bodies[t.id] = _Body(t.orbit)
         self._v_geo = v_geo
         self._pairs: dict = {}
-        self._routes: dict = {}
+        self._priced: dict = {}
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
         self._max_revs = max(1, math.ceil(scenario.deadline / c.t_geo) - 1)
@@ -359,10 +370,8 @@ class CostModel:
         return coast, theta, p
 
     def route_geometry(self, servicer_id: int, seq) -> _RouteGeom:
-        key = (servicer_id, tuple(seq))
-        geom = self._routes.get(key)
-        if geom is not None:
-            return geom
+        """Coasts, phase gaps and repair times of a route flown at one
+        revolution per leg."""
         coasts, thetas, dv1s, shalves, tds = [], [], [], [], []
         t = 0.0
         from_key = ("S", servicer_id)
@@ -376,12 +385,8 @@ class CostModel:
             tds.append(td)
             t = t + coast + ((TWO_PI + theta) / TWO_PI) * self.t_geo + td
             from_key = tid
-        geom = _RouteGeom(tuple(coasts), tuple(thetas), tuple(dv1s),
+        return _RouteGeom(tuple(coasts), tuple(thetas), tuple(dv1s),
                           tuple(shalves), tuple(tds))
-        if len(self._routes) >= _ROUTE_CACHE_CAP:
-            self._routes.clear()
-        self._routes[key] = geom
-        return geom
 
     # -- per-leg cost pieces -------------------------------------------------
 
@@ -412,11 +417,9 @@ class CostModel:
 
     # -- route-level evaluation ----------------------------------------------
 
-    def route_metrics(self, servicer_id: int, seq, revs):
-        """(delta-v m/s, deadline-violation seconds, end time s) of a route."""
-        if not seq:
-            return 0.0, 0.0, 0.0
-        geom = self.route_geometry(servicer_id, seq)
+    def _route_cost(self, geom: _RouteGeom, revs):
+        """(delta-v m/s, deadline-violation seconds, end time s) of a route's
+        geometry flown on ``revs``."""
         t = 0.0
         dv = 0.0
         p1 = 0.0
@@ -429,6 +432,18 @@ class CostModel:
             if t > deadline:
                 p1 += t - deadline
         return dv, p1, t
+
+    def route_metrics(self, servicer_id: int, seq, revs):
+        """(delta-v m/s, deadline-violation seconds, end time s) of a route."""
+        if not seq:
+            return 0.0, 0.0, 0.0
+        key = tuple(seq)
+        revs = tuple(revs)
+        for rule in _SLACK_RULES:
+            hit = self._priced.get((servicer_id, key, rule))
+            if hit is not None and hit[0] == revs:
+                return hit[1:]
+        return self._route_cost(self.route_geometry(servicer_id, seq), revs)
 
     def route_score(self, servicer_id: int, seq, revs,
                     phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA):
@@ -455,36 +470,56 @@ class CostModel:
         removes revolutions (smallest gap first, where the delta-v increase
         is least) until the route fits or every leg is at one.
         """
+        return list(self.priced_route(servicer_id, seq, slack_rule)[0])
+
+    def priced_route(self, servicer_id: int, seq,
+                     slack_rule: str = "largest"):
+        """(revolutions, delta-v m/s, deadline-violation s, end time s) of a
+        route under ``allocate``, from the memo."""
         if not seq:
-            return []
-        if slack_rule not in ("largest", "smallest"):
-            raise ValueError("slack_rule must be 'largest' or 'smallest'")
-        geom = self.route_geometry(servicer_id, seq)
-        legs = len(seq)
+            return _EMPTY_ROUTE
+        key = (servicer_id, tuple(seq), slack_rule)
+        hit = self._priced.get(key)
+        if hit is None:
+            if slack_rule not in _SLACK_RULES:
+                raise ValueError("slack_rule must be 'largest' or 'smallest'")
+            geom = self.route_geometry(servicer_id, seq)
+            revs, cost = self._allocate(geom, slack_rule)
+            hit = (tuple(revs),) + cost
+            if len(self._priced) >= _ROUTE_CACHE_CAP:
+                self._priced.clear()
+            self._priced[key] = hit
+        return hit
+
+    def _allocate(self, geom: _RouteGeom, slack_rule: str):
+        """``allocate`` on a route's geometry; returns the revolutions and
+        their ``_route_cost``."""
+        legs = len(geom.thetas)
         n_max = self._max_revs
         t_phase_budget = self.deadline - geom.sum_td - geom.sum_coast
         pieces = math.floor(t_phase_budget / self.t_geo)
         base = min(max(pieces // legs, 1), n_max)
         revs = [base] * legs
         gaps = [abs(th) for th in geom.thetas]
-        _, _, end = self.route_metrics(servicer_id, seq, revs)
-        if end > self.deadline:
+        cost = self._route_cost(geom, revs)
+        if cost[2] > self.deadline:
             trim_order = sorted(range(legs), key=lambda q: (gaps[q], q))
-            while end > self.deadline:
+            while cost[2] > self.deadline:
                 cut = next((q for q in trim_order if revs[q] > 1), None)
                 if cut is None:
                     break
                 revs[cut] -= 1
-                _, _, end = self.route_metrics(servicer_id, seq, revs)
-            return revs
-        slack = self.deadline - end
+                cost = self._route_cost(geom, revs)
+            return revs, cost
+        slack = self.deadline - cost[2]
         if slack > 0.0:
             extra = math.floor(slack / self.t_geo)
             if extra >= 1:
                 pick = (max if slack_rule == "largest" else min)(
                     range(legs), key=lambda q: (gaps[q], -q))
                 revs[pick] = min(revs[pick] + extra, n_max)
-        return revs
+                cost = self._route_cost(geom, revs)
+        return revs, cost
 
     # -- plan-level ----------------------------------------------------------
 

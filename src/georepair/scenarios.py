@@ -84,6 +84,8 @@ class ScenarioSpec:
     def to_scenario(self) -> Scenario:
         if self.deadline_hours <= 0.0:
             raise ValidationError("deadline_hours must be positive")
+        if not math.isfinite(self.deadline_hours * 3600.0):
+            raise ValidationError("deadline_hours is too large")
         if not self.servicers or not self.targets:
             raise ValidationError("need at least one servicer and one target")
         if self.constants is not None:
@@ -108,6 +110,9 @@ class ScenarioSpec:
             if t.repair_hours < 0.0:
                 raise ValidationError(
                     f"target {t.name!r}: repair_hours must be non-negative")
+            if not math.isfinite(t.repair_hours * 3600.0):
+                raise ValidationError(
+                    f"target {t.name!r}: repair_hours is too large")
             targets.append(Target(
                 i + 1, t.name,
                 _orbit_from_degrees(t, "target"), t.repair_hours * 3600.0))
@@ -192,7 +197,20 @@ def _number(record: dict, key: str, what: str) -> float:
     v = record[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{what}: field {key!r} must be a number")
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ParseError(f"{what}: field {key!r} must be finite")
+    return v
+
+
+def _list(record: dict, key: str, what: str) -> list:
+    v = record[key]
+    if not isinstance(v, list):
+        raise ParseError(f"{what}: field {key!r} must be a list")
+    return v
 
 
 def spec_from_dict(data: dict) -> ScenarioSpec:
@@ -201,7 +219,7 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
     if not isinstance(data["epoch"], str):
         raise ParseError("scenario: field 'epoch' must be a string")
     servicers = []
-    for i, rec in enumerate(data["servicers"]):
+    for i, rec in enumerate(_list(data, "servicers", "scenario")):
         what = f"servicers[{i}]"
         _check_fields(rec, _SERVICER_FIELDS, what)
         servicers.append(ServicerSpec(
@@ -210,7 +228,7 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
             _number(rec, "true_anomaly_deg", what),
             _number(rec, "dv_budget_mps", what)))
     targets = []
-    for i, rec in enumerate(data["targets"]):
+    for i, rec in enumerate(_list(data, "targets", "scenario")):
         what = f"targets[{i}]"
         _check_fields(rec, _TARGET_FIELDS, what)
         targets.append(TargetSpec(

@@ -322,8 +322,7 @@ def insertion_cost(target_id: int, partial: MissionPlan, scenario: Scenario,
                                                phi, gamma)
         for pos in range(len(seq) + 1):
             cand = seq[:pos] + [target_id] + seq[pos:]
-            revs = model.allocate(sid, cand, slack_rule)
-            dv, p1, _ = model.route_metrics(sid, cand, revs)
+            _, dv, p1, _ = model.priced_route(sid, cand, slack_rule)
             p2 = max(dv - model._budget[sid], 0.0)
             delta = penalized_fitness(dv, p1, p2, phi, gamma) - old_score
             if p1 == 0.0 and p2 == 0.0:
@@ -410,23 +409,11 @@ class _MixedAdapter:
         self.phi = phi
         self.gamma = gamma
         self.slack_rule = slack_rule
-        self._cache = {}
 
     def route(self, sid: int, seq) -> tuple[list[int], float]:
-        key = (sid, tuple(seq))
-        hit = self._cache.get(key)
-        if hit is None:
-            if seq:
-                revs = self.model.allocate(sid, seq, self.slack_rule)
-                score, _, _, _ = self.model.route_score(sid, seq, revs,
-                                                        self.phi, self.gamma)
-            else:
-                revs, score = [], 0.0
-            hit = (tuple(revs), score)
-            if len(self._cache) > 300_000:
-                self._cache.clear()
-            self._cache[key] = hit
-        return list(hit[0]), hit[1]
+        revs, dv, p1, _ = self.model.priced_route(sid, seq, self.slack_rule)
+        p2 = max(dv - self.model._budget[sid], 0.0)
+        return list(revs), penalized_fitness(dv, p1, p2, self.phi, self.gamma)
 
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
         return evaluate_plan(self.scenario, plan, self.phi, self.gamma)

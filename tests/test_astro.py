@@ -16,7 +16,6 @@ from georepair.astro import (
     PhysicalConstants,
     angular_momentum_dir,
     coast_time_to_node,
-    dihedral_angle,
     fold_angle,
     lambert_solve,
     orbit_to_state,
@@ -103,25 +102,6 @@ class TestAngularMomentum:
             assert np.linalg.norm(h) == pytest.approx(1.0, abs=1e-12)
             for t in (0.0, 1e4, 3e5):
                 assert abs(np.dot(h, orbit_to_state(orb, t).r)) < 1e-8
-
-
-class TestDihedral:
-    def test_identical_planes(self):
-        orb = GeoOrbit.from_degrees(3.0, 40.0, 10.0)
-        assert dihedral_angle(orb, orb) == pytest.approx(0.0, abs=1e-12)
-
-    def test_reduces_to_inclination_difference(self):
-        a = GeoOrbit(0.0, 0.0, 0.0)
-        b = GeoOrbit.from_degrees(5.0, 123.0, 0.0)
-        assert dihedral_angle(a, b) == pytest.approx(math.radians(5.0), abs=1e-12)
-
-    def test_opposite_raan(self):
-        a = GeoOrbit.from_degrees(5.0, 0.0, 0.0)
-        b = GeoOrbit.from_degrees(5.0, 180.0, 0.0)
-        expected = math.acos(-math.sin(math.radians(5)) ** 2
-                             + math.cos(math.radians(5)) ** 2)
-        assert expected == pytest.approx(math.radians(10.0), abs=1e-12)
-        assert dihedral_angle(a, b) == pytest.approx(expected, abs=1e-12)
 
 
 class TestCoastTime:

@@ -77,6 +77,17 @@ class TestSolve:
         assert code == 1
         assert "deadline_hours" in capsys.readouterr().err
 
+    def test_infinite_deadline_exits_one(self, tmp_path, capsys):
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        data = json.loads(scen_path.read_text())
+        data["deadline_hours"] = float("inf")
+        scen_path.write_text(json.dumps(data))
+        assert main(["solve", str(scen_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "deadline_hours" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_case_study_emits_one_row_per_target(self, tmp_path):
         scen_path = tmp_path / "case.json"
         save(case_study(), scen_path)

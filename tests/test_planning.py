@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario, random_scenario_tuple
+from georepair import planning
 from georepair.astro import GEO, TWO_PI, phasing_solution
 from georepair.planning import (
     CostModel,
@@ -22,6 +23,8 @@ from georepair.planning import (
     exhaustive_solve,
     validate_chromosome,
 )
+from georepair.scenarios import random_scenario
+from georepair.search import GaParams, solve_lns_aga
 
 T = GEO.t_geo
 HOUR = 3600.0
@@ -263,6 +266,69 @@ class TestCostModelAgreement:
         dv, _, end = model.route_metrics(1, seq, revs)
         assert dv == pytest.approx(result.dv, rel=1e-9)
         assert end == pytest.approx(result.end_time, rel=1e-12)
+
+
+class TestRouteMemo:
+    """``CostModel`` prices each (servicer, sequence, slack rule) once; the
+    memo must not change any answer and must stay bounded."""
+
+    RULES = ("largest", "smallest")
+
+    @staticmethod
+    def random_routes(scenario, rng, count):
+        tids = [t.id for t in scenario.targets]
+        sids = [s.id for s in scenario.servicers]
+        return [(rng.choice(sids), rng.sample(tids, rng.randint(1, 5)))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("days", [6.0, 20.0])
+    def test_memo_answers_match_a_fresh_model(self, days):
+        scenario = random_scenario(8, 3, days, seed=11)
+        rng = random.Random(12)
+        pool = self.random_routes(scenario, rng, 12)
+        memo = CostModel(scenario)
+        for i in range(80):
+            sid, seq = rng.choice(pool)
+            rule = self.RULES[i % 2]
+            revs = memo.allocate(sid, seq, rule)
+            assert revs == CostModel(scenario).allocate(sid, seq, rule)
+            assert memo.priced_route(sid, seq, rule) == (
+                (tuple(revs),)
+                + CostModel(scenario).route_metrics(sid, seq, revs))
+            other = [k + rng.randint(0, 2) for k in revs]
+            for r in (revs, other):
+                assert memo.route_metrics(sid, seq, r) == CostModel(
+                    scenario).route_metrics(sid, seq, r)
+                assert memo.route_score(sid, seq, r, 2.0, 7.0) == CostModel(
+                    scenario).route_score(sid, seq, r, 2.0, 7.0)
+        assert len(memo._priced) < 80
+
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(planning, "_ROUTE_CACHE_CAP", 5)
+        scenario = random_scenario(8, 3, 12.0, seed=13)
+        model = CostModel(scenario)
+        routes = self.random_routes(scenario, random.Random(14), 40)
+        assert len({(sid, tuple(seq)) for sid, seq in routes}) > 5
+        for sid, seq in routes:
+            revs = model.allocate(sid, seq)
+            assert len(model._priced) <= 5
+            assert revs == CostModel(scenario).allocate(sid, seq)
+
+    def test_lns_solve_builds_each_route_geometry_once(self, monkeypatch):
+        built = []
+        original = CostModel.route_geometry
+
+        def spy(self, servicer_id, seq):
+            built.append((servicer_id, tuple(seq)))
+            return original(self, servicer_id, seq)
+
+        monkeypatch.setattr(CostModel, "route_geometry", spy)
+        scenario = random_scenario(6, 2, 10.0, seed=7)
+        solve_lns_aga(scenario, GaParams(population_size=20,
+                                         min_iterations=10,
+                                         stall_iterations=5), seed=1)
+        assert built
+        assert len(built) == len(set(built))
 
 
 class TestExhaustive:

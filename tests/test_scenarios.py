@@ -158,3 +158,63 @@ class TestSaveLoad:
         path.write_text("{ nope")
         with pytest.raises(ParseError, match="line"):
             load(path)
+
+
+def _case_study_dict():
+    return spec_to_dict(scenario_spec(case_study()))
+
+
+def _set(path, value):
+    """Edit of a case-study record: ``path`` is a tuple of keys and indices
+    ending at the field that gets ``value``."""
+    def edit(data):
+        rec = data
+        for key in path[:-1]:
+            rec = rec[key]
+        rec[path[-1]] = value
+    return edit
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("path,value,field", [
+        pytest.param(("servicers",), 5, "servicers", id="servicers-number"),
+        pytest.param(("servicers",), {"name": "SSc1"}, "servicers",
+                     id="servicers-object"),
+        pytest.param(("targets",), "Beidou", "targets", id="targets-string"),
+        pytest.param(("targets",), None, "targets", id="targets-null"),
+        pytest.param(("deadline_hours",), math.inf, "deadline_hours",
+                     id="deadline-inf"),
+        pytest.param(("deadline_hours",), math.nan, "deadline_hours",
+                     id="deadline-nan"),
+        pytest.param(("deadline_hours",), 10 ** 400, "deadline_hours",
+                     id="deadline-huge-int"),
+        pytest.param(("targets", 2, "repair_hours"), math.nan,
+                     "repair_hours", id="repair-nan"),
+        pytest.param(("targets", 0, "raan_deg"), math.nan, "raan_deg",
+                     id="raan-nan"),
+        pytest.param(("servicers", 1, "inclination_deg"), -math.inf,
+                     "inclination_deg", id="inclination-minus-inf"),
+        pytest.param(("servicers", 0, "dv_budget_mps"), math.nan,
+                     "dv_budget_mps", id="budget-nan"),
+    ])
+    def test_parse_error_names_the_field(self, tmp_path, path, value, field):
+        data = _case_study_dict()
+        _set(path, value)(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=field):
+            load(bad)
+
+    @pytest.mark.parametrize("path,field", [
+        pytest.param(("deadline_hours",), "deadline_hours", id="deadline"),
+        pytest.param(("targets", 3, "repair_hours"), "repair_hours",
+                     id="repair"),
+    ])
+    def test_finite_hours_that_overflow_seconds_are_rejected(
+            self, tmp_path, path, field):
+        data = _case_study_dict()
+        _set(path, 1e307)(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=field):
+            load(bad)
