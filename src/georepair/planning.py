@@ -14,10 +14,13 @@ Lambert baseline in ``search`` passes its own two-impulse leg.
 ``CostModel`` is a scalar engine for the mixed model used inside search
 loops. Coast times and phase gaps are invariant under whole-revolution
 shifts of earlier legs, so one simulation of a route with every leg at one
-revolution serves any revolution allocation. The engine keeps one bounded
-memo of priced routes: each (servicer, sequence, slack rule) is simulated,
-allocated and costed once, and the allocator, the LNS insertion scan and
-the GA's route scoring all read it. It agrees with ``evaluate_plan`` to
+revolution serves any revolution allocation. The engine keeps two bounded
+memos. The route memo prices each (servicer, sequence, slack rule) once:
+the route is simulated, allocated on end times alone and costed once, and
+the allocator, the LNS insertion scan and the GA's route scoring all read
+it. The insertion memo scans each (route contents, target) pair once for
+its cheapest slots, so LNS repair reuses a scan across repair rounds,
+attempts and generations. The engine agrees with ``evaluate_plan`` to
 float precision and a test pins that agreement.
 """
 
@@ -296,7 +299,8 @@ _EMPTY_ROUTE = ((), 0.0, 0.0, 0.0)
 
 
 class CostModel:
-    """Scalar per-leg transfer costs with one memo of priced routes.
+    """Scalar per-leg transfer costs with memos of priced routes and of
+    insertion scans.
 
     Leg geometry (coast to the nearest plane-intersection point, signed
     phase gap at that point) matches ``rendezvous_mixed`` to float
@@ -311,6 +315,12 @@ class CostModel:
     empties itself when it reaches ``_ROUTE_CACHE_CAP`` entries.
     ``route_metrics`` answers from it when given the memoized revolutions
     and computes any other allocation fresh.
+
+    ``insertion_scan`` memoizes, per route contents (servicer, sequence,
+    revolutions), target, slack rule and fitness weights, the cheapest
+    slots for that target in that route; it empties itself at the same cap.
+    ``pair_cost_table`` tables the normalized target-pair costs that LNS
+    relatedness reads, once per ``beta``.
     """
 
     def __init__(self, scenario: Scenario):
@@ -332,10 +342,11 @@ class CostModel:
         self._v_geo = v_geo
         self._pairs: dict = {}
         self._priced: dict = {}
+        self._insertions: dict = {}
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
         self._max_revs = max(1, math.ceil(scenario.deadline / c.t_geo) - 1)
-        self._max_pair_cost: dict = {}
+        self._pair_costs: dict = {}
 
     # -- leg geometry -------------------------------------------------------
 
@@ -452,6 +463,53 @@ class CostModel:
         p2 = max(dv - self._budget[servicer_id], 0.0)
         return penalized_fitness(dv, p1, p2, phi, gamma), dv, p1, p2
 
+    def priced_score(self, servicer_id: int, seq, slack_rule: str,
+                     phi: float, gamma: float):
+        """(revolutions, penalized fitness, feasible) of ``priced_route``;
+        feasible means no deadline violation and no budget excess."""
+        revs, dv, p1, _ = self.priced_route(servicer_id, seq, slack_rule)
+        p2 = max(dv - self._budget[servicer_id], 0.0)
+        return (revs, penalized_fitness(dv, p1, p2, phi, gamma),
+                p1 == 0.0 and p2 == 0.0)
+
+    def insertion_scan(self, servicer_id: int, seq, revs, target_id: int,
+                       slack_rule: str, phi: float, gamma: float):
+        """Cheapest slots for ``target_id`` in one route, from the memo.
+
+        Each slot's route is re-allocated through ``priced_route`` and its
+        delta is its penalized fitness minus that of ``seq`` flown on
+        ``revs``. Returns ``(feasible, penalized)``: the first slot of least
+        delta among those whose route meets the deadline and the budget
+        (None if no slot does) and the first of least delta among all
+        slots, each as ``(delta, (servicer_id, slot))``.
+        """
+        seq = tuple(seq)
+        key = (servicer_id, seq, tuple(revs), target_id, slack_rule, phi,
+               gamma)
+        hit = self._insertions.get(key)
+        if hit is None:
+            old_score = self.route_score(servicer_id, seq, revs, phi,
+                                         gamma)[0]
+            best = None
+            best_pen = None
+            for pos in range(len(seq) + 1):
+                _, score, feasible = self.priced_score(
+                    servicer_id, seq[:pos] + (target_id,) + seq[pos:],
+                    slack_rule, phi, gamma)
+                delta = score - old_score
+                # When one slot is both minima, both share one tuple, which
+                # keeps memo entries small.
+                slot = None
+                if feasible and (best is None or delta < best[0]):
+                    best = slot = (delta, (servicer_id, pos))
+                if best_pen is None or delta < best_pen[0]:
+                    best_pen = slot or (delta, (servicer_id, pos))
+            hit = (best, best_pen)
+            if len(self._insertions) >= _ROUTE_CACHE_CAP:
+                self._insertions.clear()
+            self._insertions[key] = hit
+        return hit
+
     # -- revolution allocation (one-pass heuristic) ---------------------------
 
     def allocate(self, servicer_id: int, seq, slack_rule: str = "largest"):
@@ -491,35 +549,47 @@ class CostModel:
             self._priced[key] = hit
         return hit
 
+    def _end_time(self, geom: _RouteGeom, revs) -> float:
+        """End time (s) of ``_route_cost``, accumulated in the same order,
+        without the delta-v."""
+        t = 0.0
+        t_geo = self.t_geo
+        for coast, theta, td, k in zip(geom.coasts, geom.thetas, geom.tds,
+                                       revs):
+            t = t + coast + ((TWO_PI * k + theta) / TWO_PI) * t_geo + td
+        return t
+
     def _allocate(self, geom: _RouteGeom, slack_rule: str):
         """``allocate`` on a route's geometry; returns the revolutions and
-        their ``_route_cost``."""
+        their ``_route_cost``. The base, trim and top-up steps look at end
+        times only, so the route is costed once, on the final revolutions.
+        """
         legs = len(geom.thetas)
         n_max = self._max_revs
-        t_phase_budget = self.deadline - geom.sum_td - geom.sum_coast
+        deadline = self.deadline
+        t_phase_budget = deadline - geom.sum_td - geom.sum_coast
         pieces = math.floor(t_phase_budget / self.t_geo)
         base = min(max(pieces // legs, 1), n_max)
         revs = [base] * legs
         gaps = [abs(th) for th in geom.thetas]
-        cost = self._route_cost(geom, revs)
-        if cost[2] > self.deadline:
+        end = self._end_time(geom, revs)
+        if end > deadline:
             trim_order = sorted(range(legs), key=lambda q: (gaps[q], q))
-            while cost[2] > self.deadline:
+            while end > deadline:
                 cut = next((q for q in trim_order if revs[q] > 1), None)
                 if cut is None:
                     break
                 revs[cut] -= 1
-                cost = self._route_cost(geom, revs)
-            return revs, cost
-        slack = self.deadline - cost[2]
-        if slack > 0.0:
-            extra = math.floor(slack / self.t_geo)
-            if extra >= 1:
-                pick = (max if slack_rule == "largest" else min)(
-                    range(legs), key=lambda q: (gaps[q], -q))
-                revs[pick] = min(revs[pick] + extra, n_max)
-                cost = self._route_cost(geom, revs)
-        return revs, cost
+                end = self._end_time(geom, revs)
+        else:
+            slack = deadline - end
+            if slack > 0.0:
+                extra = math.floor(slack / self.t_geo)
+                if extra >= 1:
+                    pick = (max if slack_rule == "largest" else min)(
+                        range(legs), key=lambda q: (gaps[q], -q))
+                    revs[pick] = min(revs[pick] + extra, n_max)
+        return revs, self._route_cost(geom, revs)
 
     # -- plan-level ----------------------------------------------------------
 
@@ -551,15 +621,24 @@ class CostModel:
         theta = abs(fold_angle(self._bodies[i].lam0 - self._bodies[j].lam0))
         return beta * abs(p.alpha) + (1.0 - beta) * theta
 
-    def max_pair_cost(self, beta: float) -> float:
-        cached = self._max_pair_cost.get(beta)
-        if cached is None:
+    def pair_cost_table(self, beta: float) -> list[list[float]]:
+        """``table[i][j]``: ``target_pair_cost(i, j, beta)`` over its
+        maximum across target pairs (0 when that maximum is 0), for every
+        two distinct target ids; built once per ``beta``."""
+        table = self._pair_costs.get(beta)
+        if table is None:
             ids = [t.id for t in self.scenario.targets]
-            cached = max((self.target_pair_cost(i, j, beta)
-                          for i, j in itertools.combinations(ids, 2)),
-                         default=0.0)
-            self._max_pair_cost[beta] = cached
-        return cached
+            c_max = max((self.target_pair_cost(i, j, beta)
+                         for i, j in itertools.combinations(ids, 2)),
+                        default=0.0)
+            table = [[0.0] * (len(ids) + 1) for _ in range(len(ids) + 1)]
+            for i in ids:
+                for j in ids:
+                    if i != j:
+                        c = self.target_pair_cost(i, j, beta)
+                        table[i][j] = c / c_max if c_max > 0.0 else 0.0
+            self._pair_costs[beta] = table
+        return table
 
 
 # ---------------------------------------------------------------------------

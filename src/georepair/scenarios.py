@@ -88,14 +88,11 @@ class ScenarioSpec:
             raise ValidationError("deadline_hours is too large")
         if not self.servicers or not self.targets:
             raise ValidationError("need at least one servicer and one target")
-        if self.constants is not None:
-            consts = PhysicalConstants(mu=self.constants["mu_km3s2"],
-                                       t_geo=self.constants["t_geo_s"])
-        else:
-            consts = GEO
+        consts = GEO if self.constants is None else _constants(
+            self.constants)
         try:
             epoch = _parse_epoch(self.epoch)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"bad epoch {self.epoch!r}: {exc}") from exc
         servicers = []
         for i, s in enumerate(self.servicers):
@@ -119,6 +116,21 @@ class ScenarioSpec:
         return Scenario(epoch=epoch, deadline=self.deadline_hours * 3600.0,
                         servicers=servicers, targets=targets,
                         constants=consts, spec=self)
+
+
+def _constants(record: dict) -> PhysicalConstants:
+    for key in ("mu_km3s2", "t_geo_s"):
+        if record[key] <= 0.0:
+            raise ValidationError(f"constants: {key} must be positive")
+    try:
+        return PhysicalConstants(mu=record["mu_km3s2"],
+                                 t_geo=record["t_geo_s"])
+    except OverflowError as exc:
+        raise ValidationError(
+            "constants: mu_km3s2 and t_geo_s give a GEO radius beyond the "
+            "float range") from exc
+    except ValueError as exc:
+        raise ValidationError(f"constants: {exc}") from exc
 
 
 def _orbit_from_degrees(rec, kind: str) -> GeoOrbit:

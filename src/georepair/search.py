@@ -240,11 +240,12 @@ def relatedness(i: int, j: int, plan: MissionPlan, beta: float,
         raise ValueError("relatedness needs two distinct targets")
     if model is None:
         model = CostModel(scenario)
-    c_max = model.max_pair_cost(beta)
-    c = model.target_pair_cost(i, j, beta)
-    c_norm = c / c_max if c_max > 0.0 else 0.0
-    v = 0.0 if plan.route_of(i) == plan.route_of(j) else 1.0
-    return 1.0 / (c_norm + v + RELATEDNESS_EPS)
+    return _relatedness(model.pair_cost_table(beta)[i][j],
+                        plan.route_of(i) == plan.route_of(j))
+
+
+def _relatedness(c_norm: float, same_route: bool) -> float:
+    return 1.0 / (c_norm + (0.0 if same_route else 1.0) + RELATEDNESS_EPS)
 
 
 def _remove_target(plan: MissionPlan, tid: int):
@@ -270,6 +271,9 @@ def destroy(plan: MissionPlan, params: LnsParams, scenario: Scenario,
     """
     if model is None:
         model = CostModel(scenario)
+    pair_cost = model.pair_cost_table(params.beta)
+    route_of = {tid: route.servicer_id for route in plan.routes
+                for tid in route.target_sequence}
     all_targets = plan.covered_targets()
     count = math.ceil(len(all_targets) * params.remove_rate)
     partial = plan.copy()
@@ -278,11 +282,11 @@ def destroy(plan: MissionPlan, params: LnsParams, scenario: Scenario,
     removed = [first]
     while len(removed) < count:
         remaining = partial.covered_targets()
-        last = removed[-1]
+        row = pair_cost[removed[-1]]
+        home = route_of[removed[-1]]
         ranked = sorted(
             remaining,
-            key=lambda t: (-relatedness(last, t, plan, params.beta, scenario,
-                                        model), t))
+            key=lambda t: (-_relatedness(row[t], route_of[t] == home), t))
         y = rng.random()
         idx = int(y ** params.determinism_p * len(ranked))
         pick = ranked[min(idx, len(ranked) - 1)]
@@ -307,29 +311,25 @@ def insertion_cost(target_id: int, partial: MissionPlan, scenario: Scenario,
 
     Scans every route and slot, re-allocating revolutions for each modified
     route; positions whose route would violate the deadline or the budget
-    count as infinite. Returns (fitness delta, (servicer_id, slot)). Raises
-    AllInfeasible, carrying the least-penalty position, when nothing is
-    feasible.
+    count as infinite. Returns (fitness delta, (servicer_id, slot)), the
+    first least delta in route and slot order. Raises AllInfeasible,
+    carrying the least-penalty position, when nothing is feasible. Each
+    route's scan comes from ``CostModel.insertion_scan``, so a route whose
+    contents did not change since an earlier call is not scanned again.
     """
     if model is None:
         model = CostModel(scenario)
     best = None
     best_pen = None
     for route in partial.routes:
-        sid = route.servicer_id
-        seq = route.target_sequence
-        old_score, _, _, _ = model.route_score(sid, seq, route.revolutions,
-                                               phi, gamma)
-        for pos in range(len(seq) + 1):
-            cand = seq[:pos] + [target_id] + seq[pos:]
-            _, dv, p1, _ = model.priced_route(sid, cand, slack_rule)
-            p2 = max(dv - model._budget[sid], 0.0)
-            delta = penalized_fitness(dv, p1, p2, phi, gamma) - old_score
-            if p1 == 0.0 and p2 == 0.0:
-                if best is None or delta < best[0]:
-                    best = (delta, (sid, pos))
-            if best_pen is None or delta < best_pen[0]:
-                best_pen = (delta, (sid, pos))
+        feasible, pen = model.insertion_scan(
+            route.servicer_id, route.target_sequence, route.revolutions,
+            target_id, slack_rule, phi, gamma)
+        if feasible is not None and (best is None
+                                     or feasible[0] < best[0]):
+            best = feasible
+        if best_pen is None or pen[0] < best_pen[0]:
+            best_pen = pen
     if best is not None:
         return best
     raise AllInfeasible(best_pen[1], best_pen[0])
@@ -411,9 +411,9 @@ class _MixedAdapter:
         self.slack_rule = slack_rule
 
     def route(self, sid: int, seq) -> tuple[list[int], float]:
-        revs, dv, p1, _ = self.model.priced_route(sid, seq, self.slack_rule)
-        p2 = max(dv - self.model._budget[sid], 0.0)
-        return list(revs), penalized_fitness(dv, p1, p2, self.phi, self.gamma)
+        revs, score, _ = self.model.priced_score(sid, seq, self.slack_rule,
+                                                 self.phi, self.gamma)
+        return list(revs), score
 
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
         return evaluate_plan(self.scenario, plan, self.phi, self.gamma)

@@ -88,6 +88,23 @@ class TestSolve:
         assert err.startswith("error:") and "deadline_hours" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("constants", [
+        pytest.param({"mu_km3s2": 398600, "t_geo_s": 1e300}, id="overflow"),
+        pytest.param({"mu_km3s2": -1.0, "t_geo_s": 86164.0},
+                     id="negative-mu"),
+    ])
+    def test_bad_constants_exit_one(self, tmp_path, capsys, constants):
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        data = json.loads(scen_path.read_text())
+        data["constants"] = constants
+        scen_path.write_text(json.dumps(data))
+        assert main(["solve", str(scen_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: constants: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_case_study_emits_one_row_per_target(self, tmp_path):
         scen_path = tmp_path / "case.json"
         save(case_study(), scen_path)

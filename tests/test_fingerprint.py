@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from georepair.scenarios import random_scenario
+from georepair.scenarios import case_study, random_scenario
 from georepair.search import (
     GaParams,
     LnsParams,
@@ -70,3 +70,12 @@ def test_solver_fingerprint(case, solver):
     scenario = random_scenario(6, 2, DEADLINE_DAYS[case], seed=7)
     results = [SOLVERS[solver](scenario, seed) for seed in SEEDS]
     assert fingerprint(results) == EXPECTED[(case, solver)]
+
+
+def test_case_study_lns_fingerprint():
+    # The benchmark's case_lns workload: the case study under solve_lns_aga
+    # with default parameters, seed 1 (perfbench/baseline.json).
+    result = solve_lns_aga(case_study(), seed=1)
+    assert result.best_evaluation.fitness == 1506.3444605944935
+    assert result.generations_run == 145
+    assert fingerprint([result]) == "fd0d14ac8a37e57e"

@@ -331,6 +331,66 @@ class TestRouteMemo:
         assert len(built) == len(set(built))
 
 
+def trial_priced_allocate(model, geom, slack_rule):
+    """The revolution allocator as it reads with every trial allocation
+    fully priced by ``_route_cost``. Returns the revolutions, their cost
+    and whether the trim pass ran."""
+    legs = len(geom.thetas)
+    n_max = model._max_revs
+    t_phase_budget = model.deadline - geom.sum_td - geom.sum_coast
+    pieces = math.floor(t_phase_budget / model.t_geo)
+    base = min(max(pieces // legs, 1), n_max)
+    revs = [base] * legs
+    gaps = [abs(th) for th in geom.thetas]
+    cost = model._route_cost(geom, revs)
+    if cost[2] > model.deadline:
+        trim_order = sorted(range(legs), key=lambda q: (gaps[q], q))
+        while cost[2] > model.deadline:
+            cut = next((q for q in trim_order if revs[q] > 1), None)
+            if cut is None:
+                break
+            revs[cut] -= 1
+            cost = model._route_cost(geom, revs)
+        return revs, cost, True
+    slack = model.deadline - cost[2]
+    if slack > 0.0:
+        extra = math.floor(slack / model.t_geo)
+        if extra >= 1:
+            pick = (max if slack_rule == "largest" else min)(
+                range(legs), key=lambda q: (gaps[q], -q))
+            revs[pick] = min(revs[pick] + extra, n_max)
+            cost = model._route_cost(geom, revs)
+    return revs, cost, False
+
+
+class TestTimeOnlyAllocation:
+    """The allocator decides on end times alone and prices the route once;
+    its answers must equal those of the allocator that prices every trial.
+    """
+
+    @pytest.mark.parametrize("rule", ["largest", "smallest"])
+    def test_matches_the_trial_pricing_allocator(self, rule):
+        # Ten days for up to ten one-day repairs: most base allocations
+        # overrun the deadline, so the trim pass decides at its boundary.
+        scenario = random_scenario(10, 2, 10.0, seed=2101)
+        model = CostModel(scenario)
+        rng = random.Random(2102)
+        tids = [t.id for t in scenario.targets]
+        trims = trims_to_fit = 0
+        for _ in range(2000):
+            sid = rng.choice((1, 2))
+            seq = rng.sample(tids, rng.randint(1, 10))
+            geom = model.route_geometry(sid, seq)
+            revs, cost, trimmed = trial_priced_allocate(model, geom, rule)
+            trims += trimmed
+            trims_to_fit += trimmed and cost[2] <= model.deadline
+            assert model.priced_route(sid, seq, rule) == (tuple(revs),) + cost
+            other = [rng.randint(1, model._max_revs) for _ in seq]
+            assert model._end_time(geom, other) == model._route_cost(
+                geom, other)[2]
+        assert trims > 500 and trims_to_fit > 10
+
+
 class TestExhaustive:
     def test_single_target_picks_best_feasible_k(self):
         scenario = make_scenario([(0.0, 0.0, 0.0, 1000.0)],

@@ -5,9 +5,12 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from georepair.astro import GEO
+from georepair.planning import Scenario
 from georepair.scenarios import (
     ParseError,
     ValidationError,
@@ -15,6 +18,7 @@ from georepair.scenarios import (
     load,
     random_scenario,
     save,
+    spec_from_dict,
     spec_to_dict,
     scenario_spec,
 )
@@ -218,3 +222,106 @@ class TestMalformedValues:
         bad.write_text(json.dumps(data))
         with pytest.raises(ValidationError, match=field):
             load(bad)
+
+    @pytest.mark.parametrize("constants,field", [
+        pytest.param({"mu_km3s2": 398600, "t_geo_s": 1e300}, "constants",
+                     id="overflow"),
+        pytest.param({"mu_km3s2": 0, "t_geo_s": 86164.0}, "mu_km3s2",
+                     id="mu-zero"),
+        pytest.param({"mu_km3s2": 398600.4418, "t_geo_s": -1.0}, "t_geo_s",
+                     id="t-geo-negative"),
+        pytest.param({"mu_km3s2": 1e-300, "t_geo_s": 1e-300}, "constants",
+                     id="radius-underflow"),
+    ])
+    def test_bad_constants_are_one_line_validation_errors(
+            self, tmp_path, constants, field):
+        data = _case_study_dict()
+        data["constants"] = constants
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=field) as exc:
+            load(bad)
+        assert str(exc.value).startswith("constants: ")
+        assert "\n" not in str(exc.value)
+
+
+# -- fuzzing the file boundary ----------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=6)
+_NUMBERS = (st.floats() | st.integers()
+            | st.sampled_from([0, -1.0, 1e-300, 1e300, 10 ** 400]))
+_ORBIT_FIELDS = ("inclination_deg", "raan_deg", "true_anomaly_deg")
+
+
+def _records(extra: str):
+    return st.fixed_dictionaries(
+        {"name": st.text(max_size=8),
+         **{key: _NUMBERS for key in _ORBIT_FIELDS + (extra,)}})
+
+
+_DOCUMENTS = st.fixed_dictionaries(
+    {"epoch": st.sampled_from(["2021-03-12T04:00:00Z",
+                               "0001-01-01T00:00:00+01:00"])
+     | st.text(max_size=30),
+     "deadline_hours": _NUMBERS,
+     "servicers": st.lists(_records("dv_budget_mps"), max_size=3),
+     "targets": st.lists(_records("repair_hours"), max_size=3)},
+    optional={"constants": st.fixed_dictionaries(
+        {"mu_km3s2": _NUMBERS, "t_geo_s": _NUMBERS})})
+
+
+def _nodes(value, path=()):
+    """The key path of every node of a document, its own empty path
+    first."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def scenario_documents(draw):
+    """Nearly valid scenario documents with at most one node replaced by
+    an arbitrary JSON value, deleted, or given an unknown sibling."""
+    doc = draw(_DOCUMENTS)
+    edit = draw(st.sampled_from(["none", "replace", "delete", "add"]))
+    if edit == "none":
+        return doc
+    path = draw(st.sampled_from(list(_nodes(doc))))
+    if not path:
+        return draw(_JSON_VALUES) if edit == "replace" else doc
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if edit == "replace":
+        parent[path[-1]] = draw(_JSON_VALUES)
+    elif edit == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[draw(st.text(max_size=6))] = draw(_JSON_VALUES)
+    return doc
+
+
+def _overflowing_constants():
+    data = _case_study_dict()
+    data["constants"] = {"mu_km3s2": 398600, "t_geo_s": 1e300}
+    return data
+
+
+class TestFuzzScenarioDocuments:
+    @settings(max_examples=400, deadline=None)
+    @given(scenario_documents())
+    @example(_overflowing_constants())
+    def test_loads_or_fails_with_a_scenario_error(self, doc):
+        try:
+            scenario = spec_from_dict(doc).to_scenario()
+        except (ParseError, ValidationError):
+            return
+        assert isinstance(scenario, Scenario)

@@ -1,5 +1,6 @@
 """Genetic operator, LNS and solver behavior tests."""
 
+import itertools
 import math
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario, random_scenario_tuple
-from georepair import search
+from georepair import planning, search
 from georepair.astro import GEO, CollinearGeometry
 from georepair.planning import (
     CostModel,
@@ -18,7 +19,9 @@ from georepair.planning import (
     decode,
     evaluate_plan,
     exhaustive_solve,
+    penalized_fitness,
 )
+from georepair.scenarios import random_scenario
 from georepair.search import (
     AllInfeasible,
     _LambertAdapter,
@@ -226,6 +229,21 @@ class TestRelatedness:
         r_apart = relatedness(1, 3, apart, 0.5, scenario2, model2)
         assert r_apart < r_same
 
+    @pytest.mark.parametrize("beta", [0.5, 0.2])
+    def test_tabled_relatedness_equals_the_formula(self, beta):
+        scenario = random_scenario(10, 2, 10.0, seed=2101)
+        model = CostModel(scenario)
+        plan = MissionPlan([Route(1, [3, 1, 7, 9], [1] * 4),
+                            Route(2, [2, 4, 5, 6, 8, 10], [1] * 6)])
+        pairs = list(itertools.permutations(range(1, 11), 2))
+        c_max = max(model.target_pair_cost(i, j, beta)
+                    for i, j in itertools.combinations(range(1, 11), 2))
+        for i, j in pairs:
+            c = model.target_pair_cost(i, j, beta) / c_max
+            v = 0.0 if plan.route_of(i) == plan.route_of(j) else 1.0
+            assert relatedness(i, j, plan, beta, scenario, model) == (
+                1.0 / (c + v + 1e-6))
+
 
 class TestDestroy:
     def setup_method(self):
@@ -383,6 +401,148 @@ class TestInsertionAndRepair:
         plan = repair([3], partial, scenario, LnsParams(), model=model)
         route = next(r for r in plan.routes if r.servicer_id == sid)
         assert route.target_sequence[pos] == 3
+
+
+def scan_every_slot(target_id, partial, model, phi=1.0, gamma=10.0,
+                    slack_rule="largest"):
+    """Insertion as one pass over every route and slot in order, keeping
+    the first least delta; ``("feasible" | "infeasible", delta, position)``.
+    """
+    best = best_pen = None
+    for route in partial.routes:
+        sid, seq = route.servicer_id, route.target_sequence
+        old_score = model.route_score(sid, seq, route.revolutions, phi,
+                                      gamma)[0]
+        budget = model.scenario.servicer(sid).dv_budget
+        for pos in range(len(seq) + 1):
+            cand = seq[:pos] + [target_id] + seq[pos:]
+            _, dv, p1, _ = model.priced_route(sid, cand, slack_rule)
+            p2 = max(dv - budget, 0.0)
+            delta = penalized_fitness(dv, p1, p2, phi, gamma) - old_score
+            if p1 == 0.0 and p2 == 0.0 and (best is None or delta < best[0]):
+                best = (delta, (sid, pos))
+            if best_pen is None or delta < best_pen[0]:
+                best_pen = (delta, (sid, pos))
+    if best is not None:
+        return ("feasible",) + best
+    return ("infeasible",) + best_pen
+
+
+def insertion_answer(target_id, partial, model, **kwargs):
+    """``insertion_cost`` as ``("feasible" | "infeasible", delta,
+    position)``."""
+    try:
+        cost, pos = insertion_cost(target_id, partial, model.scenario,
+                                   model=model, **kwargs)
+    except AllInfeasible as exc:
+        return "infeasible", exc.penalized_cost, exc.best_position
+    return "feasible", cost, pos
+
+
+def random_partials(scenario, model, rng, count, removed=3):
+    """Allocated partial plans, each with the targets it lacks."""
+    tids = [t.id for t in scenario.targets]
+    sids = [s.id for s in scenario.servicers]
+    out = []
+    for _ in range(count):
+        order = rng.sample(tids, len(tids))
+        missing, kept = order[:removed], order[removed:]
+        cuts = sorted(rng.choices(range(len(kept) + 1), k=len(sids) - 1))
+        bounds = [0] + cuts + [len(kept)]
+        routes = []
+        for sid, lo, hi in zip(sids, bounds, bounds[1:]):
+            seq = kept[lo:hi]
+            routes.append(Route(sid, seq, model.allocate(sid, seq)
+                                if seq else []))
+        out.append((MissionPlan(routes), missing))
+    return out
+
+
+class TestInsertionMemo:
+    """``insertion_cost`` reads per-route scans from ``CostModel``'s
+    insertion memo; a warm memo must give the answers of a fresh model and
+    of one in-order pass over every slot, ties and ``AllInfeasible``
+    included."""
+
+    @staticmethod
+    def twin_scenario(deadline_days):
+        # Identical servicers and pairs of identical targets, so distinct
+        # slots, in one route and across routes, price exactly the same.
+        return make_scenario(
+            [(2.0, 30.0, 100.0, 2000.0), (2.0, 30.0, 100.0, 2000.0)],
+            [(1.0, 40.0, 200.0, 20 * HOUR), (1.0, 40.0, 200.0, 20 * HOUR),
+             (3.0, 60.0, 20.0, 20 * HOUR), (3.0, 60.0, 20.0, 20 * HOUR),
+             (0.5, 10.0, 300.0, 20 * HOUR)],
+            deadline_s=deadline_days * DAY)
+
+    def check_warm_against_fresh(self, scenario, partials, variants=({},)):
+        """Each query on one warm model, alternating over ``variants`` (the
+        keyword arguments of ``insertion_cost``)."""
+        warm = CostModel(scenario)
+        outcomes = set()
+        queries = [(plan, tid, kwargs) for plan, missing in partials
+                   for tid in missing for kwargs in variants]
+        for plan, tid, kwargs in queries + queries[::-1]:
+            got = insertion_answer(tid, plan, warm, **kwargs)
+            assert got == insertion_answer(tid, plan, CostModel(scenario),
+                                           **kwargs)
+            assert got == scan_every_slot(tid, plan, CostModel(scenario),
+                                          **kwargs)
+            outcomes.add(got[0])
+        return outcomes
+
+    @pytest.mark.parametrize("days", [20.0, 1.5])
+    def test_tied_slots_keep_the_first_position(self, days):
+        scenario = self.twin_scenario(days)
+        model = CostModel(scenario)
+        expected = "feasible" if days > 10 else "infeasible"
+        # Targets 1 and 2 are twins on twin servicers: each slot of route 1
+        # ties with the same slot of route 2, and route 1 comes first.
+        mirrored = MissionPlan([Route(1, [1], model.allocate(1, [1])),
+                                Route(2, [2], model.allocate(2, [2]))])
+        # Slots 0 and 1 of route 1 give twin routes; slot 1 never wins.
+        twinned = MissionPlan([Route(1, [1], model.allocate(1, [1])),
+                               Route(2, [3, 5], model.allocate(2, [3, 5]))])
+        for _ in range(2):
+            for tid in (3, 4, 5):
+                outcome, _, pos = insertion_answer(tid, mirrored, model)
+                assert outcome == expected and pos[0] == 1
+            outcome, _, pos = insertion_answer(2, twinned, model)
+            assert outcome == expected and pos != (1, 1)
+        partials = random_partials(scenario, model, random.Random(31), 30,
+                                   removed=2)
+        outcomes = self.check_warm_against_fresh(scenario, partials)
+        assert outcomes == {"feasible" if days > 10 else "infeasible"}
+
+    def test_tight_deadline_scenario(self):
+        scenario = random_scenario(10, 2, 10.0, seed=2101)
+        partials = random_partials(scenario, CostModel(scenario),
+                                   random.Random(32), 25)
+        outcomes = self.check_warm_against_fresh(
+            scenario, partials,
+            ({}, {"phi": 3.0}, {"gamma": 0.5}, {"slack_rule": "smallest"}))
+        assert outcomes == {"feasible", "infeasible"}
+
+    def test_memo_key_holds_the_route_revolutions(self):
+        scenario = random_scenario(10, 2, 10.0, seed=2101)
+        model = CostModel(scenario)
+        plan = MissionPlan([Route(1, [1, 2, 3], model.allocate(1, [1, 2, 3])),
+                            Route(2, [4, 5], model.allocate(2, [4, 5]))])
+        insertion_answer(6, plan, model)
+        plan.routes[0].revolutions = [k + 1 for k in plan.routes[0].revolutions]
+        assert insertion_answer(6, plan, model) == scan_every_slot(
+            6, plan, CostModel(scenario))
+
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(planning, "_ROUTE_CACHE_CAP", 5)
+        scenario = random_scenario(10, 2, 10.0, seed=2101)
+        model = CostModel(scenario)
+        partials = random_partials(scenario, model, random.Random(33), 10)
+        for plan, missing in partials:
+            for tid in missing:
+                got = insertion_answer(tid, plan, model)
+                assert len(model._insertions) <= 5
+                assert got == insertion_answer(tid, plan, CostModel(scenario))
 
 
 class TestLnsImprove:
