@@ -14,14 +14,16 @@ Lambert baseline in ``search`` passes its own two-impulse leg.
 ``CostModel`` is a scalar engine for the mixed model used inside search
 loops. Coast times and phase gaps are invariant under whole-revolution
 shifts of earlier legs, so one simulation of a route with every leg at one
-revolution serves any revolution allocation. The engine keeps two bounded
-memos. The route memo prices each (servicer, sequence, slack rule) once:
-the route is simulated, allocated on end times alone and costed once, and
-the allocator, the LNS insertion scan and the GA's route scoring all read
-it. The insertion memo scans each (route contents, target) pair once for
-its cheapest slots, so LNS repair reuses a scan across repair rounds,
-attempts and generations. The engine agrees with ``evaluate_plan`` to
-float precision and a test pins that agreement.
+revolution serves any revolution allocation. A model prices under one
+policy, the allocator's slack rule and the penalty weights phi and gamma,
+fixed when it is built, and keeps two bounded memos under it. The route
+memo prices each (servicer, sequence) once: the route is simulated,
+allocated on end times alone and costed once, and the allocator, the LNS
+insertion scan and the GA's route scoring all read it. The insertion memo
+scans each (route contents, target) pair once for its cheapest slots, so
+LNS repair reuses a scan across repair rounds, attempts and generations.
+The engine agrees with ``evaluate_plan`` to float precision and a test
+pins that agreement.
 """
 
 from __future__ import annotations
@@ -299,8 +301,12 @@ _EMPTY_ROUTE = ((), 0.0, 0.0, 0.0)
 
 
 class CostModel:
-    """Scalar per-leg transfer costs with memos of priced routes and of
-    insertion scans.
+    """Scalar per-leg transfer costs under one pricing policy, with memos of
+    priced routes and of insertion scans.
+
+    The policy is fixed at construction: ``slack_rule`` ('largest' or
+    'smallest') picks the leg that ``allocate`` tops up, and ``phi`` and
+    ``gamma`` weigh the deadline and budget penalties of every score.
 
     Leg geometry (coast to the nearest plane-intersection point, signed
     phase gap at that point) matches ``rendezvous_mixed`` to float
@@ -309,22 +315,28 @@ class CostModel:
     exact because changing a leg's revolution count shifts all later
     departure phases by whole periods.
 
-    ``priced_route`` memoizes, per (servicer, sequence, slack rule), the
-    allocated revolutions with their delta-v, deadline violation and end
-    time, so each route's geometry is built and allocated once. The memo
-    empties itself when it reaches ``_ROUTE_CACHE_CAP`` entries.
-    ``route_metrics`` answers from it when given the memoized revolutions
-    and computes any other allocation fresh.
+    ``priced_route`` memoizes, per (servicer, sequence), the allocated
+    revolutions with their delta-v, deadline violation and end time, so
+    each route's geometry is built and allocated once. The memo empties
+    itself when it reaches ``_ROUTE_CACHE_CAP`` entries. ``route_metrics``
+    answers from it when given the memoized revolutions and computes any
+    other allocation fresh.
 
     ``insertion_scan`` memoizes, per route contents (servicer, sequence,
-    revolutions), target, slack rule and fitness weights, the cheapest
-    slots for that target in that route; it empties itself at the same cap.
-    ``pair_cost_table`` tables the normalized target-pair costs that LNS
-    relatedness reads, once per ``beta``.
+    revolutions) and target, the cheapest slots for that target in that
+    route; it empties itself at the same cap. ``pair_cost_table`` tables
+    the normalized target-pair costs that LNS relatedness reads, once per
+    ``beta``.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, slack_rule: str = "largest",
+                 phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA):
+        if slack_rule not in _SLACK_RULES:
+            raise ValueError("slack_rule must be 'largest' or 'smallest'")
         self.scenario = scenario
+        self.slack_rule = slack_rule
+        self.phi = phi
+        self.gamma = gamma
         c = scenario.constants
         self.t_geo = c.t_geo
         self.deadline = scenario.deadline
@@ -448,32 +460,27 @@ class CostModel:
         """(delta-v m/s, deadline-violation seconds, end time s) of a route."""
         if not seq:
             return 0.0, 0.0, 0.0
-        key = tuple(seq)
         revs = tuple(revs)
-        for rule in _SLACK_RULES:
-            hit = self._priced.get((servicer_id, key, rule))
-            if hit is not None and hit[0] == revs:
-                return hit[1:]
+        hit = self._priced.get((servicer_id, tuple(seq)))
+        if hit is not None and hit[0] == revs:
+            return hit[1:]
         return self._route_cost(self.route_geometry(servicer_id, seq), revs)
 
-    def route_score(self, servicer_id: int, seq, revs,
-                    phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA):
+    def route_score(self, servicer_id: int, seq, revs):
         """Route contribution to plan fitness (penalties included)."""
         dv, p1, _ = self.route_metrics(servicer_id, seq, revs)
         p2 = max(dv - self._budget[servicer_id], 0.0)
-        return penalized_fitness(dv, p1, p2, phi, gamma), dv, p1, p2
+        return penalized_fitness(dv, p1, p2, self.phi, self.gamma), dv, p1, p2
 
-    def priced_score(self, servicer_id: int, seq, slack_rule: str,
-                     phi: float, gamma: float):
+    def priced_score(self, servicer_id: int, seq):
         """(revolutions, penalized fitness, feasible) of ``priced_route``;
         feasible means no deadline violation and no budget excess."""
-        revs, dv, p1, _ = self.priced_route(servicer_id, seq, slack_rule)
+        revs, dv, p1, _ = self.priced_route(servicer_id, seq)
         p2 = max(dv - self._budget[servicer_id], 0.0)
-        return (revs, penalized_fitness(dv, p1, p2, phi, gamma),
+        return (revs, penalized_fitness(dv, p1, p2, self.phi, self.gamma),
                 p1 == 0.0 and p2 == 0.0)
 
-    def insertion_scan(self, servicer_id: int, seq, revs, target_id: int,
-                       slack_rule: str, phi: float, gamma: float):
+    def insertion_scan(self, servicer_id: int, seq, revs, target_id: int):
         """Cheapest slots for ``target_id`` in one route, from the memo.
 
         Each slot's route is re-allocated through ``priced_route`` and its
@@ -484,18 +491,15 @@ class CostModel:
         slots, each as ``(delta, (servicer_id, slot))``.
         """
         seq = tuple(seq)
-        key = (servicer_id, seq, tuple(revs), target_id, slack_rule, phi,
-               gamma)
+        key = (servicer_id, seq, tuple(revs), target_id)
         hit = self._insertions.get(key)
         if hit is None:
-            old_score = self.route_score(servicer_id, seq, revs, phi,
-                                         gamma)[0]
+            old_score = self.route_score(servicer_id, seq, revs)[0]
             best = None
             best_pen = None
             for pos in range(len(seq) + 1):
                 _, score, feasible = self.priced_score(
-                    servicer_id, seq[:pos] + (target_id,) + seq[pos:],
-                    slack_rule, phi, gamma)
+                    servicer_id, seq[:pos] + (target_id,) + seq[pos:])
                 delta = score - old_score
                 # When one slot is both minima, both share one tuple, which
                 # keeps memo entries small.
@@ -512,15 +516,15 @@ class CostModel:
 
     # -- revolution allocation (one-pass heuristic) ---------------------------
 
-    def allocate(self, servicer_id: int, seq, slack_rule: str = "largest"):
+    def allocate(self, servicer_id: int, seq):
         """Per-leg revolution counts for a route under the mission deadline.
 
         Splits the time left after repairs and coasts into whole orbital
         periods, spreads them evenly over the legs (at least one each), and
         tops up a single leg with whatever slack remains. By default the
         top-up goes to the leg with the largest folded phase gap, where an
-        extra revolution saves the most delta-v; ``slack_rule='smallest'``
-        selects the opposite reading.
+        extra revolution saves the most delta-v; the model's
+        ``slack_rule='smallest'`` selects the opposite reading.
 
         The even split counts whole periods only, so when the phase-gap
         fractions outweigh the fractional budget it can run past the
@@ -528,21 +532,18 @@ class CostModel:
         removes revolutions (smallest gap first, where the delta-v increase
         is least) until the route fits or every leg is at one.
         """
-        return list(self.priced_route(servicer_id, seq, slack_rule)[0])
+        return list(self.priced_route(servicer_id, seq)[0])
 
-    def priced_route(self, servicer_id: int, seq,
-                     slack_rule: str = "largest"):
+    def priced_route(self, servicer_id: int, seq):
         """(revolutions, delta-v m/s, deadline-violation s, end time s) of a
         route under ``allocate``, from the memo."""
         if not seq:
             return _EMPTY_ROUTE
-        key = (servicer_id, tuple(seq), slack_rule)
+        key = (servicer_id, tuple(seq))
         hit = self._priced.get(key)
         if hit is None:
-            if slack_rule not in _SLACK_RULES:
-                raise ValueError("slack_rule must be 'largest' or 'smallest'")
             geom = self.route_geometry(servicer_id, seq)
-            revs, cost = self._allocate(geom, slack_rule)
+            revs, cost = self._allocate(geom)
             hit = (tuple(revs),) + cost
             if len(self._priced) >= _ROUTE_CACHE_CAP:
                 self._priced.clear()
@@ -559,7 +560,7 @@ class CostModel:
             t = t + coast + ((TWO_PI * k + theta) / TWO_PI) * t_geo + td
         return t
 
-    def _allocate(self, geom: _RouteGeom, slack_rule: str):
+    def _allocate(self, geom: _RouteGeom):
         """``allocate`` on a route's geometry; returns the revolutions and
         their ``_route_cost``. The base, trim and top-up steps look at end
         times only, so the route is costed once, on the final revolutions.
@@ -586,15 +587,14 @@ class CostModel:
             if slack > 0.0:
                 extra = math.floor(slack / self.t_geo)
                 if extra >= 1:
-                    pick = (max if slack_rule == "largest" else min)(
+                    pick = (max if self.slack_rule == "largest" else min)(
                         range(legs), key=lambda q: (gaps[q], -q))
                     revs[pick] = min(revs[pick] + extra, n_max)
         return revs, self._route_cost(geom, revs)
 
     # -- plan-level ----------------------------------------------------------
 
-    def plan_metrics(self, plan: MissionPlan, phi: float = DEFAULT_PHI,
-                     gamma: float = DEFAULT_GAMMA):
+    def plan_metrics(self, plan: MissionPlan):
         """(fitness, total_dv, p1 seconds, p2 m/s, feasible) of a plan."""
         total_dv = 0.0
         p1 = 0.0
@@ -606,12 +606,11 @@ class CostModel:
             total_dv += dv
             p1 += r_p1
             p2 += max(dv - self._budget[route.servicer_id], 0.0)
-        fitness = penalized_fitness(total_dv, p1, p2, phi, gamma)
+        fitness = penalized_fitness(total_dv, p1, p2, self.phi, self.gamma)
         return fitness, total_dv, p1, p2, (p1 == 0.0 and p2 == 0.0)
 
-    def plan_fitness(self, plan: MissionPlan, phi: float = DEFAULT_PHI,
-                     gamma: float = DEFAULT_GAMMA) -> float:
-        return self.plan_metrics(plan, phi, gamma)[0]
+    def plan_fitness(self, plan: MissionPlan) -> float:
+        return self.plan_metrics(plan)[0]
 
     # -- static target-pair geometry (destroy-operator relatedness) -----------
 
@@ -646,8 +645,7 @@ class CostModel:
 # ---------------------------------------------------------------------------
 
 def allocate_revolutions(scenario: Scenario, servicer_id: int, sequence,
-                         slack_rule: str = "largest",
-                         model: CostModel | None = None) -> list[int]:
+                         slack_rule: str = "largest") -> list[int]:
     """Revolution counts for one servicer's target sequence (Algorithm-1 style).
 
     May return an allocation that misses the deadline when the time budget
@@ -655,9 +653,7 @@ def allocate_revolutions(scenario: Scenario, servicer_id: int, sequence,
     """
     if not sequence:
         raise ValueError("sequence must be non-empty")
-    if model is None:
-        model = CostModel(scenario)
-    return model.allocate(servicer_id, sequence, slack_rule)
+    return CostModel(scenario, slack_rule).allocate(servicer_id, sequence)
 
 
 @dataclass

@@ -27,6 +27,7 @@ class ValidationError(Exception):
 
 
 CASE_STUDY_EPOCH = "2021-03-12T04:00:00Z"
+_LATEST_TIME = datetime.max.replace(tzinfo=timezone.utc)
 
 # GEO fleet snapshot used throughout: name, inclination (deg), RAAN (deg),
 # angular position at epoch (deg).
@@ -113,6 +114,20 @@ class ScenarioSpec:
             targets.append(Target(
                 i + 1, t.name,
                 _orbit_from_degrees(t, "target"), t.repair_hours * 3600.0))
+        # Every time a schedule reports must be a datetime. A route ends by
+        # the deadline or within 2 t_geo plus the repair per leg, a Lambert
+        # leg lasts at most 2 t_geo and an oracle leg at most 7 t_geo, so
+        # deadline + repairs + 8 t_geo per target bounds them all.
+        room = ((_LATEST_TIME - epoch).total_seconds()
+                - 8 * len(targets) * consts.t_geo)
+        for field, seconds in (
+                ("deadline_hours", self.deadline_hours * 3600.0),
+                ("repair_hours", sum(t.repair_duration for t in targets))):
+            room -= seconds
+            if room < 0.0:
+                raise ValidationError(
+                    f"{field} too large: a schedule could end after "
+                    f"{_LATEST_TIME:%Y-%m-%d}")
         return Scenario(epoch=epoch, deadline=self.deadline_hours * 3600.0,
                         servicers=servicers, targets=targets,
                         constants=consts, spec=self)

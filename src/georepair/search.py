@@ -10,10 +10,14 @@ Three solvers share one engine: the hybrid LNS-AGA, the plain adaptive GA
 (same pipeline minus the LNS hook) and a Lambert-transfer GA baseline that
 prices legs with two-impulse Lambert rendezvous instead of the mixed
 plane-change/phasing strategy. An adapter per leg model prices routes for
-the search; the best plan is then re-evaluated by ``planning.evaluate_plan``,
-with the mixed leg or with the Lambert adapter's leg, which flies each leg
-at the flight time the search chose and prices a failed leg as infinite,
-as the search does.
+the search. The mixed adapter holds only a ``planning.CostModel``, built
+once per solve with the solve's slack rule and penalty weights, and the
+LNS operators take that same model, so one pricing policy and one set of
+memos serve the whole solve. The Lambert adapter keeps one bounded cache,
+of priced legs, and recomputes a route from it. The best plan is then
+re-evaluated by ``planning.evaluate_plan``, with the mixed leg or with the
+Lambert adapter's leg, which flies each leg at the flight time the search
+chose and prices a failed leg as infinite, as the search does.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ from .planning import (
 
 FITNESS_EPS = 1e-12
 RELATEDNESS_EPS = 1e-6
+
+# Entries at which the engine's chromosome cache and the Lambert adapter's
+# leg cache empty themselves.
+_GENE_CACHE_CAP = 200_000
+_LEG_CACHE_CAP = 300_000
 
 # Candidate Lambert leg flight times, as fractions of the GEO period.
 DEFAULT_TOF_FRACTIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875,
@@ -229,7 +238,7 @@ def swap_mutation(c, rng: random.Random) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def relatedness(i: int, j: int, plan: MissionPlan, beta: float,
-                scenario: Scenario, model: CostModel | None = None) -> float:
+                model: CostModel) -> float:
     """Similarity of two targets: higher for close orbits on one route.
 
     R = 1 / (C' + V + eps) where C' is the normalized orbit-difference cost
@@ -238,8 +247,6 @@ def relatedness(i: int, j: int, plan: MissionPlan, beta: float,
     """
     if i == j:
         raise ValueError("relatedness needs two distinct targets")
-    if model is None:
-        model = CostModel(scenario)
     return _relatedness(model.pair_cost_table(beta)[i][j],
                         plan.route_of(i) == plan.route_of(j))
 
@@ -259,9 +266,8 @@ def _remove_target(plan: MissionPlan, tid: int):
     raise KeyError(tid)
 
 
-def destroy(plan: MissionPlan, params: LnsParams, scenario: Scenario,
-            rng: random.Random, model: CostModel | None = None,
-            slack_rule: str = "largest") -> tuple[list[int], MissionPlan]:
+def destroy(plan: MissionPlan, params: LnsParams, rng: random.Random,
+            model: CostModel) -> tuple[list[int], MissionPlan]:
     """Shaw-style removal: seed with a random target, then repeatedly drop
     the most related remaining target with determinism-p noise.
 
@@ -269,8 +275,6 @@ def destroy(plan: MissionPlan, params: LnsParams, scenario: Scenario,
     their revolutions re-allocated. Relatedness is judged against the input
     plan's route assignment.
     """
-    if model is None:
-        model = CostModel(scenario)
     pair_cost = model.pair_cost_table(params.beta)
     route_of = {tid: route.servicer_id for route in plan.routes
                 for tid in route.target_sequence}
@@ -294,18 +298,14 @@ def destroy(plan: MissionPlan, params: LnsParams, scenario: Scenario,
         removed.append(pick)
     for route in partial.routes:
         if route.target_sequence:
-            route.revolutions = list(model.allocate(route.servicer_id,
-                                                    route.target_sequence,
-                                                    slack_rule))
+            route.revolutions = model.allocate(route.servicer_id,
+                                               route.target_sequence)
         else:
             route.revolutions = []
     return removed, partial
 
 
-def insertion_cost(target_id: int, partial: MissionPlan, scenario: Scenario,
-                   phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA,
-                   model: CostModel | None = None,
-                   slack_rule: str = "largest"
+def insertion_cost(target_id: int, partial: MissionPlan, model: CostModel
                    ) -> tuple[float, tuple[int, int]]:
     """Cheapest feasible insertion of a target into a partial plan.
 
@@ -317,14 +317,12 @@ def insertion_cost(target_id: int, partial: MissionPlan, scenario: Scenario,
     route's scan comes from ``CostModel.insertion_scan``, so a route whose
     contents did not change since an earlier call is not scanned again.
     """
-    if model is None:
-        model = CostModel(scenario)
     best = None
     best_pen = None
     for route in partial.routes:
         feasible, pen = model.insertion_scan(
             route.servicer_id, route.target_sequence, route.revolutions,
-            target_id, slack_rule, phi, gamma)
+            target_id)
         if feasible is not None and (best is None
                                      or feasible[0] < best[0]):
             best = feasible
@@ -335,62 +333,47 @@ def insertion_cost(target_id: int, partial: MissionPlan, scenario: Scenario,
     raise AllInfeasible(best_pen[1], best_pen[0])
 
 
-def _insert_target(plan: MissionPlan, tid: int, position, model: CostModel,
-                   slack_rule: str = "largest"):
+def _insert_target(plan: MissionPlan, tid: int, position, model: CostModel):
     sid, pos = position
     for route in plan.routes:
         if route.servicer_id == sid:
             route.target_sequence.insert(pos, tid)
-            route.revolutions = list(model.allocate(sid,
-                                                    route.target_sequence,
-                                                    slack_rule))
+            route.revolutions = model.allocate(sid, route.target_sequence)
             return
     raise KeyError(sid)
 
 
-def repair(removed, partial: MissionPlan, scenario: Scenario,
-           params: LnsParams, phi: float = DEFAULT_PHI,
-           gamma: float = DEFAULT_GAMMA, model: CostModel | None = None,
-           slack_rule: str = "largest") -> MissionPlan:
+def repair(removed, partial: MissionPlan, model: CostModel) -> MissionPlan:
     """Farthest insertion: repeatedly insert the hardest remaining target
     (highest insertion cost, infeasible counting as hardest) at its own
     cheapest position, so constrained targets claim slots first."""
-    if model is None:
-        model = CostModel(scenario)
     plan = partial.copy()
     remaining = list(removed)
     while remaining:
         scored = []
         for tid in remaining:
             try:
-                cost, pos = insertion_cost(tid, plan, scenario, phi, gamma,
-                                           model, slack_rule)
+                cost, pos = insertion_cost(tid, plan, model)
             except AllInfeasible as exc:
                 cost, pos = math.inf, exc.best_position
             scored.append((cost, tid, pos))
         cost, tid, pos = max(scored, key=lambda item: item[0])
-        _insert_target(plan, tid, pos, model, slack_rule)
+        _insert_target(plan, tid, pos, model)
         remaining.remove(tid)
     return plan
 
 
-def lns_improve(plan: MissionPlan, params: LnsParams, scenario: Scenario,
-                rng: random.Random, phi: float = DEFAULT_PHI,
-                gamma: float = DEFAULT_GAMMA,
-                model: CostModel | None = None,
-                slack_rule: str = "largest") -> MissionPlan:
+def lns_improve(plan: MissionPlan, params: LnsParams, rng: random.Random,
+                model: CostModel) -> MissionPlan:
     """Hill-climbing destroy/repair: returns on the first strict improvement
     or after ``lns_iterations`` attempts, never worse than the input."""
     if params.lns_iterations <= 0:
         return plan
-    if model is None:
-        model = CostModel(scenario)
-    base = model.plan_fitness(plan, phi, gamma)
+    base = model.plan_fitness(plan)
     for _ in range(params.lns_iterations):
-        removed, part = destroy(plan, params, scenario, rng, model, slack_rule)
-        cand = repair(removed, part, scenario, params, phi, gamma, model,
-                      slack_rule)
-        if model.plan_fitness(cand, phi, gamma) < base:
+        removed, part = destroy(plan, params, rng, model)
+        cand = repair(removed, part, model)
+        if model.plan_fitness(cand) < base:
             return cand
     return plan
 
@@ -402,21 +385,16 @@ def lns_improve(plan: MissionPlan, params: LnsParams, scenario: Scenario,
 class _MixedAdapter:
     """Route costing through the phasing cost model plus the allocator."""
 
-    def __init__(self, scenario: Scenario, phi: float, gamma: float,
-                 slack_rule: str):
-        self.scenario = scenario
-        self.model = CostModel(scenario)
-        self.phi = phi
-        self.gamma = gamma
-        self.slack_rule = slack_rule
+    def __init__(self, model: CostModel):
+        self.model = model
 
     def route(self, sid: int, seq) -> tuple[list[int], float]:
-        revs, score, _ = self.model.priced_score(sid, seq, self.slack_rule,
-                                                 self.phi, self.gamma)
+        revs, score, _ = self.model.priced_score(sid, seq)
         return list(revs), score
 
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
-        return evaluate_plan(self.scenario, plan, self.phi, self.gamma)
+        m = self.model
+        return evaluate_plan(m.scenario, plan, m.phi, m.gamma)
 
 
 class _LambertAdapter:
@@ -445,17 +423,14 @@ class _LambertAdapter:
                       for key, orb in self._orbits.items()}
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
-        self._route_cache = {}
         self._leg_cache = {}
 
     def _allocate_tofs(self, sid: int, seq) -> list[float]:
         legs = len(seq)
         budget = self.scenario.deadline - sum(self._td[t] for t in seq)
         share = budget / legs
-        tofs = []
-        for _ in seq:
-            below = [g for g in self.grid if g <= share]
-            tofs.append(below[-1] if below else self.grid[0])
+        below = [g for g in self.grid if g <= share]
+        tofs = [below[-1] if below else self.grid[0]] * legs
         slack = budget - sum(tofs)
         if slack > 0.0:
             gaps = []
@@ -493,38 +468,31 @@ class _LambertAdapter:
             break
         if result is None:
             result = (tof, math.inf)
-        if len(self._leg_cache) > 300_000:
+        if len(self._leg_cache) >= _LEG_CACHE_CAP:
             self._leg_cache.clear()
         self._leg_cache[key] = result
         return result
 
     def route_detail(self, sid: int, seq):
-        key = (sid, tuple(seq))
-        hit = self._route_cache.get(key)
-        if hit is not None:
-            return hit
+        """(flight times, delta-v m/s, deadline violation s, end time s) of
+        a route, each leg from the leg cache."""
         if not seq:
-            hit = ((), 0.0, 0.0, 0.0)
-        else:
-            tofs = self._allocate_tofs(sid, seq)
-            t = 0.0
-            dv = 0.0
-            p1 = 0.0
-            used = []
-            from_key = ("S", sid)
-            for tid, tof in zip(seq, tofs):
-                actual, cost = self._leg(from_key, tid, t, tof)
-                used.append(actual)
-                dv += cost
-                t = t + actual + self._td[tid]
-                if t > self.scenario.deadline:
-                    p1 += t - self.scenario.deadline
-                from_key = tid
-            hit = (tuple(used), dv, p1, t)
-        if len(self._route_cache) > 300_000:
-            self._route_cache.clear()
-        self._route_cache[key] = hit
-        return hit
+            return (), 0.0, 0.0, 0.0
+        tofs = self._allocate_tofs(sid, seq)
+        t = 0.0
+        dv = 0.0
+        p1 = 0.0
+        used = []
+        from_key = ("S", sid)
+        for tid, tof in zip(seq, tofs):
+            actual, cost = self._leg(from_key, tid, t, tof)
+            used.append(actual)
+            dv += cost
+            t = t + actual + self._td[tid]
+            if t > self.scenario.deadline:
+                p1 += t - self.scenario.deadline
+            from_key = tid
+        return tuple(used), dv, p1, t
 
     def route(self, sid: int, seq) -> tuple[list[int], float]:
         _, dv, p1, _ = self.route_detail(sid, seq)
@@ -589,7 +557,7 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
                 routes.append(Route(sid, list(seq), revs))
                 fitness += score
             hit = (fitness, MissionPlan(routes))
-            if len(cache) > 200_000:
+            if len(cache) >= _GENE_CACHE_CAP:
                 cache.clear()
             cache[key] = hit
         return hit
@@ -639,9 +607,7 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
             for i in order:
                 if not math.isfinite(fits[i]):
                     continue
-                improved = lns_improve(plans[i], lns, scenario, rng,
-                                       ga.phi, ga.gamma, adapter.model,
-                                       adapter.slack_rule)
+                improved = lns_improve(plans[i], lns, rng, adapter.model)
                 if improved is plans[i]:
                     continue
                 genes = encode_sequences(
@@ -675,7 +641,7 @@ def solve_lns_aga(scenario: Scenario, ga: GaParams | None = None,
     elite fraction every generation."""
     ga = ga or GaParams()
     lns = lns or LnsParams()
-    adapter = _MixedAdapter(scenario, ga.phi, ga.gamma, slack_rule)
+    adapter = _MixedAdapter(CostModel(scenario, slack_rule, ga.phi, ga.gamma))
     return _run_engine(scenario, ga, lns, seed, adapter)
 
 
@@ -683,7 +649,7 @@ def solve_ga(scenario: Scenario, ga: GaParams | None = None, seed: int = 0,
              slack_rule: str = "largest") -> SolveResult:
     """Plain adaptive GA: the identical pipeline minus the LNS hook."""
     ga = ga or GaParams()
-    adapter = _MixedAdapter(scenario, ga.phi, ga.gamma, slack_rule)
+    adapter = _MixedAdapter(CostModel(scenario, slack_rule, ga.phi, ga.gamma))
     return _run_engine(scenario, ga, None, seed, adapter)
 
 

@@ -241,8 +241,8 @@ def test_criterion_8_operator_property_suite(case_battery):
                         for sid, seq in zip((1, 2), seqs)])
     for trial in range(10_000):
         q = rng.uniform(0.05, 0.95)
-        removed, partial = destroy(plan, LnsParams(remove_rate=q), scenario,
-                                   rng, model)
+        removed, partial = destroy(plan, LnsParams(remove_rate=q), rng,
+                                   model)
         if len(removed) != math.ceil(10 * q):
             ok = False
         if sorted(removed + partial.covered_targets()) != list(range(1, 11)):

@@ -4,10 +4,19 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_scenario
-from georepair.cli import SCHEDULE_COLUMNS, main
-from georepair.scenarios import case_study, save
+from georepair.cli import ALGORITHMS, SCHEDULE_COLUMNS, main
+from georepair.scenarios import (
+    case_study,
+    random_scenario,
+    save,
+    scenario_spec,
+    spec_to_dict,
+)
+from scenario_builders import make_scenario
+from test_scenarios import _set, scenario_documents
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -105,6 +114,24 @@ class TestSolve:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path,field", [
+        pytest.param(("deadline_hours",), "deadline_hours", id="deadline"),
+        pytest.param(("targets", 1, "repair_hours"), "repair_hours",
+                     id="repair"),
+    ])
+    def test_schedule_past_the_last_datetime_exits_one(self, tmp_path,
+                                                       capsys, path, field):
+        scen_path = tmp_path / "scenario.json"
+        save(random_scenario(3, 1, 10.0, seed=1), scen_path)
+        data = json.loads(scen_path.read_text())
+        _set(path, 1e300)(data)
+        scen_path.write_text(json.dumps(data))
+        assert main(["solve", str(scen_path), "--out",
+                     str(tmp_path / "out")] + FAST) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}")
+        assert len(err.strip().splitlines()) == 1
+
     def test_case_study_emits_one_row_per_target(self, tmp_path):
         scen_path = tmp_path / "case.json"
         save(case_study(), scen_path)
@@ -124,6 +151,51 @@ class TestSolve:
                          str(out)] + FAST)
             assert code in (0, 2)
             assert (out / "schedule.csv").exists()
+
+
+def _orbit_records(extra: str, low: float, high: float):
+    return st.lists(st.fixed_dictionaries(
+        {"name": st.text(max_size=4),
+         "inclination_deg": st.floats(0.0, 10.0),
+         "raan_deg": st.floats(0.0, 360.0),
+         "true_anomaly_deg": st.floats(0.0, 360.0),
+         extra: st.floats(low, high)}), min_size=1, max_size=3)
+
+
+# Small scenarios that load, so that most mutated files reach the solver.
+_SOLVABLE_DOCUMENTS = st.fixed_dictionaries(
+    {"epoch": st.just("2021-03-12T04:00:00Z"),
+     "deadline_hours": st.floats(24.0, 2000.0),
+     "servicers": _orbit_records("dv_budget_mps", 1.0, 3000.0),
+     "targets": _orbit_records("repair_hours", 0.0, 48.0)})
+
+
+def _huge_deadline_document():
+    data = spec_to_dict(scenario_spec(random_scenario(3, 1, 10.0, seed=1)))
+    data["deadline_hours"] = 1e300
+    return data
+
+
+class TestFuzzSolve:
+    """``georepair solve`` on nearly valid scenario files exits 0, 1 or 2
+    and lets no exception escape."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario_documents(_SOLVABLE_DOCUMENTS),
+           st.sampled_from(ALGORITHMS))
+    @example(_huge_deadline_document(), "lns-aga")
+    def test_exit_code_contract(self, tmp_path, capsys, doc, algo):
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_text(json.dumps(doc))
+        code = main(["solve", str(scen_path), "--algo", algo, "--out",
+                     str(tmp_path / "out"), "--pop-size", "4",
+                     "--min-iters", "2", "--stall-iters", "1"])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error:")
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestBench:

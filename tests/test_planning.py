@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, random_scenario_tuple
 from georepair import planning
 from georepair.astro import GEO, TWO_PI, phasing_solution
 from georepair.planning import (
@@ -21,10 +20,12 @@ from georepair.planning import (
     evaluate_plan,
     evaluate_route,
     exhaustive_solve,
+    penalized_fitness,
     validate_chromosome,
 )
 from georepair.scenarios import random_scenario
 from georepair.search import GaParams, solve_lns_aga
+from scenario_builders import make_scenario, random_scenario_tuple
 
 T = GEO.t_geo
 HOUR = 3600.0
@@ -105,6 +106,12 @@ class TestAllocate:
              (3.0, 100.0, 250.0, 10 * HOUR)],
             deadline_s=30 * HOUR + 0.5 * T)
         assert allocate_revolutions(scenario, 1, [1, 2, 3]) == [1, 1, 1]
+
+    def test_rejects_unknown_slack_rule(self):
+        scenario = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
+                                 [(0.0, 0.0, 10.0, HOUR)], deadline_s=10 * T)
+        with pytest.raises(ValueError, match="slack_rule"):
+            CostModel(scenario, "bogus")
 
     def test_rejects_empty_sequence(self):
         scenario = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
@@ -256,6 +263,25 @@ class TestCostModelAgreement:
             assert fitness == pytest.approx(ev.fitness, rel=1e-9, abs=1e-6)
             assert feasible == ev.feasible
 
+    def test_policy_weights_reach_every_score(self):
+        rng = random.Random(30)
+        scenario = random_scenario_tuple(rng, 6, 2, deadline_s=6 * 86400.0,
+                                         budget=300.0)
+        model = CostModel(scenario, phi=3.0, gamma=0.5)
+        plan = random_plan(scenario, rng)
+        ev = evaluate_plan(scenario, plan, phi=3.0, gamma=0.5)
+        assert ev.deadline_penalty > 0.0 and ev.budget_penalty > 0.0
+        assert model.plan_fitness(plan) == pytest.approx(ev.fitness,
+                                                         rel=1e-9)
+        for route in plan.routes:
+            sid, seq = route.servicer_id, route.target_sequence
+            score, dv, p1, p2 = model.route_score(sid, seq, route.revolutions)
+            assert score == penalized_fitness(dv, p1, p2, 3.0, 0.5)
+            _, dv, p1, _ = model.priced_route(sid, seq)
+            p2 = max(dv - scenario.servicer(sid).dv_budget, 0.0)
+            assert model.priced_score(sid, seq)[1] == penalized_fitness(
+                dv, p1, p2, 3.0, 0.5)
+
     def test_route_metrics_match_route_result(self):
         rng = random.Random(26)
         scenario = random_scenario_tuple(rng, 5, 1, deadline_s=30 * 86400.0)
@@ -269,10 +295,10 @@ class TestCostModelAgreement:
 
 
 class TestRouteMemo:
-    """``CostModel`` prices each (servicer, sequence, slack rule) once; the
-    memo must not change any answer and must stay bounded."""
+    """``CostModel`` prices each (servicer, sequence) once under its policy;
+    the memo must not change any answer and must stay bounded."""
 
-    RULES = ("largest", "smallest")
+    POLICIES = ({}, {"slack_rule": "smallest"}, {"phi": 2.0, "gamma": 7.0})
 
     @staticmethod
     def random_routes(scenario, rng, count):
@@ -286,22 +312,24 @@ class TestRouteMemo:
         scenario = random_scenario(8, 3, days, seed=11)
         rng = random.Random(12)
         pool = self.random_routes(scenario, rng, 12)
-        memo = CostModel(scenario)
-        for i in range(80):
+        memos = [CostModel(scenario, **policy) for policy in self.POLICIES]
+        for i in range(90):
             sid, seq = rng.choice(pool)
-            rule = self.RULES[i % 2]
-            revs = memo.allocate(sid, seq, rule)
-            assert revs == CostModel(scenario).allocate(sid, seq, rule)
-            assert memo.priced_route(sid, seq, rule) == (
+            policy = self.POLICIES[i % len(memos)]
+            memo = memos[i % len(memos)]
+            revs = memo.allocate(sid, seq)
+            assert revs == CostModel(scenario, **policy).allocate(sid, seq)
+            assert memo.priced_route(sid, seq) == (
                 (tuple(revs),)
-                + CostModel(scenario).route_metrics(sid, seq, revs))
+                + CostModel(scenario, **policy).route_metrics(sid, seq, revs))
             other = [k + rng.randint(0, 2) for k in revs]
             for r in (revs, other):
-                assert memo.route_metrics(sid, seq, r) == CostModel(
-                    scenario).route_metrics(sid, seq, r)
-                assert memo.route_score(sid, seq, r, 2.0, 7.0) == CostModel(
-                    scenario).route_score(sid, seq, r, 2.0, 7.0)
-        assert len(memo._priced) < 80
+                fresh = CostModel(scenario, **policy)
+                assert memo.route_metrics(sid, seq, r) == fresh.route_metrics(
+                    sid, seq, r)
+                assert memo.route_score(sid, seq, r) == fresh.route_score(
+                    sid, seq, r)
+        assert all(len(memo._priced) <= len(pool) for memo in memos)
 
     def test_memo_stays_within_its_cap(self, monkeypatch):
         monkeypatch.setattr(planning, "_ROUTE_CACHE_CAP", 5)
@@ -373,7 +401,7 @@ class TestTimeOnlyAllocation:
         # Ten days for up to ten one-day repairs: most base allocations
         # overrun the deadline, so the trim pass decides at its boundary.
         scenario = random_scenario(10, 2, 10.0, seed=2101)
-        model = CostModel(scenario)
+        model = CostModel(scenario, rule)
         rng = random.Random(2102)
         tids = [t.id for t in scenario.targets]
         trims = trims_to_fit = 0
@@ -384,7 +412,7 @@ class TestTimeOnlyAllocation:
             revs, cost, trimmed = trial_priced_allocate(model, geom, rule)
             trims += trimmed
             trims_to_fit += trimmed and cost[2] <= model.deadline
-            assert model.priced_route(sid, seq, rule) == (tuple(revs),) + cost
+            assert model.priced_route(sid, seq) == (tuple(revs),) + cost
             other = [rng.randint(1, model._max_revs) for _ in seq]
             assert model._end_time(geom, other) == model._route_cost(
                 geom, other)[2]
@@ -458,12 +486,9 @@ class TestPublishedPlanReproduction:
             "Tianlian1_02", "Fengyun_2F", "Fengyun_2E")]
 
     def _plan(self, rule):
-        model = CostModel(self.scenario)
-        return MissionPlan([
-            Route(1, self.seq1, allocate_revolutions(
-                self.scenario, 1, self.seq1, slack_rule=rule, model=model)),
-            Route(2, self.seq2, allocate_revolutions(
-                self.scenario, 2, self.seq2, slack_rule=rule, model=model))])
+        model = CostModel(self.scenario, rule)
+        return MissionPlan([Route(1, self.seq1, model.allocate(1, self.seq1)),
+                            Route(2, self.seq2, model.allocate(2, self.seq2))])
 
     def test_per_servicer_dv_within_five_percent(self):
         for rule in ("largest", "smallest"):

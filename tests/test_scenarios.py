@@ -223,6 +223,36 @@ class TestMalformedValues:
         with pytest.raises(ValidationError, match=field):
             load(bad)
 
+    @pytest.mark.parametrize("path,hours,field", [
+        pytest.param(("deadline_hours",), 1e300, "deadline_hours",
+                     id="deadline-1e300"),
+        pytest.param(("deadline_hours",), 7e7, "deadline_hours",
+                     id="deadline-8000-years"),
+        pytest.param(("targets", 3, "repair_hours"), 1e300, "repair_hours",
+                     id="repair-1e300"),
+        pytest.param(("targets", 3, "repair_hours"), 7e7, "repair_hours",
+                     id="repair-8000-years"),
+    ])
+    def test_schedules_ending_past_the_last_datetime_are_rejected(
+            self, tmp_path, path, hours, field):
+        # The case study starts in 2021; 7e7 hours is about 7,990 years.
+        data = _case_study_dict()
+        _set(path, hours)(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=field) as exc:
+            load(bad)
+        assert str(exc.value).startswith(field)
+        assert "\n" not in str(exc.value)
+
+    def test_deadline_short_of_the_last_datetime_loads(self, tmp_path):
+        # 6.9e7 hours, about 7,870 years, leaves a century of room.
+        data = _case_study_dict()
+        data["deadline_hours"] = 6.9e7
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        assert load(path).deadline == 6.9e7 * 3600.0
+
     @pytest.mark.parametrize("constants,field", [
         pytest.param({"mu_km3s2": 398600, "t_geo_s": 1e300}, "constants",
                      id="overflow"),
@@ -287,10 +317,11 @@ def _nodes(value, path=()):
 
 
 @st.composite
-def scenario_documents(draw):
-    """Nearly valid scenario documents with at most one node replaced by
-    an arbitrary JSON value, deleted, or given an unknown sibling."""
-    doc = draw(_DOCUMENTS)
+def scenario_documents(draw, base=_DOCUMENTS):
+    """Nearly valid scenario documents: one drawn from ``base`` with at
+    most one node replaced by an arbitrary JSON value, deleted, or given an
+    unknown sibling."""
+    doc = draw(base)
     edit = draw(st.sampled_from(["none", "replace", "delete", "add"]))
     if edit == "none":
         return doc

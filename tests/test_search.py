@@ -3,12 +3,12 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario, random_scenario_tuple
 from georepair import planning, search
 from georepair.astro import GEO, CollinearGeometry
 from georepair.planning import (
@@ -44,6 +44,7 @@ from georepair.search import (
     swap_mutation,
     swap_positions,
 )
+from scenario_builders import make_scenario, random_scenario_tuple
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -202,7 +203,7 @@ class TestRelatedness:
 
     def test_identical_orbit_same_route_is_maximal(self):
         plan = MissionPlan([Route(1, [1, 2, 3], [1, 1, 1])])
-        r = relatedness(1, 2, plan, 0.5, self.scenario, self.model)
+        r = relatedness(1, 2, plan, 0.5, self.model)
         assert r == pytest.approx(1e6, rel=1e-6)
 
     def test_max_cost_pair_on_distinct_routes(self):
@@ -212,7 +213,7 @@ class TestRelatedness:
             deadline_s=20 * DAY)
         model = CostModel(scenario)
         plan = MissionPlan([Route(1, [1], [1]), Route(2, [2], [1])])
-        r = relatedness(1, 2, plan, 0.5, scenario, model)
+        r = relatedness(1, 2, plan, 0.5, model)
         assert r == pytest.approx(1.0 / (1.0 + 1.0 + 1e-6), rel=1e-9)
 
     def test_monotone_in_route_membership(self):
@@ -225,8 +226,8 @@ class TestRelatedness:
             deadline_s=20 * DAY)
         model2 = CostModel(scenario2)
         apart = MissionPlan([Route(1, [1], [1]), Route(2, [2, 3], [1, 1])])
-        r_same = relatedness(1, 3, together, 0.5, self.scenario, self.model)
-        r_apart = relatedness(1, 3, apart, 0.5, scenario2, model2)
+        r_same = relatedness(1, 3, together, 0.5, self.model)
+        r_apart = relatedness(1, 3, apart, 0.5, model2)
         assert r_apart < r_same
 
     @pytest.mark.parametrize("beta", [0.5, 0.2])
@@ -241,7 +242,7 @@ class TestRelatedness:
         for i, j in pairs:
             c = model.target_pair_cost(i, j, beta) / c_max
             v = 0.0 if plan.route_of(i) == plan.route_of(j) else 1.0
-            assert relatedness(i, j, plan, beta, scenario, model) == (
+            assert relatedness(i, j, plan, beta, model) == (
                 1.0 / (c + v + 1e-6))
 
 
@@ -253,26 +254,25 @@ class TestDestroy:
         self.model = CostModel(self.scenario)
         seqs = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
         self.plan = MissionPlan([
-            Route(sid, seq, list(allocate_revolutions(self.scenario, sid, seq,
-                                                      model=self.model)))
+            Route(sid, seq, self.model.allocate(sid, seq))
             for sid, seq in zip((1, 2), seqs)])
 
     def test_exact_removal_count(self):
         removed, partial = destroy(self.plan, LnsParams(remove_rate=0.3),
-                                   self.scenario, random.Random(7), self.model)
+                                   random.Random(7), self.model)
         assert len(removed) == 3
         assert sorted(partial.covered_targets() + removed) == list(range(1, 11))
 
     def test_single_removal(self):
         removed, partial = destroy(self.plan, LnsParams(remove_rate=0.05),
-                                   self.scenario, random.Random(8), self.model)
+                                   random.Random(8), self.model)
         assert len(removed) == 1
         assert removed[0] not in partial.covered_targets()
 
     def test_high_determinism_is_greedy(self):
         params = LnsParams(remove_rate=0.3, determinism_p=200.0)
         rng = random.Random(9)
-        removed, _ = destroy(self.plan, params, self.scenario, rng, self.model)
+        removed, _ = destroy(self.plan, params, rng, self.model)
         # Replay: after the seeded removal every pick must be the single
         # most related remaining target.
         rng2 = random.Random(9)
@@ -287,7 +287,7 @@ class TestDestroy:
             rng2.random()  # the y draw
             best = max(remaining,
                        key=lambda t: (relatedness(picks[-1], t, self.plan, 0.5,
-                                                  self.scenario, self.model),
+                                                  self.model),
                                       -t))
             picks.append(best)
             _remove_target(partial, best)
@@ -295,13 +295,11 @@ class TestDestroy:
 
     def test_surviving_routes_reallocated(self):
         removed, partial = destroy(self.plan, LnsParams(remove_rate=0.3),
-                                   self.scenario, random.Random(10),
-                                   self.model)
+                                   random.Random(10), self.model)
         for route in partial.routes:
             if route.target_sequence:
-                assert route.revolutions == list(allocate_revolutions(
-                    self.scenario, route.servicer_id, route.target_sequence,
-                    model=self.model))
+                assert route.revolutions == allocate_revolutions(
+                    self.scenario, route.servicer_id, route.target_sequence)
 
 
 class TestInsertionAndRepair:
@@ -315,7 +313,7 @@ class TestInsertionAndRepair:
         model = CostModel(scenario)
         partial = MissionPlan([Route(1, [], []), Route(2, [2],
                               list(model.allocate(2, [2])))])
-        cost, pos = insertion_cost(1, partial, scenario, model=model)
+        cost, pos = insertion_cost(1, partial, model)
         assert cost == pytest.approx(0.0, abs=1e-9)
         assert pos == (1, 0)
 
@@ -328,7 +326,7 @@ class TestInsertionAndRepair:
         model = CostModel(scenario)
         partial = MissionPlan([Route(1, [2], list(model.allocate(1, [2])))])
         with pytest.raises(AllInfeasible) as exc:
-            insertion_cost(1, partial, scenario, model=model)
+            insertion_cost(1, partial, model)
         sid, pos = exc.value.best_position
         assert sid == 1 and pos in (0, 1)
 
@@ -339,7 +337,7 @@ class TestInsertionAndRepair:
         partial = MissionPlan([
             Route(1, [1, 2], list(model.allocate(1, [1, 2]))),
             Route(2, [3, 4, 5], list(model.allocate(2, [3, 4, 5])))])
-        cost, (sid, pos) = insertion_cost(6, partial, scenario, model=model)
+        cost, (sid, pos) = insertion_cost(6, partial, model)
         route = next(r for r in partial.routes if r.servicer_id == sid)
         old_score, _, _, _ = model.route_score(sid, route.target_sequence,
                                                route.revolutions)
@@ -372,7 +370,7 @@ class TestInsertionAndRepair:
             scored = []
             for tid in remaining:
                 try:
-                    c, pos = insertion_cost(tid, greedy, scenario, model=model)
+                    c, pos = insertion_cost(tid, greedy, model)
                 except AllInfeasible as exc:
                     c, pos = math.inf, exc.best_position
                 scored.append((c, tid, pos))
@@ -386,8 +384,7 @@ class TestInsertionAndRepair:
         assert not evaluate_plan(scenario, greedy).feasible
 
         # Farthest-first repair places the hard target while room remains.
-        repaired = repair([1, 2, 3], empty, scenario, LnsParams(),
-                          model=model)
+        repaired = repair([1, 2, 3], empty, model)
         assert evaluate_plan(scenario, repaired).feasible
 
     def test_single_removed_target_lands_at_best_position(self):
@@ -397,28 +394,27 @@ class TestInsertionAndRepair:
         partial = MissionPlan([
             Route(1, [1, 2], list(model.allocate(1, [1, 2]))),
             Route(2, [4, 5], list(model.allocate(2, [4, 5])))])
-        cost, (sid, pos) = insertion_cost(3, partial, scenario, model=model)
-        plan = repair([3], partial, scenario, LnsParams(), model=model)
+        cost, (sid, pos) = insertion_cost(3, partial, model)
+        plan = repair([3], partial, model)
         route = next(r for r in plan.routes if r.servicer_id == sid)
         assert route.target_sequence[pos] == 3
 
 
-def scan_every_slot(target_id, partial, model, phi=1.0, gamma=10.0,
-                    slack_rule="largest"):
+def scan_every_slot(target_id, partial, model):
     """Insertion as one pass over every route and slot in order, keeping
     the first least delta; ``("feasible" | "infeasible", delta, position)``.
     """
     best = best_pen = None
     for route in partial.routes:
         sid, seq = route.servicer_id, route.target_sequence
-        old_score = model.route_score(sid, seq, route.revolutions, phi,
-                                      gamma)[0]
+        old_score = model.route_score(sid, seq, route.revolutions)[0]
         budget = model.scenario.servicer(sid).dv_budget
         for pos in range(len(seq) + 1):
             cand = seq[:pos] + [target_id] + seq[pos:]
-            _, dv, p1, _ = model.priced_route(sid, cand, slack_rule)
+            _, dv, p1, _ = model.priced_route(sid, cand)
             p2 = max(dv - budget, 0.0)
-            delta = penalized_fitness(dv, p1, p2, phi, gamma) - old_score
+            delta = penalized_fitness(dv, p1, p2, model.phi,
+                                      model.gamma) - old_score
             if p1 == 0.0 and p2 == 0.0 and (best is None or delta < best[0]):
                 best = (delta, (sid, pos))
             if best_pen is None or delta < best_pen[0]:
@@ -428,12 +424,11 @@ def scan_every_slot(target_id, partial, model, phi=1.0, gamma=10.0,
     return ("infeasible",) + best_pen
 
 
-def insertion_answer(target_id, partial, model, **kwargs):
+def insertion_answer(target_id, partial, model):
     """``insertion_cost`` as ``("feasible" | "infeasible", delta,
     position)``."""
     try:
-        cost, pos = insertion_cost(target_id, partial, model.scenario,
-                                   model=model, **kwargs)
+        cost, pos = insertion_cost(target_id, partial, model)
     except AllInfeasible as exc:
         return "infeasible", exc.penalized_cost, exc.best_position
     return "feasible", cost, pos
@@ -475,19 +470,19 @@ class TestInsertionMemo:
              (0.5, 10.0, 300.0, 20 * HOUR)],
             deadline_s=deadline_days * DAY)
 
-    def check_warm_against_fresh(self, scenario, partials, variants=({},)):
-        """Each query on one warm model, alternating over ``variants`` (the
-        keyword arguments of ``insertion_cost``)."""
-        warm = CostModel(scenario)
+    def check_warm_against_fresh(self, scenario, partials, policies=({},)):
+        """Queries alternating over ``policies`` (the keyword arguments of
+        ``CostModel``), each on one warm model per policy."""
+        warm = [CostModel(scenario, **policy) for policy in policies]
         outcomes = set()
-        queries = [(plan, tid, kwargs) for plan, missing in partials
-                   for tid in missing for kwargs in variants]
-        for plan, tid, kwargs in queries + queries[::-1]:
-            got = insertion_answer(tid, plan, warm, **kwargs)
-            assert got == insertion_answer(tid, plan, CostModel(scenario),
-                                           **kwargs)
-            assert got == scan_every_slot(tid, plan, CostModel(scenario),
-                                          **kwargs)
+        queries = [(plan, tid, i) for plan, missing in partials
+                   for tid in missing for i in range(len(policies))]
+        for plan, tid, i in queries + queries[::-1]:
+            got = insertion_answer(tid, plan, warm[i])
+            assert got == insertion_answer(
+                tid, plan, CostModel(scenario, **policies[i]))
+            assert got == scan_every_slot(
+                tid, plan, CostModel(scenario, **policies[i]))
             outcomes.add(got[0])
         return outcomes
 
@@ -545,6 +540,60 @@ class TestInsertionMemo:
                 assert got == insertion_answer(tid, plan, CostModel(scenario))
 
 
+class TestBoundedSearchCaches:
+    """The engine's chromosome cache and the Lambert leg cache never exceed
+    their caps, and emptying them leaves a solve as it was, the Lambert
+    one up to the rounding of its key."""
+
+    def test_gene_cache_stays_within_its_cap(self, monkeypatch):
+        scenario = random_scenario(6, 2, 6.0, seed=7)
+        fresh = solve_lns_aga(scenario, small_ga(20, 20, 10), LnsParams(),
+                              seed=1)
+        sizes = []
+        original = search._MixedAdapter.route
+
+        def spy(self, sid, seq):
+            # The cache is the ``cache`` cell of the engine's ``evaluate``
+            # closure, the adapter's caller; it is read before its insert.
+            sizes.append(len(sys._getframe(1).f_locals["cache"]))
+            return original(self, sid, seq)
+
+        monkeypatch.setattr(search._MixedAdapter, "route", spy)
+        monkeypatch.setattr(search, "_GENE_CACHE_CAP", 5)
+        capped = solve_lns_aga(scenario, small_ga(20, 20, 10), LnsParams(),
+                               seed=1)
+        assert max(sizes) == 5
+        assert capped.history == fresh.history
+        assert capped.best_plan == fresh.best_plan
+        assert capped.best_evaluation.fitness == fresh.best_evaluation.fitness
+
+    def test_leg_cache_stays_within_its_cap(self, monkeypatch):
+        scenario = random_scenario(6, 2, 6.0, seed=7)
+        fresh = solve_lambert_ga(scenario, small_ga(20, 20, 10), seed=1)
+        sizes = []
+        original = _LambertAdapter._leg
+
+        def spy(self, *args):
+            result = original(self, *args)
+            sizes.append(len(self._leg_cache))
+            return result
+
+        monkeypatch.setattr(_LambertAdapter, "_leg", spy)
+        monkeypatch.setattr(search, "_LEG_CACHE_CAP", 5)
+        capped = solve_lambert_ga(scenario, small_ga(20, 20, 10), seed=1)
+        assert max(sizes) == 5
+        assert capped.best_plan == fresh.best_plan
+        assert capped.generations_run == fresh.generations_run
+        # The leg cache rounds departure times to the millisecond, so a hit
+        # may return a leg priced at a departure up to half a millisecond
+        # away, and a solve whose cache empties can differ in the last bits.
+        assert len(capped.history) == len(fresh.history)
+        for got, want in zip(capped.history, fresh.history):
+            assert got == pytest.approx(want, rel=1e-12)
+        assert capped.best_evaluation.fitness == pytest.approx(
+            fresh.best_evaluation.fitness, rel=1e-12)
+
+
 class TestLnsImprove:
     def setup_method(self):
         rng = random.Random(13)
@@ -557,21 +606,19 @@ class TestLnsImprove:
 
     def test_zero_iterations_is_identity(self):
         out = lns_improve(self.plan, LnsParams(lns_iterations=0),
-                          self.scenario, random.Random(0), model=self.model)
+                          random.Random(0), self.model)
         assert out is self.plan
 
     def test_never_hurts(self):
         base = self.model.plan_fitness(self.plan)
         for seed in range(20):
-            out = lns_improve(self.plan, LnsParams(), self.scenario,
-                              random.Random(seed), model=self.model)
+            out = lns_improve(self.plan, LnsParams(), random.Random(seed),
+                              self.model)
             assert self.model.plan_fitness(out) <= base + 1e-9
 
     def test_seed_determinism(self):
-        a = lns_improve(self.plan, LnsParams(), self.scenario,
-                        random.Random(99), model=self.model)
-        b = lns_improve(self.plan, LnsParams(), self.scenario,
-                        random.Random(99), model=self.model)
+        a = lns_improve(self.plan, LnsParams(), random.Random(99), self.model)
+        b = lns_improve(self.plan, LnsParams(), random.Random(99), self.model)
         assert [r.target_sequence for r in a.routes] == \
             [r.target_sequence for r in b.routes]
         assert [r.revolutions for r in a.routes] == \
