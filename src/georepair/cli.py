@@ -1,9 +1,12 @@
 """Command-line front end: solve, bench, oracle and gen subcommands.
 
-Artifacts per solve: ``schedule.csv`` (one row per repaired target with
-impulse vectors and timing), ``convergence.csv`` (per-generation best and
-average fitness) and ``summary.json``. Exit codes: 0 when the best plan is
-feasible, 2 when the best plan violates a constraint, 1 on errors.
+Artifacts per solve, ``oracle`` included: ``schedule.csv`` (one row per
+repaired target with impulse vectors and timing), ``convergence.csv``
+(per-generation best and average fitness) and ``summary.json``. Each solver
+flag sets the field of ``RunConfig``, ``GaParams`` or ``LnsParams`` that
+``SOLVER_FLAGS`` names and takes that field's default. Exit codes: 0 when
+the best plan is feasible, 2 when the best plan violates a constraint, 1 on
+errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -12,14 +15,20 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from datetime import timedelta
 from pathlib import Path
 
-from .planning import Evaluation, InstanceTooLarge, exhaustive_solve
+from .planning import (
+    SLACK_RULES,
+    Evaluation,
+    InstanceTooLarge,
+    exhaustive_solve,
+)
 from .scenarios import ParseError, ValidationError, load, random_scenario, save
 from .search import (
     GaParams,
@@ -31,6 +40,7 @@ from .search import (
 )
 
 ALGORITHMS = ("lns-aga", "ga", "lambert-ga", "oracle")
+MAX_RUNS = 10_000  # seeded runs per algorithm in one bench
 
 SCHEDULE_COLUMNS = [
     "servicer", "target",
@@ -41,106 +51,89 @@ SCHEDULE_COLUMNS = [
     "coast_time_s", "maneuver_time_s", "leg_dv_mps",
 ]
 
+_SUMMARY_CSV_FORMATS = {
+    "min_dv_mps": ".4f", "avg_dv_mps": ".4f", "std_dv_mps": ".4f",
+    "feasible_proportion": ".3f",
+    "min_wall_s": ".2f", "avg_wall_s": ".2f", "max_wall_s": ".2f",
+}
+
 
 @dataclass
 class RunConfig:
-    """Solver selection and parameter overrides for one CLI invocation."""
+    """One solver execution: the algorithm, its seed and its parameters."""
 
     algorithm: str = "lns-aga"
     seed: int = 1
-    runs: int = 1
     ga: GaParams = field(default_factory=GaParams)
     lns: LnsParams = field(default_factory=LnsParams)
     max_revolutions: int = 4
     slack_rule: str = "largest"
-    jobs: int = 1
-    out_dir: Path = Path(".")
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
-@dataclass
-class BenchSummary:
-    """Tables-style statistics of repeated solver executions."""
+# Solver flag -> the field of RunConfig, GaParams or LnsParams it sets,
+# which is its dest and whose default gives its default and type.
+SOLVER_FLAGS = {
+    "--algo": "algorithm", "--seed": "seed", "--slack-rule": "slack_rule",
+    "--max-rev": "max_revolutions",
+    "--pop-size": "population_size", "--min-iters": "min_iterations",
+    "--stall-iters": "stall_iterations", "--phi": "phi", "--gamma": "gamma",
+    "--pc-hi": "pc_hi", "--pc-lo": "pc_lo", "--pm-hi": "pm_hi",
+    "--pm-lo": "pm_lo",
+    "--remove-rate": "remove_rate", "--elite-rate": "elite_fraction",
+    "--lns-iters": "lns_iterations", "--beta": "beta",
+    "--det-p": "determinism_p",
+}
+_CHOICES = {"algorithm": ALGORITHMS, "slack_rule": SLACK_RULES}
+_HELP = {"phi": "deadline penalty weight per minute late",
+         "gamma": "budget penalty weight per m/s over",
+         "max_revolutions": "revolution cap for the exhaustive oracle"}
 
-    algorithm: str
-    runs: int
-    min_dv: float
-    avg_dv: float
-    std_dv: float
-    feasible_proportion: float
-    min_wall_s: float
-    avg_wall_s: float
-    max_wall_s: float
 
-    def as_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm, "runs": self.runs,
-            "min_dv_mps": self.min_dv, "avg_dv_mps": self.avg_dv,
-            "std_dv_mps": self.std_dv,
-            "feasible_proportion": self.feasible_proportion,
-            "min_wall_s": self.min_wall_s, "avg_wall_s": self.avg_wall_s,
-            "max_wall_s": self.max_wall_s,
-        }
+class _Parser(argparse.ArgumentParser):
+    # argparse prints usage and exits 2, the exit code of an infeasible
+    # plan; raise instead, for main to report in one line with exit 1.
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _add_solver_flags(p, flags):
+    defaults = {**vars(RunConfig()), **vars(GaParams()), **vars(LnsParams())}
+    for flag in flags:
+        name = SOLVER_FLAGS[flag]
+        p.add_argument(flag, dest=name, type=type(defaults[name]),
+                       default=defaults[name], choices=_CHOICES.get(name),
+                       help=_HELP.get(name))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="georepair",
-        description="Plan multi-servicer GEO repair missions.")
+    parser = _Parser(prog="georepair",
+                     description="Plan multi-servicer GEO repair missions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p, multi_algo=False):
-        if multi_algo:
-            p.add_argument("--algo", default="lns-aga,ga,lambert-ga",
-                           help="comma-separated algorithms to benchmark")
-        else:
-            p.add_argument("--algo", default="lns-aga", choices=ALGORITHMS)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--runs", type=int, default=1)
-        p.add_argument("--pop-size", type=int, default=100)
-        p.add_argument("--min-iters", type=int, default=100)
-        p.add_argument("--stall-iters", type=int, default=50)
-        p.add_argument("--pc-hi", type=float, default=0.9)
-        p.add_argument("--pc-lo", type=float, default=0.7)
-        p.add_argument("--pm-hi", type=float, default=0.2)
-        p.add_argument("--pm-lo", type=float, default=0.01)
-        p.add_argument("--phi", type=float, default=1.0,
-                       help="deadline penalty weight per minute late")
-        p.add_argument("--gamma", type=float, default=10.0,
-                       help="budget penalty weight per m/s over")
-        p.add_argument("--remove-rate", type=float, default=0.3)
-        p.add_argument("--elite-rate", type=float, default=0.1)
-        p.add_argument("--lns-iters", type=int, default=2)
-        p.add_argument("--beta", type=float, default=0.5)
-        p.add_argument("--det-p", type=float, default=6.0)
-        p.add_argument("--slack-rule", default="largest",
-                       choices=("largest", "smallest"))
-        p.add_argument("--max-rev", type=int, default=4,
-                       help="revolution cap for the exhaustive oracle")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out", type=Path, default=Path("."))
-
     p_solve = sub.add_parser("solve", help="solve one scenario file")
-    p_solve.add_argument("scenario", type=Path)
-    add_solver_flags(p_solve)
+    _add_solver_flags(p_solve, SOLVER_FLAGS)
 
     p_bench = sub.add_parser("bench",
                              help="run repeated-seed benchmark statistics")
-    p_bench.add_argument("scenario", type=Path)
-    add_solver_flags(p_bench, multi_algo=True)
+    p_bench.add_argument("--algo", default="lns-aga,ga,lambert-ga",
+                         help="comma-separated algorithms to benchmark")
+    _add_solver_flags(p_bench, [f for f in SOLVER_FLAGS if f != "--algo"])
+    p_bench.add_argument("--runs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=int, default=1)
 
     p_oracle = sub.add_parser("oracle",
                               help="exhaustive optimum of a small instance")
-    p_oracle.add_argument("scenario", type=Path)
-    p_oracle.add_argument("--max-rev", type=int, default=4)
-    p_oracle.add_argument("--phi", type=float, default=1.0)
-    p_oracle.add_argument("--gamma", type=float, default=10.0)
-    p_oracle.add_argument("--out", type=Path, default=Path("."))
+    _add_solver_flags(p_oracle, ["--max-rev", "--phi", "--gamma"])
+    # The exhaustive search draws no random numbers; it reports seed 0.
+    p_oracle.set_defaults(algorithm="oracle", seed=0)
+
+    for p in (p_solve, p_bench, p_oracle):
+        p.add_argument("scenario", type=Path)
+        p.add_argument("--out", type=Path, default=Path("."))
 
     p_gen = sub.add_parser("gen", help="generate a random scenario file")
     p_gen.add_argument("out_path", type=Path)
@@ -152,43 +145,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    ga = GaParams(population_size=args.pop_size,
-                  min_iterations=args.min_iters,
-                  stall_iterations=args.stall_iters,
-                  pc_hi=args.pc_hi, pc_lo=args.pc_lo,
-                  pm_hi=args.pm_hi, pm_lo=args.pm_lo,
-                  phi=args.phi, gamma=args.gamma)
-    lns = LnsParams(remove_rate=args.remove_rate,
-                    determinism_p=args.det_p, beta=args.beta,
-                    lns_iterations=args.lns_iters,
-                    elite_fraction=args.elite_rate)
-    algo = args.algo if args.algo in ALGORITHMS else "lns-aga"
-    return RunConfig(algorithm=algo, seed=args.seed, runs=args.runs,
-                     ga=ga, lns=lns, max_revolutions=args.max_rev,
-                     slack_rule=args.slack_rule, jobs=args.jobs,
-                     out_dir=args.out)
+    def given(cls):
+        return {f.name: getattr(args, f.name) for f in fields(cls)
+                if f.name in SOLVER_FLAGS.values() and hasattr(args, f.name)}
+    return RunConfig(ga=GaParams(**given(GaParams)),
+                     lns=LnsParams(**given(LnsParams)), **given(RunConfig))
 
 
-def _run_one(scenario, algorithm: str, config: RunConfig, seed: int):
-    """One solver execution: (SolveResult-like, evaluation, wall seconds)."""
+def _run_one(scenario, config: RunConfig) -> tuple[SolveResult, float]:
+    """One solver execution: (result, wall seconds)."""
     start = time.perf_counter()
-    if algorithm == "lns-aga":
-        result = solve_lns_aga(scenario, config.ga, config.lns, seed,
+    if config.algorithm == "lns-aga":
+        result = solve_lns_aga(scenario, config.ga, config.lns, config.seed,
                                config.slack_rule)
-    elif algorithm == "ga":
-        result = solve_ga(scenario, config.ga, seed, config.slack_rule)
-    elif algorithm == "lambert-ga":
-        result = solve_lambert_ga(scenario, config.ga, seed)
-    elif algorithm == "oracle":
+    elif config.algorithm == "ga":
+        result = solve_ga(scenario, config.ga, config.seed, config.slack_rule)
+    elif config.algorithm == "lambert-ga":
+        result = solve_lambert_ga(scenario, config.ga, config.seed)
+    else:
         plan, evaluation = exhaustive_solve(scenario, config.max_revolutions,
                                             config.ga.phi, config.ga.gamma)
         result = SolveResult(best_plan=plan, best_evaluation=evaluation,
                              history=[(evaluation.fitness,
                                        evaluation.fitness)],
-                             generations_run=0, seed=seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(algorithm)
+                             generations_run=0, seed=config.seed)
     return result, time.perf_counter() - start
+
+
+def _write_json(path: Path, payload: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_csv(path: Path, rows: list[dict]):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _fmt_time(epoch, seconds: float, iso: bool = False) -> str:
@@ -222,18 +216,16 @@ def write_schedule(path: Path, scenario, evaluation: Evaluation):
 
 
 def write_convergence(path: Path, result: SolveResult):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best_fitness", "avg_fitness"])
-        for gen, (best, avg) in enumerate(result.history):
-            writer.writerow([gen, f"{best:.6f}", f"{avg:.6f}"])
+    _write_csv(path, [{"generation": gen, "best_fitness": f"{best:.6f}",
+                       "avg_fitness": f"{avg:.6f}"}
+                      for gen, (best, avg) in enumerate(result.history)])
 
 
-def _summary_payload(scenario, algorithm, result: SolveResult,
-                     config: RunConfig, wall: float) -> dict:
+def _summary_payload(scenario, result: SolveResult, config: RunConfig,
+                     wall: float) -> dict:
     ev = result.best_evaluation
     return {
-        "algorithm": algorithm,
+        "algorithm": config.algorithm,
         "seed": result.seed,
         "feasible": ev.feasible,
         "fitness": ev.fitness,
@@ -272,56 +264,54 @@ def _summary_payload(scenario, algorithm, result: SolveResult,
     }
 
 
-def cmd_solve(scenario_path: Path, config: RunConfig) -> int:
+def cmd_solve(scenario_path: Path, config: RunConfig, out_dir: Path) -> int:
     scenario = load(scenario_path)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    result, wall = _run_one(scenario, config.algorithm, config, config.seed)
-    write_schedule(config.out_dir / "schedule.csv", scenario,
-                   result.best_evaluation)
-    write_convergence(config.out_dir / "convergence.csv", result)
-    payload = _summary_payload(scenario, config.algorithm, result, config,
-                               wall)
-    with open(config.out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result, wall = _run_one(scenario, config)
+    write_schedule(out_dir / "schedule.csv", scenario, result.best_evaluation)
+    write_convergence(out_dir / "convergence.csv", result)
+    _write_json(out_dir / "summary.json",
+                _summary_payload(scenario, result, config, wall))
     ev = result.best_evaluation
     print(f"{config.algorithm}: fitness {ev.fitness:.4f}, total dv "
           f"{ev.total_dv:.4f} m/s, feasible={ev.feasible}")
     return 0 if ev.feasible else 2
 
 
-def _bench_worker(payload):
-    scenario, algorithm, config, seed = payload
-    result, wall = _run_one(scenario, algorithm, config, seed)
+def _bench_worker(scenario, config: RunConfig) -> dict:
+    result, wall = _run_one(scenario, config)
     ev = result.best_evaluation
     return {
-        "algorithm": algorithm, "seed": seed, "fitness": ev.fitness,
-        "total_dv_mps": ev.total_dv, "feasible": ev.feasible,
-        "deadline_penalty_s": ev.deadline_penalty,
+        "algorithm": config.algorithm, "seed": config.seed,
+        "fitness": ev.fitness, "total_dv_mps": ev.total_dv,
+        "feasible": ev.feasible, "deadline_penalty_s": ev.deadline_penalty,
         "budget_penalty_mps": ev.budget_penalty,
         "generations": result.generations_run, "wall_s": wall,
     }
 
 
-def cmd_bench(scenario_path: Path, config: RunConfig,
-              algorithms=None) -> tuple[list[BenchSummary], int]:
+def cmd_bench(scenario_path: Path, config: RunConfig, algorithms: list[str],
+              runs: int, jobs: int, out_dir: Path) -> int:
+    if not 1 <= runs <= MAX_RUNS:
+        raise ValueError(f"runs must be in [1, {MAX_RUNS}], got {runs}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not algorithms:
+        raise ValueError("need at least one algorithm")
     scenario = load(scenario_path)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    if algorithms is None:
-        algorithms = [config.algorithm]
-    tasks = [(scenario, algo, config, config.seed + i)
-             for algo in algorithms for i in range(config.runs)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_bench_worker, tasks))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    configs = [replace(config, algorithm=algo, seed=config.seed + i)
+               for algo in algorithms for i in range(runs)]
+    # A process pool forks all its workers at the first submit, so start
+    # no more than there are tasks or cores.
+    workers = min(jobs, len(configs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_bench_worker, [scenario] * len(configs),
+                                 configs))
     else:
-        rows = [_bench_worker(t) for t in tasks]
-
-    with open(config.out_dir / "runs.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        rows = [_bench_worker(scenario, c) for c in configs]
+    _write_csv(out_dir / "runs.csv", rows)
 
     summaries = []
     for algo in algorithms:
@@ -331,55 +321,24 @@ def cmd_bench(scenario_path: Path, config: RunConfig,
         mean = sum(dvs) / len(dvs)
         std = (math.sqrt(sum((d - mean) ** 2 for d in dvs) / (len(dvs) - 1))
                if len(dvs) > 1 else 0.0)
-        summaries.append(BenchSummary(
-            algorithm=algo, runs=len(sub), min_dv=min(dvs), avg_dv=mean,
-            std_dv=std,
-            feasible_proportion=sum(r["feasible"] for r in sub) / len(sub),
-            min_wall_s=min(walls), avg_wall_s=sum(walls) / len(walls),
-            max_wall_s=max(walls)))
-    with open(config.out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump({"scenario": str(scenario_path), "seed": config.seed,
-                   "runs": config.runs,
-                   "algorithms": [s.as_dict() for s in summaries]},
-                  fh, indent=2)
-        fh.write("\n")
-    with open(config.out_dir / "summary.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "runs", "min_dv_mps", "avg_dv_mps",
-                         "std_dv_mps", "feasible_proportion", "min_wall_s",
-                         "avg_wall_s", "max_wall_s"])
-        for s in summaries:
-            writer.writerow([s.algorithm, s.runs, f"{s.min_dv:.4f}",
-                             f"{s.avg_dv:.4f}", f"{s.std_dv:.4f}",
-                             f"{s.feasible_proportion:.3f}",
-                             f"{s.min_wall_s:.2f}", f"{s.avg_wall_s:.2f}",
-                             f"{s.max_wall_s:.2f}"])
+        summaries.append({
+            "algorithm": algo, "runs": len(sub),
+            "min_dv_mps": min(dvs), "avg_dv_mps": mean, "std_dv_mps": std,
+            "feasible_proportion": sum(r["feasible"] for r in sub) / len(sub),
+            "min_wall_s": min(walls), "avg_wall_s": sum(walls) / len(walls),
+            "max_wall_s": max(walls),
+        })
+    _write_json(out_dir / "summary.json",
+                {"scenario": str(scenario_path), "seed": config.seed,
+                 "runs": runs, "algorithms": summaries})
+    _write_csv(out_dir / "summary.csv",
+               [{k: format(v, _SUMMARY_CSV_FORMATS.get(k, ""))
+                 for k, v in s.items()} for s in summaries])
     for s in summaries:
-        print(f"{s.algorithm}: min {s.min_dv:.2f}, avg {s.avg_dv:.2f}, "
-              f"std {s.std_dv:.2f}, feasible {s.feasible_proportion:.0%}")
-    return summaries, 0
-
-
-def cmd_oracle(scenario_path: Path, max_revolutions: int, out_dir: Path,
-               phi: float = 1.0, gamma: float = 10.0) -> int:
-    scenario = load(scenario_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    plan, evaluation = exhaustive_solve(scenario, max_revolutions, phi, gamma)
-    result = SolveResult(best_plan=plan, best_evaluation=evaluation,
-                         history=[(evaluation.fitness, evaluation.fitness)],
-                         generations_run=0, seed=0)
-    config = RunConfig(algorithm="oracle", max_revolutions=max_revolutions,
-                       out_dir=out_dir)
-    config.ga.phi, config.ga.gamma = phi, gamma
-    write_schedule(out_dir / "schedule.csv", scenario, evaluation)
-    payload = _summary_payload(scenario, "oracle", result, config, 0.0)
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"oracle: fitness {evaluation.fitness:.4f}, "
-          f"feasible={evaluation.feasible}")
-    return 0 if evaluation.feasible else 2
+        print(f"{s['algorithm']}: min {s['min_dv_mps']:.2f}, "
+              f"avg {s['avg_dv_mps']:.2f}, std {s['std_dv_mps']:.2f}, "
+              f"feasible {s['feasible_proportion']:.0%}")
+    return 0
 
 
 def cmd_gen(n_targets: int, n_servicers: int, duration_days: float,
@@ -393,30 +352,19 @@ def cmd_gen(n_targets: int, n_servicers: int, duration_days: float,
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return cmd_solve(args.scenario, _config_from_args(args))
-        if args.command == "bench":
-            algos = [a.strip() for a in args.algo.split(",") if a.strip()]
-            for a in algos:
-                if a not in ALGORITHMS:
-                    raise ValueError(f"unknown algorithm {a!r}")
-            config = _config_from_args(args)
-            _, code = cmd_bench(args.scenario, config, algos)
-            return code
-        if args.command == "oracle":
-            return cmd_oracle(args.scenario, args.max_rev, args.out,
-                              args.phi, args.gamma)
+        args = _build_parser().parse_args(argv)
         if args.command == "gen":
             return cmd_gen(args.targets, args.servicers, args.days,
                            args.seed, args.out_path)
-        raise ValueError(f"unknown command {args.command!r}")
-    except (ParseError, ValidationError, InstanceTooLarge, OSError,
-            ValueError) as exc:
+        config = _config_from_args(args)
+        if args.command == "bench":
+            algorithms = [a.strip() for a in args.algo.split(",")
+                          if a.strip()]
+            return cmd_bench(args.scenario, config, algorithms, args.runs,
+                             args.jobs, args.out)
+        return cmd_solve(args.scenario, config, args.out)
+    except (argparse.ArgumentError, ParseError, ValidationError,
+            InstanceTooLarge, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

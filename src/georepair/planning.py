@@ -296,7 +296,7 @@ class _RouteGeom:
 
 
 _ROUTE_CACHE_CAP = 400_000
-_SLACK_RULES = ("largest", "smallest")
+SLACK_RULES = ("largest", "smallest")
 _EMPTY_ROUTE = ((), 0.0, 0.0, 0.0)
 
 
@@ -331,7 +331,7 @@ class CostModel:
 
     def __init__(self, scenario: Scenario, slack_rule: str = "largest",
                  phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA):
-        if slack_rule not in _SLACK_RULES:
+        if slack_rule not in SLACK_RULES:
             raise ValueError("slack_rule must be 'largest' or 'smallest'")
         self.scenario = scenario
         self.slack_rule = slack_rule

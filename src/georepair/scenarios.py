@@ -27,6 +27,11 @@ class ValidationError(Exception):
 
 
 CASE_STUDY_EPOCH = "2021-03-12T04:00:00Z"
+# Largest fleet a scenario may hold: far above the experiments (30 targets,
+# 5 servicers), so that only a mistyped count is refused, before it costs
+# memory or solver time.
+MAX_TARGETS = 1000
+MAX_SERVICERS = 100
 _LATEST_TIME = datetime.max.replace(tzinfo=timezone.utc)
 
 # GEO fleet snapshot used throughout: name, inclination (deg), RAAN (deg),
@@ -89,6 +94,7 @@ class ScenarioSpec:
             raise ValidationError("deadline_hours is too large")
         if not self.servicers or not self.targets:
             raise ValidationError("need at least one servicer and one target")
+        _check_fleet_size(len(self.servicers), len(self.targets))
         consts = GEO if self.constants is None else _constants(
             self.constants)
         try:
@@ -131,6 +137,13 @@ class ScenarioSpec:
         return Scenario(epoch=epoch, deadline=self.deadline_hours * 3600.0,
                         servicers=servicers, targets=targets,
                         constants=consts, spec=self)
+
+
+def _check_fleet_size(n_servicers: int, n_targets: int):
+    for name, count, cap in (("servicers", n_servicers, MAX_SERVICERS),
+                             ("targets", n_targets, MAX_TARGETS)):
+        if count > cap:
+            raise ValidationError(f"{name}: {count} exceeds the cap of {cap}")
 
 
 def _constants(record: dict) -> PhysicalConstants:
@@ -184,6 +197,7 @@ def random_scenario(n_targets: int, n_servicers: int, duration_days: float,
     uniform in [0, 360) deg, 2000 m/s budgets, 1-day repairs."""
     if n_targets < 1 or n_servicers < 1:
         raise ValueError("need at least one target and one servicer")
+    _check_fleet_size(n_servicers, n_targets)
     rng = random.Random(seed)
 
     def draw(name, cls, extra):

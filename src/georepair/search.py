@@ -57,6 +57,12 @@ RELATEDNESS_EPS = 1e-6
 _GENE_CACHE_CAP = 200_000
 _LEG_CACHE_CAP = 300_000
 
+# Largest population and generation counts a solve accepts: far above the
+# experiments (a population of 100, at most a few hundred generations), so
+# that only a mistyped value is refused, at once instead of after days.
+MAX_POPULATION = 10_000
+MAX_ITERATIONS = 100_000
+
 # Candidate Lambert leg flight times, as fractions of the GEO period.
 DEFAULT_TOF_FRACTIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875,
                          1.0, 1.25, 1.5, 1.75, 2.0)
@@ -90,12 +96,19 @@ class GaParams:
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
+        if not 2 <= self.population_size <= MAX_POPULATION:
+            raise ValueError(
+                f"population_size must be in [2, {MAX_POPULATION}]")
+        for name in ("min_iterations", "stall_iterations"):
+            if getattr(self, name) > MAX_ITERATIONS:
+                raise ValueError(f"{name} must be <= {MAX_ITERATIONS}")
         if not (0.0 < self.pc_lo <= self.pc_hi <= 1.0):
             raise ValueError("need 0 < pc_lo <= pc_hi <= 1")
         if not (0.0 < self.pm_lo <= self.pm_hi <= 1.0):
             raise ValueError("need 0 < pm_lo <= pm_hi <= 1")
+        for name in ("phi", "gamma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -109,10 +122,12 @@ class LnsParams:
     def __post_init__(self):
         if not (0.0 < self.remove_rate < 1.0):
             raise ValueError("remove_rate must be in (0, 1)")
-        if self.determinism_p < 1.0:
+        if not self.determinism_p >= 1.0:
             raise ValueError("determinism_p must be >= 1")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must be in (0, 1)")
+        if not (0.0 < self.elite_fraction <= 1.0):
+            raise ValueError("elite_fraction must be in (0, 1]")
 
 
 @dataclass

@@ -1,13 +1,20 @@
 """Black-box CLI tests: exit codes, artifact shapes, determinism."""
 
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from georepair.cli import ALGORITHMS, SCHEDULE_COLUMNS, main
+from georepair import cli
+from georepair.cli import ALGORITHMS, SCHEDULE_COLUMNS, _build_parser, main
 from georepair.scenarios import (
     case_study,
     random_scenario,
@@ -15,6 +22,7 @@ from georepair.scenarios import (
     scenario_spec,
     spec_to_dict,
 )
+from georepair.search import GaParams, LnsParams
 from scenario_builders import make_scenario
 from test_scenarios import _set, scenario_documents
 
@@ -259,6 +267,40 @@ class TestBench:
         assert main(["bench", str(scen_path), "--algo", "tabu"]) == 1
         assert "tabu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs,runs,cpus,expected", [
+        pytest.param(5000, 3, 64, [3], id="capped-by-tasks"),
+        pytest.param(5000, 3, 2, [2], id="capped-by-cores"),
+        pytest.param(2, 3, 64, [2], id="as-asked"),
+        pytest.param(5000, 1, 64, [], id="one-task-runs-in-process"),
+    ])
+    def test_worker_count_is_bounded(self, tmp_path, monkeypatch, jobs, runs,
+                                     cpus, expected):
+        started = []
+
+        class InProcessExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        out = tmp_path / "bench"
+        assert main(["bench", str(scen_path), "--algo", "oracle", "--runs",
+                     str(runs), "--jobs", str(jobs), "--max-rev", "2",
+                     "--out", str(out)]) == 0
+        assert started == expected
+        assert len(read_csv(out / "runs.csv")) == 1 + runs
+
 
 class TestOracle:
     def test_small_instance_completes(self, tmp_path):
@@ -270,6 +312,29 @@ class TestOracle:
         assert code in (0, 2)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["algorithm"] == "oracle"
+
+    def test_matches_solve_with_the_oracle_algorithm(self, tmp_path,
+                                                     capsys):
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        outs = {}
+        for name, argv in (("oracle", ["oracle"]),
+                           ("solve", ["solve", "--algo", "oracle"])):
+            outs[name] = tmp_path / name
+            assert main(argv + [str(scen_path), "--max-rev", "2", "--out",
+                                str(outs[name])]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == printed[1] and "total dv" in printed[0]
+        for artifact in ("schedule.csv", "convergence.csv"):
+            assert ((outs["oracle"] / artifact).read_bytes()
+                    == (outs["solve"] / artifact).read_bytes())
+        assert len(read_csv(outs["oracle"] / "convergence.csv")) == 1 + 1
+        oracle, solve = (json.loads((outs[n] / "summary.json").read_text())
+                         for n in ("oracle", "solve"))
+        assert oracle["runtime_s"] > 0.0
+        assert (oracle.pop("seed"), solve.pop("seed")) == (0, 1)
+        oracle.pop("runtime_s"), solve.pop("runtime_s")
+        assert oracle == solve
 
     def test_oracle_dominates_solver(self, tmp_path):
         # Deadline tight enough that every useful revolution count lies
@@ -298,6 +363,145 @@ class TestOracle:
         save(scenario, scen_path)
         assert main(["oracle", str(scen_path)]) == 1
         assert "6 targets" in capsys.readouterr().err
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+class TestUsageErrors:
+    """Every malformed command line exits 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        pytest.param(["solve", "S", "--pop-size", "abc"], "--pop-size",
+                     id="solve-pop-size-not-int"),
+        pytest.param(["bench", "S", "--algo", ","], "algorithm",
+                     id="bench-empty-algorithm-list"),
+        pytest.param(["solve", "S", "--runs", "2"], "--runs",
+                     id="solve-runs"),
+        pytest.param(["solve", "S", "--jobs", "2"], "--jobs",
+                     id="solve-jobs"),
+        pytest.param(["bench", "S", "--jobs", "0"], "jobs",
+                     id="bench-jobs-zero"),
+        pytest.param(["solve", "S", "--phi", "nan"], "phi",
+                     id="solve-phi-nan"),
+        pytest.param(["oracle", "S", "--gamma", "-1"], "gamma",
+                     id="oracle-gamma-negative"),
+        pytest.param(["solve"], "scenario", id="solve-no-scenario"),
+        pytest.param([], "command", id="no-command"),
+    ])
+    def test_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                     argv, needle):
+        monkeypatch.chdir(tmp_path)
+        write_small_scenario(tmp_path / "S")
+        assert main(argv) == 1
+        assert needle in _one_line_error(capsys)
+        assert os.listdir(tmp_path) == ["S"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--pop-size" in capsys.readouterr().out
+
+
+class TestCountBounds:
+    """Counts beyond the caps are refused before any solve starts."""
+
+    @pytest.mark.parametrize("argv,field", [
+        pytest.param(["solve", "S", "--pop-size", "1000000000"],
+                     "population_size", id="population"),
+        pytest.param(["solve", "S", "--min-iters", "1000000000"],
+                     "min_iterations", id="min-iterations"),
+        pytest.param(["bench", "S", "--stall-iters", "1000000000"],
+                     "stall_iterations", id="stall-iterations"),
+        pytest.param(["bench", "S", "--runs", "1000000000"], "runs",
+                     id="runs"),
+        pytest.param(["solve", "BIG", "--algo", "ga"], "targets",
+                     id="scenario-targets"),
+        pytest.param(["gen", "OUT", "--targets", "1000000000",
+                      "--servicers", "1", "--days", "10"], "targets",
+                     id="gen-targets"),
+        pytest.param(["gen", "OUT", "--targets", "1", "--servicers",
+                      "1000000000", "--days", "10"], "servicers",
+                     id="gen-servicers"),
+    ])
+    def test_exits_one_naming_the_field(self, tmp_path, capsys, argv,
+                                        field):
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        big = spec_to_dict(scenario_spec(case_study()))
+        big["targets"] = big["targets"][:1] * 1001
+        (tmp_path / "big.json").write_text(json.dumps(big))
+        paths = {"S": scen_path, "BIG": tmp_path / "big.json",
+                 "OUT": tmp_path / "gen.json"}
+        argv = [str(paths.get(a, a)) for a in argv]
+        assert main(argv) == 1
+        assert field in _one_line_error(capsys)
+        assert not (tmp_path / "gen.json").exists()
+
+
+def _subcommand_parsers():
+    action = next(a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_each_param_field_has_one_flag_with_the_class_default(
+            self, command):
+        parser = _subcommand_parsers()[command]
+        for cls in (GaParams, LnsParams):
+            for f in fields(cls):
+                flags = [opt for a in parser._actions if a.dest == f.name
+                         for opt in a.option_strings]
+                assert len(flags) == 1, (f.name, flags)
+                assert parser.get_default(f.name) == f.default
+
+    def test_oracle_weights_default_to_the_class(self):
+        parser = _subcommand_parsers()["oracle"]
+        for name in ("phi", "gamma"):
+            assert parser.get_default(name) == getattr(GaParams(), name)
+
+    @pytest.mark.parametrize("command,count", [
+        ("solve", 19), ("bench", 21), ("oracle", 4), ("gen", 4),
+    ])
+    def test_flag_counts(self, command, count):
+        parser = _subcommand_parsers()[command]
+        flags = [a for a in parser._actions
+                 if a.option_strings and a.dest != "help"]
+        assert len(flags) == count
+
+
+class TestEntryPoint:
+    """``python -m georepair`` as a separate process."""
+
+    def _run(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "georepair", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_usage_error_exits_one_with_one_line(self, tmp_path):
+        proc = self._run("solve", str(tmp_path / "s.json"), "--pop-size",
+                         "abc")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_gen_exits_zero(self, tmp_path):
+        out = tmp_path / "gen.json"
+        proc = self._run("gen", str(out), "--targets", "3", "--servicers",
+                         "1", "--days", "5")
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(out.read_text())["targets"]) == 3
 
 
 class TestGen:

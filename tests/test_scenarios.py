@@ -12,6 +12,8 @@ from scipy import stats
 from georepair.astro import GEO
 from georepair.planning import Scenario
 from georepair.scenarios import (
+    MAX_SERVICERS,
+    MAX_TARGETS,
     ParseError,
     ValidationError,
     case_study,
@@ -101,6 +103,16 @@ class TestRandomScenario:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_scenario(0, 1, 10.0, 0)
+
+    @pytest.mark.parametrize("n_targets,n_servicers,field", [
+        pytest.param(10 ** 9, 1, "targets", id="targets"),
+        pytest.param(1, 10 ** 9, "servicers", id="servicers"),
+    ])
+    def test_rejects_counts_beyond_the_caps_before_drawing(
+            self, n_targets, n_servicers, field):
+        with pytest.raises(ValidationError) as exc:
+            random_scenario(n_targets, n_servicers, 10.0, 0)
+        assert str(exc.value).startswith(f"{field}: ")
 
 
 class TestSaveLoad:
@@ -244,6 +256,31 @@ class TestMalformedValues:
             load(bad)
         assert str(exc.value).startswith(field)
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("field,count", [
+        pytest.param("servicers", MAX_SERVICERS + 1, id="servicers"),
+        pytest.param("targets", MAX_TARGETS + 1, id="targets"),
+    ])
+    def test_fleets_beyond_the_caps_are_rejected(self, tmp_path, field,
+                                                 count):
+        data = _case_study_dict()
+        data[field] = [data[field][0]] * count
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ValidationError) as exc:
+            load(bad)
+        assert str(exc.value) == (
+            f"{field}: {count} exceeds the cap of {count - 1}")
+
+    def test_fleet_at_the_caps_loads(self, tmp_path):
+        data = _case_study_dict()
+        data["servicers"] = [data["servicers"][0]] * MAX_SERVICERS
+        data["targets"] = [data["targets"][0]] * MAX_TARGETS
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(data))
+        scenario = load(path)
+        assert len(scenario.servicers) == MAX_SERVICERS
+        assert len(scenario.targets) == MAX_TARGETS
 
     def test_deadline_short_of_the_last_datetime_loads(self, tmp_path):
         # 6.9e7 hours, about 7,870 years, leaves a century of room.

@@ -73,6 +73,43 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             LnsParams(beta=1.0)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        pytest.param({"phi": math.nan}, "phi", id="phi-nan"),
+        pytest.param({"phi": math.inf}, "phi", id="phi-inf"),
+        pytest.param({"phi": -1.0}, "phi", id="phi-negative"),
+        pytest.param({"gamma": math.nan}, "gamma", id="gamma-nan"),
+        pytest.param({"gamma": -0.5}, "gamma", id="gamma-negative"),
+        pytest.param({"population_size": 10 ** 9}, "population_size",
+                     id="population-huge"),
+        pytest.param({"min_iterations": 10 ** 9}, "min_iterations",
+                     id="min-iterations-huge"),
+        pytest.param({"stall_iterations": 10 ** 9}, "stall_iterations",
+                     id="stall-iterations-huge"),
+    ])
+    def test_ga_params_reject_with_the_field_named(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            GaParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        pytest.param({"determinism_p": math.nan}, "determinism_p",
+                     id="determinism-nan"),
+        pytest.param({"elite_fraction": math.nan}, "elite_fraction",
+                     id="elite-nan"),
+        pytest.param({"elite_fraction": 0.0}, "elite_fraction",
+                     id="elite-zero"),
+        pytest.param({"elite_fraction": 1.5}, "elite_fraction",
+                     id="elite-above-one"),
+    ])
+    def test_lns_params_reject_with_the_field_named(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            LnsParams(**kwargs)
+
+    def test_bounds_are_inclusive(self):
+        GaParams(population_size=search.MAX_POPULATION,
+                 min_iterations=search.MAX_ITERATIONS,
+                 stall_iterations=search.MAX_ITERATIONS, phi=0.0, gamma=0.0)
+        LnsParams(determinism_p=1.0, elite_fraction=1.0)
+
 
 class TestInitPopulation:
     def test_permutation_invariant_and_alphabet(self):
