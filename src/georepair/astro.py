@@ -166,16 +166,6 @@ def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     return v * c + np.cross(axis, v) * s + axis * (np.dot(axis, v) * (1.0 - c))
 
 
-def _plane_basis(orbit: GeoOrbit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """In-plane basis (ascending-node and quadrature directions) and normal."""
-    co, so = math.cos(orbit.raan), math.sin(orbit.raan)
-    ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
-    e1 = np.array([co, so, 0.0])
-    e2 = np.array([-so * ci, co * ci, si])
-    h = np.array([so * si, -co * si, ci])
-    return e1, e2, h
-
-
 def orbit_to_state(orbit: GeoOrbit, t: float,
                    consts: PhysicalConstants = GEO) -> CartesianState:
     """Propagate a circular GEO orbit to time ``t`` since epoch.
@@ -186,18 +176,28 @@ def orbit_to_state(orbit: GeoOrbit, t: float,
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    e1, e2, _ = _plane_basis(orbit)
+    # r_geo * (cu*e1 + su*e2) and v_geo * (-su*e1 + cu*e2) over the in-plane
+    # basis e1 = (co, so, 0), e2 = (-so*ci, co*ci, si), one component at a
+    # time with the operations of the vector form, whose floats it keeps:
+    # the 0.0 terms decide the sign of a zero z component.
+    co, so = math.cos(orbit.raan), math.sin(orbit.raan)
+    ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
+    e2x, e2y = -so * ci, co * ci
     u = orbit.arg_lat0 + consts.mean_motion * t
     cu, su = math.cos(u), math.sin(u)
-    r = consts.r_geo * (cu * e1 + su * e2)
-    v = consts.v_geo * (-su * e1 + cu * e2)
+    r_geo, v_geo, nsu = consts.r_geo, consts.v_geo, -su
+    r = np.array([r_geo * (cu * co + su * e2x), r_geo * (cu * so + su * e2y),
+                  r_geo * (cu * 0.0 + su * si)])
+    v = np.array([v_geo * (nsu * co + cu * e2x), v_geo * (nsu * so + cu * e2y),
+                  v_geo * (nsu * 0.0 + cu * si)])
     return CartesianState(r=r, v=v, t=t)
 
 
 def angular_momentum_dir(orbit: GeoOrbit) -> np.ndarray:
     """Unit vector normal to the orbit plane, Rz(raan) @ Rx(inc) @ (0,0,1)."""
-    _, _, h = _plane_basis(orbit)
-    return h
+    co, so = math.cos(orbit.raan), math.sin(orbit.raan)
+    ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
+    return np.array([so * si, -co * si, ci])
 
 
 def coast_time_to_node(state: CartesianState, node: np.ndarray,
@@ -324,24 +324,22 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
         total_dv=total_dv, revolutions=int(k), alpha=alpha, theta=theta)
 
 
-def _stumpff_c(z: float) -> float:
+def _stumpff(z: float) -> tuple[float, float]:
+    """Stumpff functions (C(z), S(z)) of the universal variable ``z``.
+
+    Both share one square root of ``|z|``; within 1e-8 of zero they switch
+    to their series, which avoids cancellation in ``1 - cos`` and
+    ``sz - sin``.
+    """
     if z > 1e-8:
         sz = math.sqrt(z)
-        return (1.0 - math.cos(sz)) / z
+        return (1.0 - math.cos(sz)) / z, (sz - math.sin(sz)) / (sz * z)
     if z < -1e-8:
         sz = math.sqrt(-z)
-        return (math.cosh(sz) - 1.0) / (-z)
-    return 0.5 - z / 24.0 + z * z / 720.0
-
-
-def _stumpff_s(z: float) -> float:
-    if z > 1e-8:
-        sz = math.sqrt(z)
-        return (sz - math.sin(sz)) / (sz * z)
-    if z < -1e-8:
-        sz = math.sqrt(-z)
-        return (math.sinh(sz) - sz) / (sz * (-z))
-    return 1.0 / 6.0 - z / 120.0 + z * z / 5040.0
+        return ((math.cosh(sz) - 1.0) / (-z),
+                (math.sinh(sz) - sz) / (sz * (-z)))
+    return (0.5 - z / 24.0 + z * z / 720.0,
+            1.0 / 6.0 - z / 120.0 + z * z / 5040.0)
 
 
 def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
@@ -365,7 +363,7 @@ def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
 
     def kepler(chi):
         z = alpha * chi * chi
-        c, s = _stumpff_c(z), _stumpff_s(z)
+        c, s = _stumpff(z)
         f = (r0n * vr0 / sqrt_mu * chi * chi * c
              + (1.0 - alpha * r0n) * chi ** 3 * s + r0n * chi - sqrt_mu * dt)
         fp = (r0n * vr0 / sqrt_mu * chi * (1.0 - z * s)
@@ -405,7 +403,7 @@ def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
         raise NoConvergence("universal Kepler iteration did not converge")
 
     z = alpha * chi * chi
-    c, s = _stumpff_c(z), _stumpff_s(z)
+    c, s = _stumpff(z)
     fl = 1.0 - chi * chi * c / r0n
     g = dt - chi ** 3 * s / sqrt_mu
     r = fl * r0 + g * v0
@@ -435,10 +433,11 @@ def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
     mu = consts.mu
     r1n = float(np.linalg.norm(r1))
     r2n = float(np.linalg.norm(r2))
-    cross = np.cross(r1, r2)
+    # Only the sign of the z component of r1 x r2 is read.
+    cross_z = r1[0] * r2[1] - r1[1] * r2[0]
     cosd = min(1.0, max(-1.0, float(np.dot(r1, r2)) / (r1n * r2n)))
     dnu = math.acos(cosd)
-    if (cross[2] >= 0.0) != prograde:
+    if (cross_z >= 0.0) != prograde:
         dnu = TWO_PI - dnu
 
     sind = math.sin(dnu)
@@ -450,7 +449,7 @@ def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
     target = sqrt_mu * tof
 
     def tof_fn(z: float) -> float:
-        c, s = _stumpff_c(z), _stumpff_s(z)
+        c, s = _stumpff(z)
         y = r1n + r2n + a_coef * (z * s - 1.0) / math.sqrt(c)
         if y < 0.0:
             return -1.0  # below the valid branch; treat as too-short flight
@@ -482,7 +481,7 @@ def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
             break
         z = z_new
         f = tof_fn(z)
-    c, s = _stumpff_c(z), _stumpff_s(z)
+    c, s = _stumpff(z)
     y = r1n + r2n + a_coef * (z * s - 1.0) / math.sqrt(c)
     if y <= 0.0:
         raise NoConvergence("Lambert iteration converged to invalid geometry")

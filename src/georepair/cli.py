@@ -298,6 +298,9 @@ def cmd_bench(scenario_path: Path, config: RunConfig, algorithms: list[str],
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not algorithms:
         raise ValueError("need at least one algorithm")
+    for algo in algorithms:
+        if algorithms.count(algo) > 1:
+            raise ValueError(f"algorithm {algo!r} listed more than once")
     scenario = load(scenario_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     configs = [replace(config, algorithm=algo, seed=config.seed + i)

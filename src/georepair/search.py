@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +58,10 @@ RELATEDNESS_EPS = 1e-6
 _GENE_CACHE_CAP = 200_000
 _LEG_CACHE_CAP = 300_000
 
-# Largest population and generation counts a solve accepts: far above the
-# experiments (a population of 100, at most a few hundred generations), so
-# that only a mistyped value is refused, at once instead of after days.
+# Largest population, generation and LNS attempt counts a solve accepts: far
+# above the experiments (a population of 100, at most a few hundred
+# generations, 2 destroy/repair attempts per LNS call), so that only a
+# mistyped value is refused, at once instead of after days.
 MAX_POPULATION = 10_000
 MAX_ITERATIONS = 100_000
 
@@ -100,8 +102,8 @@ class GaParams:
             raise ValueError(
                 f"population_size must be in [2, {MAX_POPULATION}]")
         for name in ("min_iterations", "stall_iterations"):
-            if getattr(self, name) > MAX_ITERATIONS:
-                raise ValueError(f"{name} must be <= {MAX_ITERATIONS}")
+            if not 0 <= getattr(self, name) <= MAX_ITERATIONS:
+                raise ValueError(f"{name} must be in [0, {MAX_ITERATIONS}]")
         if not (0.0 < self.pc_lo <= self.pc_hi <= 1.0):
             raise ValueError("need 0 < pc_lo <= pc_hi <= 1")
         if not (0.0 < self.pm_lo <= self.pm_hi <= 1.0):
@@ -128,6 +130,9 @@ class LnsParams:
             raise ValueError("beta must be in (0, 1)")
         if not (0.0 < self.elite_fraction <= 1.0):
             raise ValueError("elite_fraction must be in (0, 1]")
+        if not 0 <= self.lns_iterations <= MAX_ITERATIONS:
+            raise ValueError(
+                f"lns_iterations must be in [0, {MAX_ITERATIONS}]")
 
 
 @dataclass
@@ -434,31 +439,37 @@ class _LambertAdapter:
         self.grid = grid
         self._orbits = {("S", s.id): s.orbit for s in scenario.servicers}
         self._orbits.update({t.id: t.orbit for t in scenario.targets})
-        self._lam0 = {key: orb.raan + orb.arg_lat0
-                      for key, orb in self._orbits.items()}
+        lam0 = {key: orb.raan + orb.arg_lat0
+                for key, orb in self._orbits.items()}
+        # Static phase gap |fold(lam0[from] - lam0[to])| of every leg a
+        # route can fly, keyed (from_key, target id).
+        self._gaps = {(key, t.id): abs(fold_angle(lam0[key] - lam0[t.id]))
+                      for key in self._orbits for t in scenario.targets}
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
         self._leg_cache = {}
 
     def _allocate_tofs(self, sid: int, seq) -> list[float]:
+        """Flight time of each leg of servicer ``sid``'s route ``seq``.
+
+        Every leg gets the residual mission time (deadline minus repairs)
+        split equally and snapped down to the grid, or the shortest grid
+        time when no grid time fits. Any slack left is granted to the first
+        leg with the largest static phase gap, whose time is raised to the
+        longest grid time that fits in its share plus the slack.
+        """
         legs = len(seq)
         budget = self.scenario.deadline - sum(self._td[t] for t in seq)
-        share = budget / legs
-        below = [g for g in self.grid if g <= share]
-        tofs = [below[-1] if below else self.grid[0]] * legs
+        grid = self.grid
+        i = bisect_right(grid, budget / legs)
+        tofs = [grid[i - 1] if i else grid[0]] * legs
         slack = budget - sum(tofs)
         if slack > 0.0:
-            gaps = []
-            from_key = ("S", sid)
-            for tid in seq:
-                gaps.append(abs(fold_angle(self._lam0[from_key]
-                                           - self._lam0[tid])))
-                from_key = tid
-            pick = max(range(legs), key=lambda q: (gaps[q], -q))
-            room = tofs[pick] + slack
-            upgrades = [g for g in self.grid if g <= room]
-            if upgrades:
-                tofs[pick] = upgrades[-1]
+            gaps = [self._gaps[pair] for pair in zip((("S", sid), *seq), seq)]
+            pick = gaps.index(max(gaps))
+            i = bisect_right(grid, tofs[pick] + slack)
+            if i:
+                tofs[pick] = grid[i - 1]
         return tofs
 
     def _leg(self, from_key, to_id, t_dep: float, tof: float):
@@ -537,19 +548,15 @@ class _LambertAdapter:
             total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0)
 
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
-        return evaluate_plan_lambert(self.scenario, plan, self.phi,
-                                     self.gamma, adapter=self)
+        return evaluate_plan(self.scenario, plan, self.phi, self.gamma,
+                             leg=self.leg)
 
 
 def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,
                           phi: float = DEFAULT_PHI,
-                          gamma: float = DEFAULT_GAMMA,
-                          adapter: _LambertAdapter | None = None
-                          ) -> Evaluation:
+                          gamma: float = DEFAULT_GAMMA) -> Evaluation:
     """Vector-level evaluation of a plan under the Lambert leg model."""
-    if adapter is None:
-        adapter = _LambertAdapter(scenario, phi, gamma)
-    return evaluate_plan(scenario, plan, phi, gamma, leg=adapter.leg)
+    return _LambertAdapter(scenario, phi, gamma).final_evaluation(plan)
 
 
 def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,

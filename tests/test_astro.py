@@ -9,10 +9,13 @@ import pytest
 from georepair.astro import (
     GEO,
     TWO_PI,
+    AstroError,
     CartesianState,
     CollinearGeometry,
     GeoOrbit,
     InvalidRevolutions,
+    NoConvergence,
+    _stumpff,
     PhysicalConstants,
     angular_momentum_dir,
     coast_time_to_node,
@@ -364,3 +367,204 @@ def test_fold_angle_range():
         assert -math.pi < f <= math.pi
         assert math.cos(f) == pytest.approx(math.cos(x), abs=1e-9)
         assert math.sin(f) == pytest.approx(math.sin(x), abs=1e-9)
+
+
+# Reference copies of the vector forms that the scalar orbit_to_state,
+# lambert_solve and _stumpff replaced. The scalar forms must return the same
+# floats bit for bit, the sign of zero included.
+
+def reference_stumpff_c(z):
+    if z > 1e-8:
+        sz = math.sqrt(z)
+        return (1.0 - math.cos(sz)) / z
+    if z < -1e-8:
+        sz = math.sqrt(-z)
+        return (math.cosh(sz) - 1.0) / (-z)
+    return 0.5 - z / 24.0 + z * z / 720.0
+
+
+def reference_stumpff_s(z):
+    if z > 1e-8:
+        sz = math.sqrt(z)
+        return (sz - math.sin(sz)) / (sz * z)
+    if z < -1e-8:
+        sz = math.sqrt(-z)
+        return (math.sinh(sz) - sz) / (sz * (-z))
+    return 1.0 / 6.0 - z / 120.0 + z * z / 5040.0
+
+
+def reference_orbit_to_state(orbit, t, consts=GEO):
+    co, so = math.cos(orbit.raan), math.sin(orbit.raan)
+    ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
+    e1 = np.array([co, so, 0.0])
+    e2 = np.array([-so * ci, co * ci, si])
+    u = orbit.arg_lat0 + consts.mean_motion * t
+    cu, su = math.cos(u), math.sin(u)
+    r = consts.r_geo * (cu * e1 + su * e2)
+    v = consts.v_geo * (-su * e1 + cu * e2)
+    return r, v
+
+
+def reference_lambert_solve(r1, r2, tof, prograde=True, consts=GEO,
+                            max_iter=80):
+    if tof <= 0.0:
+        raise ValueError("time of flight must be positive")
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    mu = consts.mu
+    r1n = float(np.linalg.norm(r1))
+    r2n = float(np.linalg.norm(r2))
+    cross = np.cross(r1, r2)
+    cosd = min(1.0, max(-1.0, float(np.dot(r1, r2)) / (r1n * r2n)))
+    dnu = math.acos(cosd)
+    if (cross[2] >= 0.0) != prograde:
+        dnu = TWO_PI - dnu
+    sind = math.sin(dnu)
+    if abs(sind) < 1e-8 or dnu < 1e-8 or TWO_PI - dnu < 1e-8:
+        raise CollinearGeometry(f"singular transfer angle {dnu!r} rad")
+    a_coef = sind * math.sqrt(r1n * r2n / (1.0 - cosd))
+    sqrt_mu = math.sqrt(mu)
+    target = sqrt_mu * tof
+
+    def tof_fn(z):
+        c, s = reference_stumpff_c(z), reference_stumpff_s(z)
+        y = r1n + r2n + a_coef * (z * s - 1.0) / math.sqrt(c)
+        if y < 0.0:
+            return -1.0
+        return (y / c) ** 1.5 * s + a_coef * math.sqrt(y) - target
+
+    z_hi = TWO_PI ** 2 * 0.999
+    z_lo = -4.0 * TWO_PI ** 2
+    for _ in range(40):
+        if tof_fn(z_lo) < 0.0:
+            break
+        z_lo *= 2.0
+    else:
+        raise NoConvergence("Lambert time of flight not bracketed")
+    if tof_fn(z_hi) < 0.0:
+        raise NoConvergence("Lambert time of flight not bracketed")
+    z = 0.0
+    f = tof_fn(z)
+    for _ in range(max_iter):
+        if f > 0.0:
+            z_hi = z
+        else:
+            z_lo = z
+        z_new = 0.5 * (z_lo + z_hi)
+        if abs(z_new - z) < 1e-13 * max(1.0, abs(z_new)):
+            z = z_new
+            break
+        z = z_new
+        f = tof_fn(z)
+    c, s = reference_stumpff_c(z), reference_stumpff_s(z)
+    y = r1n + r2n + a_coef * (z * s - 1.0) / math.sqrt(c)
+    if y <= 0.0:
+        raise NoConvergence("Lambert iteration converged to invalid geometry")
+    fl = 1.0 - y / r1n
+    g = a_coef * math.sqrt(y / mu)
+    gdot = 1.0 - y / r2n
+    return (r2 - fl * r1) / g, (gdot * r2 - r1) / g
+
+
+def hexes(*arrays):
+    return [float(x).hex() for a in arrays for x in np.ravel(a)]
+
+
+def lambert_outcome(solve, r1, r2, tof, prograde):
+    """Exact velocities of a Lambert solve, or the class it raised."""
+    try:
+        return hexes(*solve(r1, r2, tof, prograde))
+    except (AstroError, ValueError) as exc:
+        return type(exc)
+
+
+def round_degree_orbits():
+    """Orbits on round degrees, equatorial ones and node crossings among
+    them, where components land on exact zeros of either sign."""
+    for inc in (0.0, 5.0, 45.0, 90.0, 135.0):
+        for raan in range(0, 360, 45):
+            for u in range(0, 360, 45):
+                yield GeoOrbit.from_degrees(inc, raan, u)
+
+
+class TestExactScalarForms:
+    def test_stumpff_matches_the_two_helpers_on_every_branch(self):
+        edges = [0.0, -0.0]
+        for edge in (1e-8, -1e-8):
+            edges += [edge, math.nextafter(edge, 0.0),
+                      math.nextafter(edge, math.copysign(math.inf, edge)),
+                      edge * 0.5, edge * 2.0]
+        rng = random.Random(41)
+        edges += [math.copysign(10.0 ** rng.uniform(-12.0, 4.0),
+                                rng.choice((-1.0, 1.0)))
+                  for _ in range(500)]
+        edges += [TWO_PI ** 2 * 0.999, -4.0 * TWO_PI ** 2 * 2.0 ** 10]
+        for z in edges:
+            assert hexes(*_stumpff(z)) == hexes(reference_stumpff_c(z),
+                                                 reference_stumpff_s(z)), z
+
+    def test_orbit_to_state_matches_the_vector_form(self):
+        rng = random.Random(42)
+        orbits = list(round_degree_orbits())
+        orbits += [GeoOrbit(rng.uniform(0.0, math.pi), rng.uniform(-7.0, 7.0),
+                            rng.uniform(-7.0, 7.0)) for _ in range(500)]
+        times = [0.0, GEO.t_geo / 8.0, GEO.t_geo / 4.0, 3.0 * GEO.t_geo,
+                 rng.uniform(0.0, 1e6)]
+        signed_zeros = 0
+        for orbit in orbits:
+            for t in times:
+                state = orbit_to_state(orbit, t)
+                r, v = reference_orbit_to_state(orbit, t)
+                assert hexes(state.r, state.v) == hexes(r, v), (orbit, t)
+                assert state.t == t
+                signed_zeros += sum(math.copysign(1.0, x) < 0.0
+                                    for x in (r[2], v[2]) if x == 0.0)
+        # Equatorial states whose z components are -0.0: the cases where
+        # the 0.0 terms of the vector form decide the sign.
+        assert signed_zeros > 10
+
+    def test_lambert_matches_the_vector_form(self):
+        rng = random.Random(43)
+        cases = []
+        for _ in range(300):
+            a = GeoOrbit(rng.uniform(0.0, math.radians(15.0)),
+                         rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
+            b = GeoOrbit(rng.uniform(0.0, math.radians(15.0)),
+                         rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
+            t = rng.uniform(0.0, 3.0 * GEO.t_geo)
+            tof = rng.uniform(0.05, 2.5) * GEO.t_geo
+            cases.append((orbit_to_state(a, t).r,
+                          orbit_to_state(b, t + tof).r, tof))
+        rounds = list(round_degree_orbits())
+        for _ in range(300):
+            a, b = rng.choice(rounds), rng.choice(rounds)
+            tof = GEO.t_geo * rng.choice((0.125, 0.25, 0.5, 0.75, 1.0, 1.5))
+            cases.append((orbit_to_state(a, 0.0).r, orbit_to_state(b, tof).r,
+                          tof))
+        outcomes = set()
+        for r1, r2, tof in cases:
+            for prograde in (True, False):
+                got = lambert_outcome(lambert_solve, r1, r2, tof, prograde)
+                assert got == lambert_outcome(reference_lambert_solve, r1, r2,
+                                              tof, prograde)
+                outcomes.add(got if isinstance(got, type) else list)
+        assert outcomes == {list, CollinearGeometry, NoConvergence}
+
+    @pytest.mark.parametrize("angle, tof, prograde, error", [
+        (math.pi, GEO.t_geo / 2.0, True, CollinearGeometry),
+        (math.pi, GEO.t_geo / 2.0, False, CollinearGeometry),
+        (0.0, GEO.t_geo / 2.0, True, CollinearGeometry),
+        (0.0, GEO.t_geo / 2.0, False, CollinearGeometry),
+        (1e-9, GEO.t_geo / 2.0, True, CollinearGeometry),
+        (1e-6, GEO.t_geo / 2.0, False, NoConvergence),
+        (1e-6, 2.0 * GEO.t_geo, False, NoConvergence),
+        (1.0, 0.0, True, ValueError),
+        (1.0, -1.0, False, ValueError),
+    ])
+    def test_singular_geometry_raises_the_same_class(self, angle, tof,
+                                                     prograde, error):
+        r1 = np.array([GEO.r_geo, 0.0, 0.0])
+        r2 = GEO.r_geo * np.array([math.cos(angle), math.sin(angle), 0.0])
+        assert lambert_outcome(lambert_solve, r1, r2, tof, prograde) is error
+        assert lambert_outcome(reference_lambert_solve, r1, r2, tof,
+                               prograde) is error

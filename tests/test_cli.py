@@ -380,6 +380,9 @@ class TestUsageErrors:
                      id="solve-pop-size-not-int"),
         pytest.param(["bench", "S", "--algo", ","], "algorithm",
                      id="bench-empty-algorithm-list"),
+        pytest.param(["bench", "S", "--algo", "oracle, ga,oracle"],
+                     "'oracle' listed more than once",
+                     id="bench-repeated-algorithm"),
         pytest.param(["solve", "S", "--runs", "2"], "--runs",
                      id="solve-runs"),
         pytest.param(["solve", "S", "--jobs", "2"], "--jobs",
@@ -420,6 +423,8 @@ class TestCountBounds:
                      "stall_iterations", id="stall-iterations"),
         pytest.param(["bench", "S", "--runs", "1000000000"], "runs",
                      id="runs"),
+        pytest.param(["solve", "S", "--lns-iters", "1000000000"],
+                     "lns_iterations", id="lns-iterations"),
         pytest.param(["solve", "BIG", "--algo", "ga"], "targets",
                      id="scenario-targets"),
         pytest.param(["gen", "OUT", "--targets", "1000000000",

@@ -79,3 +79,12 @@ def test_case_study_lns_fingerprint():
     assert result.best_evaluation.fitness == 1506.3444605944935
     assert result.generations_run == 145
     assert fingerprint([result]) == "fd0d14ac8a37e57e"
+
+
+def test_case_study_lambert_fingerprint():
+    # The benchmark's case_lambert workload: the case study under
+    # solve_lambert_ga with default parameters, seed 1.
+    result = solve_lambert_ga(case_study(), seed=1)
+    assert result.best_evaluation.fitness == 220349.48800640227
+    assert result.generations_run == 156
+    assert fingerprint([result]) == "cbcaca32089452fe"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georepair import planning, search
-from georepair.astro import GEO, CollinearGeometry
+from georepair.astro import GEO, CollinearGeometry, fold_angle
 from georepair.planning import (
     CostModel,
     MissionPlan,
@@ -21,7 +21,7 @@ from georepair.planning import (
     exhaustive_solve,
     penalized_fitness,
 )
-from georepair.scenarios import random_scenario
+from georepair.scenarios import case_study, random_scenario
 from georepair.search import (
     AllInfeasible,
     _LambertAdapter,
@@ -85,6 +85,10 @@ class TestParamValidation:
                      id="min-iterations-huge"),
         pytest.param({"stall_iterations": 10 ** 9}, "stall_iterations",
                      id="stall-iterations-huge"),
+        pytest.param({"min_iterations": -1}, "min_iterations",
+                     id="min-iterations-negative"),
+        pytest.param({"stall_iterations": -1}, "stall_iterations",
+                     id="stall-iterations-negative"),
     ])
     def test_ga_params_reject_with_the_field_named(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -99,6 +103,12 @@ class TestParamValidation:
                      id="elite-zero"),
         pytest.param({"elite_fraction": 1.5}, "elite_fraction",
                      id="elite-above-one"),
+        pytest.param({"lns_iterations": 10 ** 9}, "lns_iterations",
+                     id="lns-iterations-huge"),
+        pytest.param({"lns_iterations": search.MAX_ITERATIONS + 1},
+                     "lns_iterations", id="lns-iterations-above-cap"),
+        pytest.param({"lns_iterations": -5}, "lns_iterations",
+                     id="lns-iterations-negative"),
     ])
     def test_lns_params_reject_with_the_field_named(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
@@ -108,7 +118,10 @@ class TestParamValidation:
         GaParams(population_size=search.MAX_POPULATION,
                  min_iterations=search.MAX_ITERATIONS,
                  stall_iterations=search.MAX_ITERATIONS, phi=0.0, gamma=0.0)
-        LnsParams(determinism_p=1.0, elite_fraction=1.0)
+        GaParams(min_iterations=0, stall_iterations=0)
+        LnsParams(determinism_p=1.0, elite_fraction=1.0,
+                  lns_iterations=search.MAX_ITERATIONS)
+        LnsParams(lns_iterations=0)
 
 
 class TestInitPopulation:
@@ -758,3 +771,91 @@ class TestSolvers:
         assert result.history[-1][0] == math.inf
         assert result.best_evaluation.fitness == math.inf
         assert not result.best_evaluation.feasible
+
+
+def reference_allocate_tofs(adapter, sid, seq):
+    """The Lambert adapter's flight-time allocation as two list scans of the
+    grid and the phase gaps computed per call; ``_allocate_tofs`` must give
+    the same floats."""
+    lam0 = {key: orb.raan + orb.arg_lat0
+            for key, orb in adapter._orbits.items()}
+    grid = adapter.grid
+    legs = len(seq)
+    budget = adapter.scenario.deadline - sum(adapter._td[t] for t in seq)
+    share = budget / legs
+    below = [g for g in grid if g <= share]
+    tofs = [below[-1] if below else grid[0]] * legs
+    slack = budget - sum(tofs)
+    if slack > 0.0:
+        gaps = []
+        from_key = ("S", sid)
+        for tid in seq:
+            gaps.append(abs(fold_angle(lam0[from_key] - lam0[tid])))
+            from_key = tid
+        pick = max(range(legs), key=lambda q: (gaps[q], -q))
+        room = tofs[pick] + slack
+        upgrades = [g for g in grid if g <= room]
+        if upgrades:
+            tofs[pick] = upgrades[-1]
+    return tofs
+
+
+class TestLambertFlightTimes:
+    """``_allocate_tofs`` reads the phase gaps from the constructor's table
+    and bisects the grid; it must match the per-call scans float for float.
+    """
+
+    @staticmethod
+    def check_routes(scenario, routes):
+        adapter = _LambertAdapter(scenario, 1.0, 10.0)
+        for sid, seq in routes:
+            got = adapter._allocate_tofs(sid, seq)
+            want = reference_allocate_tofs(adapter, sid, seq)
+            assert [t.hex() for t in got] == [t.hex() for t in want], seq
+
+    @staticmethod
+    def random_routes(scenario, rng, count):
+        sids = [s.id for s in scenario.servicers]
+        tids = [t.id for t in scenario.targets]
+        return [(rng.choice(sids), rng.sample(tids, rng.randint(1, len(tids))))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("days", [2.0, 6.0, 10.0, 30.0])
+    def test_random_routes(self, days):
+        # At 2 days most routes' repairs exceed the deadline, so the budget
+        # is negative; at 30 days every leg can take the longest grid time.
+        scenario = random_scenario(10, 2, days, seed=2101)
+        routes = self.random_routes(scenario, random.Random(2103), 500)
+        td = {t.id: t.repair_duration for t in scenario.targets}
+        budgets = [scenario.deadline - sum(td[t] for t in seq)
+                   for _, seq in routes]
+        if days == 2.0:
+            assert sum(b < 0.0 for b in budgets) > 100
+        self.check_routes(scenario, routes)
+
+    def test_case_study_routes(self):
+        scenario = case_study()
+        self.check_routes(scenario,
+                          self.random_routes(scenario, random.Random(2104),
+                                             500))
+
+    def test_shares_on_grid_points_and_tied_gaps(self):
+        # Round-degree coplanar orbits a quarter turn apart tie on their
+        # phase gaps, and deadlines built from grid sums make the equal
+        # share, or the share plus the slack, land exactly on a grid time.
+        targets = [(0.0, 0.0, u, HOUR) for u in (90.0, 180.0, 270.0, 0.0)]
+        grid = _LambertAdapter(make_scenario([(0.0, 0.0, 0.0, 2000.0)],
+                                             targets, 30 * DAY),
+                               1.0, 10.0).grid
+        routes = [(1, list(p)) for n in (1, 2, 3)
+                  for p in itertools.permutations((1, 2, 3, 4), n)]
+        on_grid = 0
+        for a, b in itertools.product(grid, repeat=2):
+            for legs in (1, 2, 3):
+                deadline = a * (legs - 1) + b + legs * HOUR
+                scenario = make_scenario([(0.0, 0.0, 0.0, 2000.0)], targets,
+                                         deadline)
+                self.check_routes(scenario,
+                                  [r for r in routes if len(r[1]) == legs])
+                on_grid += (deadline - legs * HOUR) / legs in grid
+        assert on_grid > 20
