@@ -11,8 +11,9 @@ on the departure orbit to the nearest intersection of the two orbit
 planes, rotate the velocity into the target plane while simultaneously
 entering a phasing ellipse tangent at that point, then recircularize k
 revolutions later exactly when the target sweeps through the maneuver
-point. A zero-revolution Lambert solver is included as the baseline
-transfer model for comparisons.
+point. A zero-revolution Lambert solver, a safeguarded Newton iteration on
+the universal variable, is included as the baseline transfer model for
+comparisons.
 """
 
 from __future__ import annotations
@@ -423,8 +424,12 @@ def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
     Returns the departure and arrival velocities (km/s) of the two-body arc
     from ``r1`` to ``r2`` in ``tof`` seconds. The sweep direction is
     prograde (counterclockwise about +z) unless ``prograde`` is False.
-    Raises CollinearGeometry near 0/180 deg transfer angles and
-    NoConvergence if the time-of-flight root is not bracketed and solved.
+    The time-of-flight root in the universal variable z is found by Newton's
+    method (Curtis, Orbital Mechanics for Engineering Students, Alg. 5.2),
+    started at z = 0 and kept inside a bracket that every evaluation
+    shrinks. Raises CollinearGeometry near 0/180 deg transfer angles and
+    NoConvergence if the root is not bracketed, not reached within
+    ``max_iter`` steps, or lies where the geometry is invalid.
     """
     if tof <= 0.0:
         raise ValueError("time of flight must be positive")
@@ -448,16 +453,21 @@ def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
     sqrt_mu = math.sqrt(mu)
     target = sqrt_mu * tof
 
-    def tof_fn(z: float) -> float:
+    def stumpff_y(z: float) -> tuple[float, float, float]:
         c, s = _stumpff(z)
-        y = r1n + r2n + a_coef * (z * s - 1.0) / math.sqrt(c)
+        return c, s, r1n + r2n + a_coef * (z * s - 1.0) / math.sqrt(c)
+
+    def tof_fn(z: float) -> float:
+        c, s, y = stumpff_y(z)
         if y < 0.0:
             return -1.0  # below the valid branch; treat as too-short flight
         return (y / c) ** 1.5 * s + a_coef * math.sqrt(y) - target
 
     # Bracket the root in z (zero-revolution branch: z < (2 pi)^2). The
     # flight time is monotone increasing in z, so expand the hyperbolic
-    # side until it undershoots, then bisect.
+    # side until it undershoots. Newton steps from z = 0 then narrow the
+    # bracket; a step that leaves it, or one from an iterate where y <= 0
+    # (counted as too short a flight, as in tof_fn), becomes the midpoint.
     z_hi = TWO_PI ** 2 * 0.999
     z_lo = -4.0 * TWO_PI ** 2
     for _ in range(40):
@@ -469,20 +479,41 @@ def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
     if tof_fn(z_hi) < 0.0:
         raise NoConvergence("Lambert time of flight not bracketed")
     z = 0.0
-    f = tof_fn(z)
     for _ in range(max_iter):
-        if f > 0.0:
-            z_hi = z
-        else:
+        c, s, y = stumpff_y(z)
+        z_new = None
+        if y <= 0.0:
             z_lo = z
-        z_new = 0.5 * (z_lo + z_hi)
+        else:
+            sqrt_y = math.sqrt(y)
+            x3 = (y / c) ** 1.5
+            f = x3 * s + a_coef * sqrt_y - target
+            if f > 0.0:
+                z_hi = z
+            else:
+                z_lo = z
+            # dF/dz; its general form cancels to 0/0 at z = 0, so within
+            # the Stumpff series band the z = 0 limit is used.
+            if abs(z) > 1e-8:
+                dfdz = (x3 * ((c - 1.5 * s / c) / (2.0 * z)
+                              + 0.75 * s * s / c)
+                        + a_coef / 8.0 * (3.0 * s / c * sqrt_y
+                                          + a_coef * math.sqrt(c / y)))
+            else:
+                dfdz = (math.sqrt(2.0) / 40.0 * y * sqrt_y
+                        + a_coef / 8.0 * (sqrt_y
+                                          + a_coef * math.sqrt(0.5 / y)))
+            if dfdz > 0.0:
+                z_new = z - f / dfdz
+        if z_new is None or not z_lo <= z_new <= z_hi:
+            z_new = 0.5 * (z_lo + z_hi)
         if abs(z_new - z) < 1e-13 * max(1.0, abs(z_new)):
             z = z_new
             break
         z = z_new
-        f = tof_fn(z)
-    c, s = _stumpff(z)
-    y = r1n + r2n + a_coef * (z * s - 1.0) / math.sqrt(c)
+    else:
+        raise NoConvergence("Lambert iteration did not converge")
+    y = stumpff_y(z)[2]
     if y <= 0.0:
         raise NoConvergence("Lambert iteration converged to invalid geometry")
 

@@ -14,7 +14,9 @@ the search. The mixed adapter holds only a ``planning.CostModel``, built
 once per solve with the solve's slack rule and penalty weights, and the
 LNS operators take that same model, so one pricing policy and one set of
 memos serve the whole solve. The Lambert adapter keeps one bounded cache,
-of priced legs, and recomputes a route from it. The best plan is then
+of priced legs keyed on their exact departure and flight times, so a leg's
+price does not depend on what the cache held, and it recomputes a route
+from that cache. The best plan is then
 re-evaluated by ``planning.evaluate_plan``, with the mixed leg or with the
 Lambert adapter's leg, which flies each leg at the flight time the search
 chose and prices a failed leg as infinite, as the search does.
@@ -437,6 +439,10 @@ class _LambertAdapter:
         if not grid:
             raise ValueError("no candidate flight time is below the deadline")
         self.grid = grid
+        # Grid times nearest first to each grid time, the order in which
+        # ``_leg`` tries them; ``sorted`` is stable, so ties keep grid order.
+        self._fallbacks = {g: sorted(grid, key=lambda c: abs(c - g))
+                           for g in grid}
         self._orbits = {("S", s.id): s.orbit for s in scenario.servicers}
         self._orbits.update({t.id: t.orbit for t in scenario.targets})
         lam0 = {key: orb.raan + orb.arg_lat0
@@ -473,8 +479,11 @@ class _LambertAdapter:
         return tofs
 
     def _leg(self, from_key, to_id, t_dep: float, tof: float):
-        """(actual tof, cost m/s) with fallback over neighboring grid times."""
-        key = (from_key, to_id, round(t_dep, 3), round(tof, 3))
+        """(actual tof, cost m/s) with fallback over neighboring grid times.
+
+        ``tof`` is a grid time. The cache key holds the exact departure
+        time, so a leg's price depends on its key alone."""
+        key = (from_key, to_id, t_dep, tof)
         hit = self._leg_cache.get(key)
         if hit is not None:
             return hit
@@ -482,7 +491,7 @@ class _LambertAdapter:
         state = orbit_to_state(self._orbits[from_key], t_dep, consts)
         target = self._orbits[to_id]
         result = None
-        for cand in sorted(self.grid, key=lambda g: abs(g - tof)):
+        for cand in self._fallbacks[tof]:
             arrive = orbit_to_state(target, t_dep + cand, consts)
             try:
                 v1, v2 = lambert_solve(state.r, arrive.r, cand, True, consts)
