@@ -12,7 +12,13 @@ vectors for schedule output, and take the leg model as an argument: the
 default is the mixed rendezvous on the route's revolution counts, and the
 Lambert baseline in ``search`` passes its own two-impulse leg.
 ``CostModel`` is a scalar engine for the mixed model used inside search
-loops. Coast times and phase gaps are invariant under whole-revolution
+loops. Its one per-leg kernel is ``CostModel.route_geometry``, which
+simulates a route's legs, and ``CostModel._route_cost``, which prices them;
+each is one loop per route with no call per leg, and the exhaustive oracle
+reads its per-leg tables from the kernel too. The kernel must keep the IEEE
+operation order of every expression: the memos, the search and the
+fingerprint tests rely on its floats being bit-for-bit what they are.
+Coast times and phase gaps are invariant under whole-revolution
 shifts of earlier legs, so one simulation of a route with every leg at one
 revolution serves any revolution allocation. A model prices under one
 policy, the allocator's slack rule and the penalty weights phi and gamma,
@@ -251,9 +257,11 @@ class _Body:
 
 class _Pair:
     __slots__ = ("degenerate", "alpha", "dv1", "s_half", "psi_from", "psi_to",
-                 "lam_diff")
+                 "lam_diff", "u0_from", "u0_to")
 
     def __init__(self, frm: _Body, to: _Body, v_geo: float):
+        self.u0_from = frm.u0
+        self.u0_to = to.u0
         hf, ht = frm.h, to.h
         cx = hf[1] * ht[2] - hf[2] * ht[1]
         cy = hf[2] * ht[0] - hf[0] * ht[2]
@@ -294,6 +302,12 @@ class _RouteGeom:
         self.sum_coast = sum(coasts)
         self.sum_td = sum(tds)
 
+    def leg(self, q: int) -> "_RouteGeom":
+        """Leg ``q`` alone, as a one-leg route."""
+        return _RouteGeom(self.coasts[q:q + 1], self.thetas[q:q + 1],
+                          self.dv1s[q:q + 1], self.shalves[q:q + 1],
+                          self.tds[q:q + 1])
+
 
 _ROUTE_CACHE_CAP = 400_000
 SLACK_RULES = ("largest", "smallest")
@@ -308,12 +322,16 @@ class CostModel:
     'smallest') picks the leg that ``allocate`` tops up, and ``phi`` and
     ``gamma`` weigh the deadline and budget penalties of every score.
 
-    Leg geometry (coast to the nearest plane-intersection point, signed
-    phase gap at that point) matches ``rendezvous_mixed`` to float
-    precision but runs on plain floats. A route's geometry is simulated at
-    one revolution per leg and serves every revolution allocation, which is
-    exact because changing a leg's revolution count shifts all later
-    departure phases by whole periods.
+    ``route_geometry`` (coast to the nearest plane-intersection point,
+    signed phase gap at that point) and ``_route_cost`` (phasing burns,
+    combined first impulse, phase time) are the one per-leg kernel. They
+    match ``rendezvous_mixed`` to float precision but run on plain floats,
+    one loop per route, reading each leg pair's static geometry from
+    ``_pairs``. Every expression keeps its IEEE operation order, so a
+    rewrite for speed must leave each float bit-identical. A route's
+    geometry is simulated at one revolution per leg and serves every
+    revolution allocation, which is exact because changing a leg's
+    revolution count shifts all later departure phases by whole periods.
 
     ``priced_route`` memoizes, per (servicer, sequence), the allocated
     revolutions with their delta-v, deadline violation and end time, so
@@ -360,101 +378,100 @@ class CostModel:
         self._max_revs = max(1, math.ceil(scenario.deadline / c.t_geo) - 1)
         self._pair_costs: dict = {}
 
-    # -- leg geometry -------------------------------------------------------
+    # -- the per-leg kernel --------------------------------------------------
 
     def _pair(self, from_key, to_id) -> _Pair:
-        key = (from_key, to_id)
-        p = self._pairs.get(key)
-        if p is None:
-            p = _Pair(self._bodies[from_key], self._bodies[to_id], self._v_geo)
-            self._pairs[key] = p
+        """Build and keep the geometry of one (from, to) pair; callers look
+        in ``_pairs`` first, so each pair is built once."""
+        p = _Pair(self._bodies[from_key], self._bodies[to_id], self._v_geo)
+        self._pairs[(from_key, to_id)] = p
         return p
-
-    def leg_geometry(self, from_key, to_id, t_dep: float):
-        """Coast duration and signed phase gap for one leg.
-
-        The gap is measured from the target to the maneuver point, prograde
-        in the target plane: the theta of the phasing-orbit equations.
-        """
-        p = self._pair(from_key, to_id)
-        if p.degenerate:
-            return 0.0, p.lam_diff, p
-        u_dep = self._bodies[from_key].u0 + self.mean_motion * t_dep
-        za = (p.psi_from - u_dep) % TWO_PI
-        zb = (za + math.pi) % TWO_PI
-        if za <= zb:
-            ang, u_node = za, p.psi_to
-        else:
-            ang, u_node = zb, p.psi_to + math.pi
-        coast = ang / TWO_PI * self.t_geo
-        t1 = t_dep + coast
-        theta = fold_angle(u_node - (self._bodies[to_id].u0
-                                     + self.mean_motion * t1))
-        return coast, theta, p
 
     def route_geometry(self, servicer_id: int, seq) -> _RouteGeom:
         """Coasts, phase gaps and repair times of a route flown at one
-        revolution per leg."""
+        revolution per leg.
+
+        Each leg coasts to the nearer plane-intersection point; its gap is
+        measured from the target to that point, prograde in the target
+        plane, and folded into (-pi, pi]: the theta of the phasing-orbit
+        equations. Coplanar legs do not coast; their gap is the folded
+        difference of the two longitudes, which does not change in time.
+        """
+        pairs = self._pairs
+        td_of = self._td
+        n = self.mean_motion
+        t_geo = self.t_geo
+        pi = math.pi
         coasts, thetas, dv1s, shalves, tds = [], [], [], [], []
         t = 0.0
         from_key = ("S", servicer_id)
         for tid in seq:
-            coast, theta, p = self.leg_geometry(from_key, tid, t)
+            p = pairs.get((from_key, tid)) or self._pair(from_key, tid)
+            if p.degenerate:
+                coast = 0.0
+                theta = p.lam_diff
+            else:
+                za = (p.psi_from - (p.u0_from + n * t)) % TWO_PI
+                zb = (za + pi) % TWO_PI
+                if za <= zb:
+                    coast = za / TWO_PI * t_geo
+                    u_node = p.psi_to
+                else:
+                    coast = zb / TWO_PI * t_geo
+                    u_node = p.psi_to + pi
+                theta = (u_node - (p.u0_to + n * (t + coast))) % TWO_PI
+                if theta > pi:
+                    theta -= TWO_PI
+            td = td_of[tid]
             coasts.append(coast)
             thetas.append(theta)
             dv1s.append(p.dv1)
             shalves.append(p.s_half)
-            td = self._td[tid]
             tds.append(td)
-            t = t + coast + ((TWO_PI + theta) / TWO_PI) * self.t_geo + td
+            t = t + coast + ((TWO_PI + theta) / TWO_PI) * t_geo + td
             from_key = tid
         return _RouteGeom(tuple(coasts), tuple(thetas), tuple(dv1s),
                           tuple(shalves), tuple(tds))
 
-    # -- per-leg cost pieces -------------------------------------------------
-
-    def phasing_half_dv(self, theta: float, k: int) -> float:
-        """One tangential phasing burn (m/s); half of the full phasing cost."""
-        span = TWO_PI * k + theta
-        a = self._r * (span / (TWO_PI * k)) ** (2.0 / 3.0)
-        return 1000.0 * self._sqrt_mu * abs(
-            math.sqrt(self._two_over_r - 1.0 / a) - self._inv_sqrt_r)
-
-    def t_phase(self, theta: float, k: int) -> float:
-        return ((TWO_PI * k + theta) / TWO_PI) * self.t_geo
-
-    @staticmethod
-    def leg_dv(dv1: float, s_half: float, theta: float, half: float) -> float:
-        """Combined first-impulse magnitude plus the recircularization burn.
-
-        The angle between the plane-change and phasing burns satisfies
-        cos = sign(theta) * sin(alpha/2), which collapses the law of
-        cosines to a scalar expression.
-        """
-        if dv1 == 0.0:
-            return 2.0 * half
-        sgn = 1.0 if theta > 0.0 else (-1.0 if theta < 0.0 else 0.0)
-        imp1 = math.sqrt(dv1 * dv1 + half * half
-                         + 2.0 * dv1 * half * sgn * s_half)
-        return imp1 + half
-
-    # -- route-level evaluation ----------------------------------------------
-
     def _route_cost(self, geom: _RouteGeom, revs):
         """(delta-v m/s, deadline-violation seconds, end time s) of a route's
-        geometry flown on ``revs``."""
+        geometry flown on ``revs``.
+
+        Each leg closes its gap theta in k revolutions on a phasing ellipse
+        of semimajor axis a = r_geo * (span / (2 pi k))**(2/3), where
+        span = 2 pi k + theta, and spends span / 2 pi periods on it. Its
+        two tangential burns are equal; the first combines with the plane
+        change dv1 at the angle whose cosine is sign(theta) * sin(alpha/2),
+        which collapses the law of cosines to a scalar expression.
+        """
         t = 0.0
         dv = 0.0
         p1 = 0.0
         deadline = self.deadline
-        for q, k in enumerate(revs):
-            theta = geom.thetas[q]
-            half = self.phasing_half_dv(theta, k)
-            dv += self.leg_dv(geom.dv1s[q], geom.shalves[q], theta, half)
-            t = t + geom.coasts[q] + self.t_phase(theta, k) + geom.tds[q]
+        t_geo = self.t_geo
+        r = self._r
+        burn_scale = 1000.0 * self._sqrt_mu
+        two_over_r = self._two_over_r
+        inv_sqrt_r = self._inv_sqrt_r
+        sqrt = math.sqrt
+        for coast, theta, dv1, s_half, td, k in zip(
+                geom.coasts, geom.thetas, geom.dv1s, geom.shalves, geom.tds,
+                revs, strict=True):
+            span = TWO_PI * k + theta
+            a = r * (span / (TWO_PI * k)) ** (2.0 / 3.0)
+            half = burn_scale * abs(sqrt(two_over_r - 1.0 / a) - inv_sqrt_r)
+            if dv1 == 0.0:
+                dv += 2.0 * half
+            else:
+                sgn = 1.0 if theta > 0.0 else (-1.0 if theta < 0.0 else 0.0)
+                dv += sqrt(dv1 * dv1 + half * half
+                           + 2.0 * dv1 * half * sgn * s_half) + half
+            t = t + coast + (span / TWO_PI) * t_geo + td
             if t > deadline:
                 p1 += t - deadline
         return dv, p1, t
+
+    # -- route-level evaluation ----------------------------------------------
 
     def route_metrics(self, servicer_id: int, seq, revs):
         """(delta-v m/s, deadline-violation seconds, end time s) of a route."""
@@ -587,8 +604,12 @@ class CostModel:
             if slack > 0.0:
                 extra = math.floor(slack / self.t_geo)
                 if extra >= 1:
-                    pick = (max if self.slack_rule == "largest" else min)(
-                        range(legs), key=lambda q: (gaps[q], -q))
+                    # Ties go to the first leg of the largest gap, or to
+                    # the last leg of the smallest.
+                    if self.slack_rule == "largest":
+                        pick = gaps.index(max(gaps))
+                    else:
+                        pick = legs - 1 - gaps[::-1].index(min(gaps))
                     revs[pick] = min(revs[pick] + extra, n_max)
         return revs, self._route_cost(geom, revs)
 
@@ -616,7 +637,7 @@ class CostModel:
 
     def target_pair_cost(self, i: int, j: int, beta: float) -> float:
         """Orbit-difference proxy: beta*|dihedral| + (1-beta)*|phase gap|."""
-        p = self._pair(i, j)
+        p = self._pairs.get((i, j)) or self._pair(i, j)
         theta = abs(fold_angle(self._bodies[i].lam0 - self._bodies[j].lam0))
         return beta * abs(p.alpha) + (1.0 - beta) * theta
 
@@ -762,24 +783,21 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
             best = None
             for perm in itertools.permutations(sorted(subset)):
                 geom = model.route_geometry(sid, perm)
-                legs = len(perm)
-                # Per-leg cost/time tables make the revolution scan cheap.
-                dv_tab = [[model.leg_dv(geom.dv1s[q], geom.shalves[q],
-                                        geom.thetas[q],
-                                        model.phasing_half_dv(geom.thetas[q], k))
-                           for k in rev_range] for q in range(legs)]
-                tm_tab = [[geom.coasts[q] + model.t_phase(geom.thetas[q], k)
-                           + geom.tds[q] for k in rev_range]
-                          for q in range(legs)]
+                # Per-leg (delta-v, _, duration) tables make the revolution
+                # scan cheap. A leg priced as a one-leg route is exact: its
+                # sums start at 0.0, and 0.0 + x == x for these terms.
+                tab = [[model._route_cost(geom.leg(q), (k,))
+                        for k in rev_range] for q in range(len(perm))]
                 budget = model._budget[sid]
                 deadline = model.deadline
-                for revs in itertools.product(rev_range, repeat=legs):
+                for revs in itertools.product(rev_range, repeat=len(perm)):
                     dv = 0.0
                     t = 0.0
                     p1 = 0.0
                     for q, k in enumerate(revs):
-                        dv += dv_tab[q][k - 1]
-                        t += tm_tab[q][k - 1]
+                        leg_dv, _, leg_time = tab[q][k - 1]
+                        dv += leg_dv
+                        t += leg_time
                         if t > deadline:
                             p1 += t - deadline
                     score = penalized_fitness(dv, p1, max(dv - budget, 0.0),

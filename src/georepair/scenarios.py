@@ -8,6 +8,7 @@ attached so that save(load(path)) reproduces the original decimal text.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -32,6 +33,9 @@ CASE_STUDY_EPOCH = "2021-03-12T04:00:00Z"
 # memory or solver time.
 MAX_TARGETS = 1000
 MAX_SERVICERS = 100
+# Largest scenario file ``load`` reads, checked before parsing. A file at
+# both fleet caps, saved by ``save``, takes about 0.2 MB.
+MAX_SCENARIO_BYTES = 16 * 1024 * 1024
 _LATEST_TIME = datetime.max.replace(tzinfo=timezone.utc)
 
 # GEO fleet snapshot used throughout: name, inclination (deg), RAAN (deg),
@@ -330,14 +334,19 @@ def scenario_spec(scenario: Scenario) -> ScenarioSpec:
 
 
 def load(path) -> Scenario:
-    """Read a scenario file; ParseError for malformed files, ValidationError
-    for invariant violations."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: "
-                             f"{exc.msg}") from exc
+    """Read a scenario file; ParseError for malformed files and for files
+    over ``MAX_SCENARIO_BYTES``, ValidationError for invariant
+    violations."""
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_SCENARIO_BYTES + 1)
+    if len(raw) > MAX_SCENARIO_BYTES:
+        raise ParseError(f"{path}: file exceeds the cap of "
+                         f"{MAX_SCENARIO_BYTES} bytes")
+    try:
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: "
+                         f"{exc.msg}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     return spec_from_dict(data).to_scenario()

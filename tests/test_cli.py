@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from georepair import cli
+from georepair import cli, scenarios
 from georepair.cli import ALGORITHMS, SCHEDULE_COLUMNS, _build_parser, main
 from georepair.scenarios import (
     case_study,
@@ -447,6 +447,18 @@ class TestCountBounds:
         assert main(argv) == 1
         assert field in _one_line_error(capsys)
         assert not (tmp_path / "gen.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
+    def test_scenario_file_beyond_the_size_cap(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        monkeypatch.setattr(scenarios, "MAX_SCENARIO_BYTES",
+                            scen_path.stat().st_size - 1)
+        out = tmp_path / "out"
+        assert main([command, str(scen_path), "--out", str(out)]) == 1
+        assert "exceeds the cap" in _one_line_error(capsys)
+        assert not out.exists()
 
 
 def _subcommand_parsers():

@@ -4,11 +4,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from georepair import planning
-from georepair.astro import GEO, TWO_PI, phasing_solution
+from georepair.astro import GEO, TWO_PI, fold_angle, phasing_solution
 from georepair.planning import (
     CostModel,
     InstanceTooLarge,
@@ -331,6 +331,12 @@ class TestRouteMemo:
                     sid, seq, r)
         assert all(len(memo._priced) <= len(pool) for memo in memos)
 
+    @pytest.mark.parametrize("revs", [[1], [1, 1, 1]])
+    def test_revolutions_must_match_the_sequence(self, revs):
+        scenario = random_scenario(4, 1, 10.0, seed=15)
+        with pytest.raises(ValueError):
+            CostModel(scenario).route_metrics(1, [1, 2], revs)
+
     def test_memo_stays_within_its_cap(self, monkeypatch):
         monkeypatch.setattr(planning, "_ROUTE_CACHE_CAP", 5)
         scenario = random_scenario(8, 3, 12.0, seed=13)
@@ -357,6 +363,267 @@ class TestRouteMemo:
                                          stall_iterations=5), seed=1)
         assert built
         assert len(built) == len(set(built))
+
+    def test_lns_solve_builds_each_leg_pair_once(self, monkeypatch):
+        built = []
+        original = CostModel._pair
+
+        def spy(self, from_key, to_id):
+            built.append((from_key, to_id))
+            return original(self, from_key, to_id)
+
+        monkeypatch.setattr(CostModel, "_pair", spy)
+        m, n = 6, 2
+        scenario = random_scenario(m, n, 10.0, seed=7)
+        solve_lns_aga(scenario, GaParams(population_size=20,
+                                         min_iterations=10,
+                                         stall_iterations=5), seed=1)
+        assert built
+        assert len(built) == len(set(built)) <= (n + m) * m
+
+
+class PerLegCostModel(CostModel):
+    """``CostModel`` with its per-leg code as it read before the route
+    kernel was inlined, copied verbatim: one method call per leg for the
+    geometry and for each cost piece, and a ``max``/``min`` over a key for
+    the top-up leg. The oracle of ``TestExactKernel``."""
+
+    def _pair(self, from_key, to_id):
+        key = (from_key, to_id)
+        p = self._pairs.get(key)
+        if p is None:
+            p = planning._Pair(self._bodies[from_key], self._bodies[to_id],
+                               self._v_geo)
+            self._pairs[key] = p
+        return p
+
+    def leg_geometry(self, from_key, to_id, t_dep: float):
+        p = self._pair(from_key, to_id)
+        if p.degenerate:
+            return 0.0, p.lam_diff, p
+        u_dep = self._bodies[from_key].u0 + self.mean_motion * t_dep
+        za = (p.psi_from - u_dep) % TWO_PI
+        zb = (za + math.pi) % TWO_PI
+        if za <= zb:
+            ang, u_node = za, p.psi_to
+        else:
+            ang, u_node = zb, p.psi_to + math.pi
+        coast = ang / TWO_PI * self.t_geo
+        t1 = t_dep + coast
+        theta = fold_angle(u_node - (self._bodies[to_id].u0
+                                     + self.mean_motion * t1))
+        return coast, theta, p
+
+    def route_geometry(self, servicer_id: int, seq):
+        coasts, thetas, dv1s, shalves, tds = [], [], [], [], []
+        t = 0.0
+        from_key = ("S", servicer_id)
+        for tid in seq:
+            coast, theta, p = self.leg_geometry(from_key, tid, t)
+            coasts.append(coast)
+            thetas.append(theta)
+            dv1s.append(p.dv1)
+            shalves.append(p.s_half)
+            td = self._td[tid]
+            tds.append(td)
+            t = t + coast + ((TWO_PI + theta) / TWO_PI) * self.t_geo + td
+            from_key = tid
+        return planning._RouteGeom(tuple(coasts), tuple(thetas), tuple(dv1s),
+                                   tuple(shalves), tuple(tds))
+
+    def phasing_half_dv(self, theta: float, k: int) -> float:
+        span = TWO_PI * k + theta
+        a = self._r * (span / (TWO_PI * k)) ** (2.0 / 3.0)
+        return 1000.0 * self._sqrt_mu * abs(
+            math.sqrt(self._two_over_r - 1.0 / a) - self._inv_sqrt_r)
+
+    def t_phase(self, theta: float, k: int) -> float:
+        return ((TWO_PI * k + theta) / TWO_PI) * self.t_geo
+
+    @staticmethod
+    def leg_dv(dv1: float, s_half: float, theta: float, half: float) -> float:
+        if dv1 == 0.0:
+            return 2.0 * half
+        sgn = 1.0 if theta > 0.0 else (-1.0 if theta < 0.0 else 0.0)
+        imp1 = math.sqrt(dv1 * dv1 + half * half
+                         + 2.0 * dv1 * half * sgn * s_half)
+        return imp1 + half
+
+    def _route_cost(self, geom, revs):
+        t = 0.0
+        dv = 0.0
+        p1 = 0.0
+        deadline = self.deadline
+        for q, k in enumerate(revs):
+            theta = geom.thetas[q]
+            half = self.phasing_half_dv(theta, k)
+            dv += self.leg_dv(geom.dv1s[q], geom.shalves[q], theta, half)
+            t = t + geom.coasts[q] + self.t_phase(theta, k) + geom.tds[q]
+            if t > deadline:
+                p1 += t - deadline
+        return dv, p1, t
+
+    def _end_time(self, geom, revs) -> float:
+        t = 0.0
+        t_geo = self.t_geo
+        for coast, theta, td, k in zip(geom.coasts, geom.thetas, geom.tds,
+                                       revs):
+            t = t + coast + ((TWO_PI * k + theta) / TWO_PI) * t_geo + td
+        return t
+
+    def _allocate(self, geom):
+        legs = len(geom.thetas)
+        n_max = self._max_revs
+        deadline = self.deadline
+        t_phase_budget = deadline - geom.sum_td - geom.sum_coast
+        pieces = math.floor(t_phase_budget / self.t_geo)
+        base = min(max(pieces // legs, 1), n_max)
+        revs = [base] * legs
+        gaps = [abs(th) for th in geom.thetas]
+        end = self._end_time(geom, revs)
+        if end > deadline:
+            trim_order = sorted(range(legs), key=lambda q: (gaps[q], q))
+            while end > deadline:
+                cut = next((q for q in trim_order if revs[q] > 1), None)
+                if cut is None:
+                    break
+                revs[cut] -= 1
+                end = self._end_time(geom, revs)
+        else:
+            slack = deadline - end
+            if slack > 0.0:
+                extra = math.floor(slack / self.t_geo)
+                if extra >= 1:
+                    pick = (max if self.slack_rule == "largest" else min)(
+                        range(legs), key=lambda q: (gaps[q], -q))
+                    revs[pick] = min(revs[pick] + extra, n_max)
+        return revs, self._route_cost(geom, revs)
+
+
+def hexed(value):
+    """``value`` with every float replaced by its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return type(value)(hexed(v) for v in value)
+    return value
+
+
+def geometry_fields(geom):
+    return hexed((geom.coasts, geom.thetas, geom.dv1s, geom.shalves, geom.tds,
+                  geom.sum_coast, geom.sum_td))
+
+
+# Round degrees, the multiples of 90 deg and angles a few ulps from them:
+# where the gap folds to +-pi and a servicer sits on a node.
+ROUND_DEGREES = st.integers(0, 359).map(float)
+QUARTER_TURNS = st.sampled_from([0.0, 90.0, 180.0, 270.0, 360.0])
+
+
+@st.composite
+def near_round_degrees(draw):
+    angle = draw(st.one_of(QUARTER_TURNS, ROUND_DEGREES))
+    for _ in range(draw(st.integers(1, 4))):
+        angle = math.nextafter(angle, draw(st.sampled_from([-1e9, 1e9])))
+    return angle
+
+
+ANGLES = st.one_of(QUARTER_TURNS, ROUND_DEGREES, near_round_degrees())
+INCLINATIONS = st.one_of(st.just(0.0), st.integers(0, 10).map(float),
+                         st.sampled_from([0.0, 5.0]).map(
+                             lambda a: math.nextafter(a, 1e9)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(servicers, targets, deadline s, routes) in ``make_scenario`` form,
+    with ``(servicer id, sequence, revolutions)`` routes."""
+    servicers = [(draw(INCLINATIONS), draw(ANGLES), draw(ANGLES), 2000.0)
+                 for _ in range(draw(st.integers(1, 2)))]
+    targets = [(draw(INCLINATIONS), draw(ANGLES), draw(ANGLES),
+                draw(st.integers(0, 24)) * HOUR)
+               for _ in range(draw(st.integers(1, 5)))]
+    deadline = draw(st.integers(1, 15)) * 86400.0
+    routes = []
+    for _ in range(draw(st.integers(1, 6))):
+        sid = draw(st.integers(1, len(servicers)))
+        perm = draw(st.permutations(range(1, len(targets) + 1)))
+        seq = perm[:draw(st.integers(1, len(targets)))]
+        revs = draw(st.lists(st.integers(1, 16), min_size=len(seq),
+                             max_size=len(seq)))
+        routes.append((sid, seq, revs))
+    return servicers, targets, deadline, routes
+
+
+class TestExactKernel:
+    """The inlined route kernel gives, float for float, what the per-leg
+    code it replaced gave (``PerLegCostModel``), and each leg priced as a
+    one-leg route, as ``exhaustive_solve`` tables it, is that leg's share."""
+
+    @given(kernel_cases())
+    @example((  # A half-turn lead: the phase gap folds to +pi.
+        [(0.0, 0.0, 0.0, 2000.0)], [(0.0, 0.0, 180.0, HOUR)], 6 * 86400.0,
+        [(1, [1], [1]), (1, [1], [3])]))
+    @example((  # The servicer starts on a node of the second target.
+        [(0.0, 270.0, 18.0, 2000.0)],
+        [(0.0, 270.0, 8.0, 0.0), (5.0, 270.0, 198.0, 0.0)], 10 * 86400.0,
+        [(1, [2, 1], [1, 3]), (1, [1, 2], [2, 2])]))
+    @example((  # Round-degree fleet whose search and report disagree.
+        [(0.0, 0.0, 0.0, 1500.0), (5.0, 90.0, 0.0, 1500.0)],
+        [(0.0, 0.0, 180.0, HOUR), (0.0, 0.0, 90.0, HOUR),
+         (5.0, 90.0, 180.0, HOUR), (5.0, 90.0, 270.0, HOUR),
+         (2.0, 45.0, 45.0, HOUR)], 6 * 86400.0,
+        [(1, [1, 2, 5], [1, 2, 3]), (2, [3, 4], [2, 1]),
+         (2, [4, 3, 5, 1, 2], [1, 1, 1, 1, 1])]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_leg_code(self, case):
+        servicers, targets, deadline, routes = case
+        scenario = make_scenario(servicers, targets, deadline)
+        for rule in planning.SLACK_RULES:
+            model = CostModel(scenario, rule)
+            reference = PerLegCostModel(scenario, rule)
+            for sid, seq, revs in routes:
+                geom = model.route_geometry(sid, seq)
+                assert geometry_fields(geom) == geometry_fields(
+                    reference.route_geometry(sid, seq))
+                assert hexed(model.priced_route(sid, seq)) == hexed(
+                    reference.priced_route(sid, seq))
+                assert hexed(model.route_metrics(sid, seq, revs)) == hexed(
+                    reference.route_metrics(sid, seq, revs))
+                for q, k in enumerate(revs):
+                    leg_dv, _, leg_time = model._route_cost(geom.leg(q), (k,))
+                    theta = geom.thetas[q]
+                    assert leg_dv.hex() == reference.leg_dv(
+                        geom.dv1s[q], geom.shalves[q], theta,
+                        reference.phasing_half_dv(theta, k)).hex()
+                    assert leg_time.hex() == (
+                        geom.coasts[q] + reference.t_phase(theta, k)
+                        + geom.tds[q]).hex()
+
+    @given(thetas=st.lists(st.sampled_from(
+               [-math.pi, -math.pi / 2, 0.0, 0.25, math.pi / 2,
+                math.nextafter(math.pi, 0.0), math.pi]),
+               min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_tied_gaps_top_up_the_same_leg(self, thetas, data):
+        # Drawn from a few values, the gaps tie often.
+        legs = len(thetas)
+        coasts = data.draw(st.lists(st.sampled_from([0.0, 3000.0, 4e4]),
+                                    min_size=legs, max_size=legs))
+        dv1s = data.draw(st.lists(st.sampled_from([0.0, 150.0]),
+                                  min_size=legs, max_size=legs))
+        tds = data.draw(st.lists(st.sampled_from([0.0, HOUR, 86400.0]),
+                                 min_size=legs, max_size=legs))
+        geom = planning._RouteGeom(tuple(coasts), tuple(thetas), tuple(dv1s),
+                                   tuple(0.04 if d else 0.0 for d in dv1s),
+                                   tuple(tds))
+        days = data.draw(st.integers(1, 20))
+        scenario = make_scenario([(0.0, 0.0, 0.0, 2000.0)],
+                                 [(0.0, 0.0, 0.0, 0.0)], days * 86400.0)
+        for rule in planning.SLACK_RULES:
+            assert hexed(CostModel(scenario, rule)._allocate(geom)) == hexed(
+                PerLegCostModel(scenario, rule)._allocate(geom))
 
 
 def trial_priced_allocate(model, geom, slack_rule):
@@ -506,6 +773,8 @@ class TestPublishedPlanReproduction:
 
 
 def test_phasing_consistency_with_astro():
+    # A one-leg route with no coast, no repair and no plane change costs
+    # exactly its phasing burns and lasts exactly its phasing time.
     rng = random.Random(29)
     scenario = random_scenario_tuple(rng, 2, 1, deadline_s=20 * 86400.0)
     model = CostModel(scenario)
@@ -513,6 +782,7 @@ def test_phasing_consistency_with_astro():
         theta = rng.uniform(-math.pi, math.pi)
         k = rng.randint(1, 10)
         t_phase, _, dv = phasing_solution(theta, k)
-        assert model.t_phase(theta, k) == pytest.approx(t_phase, rel=1e-15)
-        assert 2.0 * model.phasing_half_dv(theta, k) == pytest.approx(
-            dv, rel=1e-12, abs=1e-12)
+        geom = planning._RouteGeom((0.0,), (theta,), (0.0,), (0.0,), (0.0,))
+        cost_dv, _, end = model._route_cost(geom, (k,))
+        assert end == pytest.approx(t_phase, rel=1e-15)
+        assert cost_dv == pytest.approx(dv, rel=1e-12, abs=1e-12)

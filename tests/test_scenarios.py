@@ -9,9 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from georepair import scenarios
 from georepair.astro import GEO
 from georepair.planning import Scenario
 from georepair.scenarios import (
+    CASE_STUDY_TARGETS,
+    MAX_SCENARIO_BYTES,
     MAX_SERVICERS,
     MAX_TARGETS,
     ParseError,
@@ -281,6 +284,27 @@ class TestMalformedValues:
         scenario = load(path)
         assert len(scenario.servicers) == MAX_SERVICERS
         assert len(scenario.targets) == MAX_TARGETS
+
+    def test_files_beyond_the_size_cap_are_rejected(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_case_study_dict()))
+        size = path.stat().st_size
+        monkeypatch.setattr(scenarios, "MAX_SCENARIO_BYTES", size)
+        assert len(load(path).targets) == len(CASE_STUDY_TARGETS)
+        monkeypatch.setattr(scenarios, "MAX_SCENARIO_BYTES", size - 1)
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value) == (
+            f"{path}: file exceeds the cap of {size - 1} bytes")
+
+    def test_size_cap_is_far_above_a_file_at_the_fleet_caps(self, tmp_path):
+        data = _case_study_dict()
+        data["servicers"] = [data["servicers"][0]] * MAX_SERVICERS
+        data["targets"] = [data["targets"][0]] * MAX_TARGETS
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(data, indent=2))
+        assert 20 * path.stat().st_size < MAX_SCENARIO_BYTES
 
     def test_deadline_short_of_the_last_datetime_loads(self, tmp_path):
         # 6.9e7 hours, about 7,870 years, leaves a century of room.
