@@ -159,12 +159,6 @@ class MissionPlan:
             out.extend(r.target_sequence)
         return out
 
-    def route_of(self, tid: int) -> int:
-        for r in self.routes:
-            if tid in r.target_sequence:
-                return r.servicer_id
-        raise KeyError(tid)
-
     def validate_against(self, scenario: Scenario):
         for r in self.routes:
             r.validate()

@@ -12,7 +12,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 from .astro import GEO, GeoOrbit, PhysicalConstants
@@ -218,10 +218,8 @@ def random_scenario(n_targets: int, n_servicers: int, duration_days: float,
     return spec.to_scenario()
 
 
-_SERVICER_FIELDS = {"name", "inclination_deg", "raan_deg", "true_anomaly_deg",
-                    "dv_budget_mps"}
-_TARGET_FIELDS = {"name", "inclination_deg", "raan_deg", "true_anomaly_deg",
-                  "repair_hours"}
+_SERVICER_FIELDS = {f.name for f in fields(ServicerSpec)}
+_TARGET_FIELDS = {f.name for f in fields(TargetSpec)}
 _TOP_FIELDS = {"epoch", "deadline_hours", "servicers", "targets", "constants"}
 _CONST_FIELDS = {"mu_km3s2", "t_geo_s"}
 
@@ -258,29 +256,25 @@ def _list(record: dict, key: str, what: str) -> list:
     return v
 
 
+def _fleet_record(cls, required: set, rec: dict, what: str):
+    """A ``ServicerSpec`` or ``TargetSpec`` from its file record: ``name``
+    through ``str``, every other field through ``_number``, in field
+    order."""
+    _check_fields(rec, required, what)
+    return cls(*(str(rec[f.name]) if f.name == "name"
+                 else _number(rec, f.name, what) for f in fields(cls)))
+
+
 def spec_from_dict(data: dict) -> ScenarioSpec:
     _check_fields(data, _TOP_FIELDS - {"constants"}, "scenario",
                   optional=frozenset({"constants"}))
     if not isinstance(data["epoch"], str):
         raise ParseError("scenario: field 'epoch' must be a string")
-    servicers = []
-    for i, rec in enumerate(_list(data, "servicers", "scenario")):
-        what = f"servicers[{i}]"
-        _check_fields(rec, _SERVICER_FIELDS, what)
-        servicers.append(ServicerSpec(
-            str(rec["name"]), _number(rec, "inclination_deg", what),
-            _number(rec, "raan_deg", what),
-            _number(rec, "true_anomaly_deg", what),
-            _number(rec, "dv_budget_mps", what)))
-    targets = []
-    for i, rec in enumerate(_list(data, "targets", "scenario")):
-        what = f"targets[{i}]"
-        _check_fields(rec, _TARGET_FIELDS, what)
-        targets.append(TargetSpec(
-            str(rec["name"]), _number(rec, "inclination_deg", what),
-            _number(rec, "raan_deg", what),
-            _number(rec, "true_anomaly_deg", what),
-            _number(rec, "repair_hours", what)))
+    servicers = [_fleet_record(ServicerSpec, _SERVICER_FIELDS, rec,
+                               f"servicers[{i}]")
+                 for i, rec in enumerate(_list(data, "servicers", "scenario"))]
+    targets = [_fleet_record(TargetSpec, _TARGET_FIELDS, rec, f"targets[{i}]")
+               for i, rec in enumerate(_list(data, "targets", "scenario"))]
     constants = None
     if "constants" in data:
         _check_fields(data["constants"], _CONST_FIELDS, "constants")
@@ -294,20 +288,9 @@ def spec_from_dict(data: dict) -> ScenarioSpec:
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:
-    data = {
-        "epoch": spec.epoch,
-        "deadline_hours": spec.deadline_hours,
-        "servicers": [{
-            "name": s.name, "inclination_deg": s.inclination_deg,
-            "raan_deg": s.raan_deg, "true_anomaly_deg": s.true_anomaly_deg,
-            "dv_budget_mps": s.dv_budget_mps} for s in spec.servicers],
-        "targets": [{
-            "name": t.name, "inclination_deg": t.inclination_deg,
-            "raan_deg": t.raan_deg, "true_anomaly_deg": t.true_anomaly_deg,
-            "repair_hours": t.repair_hours} for t in spec.targets],
-    }
-    if spec.constants is not None:
-        data["constants"] = dict(spec.constants)
+    data = asdict(spec)
+    if spec.constants is None:
+        del data["constants"]
     return data
 
 

@@ -13,21 +13,23 @@ plane-change/phasing strategy. An adapter per leg model prices routes for
 the search. The mixed adapter holds only a ``planning.CostModel``, built
 once per solve with the solve's slack rule and penalty weights, and the
 LNS operators take that same model, so one pricing policy and one set of
-memos serve the whole solve. The Lambert adapter keeps one bounded cache,
-of priced legs keyed on their exact departure and flight times, so a leg's
-price does not depend on what the cache held, and it recomputes a route
-from that cache. The best plan is then
-re-evaluated by ``planning.evaluate_plan``, with the mixed leg or with the
-Lambert adapter's leg, which flies each leg at the flight time the search
-chose and prices a failed leg as infinite, as the search does.
+memos serve the whole solve. The Lambert adapter flies and prices a leg in
+one place, ``_fly``. It keeps one bounded cache, of priced legs keyed on
+their exact departure and flight times, so a leg's price does not depend on
+what the cache held, and it recomputes a route from that cache. The best
+plan is then re-evaluated by ``planning.evaluate_plan``, with the mixed leg
+or with a Lambert leg that flies through ``_fly`` at the flight time the
+search chose, so every leg reports the price the search used, a failed leg
+infinite in both.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -177,23 +179,12 @@ def selection(population, fitnesses, rng: random.Random) -> list[int]:
     if total <= 0.0 or not math.isfinite(total):
         weights = [1.0] * size
         total = float(size)
-    cum = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cum.append(acc)
+    cum = list(accumulate(weights))
     elite = min(range(size), key=lambda i: fitnesses[i])
     pool = [elite]
     for _ in range(size - 1):
         r = rng.random() * total
-        lo, hi = 0, size - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] < r:
-                lo = mid + 1
-            else:
-                hi = mid
-        pool.append(lo)
+        pool.append(bisect_left(cum, r, 0, size - 1))
     return pool
 
 
@@ -259,21 +250,14 @@ def swap_mutation(c, rng: random.Random) -> list[int]:
 # LNS destroy / repair
 # ---------------------------------------------------------------------------
 
-def relatedness(i: int, j: int, plan: MissionPlan, beta: float,
-                model: CostModel) -> float:
+def _relatedness(c_norm: float, same_route: bool) -> float:
     """Similarity of two targets: higher for close orbits on one route.
 
     R = 1 / (C' + V + eps) where C' is the normalized orbit-difference cost
-    beta*|dihedral| + (1-beta)*|phase gap| and V is 0 when both targets are
-    served by the same route.
+    beta*|dihedral| + (1-beta)*|phase gap| (``c_norm``, an entry of
+    ``CostModel.pair_cost_table``) and V is 0 when both targets are served
+    by the same route.
     """
-    if i == j:
-        raise ValueError("relatedness needs two distinct targets")
-    return _relatedness(model.pair_cost_table(beta)[i][j],
-                        plan.route_of(i) == plan.route_of(j))
-
-
-def _relatedness(c_norm: float, same_route: bool) -> float:
     return 1.0 / (c_norm + (0.0 if same_route else 1.0) + RELATEDNESS_EPS)
 
 
@@ -427,6 +411,9 @@ class _LambertAdapter:
     grid, with the whole leftover granted to the leg with the largest
     static phase gap. If the chosen flight time is Lambert-singular the
     nearest grid alternatives are tried before the leg scores infinite.
+    ``_fly`` is the one Lambert flight: the search prices each fallback
+    candidate through it, and ``final_evaluation`` reports each leg
+    through it at the flight time the search settled on.
     """
 
     def __init__(self, scenario: Scenario, phi: float, gamma: float):
@@ -478,6 +465,18 @@ class _LambertAdapter:
                 tofs[pick] = grid[i - 1]
         return tofs
 
+    def _fly(self, state, to_id: int, tof: float):
+        """(delta-v 1 km/s, delta-v 2 km/s, price m/s) of the Lambert arc
+        from ``state`` to target ``to_id`` in ``tof`` s, the price being
+        (|dv1| + |dv2|) * 1000. Raises ``AstroError`` when the arc fails."""
+        consts = self.scenario.constants
+        arrive = orbit_to_state(self._orbits[to_id], state.t + tof, consts)
+        v1, v2 = lambert_solve(state.r, arrive.r, tof, True, consts)
+        dv1 = v1 - state.v
+        dv2 = arrive.v - v2
+        return dv1, dv2, (float(np.linalg.norm(dv1))
+                          + float(np.linalg.norm(dv2))) * 1000.0
+
     def _leg(self, from_key, to_id, t_dep: float, tof: float):
         """(actual tof, cost m/s) with fallback over neighboring grid times.
 
@@ -487,32 +486,25 @@ class _LambertAdapter:
         hit = self._leg_cache.get(key)
         if hit is not None:
             return hit
-        consts = self.scenario.constants
-        state = orbit_to_state(self._orbits[from_key], t_dep, consts)
-        target = self._orbits[to_id]
-        result = None
+        state = orbit_to_state(self._orbits[from_key], t_dep,
+                               self.scenario.constants)
+        result = (tof, math.inf)
         for cand in self._fallbacks[tof]:
-            arrive = orbit_to_state(target, t_dep + cand, consts)
             try:
-                v1, v2 = lambert_solve(state.r, arrive.r, cand, True, consts)
+                result = (cand, self._fly(state, to_id, cand)[2])
             except AstroError:
                 continue
-            cost = (float(np.linalg.norm(v1 - state.v))
-                    + float(np.linalg.norm(arrive.v - v2))) * 1000.0
-            result = (cand, cost)
             break
-        if result is None:
-            result = (tof, math.inf)
         if len(self._leg_cache) >= _LEG_CACHE_CAP:
             self._leg_cache.clear()
         self._leg_cache[key] = result
         return result
 
     def route_detail(self, sid: int, seq):
-        """(flight times, delta-v m/s, deadline violation s, end time s) of
-        a route, each leg from the leg cache."""
+        """(flight times, delta-v m/s, deadline violation s) of a route,
+        each leg from the leg cache."""
         if not seq:
-            return (), 0.0, 0.0, 0.0
+            return (), 0.0, 0.0
         tofs = self._allocate_tofs(sid, seq)
         t = 0.0
         dv = 0.0
@@ -527,38 +519,44 @@ class _LambertAdapter:
             if t > self.scenario.deadline:
                 p1 += t - self.scenario.deadline
             from_key = tid
-        return tuple(used), dv, p1, t
+        return tuple(used), dv, p1
 
     def route(self, sid: int, seq) -> tuple[list[int], float]:
-        _, dv, p1, _ = self.route_detail(sid, seq)
+        _, dv, p1 = self.route_detail(sid, seq)
         p2 = max(dv - self._budget[sid], 0.0)
         score = penalized_fitness(dv, p1, p2, self.phi, self.gamma)
         return [1] * len(seq), score
 
-    def leg(self, route: Route, q: int, state, orbit, consts
-            ) -> RendezvousSolution:
-        """Leg ``q`` of ``route`` flown at the flight time ``route_detail``
-        chose; a Lambert failure gives NaN impulses and infinite delta-v."""
-        tof = self.route_detail(route.servicer_id,
-                                route.target_sequence)[0][q]
-        arrive = orbit_to_state(orbit, state.t + tof, consts)
-        try:
-            v1, v2 = lambert_solve(state.r, arrive.r, tof, True, consts)
-        except AstroError:
-            imp1 = imp2 = np.full(3, math.nan)
-            leg_dv = math.inf
-        else:
-            imp1 = (v1 - state.v) * 1000.0
-            imp2 = (arrive.v - v2) * 1000.0
-            leg_dv = float(np.linalg.norm(imp1)) + float(np.linalg.norm(imp2))
-        return RendezvousSolution(
-            impulse1=imp1, impulse2=imp2, t1=state.t, t2=state.t + tof,
-            coast_time=0.0, phase_time=tof, total_time=tof,
-            total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0)
-
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
+        """``evaluate_plan`` with each leg flown by ``_fly`` at the flight
+        time ``route_detail`` chose, so a leg reports the price the search
+        used; a failed leg has NaN impulses and infinite delta-v."""
+        route_tofs = {}
+
+        def leg(route: Route, q: int, state, orbit, consts
+                ) -> RendezvousSolution:
+            # Looked up per route at its first leg, after evaluate_plan has
+            # validated the plan.
+            key = (route.servicer_id, tuple(route.target_sequence))
+            tofs = route_tofs.get(key)
+            if tofs is None:
+                tofs = route_tofs[key] = self.route_detail(*key)[0]
+            tof = tofs[q]
+            try:
+                dv1, dv2, leg_dv = self._fly(state, route.target_sequence[q],
+                                             tof)
+            except AstroError:
+                imp1 = imp2 = np.full(3, math.nan)
+                leg_dv = math.inf
+            else:
+                imp1, imp2 = dv1 * 1000.0, dv2 * 1000.0
+            return RendezvousSolution(
+                impulse1=imp1, impulse2=imp2, t1=state.t, t2=state.t + tof,
+                coast_time=0.0, phase_time=tof, total_time=tof,
+                total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0)
+
         return evaluate_plan(self.scenario, plan, self.phi, self.gamma,
-                             leg=self.leg)
+                             leg=leg)
 
 
 def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,

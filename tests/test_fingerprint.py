@@ -31,10 +31,10 @@ DEADLINE_DAYS = {"tight": 6.0, "roomy": 10.0}
 EXPECTED = {
     ("tight", "solve_lns_aga"): "628c0000d55c955d",
     ("tight", "solve_ga"): "b69741596bd10e8d",
-    ("tight", "solve_lambert_ga"): "f731b44a8d6855df",
+    ("tight", "solve_lambert_ga"): "bae6d5e4ba574874",
     ("roomy", "solve_lns_aga"): "0b3983888b4ecac4",
     ("roomy", "solve_ga"): "ced4a5ba8c293b07",
-    ("roomy", "solve_lambert_ga"): "1b7887786b7bbcdc",
+    ("roomy", "solve_lambert_ga"): "ce53f70d8202dc7d",
 }
 
 
@@ -87,4 +87,4 @@ def test_case_study_lambert_fingerprint():
     result = solve_lambert_ga(case_study(), seed=1)
     assert result.best_evaluation.fitness == 220349.48800643525
     assert result.generations_run == 156
-    assert fingerprint([result]) == "01c8b93087675837"
+    assert fingerprint([result]) == "56aaf3a3419719bd"

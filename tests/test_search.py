@@ -25,6 +25,7 @@ from georepair.scenarios import case_study, random_scenario
 from georepair.search import (
     AllInfeasible,
     _LambertAdapter,
+    _relatedness,
     GaParams,
     LnsParams,
     adaptive_pc,
@@ -35,7 +36,6 @@ from georepair.search import (
     insertion_cost,
     lns_improve,
     pmx_crossover,
-    relatedness,
     repair,
     selection,
     solve_ga,
@@ -54,6 +54,18 @@ T = GEO.t_geo
 def small_ga(pop=30, iters=30, stall=15):
     return GaParams(population_size=pop, min_iterations=iters,
                     stall_iterations=stall)
+
+
+def servicer_of(plan):
+    """Target id to the id of the servicer whose route holds it."""
+    return {tid: route.servicer_id for route in plan.routes
+            for tid in route.target_sequence}
+
+
+def relatedness(i, j, plan, beta, model):
+    """R of targets i and j in ``plan``, computed as ``destroy`` does."""
+    home = servicer_of(plan)
+    return _relatedness(model.pair_cost_table(beta)[i][j], home[i] == home[j])
 
 
 class TestParamValidation:
@@ -289,9 +301,10 @@ class TestRelatedness:
         pairs = list(itertools.permutations(range(1, 11), 2))
         c_max = max(model.target_pair_cost(i, j, beta)
                     for i, j in itertools.combinations(range(1, 11), 2))
+        home = servicer_of(plan)
         for i, j in pairs:
             c = model.target_pair_cost(i, j, beta) / c_max
-            v = 0.0 if plan.route_of(i) == plan.route_of(j) else 1.0
+            v = 0.0 if home[i] == home[j] else 1.0
             assert relatedness(i, j, plan, beta, model) == (
                 1.0 / (c + v + 1e-6))
 
@@ -758,7 +771,10 @@ class TestSolvers:
         ev = evaluate_plan_lambert(scenario, plan)
         assert ev.total_dv == math.inf and ev.fitness == math.inf
         assert not ev.feasible
-        assert all(math.isnan(x) for x in ev.leg_details[0].solution.impulse1)
+        for leg in ev.leg_details:
+            assert all(math.isnan(x) for x in leg.solution.impulse1)
+            assert all(math.isnan(x) for x in leg.solution.impulse2)
+        assert_reports_search_prices(scenario, plan, ev)
         result = solve_lambert_ga(scenario, small_ga(), seed=1)
         assert result.history[-1][0] == math.inf
         assert result.best_evaluation.fitness == math.inf
@@ -892,3 +908,89 @@ class TestLambertFlightTimes:
                                   [r for r in routes if len(r[1]) == legs])
                 on_grid += (deadline - legs * HOUR) / legs in grid
         assert on_grid > 20
+
+
+def assert_reports_search_prices(scenario, plan, evaluation):
+    """Every leg of ``evaluation`` reports, float for float, the price the
+    search's ``_leg`` gives that leg at its departure time and grid time,
+    and every route the search's delta-v."""
+    adapter = _LambertAdapter(scenario, 1.0, 10.0)
+    legs = iter(evaluation.leg_details)
+    for route, route_dv in zip(plan.routes, evaluation.per_servicer_dv):
+        sid, seq = route.servicer_id, route.target_sequence
+        if not seq:
+            assert route_dv == 0.0
+            continue
+        from_key = ("S", sid)
+        for tid, tof in zip(seq, adapter._allocate_tofs(sid, seq)):
+            leg = next(legs)
+            assert (leg.servicer_id, leg.target_id) == (sid, tid)
+            actual, price = adapter._leg(from_key, tid, leg.depart_time, tof)
+            assert leg.solution.phase_time == actual
+            assert leg.solution.total_dv.hex() == price.hex()
+            from_key = tid
+        assert route_dv.hex() == adapter.route_detail(sid, seq)[1].hex()
+    assert next(legs, None) is None
+
+
+class TestLambertReportsTheSearchPrice:
+    """The final evaluation flies each Lambert leg through the search's own
+    flight, so it reports the search's price bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def case_result(self):
+        return solve_lambert_ga(case_study(), seed=1)
+
+    def test_case_study(self, case_result):
+        assert_reports_search_prices(case_study(), case_result.best_plan,
+                                     case_result.best_evaluation)
+
+    @pytest.mark.parametrize("days", [6.0, 10.0])
+    def test_fingerprint_scenarios(self, days):
+        scenario = random_scenario(6, 2, days, seed=7)
+        for seed in (1, 2, 3):
+            result = solve_lambert_ga(scenario, small_ga(20, 20, 10),
+                                      seed=seed)
+            assert_reports_search_prices(scenario, result.best_plan,
+                                         result.best_evaluation)
+
+    def test_route_detail_runs_once_per_route(self, case_result,
+                                              monkeypatch):
+        calls = []
+        original = _LambertAdapter.route_detail
+
+        def spy(self, sid, seq):
+            calls.append(sid)
+            return original(self, sid, seq)
+
+        monkeypatch.setattr(_LambertAdapter, "route_detail", spy)
+        adapter = _LambertAdapter(case_study(), 1.0, 10.0)
+        adapter.final_evaluation(case_result.best_plan)
+        assert sorted(calls) == [1, 2]
+
+    def test_fallback_leg(self, monkeypatch):
+        scenario = random_scenario(6, 2, 10.0, seed=7)
+        plan = MissionPlan([Route(1, [1, 2, 3], [1] * 3),
+                            Route(2, [4, 5, 6], [1] * 3)])
+        grid_tof = _LambertAdapter(scenario, 1.0, 10.0)._allocate_tofs(
+            1, [1, 2, 3])[0]
+        solve = search.lambert_solve
+
+        def singular_at_grid_tof(r1, r2, tof, *args):
+            if tof == grid_tof:
+                raise CollinearGeometry("forced failure")
+            return solve(r1, r2, tof, *args)
+
+        monkeypatch.setattr(search, "lambert_solve", singular_at_grid_tof)
+        ev = _LambertAdapter(scenario, 1.0, 10.0).final_evaluation(plan)
+        first = ev.leg_details[0].solution
+        assert first.phase_time != grid_tof
+        assert math.isfinite(first.total_dv)
+        assert_reports_search_prices(scenario, plan, ev)
+
+    def test_malformed_plan_is_refused_before_any_leg_flies(self):
+        scenario = random_scenario(6, 2, 10.0, seed=7)
+        plan = MissionPlan([Route(1, [1, 2, 99], [1] * 3),
+                            Route(2, [4, 5, 6], [1] * 3)])
+        with pytest.raises(ValueError, match="every target exactly once"):
+            _LambertAdapter(scenario, 1.0, 10.0).final_evaluation(plan)
