@@ -4,7 +4,8 @@ Artifacts per solve, ``oracle`` included: ``schedule.csv`` (one row per
 repaired target with impulse vectors and timing), ``convergence.csv``
 (per-generation best and average fitness) and ``summary.json``. Each solver
 flag sets the field of ``RunConfig``, ``GaParams`` or ``LnsParams`` that
-``SOLVER_FLAGS`` names and takes that field's default. Exit codes: 0 when
+``SOLVER_FLAGS`` names and takes that field's default. JSON files are
+strict JSON, with ``null`` for an infinite or NaN value. Exit codes: 0 when
 the best plan is feasible, 2 when the best plan violates a constraint, 1 on
 errors, usage errors included.
 """
@@ -173,8 +174,19 @@ def _run_one(scenario, config: RunConfig) -> tuple[SolveResult, float]:
 
 
 def _write_json(path: Path, payload: dict):
+    """Write ``payload`` as strict JSON: every non-finite float (an
+    infinite delta-v or fitness, a NaN spread) becomes ``null``."""
+    def finite(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(finite(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -221,6 +233,23 @@ def write_convergence(path: Path, result: SolveResult):
                       for gen, (best, avg) in enumerate(result.history)])
 
 
+def _route_record(scenario, route, config: RunConfig, ev: Evaluation
+                  ) -> dict:
+    """A route of ``summary.json``: a Lambert route gives the flight time
+    the search chose for each leg, any other route its revolutions."""
+    record = {
+        "servicer": scenario.servicer(route.servicer_id).name,
+        "targets": [scenario.target(t).name for t in route.target_sequence],
+    }
+    if config.algorithm == "lambert-ga":
+        record["flight_times_s"] = [
+            leg.solution.total_time for leg in ev.leg_details
+            if leg.servicer_id == route.servicer_id]
+    else:
+        record["revolutions"] = list(route.revolutions)
+    return record
+
+
 def _summary_payload(scenario, result: SolveResult, config: RunConfig,
                      wall: float) -> dict:
     ev = result.best_evaluation
@@ -237,11 +266,8 @@ def _summary_payload(scenario, result: SolveResult, config: RunConfig,
         "budget_penalty_mps": ev.budget_penalty,
         "generations": result.generations_run,
         "runtime_s": wall,
-        "routes": [{
-            "servicer": scenario.servicer(r.servicer_id).name,
-            "targets": [scenario.target(t).name for t in r.target_sequence],
-            "revolutions": list(r.revolutions),
-        } for r in result.best_plan.routes],
+        "routes": [_route_record(scenario, r, config, ev)
+                   for r in result.best_plan.routes],
         "params": {
             "population_size": config.ga.population_size,
             "min_iterations": config.ga.min_iterations,

@@ -182,7 +182,7 @@ class LegDetail:
 class Evaluation:
     """Penalized fitness of a plan: ``fitness`` is
     ``penalized_fitness(total_dv, deadline_penalty, budget_penalty, phi,
-    gamma)``."""
+    gamma)``, phi and gamma being the penalty weights of the solve."""
 
     leg_details: list[LegDetail]
     per_servicer_dv: list[float]
@@ -191,8 +191,6 @@ class Evaluation:
     budget_penalty: float    # m/s
     fitness: float
     feasible: bool
-    phi: float = DEFAULT_PHI
-    gamma: float = DEFAULT_GAMMA
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +736,7 @@ def evaluate_plan(scenario: Scenario, plan: MissionPlan,
     return Evaluation(leg_details=legs, per_servicer_dv=per_dv,
                       total_dv=total_dv, deadline_penalty=p1,
                       budget_penalty=p2, fitness=fitness,
-                      feasible=(p1 == 0.0 and p2 == 0.0),
-                      phi=phi, gamma=gamma)
+                      feasible=(p1 == 0.0 and p2 == 0.0))
 
 
 def exhaustive_solve(scenario: Scenario, max_revolutions: int,
@@ -747,16 +744,18 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
                      ) -> tuple[MissionPlan, Evaluation]:
     """Brute-force optimum over assignments, orderings and revolutions.
 
-    Guarded to at most 5 targets and 6 revolutions per leg. The penalized
-    fitness decomposes per route, so each (servicer, target subset) is
-    minimized once over every ordering and revolution tuple and assignments
-    are scanned over the per-route optima.
+    Guarded to at most 5 targets, 5 servicers and 6 revolutions per leg,
+    since it scans all n^m assignments of m targets to n servicers. The
+    penalized fitness decomposes per route, so each (servicer, target
+    subset) is minimized once over every ordering and revolution tuple and
+    assignments are scanned over the per-route optima.
     """
     m = len(scenario.targets)
-    if m > 5 or max_revolutions > 6:
+    n = len(scenario.servicers)
+    if m > 5 or n > 5 or max_revolutions > 6:
         raise InstanceTooLarge(
-            f"{m} targets / {max_revolutions} revolutions exceed oracle "
-            "guards (5 targets, 6 revolutions)")
+            f"{m} targets / {n} servicers / {max_revolutions} revolutions "
+            "exceed oracle guards (5 targets, 5 servicers, 6 revolutions)")
     if max_revolutions < 1:
         raise ValueError("max_revolutions must be >= 1")
     model = CostModel(scenario)

@@ -9,18 +9,26 @@ w = 1/(fitness + eps) so their algebra keeps its maximization shape.
 Three solvers share one engine: the hybrid LNS-AGA, the plain adaptive GA
 (same pipeline minus the LNS hook) and a Lambert-transfer GA baseline that
 prices legs with two-impulse Lambert rendezvous instead of the mixed
-plane-change/phasing strategy. An adapter per leg model prices routes for
-the search. The mixed adapter holds only a ``planning.CostModel``, built
-once per solve with the solve's slack rule and penalty weights, and the
-LNS operators take that same model, so one pricing policy and one set of
-memos serve the whole solve. The Lambert adapter flies and prices a leg in
-one place, ``_fly``. It keeps one bounded cache, of priced legs keyed on
-their exact departure and flight times, so a leg's price does not depend on
-what the cache held, and it recomputes a route from that cache. The best
-plan is then re-evaluated by ``planning.evaluate_plan``, with the mixed leg
-or with a Lambert leg that flies through ``_fly`` at the flight time the
-search chose, so every leg reports the price the search used, a failed leg
-infinite in both.
+plane-change/phasing strategy. The engine's state is the population's
+chromosomes and their fitnesses, nothing else; its per-solve gene cache
+maps a chromosome to its fitness alone. Each generation runs two phases:
+``breed`` makes the next population by selection, crossover and mutation,
+and ``refine``, the LNS hook, runs destroy/repair on the elite in place. A
+``MissionPlan`` is built fresh where one is read, for each LNS elite and
+once for the best chromosome at the end, so an operator that changes the
+plan it is given cannot reach the engine's state or its report.
+
+An adapter per leg model prices routes for the search. The mixed adapter
+holds only a ``planning.CostModel``, built once per solve with the solve's
+slack rule and penalty weights, and the LNS operators take that same
+model, so one pricing policy and one set of memos serve the whole solve.
+The Lambert adapter flies and prices a leg in one place, ``_fly``. It keeps
+one bounded cache, of priced legs keyed on their exact departure and
+flight times, so a leg's price does not depend on what the cache held, and
+it recomputes a route from that cache. The best plan is then re-evaluated
+by ``planning.evaluate_plan``, with the mixed leg or with a Lambert leg
+that flies through ``_fly`` at the flight time the search chose, so every
+leg reports the price the search used, a failed leg infinite in both.
 """
 
 from __future__ import annotations
@@ -568,44 +576,30 @@ def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,
 
 def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
                 seed: int, adapter) -> SolveResult:
-    m = len(scenario.targets)
-    n = len(scenario.servicers)
+    m, n = len(scenario.targets), len(scenario.servicers)
     rng = random.Random(seed)
     sids = [s.id for s in scenario.servicers]
     cache: dict = {}
 
-    def evaluate(genes):
+    def evaluate(genes) -> float:
         key = tuple(genes)
-        hit = cache.get(key)
-        if hit is None:
-            seqs = decode(genes, m, n)
+        fitness = cache.get(key)
+        if fitness is None:
             fitness = 0.0
-            routes = []
-            for sid, seq in zip(sids, seqs):
-                revs, score = adapter.route(sid, seq)
-                routes.append(Route(sid, list(seq), revs))
-                fitness += score
-            hit = (fitness, MissionPlan(routes))
+            for sid, seq in zip(sids, decode(genes, m, n)):
+                fitness += adapter.route(sid, seq)[1]
             if len(cache) >= _GENE_CACHE_CAP:
                 cache.clear()
-            cache[key] = hit
-        return hit
+            cache[key] = fitness
+        return fitness
 
-    pop = init_population(m, n, ga.population_size, rng)
-    evaluated = [evaluate(c) for c in pop]
-    fits = [e[0] for e in evaluated]
-    plans = [e[1] for e in evaluated]
+    def plan_of(genes) -> MissionPlan:
+        return MissionPlan([Route(sid, list(seq), adapter.route(sid, seq)[0])
+                            for sid, seq in zip(sids, decode(genes, m, n))])
 
-    best_i = min(range(len(pop)), key=lambda i: fits[i])
-    best_fit = fits[best_i]
-    best_plan = plans[best_i]
-    last_improve = 0
-    history = [(best_fit, _mean(fits))]
-    gen = 0
-
-    while not (gen >= ga.min_iterations
-               and gen - last_improve >= ga.stall_iterations):
-        gen += 1
+    def breed(pop, fits):
+        """GA phase: the next population, by elite-plus-roulette selection,
+        PMX crossover and swap mutation at adaptive rates."""
         weights = selection_weights(fits)
         w_max = max(weights)
         w_avg = sum(weights) / len(weights)
@@ -625,36 +619,49 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
                 pm = adaptive_pm(wi, w_avg, w_max, ga)
                 if rng.random() < pm:
                     rest[q] = (swap_mutation(c, rng), wi)
-        pop = [elite] + [c for c, _ in rest]
-        evaluated = [evaluate(c) for c in pop]
-        fits = [e[0] for e in evaluated]
-        plans = [e[1] for e in evaluated]
+        return [elite] + [c for c, _ in rest]
 
+    def refine(pop, fits):
+        """LNS phase, in place: destroy/repair each finite chromosome of the
+        best ``elite_fraction``, best first, keeping a strict improvement."""
+        k_top = max(1, math.ceil(lns.elite_fraction * len(pop)))
+        for i in sorted(range(len(pop)), key=lambda i: fits[i])[:k_top]:
+            if not math.isfinite(fits[i]):
+                continue
+            plan = plan_of(pop[i])
+            improved = lns_improve(plan, lns, rng, adapter.model)
+            if improved is plan:
+                continue
+            genes = encode_sequences(
+                [r.target_sequence for r in improved.routes], m)
+            f_new = evaluate(genes)
+            if f_new < fits[i]:
+                pop[i] = genes
+                fits[i] = f_new
+
+    pop = init_population(m, n, ga.population_size, rng)
+    fits = [evaluate(c) for c in pop]
+    best_i = min(range(len(pop)), key=lambda i: fits[i])
+    best_fit, best_genes = fits[best_i], tuple(pop[best_i])
+    history = [(best_fit, _mean(fits))]
+    gen = last_improve = 0
+
+    while not (gen >= ga.min_iterations
+               and gen - last_improve >= ga.stall_iterations):
+        gen += 1
+        pop = breed(pop, fits)
+        fits = [evaluate(c) for c in pop]
         if lns is not None:
-            k_top = max(1, math.ceil(lns.elite_fraction * len(pop)))
-            order = sorted(range(len(pop)), key=lambda i: fits[i])[:k_top]
-            for i in order:
-                if not math.isfinite(fits[i]):
-                    continue
-                improved = lns_improve(plans[i], lns, rng, adapter.model)
-                if improved is plans[i]:
-                    continue
-                genes = encode_sequences(
-                    [r.target_sequence for r in improved.routes], m)
-                f_new, plan_new = evaluate(genes)
-                if f_new < fits[i]:
-                    pop[i] = genes
-                    fits[i] = f_new
-                    plans[i] = plan_new
-
+            refine(pop, fits)
         gen_best = min(range(len(pop)), key=lambda i: fits[i])
         history.append((fits[gen_best], _mean(fits)))
         if fits[gen_best] < best_fit:
             best_fit = fits[gen_best]
-            best_plan = plans[gen_best]
+            best_genes = tuple(pop[gen_best])
             last_improve = gen
 
-    return SolveResult(best_plan=best_plan.copy(),
+    best_plan = plan_of(best_genes)
+    return SolveResult(best_plan=best_plan,
                        best_evaluation=adapter.final_evaluation(best_plan),
                        history=history, generations_run=gen, seed=seed)
 

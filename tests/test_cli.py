@@ -160,6 +160,70 @@ class TestSolve:
             assert code in (0, 2)
             assert (out / "schedule.csv").exists()
 
+    def test_lambert_routes_report_flight_times(self, tmp_path):
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        routes = {}
+        for algo in ("lns-aga", "lambert-ga"):
+            out = tmp_path / algo
+            main(["solve", str(scen_path), "--algo", algo, "--out",
+                  str(out)] + FAST)
+            routes[algo] = json.loads(
+                (out / "summary.json").read_text())["routes"]
+        for route in routes["lns-aga"]:
+            assert len(route["revolutions"]) == len(route["targets"])
+            assert "flight_times_s" not in route
+        # Each leg's flight time is the maneuver time of its schedule row,
+        # in route order.
+        schedule = read_csv(tmp_path / "lambert-ga" / "schedule.csv")[1:]
+        maneuver = SCHEDULE_COLUMNS.index("maneuver_time_s")
+        flown = []
+        for route in routes["lambert-ga"]:
+            assert "revolutions" not in route
+            assert len(route["flight_times_s"]) == len(route["targets"])
+            flown += route["flight_times_s"]
+        assert [f"{t:.3f}" for t in flown] == [r[maneuver] for r in schedule]
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    """A failed Lambert leg prices at infinity; the JSON files say null."""
+
+    @staticmethod
+    def _unflyable(path):
+        # A 4 h deadline leaves one candidate flight time, on which the
+        # 135 degree transfer fails.
+        save(make_scenario([(0.0, 0.0, 0.0, 2000.0)],
+                           [(0.0, 0.0, 135.0, 0.5 * HOUR)],
+                           deadline_s=4 * HOUR), path)
+
+    def test_solve_summary(self, tmp_path):
+        scen_path = tmp_path / "scenario.json"
+        self._unflyable(scen_path)
+        out = tmp_path / "out"
+        assert main(["solve", str(scen_path), "--algo", "lambert-ga",
+                     "--pop-size", "4", "--min-iters", "1",
+                     "--stall-iters", "1", "--out", str(out)]) == 2
+        summary = _strict_json(out / "summary.json")
+        assert summary["fitness"] is None
+        assert summary["total_dv_mps"] is None
+        assert summary["feasible"] is False
+
+    def test_bench_summary(self, tmp_path):
+        scen_path = tmp_path / "scenario.json"
+        self._unflyable(scen_path)
+        out = tmp_path / "bench"
+        assert main(["bench", str(scen_path), "--algo", "lambert-ga",
+                     "--runs", "2", "--pop-size", "4", "--min-iters", "1",
+                     "--stall-iters", "1", "--out", str(out)]) == 0
+        [row] = _strict_json(out / "summary.json")["algorithms"]
+        assert row["avg_dv_mps"] is None and row["std_dv_mps"] is None
+
 
 def _orbit_records(extra: str, low: float, high: float):
     return st.lists(st.fixed_dictionaries(
@@ -363,6 +427,16 @@ class TestOracle:
         save(scenario, scen_path)
         assert main(["oracle", str(scen_path)]) == 1
         assert "6 targets" in capsys.readouterr().err
+
+    def test_too_many_servicers_refused(self, tmp_path, capsys):
+        scen_path = tmp_path / "wide.json"
+        save(make_scenario(
+            [(float(i), 10.0 * i, 0.0, 2000.0) for i in range(6)],
+            [(0.0, 0.0, 90.0, HOUR), (1.0, 20.0, 180.0, HOUR)],
+            deadline_s=30 * DAY), scen_path)
+        assert main(["oracle", str(scen_path)]) == 1
+        err = _one_line_error(capsys)
+        assert "6 servicers" in err and "5 servicers" in err
 
 
 def _one_line_error(capsys) -> str:

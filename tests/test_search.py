@@ -615,9 +615,13 @@ class TestBoundedSearchCaches:
         original = search._MixedAdapter.route
 
         def spy(self, sid, seq):
-            # The cache is the ``cache`` cell of the engine's ``evaluate``
-            # closure, the adapter's caller; it is read before its insert.
-            sizes.append(len(sys._getframe(1).f_locals["cache"]))
+            # The cache is the ``cache`` local of the running engine, found
+            # by walking up to its frame from whichever helper called the
+            # adapter; it is read before any insert.
+            frame = sys._getframe(1)
+            while frame.f_code is not search._run_engine.__code__:
+                frame = frame.f_back
+            sizes.append(len(frame.f_locals["cache"]))
             return original(self, sid, seq)
 
         monkeypatch.setattr(search._MixedAdapter, "route", spy)
@@ -647,6 +651,35 @@ class TestBoundedSearchCaches:
         assert capped.history == fresh.history
         assert capped.best_plan == fresh.best_plan
         assert capped.best_evaluation.fitness == fresh.best_evaluation.fitness
+
+
+class TestEngineState:
+    """The engine keeps chromosomes and fitnesses; an operator that changes
+    the plan it is given cannot change the search or its report."""
+
+    @staticmethod
+    def _solve(monkeypatch, spy):
+        monkeypatch.setattr(search, "lns_improve", spy)
+        return solve_lns_aga(random_scenario(6, 2, 10.0, seed=7),
+                             small_ga(20, 20, 10), LnsParams(), seed=1)
+
+    def test_an_lns_step_that_mutates_its_input_changes_nothing(
+            self, monkeypatch):
+        def identity(plan, params, rng, model):
+            return plan
+
+        def bump(plan, params, rng, model):
+            for route in plan.routes:
+                route.revolutions = [k + 1 for k in route.revolutions]
+            return plan
+
+        clean = self._solve(monkeypatch, identity)
+        dirty = self._solve(monkeypatch, bump)
+        assert dirty.history == clean.history
+        assert dirty.best_plan == clean.best_plan
+        least = min(best for best, _ in dirty.history)
+        assert dirty.best_evaluation.fitness == pytest.approx(least,
+                                                              rel=1e-9)
 
 
 class TestLnsImprove:
