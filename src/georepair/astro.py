@@ -14,6 +14,14 @@ revolutions later exactly when the target sweeps through the maneuver
 point. A zero-revolution Lambert solver, a safeguarded Newton iteration on
 the universal variable, is included as the baseline transfer model for
 comparisons.
+
+States and the Lambert solver work on plain floats: ``orbit_to_state``
+gives position and velocity as 3-tuples, and ``lambert_solve`` takes any
+3-sequences and returns 3-tuples, reducing its norms and dot product as
+left-to-right sums under ``math.sqrt``. Their floats therefore depend only
+on IEEE double arithmetic and libm, not on the BLAS kernel numpy picks at
+run time. The mixed rendezvous is vector code: ``rendezvous_mixed`` and
+``coast_time_to_node`` turn a state into arrays on entry.
 """
 
 from __future__ import annotations
@@ -118,15 +126,15 @@ class GeoOrbit:
 
 @dataclass(frozen=True)
 class CartesianState:
-    """Inertial position (km), velocity (km/s) and time since epoch (s)."""
+    """Inertial position (km), velocity (km/s) and time since epoch (s).
 
-    r: np.ndarray
-    v: np.ndarray
+    ``r`` and ``v`` are 3-tuples of floats; vector code wraps them in
+    ``np.asarray`` where it needs arrays.
+    """
+
+    r: tuple[float, float, float]
+    v: tuple[float, float, float]
     t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -187,11 +195,11 @@ def orbit_to_state(orbit: GeoOrbit, t: float,
     u = orbit.arg_lat0 + consts.mean_motion * t
     cu, su = math.cos(u), math.sin(u)
     r_geo, v_geo, nsu = consts.r_geo, consts.v_geo, -su
-    r = np.array([r_geo * (cu * co + su * e2x), r_geo * (cu * so + su * e2y),
-                  r_geo * (cu * 0.0 + su * si)])
-    v = np.array([v_geo * (nsu * co + cu * e2x), v_geo * (nsu * so + cu * e2y),
-                  v_geo * (nsu * 0.0 + cu * si)])
-    return CartesianState(r=r, v=v, t=t)
+    r = (r_geo * (cu * co + su * e2x), r_geo * (cu * so + su * e2y),
+         r_geo * (cu * 0.0 + su * si))
+    v = (v_geo * (nsu * co + cu * e2x), v_geo * (nsu * so + cu * e2y),
+         v_geo * (nsu * 0.0 + cu * si))
+    return CartesianState(r, v, t)
 
 
 def angular_momentum_dir(orbit: GeoOrbit) -> np.ndarray:
@@ -209,7 +217,7 @@ def coast_time_to_node(state: CartesianState, node: np.ndarray,
     The node must lie in the orbit plane. Returns the shortest non-negative
     duration, in [0, t_geo).
     """
-    r_hat = _unit(state.r)
+    r_hat = _unit(np.asarray(state.r, dtype=float))
     n_hat = _unit(np.asarray(node, dtype=float))
     cosang = min(1.0, max(-1.0, float(np.dot(r_hat, n_hat))))
     ang = math.acos(cosang)
@@ -276,16 +284,18 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise InvalidRevolutions(f"revolution count must be a positive integer, got {k!r}")
-    h_s = _unit(np.cross(servicer_state.r, servicer_state.v))
+    r0 = np.asarray(servicer_state.r, dtype=float)
+    v0 = np.asarray(servicer_state.v, dtype=float)
+    h_s = _unit(np.cross(r0, v0))
     h_t = angular_momentum_dir(target)
     alpha = math.atan2(float(np.linalg.norm(np.cross(h_s, h_t))),
                        float(np.dot(h_s, h_t)))
-    v_mag = float(np.linalg.norm(servicer_state.v))
+    v_mag = float(np.linalg.norm(v0))
 
     if alpha < COPLANAR_TOL:
         coast = 0.0
-        r_node = servicer_state.r
-        v_after = servicer_state.v
+        r_node = r0
+        v_after = v0
         dv1 = np.zeros(3)
     else:
         n_hat = _unit(np.cross(h_s, h_t))
@@ -296,8 +306,8 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
                 best = (tc, node)
         coast, node = best
         angle = coast * consts.mean_motion
-        r_node = _rotate(servicer_state.r, h_s, angle)
-        v_before = _rotate(servicer_state.v, h_s, angle)
+        r_node = _rotate(r0, h_s, angle)
+        v_before = _rotate(v0, h_s, angle)
         v_after = v_mag * _unit(np.cross(h_t, _unit(r_node)))
         dv1 = v_after - v_before
 
@@ -307,7 +317,7 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
     # prograde in the target plane: this is the theta of the phasing-orbit
     # equations (its negation carries the lead-angle sign convention).
     tgt = orbit_to_state(target, t1, consts)
-    r_hat_t = _unit(tgt.r)
+    r_hat_t = _unit(np.asarray(tgt.r, dtype=float))
     r_hat_n = _unit(r_node)
     theta = math.atan2(float(np.dot(np.cross(r_hat_t, r_hat_n), h_t)),
                        float(np.dot(r_hat_t, r_hat_n)))
@@ -415,14 +425,16 @@ def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
     return r, v
 
 
-def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
-                  prograde: bool = True,
-                  consts: PhysicalConstants = GEO,
-                  max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
+def lambert_solve(r1, r2, tof: float, prograde: bool = True,
+                  consts: PhysicalConstants = GEO, max_iter: int = 80
+                  ) -> tuple[tuple[float, float, float],
+                             tuple[float, float, float]]:
     """Zero-revolution Lambert transfer via universal variables.
 
-    Returns the departure and arrival velocities (km/s) of the two-body arc
-    from ``r1`` to ``r2`` in ``tof`` seconds. The sweep direction is
+    Returns the departure and arrival velocities (km/s), as 3-tuples, of the
+    two-body arc from positions ``r1`` to ``r2`` (any 3-sequences, km) in
+    ``tof`` seconds. ``|r1|``, ``|r2|`` and ``r1 . r2`` are left-to-right
+    sums of products under ``math.sqrt``. The sweep direction is
     prograde (counterclockwise about +z) unless ``prograde`` is False.
     The time-of-flight root in the universal variable z is found by Newton's
     method (Curtis, Orbital Mechanics for Engineering Students, Alg. 5.2),
@@ -433,14 +445,14 @@ def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
     """
     if tof <= 0.0:
         raise ValueError("time of flight must be positive")
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
+    x1, y1, z1 = r1
+    x2, y2, z2 = r2
     mu = consts.mu
-    r1n = float(np.linalg.norm(r1))
-    r2n = float(np.linalg.norm(r2))
+    r1n = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    r2n = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
     # Only the sign of the z component of r1 x r2 is read.
-    cross_z = r1[0] * r2[1] - r1[1] * r2[0]
-    cosd = min(1.0, max(-1.0, float(np.dot(r1, r2)) / (r1n * r2n)))
+    cross_z = x1 * y2 - y1 * x2
+    cosd = min(1.0, max(-1.0, (x1 * x2 + y1 * y2 + z1 * z2) / (r1n * r2n)))
     dnu = math.acos(cosd)
     if (cross_z >= 0.0) != prograde:
         dnu = TWO_PI - dnu
@@ -520,6 +532,6 @@ def lambert_solve(r1: np.ndarray, r2: np.ndarray, tof: float,
     fl = 1.0 - y / r1n
     g = a_coef * math.sqrt(y / mu)
     gdot = 1.0 - y / r2n
-    v1 = (r2 - fl * r1) / g
-    v2 = (gdot * r2 - r1) / g
+    v1 = ((x2 - fl * x1) / g, (y2 - fl * y1) / g, (z2 - fl * z1) / g)
+    v2 = ((gdot * x2 - x1) / g, (gdot * y2 - y1) / g, (gdot * z2 - z1) / g)
     return v1, v2

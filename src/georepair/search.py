@@ -22,13 +22,16 @@ An adapter per leg model prices routes for the search. The mixed adapter
 holds only a ``planning.CostModel``, built once per solve with the solve's
 slack rule and penalty weights, and the LNS operators take that same
 model, so one pricing policy and one set of memos serve the whole solve.
-The Lambert adapter flies and prices a leg in one place, ``_fly``. It keeps
-one bounded cache, of priced legs keyed on their exact departure and
-flight times, so a leg's price does not depend on what the cache held, and
-it recomputes a route from that cache. The best plan is then re-evaluated
-by ``planning.evaluate_plan``, with the mixed leg or with a Lambert leg
-that flies through ``_fly`` at the flight time the search chose, so every
-leg reports the price the search used, a failed leg infinite in both.
+The Lambert adapter flies and prices a leg in one place, ``_fly``, on plain
+floats: states and Lambert velocities are 3-tuples and each norm is a
+left-to-right sum under ``math.sqrt``, so no numpy call runs per leg and a
+price does not depend on the host's BLAS. It keeps one bounded cache, of
+priced legs keyed on their exact departure and flight times, so a leg's
+price does not depend on what the cache held, and it recomputes a route
+from that cache. The best plan is then re-evaluated by
+``planning.evaluate_plan``, with the mixed leg or with a Lambert leg that
+flies through ``_fly`` at the flight time the search chose, so every leg
+reports the price the search used, a failed leg infinite in both.
 """
 
 from __future__ import annotations
@@ -475,25 +478,29 @@ class _LambertAdapter:
 
     def _fly(self, state, to_id: int, tof: float):
         """(delta-v 1 km/s, delta-v 2 km/s, price m/s) of the Lambert arc
-        from ``state`` to target ``to_id`` in ``tof`` s, the price being
-        (|dv1| + |dv2|) * 1000. Raises ``AstroError`` when the arc fails."""
+        from ``state`` to target ``to_id`` in ``tof`` s. The burns are
+        3-tuples and the price is (|dv1| + |dv2|) * 1000, each norm the
+        square root of a left-to-right sum of squares, so no numpy call
+        runs per leg. Raises ``AstroError`` when the arc fails."""
         consts = self.scenario.constants
         arrive = orbit_to_state(self._orbits[to_id], state.t + tof, consts)
-        v1, v2 = lambert_solve(state.r, arrive.r, tof, True, consts)
-        dv1 = v1 - state.v
-        dv2 = arrive.v - v2
-        return dv1, dv2, (float(np.linalg.norm(dv1))
-                          + float(np.linalg.norm(dv2))) * 1000.0
+        (v1x, v1y, v1z), (v2x, v2y, v2z) = lambert_solve(
+            state.r, arrive.r, tof, True, consts)
+        (sx, sy, sz), (tx, ty, tz) = state.v, arrive.v
+        d1x, d1y, d1z = v1x - sx, v1y - sy, v1z - sz
+        d2x, d2y, d2z = tx - v2x, ty - v2y, tz - v2z
+        return ((d1x, d1y, d1z), (d2x, d2y, d2z),
+                (math.sqrt(d1x * d1x + d1y * d1y + d1z * d1z)
+                 + math.sqrt(d2x * d2x + d2y * d2y + d2z * d2z)) * 1000.0)
 
     def _leg(self, from_key, to_id, t_dep: float, tof: float):
-        """(actual tof, cost m/s) with fallback over neighboring grid times.
+        """(actual tof, cost m/s) with fallback over neighboring grid times,
+        priced afresh and stored in the leg cache.
 
         ``tof`` is a grid time. The cache key holds the exact departure
-        time, so a leg's price depends on its key alone."""
+        time, so a leg's price depends on its key alone; ``route_detail``
+        reads the cache itself and calls this only on a miss."""
         key = (from_key, to_id, t_dep, tof)
-        hit = self._leg_cache.get(key)
-        if hit is not None:
-            return hit
         state = orbit_to_state(self._orbits[from_key], t_dep,
                                self.scenario.constants)
         result = (tof, math.inf)
@@ -510,17 +517,21 @@ class _LambertAdapter:
 
     def route_detail(self, sid: int, seq):
         """(flight times, delta-v m/s, deadline violation s) of a route,
-        each leg from the leg cache."""
+        each leg from the leg cache, priced by ``_leg`` on a miss."""
         if not seq:
             return (), 0.0, 0.0
         tofs = self._allocate_tofs(sid, seq)
+        cache = self._leg_cache
         t = 0.0
         dv = 0.0
         p1 = 0.0
         used = []
         from_key = ("S", sid)
         for tid, tof in zip(seq, tofs):
-            actual, cost = self._leg(from_key, tid, t, tof)
+            hit = cache.get((from_key, tid, t, tof))
+            if hit is None:
+                hit = self._leg(from_key, tid, t, tof)
+            actual, cost = hit
             used.append(actual)
             dv += cost
             t = t + actual + self._td[tid]
@@ -557,7 +568,8 @@ class _LambertAdapter:
                 imp1 = imp2 = np.full(3, math.nan)
                 leg_dv = math.inf
             else:
-                imp1, imp2 = dv1 * 1000.0, dv2 * 1000.0
+                imp1 = np.array(dv1) * 1000.0
+                imp2 = np.array(dv2) * 1000.0
             return RendezvousSolution(
                 impulse1=imp1, impulse2=imp2, t1=state.t, t2=state.t + tof,
                 coast_time=0.0, phase_time=tof, total_time=tof,

@@ -64,8 +64,8 @@ class TestOrbitToState:
         rng = random.Random(1)
         for _ in range(20):
             orb = random_orbit(rng)
-            r0 = orbit_to_state(orb, 0.0).r
-            r1 = orbit_to_state(orb, GEO.t_geo).r
+            r0 = np.asarray(orbit_to_state(orb, 0.0).r)
+            r1 = np.asarray(orbit_to_state(orb, GEO.t_geo).r)
             assert np.linalg.norm(r1 - r0) < 1e-6
 
     def test_table_inputs_satisfy_circular_invariants(self):
@@ -204,7 +204,7 @@ def propagate_through_solution(state, sol, consts=GEO):
         c, s = math.cos(angle), math.sin(angle)
         return vec * c + np.cross(h, vec) * s + h * np.dot(h, vec) * (1 - c)
 
-    r1, v1 = rot(state.r), rot(state.v)
+    r1, v1 = rot(np.asarray(state.r)), rot(np.asarray(state.v))
     v1 = v1 + sol.impulse1 / 1000.0
     r2, v2 = propagate_universal(r1, v1, sol.phase_time, consts)
     return r2, v2 + sol.impulse2 / 1000.0
@@ -347,8 +347,8 @@ class TestLambert:
         tof = 0.4 * GEO.t_geo
         v1, v2 = lambert_solve(r1, r2, tof, prograde=True)
         w1, w2 = lambert_solve(r2, r1, tof, prograde=False)
-        np.testing.assert_allclose(w1, -v2, atol=1e-8)
-        np.testing.assert_allclose(w2, -v1, atol=1e-8)
+        np.testing.assert_allclose(w1, -np.asarray(v2), atol=1e-8)
+        np.testing.assert_allclose(w2, -np.asarray(v1), atol=1e-8)
 
     def test_collinear_raises(self):
         r1 = np.array([GEO.r_geo, 0.0, 0.0])
@@ -380,7 +380,23 @@ def test_fold_angle_range():
 # Reference copies of the vector forms that the scalar orbit_to_state and
 # _stumpff replaced; the scalar forms must return the same floats bit for
 # bit, the sign of zero included. reference_lambert_solve is the bisection
-# that lambert_solve's Newton iteration replaced, kept as its oracle.
+# that lambert_solve's Newton iteration replaced, kept as its oracle, and
+# vector_lambert_solve is the numpy form of the Newton iteration that the
+# scalar lambert_solve replaced. Both reduce |r1|, |r2| and r1 . r2 as
+# lambert_solve does, by left-to-right sums under math.sqrt: on exactly
+# collinear round-degree geometry the last bit of cos(dnu) decides whether
+# the singular-angle guard fires, and a BLAS dot product, whose rounding
+# depends on the kernel numpy picks, would compare the reductions there
+# rather than the iterations.
+
+
+def plain_norm(r):
+    return math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
+
+
+def plain_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
 
 def reference_stumpff_c(z):
     if z > 1e-8:
@@ -421,10 +437,10 @@ def reference_lambert_solve(r1, r2, tof, prograde=True, consts=GEO,
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     mu = consts.mu
-    r1n = float(np.linalg.norm(r1))
-    r2n = float(np.linalg.norm(r2))
+    r1n = plain_norm(r1)
+    r2n = plain_norm(r2)
     cross = np.cross(r1, r2)
-    cosd = min(1.0, max(-1.0, float(np.dot(r1, r2)) / (r1n * r2n)))
+    cosd = min(1.0, max(-1.0, plain_dot(r1, r2) / (r1n * r2n)))
     dnu = math.acos(cosd)
     if (cross[2] >= 0.0) != prograde:
         dnu = TWO_PI - dnu
@@ -475,6 +491,102 @@ def reference_lambert_solve(r1, r2, tof, prograde=True, consts=GEO,
     return (r2 - fl * r1) / g, (gdot * r2 - r1) / g
 
 
+def vector_lambert_solve(r1, r2, tof, prograde=True, consts=GEO,
+                         max_iter=80):
+    if tof <= 0.0:
+        raise ValueError("time of flight must be positive")
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    mu = consts.mu
+    r1n = plain_norm(r1)
+    r2n = plain_norm(r2)
+    # Only the sign of the z component of r1 x r2 is read.
+    cross_z = r1[0] * r2[1] - r1[1] * r2[0]
+    cosd = min(1.0, max(-1.0, plain_dot(r1, r2) / (r1n * r2n)))
+    dnu = math.acos(cosd)
+    if (cross_z >= 0.0) != prograde:
+        dnu = TWO_PI - dnu
+
+    sind = math.sin(dnu)
+    if abs(sind) < 1e-8 or dnu < 1e-8 or TWO_PI - dnu < 1e-8:
+        raise CollinearGeometry(f"singular transfer angle {dnu!r} rad")
+    a_coef = sind * math.sqrt(r1n * r2n / (1.0 - cosd))
+
+    sqrt_mu = math.sqrt(mu)
+    target = sqrt_mu * tof
+
+    def stumpff_y(z: float) -> tuple[float, float, float]:
+        c, s = _stumpff(z)
+        return c, s, r1n + r2n + a_coef * (z * s - 1.0) / math.sqrt(c)
+
+    def tof_fn(z: float) -> float:
+        c, s, y = stumpff_y(z)
+        if y < 0.0:
+            return -1.0  # below the valid branch; treat as too-short flight
+        return (y / c) ** 1.5 * s + a_coef * math.sqrt(y) - target
+
+    # Bracket the root in z (zero-revolution branch: z < (2 pi)^2). The
+    # flight time is monotone increasing in z, so expand the hyperbolic
+    # side until it undershoots. Newton steps from z = 0 then narrow the
+    # bracket; a step that leaves it, or one from an iterate where y <= 0
+    # (counted as too short a flight, as in tof_fn), becomes the midpoint.
+    z_hi = TWO_PI ** 2 * 0.999
+    z_lo = -4.0 * TWO_PI ** 2
+    for _ in range(40):
+        if tof_fn(z_lo) < 0.0:
+            break
+        z_lo *= 2.0
+    else:
+        raise NoConvergence("Lambert time of flight not bracketed")
+    if tof_fn(z_hi) < 0.0:
+        raise NoConvergence("Lambert time of flight not bracketed")
+    z = 0.0
+    for _ in range(max_iter):
+        c, s, y = stumpff_y(z)
+        z_new = None
+        if y <= 0.0:
+            z_lo = z
+        else:
+            sqrt_y = math.sqrt(y)
+            x3 = (y / c) ** 1.5
+            f = x3 * s + a_coef * sqrt_y - target
+            if f > 0.0:
+                z_hi = z
+            else:
+                z_lo = z
+            # dF/dz; its general form cancels to 0/0 at z = 0, so within
+            # the Stumpff series band the z = 0 limit is used.
+            if abs(z) > 1e-8:
+                dfdz = (x3 * ((c - 1.5 * s / c) / (2.0 * z)
+                              + 0.75 * s * s / c)
+                        + a_coef / 8.0 * (3.0 * s / c * sqrt_y
+                                          + a_coef * math.sqrt(c / y)))
+            else:
+                dfdz = (math.sqrt(2.0) / 40.0 * y * sqrt_y
+                        + a_coef / 8.0 * (sqrt_y
+                                          + a_coef * math.sqrt(0.5 / y)))
+            if dfdz > 0.0:
+                z_new = z - f / dfdz
+        if z_new is None or not z_lo <= z_new <= z_hi:
+            z_new = 0.5 * (z_lo + z_hi)
+        if abs(z_new - z) < 1e-13 * max(1.0, abs(z_new)):
+            z = z_new
+            break
+        z = z_new
+    else:
+        raise NoConvergence("Lambert iteration did not converge")
+    y = stumpff_y(z)[2]
+    if y <= 0.0:
+        raise NoConvergence("Lambert iteration converged to invalid geometry")
+
+    fl = 1.0 - y / r1n
+    g = a_coef * math.sqrt(y / mu)
+    gdot = 1.0 - y / r2n
+    v1 = (r2 - fl * r1) / g
+    v2 = (gdot * r2 - r1) / g
+    return v1, v2
+
+
 def hexes(*arrays):
     return [float(x).hex() for a in arrays for x in np.ravel(a)]
 
@@ -496,6 +608,30 @@ def swept_angle(r1, r2, prograde):
     return dnu
 
 
+def lambert_cases():
+    """(r1, r2, tof) of 600 transfers: 300 between random low-inclination
+    orbits and 300 between round-degree ones over grid flight times, where
+    positions are often exactly coincident or antipodal."""
+    rng = random.Random(43)
+    cases = []
+    for _ in range(300):
+        a = GeoOrbit(rng.uniform(0.0, math.radians(15.0)),
+                     rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
+        b = GeoOrbit(rng.uniform(0.0, math.radians(15.0)),
+                     rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
+        t = rng.uniform(0.0, 3.0 * GEO.t_geo)
+        tof = rng.uniform(0.05, 2.5) * GEO.t_geo
+        cases.append((orbit_to_state(a, t).r,
+                      orbit_to_state(b, t + tof).r, tof))
+    rounds = list(round_degree_orbits())
+    for _ in range(300):
+        a, b = rng.choice(rounds), rng.choice(rounds)
+        tof = GEO.t_geo * rng.choice((0.125, 0.25, 0.5, 0.75, 1.0, 1.5))
+        cases.append((orbit_to_state(a, 0.0).r, orbit_to_state(b, tof).r,
+                      tof))
+    return cases
+
+
 def round_degree_orbits():
     """Orbits on round degrees, equatorial ones and node crossings among
     them, where components land on exact zeros of either sign."""
@@ -503,6 +639,26 @@ def round_degree_orbits():
         for raan in range(0, 360, 45):
             for u in range(0, 360, 45):
                 yield GeoOrbit.from_degrees(inc, raan, u)
+
+
+SINGULAR_CASES = [
+    (math.pi, GEO.t_geo / 2.0, True, CollinearGeometry),
+    (math.pi, GEO.t_geo / 2.0, False, CollinearGeometry),
+    (0.0, GEO.t_geo / 2.0, True, CollinearGeometry),
+    (0.0, GEO.t_geo / 2.0, False, CollinearGeometry),
+    (1e-9, GEO.t_geo / 2.0, True, CollinearGeometry),
+    (1e-6, GEO.t_geo / 2.0, False, NoConvergence),
+    (1e-6, 2.0 * GEO.t_geo, False, NoConvergence),
+    (1.0, 0.0, True, ValueError),
+    (1.0, -1.0, False, ValueError),
+]
+
+
+def singular_positions(angle):
+    """Equatorial GEO positions ``angle`` rad apart."""
+    r1 = np.array([GEO.r_geo, 0.0, 0.0])
+    r2 = GEO.r_geo * np.array([math.cos(angle), math.sin(angle), 0.0])
+    return r1, r2
 
 
 class TestExactScalarForms:
@@ -542,25 +698,8 @@ class TestExactScalarForms:
         assert signed_zeros > 10
 
     def test_lambert_matches_the_vector_form(self):
-        rng = random.Random(43)
-        cases = []
-        for _ in range(300):
-            a = GeoOrbit(rng.uniform(0.0, math.radians(15.0)),
-                         rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
-            b = GeoOrbit(rng.uniform(0.0, math.radians(15.0)),
-                         rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
-            t = rng.uniform(0.0, 3.0 * GEO.t_geo)
-            tof = rng.uniform(0.05, 2.5) * GEO.t_geo
-            cases.append((orbit_to_state(a, t).r,
-                          orbit_to_state(b, t + tof).r, tof))
-        rounds = list(round_degree_orbits())
-        for _ in range(300):
-            a, b = rng.choice(rounds), rng.choice(rounds)
-            tof = GEO.t_geo * rng.choice((0.125, 0.25, 0.5, 0.75, 1.0, 1.5))
-            cases.append((orbit_to_state(a, 0.0).r, orbit_to_state(b, tof).r,
-                          tof))
         outcomes = set()
-        for r1, r2, tof in cases:
+        for r1, r2, tof in lambert_cases():
             for prograde in (True, False):
                 got = lambert_outcome(lambert_solve, r1, r2, tof, prograde)
                 want = lambert_outcome(reference_lambert_solve, r1, r2, tof,
@@ -583,21 +722,31 @@ class TestExactScalarForms:
                     rel, math.degrees(dnu), tof / GEO.t_geo, prograde)
         assert outcomes == {list, CollinearGeometry, NoConvergence}
 
-    @pytest.mark.parametrize("angle, tof, prograde, error", [
-        (math.pi, GEO.t_geo / 2.0, True, CollinearGeometry),
-        (math.pi, GEO.t_geo / 2.0, False, CollinearGeometry),
-        (0.0, GEO.t_geo / 2.0, True, CollinearGeometry),
-        (0.0, GEO.t_geo / 2.0, False, CollinearGeometry),
-        (1e-9, GEO.t_geo / 2.0, True, CollinearGeometry),
-        (1e-6, GEO.t_geo / 2.0, False, NoConvergence),
-        (1e-6, 2.0 * GEO.t_geo, False, NoConvergence),
-        (1.0, 0.0, True, ValueError),
-        (1.0, -1.0, False, ValueError),
-    ])
+    def test_lambert_is_the_vector_newton_iteration_bit_for_bit(self):
+        # The scalar solver is the numpy one with its velocities computed
+        # per component: same floats, same failures, on every case above.
+        outcomes = set()
+        for r1, r2, tof in lambert_cases():
+            for prograde in (True, False):
+                got = lambert_outcome(lambert_solve, r1, r2, tof, prograde)
+                want = lambert_outcome(vector_lambert_solve, r1, r2, tof,
+                                       prograde)
+                if isinstance(want, type):
+                    assert got is want
+                else:
+                    assert hexes(*got) == hexes(*want), (r1, r2, tof)
+                outcomes.add(got if isinstance(got, type) else list)
+        assert outcomes == {list, CollinearGeometry, NoConvergence}
+
+    @pytest.mark.parametrize("angle, tof, prograde, error", SINGULAR_CASES)
     def test_singular_geometry_raises_the_same_class(self, angle, tof,
                                                      prograde, error):
-        r1 = np.array([GEO.r_geo, 0.0, 0.0])
-        r2 = GEO.r_geo * np.array([math.cos(angle), math.sin(angle), 0.0])
+        r1, r2 = singular_positions(angle)
         assert lambert_outcome(lambert_solve, r1, r2, tof, prograde) is error
         assert lambert_outcome(reference_lambert_solve, r1, r2, tof,
+                               prograde) is error
+        assert lambert_outcome(vector_lambert_solve, r1, r2, tof,
+                               prograde) is error
+        # The solver takes any 3-sequence: tuples and lists give the same.
+        assert lambert_outcome(lambert_solve, tuple(r1), list(r2), tof,
                                prograde) is error

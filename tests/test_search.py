@@ -5,6 +5,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1027,3 +1028,86 @@ class TestLambertReportsTheSearchPrice:
                             Route(2, [4, 5, 6], [1] * 3)])
         with pytest.raises(ValueError, match="every target exactly once"):
             _LambertAdapter(scenario, 1.0, 10.0).final_evaluation(plan)
+
+
+class TestLambertWorkCounts:
+    """Exact work of fixed Lambert solves: a change to how a leg is flown or
+    cached must do the same work, or say why it does not."""
+
+    @pytest.mark.parametrize("case, scenario, ga, counts", [
+        ("tight", lambda: random_scenario(6, 2, 6.0, seed=7),
+         lambda: small_ga(20, 20, 10), (269, 532, 263)),
+        ("roomy", lambda: random_scenario(6, 2, 10.0, seed=7),
+         lambda: small_ga(20, 20, 10), (315, 624, 309)),
+        # The benchmark's case_lambert workload.
+        ("case_study", case_study, lambda: None, (10_019, 20_024, 10_005)),
+    ])
+    def test_solve_counts(self, monkeypatch, case, scenario, ga, counts):
+        seen = {"lambert_solve": 0, "orbit_to_state": 0, "misses": 0}
+
+        class CountingCache(dict):
+            def __setitem__(self, key, value):
+                seen["misses"] += 1
+                super().__setitem__(key, value)
+
+        init = _LambertAdapter.__init__
+
+        def counting_init(self, *args):
+            init(self, *args)
+            self._leg_cache = CountingCache()
+
+        def counted(name):
+            original = getattr(search, name)
+
+            def call(*args, **kwargs):
+                seen[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(_LambertAdapter, "__init__", counting_init)
+        for name in ("lambert_solve", "orbit_to_state"):
+            monkeypatch.setattr(search, name, counted(name))
+        solve_lambert_ga(scenario(), ga(), seed=1)
+        assert (seen["lambert_solve"], seen["orbit_to_state"],
+                seen["misses"]) == counts
+
+
+class TestLambertNeedsNoBlas:
+    """The Lambert leg path runs on plain floats, so its prices and reports
+    do not depend on the BLAS kernel numpy dispatches to."""
+
+    def test_route_pricing_and_final_evaluation(self, monkeypatch):
+        scenario = case_study()
+        m, n = len(scenario.targets), len(scenario.servicers)
+        sids = [s.id for s in scenario.servicers]
+        chromosomes = init_population(m, n, 40, random.Random(23))
+        routes = [(sid, tuple(seq)) for genes in chromosomes
+                  for sid, seq in zip(sids, decode(genes, m, n))]
+        plans = [MissionPlan([Route(sid, list(seq), [1] * len(seq))
+                              for sid, seq in zip(sids, decode(genes, m, n))])
+                 for genes in chromosomes[:5]]
+
+        def run():
+            adapter = _LambertAdapter(scenario, 1.0, 10.0)
+            record = []
+            for sid, seq in routes:
+                tofs, dv, p1 = adapter.route_detail(sid, seq)
+                record.append([[t.hex() for t in tofs], dv.hex(), p1.hex()])
+            for plan in plans:
+                ev = adapter.final_evaluation(plan)
+                record.append([ev.fitness.hex(), ev.total_dv.hex()])
+                for leg in ev.leg_details:
+                    sol = leg.solution
+                    record.append([sol.total_dv.hex(), sol.t2.hex()]
+                                  + [float(x).hex() for x in sol.impulse1]
+                                  + [float(x).hex() for x in sol.impulse2])
+            return record
+
+        want = run()
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("a numpy reduction on the Lambert path")
+
+        for owner, name in ((np, "dot"), (np, "cross"), (np.linalg, "norm")):
+            monkeypatch.setattr(owner, name, no_blas)
+        assert run() == want
