@@ -24,10 +24,11 @@ revolution serves any revolution allocation. A model prices under one
 policy, the allocator's slack rule and the penalty weights phi and gamma,
 fixed when it is built, and keeps two bounded memos under it. The route
 memo prices each (servicer, sequence) once: the route is simulated,
-allocated on end times alone and costed once, and the allocator, the LNS
-insertion scan and the GA's route scoring all read it. The insertion memo
-scans each (route contents, target) pair once for its cheapest slots, so
-LNS repair reuses a scan across repair rounds, attempts and generations.
+allocated on end times alone and costed once; the search reads it through
+``priced_score`` on target sequences alone, and ``allocate`` gives the
+revolutions of a reported plan. The insertion memo scans each (servicer,
+sequence, target) once for its cheapest slots, so LNS repair reuses a
+scan across repair rounds, attempts and generations.
 The engine agrees with ``evaluate_plan`` to float precision and a test
 pins that agreement.
 """
@@ -141,17 +142,10 @@ class Route:
         if any(n < 1 for n in self.revolutions):
             raise ValueError("every revolution count must be >= 1")
 
-    def copy(self) -> "Route":
-        return Route(self.servicer_id, list(self.target_sequence),
-                     list(self.revolutions))
-
 
 @dataclass
 class MissionPlan:
     routes: list[Route]
-
-    def copy(self) -> "MissionPlan":
-        return MissionPlan([r.copy() for r in self.routes])
 
     def covered_targets(self) -> list[int]:
         out = []
@@ -330,13 +324,13 @@ class CostModel:
     each route's geometry is built and allocated once. The memo empties
     itself when it reaches ``_ROUTE_CACHE_CAP`` entries. ``route_metrics``
     answers from it when given the memoized revolutions and computes any
-    other allocation fresh.
+    other allocation fresh. The search reads it through ``priced_score``
+    and holds no revolutions; ``allocate`` gives those of a reported plan.
 
-    ``insertion_scan`` memoizes, per route contents (servicer, sequence,
-    revolutions) and target, the cheapest slots for that target in that
-    route; it empties itself at the same cap. ``pair_cost_table`` tables
-    the normalized target-pair costs that LNS relatedness reads, once per
-    ``beta``.
+    ``insertion_scan`` memoizes, per (servicer, sequence, target), the
+    cheapest slots for that target in that route; it empties itself at the
+    same cap. ``pair_cost_table`` tables the normalized target-pair costs
+    that LNS relatedness reads, once per ``beta``.
     """
 
     def __init__(self, scenario: Scenario, slack_rule: str = "largest",
@@ -367,6 +361,7 @@ class CostModel:
         self._insertions: dict = {}
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
+        self.servicer_ids = tuple(s.id for s in scenario.servicers)
         self._max_revs = max(1, math.ceil(scenario.deadline / c.t_geo) - 1)
         self._pair_costs: dict = {}
 
@@ -475,48 +470,53 @@ class CostModel:
             return hit[1:]
         return self._route_cost(self.route_geometry(servicer_id, seq), revs)
 
-    def route_score(self, servicer_id: int, seq, revs):
-        """Route contribution to plan fitness (penalties included)."""
-        dv, p1, _ = self.route_metrics(servicer_id, seq, revs)
+    def _score(self, servicer_id: int, dv: float, p1: float):
+        """(penalized fitness, delta-v m/s, deadline violation s, budget
+        excess m/s) of a route of servicer ``servicer_id``."""
         p2 = max(dv - self._budget[servicer_id], 0.0)
         return penalized_fitness(dv, p1, p2, self.phi, self.gamma), dv, p1, p2
 
-    def priced_score(self, servicer_id: int, seq):
-        """(revolutions, penalized fitness, feasible) of ``priced_route``;
-        feasible means no deadline violation and no budget excess."""
-        revs, dv, p1, _ = self.priced_route(servicer_id, seq)
-        p2 = max(dv - self._budget[servicer_id], 0.0)
-        return (revs, penalized_fitness(dv, p1, p2, self.phi, self.gamma),
-                p1 == 0.0 and p2 == 0.0)
+    def route_score(self, servicer_id: int, seq, revs):
+        """Route contribution to plan fitness (penalties included), as
+        ``(score, dv, p1, p2)``."""
+        dv, p1, _ = self.route_metrics(servicer_id, seq, revs)
+        return self._score(servicer_id, dv, p1)
 
-    def insertion_scan(self, servicer_id: int, seq, revs, target_id: int):
+    def priced_score(self, servicer_id: int, seq):
+        """``route_score`` of a route on its ``allocate`` revolutions, read
+        from the route memo."""
+        _, dv, p1, _ = self.priced_route(servicer_id, seq)
+        return self._score(servicer_id, dv, p1)
+
+    def insertion_scan(self, servicer_id: int, seq, target_id: int):
         """Cheapest slots for ``target_id`` in one route, from the memo.
 
-        Each slot's route is re-allocated through ``priced_route`` and its
-        delta is its penalized fitness minus that of ``seq`` flown on
-        ``revs``. Returns ``(feasible, penalized)``: the first slot of least
-        delta among those whose route meets the deadline and the budget
-        (None if no slot does) and the first of least delta among all
-        slots, each as ``(delta, (servicer_id, slot))``.
+        Each slot's route and ``seq`` itself are priced by ``priced_score``,
+        and a slot's delta is the difference of their penalized fitnesses.
+        Returns ``(feasible, penalized)``: the first slot of least delta
+        among those whose route meets the deadline and the budget (None if
+        no slot does) and the first of least delta among all slots, each as
+        ``(delta, slot)``.
         """
         seq = tuple(seq)
-        key = (servicer_id, seq, tuple(revs), target_id)
+        key = (servicer_id, seq, target_id)
         hit = self._insertions.get(key)
         if hit is None:
-            old_score = self.route_score(servicer_id, seq, revs)[0]
+            old_score = self.priced_score(servicer_id, seq)[0]
             best = None
             best_pen = None
             for pos in range(len(seq) + 1):
-                _, score, feasible = self.priced_score(
+                score, _, p1, p2 = self.priced_score(
                     servicer_id, seq[:pos] + (target_id,) + seq[pos:])
                 delta = score - old_score
                 # When one slot is both minima, both share one tuple, which
                 # keeps memo entries small.
                 slot = None
-                if feasible and (best is None or delta < best[0]):
-                    best = slot = (delta, (servicer_id, pos))
+                if (p1 == 0.0 and p2 == 0.0
+                        and (best is None or delta < best[0])):
+                    best = slot = (delta, pos)
                 if best_pen is None or delta < best_pen[0]:
-                    best_pen = slot or (delta, (servicer_id, pos))
+                    best_pen = slot or (delta, pos)
             hit = (best, best_pen)
             if len(self._insertions) >= _ROUTE_CACHE_CAP:
                 self._insertions.clear()
@@ -607,23 +607,32 @@ class CostModel:
 
     # -- plan-level ----------------------------------------------------------
 
-    def plan_metrics(self, plan: MissionPlan):
-        """(fitness, total_dv, p1 seconds, p2 m/s, feasible) of a plan."""
+    def _plan_sums(self, scores):
+        """(fitness, total_dv, p1 seconds, p2 m/s, feasible) of a plan from
+        its routes' ``route_score`` tuples, each term summed in route order
+        before the penalties are weighed."""
         total_dv = 0.0
         p1 = 0.0
         p2 = 0.0
-        for route in plan.routes:
-            dv, r_p1, _ = self.route_metrics(route.servicer_id,
-                                             route.target_sequence,
-                                             route.revolutions)
+        for _, dv, r_p1, r_p2 in scores:
             total_dv += dv
             p1 += r_p1
-            p2 += max(dv - self._budget[route.servicer_id], 0.0)
+            p2 += r_p2
         fitness = penalized_fitness(total_dv, p1, p2, self.phi, self.gamma)
         return fitness, total_dv, p1, p2, (p1 == 0.0 and p2 == 0.0)
 
-    def plan_fitness(self, plan: MissionPlan) -> float:
-        return self.plan_metrics(plan)[0]
+    def plan_metrics(self, plan: MissionPlan):
+        """(fitness, total_dv, p1 seconds, p2 m/s, feasible) of a plan."""
+        return self._plan_sums(
+            self.route_score(r.servicer_id, r.target_sequence, r.revolutions)
+            for r in plan.routes)
+
+    def plan_fitness(self, seqs) -> float:
+        """``plan_metrics`` fitness of one target sequence per servicer, in
+        ``scenario.servicers`` order, each on its ``allocate`` revolutions
+        from the route memo."""
+        return self._plan_sums(
+            map(self.priced_score, self.servicer_ids, seqs))[0]
 
     # -- static target-pair geometry (destroy-operator relatedness) -----------
 

@@ -13,10 +13,14 @@ plane-change/phasing strategy. The engine's state is the population's
 chromosomes and their fitnesses, nothing else; its per-solve gene cache
 maps a chromosome to its fitness alone. Each generation runs two phases:
 ``breed`` makes the next population by selection, crossover and mutation,
-and ``refine``, the LNS hook, runs destroy/repair on the elite in place. A
-``MissionPlan`` is built fresh where one is read, for each LNS elite and
-once for the best chromosome at the end, so an operator that changes the
-plan it is given cannot reach the engine's state or its report.
+and ``refine``, the LNS hook, runs destroy/repair on the elite in place.
+The LNS operators work on target sequences, one list per servicer in
+``scenario.servicers`` order as ``decode`` returns them, and return new
+lists: a route's revolutions follow from its sequence, so no operator
+holds them. ``refine`` decodes each elite afresh, so an operator that
+changes the sequences it is given cannot reach the engine's state. A
+``MissionPlan`` is built once per solve, for the best chromosome, with its
+revolutions from the adapter.
 
 An adapter per leg model prices routes for the search. The mixed adapter
 holds only a ``planning.CostModel``, built once per solve with the solve's
@@ -88,8 +92,8 @@ DEFAULT_TOF_FRACTIONS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875,
 class AllInfeasible(Exception):
     """No insertion position satisfies the deadline and budget constraints.
 
-    Carries the least-penalty position so callers can still complete the
-    plan structurally.
+    Carries the least-penalty position, ``(route index, slot)``, so
+    callers can still complete the plan structurally.
     """
 
     def __init__(self, best_position, penalized_cost):
@@ -272,37 +276,24 @@ def _relatedness(c_norm: float, same_route: bool) -> float:
     return 1.0 / (c_norm + (0.0 if same_route else 1.0) + RELATEDNESS_EPS)
 
 
-def _remove_target(plan: MissionPlan, tid: int):
-    for route in plan.routes:
-        if tid in route.target_sequence:
-            q = route.target_sequence.index(tid)
-            route.target_sequence.pop(q)
-            if route.revolutions:
-                route.revolutions.pop(q)
-            return
-    raise KeyError(tid)
-
-
-def destroy(plan: MissionPlan, params: LnsParams, rng: random.Random,
-            model: CostModel) -> tuple[list[int], MissionPlan]:
+def destroy(seqs: list[list[int]], params: LnsParams, rng: random.Random,
+            model: CostModel) -> tuple[list[int], list[list[int]]]:
     """Shaw-style removal: seed with a random target, then repeatedly drop
     the most related remaining target with determinism-p noise.
 
-    Removes ceil(remove_rate * m) targets. Surviving modified routes get
-    their revolutions re-allocated. Relatedness is judged against the input
-    plan's route assignment.
+    ``seqs`` holds one target sequence per servicer. Removes
+    ceil(remove_rate * m) targets and returns them with the partial
+    sequences, new lists. Relatedness is judged against the input's route
+    assignment.
     """
     pair_cost = model.pair_cost_table(params.beta)
-    route_of = {tid: route.servicer_id for route in plan.routes
-                for tid in route.target_sequence}
-    all_targets = plan.covered_targets()
+    route_of = {tid: j for j, seq in enumerate(seqs) for tid in seq}
+    all_targets = [tid for seq in seqs for tid in seq]
     count = math.ceil(len(all_targets) * params.remove_rate)
-    partial = plan.copy()
     first = rng.choice(all_targets)
-    _remove_target(partial, first)
+    remaining = [tid for tid in all_targets if tid != first]
     removed = [first]
     while len(removed) < count:
-        remaining = partial.covered_targets()
         row = pair_cost[removed[-1]]
         home = route_of[removed[-1]]
         ranked = sorted(
@@ -311,88 +302,76 @@ def destroy(plan: MissionPlan, params: LnsParams, rng: random.Random,
         y = rng.random()
         idx = int(y ** params.determinism_p * len(ranked))
         pick = ranked[min(idx, len(ranked) - 1)]
-        _remove_target(partial, pick)
+        remaining.remove(pick)
         removed.append(pick)
-    for route in partial.routes:
-        if route.target_sequence:
-            route.revolutions = model.allocate(route.servicer_id,
-                                               route.target_sequence)
-        else:
-            route.revolutions = []
-    return removed, partial
+    gone = set(removed)
+    return removed, [[tid for tid in seq if tid not in gone] for seq in seqs]
 
 
-def insertion_cost(target_id: int, partial: MissionPlan, model: CostModel
+def insertion_cost(target_id: int, seqs: list[list[int]], model: CostModel
                    ) -> tuple[float, tuple[int, int]]:
-    """Cheapest feasible insertion of a target into a partial plan.
+    """Cheapest feasible insertion of a target into partial sequences.
 
-    Scans every route and slot, re-allocating revolutions for each modified
-    route; positions whose route would violate the deadline or the budget
-    count as infinite. Returns (fitness delta, (servicer_id, slot)), the
-    first least delta in route and slot order. Raises AllInfeasible,
-    carrying the least-penalty position, when nothing is feasible. Each
-    route's scan comes from ``CostModel.insertion_scan``, so a route whose
-    contents did not change since an earlier call is not scanned again.
+    Scans every route and slot, each route priced on its ``allocate``
+    revolutions; a position is feasible when its route meets the deadline
+    and the budget. Returns (fitness delta, (route index, slot)), the
+    first least delta among feasible positions in route and slot order.
+    Raises AllInfeasible, carrying the least-penalty position, when
+    nothing is feasible. Each route's scan comes from
+    ``CostModel.insertion_scan``, so a route whose sequence did not change
+    since an earlier call is not scanned again.
     """
     best = None
     best_pen = None
-    for route in partial.routes:
-        feasible, pen = model.insertion_scan(
-            route.servicer_id, route.target_sequence, route.revolutions,
-            target_id)
+    for j, (sid, seq) in enumerate(zip(model.servicer_ids, seqs,
+                                       strict=True)):
+        feasible, pen = model.insertion_scan(sid, seq, target_id)
         if feasible is not None and (best is None
                                      or feasible[0] < best[0]):
-            best = feasible
+            best, best_j = feasible, j
         if best_pen is None or pen[0] < best_pen[0]:
-            best_pen = pen
+            best_pen, pen_j = pen, j
     if best is not None:
-        return best
-    raise AllInfeasible(best_pen[1], best_pen[0])
+        return best[0], (best_j, best[1])
+    raise AllInfeasible((pen_j, best_pen[1]), best_pen[0])
 
 
-def _insert_target(plan: MissionPlan, tid: int, position, model: CostModel):
-    sid, pos = position
-    for route in plan.routes:
-        if route.servicer_id == sid:
-            route.target_sequence.insert(pos, tid)
-            route.revolutions = model.allocate(sid, route.target_sequence)
-            return
-    raise KeyError(sid)
-
-
-def repair(removed, partial: MissionPlan, model: CostModel) -> MissionPlan:
+def repair(removed, partial: list[list[int]], model: CostModel
+           ) -> list[list[int]]:
     """Farthest insertion: repeatedly insert the hardest remaining target
     (highest insertion cost, infeasible counting as hardest) at its own
-    cheapest position, so constrained targets claim slots first."""
-    plan = partial.copy()
+    cheapest position, so constrained targets claim slots first. Returns
+    new sequences."""
+    seqs = [list(seq) for seq in partial]
     remaining = list(removed)
     while remaining:
         scored = []
         for tid in remaining:
             try:
-                cost, pos = insertion_cost(tid, plan, model)
+                cost, pos = insertion_cost(tid, seqs, model)
             except AllInfeasible as exc:
                 cost, pos = math.inf, exc.best_position
             scored.append((cost, tid, pos))
-        cost, tid, pos = max(scored, key=lambda item: item[0])
-        _insert_target(plan, tid, pos, model)
+        cost, tid, (j, slot) = max(scored, key=lambda item: item[0])
+        seqs[j].insert(slot, tid)
         remaining.remove(tid)
-    return plan
+    return seqs
 
 
-def lns_improve(plan: MissionPlan, params: LnsParams, rng: random.Random,
-                model: CostModel) -> MissionPlan:
-    """Hill-climbing destroy/repair: returns on the first strict improvement
-    or after ``lns_iterations`` attempts, never worse than the input."""
+def lns_improve(seqs: list[list[int]], params: LnsParams,
+                rng: random.Random, model: CostModel) -> list[list[int]]:
+    """Hill-climbing destroy/repair: returns new sequences on the first
+    strict improvement, or ``seqs`` itself after ``lns_iterations``
+    attempts without one, so never worse than the input."""
     if params.lns_iterations <= 0:
-        return plan
-    base = model.plan_fitness(plan)
+        return seqs
+    base = model.plan_fitness(seqs)
     for _ in range(params.lns_iterations):
-        removed, part = destroy(plan, params, rng, model)
+        removed, part = destroy(seqs, params, rng, model)
         cand = repair(removed, part, model)
         if model.plan_fitness(cand) < base:
             return cand
-    return plan
+    return seqs
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +384,11 @@ class _MixedAdapter:
     def __init__(self, model: CostModel):
         self.model = model
 
-    def route(self, sid: int, seq) -> tuple[list[int], float]:
-        revs, score, _ = self.model.priced_score(sid, seq)
-        return list(revs), score
+    def route(self, sid: int, seq) -> float:
+        return self.model.priced_score(sid, seq)[0]
+
+    def revolutions(self, sid: int, seq) -> list[int]:
+        return self.model.allocate(sid, seq)
 
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
         m = self.model
@@ -540,11 +521,13 @@ class _LambertAdapter:
             from_key = tid
         return tuple(used), dv, p1
 
-    def route(self, sid: int, seq) -> tuple[list[int], float]:
+    def route(self, sid: int, seq) -> float:
         _, dv, p1 = self.route_detail(sid, seq)
         p2 = max(dv - self._budget[sid], 0.0)
-        score = penalized_fitness(dv, p1, p2, self.phi, self.gamma)
-        return [1] * len(seq), score
+        return penalized_fitness(dv, p1, p2, self.phi, self.gamma)
+
+    def revolutions(self, sid: int, seq) -> list[int]:
+        return [1] * len(seq)
 
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
         """``evaluate_plan`` with each leg flown by ``_fly`` at the flight
@@ -599,15 +582,11 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
         if fitness is None:
             fitness = 0.0
             for sid, seq in zip(sids, decode(genes, m, n)):
-                fitness += adapter.route(sid, seq)[1]
+                fitness += adapter.route(sid, seq)
             if len(cache) >= _GENE_CACHE_CAP:
                 cache.clear()
             cache[key] = fitness
         return fitness
-
-    def plan_of(genes) -> MissionPlan:
-        return MissionPlan([Route(sid, list(seq), adapter.route(sid, seq)[0])
-                            for sid, seq in zip(sids, decode(genes, m, n))])
 
     def breed(pop, fits):
         """GA phase: the next population, by elite-plus-roulette selection,
@@ -640,12 +619,11 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
         for i in sorted(range(len(pop)), key=lambda i: fits[i])[:k_top]:
             if not math.isfinite(fits[i]):
                 continue
-            plan = plan_of(pop[i])
-            improved = lns_improve(plan, lns, rng, adapter.model)
-            if improved is plan:
+            seqs = decode(pop[i], m, n)
+            improved = lns_improve(seqs, lns, rng, adapter.model)
+            if improved is seqs:
                 continue
-            genes = encode_sequences(
-                [r.target_sequence for r in improved.routes], m)
+            genes = encode_sequences(improved, m)
             f_new = evaluate(genes)
             if f_new < fits[i]:
                 pop[i] = genes
@@ -672,7 +650,9 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
             best_genes = tuple(pop[gen_best])
             last_improve = gen
 
-    best_plan = plan_of(best_genes)
+    best_plan = MissionPlan([
+        Route(sid, seq, adapter.revolutions(sid, seq))
+        for sid, seq in zip(sids, decode(best_genes, m, n))])
     return SolveResult(best_plan=best_plan,
                        best_evaluation=adapter.final_evaluation(best_plan),
                        history=history, generations_run=gen, seed=seed)

@@ -20,7 +20,7 @@ from georepair.astro import (
     phasing_solution,
     rendezvous_mixed,
 )
-from georepair.planning import CostModel, MissionPlan, Route, exhaustive_solve
+from georepair.planning import CostModel, exhaustive_solve
 from georepair.scenarios import case_study, random_scenario
 from georepair.search import (
     GaParams,
@@ -237,15 +237,14 @@ def test_criterion_8_operator_property_suite(case_battery):
     scenario = random_scenario(10, 2, 30.0, seed=88)
     model = CostModel(scenario)
     seqs = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
-    plan = MissionPlan([Route(sid, seq, list(model.allocate(sid, seq)))
-                        for sid, seq in zip((1, 2), seqs)])
     for trial in range(10_000):
         q = rng.uniform(0.05, 0.95)
-        removed, partial = destroy(plan, LnsParams(remove_rate=q), rng,
+        removed, partial = destroy(seqs, LnsParams(remove_rate=q), rng,
                                    model)
         if len(removed) != math.ceil(10 * q):
             ok = False
-        if sorted(removed + partial.covered_targets()) != list(range(1, 11)):
+        if sorted(removed + [t for seq in partial for t in seq]) != list(
+                range(1, 11)):
             ok = False
 
     params = GaParams()

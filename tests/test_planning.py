@@ -271,16 +271,33 @@ class TestCostModelAgreement:
         plan = random_plan(scenario, rng)
         ev = evaluate_plan(scenario, plan, phi=3.0, gamma=0.5)
         assert ev.deadline_penalty > 0.0 and ev.budget_penalty > 0.0
-        assert model.plan_fitness(plan) == pytest.approx(ev.fitness,
-                                                         rel=1e-9)
+        assert model.plan_metrics(plan)[0] == pytest.approx(ev.fitness,
+                                                            rel=1e-9)
         for route in plan.routes:
             sid, seq = route.servicer_id, route.target_sequence
             score, dv, p1, p2 = model.route_score(sid, seq, route.revolutions)
             assert score == penalized_fitness(dv, p1, p2, 3.0, 0.5)
             _, dv, p1, _ = model.priced_route(sid, seq)
             p2 = max(dv - scenario.servicer(sid).dv_budget, 0.0)
-            assert model.priced_score(sid, seq)[1] == penalized_fitness(
-                dv, p1, p2, 3.0, 0.5)
+            assert model.priced_score(sid, seq) == (
+                penalized_fitness(dv, p1, p2, 3.0, 0.5), dv, p1, p2)
+
+    def test_sequence_fitness_is_the_allocated_plan_fitness(self):
+        rng = random.Random(31)
+        for days in (6.0, 20.0):
+            scenario = random_scenario_tuple(rng, 6, 3,
+                                             deadline_s=days * 86400.0,
+                                             budget=400.0)
+            model = CostModel(scenario, phi=3.0, gamma=0.5)
+            seqs = [r.target_sequence
+                    for r in random_plan(scenario, rng).routes]
+            plan = MissionPlan([Route(s.id, seq, model.allocate(s.id, seq))
+                                for s, seq in zip(scenario.servicers, seqs)])
+            fitness = model.plan_fitness(seqs)
+            fresh = CostModel(scenario, phi=3.0, gamma=0.5)
+            assert fitness.hex() == fresh.plan_metrics(plan)[0].hex()
+            assert fitness == pytest.approx(
+                evaluate_plan(scenario, plan, 3.0, 0.5).fitness, rel=1e-9)
 
     def test_route_metrics_match_route_result(self):
         rng = random.Random(26)

@@ -16,7 +16,6 @@ from georepair.planning import (
     CostModel,
     MissionPlan,
     Route,
-    allocate_revolutions,
     decode,
     evaluate_plan,
     exhaustive_solve,
@@ -57,16 +56,25 @@ def small_ga(pop=30, iters=30, stall=15):
                     stall_iterations=stall)
 
 
-def servicer_of(plan):
-    """Target id to the id of the servicer whose route holds it."""
-    return {tid: route.servicer_id for route in plan.routes
-            for tid in route.target_sequence}
+def route_of(seqs):
+    """Target id to the index of the sequence that holds it."""
+    return {tid: j for j, seq in enumerate(seqs) for tid in seq}
 
 
-def relatedness(i, j, plan, beta, model):
-    """R of targets i and j in ``plan``, computed as ``destroy`` does."""
-    home = servicer_of(plan)
+def relatedness(i, j, seqs, beta, model):
+    """R of targets i and j in ``seqs``, computed as ``destroy`` does."""
+    home = route_of(seqs)
     return _relatedness(model.pair_cost_table(beta)[i][j], home[i] == home[j])
+
+
+def flat(seqs):
+    return [tid for seq in seqs for tid in seq]
+
+
+def allocated_plan(model, seqs):
+    """``seqs`` as a ``MissionPlan`` flown on ``allocate``'s revolutions."""
+    return MissionPlan([Route(sid, list(seq), model.allocate(sid, seq))
+                        for sid, seq in zip(model.servicer_ids, seqs)])
 
 
 class TestParamValidation:
@@ -265,8 +273,7 @@ class TestRelatedness:
         self.model = CostModel(self.scenario)
 
     def test_identical_orbit_same_route_is_maximal(self):
-        plan = MissionPlan([Route(1, [1, 2, 3], [1, 1, 1])])
-        r = relatedness(1, 2, plan, 0.5, self.model)
+        r = relatedness(1, 2, [[1, 2, 3]], 0.5, self.model)
         assert r == pytest.approx(1e6, rel=1e-6)
 
     def test_max_cost_pair_on_distinct_routes(self):
@@ -275,12 +282,11 @@ class TestRelatedness:
             [(2.0, 30.0, 100.0, HOUR), (8.0, 200.0, 280.0, HOUR)],
             deadline_s=20 * DAY)
         model = CostModel(scenario)
-        plan = MissionPlan([Route(1, [1], [1]), Route(2, [2], [1])])
-        r = relatedness(1, 2, plan, 0.5, model)
+        r = relatedness(1, 2, [[1], [2]], 0.5, model)
         assert r == pytest.approx(1.0 / (1.0 + 1.0 + 1e-6), rel=1e-9)
 
     def test_monotone_in_route_membership(self):
-        together = MissionPlan([Route(1, [1, 3, 2], [1, 1, 1])])
+        together = [[1, 3, 2]]
         # Same pair cost, different route membership must lower R.
         scenario2 = make_scenario(
             [(0.0, 0.0, 0.0, 2000.0), (0.0, 0.0, 0.0, 2000.0)],
@@ -288,7 +294,7 @@ class TestRelatedness:
              (8.0, 200.0, 280.0, HOUR)],
             deadline_s=20 * DAY)
         model2 = CostModel(scenario2)
-        apart = MissionPlan([Route(1, [1], [1]), Route(2, [2, 3], [1, 1])])
+        apart = [[1], [2, 3]]
         r_same = relatedness(1, 3, together, 0.5, self.model)
         r_apart = relatedness(1, 3, apart, 0.5, model2)
         assert r_apart < r_same
@@ -297,16 +303,15 @@ class TestRelatedness:
     def test_tabled_relatedness_equals_the_formula(self, beta):
         scenario = random_scenario(10, 2, 10.0, seed=2101)
         model = CostModel(scenario)
-        plan = MissionPlan([Route(1, [3, 1, 7, 9], [1] * 4),
-                            Route(2, [2, 4, 5, 6, 8, 10], [1] * 6)])
+        seqs = [[3, 1, 7, 9], [2, 4, 5, 6, 8, 10]]
         pairs = list(itertools.permutations(range(1, 11), 2))
         c_max = max(model.target_pair_cost(i, j, beta)
                     for i, j in itertools.combinations(range(1, 11), 2))
-        home = servicer_of(plan)
+        home = route_of(seqs)
         for i, j in pairs:
             c = model.target_pair_cost(i, j, beta) / c_max
             v = 0.0 if home[i] == home[j] else 1.0
-            assert relatedness(i, j, plan, beta, model) == (
+            assert relatedness(i, j, seqs, beta, model) == (
                 1.0 / (c + v + 1e-6))
 
 
@@ -316,54 +321,45 @@ class TestDestroy:
         self.scenario = random_scenario_tuple(rng, 10, 2,
                                               deadline_s=30 * DAY)
         self.model = CostModel(self.scenario)
-        seqs = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
-        self.plan = MissionPlan([
-            Route(sid, seq, self.model.allocate(sid, seq))
-            for sid, seq in zip((1, 2), seqs)])
+        self.seqs = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
 
     def test_exact_removal_count(self):
-        removed, partial = destroy(self.plan, LnsParams(remove_rate=0.3),
+        removed, partial = destroy(self.seqs, LnsParams(remove_rate=0.3),
                                    random.Random(7), self.model)
         assert len(removed) == 3
-        assert sorted(partial.covered_targets() + removed) == list(range(1, 11))
+        assert sorted(flat(partial) + removed) == list(range(1, 11))
 
     def test_single_removal(self):
-        removed, partial = destroy(self.plan, LnsParams(remove_rate=0.05),
+        removed, partial = destroy(self.seqs, LnsParams(remove_rate=0.05),
                                    random.Random(8), self.model)
         assert len(removed) == 1
-        assert removed[0] not in partial.covered_targets()
+        assert removed[0] not in flat(partial)
 
     def test_high_determinism_is_greedy(self):
         params = LnsParams(remove_rate=0.3, determinism_p=200.0)
         rng = random.Random(9)
-        removed, _ = destroy(self.plan, params, rng, self.model)
+        removed, _ = destroy(self.seqs, params, rng, self.model)
         # Replay: after the seeded removal every pick must be the single
         # most related remaining target.
         rng2 = random.Random(9)
-        first = rng2.choice(self.plan.covered_targets())
+        first = rng2.choice(flat(self.seqs))
         assert removed[0] == first
-        partial = self.plan.copy()
-        from georepair.search import _remove_target
-        _remove_target(partial, first)
         picks = [first]
         while len(picks) < 3:
-            remaining = partial.covered_targets()
+            remaining = [t for t in flat(self.seqs) if t not in picks]
             rng2.random()  # the y draw
             best = max(remaining,
-                       key=lambda t: (relatedness(picks[-1], t, self.plan, 0.5,
+                       key=lambda t: (relatedness(picks[-1], t, self.seqs, 0.5,
                                                   self.model),
                                       -t))
             picks.append(best)
-            _remove_target(partial, best)
         assert removed == picks
 
-    def test_surviving_routes_reallocated(self):
-        removed, partial = destroy(self.plan, LnsParams(remove_rate=0.3),
+    def test_surviving_routes_keep_their_order(self):
+        removed, partial = destroy(self.seqs, LnsParams(remove_rate=0.3),
                                    random.Random(10), self.model)
-        for route in partial.routes:
-            if route.target_sequence:
-                assert route.revolutions == allocate_revolutions(
-                    self.scenario, route.servicer_id, route.target_sequence)
+        assert partial == [[t for t in seq if t not in removed]
+                           for seq in self.seqs]
 
 
 class TestInsertionAndRepair:
@@ -375,11 +371,9 @@ class TestInsertionAndRepair:
             [(3.0, 40.0, 120.0, HOUR), (0.0, 0.0, 0.0, HOUR)],
             deadline_s=20 * DAY)
         model = CostModel(scenario)
-        partial = MissionPlan([Route(1, [], []), Route(2, [2],
-                              list(model.allocate(2, [2])))])
-        cost, pos = insertion_cost(1, partial, model)
+        cost, pos = insertion_cost(1, [[], [2]], model)
         assert cost == pytest.approx(0.0, abs=1e-9)
-        assert pos == (1, 0)
+        assert pos == (0, 0)
 
     def test_all_infeasible_raises_with_fallback(self):
         # One-day deadline cannot absorb any phasing leg.
@@ -388,25 +382,21 @@ class TestInsertionAndRepair:
             [(2.0, 10.0, 100.0, 20 * HOUR), (3.0, 50.0, 200.0, 20 * HOUR)],
             deadline_s=1.2 * DAY)
         model = CostModel(scenario)
-        partial = MissionPlan([Route(1, [2], list(model.allocate(1, [2])))])
         with pytest.raises(AllInfeasible) as exc:
-            insertion_cost(1, partial, model)
-        sid, pos = exc.value.best_position
-        assert sid == 1 and pos in (0, 1)
+            insertion_cost(1, [[2]], model)
+        route, pos = exc.value.best_position
+        assert route == 0 and pos in (0, 1)
 
     def test_reported_cost_matches_recomputation(self):
         rng = random.Random(11)
         scenario = random_scenario_tuple(rng, 6, 2, deadline_s=30 * DAY)
         model = CostModel(scenario)
-        partial = MissionPlan([
-            Route(1, [1, 2], list(model.allocate(1, [1, 2]))),
-            Route(2, [3, 4, 5], list(model.allocate(2, [3, 4, 5])))])
-        cost, (sid, pos) = insertion_cost(6, partial, model)
-        route = next(r for r in partial.routes if r.servicer_id == sid)
-        old_score, _, _, _ = model.route_score(sid, route.target_sequence,
-                                               route.revolutions)
-        new_seq = (route.target_sequence[:pos] + [6]
-                   + route.target_sequence[pos:])
+        partial = [[1, 2], [3, 4, 5]]
+        cost, (j, pos) = insertion_cost(6, partial, model)
+        sid, seq = scenario.servicers[j].id, partial[j]
+        old_score, _, _, _ = model.route_score(sid, seq,
+                                               model.allocate(sid, seq))
+        new_seq = seq[:pos] + [6] + seq[pos:]
         new_score, _, _, _ = model.route_score(
             sid, new_seq, model.allocate(sid, new_seq))
         assert cost == pytest.approx(new_score - old_score, rel=1e-12, abs=1e-9)
@@ -424,10 +414,10 @@ class TestInsertionAndRepair:
     def test_farthest_insertion_succeeds_where_greedy_strands(self):
         scenario = self._constrained_scenario()
         model = CostModel(scenario)
-        empty = MissionPlan([Route(1, [], []), Route(2, [], [])])
+        empty = [[], []]
 
         # Greedy (ascending insertion cost) walks itself into a corner.
-        greedy = empty.copy()
+        greedy = [[], []]
         remaining = [1, 2, 3]
         stranded = False
         while remaining:
@@ -438,30 +428,27 @@ class TestInsertionAndRepair:
                 except AllInfeasible as exc:
                     c, pos = math.inf, exc.best_position
                 scored.append((c, tid, pos))
-            c, tid, pos = min(scored, key=lambda item: item[0])
+            c, tid, (j, slot) = min(scored, key=lambda item: item[0])
             if not math.isfinite(c):
                 stranded = True
-            from georepair.search import _insert_target
-            _insert_target(greedy, tid, pos, model)
+            greedy[j].insert(slot, tid)
             remaining.remove(tid)
         assert stranded
-        assert not evaluate_plan(scenario, greedy).feasible
+        assert not evaluate_plan(scenario, allocated_plan(model, greedy)
+                                 ).feasible
 
         # Farthest-first repair places the hard target while room remains.
         repaired = repair([1, 2, 3], empty, model)
-        assert evaluate_plan(scenario, repaired).feasible
+        assert evaluate_plan(scenario, allocated_plan(model, repaired)
+                             ).feasible
 
     def test_single_removed_target_lands_at_best_position(self):
         rng = random.Random(12)
         scenario = random_scenario_tuple(rng, 5, 2, deadline_s=30 * DAY)
         model = CostModel(scenario)
-        partial = MissionPlan([
-            Route(1, [1, 2], list(model.allocate(1, [1, 2]))),
-            Route(2, [4, 5], list(model.allocate(2, [4, 5])))])
-        cost, (sid, pos) = insertion_cost(3, partial, model)
-        plan = repair([3], partial, model)
-        route = next(r for r in plan.routes if r.servicer_id == sid)
-        assert route.target_sequence[pos] == 3
+        partial = [[1, 2], [4, 5]]
+        cost, (j, pos) = insertion_cost(3, partial, model)
+        assert repair([3], partial, model)[j][pos] == 3
 
 
 def scan_every_slot(target_id, partial, model):
@@ -469,9 +456,9 @@ def scan_every_slot(target_id, partial, model):
     the first least delta; ``("feasible" | "infeasible", delta, position)``.
     """
     best = best_pen = None
-    for route in partial.routes:
-        sid, seq = route.servicer_id, route.target_sequence
-        old_score = model.route_score(sid, seq, route.revolutions)[0]
+    for j, seq in enumerate(partial):
+        sid = model.scenario.servicers[j].id
+        old_score = model.route_score(sid, seq, model.allocate(sid, seq))[0]
         budget = model.scenario.servicer(sid).dv_budget
         for pos in range(len(seq) + 1):
             cand = seq[:pos] + [target_id] + seq[pos:]
@@ -480,9 +467,9 @@ def scan_every_slot(target_id, partial, model):
             delta = penalized_fitness(dv, p1, p2, model.phi,
                                       model.gamma) - old_score
             if p1 == 0.0 and p2 == 0.0 and (best is None or delta < best[0]):
-                best = (delta, (sid, pos))
+                best = (delta, (j, pos))
             if best_pen is None or delta < best_pen[0]:
-                best_pen = (delta, (sid, pos))
+                best_pen = (delta, (j, pos))
     if best is not None:
         return ("feasible",) + best
     return ("infeasible",) + best_pen
@@ -498,22 +485,18 @@ def insertion_answer(target_id, partial, model):
     return "feasible", cost, pos
 
 
-def random_partials(scenario, model, rng, count, removed=3):
-    """Allocated partial plans, each with the targets it lacks."""
+def random_partials(scenario, rng, count, removed=3):
+    """Partial sequences, each with the targets it lacks."""
     tids = [t.id for t in scenario.targets]
-    sids = [s.id for s in scenario.servicers]
+    n = len(scenario.servicers)
     out = []
     for _ in range(count):
         order = rng.sample(tids, len(tids))
         missing, kept = order[:removed], order[removed:]
-        cuts = sorted(rng.choices(range(len(kept) + 1), k=len(sids) - 1))
+        cuts = sorted(rng.choices(range(len(kept) + 1), k=n - 1))
         bounds = [0] + cuts + [len(kept)]
-        routes = []
-        for sid, lo, hi in zip(sids, bounds, bounds[1:]):
-            seq = kept[lo:hi]
-            routes.append(Route(sid, seq, model.allocate(sid, seq)
-                                if seq else []))
-        out.append((MissionPlan(routes), missing))
+        out.append(([kept[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+                    missing))
     return out
 
 
@@ -555,48 +538,35 @@ class TestInsertionMemo:
         scenario = self.twin_scenario(days)
         model = CostModel(scenario)
         expected = "feasible" if days > 10 else "infeasible"
-        # Targets 1 and 2 are twins on twin servicers: each slot of route 1
-        # ties with the same slot of route 2, and route 1 comes first.
-        mirrored = MissionPlan([Route(1, [1], model.allocate(1, [1])),
-                                Route(2, [2], model.allocate(2, [2]))])
-        # Slots 0 and 1 of route 1 give twin routes; slot 1 never wins.
-        twinned = MissionPlan([Route(1, [1], model.allocate(1, [1])),
-                               Route(2, [3, 5], model.allocate(2, [3, 5]))])
+        # Targets 1 and 2 are twins on twin servicers: each slot of route 0
+        # ties with the same slot of route 1, and route 0 comes first.
+        mirrored = [[1], [2]]
+        # Slots 0 and 1 of route 0 give twin routes; slot 1 never wins.
+        twinned = [[1], [3, 5]]
         for _ in range(2):
             for tid in (3, 4, 5):
                 outcome, _, pos = insertion_answer(tid, mirrored, model)
-                assert outcome == expected and pos[0] == 1
+                assert outcome == expected and pos[0] == 0
             outcome, _, pos = insertion_answer(2, twinned, model)
-            assert outcome == expected and pos != (1, 1)
-        partials = random_partials(scenario, model, random.Random(31), 30,
+            assert outcome == expected and pos != (0, 1)
+        partials = random_partials(scenario, random.Random(31), 30,
                                    removed=2)
         outcomes = self.check_warm_against_fresh(scenario, partials)
         assert outcomes == {"feasible" if days > 10 else "infeasible"}
 
     def test_tight_deadline_scenario(self):
         scenario = random_scenario(10, 2, 10.0, seed=2101)
-        partials = random_partials(scenario, CostModel(scenario),
-                                   random.Random(32), 25)
+        partials = random_partials(scenario, random.Random(32), 25)
         outcomes = self.check_warm_against_fresh(
             scenario, partials,
             ({}, {"phi": 3.0}, {"gamma": 0.5}, {"slack_rule": "smallest"}))
         assert outcomes == {"feasible", "infeasible"}
 
-    def test_memo_key_holds_the_route_revolutions(self):
-        scenario = random_scenario(10, 2, 10.0, seed=2101)
-        model = CostModel(scenario)
-        plan = MissionPlan([Route(1, [1, 2, 3], model.allocate(1, [1, 2, 3])),
-                            Route(2, [4, 5], model.allocate(2, [4, 5]))])
-        insertion_answer(6, plan, model)
-        plan.routes[0].revolutions = [k + 1 for k in plan.routes[0].revolutions]
-        assert insertion_answer(6, plan, model) == scan_every_slot(
-            6, plan, CostModel(scenario))
-
     def test_memo_stays_within_its_cap(self, monkeypatch):
         monkeypatch.setattr(planning, "_ROUTE_CACHE_CAP", 5)
         scenario = random_scenario(10, 2, 10.0, seed=2101)
         model = CostModel(scenario)
-        partials = random_partials(scenario, model, random.Random(33), 10)
+        partials = random_partials(scenario, random.Random(33), 10)
         for plan, missing in partials:
             for tid in missing:
                 got = insertion_answer(tid, plan, model)
@@ -656,7 +626,7 @@ class TestBoundedSearchCaches:
 
 class TestEngineState:
     """The engine keeps chromosomes and fitnesses; an operator that changes
-    the plan it is given cannot change the search or its report."""
+    the sequences it is given cannot change the search or its report."""
 
     @staticmethod
     def _solve(monkeypatch, spy):
@@ -666,13 +636,16 @@ class TestEngineState:
 
     def test_an_lns_step_that_mutates_its_input_changes_nothing(
             self, monkeypatch):
-        def identity(plan, params, rng, model):
-            return plan
+        def identity(seqs, params, rng, model):
+            return seqs
 
-        def bump(plan, params, rng, model):
-            for route in plan.routes:
-                route.revolutions = [k + 1 for k in route.revolutions]
-            return plan
+        def bump(seqs, params, rng, model):
+            # Move every target onto the first route, reversed.
+            for seq in seqs[1:]:
+                seqs[0].extend(seq)
+                seq.clear()
+            seqs[0].reverse()
+            return seqs
 
         clean = self._solve(monkeypatch, identity)
         dirty = self._solve(monkeypatch, bump)
@@ -683,36 +656,85 @@ class TestEngineState:
                                                               rel=1e-9)
 
 
+class TestMixedWorkCounts:
+    """Where a fixed LNS-AGA solve prices routes: the search reads the route
+    memo only through the adapter on a gene-cache miss and through the LNS
+    operators, and ``allocate`` runs for the reported plan alone."""
+
+    def test_routes_are_priced_where_the_search_needs_them(self, monkeypatch):
+        allocated, routed, seen = [], [], set()
+        allocate = CostModel.allocate
+        route = search._MixedAdapter.route
+        decode_genes = search.decode
+
+        def count_allocate(self, sid, seq):
+            allocated.append((sid, list(seq)))
+            return allocate(self, sid, seq)
+
+        def count_route(self, sid, seq):
+            routed.append((sid, tuple(seq)))
+            return route(self, sid, seq)
+
+        def count_decode(genes, m, n):
+            seen.add(tuple(genes))
+            return decode_genes(genes, m, n)
+
+        monkeypatch.setattr(CostModel, "allocate", count_allocate)
+        monkeypatch.setattr(search._MixedAdapter, "route", count_route)
+        monkeypatch.setattr(search, "decode", count_decode)
+        scenario = random_scenario(6, 2, 10.0, seed=7)
+        result = solve_lns_aga(scenario, small_ga(20, 20, 10), LnsParams(),
+                               seed=1)
+        assert allocated == [(r.servicer_id, r.target_sequence)
+                             for r in result.best_plan.routes]
+        # Every chromosome the engine holds is evaluated, and the gene cache
+        # never fills here, so each distinct one is a single miss.
+        assert len(routed) == len(scenario.servicers) * len(seen)
+
+
 class TestLnsImprove:
     def setup_method(self):
         rng = random.Random(13)
         self.scenario = random_scenario_tuple(rng, 8, 2, deadline_s=25 * DAY)
         self.model = CostModel(self.scenario)
-        seqs = [[1, 2, 3, 4], [5, 6, 7, 8]]
-        self.plan = MissionPlan([
-            Route(sid, seq, list(self.model.allocate(sid, seq)))
-            for sid, seq in zip((1, 2), seqs)])
+        self.seqs = [[1, 2, 3, 4], [5, 6, 7, 8]]
 
     def test_zero_iterations_is_identity(self):
-        out = lns_improve(self.plan, LnsParams(lns_iterations=0),
+        out = lns_improve(self.seqs, LnsParams(lns_iterations=0),
                           random.Random(0), self.model)
-        assert out is self.plan
+        assert out is self.seqs
 
     def test_never_hurts(self):
-        base = self.model.plan_fitness(self.plan)
+        base = self.model.plan_fitness(self.seqs)
         for seed in range(20):
-            out = lns_improve(self.plan, LnsParams(), random.Random(seed),
+            out = lns_improve(self.seqs, LnsParams(), random.Random(seed),
                               self.model)
             assert self.model.plan_fitness(out) <= base + 1e-9
 
     def test_seed_determinism(self):
-        a = lns_improve(self.plan, LnsParams(), random.Random(99), self.model)
-        b = lns_improve(self.plan, LnsParams(), random.Random(99), self.model)
-        assert [r.target_sequence for r in a.routes] == \
-            [r.target_sequence for r in b.routes]
-        assert [r.revolutions for r in a.routes] == \
-            [r.revolutions for r in b.routes]
+        a = lns_improve(self.seqs, LnsParams(), random.Random(99), self.model)
+        b = lns_improve(self.seqs, LnsParams(), random.Random(99), self.model)
+        assert a == b
 
+    def test_operators_leave_their_input_unchanged(self):
+        seqs = self.seqs
+        before = [list(seq) for seq in seqs]
+        params = LnsParams(remove_rate=0.5)
+        improved = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            removed, partial = destroy(seqs, params, rng, self.model)
+            kept = [list(seq) for seq in partial]
+            repaired = repair(removed, partial, self.model)
+            out = lns_improve(seqs, params, rng, self.model)
+            assert seqs == before and partial == kept
+            # Each result is made of new lists, none of them an input's.
+            fresh = [partial, repaired] + ([out] if out is not seqs else [])
+            for result in fresh:
+                assert not any(a is b for a in result for b in seqs)
+            assert not any(a is b for a in repaired for b in partial)
+            improved += out is not seqs
+        assert improved > 0
 
 class TestSolvers:
     def test_trivial_instance_matches_oracle_exactly(self):
@@ -799,7 +821,7 @@ class TestSolvers:
         scenario = random_scenario_tuple(random.Random(19), 3, 2,
                                          deadline_s=8 * DAY)
         adapter = _LambertAdapter(scenario, 1.0, 10.0)
-        _, score = adapter.route(1, [1, 2])
+        score = adapter.route(1, [1, 2])
         assert score == math.inf
         plan = MissionPlan([Route(1, [1, 2], [1, 1]), Route(2, [3], [1])])
         ev = evaluate_plan_lambert(scenario, plan)
