@@ -81,6 +81,25 @@ def test_case_study_lns_fingerprint():
     assert fingerprint([result]) == "fd0d14ac8a37e57e"
 
 
+def test_case_study_ga_fingerprint():
+    # The benchmark's case_ga workload at its first seed: the case study
+    # under solve_ga with default parameters, seed 1.
+    result = solve_ga(case_study(), seed=1)
+    assert result.best_evaluation.fitness == 1580.3024197069049
+    assert result.generations_run == 100
+    assert fingerprint([result]) == "cfdda50591db6ed7"
+
+
+def test_long_chromosome_ga_fingerprint():
+    # 24 targets and 2 servicers: the crossover cuts are drawn from
+    # m + n = 26 sites and the mutation sites from 25, both above the 21
+    # items at which ``random.Random.sample`` switches from its pool
+    # method to its set method, which the six-target cases never reach.
+    scenario = random_scenario(24, 2, 10.0, seed=7)
+    results = [solve_ga(scenario, _ga(), seed=seed) for seed in SEEDS]
+    assert fingerprint(results) == "c82ac55060b90a1d"
+
+
 def test_case_study_lambert_fingerprint():
     # The benchmark's case_lambert workload: the case study under
     # solve_lambert_ga with default parameters, seed 1.
