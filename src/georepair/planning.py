@@ -60,8 +60,13 @@ DEFAULT_GAMMA = 10.0  # fitness per m/s of budget excess
 def penalized_fitness(dv: float, p1: float, p2: float, phi: float,
                       gamma: float) -> float:
     """Delta-v (m/s) plus ``phi`` per minute of the deadline violation
-    ``p1`` (s) plus ``gamma`` per m/s of the budget excess ``p2``."""
-    return dv + phi * (p1 / 60.0) + gamma * p2
+    ``p1`` (s) plus ``gamma`` per m/s of the budget excess ``p2``.
+
+    A term whose weight is zero adds nothing, also to an infinite
+    violation, where the product would be NaN; every finite input gives
+    the plain sum's float."""
+    return (dv + (phi * (p1 / 60.0) if phi or p1 != math.inf else 0.0)
+            + (gamma * p2 if gamma or p2 != math.inf else 0.0))
 
 
 class InstanceTooLarge(Exception):

@@ -14,6 +14,10 @@ chromosomes and their fitnesses, nothing else; its per-solve gene cache
 maps a chromosome to its fitness alone. Each generation runs two phases:
 ``breed`` makes the next population by selection, crossover and mutation,
 and ``refine``, the LNS hook, runs destroy/repair on the elite in place.
+No engine code writes into a chromosome once it is made: crossover and
+mutation return new lists and ``refine`` replaces a population slot, so
+``breed`` puts a selected parent into the next population as it is, and
+one chromosome object may fill several slots.
 The LNS operators work on target sequences, one list per servicer in
 ``scenario.servicers`` order as ``decode`` returns them, and return new
 lists: a route's revolutions follow from its sequence, so no operator
@@ -196,11 +200,9 @@ def selection(population, fitnesses, rng: random.Random) -> list[int]:
         total = float(size)
     cum = list(accumulate(weights))
     elite = min(range(size), key=lambda i: fitnesses[i])
-    pool = [elite]
-    for _ in range(size - 1):
-        r = rng.random() * total
-        pool.append(bisect_left(cum, r, 0, size - 1))
-    return pool
+    draw = rng.random
+    return [elite] + [bisect_left(cum, draw() * total, 0, size - 1)
+                      for _ in range(size - 1)]
 
 
 def adaptive_pc(w_pair_best: float, w_avg: float, w_max: float,
@@ -227,23 +229,56 @@ def adaptive_pm(w_i: float, w_avg: float, w_max: float,
 
 def pmx_crossover(a, b, cut1: int, cut2: int) -> tuple[list[int], list[int]]:
     """Partially-mapped crossover: swap [cut1, cut2), repair by the segment
-    mapping (chained for values shared between segments)."""
+    mapping (chained for values shared between segments).
+
+    Computed as Goldberg and Lingle's position-wise exchanges: at each
+    segment site a child swaps in the donor's gene from wherever it holds
+    it, which carries the displaced gene along the mapping chain, so outside
+    the segment only the sites in conflict are written.
+    """
     if not (0 <= cut1 < cut2 <= len(a)):
         raise ValueError("need 0 <= cut1 < cut2 <= length")
+    c1, c2 = list(a), list(b)
+    for i in range(cut1, cut2):
+        x, y = a[i], b[i]
+        j = c1.index(y)
+        c1[i], c1[j] = y, c1[i]
+        j = c2.index(x)
+        c2[i], c2[j] = x, c2[i]
+    return c1, c2
 
-    def child(base, seg_src):
-        out = list(base)
-        out[cut1:cut2] = seg_src[cut1:cut2]
-        seg_vals = set(seg_src[cut1:cut2])
-        mapping = {seg_src[i]: base[i] for i in range(cut1, cut2)}
-        for i in list(range(0, cut1)) + list(range(cut2, len(base))):
-            v = out[i]
-            while v in seg_vals:
-                v = mapping[v]
-            out[i] = v
-        return out
 
-    return child(a, b), child(b, a)
+def _two_sites(rng: random.Random, n: int) -> tuple[int, int]:
+    """Two distinct indices below ``n``, the same draws, in the same order
+    and from the same random bits, as ``rng.sample(range(n), 2)``.
+
+    CPython's ``Random.sample`` draws two items by its pool method up to
+    21 items and by its set method above that, each index by
+    ``_randbelow``, here spelled out on ``rng.getrandbits`` without the
+    per-call overhead of ``sample``.
+    """
+    if n < 2:
+        raise ValueError("need at least two sites")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    i = getrandbits(k)
+    while i >= n:
+        i = getrandbits(k)
+    if n <= 21:
+        # Pool method: the second index is drawn below n - 1, and the
+        # first index's slot then holds the item n - 1.
+        k = (n - 1).bit_length()
+        j = getrandbits(k)
+        while j >= n - 1:
+            j = getrandbits(k)
+        return i, (n - 1 if j == i else j)
+    # Set method: redraw below n until the index differs from the first.
+    j = i
+    while j == i:
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+    return i, j
 
 
 def swap_positions(c, i: int, j: int) -> list[int]:
@@ -257,8 +292,7 @@ def swap_positions(c, i: int, j: int) -> list[int]:
 
 def swap_mutation(c, rng: random.Random) -> list[int]:
     """Swap two uniformly chosen distinct gene sites."""
-    i, j = rng.sample(range(len(c)), 2)
-    return swap_positions(c, i, j)
+    return swap_positions(c, *_two_sites(rng, len(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +629,24 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
         w_max = max(weights)
         w_avg = sum(weights) / len(weights)
         pool = selection(pop, fits, rng)
-        elite = list(pop[pool[0]])
-        rest = [(list(pop[i]), weights[i]) for i in pool[1:]]
-        rng.shuffle(rest)
-        for q in range(0, len(rest) - 1, 2):
-            (ca, wa), (cb, wb) = rest[q], rest[q + 1]
-            pc = adaptive_pc(max(wa, wb), w_avg, w_max, ga)
+        # Shuffling the indices draws what shuffling the parents would.
+        order = pool[1:]
+        rng.shuffle(order)
+        kids = [pop[i] for i in order]
+        ws = [weights[i] for i in order]
+        for q in range(0, len(kids) - 1, 2):
+            pc = adaptive_pc(max(ws[q], ws[q + 1]), w_avg, w_max, ga)
             if rng.random() < pc:
-                cut1, cut2 = sorted(rng.sample(range(m + n), 2))
-                c1, c2 = pmx_crossover(ca, cb, cut1, cut2)
-                rest[q], rest[q + 1] = (c1, wa), (c2, wb)
+                cut1, cut2 = _two_sites(rng, m + n)
+                if cut2 < cut1:
+                    cut1, cut2 = cut2, cut1
+                kids[q], kids[q + 1] = pmx_crossover(kids[q], kids[q + 1],
+                                                     cut1, cut2)
         if m + n - 1 >= 2:
-            for q, (c, wi) in enumerate(rest):
-                pm = adaptive_pm(wi, w_avg, w_max, ga)
-                if rng.random() < pm:
-                    rest[q] = (swap_mutation(c, rng), wi)
-        return [elite] + [c for c, _ in rest]
+            for q, wi in enumerate(ws):
+                if rng.random() < adaptive_pm(wi, w_avg, w_max, ga):
+                    kids[q] = swap_mutation(kids[q], rng)
+        return [pop[pool[0]]] + kids
 
     def refine(pop, fits):
         """LNS phase, in place: destroy/repair each finite chromosome of the

@@ -245,6 +245,23 @@ class TestEvaluatePlan:
             evaluate_plan(scenario, MissionPlan([Route(1, [1], [1])]))
 
 
+class TestPenalizedFitness:
+    def test_a_zero_weight_adds_nothing_to_an_infinite_violation(self):
+        assert penalized_fitness(math.inf, 90.0, math.inf, 2.0, 0.0) \
+            == math.inf
+        assert penalized_fitness(5.0, math.inf, 30.0, 0.0, 0.5) == 20.0
+        assert penalized_fitness(5.0, math.inf, math.inf, 0.0, 0.0) == 5.0
+        assert penalized_fitness(5.0, math.inf, 0.0, 1.0, 0.0) == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.floats(allow_nan=False, allow_infinity=False)] * 3,
+           *[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e6)] * 2)
+    def test_every_finite_input_gives_the_plain_sum(self, dv, p1, p2, phi,
+                                                    gamma):
+        assert (penalized_fitness(dv, p1, p2, phi, gamma).hex()
+                == (dv + phi * (p1 / 60.0) + gamma * p2).hex())
+
+
 class TestCostModelAgreement:
     def test_fast_path_matches_vector_path(self):
         rng = random.Random(25)

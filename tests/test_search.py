@@ -26,6 +26,7 @@ from georepair.search import (
     AllInfeasible,
     _LambertAdapter,
     _relatedness,
+    _two_sites,
     GaParams,
     LnsParams,
     adaptive_pc,
@@ -45,6 +46,7 @@ from georepair.search import (
     swap_positions,
 )
 from scenario_builders import make_scenario, random_scenario_tuple
+from test_fingerprint import EXPECTED, SEEDS, _ga, fingerprint
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -214,6 +216,34 @@ class TestAdaptiveProbabilities:
             assert self.p.pm_lo <= pm <= self.p.pm_hi
 
 
+def reference_pmx_crossover(a, b, cut1, cut2):
+    """``pmx_crossover`` as it read before it was written as position-wise
+    swaps, copied verbatim: every position outside the segment is checked
+    against the donor segment. The oracle of ``TestPmx``."""
+    if not (0 <= cut1 < cut2 <= len(a)):
+        raise ValueError("need 0 <= cut1 < cut2 <= length")
+
+    def child(base, seg_src):
+        out = list(base)
+        out[cut1:cut2] = seg_src[cut1:cut2]
+        seg_vals = set(seg_src[cut1:cut2])
+        mapping = {seg_src[i]: base[i] for i in range(cut1, cut2)}
+        for i in list(range(0, cut1)) + list(range(cut2, len(base))):
+            v = out[i]
+            while v in seg_vals:
+                v = mapping[v]
+            out[i] = v
+        return out
+
+    return child(a, b), child(b, a)
+
+
+@st.composite
+def parent_pairs(draw):
+    genes = list(range(1, draw(st.integers(1, 40)) + 1))
+    return draw(st.permutations(genes)), draw(st.permutations(genes))
+
+
 class TestPmx:
     def test_identical_parents_unchanged(self):
         a = [3, 1, 4, 2, 5]
@@ -243,6 +273,33 @@ class TestPmx:
         c1, c2 = pmx_crossover(list(a), list(b), cut1, cut2)
         assert sorted(c1) == list(range(1, 10))
         assert sorted(c2) == list(range(1, 10))
+
+    @settings(max_examples=100, deadline=None)
+    @given(parent_pairs())
+    def test_matches_the_reference_at_every_cut_pair(self, parents):
+        a, b = parents
+        for cut1, cut2 in itertools.combinations(range(len(a) + 1), 2):
+            assert (pmx_crossover(a, b, cut1, cut2)
+                    == reference_pmx_crossover(a, b, cut1, cut2))
+
+
+class TestTwoSites:
+    """``_two_sites`` is ``random.Random.sample(range(n), 2)`` draw for draw,
+    on both sides of the item count where ``sample`` changes method."""
+
+    def test_matches_sample_and_leaves_the_same_state(self):
+        for n in range(2, 121):
+            for seed in range(40):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(10):
+                    assert (_two_sites(ours, n)
+                            == tuple(theirs.sample(range(n), 2)))
+                assert ours.getstate() == theirs.getstate()
+
+    def test_refuses_fewer_than_two_sites(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                _two_sites(random.Random(1), n)
 
 
 class TestSwapMutation:
@@ -655,6 +712,19 @@ class TestEngineState:
         assert dirty.best_evaluation.fitness == pytest.approx(least,
                                                               rel=1e-9)
 
+    def test_chromosomes_are_never_written_into(self, monkeypatch):
+        # Tuples cannot be written into: a run that starts from them must
+        # fly the same search as one that starts from lists.
+        make = search.init_population
+
+        def as_tuples(m, n, size, rng):
+            return [tuple(c) for c in make(m, n, size, rng)]
+
+        monkeypatch.setattr(search, "init_population", as_tuples)
+        scenario = random_scenario(6, 2, 10.0, seed=7)
+        results = [solve_ga(scenario, _ga(), seed=seed) for seed in SEEDS]
+        assert fingerprint(results) == EXPECTED[("roomy", "solve_ga")]
+
 
 class TestMixedWorkCounts:
     """Where a fixed LNS-AGA solve prices routes: the search reads the route
@@ -833,6 +903,25 @@ class TestSolvers:
         assert_reports_search_prices(scenario, plan, ev)
         result = solve_lambert_ga(scenario, small_ga(), seed=1)
         assert result.history[-1][0] == math.inf
+        assert result.best_evaluation.fitness == math.inf
+        assert not result.best_evaluation.feasible
+
+    def test_zero_budget_weight_scores_an_unflyable_leg_infinite(self):
+        # Only the 0.125-period grid time fits in 4 h; the target then
+        # leads the servicer by exactly 180 degrees, a singular arc.
+        scenario = make_scenario([(0.0, 0.0, 0.0, 2000.0)],
+                                 [(0.0, 0.0, 135.0, 0.0)], 4 * HOUR)
+        adapter = _LambertAdapter(scenario, 1.0, 0.0)
+        assert adapter.grid == [0.125 * T]
+        start = astro.orbit_to_state(scenario.servicers[0].orbit, 0.0, GEO)
+        with pytest.raises(CollinearGeometry):
+            adapter._fly(start, 1, 0.125 * T)
+        assert adapter.route(1, [1]) == math.inf
+        ga = GaParams(population_size=4, min_iterations=3,
+                      stall_iterations=1, gamma=0.0)
+        result = solve_lambert_ga(scenario, ga, seed=1)
+        assert result.history == [(math.inf, math.inf)] * (
+            result.generations_run + 1)
         assert result.best_evaluation.fitness == math.inf
         assert not result.best_evaluation.feasible
 
