@@ -15,21 +15,19 @@ point. A zero-revolution Lambert solver, a safeguarded Newton iteration on
 the universal variable, is included as the baseline transfer model for
 comparisons.
 
-States and the Lambert solver work on plain floats: ``orbit_to_state``
-gives position and velocity as 3-tuples, and ``lambert_solve`` takes any
-3-sequences and returns 3-tuples, reducing its norms and dot product as
-left-to-right sums under ``math.sqrt``. Their floats therefore depend only
-on IEEE double arithmetic and libm, not on the BLAS kernel numpy picks at
-run time. The mixed rendezvous is vector code: ``rendezvous_mixed`` and
-``coast_time_to_node`` turn a state into arrays on entry.
+Everything here works on plain floats. ``orbit_to_state`` gives position
+and velocity as 3-tuples, ``rendezvous_mixed`` returns its impulses as
+3-tuples, and ``lambert_solve`` takes any 3-sequences and returns 3-tuples.
+Every norm, dot and cross product is a left-to-right sum of products, under
+``math.sqrt`` for a norm, so each float depends only on IEEE double
+arithmetic and libm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,8 +126,7 @@ class GeoOrbit:
 class CartesianState:
     """Inertial position (km), velocity (km/s) and time since epoch (s).
 
-    ``r`` and ``v`` are 3-tuples of floats; vector code wraps them in
-    ``np.asarray`` where it needs arrays.
+    ``r`` and ``v`` are 3-tuples of floats.
     """
 
     r: tuple[float, float, float]
@@ -146,11 +143,12 @@ class RendezvousSolution:
     the signed phase gap fed to the phasing-orbit equations, measured from
     the target to the maneuver point (positive: target trails and must
     catch up while the servicer rides a slower ellipse). ``alpha`` is the
-    dihedral angle between the departure and target planes.
+    dihedral angle between the departure and target planes. Both impulses
+    are 3-tuples of floats.
     """
 
-    impulse1: np.ndarray
-    impulse2: np.ndarray
+    impulse1: tuple[float, float, float]
+    impulse2: tuple[float, float, float]
     t1: float
     t2: float
     coast_time: float
@@ -160,19 +158,6 @@ class RendezvousSolution:
     revolutions: int
     alpha: float
     theta: float
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
-
-
-def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation of ``v`` by ``angle`` about unit vector ``axis``."""
-    c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(axis, v) * s + axis * (np.dot(axis, v) * (1.0 - c))
 
 
 def orbit_to_state(orbit: GeoOrbit, t: float,
@@ -202,30 +187,6 @@ def orbit_to_state(orbit: GeoOrbit, t: float,
     return CartesianState(r, v, t)
 
 
-def angular_momentum_dir(orbit: GeoOrbit) -> np.ndarray:
-    """Unit vector normal to the orbit plane, Rz(raan) @ Rx(inc) @ (0,0,1)."""
-    co, so = math.cos(orbit.raan), math.sin(orbit.raan)
-    ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
-    return np.array([so * si, -co * si, ci])
-
-
-def coast_time_to_node(state: CartesianState, node: np.ndarray,
-                       orbit_normal: np.ndarray,
-                       consts: PhysicalConstants = GEO) -> float:
-    """Prograde coast duration from ``state`` to the given node direction.
-
-    The node must lie in the orbit plane. Returns the shortest non-negative
-    duration, in [0, t_geo).
-    """
-    r_hat = _unit(np.asarray(state.r, dtype=float))
-    n_hat = _unit(np.asarray(node, dtype=float))
-    cosang = min(1.0, max(-1.0, float(np.dot(r_hat, n_hat))))
-    ang = math.acos(cosang)
-    if float(np.dot(np.cross(r_hat, n_hat), orbit_normal)) < 0.0:
-        ang = TWO_PI - ang
-    return ang / TWO_PI * consts.t_geo
-
-
 def phasing_solution(theta: float, k: int,
                      consts: PhysicalConstants = GEO
                      ) -> tuple[float, float, float]:
@@ -242,34 +203,71 @@ def phasing_solution(theta: float, k: int,
     Negative theta yields a catch-up ellipse below GEO; delta-v strictly
     decreases as k grows for fixed theta != 0.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise InvalidRevolutions(f"revolution count must be a positive integer, got {k!r}")
+    _check_revolutions(k)
     span = TWO_PI * k + theta
     t_phase = (span / TWO_PI) * consts.t_geo
     a_phase = consts.r_geo * (span / (TWO_PI * k)) ** (2.0 / 3.0)
-    dv = 2.0 * math.sqrt(consts.mu) * abs(
+    # Rounded as CostModel._route_cost rounds it: twice one burn in m/s.
+    dv = 2.0 * ((1000.0 * math.sqrt(consts.mu)) * abs(
         math.sqrt(2.0 / consts.r_geo - 1.0 / a_phase)
-        - math.sqrt(1.0 / consts.r_geo))
-    return t_phase, a_phase, dv * 1000.0
+        - math.sqrt(1.0 / consts.r_geo)))
+    return t_phase, a_phase, dv
 
 
-def phasing_impulses(v_m: np.ndarray, theta: float, dv_mag: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Split a phasing delta-v into its entry and exit burns (m/s).
+def _check_revolutions(k) -> None:
+    """Raise InvalidRevolutions unless ``k`` is an ``Integral`` other than a
+    bool and at least 1."""
+    if not isinstance(k, Integral) or isinstance(k, bool) or k < 1:
+        raise InvalidRevolutions(
+            f"revolution count must be a positive integer, got {k!r}")
 
-    ``theta`` here is the target's signed along-track lead over the chaser
-    (positive: the target leads, so the chaser enters a faster, lower
-    ellipse with a retrograde first burn); ``rendezvous_mixed`` passes the
-    negated phase gap. ``v_m`` sets the tangential direction at the
-    maneuver point; the burns cancel: dv3 = -dv2.
-    """
-    sgn = (theta > 0.0) - (theta < 0.0)
-    if sgn == 0 or dv_mag == 0.0:
-        z = np.zeros(3)
-        return z, z.copy()
-    direction = _unit(np.asarray(v_m, dtype=float))
-    dv2 = -0.5 * dv_mag * sgn * direction
-    return dv2, -dv2
+
+# 3-vector algebra on tuples. Each reduction is a left-to-right sum, so its
+# float depends on IEEE double arithmetic alone.
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _norm(a) -> float:
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def _scale(a, s: float):
+    return (a[0] * s, a[1] * s, a[2] * s)
+
+
+def _unit(a):
+    n = _norm(a)
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return (a[0] / n, a[1] / n, a[2] / n)
+
+
+def _rotate(v, axis, angle: float):
+    """Rodrigues rotation of ``v`` by ``angle`` about unit vector ``axis``."""
+    c, s = math.cos(angle), math.sin(angle)
+    w = _cross(axis, v)
+    k = _dot(axis, v) * (1.0 - c)
+    return (v[0] * c + w[0] * s + axis[0] * k,
+            v[1] * c + w[1] * s + axis[1] * k,
+            v[2] * c + w[2] * s + axis[2] * k)
+
+
+def _coast_to_node(r_hat, node, normal, t_geo: float) -> float:
+    """Prograde coast (s) from the unit position ``r_hat`` to the direction
+    of ``node``, both in the orbit plane of unit normal ``normal``; in
+    [0, t_geo)."""
+    n_hat = _unit(node)
+    ang = math.acos(min(1.0, max(-1.0, _dot(r_hat, n_hat))))
+    if _dot(_cross(r_hat, n_hat), normal) < 0.0:
+        ang = TWO_PI - ang
+    return ang / TWO_PI * t_geo
 
 
 def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
@@ -282,57 +280,64 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
     the target. Coplanar geometries skip the plane change and phase from
     the current position (zero coast).
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise InvalidRevolutions(f"revolution count must be a positive integer, got {k!r}")
-    r0 = np.asarray(servicer_state.r, dtype=float)
-    v0 = np.asarray(servicer_state.v, dtype=float)
-    h_s = _unit(np.cross(r0, v0))
-    h_t = angular_momentum_dir(target)
-    alpha = math.atan2(float(np.linalg.norm(np.cross(h_s, h_t))),
-                       float(np.dot(h_s, h_t)))
-    v_mag = float(np.linalg.norm(v0))
+    _check_revolutions(k)
+    r0, v0 = servicer_state.r, servicer_state.v
+    h_s = _unit(_cross(r0, v0))
+    co, so = math.cos(target.raan), math.sin(target.raan)
+    ci, si = math.cos(target.inclination), math.sin(target.inclination)
+    h_t = (so * si, -co * si, ci)
+    node_dir = _cross(h_s, h_t)
+    alpha = math.atan2(_norm(node_dir), _dot(h_s, h_t))
+    v_mag = _norm(v0)
 
     if alpha < COPLANAR_TOL:
         coast = 0.0
         r_node = r0
         v_after = v0
-        dv1 = np.zeros(3)
+        dv1 = (0.0, 0.0, 0.0)
     else:
-        n_hat = _unit(np.cross(h_s, h_t))
-        best = None
-        for node in (n_hat * consts.r_geo, -n_hat * consts.r_geo):
-            tc = coast_time_to_node(servicer_state, node, h_s, consts)
-            if best is None or tc < best[0]:
-                best = (tc, node)
-        coast, node = best
+        n_hat = _unit(node_dir)
+        r_hat = _unit(r0)
+        # The nearer of the two nodes, the one along +n_hat on a tie.
+        coast = min(_coast_to_node(r_hat, _scale(n, consts.r_geo), h_s,
+                                   consts.t_geo)
+                    for n in (n_hat, (-n_hat[0], -n_hat[1], -n_hat[2])))
         angle = coast * consts.mean_motion
         r_node = _rotate(r0, h_s, angle)
         v_before = _rotate(v0, h_s, angle)
-        v_after = v_mag * _unit(np.cross(h_t, _unit(r_node)))
-        dv1 = v_after - v_before
+        v_after = _scale(_unit(_cross(h_t, _unit(r_node))), v_mag)
+        dv1 = (v_after[0] - v_before[0], v_after[1] - v_before[1],
+               v_after[2] - v_before[2])
 
     t1 = servicer_state.t + coast
 
     # Signed gap from the target's position to the maneuver point, measured
     # prograde in the target plane: this is the theta of the phasing-orbit
-    # equations (its negation carries the lead-angle sign convention).
-    tgt = orbit_to_state(target, t1, consts)
-    r_hat_t = _unit(np.asarray(tgt.r, dtype=float))
+    # equations.
+    r_hat_t = _unit(orbit_to_state(target, t1, consts).r)
     r_hat_n = _unit(r_node)
-    theta = math.atan2(float(np.dot(np.cross(r_hat_t, r_hat_n), h_t)),
-                       float(np.dot(r_hat_t, r_hat_n)))
+    theta = math.atan2(_dot(_cross(r_hat_t, r_hat_n), h_t),
+                       _dot(r_hat_t, r_hat_n))
 
     t_phase, _, dv_mag = phasing_solution(theta, k, consts)
-    dv2, dv3 = phasing_impulses(v_after, -theta, dv_mag)
+    # The phasing burns are tangential and cancel. A target ahead of the
+    # maneuver point (theta < 0) is caught on a faster, lower ellipse, so
+    # the entry burn is retrograde.
+    sgn = (theta < 0.0) - (theta > 0.0)
+    if sgn == 0 or dv_mag == 0.0:
+        dv2 = dv3 = (0.0, 0.0, 0.0)
+    else:
+        dv2 = _scale(_unit(v_after), -0.5 * dv_mag * sgn)
+        dv3 = (-dv2[0], -dv2[1], -dv2[2])
 
-    impulse1 = dv1 * 1000.0 + dv2
-    impulse2 = dv3
-    total_dv = float(np.linalg.norm(impulse1)) + float(np.linalg.norm(impulse2))
+    impulse1 = (dv1[0] * 1000.0 + dv2[0], dv1[1] * 1000.0 + dv2[1],
+                dv1[2] * 1000.0 + dv2[2])
     return RendezvousSolution(
-        impulse1=impulse1, impulse2=impulse2,
+        impulse1=impulse1, impulse2=dv3,
         t1=t1, t2=t1 + t_phase,
         coast_time=coast, phase_time=t_phase, total_time=coast + t_phase,
-        total_dv=total_dv, revolutions=int(k), alpha=alpha, theta=theta)
+        total_dv=_norm(impulse1) + _norm(dv3), revolutions=int(k),
+        alpha=alpha, theta=theta)
 
 
 def _stumpff(z: float) -> tuple[float, float]:
@@ -351,78 +356,6 @@ def _stumpff(z: float) -> tuple[float, float]:
                 (math.sinh(sz) - sz) / (sz * (-z)))
     return (0.5 - z / 24.0 + z * z / 720.0,
             1.0 / 6.0 - z / 120.0 + z * z / 5040.0)
-
-
-def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
-                        consts: PhysicalConstants = GEO,
-                        tol: float = 1e-11, max_iter: int = 120
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact two-body propagation via the universal Kepler equation.
-
-    Handles elliptic arcs over any number of revolutions; used as the
-    independent check that transfers actually land where claimed.
-    """
-    r0 = np.asarray(r0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if dt == 0.0:
-        return r0.copy(), v0.copy()
-    mu = consts.mu
-    sqrt_mu = math.sqrt(mu)
-    r0n = float(np.linalg.norm(r0))
-    vr0 = float(np.dot(r0, v0)) / r0n
-    alpha = 2.0 / r0n - float(np.dot(v0, v0)) / mu  # 1/a
-
-    def kepler(chi):
-        z = alpha * chi * chi
-        c, s = _stumpff(z)
-        f = (r0n * vr0 / sqrt_mu * chi * chi * c
-             + (1.0 - alpha * r0n) * chi ** 3 * s + r0n * chi - sqrt_mu * dt)
-        fp = (r0n * vr0 / sqrt_mu * chi * (1.0 - z * s)
-              + (1.0 - alpha * r0n) * chi * chi * c + r0n)
-        return f, fp
-
-    # The universal time-of-flight is monotone in chi (dF/dchi = r >= 0),
-    # so Newton safeguarded by a bisection bracket always converges.
-    chi = sqrt_mu * abs(alpha) * dt if alpha > 0 else sqrt_mu * dt / r0n
-    lo, hi = 0.0, max(chi, 1.0)
-    while kepler(hi)[0] < 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoConvergence("universal Kepler bracket expansion failed")
-    chi = min(max(chi, lo), hi)
-    converged = False
-    for _ in range(max_iter):
-        f, fp = kepler(chi)
-        if abs(f) < 1e-9 * sqrt_mu:
-            converged = True
-            break
-        if f > 0.0:
-            hi = chi
-        else:
-            lo = chi
-        step = f / fp if fp != 0.0 else float("inf")
-        cand = chi - step
-        if not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-        if abs(cand - chi) < tol * max(1.0, abs(chi)):
-            chi = cand
-            converged = True
-            break
-        chi = cand
-    if not converged:
-        raise NoConvergence("universal Kepler iteration did not converge")
-
-    z = alpha * chi * chi
-    c, s = _stumpff(z)
-    fl = 1.0 - chi * chi * c / r0n
-    g = dt - chi ** 3 * s / sqrt_mu
-    r = fl * r0 + g * v0
-    rn = float(np.linalg.norm(r))
-    fdot = sqrt_mu / (rn * r0n) * chi * (z * s - 1.0)
-    gdot = 1.0 - chi * chi * c / rn
-    v = fdot * r0 + gdot * v0
-    return r, v
 
 
 def lambert_solve(r1, r2, tof: float, prograde: bool = True,

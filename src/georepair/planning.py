@@ -7,13 +7,14 @@ after the deadline and for exceeding per-servicer delta-v budgets;
 ``penalized_fitness`` is the one place that formula is written.
 
 ``evaluate_route``/``evaluate_plan`` are the only code that builds an
-``Evaluation``. They fly every leg as a vector transfer, carrying impulse
-vectors for schedule output, and take the leg model as an argument: the
-default is the mixed rendezvous on the route's revolution counts, and the
-Lambert baseline in ``search`` passes its own two-impulse leg.
-``CostModel`` is a scalar engine for the mixed model used inside search
-loops. Its one per-leg kernel is ``CostModel.route_geometry``, which
-simulates a route's legs, and ``CostModel._route_cost``, which prices them;
+``Evaluation``. They fly every leg in full, departure state to arrival,
+carrying its impulses for schedule output, and take the leg model as an
+argument: the default is ``astro.rendezvous_mixed`` on the route's
+revolution counts, and the Lambert baseline in ``search`` passes its own
+two-impulse leg. ``CostModel`` prices the mixed model inside search loops,
+from angles and burn magnitudes without impulses. Its one per-leg kernel
+is ``CostModel.route_geometry``, which simulates a route's legs, and
+``CostModel._route_cost``, which prices them;
 each is one loop per route with no call per leg, and the exhaustive oracle
 reads its per-leg tables from the kernel too. The kernel must keep the IEEE
 operation order of every expression: the memos, the search and the
@@ -316,9 +317,8 @@ class CostModel:
     ``route_geometry`` (coast to the nearest plane-intersection point,
     signed phase gap at that point) and ``_route_cost`` (phasing burns,
     combined first impulse, phase time) are the one per-leg kernel. They
-    match ``rendezvous_mixed`` to float precision but run on plain floats,
-    one loop per route, reading each leg pair's static geometry from
-    ``_pairs``. Every expression keeps its IEEE operation order, so a
+    match ``rendezvous_mixed`` to float precision, one loop per route,
+    reading each leg pair's static geometry from ``_pairs``. Every expression keeps its IEEE operation order, so a
     rewrite for speed must leave each float bit-identical. A route's
     geometry is simulated at one revolution per leg and serves every
     revolution allocation, which is exact because changing a leg's
@@ -698,7 +698,7 @@ def mixed_leg(route: Route, q: int, state: CartesianState, orbit: GeoOrbit,
 
 def evaluate_route(scenario: Scenario, route: Route,
                    leg=mixed_leg) -> RouteResult:
-    """Simulate a route leg by leg with a vector transfer model.
+    """Fly a route leg by leg with a transfer model.
 
     ``leg(route, q, state, orbit, consts)`` flies the route's ``q``-th leg
     from the servicer's ``CartesianState`` at departure to the target

@@ -32,14 +32,15 @@ slack rule and penalty weights, and the LNS operators take that same
 model, so one pricing policy and one set of memos serve the whole solve.
 The Lambert adapter flies and prices a leg in one place, ``_fly``, on plain
 floats: states and Lambert velocities are 3-tuples and each norm is a
-left-to-right sum under ``math.sqrt``, so no numpy call runs per leg and a
-price does not depend on the host's BLAS. It keeps one bounded cache, of
+left-to-right sum under ``math.sqrt``. It keeps one bounded cache, of
 priced legs keyed on their exact departure and flight times, so a leg's
 price does not depend on what the cache held, and it recomputes a route
 from that cache. The best plan is then re-evaluated by
 ``planning.evaluate_plan``, with the mixed leg or with a Lambert leg that
 flies through ``_fly`` at the flight time the search chose, so every leg
-reports the price the search used, a failed leg infinite in both.
+reports the price the search used, a failed leg infinite in both. Both leg
+models run on plain floats, so no reported float depends on the host's
+linear-algebra library.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
 
 from .astro import (
     AstroError,
@@ -185,21 +184,21 @@ def selection_weights(fitnesses) -> list[float]:
     return [1.0 / (f + FITNESS_EPS) for f in fitnesses]
 
 
-def selection(population, fitnesses, rng: random.Random) -> list[int]:
+def selection(weights, elite: int, rng: random.Random) -> list[int]:
     """Elite-plus-roulette mating pool, returned as population indices.
 
-    Slot 0 unconditionally copies the best (lowest-fitness) chromosome; the
-    remaining slots are roulette draws over the cumulative selection
-    probabilities of the whole population.
+    ``weights`` are the population's ``selection_weights`` and ``elite`` is
+    the index of its best (lowest-fitness) chromosome. Slot 0
+    unconditionally copies the elite; the remaining slots are roulette
+    draws over the cumulative selection probabilities of the whole
+    population.
     """
-    size = len(population)
-    weights = selection_weights(fitnesses)
+    size = len(weights)
     total = sum(weights)
     if total <= 0.0 or not math.isfinite(total):
         weights = [1.0] * size
         total = float(size)
     cum = list(accumulate(weights))
-    elite = min(range(size), key=lambda i: fitnesses[i])
     draw = rng.random
     return [elite] + [bisect_left(cum, draw() * total, 0, size - 1)
                       for _ in range(size - 1)]
@@ -495,8 +494,8 @@ class _LambertAdapter:
         """(delta-v 1 km/s, delta-v 2 km/s, price m/s) of the Lambert arc
         from ``state`` to target ``to_id`` in ``tof`` s. The burns are
         3-tuples and the price is (|dv1| + |dv2|) * 1000, each norm the
-        square root of a left-to-right sum of squares, so no numpy call
-        runs per leg. Raises ``AstroError`` when the arc fails."""
+        square root of a left-to-right sum of squares. Raises
+        ``AstroError`` when the arc fails."""
         consts = self.scenario.constants
         arrive = orbit_to_state(self._orbits[to_id], state.t + tof, consts)
         (v1x, v1y, v1z), (v2x, v2y, v2z) = lambert_solve(
@@ -566,7 +565,8 @@ class _LambertAdapter:
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
         """``evaluate_plan`` with each leg flown by ``_fly`` at the flight
         time ``route_detail`` chose, so a leg reports the price the search
-        used; a failed leg has NaN impulses and infinite delta-v."""
+        used; a failed leg has (nan, nan, nan) impulses and infinite
+        delta-v."""
         route_tofs = {}
 
         def leg(route: Route, q: int, state, orbit, consts
@@ -582,11 +582,11 @@ class _LambertAdapter:
                 dv1, dv2, leg_dv = self._fly(state, route.target_sequence[q],
                                              tof)
             except AstroError:
-                imp1 = imp2 = np.full(3, math.nan)
+                imp1 = imp2 = (math.nan, math.nan, math.nan)
                 leg_dv = math.inf
             else:
-                imp1 = np.array(dv1) * 1000.0
-                imp2 = np.array(dv2) * 1000.0
+                imp1 = (dv1[0] * 1000.0, dv1[1] * 1000.0, dv1[2] * 1000.0)
+                imp2 = (dv2[0] * 1000.0, dv2[1] * 1000.0, dv2[2] * 1000.0)
             return RendezvousSolution(
                 impulse1=imp1, impulse2=imp2, t1=state.t, t2=state.t + tof,
                 coast_time=0.0, phase_time=tof, total_time=tof,
@@ -622,13 +622,14 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
             cache[key] = fitness
         return fitness
 
-    def breed(pop, fits):
+    def breed(pop, fits, elite):
         """GA phase: the next population, by elite-plus-roulette selection,
-        PMX crossover and swap mutation at adaptive rates."""
+        PMX crossover and swap mutation at adaptive rates; ``elite`` is the
+        index of the best chromosome in ``pop``."""
         weights = selection_weights(fits)
         w_max = max(weights)
         w_avg = sum(weights) / len(weights)
-        pool = selection(pop, fits, rng)
+        pool = selection(weights, elite, rng)
         # Shuffling the indices draws what shuffling the parents would.
         order = pool[1:]
         rng.shuffle(order)
@@ -667,15 +668,15 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
 
     pop = init_population(m, n, ga.population_size, rng)
     fits = [evaluate(c) for c in pop]
-    best_i = min(range(len(pop)), key=lambda i: fits[i])
-    best_fit, best_genes = fits[best_i], tuple(pop[best_i])
+    gen_best = min(range(len(pop)), key=lambda i: fits[i])
+    best_fit, best_genes = fits[gen_best], tuple(pop[gen_best])
     history = [(best_fit, _mean(fits))]
     gen = last_improve = 0
 
     while not (gen >= ga.min_iterations
                and gen - last_improve >= ga.stall_iterations):
         gen += 1
-        pop = breed(pop, fits)
+        pop = breed(pop, fits, gen_best)
         fits = [evaluate(c) for c in pop]
         if lns is not None:
             refine(pop, fits)

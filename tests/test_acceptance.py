@@ -34,7 +34,7 @@ from georepair.search import (
     solve_lns_aga,
     swap_mutation,
 )
-from test_astro import propagate_through_solution
+from mixed_oracle import propagate_through_solution
 
 DAY = 86400.0
 T = GEO.t_geo

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -571,14 +572,47 @@ class TestFlagTable:
 class TestEntryPoint:
     """``python -m georepair`` as a separate process."""
 
-    def _run(self, *argv):
+    # ``python -m georepair`` with every import of numpy failing.
+    NO_NUMPY = ("import runpy, sys\n"
+                "sys.modules['numpy'] = None\n"
+                "try:\n"
+                "    import numpy\n"
+                "except ImportError:\n"
+                "    pass\n"
+                "else:\n"
+                "    sys.exit('numpy is not blocked')\n"
+                "runpy.run_module('georepair', run_name='__main__',"
+                " alter_sys=True)\n")
+
+    def _run(self, *argv, block_numpy=False):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "georepair", *argv],
+        entry = ["-c", self.NO_NUMPY] if block_numpy else ["-m", "georepair"]
+        return subprocess.run([sys.executable, *entry, *argv],
                               env=env, capture_output=True, text=True,
                               timeout=120)
+
+    def test_solves_without_numpy(self, tmp_path):
+        # numpy is a test-only dependency: both leg models fly and report
+        # every leg on plain floats.
+        scen_path = tmp_path / "case.json"
+        save(case_study(), scen_path)
+        for algo, code in (("lns-aga", 0), ("lambert-ga", 2)):
+            out = tmp_path / algo
+            proc = self._run("solve", str(scen_path), "--algo", algo,
+                             "--pop-size", "16", "--min-iters", "4",
+                             "--stall-iters", "2", "--out", str(out),
+                             block_numpy=True)
+            assert proc.returncode == code, proc.stderr
+            header, *rows = read_csv(out / "schedule.csv")
+            assert len(rows) == 14
+            impulses = [float(row[i]) for row in rows
+                        for i, col in enumerate(header)
+                        if col.startswith("impulse") and col.endswith("_mps")]
+            assert len(impulses) == 14 * 6
+            assert all(math.isfinite(x) for x in impulses)
 
     def test_usage_error_exits_one_with_one_line(self, tmp_path):
         proc = self._run("solve", str(tmp_path / "s.json"), "--pop-size",

@@ -16,8 +16,6 @@ SRC = Path(georepair.__file__).parent
 # Functions kept although no package code names them, by bare or
 # ``Class.method`` name.
 ALLOWED = {
-    "propagate_universal": "the independent propagator the tests check "
-                           "the Lambert solver against",
     "evaluate_plan_lambert": "wrapped by name by the benchmark's tracer",
     "CostModel.plan_metrics": "the benchmark's solve check compares the "
                               "vector evaluation against it",

@@ -39,6 +39,7 @@ from georepair.search import (
     pmx_crossover,
     repair,
     selection,
+    selection_weights,
     solve_ga,
     solve_lambert_ga,
     solve_lns_aga,
@@ -166,7 +167,7 @@ class TestSelection:
         rng = random.Random(1)
         counts = [0, 0, 0, 0]
         for _ in range(40_000):
-            pool = selection([0, 1, 2, 3], [5.0, 5.0, 5.0, 5.0], rng)
+            pool = selection(selection_weights([5.0] * 4), 0, rng)
             counts[pool[1]] += 1
         for c in counts:
             assert c / 40_000 == pytest.approx(0.25, abs=0.02)
@@ -177,7 +178,7 @@ class TestSelection:
         hits = 0
         n = 100_000
         for _ in range(n):
-            pool = selection(["a", "b"], [1.0, 3.0], rng)
+            pool = selection(selection_weights([1.0, 3.0]), 0, rng)
             if pool[1] == 0:
                 hits += 1
         assert hits / n == pytest.approx(0.75, abs=0.02)
@@ -186,8 +187,10 @@ class TestSelection:
         rng = random.Random(3)
         for _ in range(100):
             fits = [rng.uniform(1, 100) for _ in range(8)]
-            pool = selection(list(range(8)), fits, rng)
-            assert pool[0] == min(range(8), key=lambda i: fits[i])
+            elite = min(range(8), key=lambda i: fits[i])
+            pool = selection(selection_weights(fits), elite, rng)
+            assert pool[0] == elite
+            assert len(pool) == 8 and all(0 <= i < 8 for i in pool)
 
 
 class TestAdaptiveProbabilities:
