@@ -39,7 +39,7 @@ class AstroError(Exception):
     """Base class for orbital-geometry errors."""
 
 
-class InvalidRevolutions(AstroError):
+class InvalidRevolutions(AstroError, ValueError):
     """Phasing revolution count must be a positive integer."""
 
 

@@ -32,6 +32,9 @@ sequence, target) once for its cheapest slots, so LNS repair reuses a
 scan across repair rounds, attempts and generations.
 The engine agrees with ``evaluate_plan`` to float precision and a test
 pins that agreement.
+Plans are checked once, by ``MissionPlan.validate_against`` in
+``evaluate_plan``. The search trusts its own input: ``decode`` does not
+check chromosomes, which the engine builds as permutations.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .astro import (
     GeoOrbit,
     PhysicalConstants,
     RendezvousSolution,
+    _check_revolutions,
     fold_angle,
     orbit_to_state,
     rendezvous_mixed,
@@ -145,8 +149,8 @@ class Route:
             raise ValueError("duplicate targets in route")
         if len(self.revolutions) != len(self.target_sequence):
             raise ValueError("revolutions must match sequence length")
-        if any(n < 1 for n in self.revolutions):
-            raise ValueError("every revolution count must be >= 1")
+        for k in self.revolutions:
+            _check_revolutions(k)
 
 
 @dataclass
@@ -160,8 +164,15 @@ class MissionPlan:
         return out
 
     def validate_against(self, scenario: Scenario):
+        """Raise ``ValueError`` unless ``evaluate_plan`` can fly the plan."""
+        flown = set()
         for r in self.routes:
             r.validate()
+            if r.servicer_id not in scenario._servicer_by_id:
+                raise ValueError(f"unknown servicer {r.servicer_id!r}")
+            if r.servicer_id in flown:
+                raise ValueError(f"servicer {r.servicer_id} has two routes")
+            flown.add(r.servicer_id)
         covered = self.covered_targets()
         expected = sorted(t.id for t in scenario.targets)
         if sorted(covered) != expected:
@@ -197,20 +208,13 @@ class Evaluation:
 # Chromosome encoding
 # ---------------------------------------------------------------------------
 
-def validate_chromosome(genes, m: int, n: int):
-    """Raise unless ``genes`` is a permutation of 1..m+n-1."""
-    length = m + n - 1
-    if len(genes) != length or set(genes) != set(range(1, length + 1)):
-        raise ValueError(f"genes must be a permutation of 1..{length}")
-
-
 def decode(genes, m: int, n: int) -> list[list[int]]:
     """Split a permutation chromosome into per-servicer target sequences.
 
     Values 1..m are target ids; the n-1 larger values are split genes that
     partition the string positionally into n (possibly empty) fragments.
+    ``genes`` must be a permutation of 1..m+n-1, which is not checked.
     """
-    validate_chromosome(genes, m, n)
     sequences = [[]]
     for g in genes:
         if g <= m:
@@ -262,12 +266,12 @@ class _Pair:
         dot = hf[0] * ht[0] + hf[1] * ht[1] + hf[2] * ht[2]
         self.alpha = math.atan2(cn, dot)
         self.degenerate = self.alpha < COPLANAR_TOL
+        self.lam_diff = fold_angle(frm.lam0 - to.lam0)
         if self.degenerate:
             self.dv1 = 0.0
             self.s_half = 0.0
             self.psi_from = 0.0
             self.psi_to = 0.0
-            self.lam_diff = fold_angle(frm.lam0 - to.lam0)
         else:
             nx, ny, nz = cx / cn, cy / cn, cz / cn
             self.s_half = math.sin(self.alpha / 2.0)
@@ -278,7 +282,6 @@ class _Pair:
             self.psi_to = math.atan2(
                 nx * to.e2[0] + ny * to.e2[1] + nz * to.e2[2],
                 nx * to.e1[0] + ny * to.e1[1] + nz * to.e1[2]) % TWO_PI
-            self.lam_diff = 0.0
 
 
 class _RouteGeom:
@@ -327,10 +330,9 @@ class CostModel:
     ``priced_route`` memoizes, per (servicer, sequence), the allocated
     revolutions with their delta-v, deadline violation and end time, so
     each route's geometry is built and allocated once. The memo empties
-    itself when it reaches ``_ROUTE_CACHE_CAP`` entries. ``route_metrics``
-    answers from it when given the memoized revolutions and computes any
-    other allocation fresh. The search reads it through ``priced_score``
-    and holds no revolutions; ``allocate`` gives those of a reported plan.
+    itself when it reaches ``_ROUTE_CACHE_CAP`` entries. The search reads
+    it through ``priced_score`` and holds no revolutions; ``allocate``
+    gives those of a reported plan.
 
     ``insertion_scan`` memoizes, per (servicer, sequence, target), the
     cheapest slots for that target in that route; it empties itself at the
@@ -467,12 +469,6 @@ class CostModel:
 
     def route_metrics(self, servicer_id: int, seq, revs):
         """(delta-v m/s, deadline-violation seconds, end time s) of a route."""
-        if not seq:
-            return 0.0, 0.0, 0.0
-        revs = tuple(revs)
-        hit = self._priced.get((servicer_id, tuple(seq)))
-        if hit is not None and hit[0] == revs:
-            return hit[1:]
         return self._route_cost(self.route_geometry(servicer_id, seq), revs)
 
     def _score(self, servicer_id: int, dv: float, p1: float):
@@ -644,8 +640,7 @@ class CostModel:
     def target_pair_cost(self, i: int, j: int, beta: float) -> float:
         """Orbit-difference proxy: beta*|dihedral| + (1-beta)*|phase gap|."""
         p = self._pairs.get((i, j)) or self._pair(i, j)
-        theta = abs(fold_angle(self._bodies[i].lam0 - self._bodies[j].lam0))
-        return beta * abs(p.alpha) + (1.0 - beta) * theta
+        return beta * abs(p.alpha) + (1.0 - beta) * abs(p.lam_diff)
 
     def pair_cost_table(self, beta: float) -> list[list[float]]:
         """``table[i][j]``: ``target_pair_cost(i, j, beta)`` over its
@@ -772,7 +767,7 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
             "exceed oracle guards (5 targets, 5 servicers, 6 revolutions)")
     if max_revolutions < 1:
         raise ValueError("max_revolutions must be >= 1")
-    model = CostModel(scenario)
+    model = CostModel(scenario, phi=phi, gamma=gamma)
     sids = [s.id for s in scenario.servicers]
     tids = [t.id for t in scenario.targets]
     rev_range = range(1, max_revolutions + 1)
@@ -795,7 +790,6 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
                 # sums start at 0.0, and 0.0 + x == x for these terms.
                 tab = [[model._route_cost(geom.leg(q), (k,))
                         for k in rev_range] for q in range(len(perm))]
-                budget = model._budget[sid]
                 deadline = model.deadline
                 for revs in itertools.product(rev_range, repeat=len(perm)):
                     dv = 0.0
@@ -807,8 +801,7 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
                         t += leg_time
                         if t > deadline:
                             p1 += t - deadline
-                    score = penalized_fitness(dv, p1, max(dv - budget, 0.0),
-                                              phi, gamma)
+                    score = model._score(sid, dv, p1)[0]
                     if best is None or score < best[0]:
                         best = (score, perm, revs)
         best_route[key] = best

@@ -17,7 +17,8 @@ and ``refine``, the LNS hook, runs destroy/repair on the elite in place.
 No engine code writes into a chromosome once it is made: crossover and
 mutation return new lists and ``refine`` replaces a population slot, so
 ``breed`` puts a selected parent into the next population as it is, and
-one chromosome object may fill several slots.
+one chromosome object may fill several slots. PMX, swap mutation and
+``encode_sequences`` make only permutations, so ``decode`` checks none.
 The LNS operators work on target sequences, one list per servicer in
 ``scenario.servicers`` order as ``decode`` returns them, and return new
 lists: a route's revolutions follow from its sequence, so no operator

@@ -21,7 +21,6 @@ from georepair.planning import (
     evaluate_route,
     exhaustive_solve,
     penalized_fitness,
-    validate_chromosome,
 )
 from georepair.scenarios import random_scenario
 from georepair.search import GaParams, solve_lns_aga
@@ -57,12 +56,6 @@ class TestDecode:
 
     def test_leading_splits_give_empty_routes(self):
         assert decode([4, 5, 1, 2, 3], 3, 3) == [[], [], [1, 2, 3]]
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            decode([1, 1, 2], 2, 2)
-        with pytest.raises(ValueError):
-            validate_chromosome([1, 2], 2, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.permutations(list(range(1, 11))))
@@ -236,13 +229,24 @@ class TestEvaluatePlan:
             else:
                 assert ev.fitness > ev.total_dv
 
-    def test_rejects_incomplete_plan(self):
-        scenario = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
-                                 [(1.0, 20.0, 90.0, HOUR),
-                                  (2.0, 40.0, 10.0, HOUR)],
-                                 deadline_s=20 * 86400.0)
-        with pytest.raises(ValueError):
-            evaluate_plan(scenario, MissionPlan([Route(1, [1], [1])]))
+    # A plan flies one route per scenario servicer, covers every target
+    # once and phases each leg a positive whole number of revolutions.
+    @pytest.mark.parametrize("targets, servicers, routes", [
+        (2, 1, [(1, [1], [1])]),
+        (3, 2, [(1, [1], [1]), (99, [2, 3], [1, 1])]),
+        (3, 2, [(1, [1], [1]), (1, [2, 3], [1, 1])]),
+        (2, 1, [(1, [1, 2], [1.5, 1])]),
+        (2, 1, [(1, [1, 2], [1, True])]),
+    ], ids=["incomplete", "unknown-servicer", "repeated-servicer",
+            "fractional-revs", "bool-revs"])
+    def test_rejects_invalid_plan(self, targets, servicers, routes):
+        scenario = random_scenario(targets, servicers, 20.0, seed=1)
+        plan = MissionPlan([Route(*r) for r in routes])
+        for check in (plan.validate_against,
+                      lambda sc: evaluate_plan(sc, plan)):
+            with pytest.raises(ValueError) as exc:
+                check(scenario)
+            assert len(str(exc.value).splitlines()) == 1
 
 
 class TestPenalizedFitness:

@@ -1,9 +1,13 @@
 """Genetic operator, LNS and solver behavior tests."""
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -728,6 +732,35 @@ class TestEngineState:
         results = [solve_ga(scenario, _ga(), seed=seed) for seed in SEEDS]
         assert fingerprint(results) == EXPECTED[("roomy", "solve_ga")]
 
+    # ``decode`` does not check its input: the engine must only ever hand
+    # it permutations of 1..m+n-1. The 24-target scenario has 26 crossover
+    # sites, past the 21 items at which ``_two_sites`` changes method.
+    @pytest.mark.parametrize("solve", [
+        lambda sc: solve_ga(sc, small_ga(20, 20, 10), seed=1),
+        lambda sc: solve_lns_aga(sc, small_ga(20, 20, 10), LnsParams(),
+                                 seed=1),
+        lambda sc: solve_lambert_ga(sc, small_ga(20, 20, 10), seed=1),
+    ], ids=["ga", "lns_aga", "lambert_ga"])
+    @pytest.mark.parametrize("scenario", [
+        case_study, lambda: random_scenario(24, 2, 10.0, seed=7),
+    ], ids=["case_study", "24_targets"])
+    def test_every_decoded_chromosome_is_a_permutation(
+            self, monkeypatch, solve, scenario):
+        scenario = scenario()
+        m, n = len(scenario.targets), len(scenario.servicers)
+        every_gene = list(range(1, m + n))
+        decoded = []
+        original = search.decode
+
+        def spy(genes, m_, n_):
+            assert (m_, n_) == (m, n)
+            decoded.append(sorted(genes) == every_gene)
+            return original(genes, m_, n_)
+
+        monkeypatch.setattr(search, "decode", spy)
+        solve(scenario)
+        assert decoded and all(decoded)
+
 
 class TestMixedWorkCounts:
     """Where a fixed LNS-AGA solve prices routes: the search reads the route
@@ -1184,6 +1217,41 @@ class TestLambertWorkCounts:
         solve_lambert_ga(scenario(), ga(), seed=1)
         assert (seen["lambert_solve"], seen["orbit_to_state"],
                 seen["misses"]) == counts
+
+
+class TestHashSeedIndependence:
+    """No result depends on the order of a set or dict of str keys: the
+    three solvers give the same floats under any ``PYTHONHASHSEED``."""
+
+    SOLVE = (
+        "import json\n"
+        "from georepair.scenarios import random_scenario\n"
+        "from georepair.search import (GaParams, LnsParams, solve_ga,\n"
+        "                              solve_lambert_ga, solve_lns_aga)\n"
+        "scenario = random_scenario(5, 2, 8.0, seed=3)\n"
+        "ga = GaParams(population_size=8, min_iterations=6,\n"
+        "              stall_iterations=3)\n"
+        "results = [solve_lns_aga(scenario, ga, LnsParams(), seed=2),\n"
+        "           solve_ga(scenario, ga, seed=2),\n"
+        "           solve_lambert_ga(scenario, ga, seed=2)]\n"
+        "print(json.dumps([[r.best_evaluation.fitness.hex(),\n"
+        "                   [[b.hex(), a.hex()] for b, a in r.history]]\n"
+        "                  for r in results]))\n")
+
+    def test_results_are_the_same_under_two_hash_seeds(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = []
+        for hash_seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", self.SOLVE],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout)
+        assert runs[0] == runs[1]
+        assert len(json.loads(runs[0])) == 3
 
 
 class TestLambertNeedsNoBlas:
