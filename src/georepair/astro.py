@@ -397,40 +397,42 @@ def lambert_solve(r1, r2, tof: float, prograde: bool = True,
 
     sqrt_mu = math.sqrt(mu)
     target = sqrt_mu * tof
-
-    def stumpff_y(z: float) -> tuple[float, float, float]:
-        c, s = _stumpff(z)
-        return c, s, r1n + r2n + a_coef * (z * s - 1.0) / math.sqrt(c)
-
-    def tof_fn(z: float) -> float:
-        c, s, y = stumpff_y(z)
-        if y < 0.0:
-            return -1.0  # below the valid branch; treat as too-short flight
-        return (y / c) ** 1.5 * s + a_coef * math.sqrt(y) - target
+    sqrt = math.sqrt
+    # y(z) = r1n + r2n + a_coef * (z * S - 1) / sqrt(C), with the Stumpff
+    # functions C and S of z; the flight time F(z) = (y / C)**1.5 * S
+    # + a_coef * sqrt(y) - target counts as too short (negative) where
+    # y < 0, below the valid branch. Each evaluation is written out where
+    # it is needed.
+    r12 = r1n + r2n
 
     # Bracket the root in z (zero-revolution branch: z < (2 pi)^2). The
     # flight time is monotone increasing in z, so expand the hyperbolic
     # side until it undershoots. Newton steps from z = 0 then narrow the
     # bracket; a step that leaves it, or one from an iterate where y <= 0
-    # (counted as too short a flight, as in tof_fn), becomes the midpoint.
+    # (counted as too short a flight), becomes the midpoint.
     z_hi = TWO_PI ** 2 * 0.999
     z_lo = -4.0 * TWO_PI ** 2
     for _ in range(40):
-        if tof_fn(z_lo) < 0.0:
+        c, s = _stumpff(z_lo)
+        y = r12 + a_coef * (z_lo * s - 1.0) / sqrt(c)
+        if y < 0.0 or (y / c) ** 1.5 * s + a_coef * sqrt(y) - target < 0.0:
             break
         z_lo *= 2.0
     else:
         raise NoConvergence("Lambert time of flight not bracketed")
-    if tof_fn(z_hi) < 0.0:
+    c, s = _stumpff(z_hi)
+    y = r12 + a_coef * (z_hi * s - 1.0) / sqrt(c)
+    if y < 0.0 or (y / c) ** 1.5 * s + a_coef * sqrt(y) - target < 0.0:
         raise NoConvergence("Lambert time of flight not bracketed")
     z = 0.0
     for _ in range(max_iter):
-        c, s, y = stumpff_y(z)
+        c, s = _stumpff(z)
+        y = r12 + a_coef * (z * s - 1.0) / sqrt(c)
         z_new = None
         if y <= 0.0:
             z_lo = z
         else:
-            sqrt_y = math.sqrt(y)
+            sqrt_y = sqrt(y)
             x3 = (y / c) ** 1.5
             f = x3 * s + a_coef * sqrt_y - target
             if f > 0.0:
@@ -443,11 +445,11 @@ def lambert_solve(r1, r2, tof: float, prograde: bool = True,
                 dfdz = (x3 * ((c - 1.5 * s / c) / (2.0 * z)
                               + 0.75 * s * s / c)
                         + a_coef / 8.0 * (3.0 * s / c * sqrt_y
-                                          + a_coef * math.sqrt(c / y)))
+                                          + a_coef * sqrt(c / y)))
             else:
-                dfdz = (math.sqrt(2.0) / 40.0 * y * sqrt_y
+                dfdz = (sqrt(2.0) / 40.0 * y * sqrt_y
                         + a_coef / 8.0 * (sqrt_y
-                                          + a_coef * math.sqrt(0.5 / y)))
+                                          + a_coef * sqrt(0.5 / y)))
             if dfdz > 0.0:
                 z_new = z - f / dfdz
         if z_new is None or not z_lo <= z_new <= z_hi:
@@ -458,7 +460,8 @@ def lambert_solve(r1, r2, tof: float, prograde: bool = True,
         z = z_new
     else:
         raise NoConvergence("Lambert iteration did not converge")
-    y = stumpff_y(z)[2]
+    c, s = _stumpff(z)
+    y = r12 + a_coef * (z * s - 1.0) / sqrt(c)
     if y <= 0.0:
         raise NoConvergence("Lambert iteration converged to invalid geometry")
 

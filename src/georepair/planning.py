@@ -43,6 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from numbers import Integral
 
 from .astro import (
     COPLANAR_TOL,
@@ -130,10 +131,16 @@ class Scenario:
         self._servicer_by_id = {s.id: s for s in self.servicers}
 
     def target(self, tid: int) -> Target:
-        return self._target_by_id[tid]
+        try:
+            return self._target_by_id[tid]
+        except KeyError:
+            raise ValueError(f"unknown target {tid!r}") from None
 
     def servicer(self, sid: int) -> Servicer:
-        return self._servicer_by_id[sid]
+        try:
+            return self._servicer_by_id[sid]
+        except KeyError:
+            raise ValueError(f"unknown servicer {sid!r}") from None
 
 
 @dataclass
@@ -145,6 +152,10 @@ class Route:
     revolutions: list[int]
 
     def validate(self):
+        for i in (self.servicer_id, *self.target_sequence):
+            if not isinstance(i, Integral) or isinstance(i, bool):
+                raise ValueError(
+                    f"servicer and target ids must be integers, got {i!r}")
         if len(self.target_sequence) != len(set(self.target_sequence)):
             raise ValueError("duplicate targets in route")
         if len(self.revolutions) != len(self.target_sequence):
@@ -168,8 +179,7 @@ class MissionPlan:
         flown = set()
         for r in self.routes:
             r.validate()
-            if r.servicer_id not in scenario._servicer_by_id:
-                raise ValueError(f"unknown servicer {r.servicer_id!r}")
+            scenario.servicer(r.servicer_id)
             if r.servicer_id in flown:
                 raise ValueError(f"servicer {r.servicer_id} has two routes")
             flown.add(r.servicer_id)

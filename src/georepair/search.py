@@ -31,12 +31,16 @@ An adapter per leg model prices routes for the search. The mixed adapter
 holds only a ``planning.CostModel``, built once per solve with the solve's
 slack rule and penalty weights, and the LNS operators take that same
 model, so one pricing policy and one set of memos serve the whole solve.
-The Lambert adapter flies and prices a leg in one place, ``_fly``, on plain
-floats: states and Lambert velocities are 3-tuples and each norm is a
-left-to-right sum under ``math.sqrt``. It keeps one bounded cache, of
-priced legs keyed on their exact departure and flight times, so a leg's
-price does not depend on what the cache held, and it recomputes a route
-from that cache. The best plan is then re-evaluated by
+The Lambert adapter flies and prices a leg in one place, ``_fly``, on
+plain floats: states and Lambert velocities are 3-tuples and each norm is
+a left-to-right sum under ``math.sqrt``. It keeps two bounded memos: the
+leg cache, of priced legs keyed on their exact departure and flight times,
+and the state memo, of body states keyed on the body and the exact time,
+which serves the departure state of each leg it prices and the arrival
+state of each ``_fly``. Each empties when an insert would pass
+``_LEG_CACHE_CAP``, and each value depends on its key alone, so a price
+does not depend on what a memo held. A route is summed again from the leg
+cache on every call. The best plan is then re-evaluated by
 ``planning.evaluate_plan``, with the mixed leg or with a Lambert leg that
 flies through ``_fly`` at the flight time the search chose, so every leg
 reports the price the search used, a failed leg infinite in both. Both leg
@@ -77,7 +81,7 @@ FITNESS_EPS = 1e-12
 RELATEDNESS_EPS = 1e-6
 
 # Entries at which the engine's chromosome cache and the Lambert adapter's
-# leg cache empty themselves.
+# leg cache and state memo empty themselves.
 _GENE_CACHE_CAP = 200_000
 _LEG_CACHE_CAP = 300_000
 
@@ -195,11 +199,11 @@ def selection(weights, elite: int, rng: random.Random) -> list[int]:
     population.
     """
     size = len(weights)
-    total = sum(weights)
-    if total <= 0.0 or not math.isfinite(total):
-        weights = [1.0] * size
-        total = float(size)
     cum = list(accumulate(weights))
+    total = cum[-1]
+    if total <= 0.0 or not math.isfinite(total):
+        cum = list(accumulate([1.0] * size))
+        total = cum[-1]
     draw = rng.random
     return [elite] + [bisect_left(cum, draw() * total, 0, size - 1)
                       for _ in range(size - 1)]
@@ -440,6 +444,13 @@ class _LambertAdapter:
     ``_fly`` is the one Lambert flight: the search prices each fallback
     candidate through it, and ``final_evaluation`` reports each leg
     through it at the flight time the search settled on.
+
+    Two memos, each emptied when an insert would pass ``_LEG_CACHE_CAP``,
+    keep the search from repeating work: the leg cache, from
+    ``(from key, target id, departure time, grid time)`` to the leg's
+    (flight time, price), and the state memo ``_state``, from
+    ``(body key, time)`` to the body's ``CartesianState``, so each distinct
+    departure or arrival state is computed once.
     """
 
     def __init__(self, scenario: Scenario, phi: float, gamma: float):
@@ -461,12 +472,15 @@ class _LambertAdapter:
         lam0 = {key: orb.raan + orb.arg_lat0
                 for key, orb in self._orbits.items()}
         # Static phase gap |fold(lam0[from] - lam0[to])| of every leg a
-        # route can fly, keyed (from_key, target id).
-        self._gaps = {(key, t.id): abs(fold_angle(lam0[key] - lam0[t.id]))
-                      for key in self._orbits for t in scenario.targets}
+        # route can fly: one row per departure body, keyed by target id.
+        self._gap_rows = {
+            key: {t.id: abs(fold_angle(lam0[key] - lam0[t.id]))
+                  for t in scenario.targets}
+            for key in self._orbits}
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
         self._leg_cache = {}
+        self._states = {}
 
     def _allocate_tofs(self, sid: int, seq) -> list[float]:
         """Flight time of each leg of servicer ``sid``'s route ``seq``.
@@ -478,18 +492,36 @@ class _LambertAdapter:
         longest grid time that fits in its share plus the slack.
         """
         legs = len(seq)
-        budget = self.scenario.deadline - sum(self._td[t] for t in seq)
+        budget = self.scenario.deadline - sum(map(self._td.__getitem__, seq))
         grid = self.grid
         i = bisect_right(grid, budget / legs)
         tofs = [grid[i - 1] if i else grid[0]] * legs
         slack = budget - sum(tofs)
         if slack > 0.0:
-            gaps = [self._gaps[pair] for pair in zip((("S", sid), *seq), seq)]
-            pick = gaps.index(max(gaps))
+            rows = self._gap_rows
+            pick, best = 0, rows[("S", sid)][seq[0]]
+            for q in range(1, legs):
+                gap = rows[seq[q - 1]][seq[q]]
+                if gap > best:
+                    pick, best = q, gap
             i = bisect_right(grid, tofs[pick] + slack)
             if i:
                 tofs[pick] = grid[i - 1]
         return tofs
+
+    def _state(self, key, t: float):
+        """The ``CartesianState`` of body ``key`` (``("S", servicer id)`` or
+        a target id) at time ``t``, from the state memo. A state depends on
+        its key alone, so the memo is exact; it empties, as the leg cache
+        does, when an insert would pass ``_LEG_CACHE_CAP``."""
+        memo = self._states
+        state = memo.get((key, t))
+        if state is None:
+            if len(memo) >= _LEG_CACHE_CAP:
+                memo.clear()
+            state = memo[key, t] = orbit_to_state(
+                self._orbits[key], t, self.scenario.constants)
+        return state
 
     def _fly(self, state, to_id: int, tof: float):
         """(delta-v 1 km/s, delta-v 2 km/s, price m/s) of the Lambert arc
@@ -497,10 +529,9 @@ class _LambertAdapter:
         3-tuples and the price is (|dv1| + |dv2|) * 1000, each norm the
         square root of a left-to-right sum of squares. Raises
         ``AstroError`` when the arc fails."""
-        consts = self.scenario.constants
-        arrive = orbit_to_state(self._orbits[to_id], state.t + tof, consts)
+        arrive = self._state(to_id, state.t + tof)
         (v1x, v1y, v1z), (v2x, v2y, v2z) = lambert_solve(
-            state.r, arrive.r, tof, True, consts)
+            state.r, arrive.r, tof, True, self.scenario.constants)
         (sx, sy, sz), (tx, ty, tz) = state.v, arrive.v
         d1x, d1y, d1z = v1x - sx, v1y - sy, v1z - sz
         d2x, d2y, d2z = tx - v2x, ty - v2y, tz - v2z
@@ -516,8 +547,7 @@ class _LambertAdapter:
         time, so a leg's price depends on its key alone; ``route_detail``
         reads the cache itself and calls this only on a miss."""
         key = (from_key, to_id, t_dep, tof)
-        state = orbit_to_state(self._orbits[from_key], t_dep,
-                               self.scenario.constants)
+        state = self._state(from_key, t_dep)
         result = (tof, math.inf)
         for cand in self._fallbacks[tof]:
             try:
@@ -537,6 +567,8 @@ class _LambertAdapter:
             return (), 0.0, 0.0
         tofs = self._allocate_tofs(sid, seq)
         cache = self._leg_cache
+        td = self._td
+        deadline = self.scenario.deadline
         t = 0.0
         dv = 0.0
         p1 = 0.0
@@ -549,9 +581,9 @@ class _LambertAdapter:
             actual, cost = hit
             used.append(actual)
             dv += cost
-            t = t + actual + self._td[tid]
-            if t > self.scenario.deadline:
-                p1 += t - self.scenario.deadline
+            t = t + actual + td[tid]
+            if t > deadline:
+                p1 += t - deadline
             from_key = tid
         return tuple(used), dv, p1
 
@@ -629,7 +661,7 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
         index of the best chromosome in ``pop``."""
         weights = selection_weights(fits)
         w_max = max(weights)
-        w_avg = sum(weights) / len(weights)
+        w_avg = _left_sum(weights) / len(weights)
         pool = selection(weights, elite, rng)
         # Shuffling the indices draws what shuffling the parents would.
         order = pool[1:]
@@ -696,8 +728,18 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
                        history=history, generations_run=gen, seed=seed)
 
 
+def _left_sum(values) -> float:
+    """Sum of floats added left to right, each addition rounded. Since
+    Python 3.12 ``sum`` compensates its rounding, so its floats would depend
+    on the Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _mean(values) -> float:
-    return sum(values) / len(values) if values else math.nan
+    return _left_sum(values) / len(values) if values else math.nan
 
 
 def solve_lns_aga(scenario: Scenario, ga: GaParams | None = None,

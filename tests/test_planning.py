@@ -142,6 +142,16 @@ class TestAllocate:
 
 
 class TestEvaluateRoute:
+    @pytest.mark.parametrize("route", [Route(99, [1], [1]),
+                                       Route(1, [99], [1]),
+                                       Route(True, [1], [1])],
+                             ids=["unknown-servicer", "unknown-target",
+                                  "bool-servicer"])
+    def test_rejects_a_route_the_scenario_cannot_fly(self, route):
+        with pytest.raises(ValueError) as exc:
+            evaluate_route(random_scenario(3, 2, 20.0, seed=1), route)
+        assert len(str(exc.value).splitlines()) == 1
+
     def test_empty_route(self):
         scenario = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
                                  [(0.0, 0.0, 10.0, HOUR)], deadline_s=10 * T)
@@ -237,8 +247,10 @@ class TestEvaluatePlan:
         (3, 2, [(1, [1], [1]), (1, [2, 3], [1, 1])]),
         (2, 1, [(1, [1, 2], [1.5, 1])]),
         (2, 1, [(1, [1, 2], [1, True])]),
+        (3, 2, [(True, [True, 2, 3], [1, 1, 1])]),
+        (3, 2, [(1, [True, 2, 3], [1, 1, 1])]),
     ], ids=["incomplete", "unknown-servicer", "repeated-servicer",
-            "fractional-revs", "bool-revs"])
+            "fractional-revs", "bool-revs", "bool-ids", "bool-target"])
     def test_rejects_invalid_plan(self, targets, servicers, routes):
         scenario = random_scenario(targets, servicers, 20.0, seed=1)
         plan = MissionPlan([Route(*r) for r in routes])

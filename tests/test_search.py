@@ -197,6 +197,56 @@ class TestSelection:
             assert len(pool) == 8 and all(0 <= i < 8 for i in pool)
 
 
+class TestLeftToRightSums:
+    """The engine adds its floats left to right, so its histories do not
+    depend on the Python version: from 3.12 on, ``sum`` compensates its
+    rounding. Each test gives ``search`` a correctly rounded ``sum``, which
+    differs from left-to-right addition on these inputs, and expects
+    nothing to change."""
+
+    @pytest.fixture
+    def compensated_sum(self, monkeypatch):
+        monkeypatch.setattr(search, "sum", math.fsum, raising=False)
+
+    def test_mean(self, compensated_sum):
+        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+        assert search._mean([1e16, 1.0, -1e16]) == 0.0
+
+    def test_selection_total(self, compensated_sum):
+        # Added left to right, the weights total 1.0, so the largest draw
+        # below 1 still picks the first weight; a compensated total
+        # exceeds 1.0 and would pick the last.
+        class LargestDraw:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        weights = [1.0] + [1e-16] * 1000
+        assert selection(weights, 0, LargestDraw()) == [0] * 1001
+
+    @pytest.mark.parametrize("solve", [solve_ga, solve_lns_aga])
+    def test_engine_history(self, monkeypatch, solve):
+        # The mean weight that ``breed`` gives the adaptive rates is
+        # recorded too: its last bits rarely move a draw, so the history
+        # alone would not show it.
+        rate = search.adaptive_pm
+
+        def run():
+            means = []
+
+            def spy(w_i, w_avg, w_max, params):
+                means.append(w_avg.hex())
+                return rate(w_i, w_avg, w_max, params)
+
+            monkeypatch.setattr(search, "adaptive_pm", spy)
+            result = solve(random_scenario(6, 2, 10.0, seed=7),
+                           small_ga(20, 20, 10), seed=1)
+            return [(b.hex(), a.hex()) for b, a in result.history], means
+
+        want = run()
+        monkeypatch.setattr(search, "sum", math.fsum, raising=False)
+        assert run() == want
+
+
 class TestAdaptiveProbabilities:
     def setup_method(self):
         self.p = GaParams()
@@ -639,8 +689,9 @@ class TestInsertionMemo:
 
 
 class TestBoundedSearchCaches:
-    """The engine's chromosome cache and the Lambert leg cache never exceed
-    their caps, and emptying them leaves a solve as it was."""
+    """The engine's chromosome cache and the Lambert leg cache and state
+    memo never exceed their caps, and emptying them leaves a solve as it
+    was."""
 
     def test_gene_cache_stays_within_its_cap(self, monkeypatch):
         scenario = random_scenario(6, 2, 6.0, seed=7)
@@ -671,18 +722,23 @@ class TestBoundedSearchCaches:
     def test_leg_cache_stays_within_its_cap(self, monkeypatch):
         scenario = random_scenario(6, 2, 6.0, seed=7)
         fresh = solve_lambert_ga(scenario, small_ga(20, 20, 10), seed=1)
-        sizes = []
-        original = _LambertAdapter._leg
+        sizes = {"_leg_cache": [], "_states": []}
 
-        def spy(self, *args):
-            result = original(self, *args)
-            sizes.append(len(self._leg_cache))
-            return result
+        def spy(method, memo):
+            original = getattr(_LambertAdapter, method)
 
-        monkeypatch.setattr(_LambertAdapter, "_leg", spy)
+            def call(self, *args):
+                result = original(self, *args)
+                sizes[memo].append(len(getattr(self, memo)))
+                return result
+            monkeypatch.setattr(_LambertAdapter, method, call)
+
+        spy("_leg", "_leg_cache")
+        spy("_state", "_states")
         monkeypatch.setattr(search, "_LEG_CACHE_CAP", 5)
         capped = solve_lambert_ga(scenario, small_ga(20, 20, 10), seed=1)
-        assert max(sizes) == 5
+        assert max(sizes["_leg_cache"]) == 5
+        assert max(sizes["_states"]) == 5
         assert capped.history == fresh.history
         assert capped.best_plan == fresh.best_plan
         assert capped.best_evaluation.fitness == fresh.best_evaluation.fitness
@@ -1001,6 +1057,9 @@ class TestSolvers:
         solve_lambert_ga(case_study(), seed=1)
         assert counts["solves"] > 5000
         assert counts["stumpff"] <= 16 * counts["solves"]
+        # The exact count: a rewrite of the iteration must take the same
+        # steps.
+        assert counts == {"stumpff": 115_044, "solves": 10_019}
 
 
 def reference_allocate_tofs(adapter, sid, seq):
@@ -1181,13 +1240,15 @@ class TestLambertWorkCounts:
     """Exact work of fixed Lambert solves: a change to how a leg is flown or
     cached must do the same work, or say why it does not."""
 
+    # ``orbit_to_state`` runs once per distinct (body, time) state that the
+    # legs read, through the adapter's state memo.
     @pytest.mark.parametrize("case, scenario, ga, counts", [
         ("tight", lambda: random_scenario(6, 2, 6.0, seed=7),
-         lambda: small_ga(20, 20, 10), (269, 532, 263)),
+         lambda: small_ga(20, 20, 10), (269, 189, 263)),
         ("roomy", lambda: random_scenario(6, 2, 10.0, seed=7),
-         lambda: small_ga(20, 20, 10), (315, 624, 309)),
+         lambda: small_ga(20, 20, 10), (315, 228, 309)),
         # The benchmark's case_lambert workload.
-        ("case_study", case_study, lambda: None, (10_019, 20_024, 10_005)),
+        ("case_study", case_study, lambda: None, (10_019, 2_512, 10_005)),
     ])
     def test_solve_counts(self, monkeypatch, case, scenario, ga, counts):
         seen = {"lambert_solve": 0, "orbit_to_state": 0, "misses": 0}
@@ -1217,6 +1278,42 @@ class TestLambertWorkCounts:
         solve_lambert_ga(scenario(), ga(), seed=1)
         assert (seen["lambert_solve"], seen["orbit_to_state"],
                 seen["misses"]) == counts
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    def test_each_state_is_computed_once_until_the_memo_empties(
+            self, monkeypatch, cap):
+        since_clear = set()
+        computed = []
+
+        class StateMemo(dict):
+            def clear(self):
+                since_clear.clear()
+                super().clear()
+
+        init = _LambertAdapter.__init__
+
+        def memo_init(self, *args):
+            init(self, *args)
+            self._states = StateMemo()
+
+        original = search.orbit_to_state
+
+        def spy(orbit, t, consts):
+            key = (id(orbit), t)
+            assert key not in since_clear
+            since_clear.add(key)
+            computed.append(key)
+            return original(orbit, t, consts)
+
+        monkeypatch.setattr(_LambertAdapter, "__init__", memo_init)
+        monkeypatch.setattr(search, "orbit_to_state", spy)
+        if cap is not None:
+            monkeypatch.setattr(search, "_LEG_CACHE_CAP", cap)
+        solve_lambert_ga(random_scenario(6, 2, 10.0, seed=7),
+                         small_ga(20, 20, 10), seed=1)
+        # Uncapped, the memo never empties and no state repeats; capped,
+        # states are computed again after each emptying.
+        assert (len(set(computed)) == len(computed)) == (cap is None)
 
 
 class TestHashSeedIndependence:
