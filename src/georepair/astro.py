@@ -7,18 +7,21 @@ circular at GEO radius and is described by its inclination, RAAN and the
 argument of latitude at the scenario epoch.
 
 The core transfer model is a mixed plane-change/phasing rendezvous: coast
-on the departure orbit to the nearest intersection of the two orbit
+on the departure orbit to the nearer intersection of the two orbit
 planes, rotate the velocity into the target plane while simultaneously
 entering a phasing ellipse tangent at that point, then recircularize k
 revolutions later exactly when the target sweeps through the maneuver
-point. A zero-revolution Lambert solver, a safeguarded Newton iteration on
-the universal variable, is included as the baseline transfer model for
-comparisons.
+point. Its geometry, the coast and the phase gap of each leg, has one
+copy, the route kernel of ``planning.CostModel``; ``phasing_solution``
+gives the ellipse of a gap and ``rendezvous_mixed`` turns a priced leg
+into impulses and times. A zero-revolution Lambert solver, a safeguarded
+Newton iteration on the universal variable, is included as the baseline
+transfer model for comparisons.
 
 Everything here works on plain floats. ``orbit_to_state`` gives position
 and velocity as 3-tuples, ``rendezvous_mixed`` returns its impulses as
 3-tuples, and ``lambert_solve`` takes any 3-sequences and returns 3-tuples.
-Every norm, dot and cross product is a left-to-right sum of products, under
+Every norm and dot product is a left-to-right sum of products, under
 ``math.sqrt`` for a norm, so each float depends only on IEEE double
 arithmetic and libm.
 """
@@ -136,15 +139,16 @@ class CartesianState:
 
 @dataclass(frozen=True)
 class RendezvousSolution:
-    """One mixed plane-change/phasing transfer.
+    """One reported transfer leg.
 
     ``impulse1`` (m/s) combines the plane-change and phasing-entry burns at
-    time ``t1``; ``impulse2`` (m/s) recircularizes at ``t2``. ``theta`` is
-    the signed phase gap fed to the phasing-orbit equations, measured from
-    the target to the maneuver point (positive: target trails and must
-    catch up while the servicer rides a slower ellipse). ``alpha`` is the
-    dihedral angle between the departure and target planes. Both impulses
-    are 3-tuples of floats.
+    time ``t1``; ``impulse2`` (m/s) recircularizes at ``t2``; ``total_dv``
+    (m/s) is the price the search gave the leg. ``theta`` is the signed
+    phase gap fed to the phasing-orbit equations, measured from the target
+    to the maneuver point (positive: target trails and must catch up while
+    the servicer rides a slower ellipse). ``alpha`` is the dihedral angle
+    between the departure and target planes. Both impulses are 3-tuples of
+    floats.
     """
 
     impulse1: tuple[float, float, float]
@@ -222,122 +226,43 @@ def _check_revolutions(k) -> None:
             f"revolution count must be a positive integer, got {k!r}")
 
 
-# 3-vector algebra on tuples. Each reduction is a left-to-right sum, so its
-# float depends on IEEE double arithmetic alone.
+def rendezvous_mixed(departure: GeoOrbit, target: GeoOrbit, t: float,
+                     coast: float, theta: float, alpha: float, k: int,
+                     total_dv: float, consts: PhysicalConstants = GEO
+                     ) -> RendezvousSolution:
+    """Impulses and times of one mixed plane-change/phasing leg.
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _norm(a) -> float:
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def _scale(a, s: float):
-    return (a[0] * s, a[1] * s, a[2] * s)
-
-
-def _unit(a):
-    n = _norm(a)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return (a[0] / n, a[1] / n, a[2] / n)
-
-
-def _rotate(v, axis, angle: float):
-    """Rodrigues rotation of ``v`` by ``angle`` about unit vector ``axis``."""
-    c, s = math.cos(angle), math.sin(angle)
-    w = _cross(axis, v)
-    k = _dot(axis, v) * (1.0 - c)
-    return (v[0] * c + w[0] * s + axis[0] * k,
-            v[1] * c + w[1] * s + axis[1] * k,
-            v[2] * c + w[2] * s + axis[2] * k)
-
-
-def _coast_to_node(r_hat, node, normal, t_geo: float) -> float:
-    """Prograde coast (s) from the unit position ``r_hat`` to the direction
-    of ``node``, both in the orbit plane of unit normal ``normal``; in
-    [0, t_geo)."""
-    n_hat = _unit(node)
-    ang = math.acos(min(1.0, max(-1.0, _dot(r_hat, n_hat))))
-    if _dot(_cross(r_hat, n_hat), normal) < 0.0:
-        ang = TWO_PI - ang
-    return ang / TWO_PI * t_geo
-
-
-def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
-                     consts: PhysicalConstants = GEO) -> RendezvousSolution:
-    """Mixed plane-change/phasing rendezvous from a GEO state to a target.
-
-    Coasts to the nearer of the two plane intersection points, combines the
-    plane rotation with the phasing-entry burn into one impulse, rides the
-    phasing ellipse for ``k`` revolutions, and recircularizes exactly on
-    the target. Coplanar geometries skip the plane change and phase from
-    the current position (zero coast).
+    The leg leaves ``departure`` at time ``t``, coasts ``coast`` s to a node
+    of the two planes, which are ``alpha`` apart, and there turns into the
+    target plane while entering a phasing ellipse that closes the signed
+    phase gap ``theta`` in ``k`` revolutions; it recircularizes on the
+    target at ``t2``. The geometry and the price ``total_dv`` (m/s) are
+    ``planning.CostModel``'s, and the times add up in its order. The plane
+    change takes the velocity of ``departure`` at ``t1`` to that of the
+    target at ``t2``, when the target passes the node, and the two phasing
+    burns lie along the latter. Planes less than ``COPLANAR_TOL`` apart are
+    one plane, as the kernel prices them: no plane change.
     """
-    _check_revolutions(k)
-    r0, v0 = servicer_state.r, servicer_state.v
-    h_s = _unit(_cross(r0, v0))
-    co, so = math.cos(target.raan), math.sin(target.raan)
-    ci, si = math.cos(target.inclination), math.sin(target.inclination)
-    h_t = (so * si, -co * si, ci)
-    node_dir = _cross(h_s, h_t)
-    alpha = math.atan2(_norm(node_dir), _dot(h_s, h_t))
-    v_mag = _norm(v0)
-
-    if alpha < COPLANAR_TOL:
-        coast = 0.0
-        r_node = r0
-        v_after = v0
-        dv1 = (0.0, 0.0, 0.0)
-    else:
-        n_hat = _unit(node_dir)
-        r_hat = _unit(r0)
-        # The nearer of the two nodes, the one along +n_hat on a tie.
-        coast = min(_coast_to_node(r_hat, _scale(n, consts.r_geo), h_s,
-                                   consts.t_geo)
-                    for n in (n_hat, (-n_hat[0], -n_hat[1], -n_hat[2])))
-        angle = coast * consts.mean_motion
-        r_node = _rotate(r0, h_s, angle)
-        v_before = _rotate(v0, h_s, angle)
-        v_after = _scale(_unit(_cross(h_t, _unit(r_node))), v_mag)
-        dv1 = (v_after[0] - v_before[0], v_after[1] - v_before[1],
-               v_after[2] - v_before[2])
-
-    t1 = servicer_state.t + coast
-
-    # Signed gap from the target's position to the maneuver point, measured
-    # prograde in the target plane: this is the theta of the phasing-orbit
-    # equations.
-    r_hat_t = _unit(orbit_to_state(target, t1, consts).r)
-    r_hat_n = _unit(r_node)
-    theta = math.atan2(_dot(_cross(r_hat_t, r_hat_n), h_t),
-                       _dot(r_hat_t, r_hat_n))
-
     t_phase, _, dv_mag = phasing_solution(theta, k, consts)
+    t1 = t + coast
+    t2 = t1 + t_phase
+    bx, by, bz = orbit_to_state(departure, t1, consts).v
+    if alpha < COPLANAR_TOL:
+        ax, ay, az = bx, by, bz
+    else:
+        ax, ay, az = orbit_to_state(target, t2, consts).v
     # The phasing burns are tangential and cancel. A target ahead of the
     # maneuver point (theta < 0) is caught on a faster, lower ellipse, so
     # the entry burn is retrograde.
-    sgn = (theta < 0.0) - (theta > 0.0)
-    if sgn == 0 or dv_mag == 0.0:
-        dv2 = dv3 = (0.0, 0.0, 0.0)
-    else:
-        dv2 = _scale(_unit(v_after), -0.5 * dv_mag * sgn)
-        dv3 = (-dv2[0], -dv2[1], -dv2[2])
-
-    impulse1 = (dv1[0] * 1000.0 + dv2[0], dv1[1] * 1000.0 + dv2[1],
-                dv1[2] * 1000.0 + dv2[2])
+    s = 0.5 * dv_mag / consts.v_geo * ((theta > 0.0) - (theta < 0.0))
+    px, py, pz = ax * s, ay * s, az * s
     return RendezvousSolution(
-        impulse1=impulse1, impulse2=dv3,
-        t1=t1, t2=t1 + t_phase,
+        impulse1=((ax - bx) * 1000.0 + px, (ay - by) * 1000.0 + py,
+                  (az - bz) * 1000.0 + pz),
+        impulse2=(-px, -py, -pz),
+        t1=t1, t2=t2,
         coast_time=coast, phase_time=t_phase, total_time=coast + t_phase,
-        total_dv=_norm(impulse1) + _norm(dv3), revolutions=int(k),
-        alpha=alpha, theta=theta)
+        total_dv=total_dv, revolutions=int(k), alpha=alpha, theta=theta)
 
 
 def _stumpff(z: float) -> tuple[float, float]:

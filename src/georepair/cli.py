@@ -28,6 +28,7 @@ from .planning import (
     SLACK_RULES,
     Evaluation,
     InstanceTooLarge,
+    _left_sum,
     exhaustive_solve,
 )
 from .scenarios import ParseError, ValidationError, load, random_scenario, save
@@ -347,14 +348,17 @@ def cmd_bench(scenario_path: Path, config: RunConfig, algorithms: list[str],
         sub = [r for r in rows if r["algorithm"] == algo]
         dvs = [r["total_dv_mps"] for r in sub]
         walls = [r["wall_s"] for r in sub]
-        mean = sum(dvs) / len(dvs)
-        std = (math.sqrt(sum((d - mean) ** 2 for d in dvs) / (len(dvs) - 1))
+        mean = _left_sum(dvs) / len(dvs)
+        std = (math.sqrt(_left_sum((d - mean) ** 2 for d in dvs)
+                         / (len(dvs) - 1))
                if len(dvs) > 1 else 0.0)
         summaries.append({
             "algorithm": algo, "runs": len(sub),
             "min_dv_mps": min(dvs), "avg_dv_mps": mean, "std_dv_mps": std,
-            "feasible_proportion": sum(r["feasible"] for r in sub) / len(sub),
-            "min_wall_s": min(walls), "avg_wall_s": sum(walls) / len(walls),
+            "feasible_proportion": (_left_sum(r["feasible"] for r in sub)
+                                    / len(sub)),
+            "min_wall_s": min(walls),
+            "avg_wall_s": _left_sum(walls) / len(walls),
             "max_wall_s": max(walls),
         })
     _write_json(out_dir / "summary.json",

@@ -7,18 +7,21 @@ after the deadline and for exceeding per-servicer delta-v budgets;
 ``penalized_fitness`` is the one place that formula is written.
 
 ``evaluate_route``/``evaluate_plan`` are the only code that builds an
-``Evaluation``. They fly every leg in full, departure state to arrival,
-carrying its impulses for schedule output, and take the leg model as an
-argument: the default is ``astro.rendezvous_mixed`` on the route's
-revolution counts, and the Lambert baseline in ``search`` passes its own
-two-impulse leg. ``CostModel`` prices the mixed model inside search loops,
-from angles and burn magnitudes without impulses. Its one per-leg kernel
-is ``CostModel.route_geometry``, which simulates a route's legs, and
-``CostModel._route_cost``, which prices them;
-each is one loop per route with no call per leg, and the exhaustive oracle
-reads its per-leg tables from the kernel too. The kernel must keep the IEEE
-operation order of every expression: the memos, the search and the
-fingerprint tests rely on its floats being bit-for-bit what they are.
+``Evaluation``. They report every leg with its impulses and times for
+schedule output, and take the leg model as an argument: the default is
+``CostModel.fly``, the mixed legs the search prices, and the Lambert
+baseline in ``search`` passes its own two-impulse legs. ``CostModel`` is
+the one copy of the mixed leg's geometry. Its kernel is
+``CostModel.route_geometry``, which simulates a route's legs, and
+``CostModel._route_cost``, which prices them; each is one loop per route
+with no call per leg. The search, the exhaustive oracle's per-leg tables
+and the report all read it: ``fly`` hands each leg's coast, phase gap and
+price to ``astro.rendezvous_mixed``, which only adds impulses and times, so
+a reported mixed plan is ``CostModel.plan_metrics`` to the last bit. The
+kernel must keep the IEEE operation order of every expression: the memos,
+the search and the fingerprint tests rely on its floats being bit-for-bit
+what they are. Every sum of floats adds left to right (``_left_sum``),
+never through ``sum``, whose rounding depends on the Python version.
 Coast times and phase gaps are invariant under whole-revolution
 shifts of earlier legs, so one simulation of a route with every leg at one
 revolution serves any revolution allocation. A model prices under one
@@ -30,8 +33,6 @@ allocated on end times alone and costed once; the search reads it through
 revolutions of a reported plan. The insertion memo scans each (servicer,
 sequence, target) once for its cheapest slots, so LNS repair reuses a
 scan across repair rounds, attempts and generations.
-The engine agrees with ``evaluate_plan`` to float precision and a test
-pins that agreement.
 Plans are checked once, by ``MissionPlan.validate_against`` in
 ``evaluate_plan``. The search trusts its own input: ``decode`` does not
 check chromosomes, which the engine builds as permutations.
@@ -49,13 +50,11 @@ from .astro import (
     COPLANAR_TOL,
     GEO,
     TWO_PI,
-    CartesianState,
     GeoOrbit,
     PhysicalConstants,
     RendezvousSolution,
     _check_revolutions,
     fold_angle,
-    orbit_to_state,
     rendezvous_mixed,
 )
 
@@ -73,6 +72,16 @@ def penalized_fitness(dv: float, p1: float, p2: float, phi: float,
     the plain sum's float."""
     return (dv + (phi * (p1 / 60.0) if phi or p1 != math.inf else 0.0)
             + (gamma * p2 if gamma or p2 != math.inf else 0.0))
+
+
+def _left_sum(values) -> float:
+    """Sum of floats added left to right, each addition rounded. Since
+    Python 3.12 ``sum`` compensates its rounding, so its floats would depend
+    on the Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class InstanceTooLarge(Exception):
@@ -304,8 +313,8 @@ class _RouteGeom:
         self.dv1s = dv1s
         self.shalves = shalves
         self.tds = tds
-        self.sum_coast = sum(coasts)
-        self.sum_td = sum(tds)
+        self.sum_coast = _left_sum(coasts)
+        self.sum_td = _left_sum(tds)
 
     def leg(self, q: int) -> "_RouteGeom":
         """Leg ``q`` alone, as a one-leg route."""
@@ -329,13 +338,14 @@ class CostModel:
 
     ``route_geometry`` (coast to the nearest plane-intersection point,
     signed phase gap at that point) and ``_route_cost`` (phasing burns,
-    combined first impulse, phase time) are the one per-leg kernel. They
-    match ``rendezvous_mixed`` to float precision, one loop per route,
-    reading each leg pair's static geometry from ``_pairs``. Every expression keeps its IEEE operation order, so a
-    rewrite for speed must leave each float bit-identical. A route's
-    geometry is simulated at one revolution per leg and serves every
-    revolution allocation, which is exact because changing a leg's
-    revolution count shifts all later departure phases by whole periods.
+    combined first impulse, phase time) are the one per-leg kernel, one
+    loop per route, reading each leg pair's static geometry from
+    ``_pairs``; ``fly`` reports a route's legs from it. Every expression
+    keeps its IEEE operation order, so a rewrite for speed must leave each
+    float bit-identical. A route's geometry is simulated at one revolution
+    per leg and serves every revolution allocation, which is exact because
+    changing a leg's revolution count shifts all later departure phases by
+    whole periods.
 
     ``priced_route`` memoizes, per (servicer, sequence), the allocated
     revolutions with their delta-v, deadline violation and end time, so
@@ -474,6 +484,33 @@ class CostModel:
             if t > deadline:
                 p1 += t - deadline
         return dv, p1, t
+
+    def fly(self, route: Route) -> list[RendezvousSolution]:
+        """The legs of ``route`` as ``evaluate_route`` reports them.
+
+        Each leg is the one the kernel priced: ``rendezvous_mixed`` turns
+        its coast and phase gap from ``route_geometry``, read once for the
+        route, into impulses and times, at the price ``_route_cost`` gives
+        the leg alone. Each leg departs at the completion of the repair
+        before it, as the kernel's clock has it.
+        """
+        sid, seq = route.servicer_id, route.target_sequence
+        geom = self.route_geometry(sid, seq)
+        consts = self.scenario.constants
+        from_key = ("S", sid)
+        departure = self.scenario.servicer(sid).orbit
+        t = 0.0
+        legs = []
+        for q, (tid, k) in enumerate(zip(seq, route.revolutions)):
+            target = self.scenario.target(tid).orbit
+            sol = rendezvous_mixed(
+                departure, target, t, geom.coasts[q], geom.thetas[q],
+                self._pairs[from_key, tid].alpha, k,
+                self._route_cost(geom.leg(q), (k,))[0], consts)
+            legs.append(sol)
+            t = sol.t2 + geom.tds[q]
+            from_key, departure = tid, target
+        return legs
 
     # -- route-level evaluation ----------------------------------------------
 
@@ -695,64 +732,62 @@ class RouteResult:
     end_time: float  # completion of the route's last repair
 
 
-def mixed_leg(route: Route, q: int, state: CartesianState, orbit: GeoOrbit,
-              consts: PhysicalConstants) -> RendezvousSolution:
-    """Leg ``q`` of ``route`` as a mixed rendezvous on its revolution count."""
-    return rendezvous_mixed(state, orbit, route.revolutions[q], consts)
-
-
 def evaluate_route(scenario: Scenario, route: Route,
-                   leg=mixed_leg) -> RouteResult:
+                   legs=None) -> RouteResult:
     """Fly a route leg by leg with a transfer model.
 
-    ``leg(route, q, state, orbit, consts)`` flies the route's ``q``-th leg
-    from the servicer's ``CartesianState`` at departure to the target
-    ``orbit`` and returns its ``RendezvousSolution``, whose ``t2`` is the
-    arrival time. The servicer departs its epoch state, repairs each target
-    for its repair duration on arrival, and the final move to a parking
-    orbit is free and not simulated.
+    ``legs(route)`` returns the route's legs in order as
+    ``RendezvousSolution``s, whose ``t2`` is the arrival; the default is
+    ``CostModel(scenario).fly``, the mixed legs the search prices, and the
+    Lambert baseline in ``search`` passes its own two-impulse legs. The
+    servicer departs at the epoch, repairs each target for its repair
+    duration on arrival and departs again on completion; the final move to
+    a parking orbit is free and not simulated.
     """
     route.validate()
-    servicer = scenario.servicer(route.servicer_id)
-    consts = scenario.constants
-    legs = []
+    scenario.servicer(route.servicer_id)
+    targets = [scenario.target(tid) for tid in route.target_sequence]
+    if legs is None:
+        legs = CostModel(scenario).fly
+    details = []
     dv = 0.0
-    state = orbit_to_state(servicer.orbit, 0.0, consts)
     t = 0.0
-    for q, tid in enumerate(route.target_sequence):
-        target = scenario.target(tid)
-        sol = leg(route, q, state, target.orbit, consts)
-        arrival = sol.t2
-        completion = arrival + target.repair_duration
-        legs.append(LegDetail(route.servicer_id, tid, sol, t, arrival,
-                              completion))
+    for target, sol in zip(targets, legs(route), strict=True):
+        completion = sol.t2 + target.repair_duration
+        details.append(LegDetail(route.servicer_id, target.id, sol, t,
+                                 sol.t2, completion))
         dv += sol.total_dv
-        state = orbit_to_state(target.orbit, completion, consts)
         t = completion
-    return RouteResult(legs=legs, dv=dv, end_time=t)
+    return RouteResult(legs=details, dv=dv, end_time=t)
 
 
 def evaluate_plan(scenario: Scenario, plan: MissionPlan,
                   phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA,
-                  leg=mixed_leg) -> Evaluation:
-    """Penalized fitness of a complete plan, every leg flown by ``leg``
-    (see ``evaluate_route``)."""
+                  legs=None) -> Evaluation:
+    """Penalized fitness of a complete plan, every route flown by ``legs``
+    (see ``evaluate_route``). Each penalty is summed per route, then over
+    the routes in plan order, as ``CostModel.plan_metrics`` sums it, so on
+    the default mixed legs the two agree to the last bit."""
     plan.validate_against(scenario)
-    legs = []
+    if legs is None:
+        legs = CostModel(scenario).fly
+    details = []
     per_dv = []
     p1 = 0.0
     p2 = 0.0
     for route in plan.routes:
-        result = evaluate_route(scenario, route, leg)
-        legs.extend(result.legs)
+        result = evaluate_route(scenario, route, legs)
+        details.extend(result.legs)
         per_dv.append(result.dv)
+        late = 0.0
         for detail in result.legs:
-            p1 += max(detail.completion_time - scenario.deadline, 0.0)
+            late += max(detail.completion_time - scenario.deadline, 0.0)
+        p1 += late
         budget = scenario.servicer(route.servicer_id).dv_budget
         p2 += max(result.dv - budget, 0.0)
-    total_dv = sum(per_dv)
+    total_dv = _left_sum(per_dv)
     fitness = penalized_fitness(total_dv, p1, p2, phi, gamma)
-    return Evaluation(leg_details=legs, per_servicer_dv=per_dv,
+    return Evaluation(leg_details=details, per_servicer_dv=per_dv,
                       total_dv=total_dv, deadline_penalty=p1,
                       budget_penalty=p2, fitness=fitness,
                       feasible=(p1 == 0.0 and p2 == 0.0))
@@ -833,4 +868,4 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
 
     plan = MissionPlan([Route(sid, list(perm), list(revs))
                         for sid, perm, revs in best_total[1]])
-    return plan, evaluate_plan(scenario, plan, phi, gamma)
+    return plan, evaluate_plan(scenario, plan, phi, gamma, model.fly)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 from .astro import GEO, GeoOrbit, PhysicalConstants
-from .planning import Scenario, Servicer, Target
+from .planning import Scenario, Servicer, Target, _left_sum
 
 
 class ParseError(Exception):
@@ -132,7 +132,8 @@ class ScenarioSpec:
                 - 8 * len(targets) * consts.t_geo)
         for field, seconds in (
                 ("deadline_hours", self.deadline_hours * 3600.0),
-                ("repair_hours", sum(t.repair_duration for t in targets))):
+                ("repair_hours",
+                 _left_sum(t.repair_duration for t in targets))):
             room -= seconds
             if room < 0.0:
                 raise ValidationError(

@@ -41,11 +41,14 @@ state of each ``_fly``. Each empties when an insert would pass
 ``_LEG_CACHE_CAP``, and each value depends on its key alone, so a price
 does not depend on what a memo held. A route is summed again from the leg
 cache on every call. The best plan is then re-evaluated by
-``planning.evaluate_plan``, with the mixed leg or with a Lambert leg that
-flies through ``_fly`` at the flight time the search chose, so every leg
-reports the price the search used, a failed leg infinite in both. Both leg
-models run on plain floats, so no reported float depends on the host's
-linear-algebra library.
+``planning.evaluate_plan``, with the mixed legs of the solve's
+``CostModel`` (``CostModel.fly``) or with Lambert legs that fly through
+``_fly`` at the flight times the search chose, so every leg reports the
+price the search used, a failed leg infinite in both, and a mixed solve
+reports the fitness of its history's best. Both leg models run on plain
+floats, and every sum of floats adds left to right (``planning._left_sum``),
+so no reported float depends on the host's linear-algebra library or on
+the Python version.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .planning import (
     MissionPlan,
     Route,
     Scenario,
+    _left_sum,
     decode,
     encode_sequences,
     evaluate_plan,
@@ -430,7 +434,7 @@ class _MixedAdapter:
 
     def final_evaluation(self, plan: MissionPlan) -> Evaluation:
         m = self.model
-        return evaluate_plan(m.scenario, plan, m.phi, m.gamma)
+        return evaluate_plan(m.scenario, plan, m.phi, m.gamma, m.fly)
 
 
 class _LambertAdapter:
@@ -492,11 +496,12 @@ class _LambertAdapter:
         longest grid time that fits in its share plus the slack.
         """
         legs = len(seq)
-        budget = self.scenario.deadline - sum(map(self._td.__getitem__, seq))
+        budget = (self.scenario.deadline
+                  - _left_sum(map(self._td.__getitem__, seq)))
         grid = self.grid
         i = bisect_right(grid, budget / legs)
         tofs = [grid[i - 1] if i else grid[0]] * legs
-        slack = budget - sum(tofs)
+        slack = budget - _left_sum(tofs)
         if slack > 0.0:
             rows = self._gap_rows
             pick, best = 0, rows[("S", sid)][seq[0]]
@@ -600,33 +605,33 @@ class _LambertAdapter:
         time ``route_detail`` chose, so a leg reports the price the search
         used; a failed leg has (nan, nan, nan) impulses and infinite
         delta-v."""
-        route_tofs = {}
 
-        def leg(route: Route, q: int, state, orbit, consts
-                ) -> RendezvousSolution:
-            # Looked up per route at its first leg, after evaluate_plan has
-            # validated the plan.
-            key = (route.servicer_id, tuple(route.target_sequence))
-            tofs = route_tofs.get(key)
-            if tofs is None:
-                tofs = route_tofs[key] = self.route_detail(*key)[0]
-            tof = tofs[q]
-            try:
-                dv1, dv2, leg_dv = self._fly(state, route.target_sequence[q],
-                                             tof)
-            except AstroError:
-                imp1 = imp2 = (math.nan, math.nan, math.nan)
-                leg_dv = math.inf
-            else:
-                imp1 = (dv1[0] * 1000.0, dv1[1] * 1000.0, dv1[2] * 1000.0)
-                imp2 = (dv2[0] * 1000.0, dv2[1] * 1000.0, dv2[2] * 1000.0)
-            return RendezvousSolution(
-                impulse1=imp1, impulse2=imp2, t1=state.t, t2=state.t + tof,
-                coast_time=0.0, phase_time=tof, total_time=tof,
-                total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0)
+        def legs(route: Route) -> list[RendezvousSolution]:
+            seq = route.target_sequence
+            tofs = self.route_detail(route.servicer_id, seq)[0]
+            from_key = ("S", route.servicer_id)
+            t = 0.0
+            out = []
+            for tid, tof in zip(seq, tofs):
+                try:
+                    dv1, dv2, leg_dv = self._fly(self._state(from_key, t),
+                                                 tid, tof)
+                except AstroError:
+                    imp1 = imp2 = (math.nan, math.nan, math.nan)
+                    leg_dv = math.inf
+                else:
+                    imp1 = (dv1[0] * 1000.0, dv1[1] * 1000.0, dv1[2] * 1000.0)
+                    imp2 = (dv2[0] * 1000.0, dv2[1] * 1000.0, dv2[2] * 1000.0)
+                out.append(RendezvousSolution(
+                    impulse1=imp1, impulse2=imp2, t1=t, t2=t + tof,
+                    coast_time=0.0, phase_time=tof, total_time=tof,
+                    total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0))
+                t = t + tof + self._td[tid]
+                from_key = tid
+            return out
 
         return evaluate_plan(self.scenario, plan, self.phi, self.gamma,
-                             leg=leg)
+                             legs)
 
 
 def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,
@@ -726,16 +731,6 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
     return SolveResult(best_plan=best_plan,
                        best_evaluation=adapter.final_evaluation(best_plan),
                        history=history, generations_run=gen, seed=seed)
-
-
-def _left_sum(values) -> float:
-    """Sum of floats added left to right, each addition rounded. Since
-    Python 3.12 ``sum`` compensates its rounding, so its floats would depend
-    on the Python version."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _mean(values) -> float:

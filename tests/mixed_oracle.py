@@ -1,14 +1,21 @@
-"""The numpy vector form of the mixed rendezvous, kept as the oracle of
-the scalar ``georepair.astro.rendezvous_mixed``, with the universal-variable
-Kepler propagator that checks where a flown leg lands.
+"""The numpy node search of the mixed rendezvous, kept as the oracle of
+the leg that ``georepair.planning.CostModel.fly`` reports, with the
+universal-variable Kepler propagator that checks where a flown leg lands.
 
-``rendezvous_mixed`` and its helpers are the vector code that the scalar
-port replaced, unchanged: it reduces its norms and dot products through
-numpy (``np.linalg.norm``, ``np.dot``), whose rounding depends on the BLAS
-kernel numpy picks, so it agrees with the port to float precision rather
-than bit for bit. It shares the scalar ``phasing_solution``.
-``propagate_universal`` is the independent two-body propagator, and
-``propagate_through_solution`` flies a leg's impulses through it.
+The package has one copy of the mixed leg's geometry, the route kernel of
+``CostModel``, which finds each leg's coast and phase gap from angles
+(``atan2`` of the node in each plane, a folded difference of arguments of
+latitude) and hands them to ``astro.rendezvous_mixed`` for impulses and
+times. ``rendezvous_mixed`` here finds the same leg otherwise, from vectors:
+it rotates the departure state to the nearer node found by ``acos`` plus a
+sign, measures the gap with ``atan2`` of the positions, and reduces its
+norms and dot products through numpy (``np.linalg.norm``, ``np.dot``),
+whose rounding depends on the BLAS kernel numpy picks. The two agree to
+1e-12 of each field's scale away from the branch points (a gap of a half
+turn, a departure on a node), where the kernel's rule decides. It shares
+``phasing_solution`` with the package. ``propagate_universal`` is the
+independent two-body propagator, and ``propagate_through_solution`` flies
+a leg's impulses through it.
 """
 
 import math

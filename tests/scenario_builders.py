@@ -2,8 +2,8 @@
 
 from datetime import datetime, timezone
 
-from georepair.astro import GEO, GeoOrbit
-from georepair.planning import Scenario, Servicer, Target
+from georepair.astro import GEO, GeoOrbit, orbit_to_state
+from georepair.planning import Route, Scenario, Servicer, Target, evaluate_route
 
 EPOCH = datetime(2021, 3, 12, 4, 0, 0, tzinfo=timezone.utc)
 
@@ -28,3 +28,24 @@ def random_scenario_tuple(rng, n_targets, n_servicers, deadline_s,
     targets = [(rng.uniform(0, 10), rng.uniform(0, 360),
                 rng.uniform(0, 360), repair_s) for _ in range(n_targets)]
     return make_scenario(servicers, targets, deadline_s)
+
+
+def kernel_leg(departure: GeoOrbit, target: GeoOrbit, k, t: float = 0.0):
+    """The mixed leg from ``departure`` at time ``t`` to ``target`` on ``k``
+    revolutions, as ``evaluate_route`` reports it.
+
+    Routes depart at the epoch, so the leg is the one leg of a one-target
+    scenario whose two orbits are advanced by ``t``, and its times count
+    from ``t``. Returns (departure state, advanced target orbit, solution),
+    the state and the orbit in that frame.
+    """
+    def advanced(orbit):
+        return GeoOrbit(orbit.inclination, orbit.raan,
+                        orbit.arg_lat0 + GEO.mean_motion * t)
+
+    departure, target = advanced(departure), advanced(target)
+    scenario = Scenario(epoch=EPOCH, deadline=1e9,
+                        servicers=[Servicer(1, "S", departure, 1e9)],
+                        targets=[Target(1, "T", target, 0.0)])
+    sol = evaluate_route(scenario, Route(1, [1], [k])).legs[0].solution
+    return orbit_to_state(departure, 0.0), target, sol

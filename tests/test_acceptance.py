@@ -18,7 +18,6 @@ from georepair.astro import (
     GeoOrbit,
     orbit_to_state,
     phasing_solution,
-    rendezvous_mixed,
 )
 from georepair.planning import CostModel, exhaustive_solve
 from georepair.scenarios import case_study, random_scenario
@@ -35,6 +34,7 @@ from georepair.search import (
     swap_mutation,
 )
 from mixed_oracle import propagate_through_solution
+from scenario_builders import kernel_leg
 
 DAY = 86400.0
 T = GEO.t_geo
@@ -195,8 +195,9 @@ def test_criterion_6_phasing_closure_oracle():
         target = GeoOrbit(rng.uniform(0, math.radians(12)),
                           rng.uniform(0, 2 * math.pi),
                           rng.uniform(0, 2 * math.pi))
-        state = orbit_to_state(servicer, rng.uniform(0.0, 3.0 * T))
-        sol = rendezvous_mixed(state, target, rng.randint(1, 10))
+        t = rng.uniform(0.0, 3.0 * T)
+        state, target, sol = kernel_leg(servicer, target, rng.randint(1, 10),
+                                        t)
         r_fin, v_fin = propagate_through_solution(state, sol)
         tgt = orbit_to_state(target, sol.t2)
         worst_r = max(worst_r, float(np.linalg.norm(r_fin - tgt.r)))
@@ -293,8 +294,8 @@ def test_criterion_10_combined_impulse_inequality():
         target = GeoOrbit(rng.uniform(0, math.radians(12)),
                           rng.uniform(0, 2 * math.pi),
                           rng.uniform(0, 2 * math.pi))
-        state = orbit_to_state(servicer, rng.uniform(0.0, T))
-        sol = rendezvous_mixed(state, target, rng.randint(1, 8))
+        t = rng.uniform(0.0, T)
+        _, _, sol = kernel_leg(servicer, target, rng.randint(1, 8), t)
         dv1 = 2.0 * GEO.v_geo * 1000.0 * math.sin(sol.alpha / 2.0)
         dv2 = 0.5 * phasing_solution(sol.theta, sol.revolutions)[2]
         vec = float(np.linalg.norm(sol.impulse1))

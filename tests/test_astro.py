@@ -31,6 +31,7 @@ from mixed_oracle import (
     propagate_universal,
 )
 from mixed_oracle import rendezvous_mixed as vector_rendezvous_mixed
+from scenario_builders import kernel_leg
 
 
 def random_orbit(rng):
@@ -199,9 +200,12 @@ class TestPhasingImpulses:
 
 
 class TestRendezvousMixed:
+    """The mixed leg as the report flies it: geometry and price from the
+    ``CostModel`` kernel, impulses and times from ``rendezvous_mixed``."""
+
     def test_identical_orbit_and_phase(self):
         orb = GeoOrbit.from_degrees(3.0, 50.0, 120.0)
-        sol = rendezvous_mixed(orbit_to_state(orb, 0.0), orb, 1)
+        _, _, sol = kernel_leg(orb, orb, 1)
         assert sol.total_dv == pytest.approx(0.0, abs=1e-9)
         assert sol.coast_time == 0.0
         assert sol.total_time == pytest.approx(GEO.t_geo, rel=1e-12)
@@ -210,7 +214,7 @@ class TestRendezvousMixed:
     def test_coplanar_quarter_gap_costs_phasing_only(self):
         servicer = GeoOrbit(0.0, 0.0, math.pi / 2.0)  # target trails by 90 deg
         target = GeoOrbit(0.0, 0.0, 0.0)
-        sol = rendezvous_mixed(orbit_to_state(servicer, 0.0), target, 1)
+        _, _, sol = kernel_leg(servicer, target, 1)
         _, _, dv_oracle = phasing_solution(math.pi / 2.0, 1)
         assert sol.theta == pytest.approx(math.pi / 2.0, abs=1e-12)
         assert sol.total_dv == pytest.approx(dv_oracle, rel=1e-9)
@@ -220,9 +224,9 @@ class TestRendezvousMixed:
         rng = random.Random(9)
         for _ in range(50):
             servicer, target = random_orbit(rng), random_orbit(rng)
-            st = orbit_to_state(servicer, rng.uniform(0.0, 5.0 * GEO.t_geo))
+            t = rng.uniform(0.0, 5.0 * GEO.t_geo)
             k = rng.randint(1, 6)
-            sol = rendezvous_mixed(st, target, k)
+            st, _, sol = kernel_leg(servicer, target, k, t)
             assert sol.total_time == sol.coast_time + sol.phase_time
             assert sol.t2 == sol.t1 + sol.phase_time
             i1, i2 = np.linalg.norm(sol.impulse1), np.linalg.norm(sol.impulse2)
@@ -236,8 +240,8 @@ class TestRendezvousMixed:
         checked = 0
         for _ in range(300):
             servicer, target = random_orbit(rng), random_orbit(rng)
-            st = orbit_to_state(servicer, rng.uniform(0.0, GEO.t_geo))
-            sol = rendezvous_mixed(st, target, rng.randint(1, 5))
+            t = rng.uniform(0.0, GEO.t_geo)
+            _, _, sol = kernel_leg(servicer, target, rng.randint(1, 5), t)
             if sol.alpha < 1e-10:
                 continue
             dv1_mag = 2.0 * GEO.v_geo * 1000.0 * math.sin(sol.alpha / 2.0)
@@ -255,8 +259,8 @@ class TestRendezvousMixed:
         rng = random.Random(11)
         for _ in range(200):
             servicer, target = random_orbit(rng), random_orbit(rng)
-            st = orbit_to_state(servicer, rng.uniform(0.0, GEO.t_geo))
-            sol = rendezvous_mixed(st, target, rng.randint(1, 5))
+            t = rng.uniform(0.0, GEO.t_geo)
+            _, _, sol = kernel_leg(servicer, target, rng.randint(1, 5), t)
             dv1_mag = 2.0 * GEO.v_geo * 1000.0 * math.sin(sol.alpha / 2.0)
             dv_phase = phasing_solution(sol.theta, sol.revolutions)[2]
             assert sol.total_dv <= dv1_mag + dv_phase + 1e-9
@@ -267,9 +271,9 @@ class TestRendezvousMixed:
         rng = random.Random(12)
         for _ in range(100):
             servicer, target = random_orbit(rng), random_orbit(rng)
-            st = orbit_to_state(servicer, rng.uniform(0.0, 3.0 * GEO.t_geo))
+            t = rng.uniform(0.0, 3.0 * GEO.t_geo)
             k = rng.randint(1, 10)
-            sol = rendezvous_mixed(st, target, k)
+            st, target, sol = kernel_leg(servicer, target, k, t)
             r_fin, v_fin = propagate_through_solution(st, sol)
             tgt = orbit_to_state(target, sol.t2)
             assert np.linalg.norm(r_fin - tgt.r) < 1e-6
@@ -278,34 +282,38 @@ class TestRendezvousMixed:
     def test_rejects_bad_revolutions(self):
         orb = GeoOrbit(0.0, 0.0, 0.0)
         with pytest.raises(InvalidRevolutions):
-            rendezvous_mixed(orbit_to_state(orb, 0.0), orb, 0)
+            rendezvous_mixed(orb, orb, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
+        with pytest.raises(InvalidRevolutions):
+            kernel_leg(orb, orb, 0)
 
     def test_revolutions_may_be_any_integral_but_bool(self):
         servicer = GeoOrbit.from_degrees(2.0, 10.0, 30.0)
         target = GeoOrbit.from_degrees(4.0, 60.0, 200.0)
-        st = orbit_to_state(servicer, 0.0)
-        sol = rendezvous_mixed(st, target, np.int64(3))
-        assert sol == rendezvous_mixed(st, target, 3)
+        _, _, sol = kernel_leg(servicer, target, np.int64(3))
+        assert sol == kernel_leg(servicer, target, 3)[2]
         assert type(sol.revolutions) is int
         for k in (True, 2.0, np.float64(2.0)):
             with pytest.raises(InvalidRevolutions):
-                rendezvous_mixed(st, target, k)
+                rendezvous_mixed(servicer, target, 0.0, 0.0, 0.1, 0.0, k, 0.0)
+            with pytest.raises(InvalidRevolutions):
+                kernel_leg(servicer, target, k)
             with pytest.raises(InvalidRevolutions):
                 phasing_solution(0.1, k)
 
     def test_impulses_are_float_triples(self):
         rng = random.Random(45)
-        st = orbit_to_state(random_orbit(rng), 0.0)
-        sol = rendezvous_mixed(st, random_orbit(rng), 2)
+        _, _, sol = kernel_leg(random_orbit(rng), random_orbit(rng), 2)
         for impulse in (sol.impulse1, sol.impulse2):
             assert type(impulse) is tuple and len(impulse) == 3
             assert all(type(x) is float for x in impulse)
 
     def test_matches_the_vector_oracle(self):
-        # The scalar port against the numpy form it replaced, on generic
+        # The kernel-fed leg against the numpy node search, on generic
         # inclined legs and on coplanar (equatorial) ones: every field
-        # within 1e-12 of its natural scale. They differ only where a BLAS
-        # reduction rounds otherwise than a left-to-right sum.
+        # within 1e-12 of its natural scale. They differ where an angle is
+        # found otherwise (an ``atan2`` of the node against an ``acos`` plus
+        # a sign) and where a BLAS reduction rounds otherwise than a
+        # left-to-right sum.
         rng = random.Random(44)
         for q in range(2000):
             if q % 10:
@@ -313,9 +321,9 @@ class TestRendezvousMixed:
             else:
                 servicer = GeoOrbit(0.0, 0.0, rng.uniform(0.0, TWO_PI))
                 target = GeoOrbit(0.0, 0.0, rng.uniform(0.0, TWO_PI))
-            st = orbit_to_state(servicer, rng.uniform(0.0, 5.0 * GEO.t_geo))
+            t = rng.uniform(0.0, 5.0 * GEO.t_geo)
             k = rng.randint(1, 10)
-            got = rendezvous_mixed(st, target, k)
+            st, target, got = kernel_leg(servicer, target, k, t)
             want = vector_rendezvous_mixed(st, target, k)
             assert got.revolutions == want.revolutions
             assert (got.alpha < 1e-10) == (want.alpha < 1e-10)

@@ -18,7 +18,7 @@ SRC = Path(georepair.__file__).parent
 ALLOWED = {
     "evaluate_plan_lambert": "wrapped by name by the benchmark's tracer",
     "CostModel.plan_metrics": "the benchmark's solve check compares the "
-                              "vector evaluation against it",
+                              "reported evaluation against it",
     "__post_init__": "hook that dataclasses call",
     "_Parser.error": "hook that argparse calls",
 }

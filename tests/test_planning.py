@@ -408,11 +408,17 @@ class TestRouteMemo:
 
         monkeypatch.setattr(CostModel, "route_geometry", spy)
         scenario = random_scenario(6, 2, 10.0, seed=7)
-        solve_lns_aga(scenario, GaParams(population_size=20,
-                                         min_iterations=10,
-                                         stall_iterations=5), seed=1)
-        assert built
-        assert len(built) == len(set(built))
+        result = solve_lns_aga(scenario, GaParams(population_size=20,
+                                                  min_iterations=10,
+                                                  stall_iterations=5), seed=1)
+        # The report reads the geometry of each reported route once more,
+        # last, to fly the legs the search priced.
+        reported = [(r.servicer_id, tuple(r.target_sequence))
+                    for r in result.best_plan.routes]
+        searched = built[:-len(reported)]
+        assert searched
+        assert len(searched) == len(set(searched))
+        assert built[-len(reported):] == reported
 
     def test_lns_solve_builds_each_leg_pair_once(self, monkeypatch):
         built = []
@@ -674,6 +680,101 @@ class TestExactKernel:
         for rule in planning.SLACK_RULES:
             assert hexed(CostModel(scenario, rule)._allocate(geom)) == hexed(
                 PerLegCostModel(scenario, rule)._allocate(geom))
+
+
+@st.composite
+def plan_cases(draw):
+    """(servicers, targets, deadline s, routes) in ``make_scenario`` form,
+    whose ``(servicer id, sequence, revolutions)`` routes make a plan: each
+    servicer flies at most one route and each target is in exactly one."""
+    servicers = [(draw(INCLINATIONS), draw(ANGLES), draw(ANGLES),
+                  draw(st.sampled_from([300.0, 2000.0])))
+                 for _ in range(draw(st.integers(1, 3)))]
+    targets = [(draw(INCLINATIONS), draw(ANGLES), draw(ANGLES),
+                draw(st.integers(0, 24)) * HOUR)
+               for _ in range(draw(st.integers(1, 5)))]
+    deadline = draw(st.integers(1, 15)) * 86400.0
+    perm = draw(st.permutations(range(1, len(targets) + 1)))
+    owners = [draw(st.integers(1, len(servicers))) for _ in perm]
+    routes = []
+    for sid in range(1, len(servicers) + 1):
+        seq = [tid for tid, owner in zip(perm, owners) if owner == sid]
+        revs = draw(st.lists(st.integers(1, 16), min_size=len(seq),
+                             max_size=len(seq)))
+        routes.append((sid, seq, revs))
+    return servicers, targets, deadline, routes
+
+
+# Item-1 fleets, where the report once flew other legs than the search
+# priced: a phase gap of a half turn, and a servicer that starts on a node.
+HALF_TURN = ([(0.0, 0.0, 0.0, 2000.0)], [(0.0, 0.0, 180.0, HOUR)],
+             6 * 86400.0)
+ON_A_NODE = ([(0.0, 270.0, 18.0, 2000.0)],
+             [(0.0, 270.0, 8.0, 0.0), (5.0, 270.0, 198.0, 0.0)],
+             10 * 86400.0)
+ROUND_FLEET = ([(0.0, 0.0, 0.0, 1500.0), (5.0, 90.0, 0.0, 1500.0)],
+               [(0.0, 0.0, 180.0, HOUR), (0.0, 0.0, 90.0, HOUR),
+                (5.0, 90.0, 180.0, HOUR), (5.0, 90.0, 270.0, HOUR),
+                (2.0, 45.0, 45.0, HOUR)], 6 * 86400.0)
+
+
+def assert_report_is_the_kernel(scenario, plan):
+    """``evaluate_plan`` gives ``plan_metrics`` bit for bit, and each route
+    its kernel delta-v and end time."""
+    model = CostModel(scenario)
+    ev = evaluate_plan(scenario, plan)
+    assert hexed((ev.fitness, ev.total_dv, ev.deadline_penalty,
+                  ev.budget_penalty, ev.feasible)) == hexed(
+        model.plan_metrics(plan))
+    for route, dv in zip(plan.routes, ev.per_servicer_dv):
+        legs = [leg for leg in ev.leg_details
+                if leg.servicer_id == route.servicer_id]
+        want_dv, _, want_end = model.route_metrics(
+            route.servicer_id, route.target_sequence, route.revolutions)
+        assert dv.hex() == want_dv.hex()
+        if legs:
+            assert legs[-1].completion_time.hex() == want_end.hex()
+    return ev
+
+
+class TestReportFliesTheKernelLegs:
+    """The report flies the legs the search priced, so ``evaluate_plan``
+    equals ``CostModel.plan_metrics`` by ``float.hex``, also where the
+    geometry is exactly aligned."""
+
+    @pytest.mark.parametrize("case, routes, total_dv", [
+        (HALF_TURN, [(1, [1], [1])], 689.5897214279953),
+        (HALF_TURN, [(1, [1], [3])], 293.28625566171837),
+        (ON_A_NODE, [(1, [2, 1], [1, 3])], 1305.66399762132),
+    ], ids=["half-turn-k1", "half-turn-k3", "on-a-node"])
+    def test_branch_points(self, case, routes, total_dv):
+        scenario = make_scenario(*case)
+        ev = assert_report_is_the_kernel(
+            scenario, MissionPlan([Route(*r) for r in routes]))
+        assert ev.total_dv == total_dv
+
+    def test_solve_reports_the_best_fitness_of_its_history(self):
+        scenario = make_scenario(*ROUND_FLEET)
+        result = solve_lns_aga(scenario, GaParams(population_size=30,
+                                                  min_iterations=30,
+                                                  stall_iterations=10),
+                               seed=1)
+        assert result.best_evaluation.fitness == 1197.5665482326242
+        assert result.best_evaluation.fitness == min(
+            best for best, _ in result.history)
+        assert_report_is_the_kernel(scenario, result.best_plan)
+
+    @given(plan_cases())
+    @example((*HALF_TURN, [(1, [1], [1])]))
+    @example((*HALF_TURN, [(1, [1], [3])]))
+    @example((*ON_A_NODE, [(1, [2, 1], [1, 3])]))
+    @example((*ROUND_FLEET, [(1, [1, 2, 5], [1, 2, 3]), (2, [3, 4], [2, 1])]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plan_metrics(self, case):
+        servicers, targets, deadline, routes = case
+        assert_report_is_the_kernel(
+            make_scenario(servicers, targets, deadline),
+            MissionPlan([Route(*r) for r in routes]))
 
 
 def trial_priced_allocate(model, geom, slack_rule):
