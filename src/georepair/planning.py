@@ -3,8 +3,12 @@
 A mission plan assigns every target to exactly one servicer route and fixes
 the phasing revolution count of every leg. Plans are scored by a penalized
 fitness: total delta-v (m/s) plus weighted penalties for finishing repairs
-after the deadline and for exceeding per-servicer delta-v budgets;
-``penalized_fitness`` is the one place that formula is written.
+after the deadline and for exceeding per-servicer delta-v budgets. One
+rule scores a plan: ``CostModel._score``, the one call of the formula
+``penalized_fitness``, scores each route, and ``CostModel._plan_sums``
+adds the scores up left to right, as the search adds up a chromosome, so
+every solve, mixed or Lambert, reports its history's best fitness, and
+``exhaustive_solve`` the total it minimized.
 
 ``evaluate_route``/``evaluate_plan`` are the only code that builds an
 ``Evaluation``. They report every leg with its impulses and times for
@@ -55,6 +59,7 @@ from .astro import (
     RendezvousSolution,
     _check_revolutions,
     fold_angle,
+    phasing_solution,
     rendezvous_mixed,
 )
 
@@ -210,8 +215,8 @@ class LegDetail:
 
 @dataclass
 class Evaluation:
-    """Penalized fitness of a plan: ``fitness`` is
-    ``penalized_fitness(total_dv, deadline_penalty, budget_penalty, phi,
+    """Penalized fitness of a plan: ``fitness`` is the left sum, in route
+    order, of the route scores ``penalized_fitness(dv, p1, p2, phi,
     gamma)``, phi and gamma being the penalty weights of the solve."""
 
     leg_details: list[LegDetail]
@@ -657,16 +662,17 @@ class CostModel:
 
     def _plan_sums(self, scores):
         """(fitness, total_dv, p1 seconds, p2 m/s, feasible) of a plan from
-        its routes' ``route_score`` tuples, each term summed in route order
-        before the penalties are weighed."""
+        its routes' ``_score`` tuples, each term added left to right in
+        route order, as the search adds up a chromosome."""
+        fitness = 0.0
         total_dv = 0.0
         p1 = 0.0
         p2 = 0.0
-        for _, dv, r_p1, r_p2 in scores:
+        for score, dv, r_p1, r_p2 in scores:
+            fitness += score
             total_dv += dv
             p1 += r_p1
             p2 += r_p2
-        fitness = penalized_fitness(total_dv, p1, p2, self.phi, self.gamma)
         return fitness, total_dv, p1, p2, (p1 == 0.0 and p2 == 0.0)
 
     def plan_metrics(self, plan: MissionPlan):
@@ -765,32 +771,27 @@ def evaluate_plan(scenario: Scenario, plan: MissionPlan,
                   phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA,
                   legs=None) -> Evaluation:
     """Penalized fitness of a complete plan, every route flown by ``legs``
-    (see ``evaluate_route``). Each penalty is summed per route, then over
-    the routes in plan order, as ``CostModel.plan_metrics`` sums it, so on
-    the default mixed legs the two agree to the last bit."""
+    (see ``evaluate_route``). A ``CostModel(scenario, phi=phi,
+    gamma=gamma)`` scores each route and adds the scores up, as
+    ``plan_metrics`` does, so on the default mixed legs, that model's
+    ``fly``, the two agree to the last bit."""
     plan.validate_against(scenario)
+    model = CostModel(scenario, phi=phi, gamma=gamma)
     if legs is None:
-        legs = CostModel(scenario).fly
+        legs = model.fly
     details = []
-    per_dv = []
-    p1 = 0.0
-    p2 = 0.0
+    scores = []
     for route in plan.routes:
         result = evaluate_route(scenario, route, legs)
         details.extend(result.legs)
-        per_dv.append(result.dv)
-        late = 0.0
-        for detail in result.legs:
-            late += max(detail.completion_time - scenario.deadline, 0.0)
-        p1 += late
-        budget = scenario.servicer(route.servicer_id).dv_budget
-        p2 += max(result.dv - budget, 0.0)
-    total_dv = _left_sum(per_dv)
-    fitness = penalized_fitness(total_dv, p1, p2, phi, gamma)
-    return Evaluation(leg_details=details, per_servicer_dv=per_dv,
+        late = _left_sum(max(leg.completion_time - scenario.deadline, 0.0)
+                         for leg in result.legs)
+        scores.append(model._score(route.servicer_id, result.dv, late))
+    fitness, total_dv, p1, p2, feasible = model._plan_sums(scores)
+    return Evaluation(leg_details=details,
+                      per_servicer_dv=[score[1] for score in scores],
                       total_dv=total_dv, deadline_penalty=p1,
-                      budget_penalty=p2, fitness=fitness,
-                      feasible=(p1 == 0.0 and p2 == 0.0))
+                      budget_penalty=p2, fitness=fitness, feasible=feasible)
 
 
 def exhaustive_solve(scenario: Scenario, max_revolutions: int,
@@ -813,6 +814,7 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
     if max_revolutions < 1:
         raise ValueError("max_revolutions must be >= 1")
     model = CostModel(scenario, phi=phi, gamma=gamma)
+    consts = scenario.constants
     sids = [s.id for s in scenario.servicers]
     tids = [t.id for t in scenario.targets]
     rev_range = range(1, max_revolutions + 1)
@@ -830,10 +832,12 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
             best = None
             for perm in itertools.permutations(sorted(subset)):
                 geom = model.route_geometry(sid, perm)
-                # Per-leg (delta-v, _, duration) tables make the revolution
+                # Per-leg (delta-v, phase time) tables make the revolution
                 # scan cheap. A leg priced as a one-leg route is exact: its
-                # sums start at 0.0, and 0.0 + x == x for these terms.
-                tab = [[model._route_cost(geom.leg(q), (k,))
+                # sum starts at 0.0, and 0.0 + x == x. The clock adds each
+                # leg's coast, phase time and repair in the kernel's order.
+                tab = [[(model._route_cost(geom.leg(q), (k,))[0],
+                         phasing_solution(geom.thetas[q], k, consts)[0])
                         for k in rev_range] for q in range(len(perm))]
                 deadline = model.deadline
                 for revs in itertools.product(rev_range, repeat=len(perm)):
@@ -841,9 +845,9 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
                     t = 0.0
                     p1 = 0.0
                     for q, k in enumerate(revs):
-                        leg_dv, _, leg_time = tab[q][k - 1]
+                        leg_dv, phase = tab[q][k - 1]
                         dv += leg_dv
-                        t += leg_time
+                        t = t + geom.coasts[q] + phase + geom.tds[q]
                         if t > deadline:
                             p1 += t - deadline
                     score = model._score(sid, dv, p1)[0]

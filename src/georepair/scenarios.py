@@ -92,10 +92,10 @@ class ScenarioSpec:
     constants: dict | None = None
 
     def to_scenario(self) -> Scenario:
+        if not math.isfinite(self.deadline_hours):
+            raise ValidationError("deadline_hours must be finite")
         if self.deadline_hours <= 0.0:
             raise ValidationError("deadline_hours must be positive")
-        if not math.isfinite(self.deadline_hours * 3600.0):
-            raise ValidationError("deadline_hours is too large")
         if not self.servicers or not self.targets:
             raise ValidationError("need at least one servicer and one target")
         _check_fleet_size(len(self.servicers), len(self.targets))
@@ -115,12 +115,12 @@ class ScenarioSpec:
                 _orbit_from_degrees(s, "servicer"), s.dv_budget_mps))
         targets = []
         for i, t in enumerate(self.targets):
+            if not math.isfinite(t.repair_hours):
+                raise ValidationError(
+                    f"target {t.name!r}: repair_hours must be finite")
             if t.repair_hours < 0.0:
                 raise ValidationError(
                     f"target {t.name!r}: repair_hours must be non-negative")
-            if not math.isfinite(t.repair_hours * 3600.0):
-                raise ValidationError(
-                    f"target {t.name!r}: repair_hours is too large")
             targets.append(Target(
                 i + 1, t.name,
                 _orbit_from_degrees(t, "target"), t.repair_hours * 3600.0))

@@ -44,11 +44,13 @@ cache on every call. The best plan is then re-evaluated by
 ``planning.evaluate_plan``, with the mixed legs of the solve's
 ``CostModel`` (``CostModel.fly``) or with Lambert legs that fly through
 ``_fly`` at the flight times the search chose, so every leg reports the
-price the search used, a failed leg infinite in both, and a mixed solve
-reports the fitness of its history's best. Both leg models run on plain
-floats, and every sum of floats adds left to right (``planning._left_sum``),
-so no reported float depends on the host's linear-algebra library or on
-the Python version.
+price the search used, a failed leg infinite in both. Each adapter holds
+the solve's ``CostModel`` as ``model``, and the engine, the LNS and the
+report score a plan by its one rule, the left sum of ``CostModel._score``
+route scores, so every solve, mixed or Lambert, reports the fitness of its
+history's best. Both leg models run on plain floats, and every sum of
+floats adds left to right (``planning._left_sum``), so no reported float
+depends on the host's linear-algebra library or on the Python version.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .planning import (
     decode,
     encode_sequences,
     evaluate_plan,
-    penalized_fitness,
 )
 
 FITNESS_EPS = 1e-12
@@ -458,12 +459,9 @@ class _LambertAdapter:
     """
 
     def __init__(self, scenario: Scenario, phi: float, gamma: float):
-        self.scenario = scenario
-        self.phi = phi
-        self.gamma = gamma
-        t_geo = scenario.constants.t_geo
-        grid = sorted(f * t_geo for f in DEFAULT_TOF_FRACTIONS
-                      if f * t_geo < scenario.deadline)
+        self.model = model = CostModel(scenario, phi=phi, gamma=gamma)
+        grid = sorted(f * model.t_geo for f in DEFAULT_TOF_FRACTIONS
+                      if f * model.t_geo < model.deadline)
         if not grid:
             raise ValueError("no candidate flight time is below the deadline")
         self.grid = grid
@@ -473,16 +471,13 @@ class _LambertAdapter:
                            for g in grid}
         self._orbits = {("S", s.id): s.orbit for s in scenario.servicers}
         self._orbits.update({t.id: t.orbit for t in scenario.targets})
-        lam0 = {key: orb.raan + orb.arg_lat0
-                for key, orb in self._orbits.items()}
         # Static phase gap |fold(lam0[from] - lam0[to])| of every leg a
         # route can fly: one row per departure body, keyed by target id.
+        bodies = model._bodies
         self._gap_rows = {
-            key: {t.id: abs(fold_angle(lam0[key] - lam0[t.id]))
+            key: {t.id: abs(fold_angle(bodies[key].lam0 - bodies[t.id].lam0))
                   for t in scenario.targets}
             for key in self._orbits}
-        self._td = {t.id: t.repair_duration for t in scenario.targets}
-        self._budget = {s.id: s.dv_budget for s in scenario.servicers}
         self._leg_cache = {}
         self._states = {}
 
@@ -496,8 +491,8 @@ class _LambertAdapter:
         longest grid time that fits in its share plus the slack.
         """
         legs = len(seq)
-        budget = (self.scenario.deadline
-                  - _left_sum(map(self._td.__getitem__, seq)))
+        budget = (self.model.deadline
+                  - _left_sum(map(self.model._td.__getitem__, seq)))
         grid = self.grid
         i = bisect_right(grid, budget / legs)
         tofs = [grid[i - 1] if i else grid[0]] * legs
@@ -525,7 +520,7 @@ class _LambertAdapter:
             if len(memo) >= _LEG_CACHE_CAP:
                 memo.clear()
             state = memo[key, t] = orbit_to_state(
-                self._orbits[key], t, self.scenario.constants)
+                self._orbits[key], t, self.model.scenario.constants)
         return state
 
     def _fly(self, state, to_id: int, tof: float):
@@ -536,7 +531,7 @@ class _LambertAdapter:
         ``AstroError`` when the arc fails."""
         arrive = self._state(to_id, state.t + tof)
         (v1x, v1y, v1z), (v2x, v2y, v2z) = lambert_solve(
-            state.r, arrive.r, tof, True, self.scenario.constants)
+            state.r, arrive.r, tof, True, self.model.scenario.constants)
         (sx, sy, sz), (tx, ty, tz) = state.v, arrive.v
         d1x, d1y, d1z = v1x - sx, v1y - sy, v1z - sz
         d2x, d2y, d2z = tx - v2x, ty - v2y, tz - v2z
@@ -572,8 +567,8 @@ class _LambertAdapter:
             return (), 0.0, 0.0
         tofs = self._allocate_tofs(sid, seq)
         cache = self._leg_cache
-        td = self._td
-        deadline = self.scenario.deadline
+        td = self.model._td
+        deadline = self.model.deadline
         t = 0.0
         dv = 0.0
         p1 = 0.0
@@ -594,8 +589,7 @@ class _LambertAdapter:
 
     def route(self, sid: int, seq) -> float:
         _, dv, p1 = self.route_detail(sid, seq)
-        p2 = max(dv - self._budget[sid], 0.0)
-        return penalized_fitness(dv, p1, p2, self.phi, self.gamma)
+        return self.model._score(sid, dv, p1)[0]
 
     def revolutions(self, sid: int, seq) -> list[int]:
         return [1] * len(seq)
@@ -626,12 +620,12 @@ class _LambertAdapter:
                     impulse1=imp1, impulse2=imp2, t1=t, t2=t + tof,
                     coast_time=0.0, phase_time=tof, total_time=tof,
                     total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0))
-                t = t + tof + self._td[tid]
+                t = t + tof + self.model._td[tid]
                 from_key = tid
             return out
 
-        return evaluate_plan(self.scenario, plan, self.phi, self.gamma,
-                             legs)
+        m = self.model
+        return evaluate_plan(m.scenario, plan, m.phi, m.gamma, legs)
 
 
 def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,

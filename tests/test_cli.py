@@ -652,3 +652,11 @@ class TestGen:
             assert main(["gen", str(path), "--targets", "6", "--servicers",
                          "2", "--days", "12", "--seed", "11"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("days", ["nan", "inf", "-inf"])
+    def test_non_finite_days_must_be_finite(self, tmp_path, capsys, days):
+        out = tmp_path / "gen.json"
+        assert main(["gen", str(out), "--targets", "3", "--servicers", "1",
+                     f"--days={days}"]) == 1
+        assert "deadline_hours must be finite" in _one_line_error(capsys)
+        assert not out.exists()

@@ -1,5 +1,6 @@
 """Plan decoding, revolution allocation and fitness evaluation tests."""
 
+import itertools
 import math
 import random
 
@@ -28,6 +29,7 @@ from scenario_builders import make_scenario, random_scenario_tuple
 
 T = GEO.t_geo
 HOUR = 3600.0
+DAY = 86400.0
 
 
 def random_plan(scenario, rng, max_rev=4):
@@ -837,7 +839,47 @@ class TestTimeOnlyAllocation:
         assert trims > 500 and trims_to_fit > 10
 
 
+def every_plan(scenario, max_rev):
+    """Every plan: each assignment of targets to servicers, each order of
+    each route and each revolution count in 1..max_rev per leg."""
+    sids = [s.id for s in scenario.servicers]
+    tids = [t.id for t in scenario.targets]
+    for assign in itertools.product(sids, repeat=len(tids)):
+        subsets = [[t for t, a in zip(tids, assign) if a == sid]
+                   for sid in sids]
+        for seqs in itertools.product(
+                *[itertools.permutations(sub) for sub in subsets]):
+            for revs in itertools.product(range(1, max_rev + 1),
+                                          repeat=len(tids)):
+                routes, used = [], 0
+                for sid, seq in zip(sids, seqs):
+                    routes.append(Route(sid, list(seq),
+                                        list(revs[used:used + len(seq)])))
+                    used += len(seq)
+                yield MissionPlan(routes)
+
+
 class TestExhaustive:
+    def test_reports_the_least_plan_metrics_exactly(self):
+        # Brute force over every plan of at most 3 targets, 2 servicers and
+        # 3 revolutions per leg, under deadlines that most plans miss.
+        rng = random.Random(29)
+        late = 0
+        for _ in range(12):
+            m, n = rng.randint(1, 3), rng.randint(1, 2)
+            scenario = random_scenario_tuple(
+                rng, m, n, deadline_s=(m / n + rng.uniform(0.3, 2.0)) * DAY,
+                budget=rng.uniform(200.0, 2000.0),
+                repair_s=rng.choice([0.0, HOUR, DAY]))
+            model = CostModel(scenario)
+            least = min(model.plan_metrics(plan)[0]
+                        for plan in every_plan(scenario, 3))
+            plan, ev = exhaustive_solve(scenario, max_revolutions=3)
+            assert ev.fitness.hex() == least.hex()
+            assert model.plan_metrics(plan)[0].hex() == least.hex()
+            late += ev.deadline_penalty > 0.0
+        assert late >= 3
+
     def test_single_target_picks_best_feasible_k(self):
         scenario = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
                                  [(3.0, 40.0, 200.0, 10 * HOUR)],
@@ -850,7 +892,7 @@ class TestExhaustive:
             if best is None or cand.fitness < best[0]:
                 best = (cand.fitness, k)
         assert plan.routes[0].revolutions == [best[1]]
-        assert ev.fitness == pytest.approx(best[0], rel=1e-12)
+        assert ev.fitness.hex() == best[0].hex()
 
     def test_symmetric_instance_ties(self):
         # Co-located servicers: swapping their targets yields the identical
@@ -865,8 +907,8 @@ class TestExhaustive:
         revs = [r.revolutions for r in plan.routes]
         mirror = MissionPlan([Route(1, seqs[1], revs[1]),
                               Route(2, seqs[0], revs[0])])
-        assert evaluate_plan(scenario, mirror).fitness == pytest.approx(
-            ev.fitness, rel=1e-9)
+        mirrored = evaluate_plan(scenario, mirror)
+        assert mirrored.fitness.hex() == ev.fitness.hex()
 
     def test_guards(self):
         rng = random.Random(27)
@@ -884,7 +926,7 @@ class TestExhaustive:
         _, ev = exhaustive_solve(scenario, max_revolutions=4)
         for _ in range(50):
             plan = random_plan(scenario, rng, max_rev=4)
-            assert ev.fitness <= evaluate_plan(scenario, plan).fitness + 1e-6
+            assert ev.fitness <= evaluate_plan(scenario, plan).fitness
 
 
 class TestPublishedPlanReproduction:

@@ -238,6 +238,17 @@ class TestMalformedValues:
         with pytest.raises(ValidationError, match=field):
             load(bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["deadline_hours", "repair_hours"])
+    def test_non_finite_hours_must_be_finite(self, field, value):
+        # A spec built in code skips the file parser's finiteness check.
+        spec = scenario_spec(case_study())
+        record = spec if field == "deadline_hours" else spec.targets[3]
+        setattr(record, field, value)
+        with pytest.raises(ValidationError,
+                           match=f"{field} must be finite"):
+            spec.to_scenario()
+
     @pytest.mark.parametrize("path,hours,field", [
         pytest.param(("deadline_hours",), 1e300, "deadline_hours",
                      id="deadline-1e300"),
