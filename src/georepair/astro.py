@@ -54,6 +54,15 @@ class CollinearGeometry(AstroError):
     """Lambert geometry is singular (transfer angle near 0 or 180 deg)."""
 
 
+def _check_finite(name: str, value, sign: str = "") -> None:
+    """Refuse with a one-line ``ValueError`` a ``value`` that is not finite
+    or, when ``sign`` is 'positive' or 'non-negative', not of that sign."""
+    if (not math.isfinite(value) or (sign == "positive" and value <= 0.0)
+            or (sign == "non-negative" and value < 0.0)):
+        raise ValueError(f"{name} must be finite"
+                         + (f" and {sign}" if sign else ""))
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Gravitational parameter and the GEO radius/period it implies.
@@ -67,14 +76,17 @@ class PhysicalConstants:
     r_geo: float = 0.0           # km, derived when left at 0
 
     def __post_init__(self):
-        if self.mu <= 0.0 or self.t_geo <= 0.0:
-            raise ValueError("physical constants must be positive")
-        if self.r_geo == 0.0:
-            r = (self.mu * (self.t_geo / TWO_PI) ** 2) ** (1.0 / 3.0)
-            object.__setattr__(self, "r_geo", r)
-        if self.r_geo <= 0.0:
-            raise ValueError("r_geo must be positive")
-        period = TWO_PI * math.sqrt(self.r_geo ** 3 / self.mu)
+        _check_finite("mu", self.mu, "positive")
+        _check_finite("t_geo", self.t_geo, "positive")
+        try:
+            if self.r_geo == 0.0:
+                r = (self.mu * (self.t_geo / TWO_PI) ** 2) ** (1.0 / 3.0)
+                object.__setattr__(self, "r_geo", r)
+            _check_finite("r_geo", self.r_geo, "positive")
+            period = TWO_PI * math.sqrt(self.r_geo ** 3 / self.mu)
+        except OverflowError:
+            raise ValueError(
+                "mu, t_geo and r_geo overflow the float range") from None
         if abs(period - self.t_geo) > 1e-9 * self.t_geo:
             raise ValueError("t_geo inconsistent with mu and r_geo")
 
@@ -115,8 +127,9 @@ class GeoOrbit:
     def __post_init__(self):
         if not (0.0 <= self.inclination < math.pi):
             raise ValueError(f"inclination {self.inclination!r} outside [0, pi)")
-        object.__setattr__(self, "raan", self.raan % TWO_PI)
-        object.__setattr__(self, "arg_lat0", self.arg_lat0 % TWO_PI)
+        for name in ("raan", "arg_lat0"):
+            _check_finite(name, getattr(self, name))
+            object.__setattr__(self, name, getattr(self, name) % TWO_PI)
 
     @classmethod
     def from_degrees(cls, inclination_deg: float, raan_deg: float,
@@ -207,7 +220,7 @@ def phasing_solution(theta: float, k: int,
     Negative theta yields a catch-up ellipse below GEO; delta-v strictly
     decreases as k grows for fixed theta != 0.
     """
-    _check_revolutions(k)
+    _check_positive_int("revolution count", k, InvalidRevolutions)
     span = TWO_PI * k + theta
     t_phase = (span / TWO_PI) * consts.t_geo
     a_phase = consts.r_geo * (span / (TWO_PI * k)) ** (2.0 / 3.0)
@@ -218,12 +231,12 @@ def phasing_solution(theta: float, k: int,
     return t_phase, a_phase, dv
 
 
-def _check_revolutions(k) -> None:
-    """Raise InvalidRevolutions unless ``k`` is an ``Integral`` other than a
-    bool and at least 1."""
+def _check_positive_int(name: str, k, exc_class=ValueError) -> None:
+    """Raise ``exc_class`` unless ``k`` is an ``Integral`` other than a bool
+    and at least 1: the rule of revolution counts and of servicer and
+    target ids."""
     if not isinstance(k, Integral) or isinstance(k, bool) or k < 1:
-        raise InvalidRevolutions(
-            f"revolution count must be a positive integer, got {k!r}")
+        raise exc_class(f"{name} must be a positive integer, got {k!r}")
 
 
 def rendezvous_mixed(departure: GeoOrbit, target: GeoOrbit, t: float,

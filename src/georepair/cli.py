@@ -31,7 +31,7 @@ from .planning import (
     _left_sum,
     exhaustive_solve,
 )
-from .scenarios import ParseError, ValidationError, load, random_scenario, save
+from .scenarios import ParseError, load, random_scenario, save
 from .search import (
     GaParams,
     LnsParams,
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
             return cmd_bench(args.scenario, config, algorithms, args.runs,
                              args.jobs, args.out)
         return cmd_solve(args.scenario, config, args.out)
-    except (argparse.ArgumentError, ParseError, ValidationError,
-            InstanceTooLarge, OSError, ValueError) as exc:
+    except (argparse.ArgumentError, ParseError, InstanceTooLarge, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

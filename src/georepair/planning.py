@@ -48,16 +48,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from numbers import Integral
 
 from .astro import (
     COPLANAR_TOL,
     GEO,
     TWO_PI,
     GeoOrbit,
+    InvalidRevolutions,
     PhysicalConstants,
     RendezvousSolution,
-    _check_revolutions,
+    _check_finite,
+    _check_positive_int,
     fold_angle,
     phasing_solution,
     rendezvous_mixed,
@@ -89,6 +90,12 @@ def _left_sum(values) -> float:
     return total
 
 
+def _check_weights(phi: float, gamma: float) -> None:
+    """Refuse penalty weights that are not finite and non-negative."""
+    _check_finite("phi", phi, "non-negative")
+    _check_finite("gamma", gamma, "non-negative")
+
+
 class InstanceTooLarge(Exception):
     """The exhaustive oracle refuses instances beyond its guard rails."""
 
@@ -101,10 +108,8 @@ class Target:
     repair_duration: float  # s
 
     def __post_init__(self):
-        if self.id < 1:
-            raise ValueError("target ids start at 1")
-        if self.repair_duration < 0.0:
-            raise ValueError("repair_duration must be non-negative")
+        _check_positive_int("id", self.id)
+        _check_finite("repair_duration", self.repair_duration, "non-negative")
 
 
 @dataclass
@@ -115,8 +120,8 @@ class Servicer:
     dv_budget: float  # m/s
 
     def __post_init__(self):
-        if self.dv_budget <= 0.0:
-            raise ValueError("dv_budget must be positive")
+        _check_positive_int("id", self.id)
+        _check_finite("dv_budget", self.dv_budget, "positive")
 
 
 @dataclass
@@ -133,8 +138,7 @@ class Scenario:
     def __post_init__(self):
         if self.epoch.tzinfo is None:
             self.epoch = self.epoch.replace(tzinfo=timezone.utc)
-        if self.deadline <= 0.0:
-            raise ValueError("deadline must be positive")
+        _check_finite("deadline", self.deadline, "positive")
         if not self.servicers or not self.targets:
             raise ValueError("need at least one servicer and one target")
         if sorted(t.id for t in self.targets) != list(range(1, len(self.targets) + 1)):
@@ -167,15 +171,13 @@ class Route:
 
     def validate(self):
         for i in (self.servicer_id, *self.target_sequence):
-            if not isinstance(i, Integral) or isinstance(i, bool):
-                raise ValueError(
-                    f"servicer and target ids must be integers, got {i!r}")
+            _check_positive_int("id", i)
         if len(self.target_sequence) != len(set(self.target_sequence)):
             raise ValueError("duplicate targets in route")
         if len(self.revolutions) != len(self.target_sequence):
             raise ValueError("revolutions must match sequence length")
         for k in self.revolutions:
-            _check_revolutions(k)
+            _check_positive_int("revolution count", k, InvalidRevolutions)
 
 
 @dataclass
@@ -369,6 +371,7 @@ class CostModel:
                  phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA):
         if slack_rule not in SLACK_RULES:
             raise ValueError("slack_rule must be 'largest' or 'smallest'")
+        _check_weights(phi, gamma)
         self.scenario = scenario
         self.slack_rule = slack_rule
         self.phi = phi

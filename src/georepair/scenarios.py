@@ -4,6 +4,8 @@ Angles live in degrees and durations in hours at the file boundary and are
 converted exactly once at load; everything downstream works in radians and
 seconds. A loaded or built-in scenario keeps its file-format record
 attached so that save(load(path)) reproduces the original decimal text.
+Validity is decided by the domain types, whose constructors refuse their
+own invalid values; the file layer only names the record in their error.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class ParseError(Exception):
     """Malformed scenario file: missing/unknown/ill-typed fields."""
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     """Well-formed scenario file whose values violate invariants."""
 
 
@@ -92,56 +94,53 @@ class ScenarioSpec:
     constants: dict | None = None
 
     def to_scenario(self) -> Scenario:
-        if not math.isfinite(self.deadline_hours):
-            raise ValidationError("deadline_hours must be finite")
-        if self.deadline_hours <= 0.0:
-            raise ValidationError("deadline_hours must be positive")
-        if not self.servicers or not self.targets:
-            raise ValidationError("need at least one servicer and one target")
+        """The scenario in radians and seconds. The domain constructors
+        decide validity, and their ``ValueError`` is raised as a
+        ``ValidationError`` naming the record; only the checks that name a
+        file field are made here."""
         _check_fleet_size(len(self.servicers), len(self.targets))
-        consts = GEO if self.constants is None else _constants(
-            self.constants)
+        consts = GEO if self.constants is None else _constants(self.constants)
         try:
             epoch = _parse_epoch(self.epoch)
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"bad epoch {self.epoch!r}: {exc}") from exc
-        servicers = []
-        for i, s in enumerate(self.servicers):
-            if s.dv_budget_mps <= 0.0:
-                raise ValidationError(
-                    f"servicer {s.name!r}: dv_budget_mps must be positive")
-            servicers.append(Servicer(
-                i + 1, s.name,
-                _orbit_from_degrees(s, "servicer"), s.dv_budget_mps))
-        targets = []
-        for i, t in enumerate(self.targets):
-            if not math.isfinite(t.repair_hours):
-                raise ValidationError(
-                    f"target {t.name!r}: repair_hours must be finite")
-            if t.repair_hours < 0.0:
-                raise ValidationError(
-                    f"target {t.name!r}: repair_hours must be non-negative")
-            targets.append(Target(
-                i + 1, t.name,
-                _orbit_from_degrees(t, "target"), t.repair_hours * 3600.0))
         # Every time a schedule reports must be a datetime. A route ends by
         # the deadline or within 2 t_geo plus the repair per leg, a Lambert
         # leg lasts at most 2 t_geo and an oracle leg at most 7 t_geo, so
         # deadline + repairs + 8 t_geo per target bounds them all.
         room = ((_LATEST_TIME - epoch).total_seconds()
-                - 8 * len(targets) * consts.t_geo)
-        for field, seconds in (
-                ("deadline_hours", self.deadline_hours * 3600.0),
-                ("repair_hours",
-                 _left_sum(t.repair_duration for t in targets))):
-            room -= seconds
+                - 8 * len(self.targets) * consts.t_geo)
+        for field, hours in (("deadline_hours", [self.deadline_hours]),
+                             ("repair_hours",
+                              [t.repair_hours for t in self.targets])):
+            if not all(map(math.isfinite, hours)):
+                raise ValidationError(f"{field} must be finite")
+            room -= _left_sum(h * 3600.0 for h in hours)
             if room < 0.0:
                 raise ValidationError(
                     f"{field} too large: a schedule could end after "
                     f"{_LATEST_TIME:%Y-%m-%d}")
-        return Scenario(epoch=epoch, deadline=self.deadline_hours * 3600.0,
-                        servicers=servicers, targets=targets,
-                        constants=consts, spec=self)
+        servicers = [_named(f"servicer {s.name!r}", lambda: Servicer(
+            i + 1, s.name, GeoOrbit.from_degrees(
+                s.inclination_deg, s.raan_deg, s.true_anomaly_deg),
+            s.dv_budget_mps)) for i, s in enumerate(self.servicers)]
+        targets = [_named(f"target {t.name!r}", lambda: Target(
+            i + 1, t.name, GeoOrbit.from_degrees(
+                t.inclination_deg, t.raan_deg, t.true_anomaly_deg),
+            t.repair_hours * 3600.0)) for i, t in enumerate(self.targets)]
+        return _named("scenario", lambda: Scenario(
+            epoch=epoch, deadline=self.deadline_hours * 3600.0,
+            servicers=servicers, targets=targets, constants=consts,
+            spec=self))
+
+
+def _named(record: str, build):
+    """``build()``, a domain constructor's ``ValueError`` raised as a
+    ``ValidationError`` that names the file record being built."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ValidationError(f"{record}: {exc}") from exc
 
 
 def _check_fleet_size(n_servicers: int, n_targets: int):
@@ -155,23 +154,8 @@ def _constants(record: dict) -> PhysicalConstants:
     for key in ("mu_km3s2", "t_geo_s"):
         if record[key] <= 0.0:
             raise ValidationError(f"constants: {key} must be positive")
-    try:
-        return PhysicalConstants(mu=record["mu_km3s2"],
-                                 t_geo=record["t_geo_s"])
-    except OverflowError as exc:
-        raise ValidationError(
-            "constants: mu_km3s2 and t_geo_s give a GEO radius beyond the "
-            "float range") from exc
-    except ValueError as exc:
-        raise ValidationError(f"constants: {exc}") from exc
-
-
-def _orbit_from_degrees(rec, kind: str) -> GeoOrbit:
-    try:
-        return GeoOrbit.from_degrees(rec.inclination_deg, rec.raan_deg,
-                                     rec.true_anomaly_deg)
-    except ValueError as exc:
-        raise ValidationError(f"{kind} {rec.name!r}: {exc}") from exc
+    return _named("constants", lambda: PhysicalConstants(
+        mu=record["mu_km3s2"], t_geo=record["t_geo_s"]))
 
 
 def _parse_epoch(text: str) -> datetime:
@@ -200,8 +184,6 @@ def random_scenario(n_targets: int, n_servicers: int, duration_days: float,
                     seed: int) -> Scenario:
     """Random fleet: inclinations uniform in [0, 10] deg, RAAN and phase
     uniform in [0, 360) deg, 2000 m/s budgets, 1-day repairs."""
-    if n_targets < 1 or n_servicers < 1:
-        raise ValueError("need at least one target and one servicer")
     _check_fleet_size(n_servicers, n_targets)
     rng = random.Random(seed)
 

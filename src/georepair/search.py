@@ -76,6 +76,7 @@ from .planning import (
     MissionPlan,
     Route,
     Scenario,
+    _check_weights,
     _left_sum,
     decode,
     encode_sequences,
@@ -140,9 +141,7 @@ class GaParams:
             raise ValueError("need 0 < pc_lo <= pc_hi <= 1")
         if not (0.0 < self.pm_lo <= self.pm_hi <= 1.0):
             raise ValueError("need 0 < pm_lo <= pm_hi <= 1")
-        for name in ("phi", "gamma"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+        _check_weights(self.phi, self.gamma)
 
 
 @dataclass

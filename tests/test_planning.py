@@ -3,18 +3,20 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from georepair import planning
-from georepair.astro import GEO, TWO_PI, fold_angle, phasing_solution
+from georepair.astro import GEO, TWO_PI, GeoOrbit, fold_angle, phasing_solution
 from georepair.planning import (
     CostModel,
     InstanceTooLarge,
     MissionPlan,
     Route,
+    Scenario,
     allocate_revolutions,
     decode,
     encode_sequences,
@@ -146,9 +148,12 @@ class TestAllocate:
 class TestEvaluateRoute:
     @pytest.mark.parametrize("route", [Route(99, [1], [1]),
                                        Route(1, [99], [1]),
-                                       Route(True, [1], [1])],
+                                       Route(True, [1], [1]),
+                                       Route(0, [1], [1]),
+                                       Route(1, [1.5], [1])],
                              ids=["unknown-servicer", "unknown-target",
-                                  "bool-servicer"])
+                                  "bool-servicer", "zero-servicer",
+                                  "fractional-target"])
     def test_rejects_a_route_the_scenario_cannot_fly(self, route):
         with pytest.raises(ValueError) as exc:
             evaluate_route(random_scenario(3, 2, 20.0, seed=1), route)
@@ -611,6 +616,43 @@ def kernel_cases(draw):
                              max_size=len(seq)))
         routes.append((sid, seq, revs))
     return servicers, targets, deadline, routes
+
+
+def _raan_turned(scenario, angle: float):
+    """``scenario`` turned by ``angle`` about the polar axis: the same angle
+    added to every body's RAAN."""
+    def turned(body):
+        o = body.orbit
+        return replace(body, orbit=GeoOrbit(o.inclination, o.raan + angle,
+                                            o.arg_lat0))
+    return Scenario(epoch=scenario.epoch, deadline=scenario.deadline,
+                    servicers=[turned(s) for s in scenario.servicers],
+                    targets=[turned(t) for t in scenario.targets],
+                    constants=scenario.constants)
+
+
+class TestRaanRotation:
+    """Turning every orbit by one angle about the polar axis leaves each
+    leg's dihedral, coast and phase gap as they were, so the allocation and
+    the price of every route must not move."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(1, 10 ** 6),
+           angle=st.floats(0.0, TWO_PI, exclude_max=True),
+           routes=st.lists(st.tuples(
+               st.sampled_from([1, 2]),
+               st.lists(st.integers(1, 8), min_size=1, max_size=8,
+                        unique=True)), min_size=1, max_size=6))
+    def test_allocation_and_mixed_delta_v_are_invariant(self, seed, angle,
+                                                        routes):
+        scenario = random_scenario(8, 2, 15.0, seed)
+        model = CostModel(scenario)
+        turned = CostModel(_raan_turned(scenario, angle))
+        for sid, seq in routes:
+            revs, dv, _, _ = model.priced_route(sid, seq)
+            turned_revs, turned_dv, _, _ = turned.priced_route(sid, seq)
+            assert turned_revs == revs
+            assert turned_dv == pytest.approx(dv, rel=1e-12)
 
 
 class TestExactKernel:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from georepair import scenarios
-from georepair.astro import GEO
-from georepair.planning import Scenario
+from georepair.astro import GEO, GeoOrbit, PhysicalConstants
+from georepair.planning import Scenario, Servicer, Target
 from georepair.scenarios import (
     CASE_STUDY_TARGETS,
     MAX_SCENARIO_BYTES,
@@ -27,6 +27,8 @@ from georepair.scenarios import (
     spec_to_dict,
     scenario_spec,
 )
+from georepair.search import GaParams, solve_ga
+from scenario_builders import EPOCH
 
 GOLDEN = Path(__file__).parent / "data" / "case_study_golden.json"
 
@@ -239,14 +241,20 @@ class TestMalformedValues:
             load(bad)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["deadline_hours", "repair_hours"])
+    @pytest.mark.parametrize("field", ["deadline_hours", "repair_hours",
+                                       "dv_budget_mps", "raan_deg"])
     def test_non_finite_hours_must_be_finite(self, field, value):
         # A spec built in code skips the file parser's finiteness check.
+        # The file layer checks the hours; any other field is refused by
+        # its domain type, and the error names the record.
         spec = scenario_spec(case_study())
-        record = spec if field == "deadline_hours" else spec.targets[3]
+        record = {"deadline_hours": spec, "dv_budget_mps": spec.servicers[0],
+                  }.get(field, spec.targets[3])
         setattr(record, field, value)
-        with pytest.raises(ValidationError,
-                           match=f"{field} must be finite"):
+        match = {"dv_budget_mps": "^servicer 'SSc1': dv_budget must be finite",
+                 "raan_deg": "^target 'Beidou_G2': raan must be finite",
+                 }.get(field, f"{field} must be finite")
+        with pytest.raises(ValidationError, match=match):
             spec.to_scenario()
 
     @pytest.mark.parametrize("path,hours,field", [
@@ -428,3 +436,77 @@ class TestFuzzScenarioDocuments:
         except (ParseError, ValidationError):
             return
         assert isinstance(scenario, Scenario)
+
+
+# -- the domain constructors are the scenario gate --------------------------
+
+_ODD_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, True)
+# Every numeric field of GeoOrbit, PhysicalConstants, Servicer, Target and
+# Scenario, with its value in a valid one-servicer, two-target scenario.
+# The orbit fields go to the servicer's orbit, the target fields to the
+# first target.
+_GATE_FIELDS = {
+    "mu": GEO.mu, "t_geo": GEO.t_geo, "r_geo": 0.0,
+    "inclination": 0.02, "raan": 1.0, "arg_lat0": 2.0,
+    "servicer_id": 1, "dv_budget": 2000.0,
+    "target_id": 1, "repair_duration": 3600.0,
+    "deadline": 10 * 86400.0,
+}
+
+
+def _gate_scenario(v: dict) -> Scenario:
+    return Scenario(
+        epoch=EPOCH, deadline=v["deadline"],
+        servicers=[Servicer(v["servicer_id"], "S",
+                            GeoOrbit(v["inclination"], v["raan"],
+                                     v["arg_lat0"]), v["dv_budget"])],
+        targets=[Target(v["target_id"], "T1", GeoOrbit(0.05, 3.0, 4.0),
+                        v["repair_duration"]),
+                 Target(2, "T2", GeoOrbit(0.03, 5.0, 1.0), 3600.0)],
+        constants=PhysicalConstants(v["mu"], v["t_geo"], v["r_geo"]))
+
+
+class TestConstructorGate:
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: GeoOrbit(0.1, math.nan, 0.3), id="raan-nan"),
+        pytest.param(lambda: GeoOrbit(0.1, 0.2, -math.inf),
+                     id="arg-lat-inf"),
+        pytest.param(lambda: PhysicalConstants(mu=math.inf), id="mu-inf"),
+        pytest.param(lambda: PhysicalConstants(mu=math.nan), id="mu-nan"),
+        pytest.param(lambda: PhysicalConstants(r_geo=math.inf),
+                     id="r-geo-inf"),
+        pytest.param(lambda: PhysicalConstants(t_geo=1e300),
+                     id="t-geo-overflow"),
+        pytest.param(lambda: PhysicalConstants(r_geo=1e200),
+                     id="r-geo-cube-overflow"),
+        pytest.param(lambda: Servicer(1, "S", GeoOrbit(0, 0, 0), math.nan),
+                     id="budget-nan"),
+        pytest.param(lambda: Target(1, "T", GeoOrbit(0, 0, 0), math.inf),
+                     id="repair-inf"),
+        pytest.param(lambda: Target(1, "T", GeoOrbit(0, 0, 0), math.nan),
+                     id="repair-nan"),
+        pytest.param(lambda: _gate_scenario(
+            {**_GATE_FIELDS, "deadline": math.inf}), id="deadline-inf"),
+        pytest.param(lambda: _gate_scenario(
+            {**_GATE_FIELDS, "deadline": math.nan}), id="deadline-nan"),
+        *(pytest.param(lambda cls=cls, i=i: cls(i, "X", GeoOrbit(0, 0, 0),
+                                                 1.0),
+                       id=f"{cls.__name__.lower()}-id-{i!r}")
+          for cls in (Servicer, Target) for i in (True, 0, 1.5)),
+    ])
+    def test_each_invalid_value_is_refused_in_one_line(self, build):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert "\n" not in str(exc.value)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(_GATE_FIELDS)),
+                           st.sampled_from(_ODD_VALUES), max_size=2))
+    def test_refuses_in_one_line_or_builds_a_solvable_scenario(self, odd):
+        try:
+            scenario = _gate_scenario({**_GATE_FIELDS, **odd})
+        except ValueError as exc:
+            assert "\n" not in str(exc)
+            return
+        result = solve_ga(scenario, GaParams(4, 2, 1), seed=1)
+        assert not math.isnan(result.best_evaluation.fitness)
