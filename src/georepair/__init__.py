@@ -13,7 +13,6 @@ from .astro import (
     GeoOrbit,
     PhysicalConstants,
     RendezvousSolution,
-    rendezvous_mixed,
 )
 from .planning import (
     Evaluation,
@@ -41,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GEO", "CartesianState", "GeoOrbit", "PhysicalConstants",
-    "RendezvousSolution", "rendezvous_mixed",
+    "RendezvousSolution",
     "Evaluation", "MissionPlan", "Route", "Scenario", "Servicer", "Target",
     "allocate_revolutions", "evaluate_plan", "evaluate_route",
     "exhaustive_solve",

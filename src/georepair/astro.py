@@ -54,10 +54,18 @@ class CollinearGeometry(AstroError):
     """Lambert geometry is singular (transfer angle near 0 or 180 deg)."""
 
 
+def _is_finite(value) -> bool:
+    """``math.isfinite``, false for a non-number or an int beyond floats."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _check_finite(name: str, value, sign: str = "") -> None:
     """Refuse with a one-line ``ValueError`` a ``value`` that is not finite
     or, when ``sign`` is 'positive' or 'non-negative', not of that sign."""
-    if (not math.isfinite(value) or (sign == "positive" and value <= 0.0)
+    if (not _is_finite(value) or (sign == "positive" and value <= 0.0)
             or (sign == "non-negative" and value < 0.0)):
         raise ValueError(f"{name} must be finite"
                          + (f" and {sign}" if sign else ""))
@@ -125,7 +133,8 @@ class GeoOrbit:
     arg_lat0: float
 
     def __post_init__(self):
-        if not (0.0 <= self.inclination < math.pi):
+        if not (_is_finite(self.inclination)
+                and 0.0 <= self.inclination < math.pi):
             raise ValueError(f"inclination {self.inclination!r} outside [0, pi)")
         for name in ("raan", "arg_lat0"):
             _check_finite(name, getattr(self, name))
@@ -134,8 +143,10 @@ class GeoOrbit:
     @classmethod
     def from_degrees(cls, inclination_deg: float, raan_deg: float,
                      arg_lat0_deg: float) -> "GeoOrbit":
-        return cls(math.radians(inclination_deg), math.radians(raan_deg),
-                   math.radians(arg_lat0_deg))
+        degrees = (inclination_deg, raan_deg, arg_lat0_deg)
+        for name, value in zip(("inclination", "raan", "arg_lat0"), degrees):
+            _check_finite(name, value)
+        return cls(*map(math.radians, degrees))
 
 
 @dataclass(frozen=True)

@@ -12,31 +12,32 @@ every solve, mixed or Lambert, reports its history's best fitness, and
 
 ``evaluate_route``/``evaluate_plan`` are the only code that builds an
 ``Evaluation``. They report every leg with its impulses and times for
-schedule output, and take the leg model as an argument: the default is
-``CostModel.fly``, the mixed legs the search prices, and the Lambert
-baseline in ``search`` passes its own two-impulse legs. ``CostModel`` is
-the one copy of the mixed leg's geometry. Its kernel is
-``CostModel.route_geometry``, which simulates a route's legs, and
-``CostModel._route_cost``, which prices them; each is one loop per route
-with no call per leg. The search, the exhaustive oracle's per-leg tables
-and the report all read it: ``fly`` hands each leg's coast, phase gap and
-price to ``astro.rendezvous_mixed``, which only adds impulses and times, so
-a reported mixed plan is ``CostModel.plan_metrics`` to the last bit. The
-kernel must keep the IEEE operation order of every expression: the memos,
-the search and the fingerprint tests rely on its floats being bit-for-bit
-what they are. Every sum of floats adds left to right (``_left_sum``),
-never through ``sum``, whose rounding depends on the Python version.
-Coast times and phase gaps are invariant under whole-revolution
-shifts of earlier legs, so one simulation of a route with every leg at one
-revolution serves any revolution allocation. A model prices under one
-policy, the allocator's slack rule and the penalty weights phi and gamma,
-fixed when it is built, and keeps two bounded memos under it. The route
-memo prices each (servicer, sequence) once: the route is simulated,
-allocated on end times alone and costed once; the search reads it through
-``priced_score`` on target sequences alone, and ``allocate`` gives the
-revolutions of a reported plan. The insertion memo scans each (servicer,
-sequence, target) once for its cheapest slots, so LNS repair reuses a
-scan across repair rounds, attempts and generations.
+schedule output, and take the legs as an argument, a leg model's ``fly``:
+the default is ``CostModel.fly``, the mixed legs the search prices, and
+the Lambert model in ``search``, a ``CostModel`` too, flies its own
+two-impulse legs. ``CostModel`` is the one copy of the mixed leg's
+geometry. Its kernel is ``CostModel.route_geometry``, which simulates a
+route's legs, and ``CostModel._route_cost``, which prices them; each is
+one loop per route with no call per leg. The search, the exhaustive
+oracle's per-leg tables and the report all read it: ``fly`` hands each
+leg's coast, phase gap and price to ``astro.rendezvous_mixed``, which only
+adds impulses and times, so a reported mixed plan is
+``CostModel.plan_metrics`` to the last bit. The kernel must keep the IEEE
+operation order of every expression: the memos, the search and the
+fingerprint tests rely on its floats being bit-for-bit what they are.
+Every sum of floats adds left to right (``_left_sum``), never through
+``sum``, whose rounding depends on the Python version. Coast times and
+phase gaps are invariant under whole-revolution shifts of earlier legs, so
+one simulation of a route with every leg at one revolution serves any
+revolution allocation. A model prices under one policy, the allocator's
+slack rule and the penalty weights phi and gamma, fixed when it is built,
+and keeps two bounded memos under it. The route memo prices each
+(servicer, sequence) once: the route is simulated, allocated on end times
+alone and costed once; the search reads it through ``priced_score`` on
+target sequences alone, and ``allocate`` gives the revolutions of a
+reported plan. The insertion memo scans each (servicer, sequence, target)
+once for its cheapest slots, so LNS repair reuses a scan across repair
+rounds, attempts and generations.
 Plans are checked once, by ``MissionPlan.validate_against`` in
 ``evaluate_plan``. The search trusts its own input: ``decode`` does not
 check chromosomes, which the engine builds as permutations.
@@ -746,10 +747,10 @@ def evaluate_route(scenario: Scenario, route: Route,
     """Fly a route leg by leg with a transfer model.
 
     ``legs(route)`` returns the route's legs in order as
-    ``RendezvousSolution``s, whose ``t2`` is the arrival; the default is
-    ``CostModel(scenario).fly``, the mixed legs the search prices, and the
-    Lambert baseline in ``search`` passes its own two-impulse legs. The
-    servicer departs at the epoch, repairs each target for its repair
+    ``RendezvousSolution``s, whose ``t2`` is the arrival: a leg model's
+    ``fly``. The default is ``CostModel(scenario).fly``, the mixed legs the
+    search prices; the Lambert model in ``search`` flies two-impulse legs.
+    The servicer departs at the epoch, repairs each target for its repair
     duration on arrival and departs again on completion; the final move to
     a parking orbit is free and not simulated.
     """

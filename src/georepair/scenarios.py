@@ -17,7 +17,7 @@ import random
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
-from .astro import GEO, GeoOrbit, PhysicalConstants
+from .astro import GEO, GeoOrbit, PhysicalConstants, _is_finite
 from .planning import Scenario, Servicer, Target, _left_sum
 
 
@@ -113,7 +113,7 @@ class ScenarioSpec:
         for field, hours in (("deadline_hours", [self.deadline_hours]),
                              ("repair_hours",
                               [t.repair_hours for t in self.targets])):
-            if not all(map(math.isfinite, hours)):
+            if not all(map(_is_finite, hours)):
                 raise ValidationError(f"{field} must be finite")
             room -= _left_sum(h * 3600.0 for h in hours)
             if room < 0.0:
@@ -152,13 +152,15 @@ def _check_fleet_size(n_servicers: int, n_targets: int):
 
 def _constants(record: dict) -> PhysicalConstants:
     for key in ("mu_km3s2", "t_geo_s"):
-        if record[key] <= 0.0:
+        if _is_finite(record[key]) and record[key] <= 0.0:
             raise ValidationError(f"constants: {key} must be positive")
     return _named("constants", lambda: PhysicalConstants(
         mu=record["mu_km3s2"], t_geo=record["t_geo_s"]))
 
 
 def _parse_epoch(text: str) -> datetime:
+    if not isinstance(text, str):
+        raise ValueError("must be a string")
     dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)

@@ -25,32 +25,28 @@ lists: a route's revolutions follow from its sequence, so no operator
 holds them. ``refine`` decodes each elite afresh, so an operator that
 changes the sequences it is given cannot reach the engine's state. A
 ``MissionPlan`` is built once per solve, for the best chromosome, with its
-revolutions from the adapter.
+revolutions from the model's ``allocate``.
 
-An adapter per leg model prices routes for the search. The mixed adapter
-holds only a ``planning.CostModel``, built once per solve with the solve's
-slack rule and penalty weights, and the LNS operators take that same
-model, so one pricing policy and one set of memos serve the whole solve.
-The Lambert adapter flies and prices a leg in one place, ``_fly``, on
-plain floats: states and Lambert velocities are 3-tuples and each norm is
-a left-to-right sum under ``math.sqrt``. It keeps two bounded memos: the
-leg cache, of priced legs keyed on their exact departure and flight times,
-and the state memo, of body states keyed on the body and the exact time,
-which serves the departure state of each leg it prices and the arrival
-state of each ``_fly``. Each empties when an insert would pass
+The engine drives one ``planning.CostModel`` per solve, built with the
+solve's penalty weights, and reads only its ``route``, ``allocate``,
+``fly``, ``phi`` and ``gamma``; the LNS operators take that same model, so
+one pricing policy and one set of memos serve the whole solve. Each leg
+model is a ``CostModel``: ``_MixedAdapter`` is ``CostModel`` itself, built
+with the solve's slack rule, and ``_LambertAdapter`` overrides route
+pricing and ``fly`` with two-impulse Lambert legs, one revolution each,
+flown and priced in one place, ``_fly``, on plain floats: states and
+Lambert velocities are 3-tuples and each norm is a left-to-right sum under
+``math.sqrt``. Its leg cache and state memo are bounded by
 ``_LEG_CACHE_CAP``, and each value depends on its key alone, so a price
-does not depend on what a memo held. A route is summed again from the leg
-cache on every call. The best plan is then re-evaluated by
-``planning.evaluate_plan``, with the mixed legs of the solve's
-``CostModel`` (``CostModel.fly``) or with Lambert legs that fly through
-``_fly`` at the flight times the search chose, so every leg reports the
-price the search used, a failed leg infinite in both. Each adapter holds
-the solve's ``CostModel`` as ``model``, and the engine, the LNS and the
-report score a plan by its one rule, the left sum of ``CostModel._score``
-route scores, so every solve, mixed or Lambert, reports the fitness of its
-history's best. Both leg models run on plain floats, and every sum of
-floats adds left to right (``planning._left_sum``), so no reported float
-depends on the host's linear-algebra library or on the Python version.
+does not depend on what a memo held. The best plan is reported by
+``planning.evaluate_plan`` on the model's own ``fly``, so every leg
+reports the price the search used, a failed leg infinite in both, and the
+engine, the LNS and the report score a plan by one rule, the left sum of
+``CostModel._score`` route scores: every solve, mixed or Lambert, reports
+the fitness of its history's best, and ``plan_metrics`` equals it. Both
+leg models run on plain floats, and every sum of floats adds left to
+right (``planning._left_sum``), so no reported float depends on the
+host's linear-algebra library or on the Python version.
 """
 
 from __future__ import annotations
@@ -86,7 +82,7 @@ from .planning import (
 FITNESS_EPS = 1e-12
 RELATEDNESS_EPS = 1e-6
 
-# Entries at which the engine's chromosome cache and the Lambert adapter's
+# Entries at which the engine's chromosome cache and the Lambert model's
 # leg cache and state memo empty themselves.
 _GENE_CACHE_CAP = 200_000
 _LEG_CACHE_CAP = 300_000
@@ -420,25 +416,18 @@ def lns_improve(seqs: list[list[int]], params: LnsParams,
 # Solver engine
 # ---------------------------------------------------------------------------
 
-class _MixedAdapter:
-    """Route costing through the phasing cost model plus the allocator."""
-
-    def __init__(self, model: CostModel):
-        self.model = model
+class _MixedAdapter(CostModel):
+    """The mixed leg model: ``CostModel`` itself, with the engine's
+    per-route price, ``route``, as a method of its own class, apart from
+    the Lambert model's."""
 
     def route(self, sid: int, seq) -> float:
-        return self.model.priced_score(sid, seq)[0]
-
-    def revolutions(self, sid: int, seq) -> list[int]:
-        return self.model.allocate(sid, seq)
-
-    def final_evaluation(self, plan: MissionPlan) -> Evaluation:
-        m = self.model
-        return evaluate_plan(m.scenario, plan, m.phi, m.gamma, m.fly)
+        return self.priced_score(sid, seq)[0]
 
 
-class _LambertAdapter:
-    """Route costing through two-impulse Lambert rendezvous legs.
+class _LambertAdapter(CostModel):
+    """The Lambert leg model: a ``CostModel`` whose legs are two-impulse
+    Lambert rendezvous, one revolution each.
 
     The leg flight time is allocated from the route's residual mission time
     (deadline minus repairs, split equally), snapped down to the candidate
@@ -446,21 +435,23 @@ class _LambertAdapter:
     static phase gap. If the chosen flight time is Lambert-singular the
     nearest grid alternatives are tried before the leg scores infinite.
     ``_fly`` is the one Lambert flight: the search prices each fallback
-    candidate through it, and ``final_evaluation`` reports each leg
-    through it at the flight time the search settled on.
+    candidate through it, and ``fly`` reports each leg through it at the
+    flight time the search settled on.
 
-    Two memos, each emptied when an insert would pass ``_LEG_CACHE_CAP``,
-    keep the search from repeating work: the leg cache, from
-    ``(from key, target id, departure time, grid time)`` to the leg's
-    (flight time, price), and the state memo ``_state``, from
-    ``(body key, time)`` to the body's ``CartesianState``, so each distinct
-    departure or arrival state is computed once.
+    It overrides route pricing, ``priced_route`` and ``route_metrics``, and
+    the report's legs, ``fly``; ``allocate``, ``_score`` and the plan sums
+    are the ``CostModel``'s. Routes are summed again on every call, from
+    two memos, each emptied when an insert would pass ``_LEG_CACHE_CAP``:
+    the leg cache, from ``(from key, target id, departure time, grid
+    time)`` to the leg's (flight time, price), and the state memo
+    ``_state``, from ``(body key, time)`` to the body's ``CartesianState``,
+    so each distinct departure or arrival state is computed once.
     """
 
     def __init__(self, scenario: Scenario, phi: float, gamma: float):
-        self.model = model = CostModel(scenario, phi=phi, gamma=gamma)
-        grid = sorted(f * model.t_geo for f in DEFAULT_TOF_FRACTIONS
-                      if f * model.t_geo < model.deadline)
+        super().__init__(scenario, phi=phi, gamma=gamma)
+        grid = sorted(f * self.t_geo for f in DEFAULT_TOF_FRACTIONS
+                      if f * self.t_geo < self.deadline)
         if not grid:
             raise ValueError("no candidate flight time is below the deadline")
         self.grid = grid
@@ -472,7 +463,7 @@ class _LambertAdapter:
         self._orbits.update({t.id: t.orbit for t in scenario.targets})
         # Static phase gap |fold(lam0[from] - lam0[to])| of every leg a
         # route can fly: one row per departure body, keyed by target id.
-        bodies = model._bodies
+        bodies = self._bodies
         self._gap_rows = {
             key: {t.id: abs(fold_angle(bodies[key].lam0 - bodies[t.id].lam0))
                   for t in scenario.targets}
@@ -490,8 +481,7 @@ class _LambertAdapter:
         longest grid time that fits in its share plus the slack.
         """
         legs = len(seq)
-        budget = (self.model.deadline
-                  - _left_sum(map(self.model._td.__getitem__, seq)))
+        budget = self.deadline - _left_sum(map(self._td.__getitem__, seq))
         grid = self.grid
         i = bisect_right(grid, budget / legs)
         tofs = [grid[i - 1] if i else grid[0]] * legs
@@ -519,7 +509,7 @@ class _LambertAdapter:
             if len(memo) >= _LEG_CACHE_CAP:
                 memo.clear()
             state = memo[key, t] = orbit_to_state(
-                self._orbits[key], t, self.model.scenario.constants)
+                self._orbits[key], t, self.scenario.constants)
         return state
 
     def _fly(self, state, to_id: int, tof: float):
@@ -530,7 +520,7 @@ class _LambertAdapter:
         ``AstroError`` when the arc fails."""
         arrive = self._state(to_id, state.t + tof)
         (v1x, v1y, v1z), (v2x, v2y, v2z) = lambert_solve(
-            state.r, arrive.r, tof, True, self.model.scenario.constants)
+            state.r, arrive.r, tof, True, self.scenario.constants)
         (sx, sy, sz), (tx, ty, tz) = state.v, arrive.v
         d1x, d1y, d1z = v1x - sx, v1y - sy, v1z - sz
         d2x, d2y, d2z = tx - v2x, ty - v2y, tz - v2z
@@ -560,14 +550,15 @@ class _LambertAdapter:
         return result
 
     def route_detail(self, sid: int, seq):
-        """(flight times, delta-v m/s, deadline violation s) of a route,
-        each leg from the leg cache, priced by ``_leg`` on a miss."""
+        """(flight times, delta-v m/s, deadline violation s, end time s) of
+        a route, each leg from the leg cache, priced by ``_leg`` on a
+        miss."""
         if not seq:
-            return (), 0.0, 0.0
+            return (), 0.0, 0.0, 0.0
         tofs = self._allocate_tofs(sid, seq)
         cache = self._leg_cache
-        td = self.model._td
-        deadline = self.model.deadline
+        td = self._td
+        deadline = self.deadline
         t = 0.0
         dv = 0.0
         p1 = 0.0
@@ -584,58 +575,62 @@ class _LambertAdapter:
             if t > deadline:
                 p1 += t - deadline
             from_key = tid
-        return tuple(used), dv, p1
+        return tuple(used), dv, p1, t
+
+    def priced_route(self, sid: int, seq):
+        """(revolutions, delta-v m/s, deadline violation s, end time s) of a
+        route: one revolution per leg, priced by ``route_detail``."""
+        _, dv, p1, end = self.route_detail(sid, seq)
+        return (1,) * len(seq), dv, p1, end
+
+    def route_metrics(self, sid: int, seq, revs):
+        """``priced_route`` without the revolutions, which a Lambert leg
+        does not choose."""
+        return self.priced_route(sid, seq)[1:]
 
     def route(self, sid: int, seq) -> float:
-        _, dv, p1 = self.route_detail(sid, seq)
-        return self.model._score(sid, dv, p1)[0]
+        _, dv, p1, _ = self.route_detail(sid, seq)
+        return self._score(sid, dv, p1)[0]
 
-    def revolutions(self, sid: int, seq) -> list[int]:
-        return [1] * len(seq)
-
-    def final_evaluation(self, plan: MissionPlan) -> Evaluation:
-        """``evaluate_plan`` with each leg flown by ``_fly`` at the flight
-        time ``route_detail`` chose, so a leg reports the price the search
-        used; a failed leg has (nan, nan, nan) impulses and infinite
-        delta-v."""
-
-        def legs(route: Route) -> list[RendezvousSolution]:
-            seq = route.target_sequence
-            tofs = self.route_detail(route.servicer_id, seq)[0]
-            from_key = ("S", route.servicer_id)
-            t = 0.0
-            out = []
-            for tid, tof in zip(seq, tofs):
-                try:
-                    dv1, dv2, leg_dv = self._fly(self._state(from_key, t),
-                                                 tid, tof)
-                except AstroError:
-                    imp1 = imp2 = (math.nan, math.nan, math.nan)
-                    leg_dv = math.inf
-                else:
-                    imp1 = (dv1[0] * 1000.0, dv1[1] * 1000.0, dv1[2] * 1000.0)
-                    imp2 = (dv2[0] * 1000.0, dv2[1] * 1000.0, dv2[2] * 1000.0)
-                out.append(RendezvousSolution(
-                    impulse1=imp1, impulse2=imp2, t1=t, t2=t + tof,
-                    coast_time=0.0, phase_time=tof, total_time=tof,
-                    total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0))
-                t = t + tof + self.model._td[tid]
-                from_key = tid
-            return out
-
-        m = self.model
-        return evaluate_plan(m.scenario, plan, m.phi, m.gamma, legs)
+    def fly(self, route: Route) -> list[RendezvousSolution]:
+        """The legs of ``route`` as ``evaluate_route`` reports them, each
+        flown by ``_fly`` at the flight time ``route_detail`` chose, so a
+        leg reports the price the search used; a failed leg has (nan, nan,
+        nan) impulses and infinite delta-v."""
+        seq = route.target_sequence
+        tofs = self.route_detail(route.servicer_id, seq)[0]
+        from_key = ("S", route.servicer_id)
+        t = 0.0
+        out = []
+        for tid, tof in zip(seq, tofs):
+            try:
+                dv1, dv2, leg_dv = self._fly(self._state(from_key, t), tid,
+                                             tof)
+            except AstroError:
+                imp1 = imp2 = (math.nan, math.nan, math.nan)
+                leg_dv = math.inf
+            else:
+                imp1 = (dv1[0] * 1000.0, dv1[1] * 1000.0, dv1[2] * 1000.0)
+                imp2 = (dv2[0] * 1000.0, dv2[1] * 1000.0, dv2[2] * 1000.0)
+            out.append(RendezvousSolution(
+                impulse1=imp1, impulse2=imp2, t1=t, t2=t + tof,
+                coast_time=0.0, phase_time=tof, total_time=tof,
+                total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0))
+            t = t + tof + self._td[tid]
+            from_key = tid
+        return out
 
 
 def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,
                           phi: float = DEFAULT_PHI,
                           gamma: float = DEFAULT_GAMMA) -> Evaluation:
     """Vector-level evaluation of a plan under the Lambert leg model."""
-    return _LambertAdapter(scenario, phi, gamma).final_evaluation(plan)
+    return evaluate_plan(scenario, plan, phi, gamma,
+                         _LambertAdapter(scenario, phi, gamma).fly)
 
 
 def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
-                seed: int, adapter) -> SolveResult:
+                seed: int, model: CostModel) -> SolveResult:
     m, n = len(scenario.targets), len(scenario.servicers)
     rng = random.Random(seed)
     sids = [s.id for s in scenario.servicers]
@@ -647,7 +642,7 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
         if fitness is None:
             fitness = 0.0
             for sid, seq in zip(sids, decode(genes, m, n)):
-                fitness += adapter.route(sid, seq)
+                fitness += model.route(sid, seq)
             if len(cache) >= _GENE_CACHE_CAP:
                 cache.clear()
             cache[key] = fitness
@@ -688,7 +683,7 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
             if not math.isfinite(fits[i]):
                 continue
             seqs = decode(pop[i], m, n)
-            improved = lns_improve(seqs, lns, rng, adapter.model)
+            improved = lns_improve(seqs, lns, rng, model)
             if improved is seqs:
                 continue
             genes = encode_sequences(improved, m)
@@ -719,10 +714,11 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
             last_improve = gen
 
     best_plan = MissionPlan([
-        Route(sid, seq, adapter.revolutions(sid, seq))
+        Route(sid, seq, model.allocate(sid, seq))
         for sid, seq in zip(sids, decode(best_genes, m, n))])
-    return SolveResult(best_plan=best_plan,
-                       best_evaluation=adapter.final_evaluation(best_plan),
+    best_evaluation = evaluate_plan(scenario, best_plan, model.phi,
+                                    model.gamma, model.fly)
+    return SolveResult(best_plan=best_plan, best_evaluation=best_evaluation,
                        history=history, generations_run=gen, seed=seed)
 
 
@@ -737,21 +733,21 @@ def solve_lns_aga(scenario: Scenario, ga: GaParams | None = None,
     elite fraction every generation."""
     ga = ga or GaParams()
     lns = lns or LnsParams()
-    adapter = _MixedAdapter(CostModel(scenario, slack_rule, ga.phi, ga.gamma))
-    return _run_engine(scenario, ga, lns, seed, adapter)
+    model = _MixedAdapter(scenario, slack_rule, ga.phi, ga.gamma)
+    return _run_engine(scenario, ga, lns, seed, model)
 
 
 def solve_ga(scenario: Scenario, ga: GaParams | None = None, seed: int = 0,
              slack_rule: str = "largest") -> SolveResult:
     """Plain adaptive GA: the identical pipeline minus the LNS hook."""
     ga = ga or GaParams()
-    adapter = _MixedAdapter(CostModel(scenario, slack_rule, ga.phi, ga.gamma))
-    return _run_engine(scenario, ga, None, seed, adapter)
+    model = _MixedAdapter(scenario, slack_rule, ga.phi, ga.gamma)
+    return _run_engine(scenario, ga, None, seed, model)
 
 
 def solve_lambert_ga(scenario: Scenario, ga: GaParams | None = None,
                      seed: int = 0) -> SolveResult:
     """GA baseline whose legs are two-impulse Lambert transfers."""
     ga = ga or GaParams()
-    adapter = _LambertAdapter(scenario, ga.phi, ga.gamma)
-    return _run_engine(scenario, ga, None, seed, adapter)
+    model = _LambertAdapter(scenario, ga.phi, ga.gamma)
+    return _run_engine(scenario, ga, None, seed, model)

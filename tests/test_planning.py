@@ -655,6 +655,46 @@ class TestRaanRotation:
             assert turned_dv == pytest.approx(dv, rel=1e-12)
 
 
+@st.composite
+def oracle_instances(draw):
+    """(servicer tuples, target tuples, deadline s) for ``make_scenario``:
+    1 or 2 servicers, 1 to 3 targets and a deadline of 1 to 20 days."""
+    orbit = st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 360.0),
+                      st.floats(0.0, 360.0))
+    servicers = draw(st.lists(st.tuples(orbit, st.sampled_from(
+        [300.0, 2000.0])), min_size=1, max_size=2))
+    targets = draw(st.lists(st.tuples(orbit, st.sampled_from(
+        [0.0, HOUR, DAY])), min_size=1, max_size=3))
+    return ([o + (b,) for o, b in servicers], [o + (r,) for o, r in targets],
+            draw(st.floats(1.0, 20.0)) * DAY)
+
+
+class TestOracleSymmetries:
+    """The oracle's optimum is a property of the fleet and the deadline, not
+    of how the targets are numbered, and more time can only help it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=oracle_instances(), data=st.data())
+    def test_relabelling_the_targets_keeps_the_optimum(self, case, data):
+        servicers, targets, deadline = case
+        order = data.draw(st.permutations(range(len(targets))))
+        _, ev = exhaustive_solve(make_scenario(servicers, targets, deadline),
+                                 3)
+        _, relabelled = exhaustive_solve(make_scenario(
+            servicers, [targets[i] for i in order], deadline), 3)
+        assert relabelled.fitness.hex() == ev.fitness.hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=oracle_instances())
+    def test_a_longer_deadline_never_raises_the_optimum(self, case):
+        servicers, targets, deadline = case
+        _, ev = exhaustive_solve(make_scenario(servicers, targets, deadline),
+                                 3)
+        _, longer = exhaustive_solve(make_scenario(servicers, targets,
+                                                   1.5 * deadline), 3)
+        assert longer.fitness <= ev.fitness
+
+
 class TestExactKernel:
     """The inlined route kernel gives, float for float, what the per-leg
     code it replaced gave (``PerLegCostModel``), and each leg priced as a

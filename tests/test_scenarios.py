@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -240,21 +241,40 @@ class TestMalformedValues:
         with pytest.raises(ValidationError, match=field):
             load(bad)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       10 ** 400, "1"])
     @pytest.mark.parametrize("field", ["deadline_hours", "repair_hours",
-                                       "dv_budget_mps", "raan_deg"])
+                                       "dv_budget_mps", "raan_deg",
+                                       "inclination_deg"])
     def test_non_finite_hours_must_be_finite(self, field, value):
-        # A spec built in code skips the file parser's finiteness check.
-        # The file layer checks the hours; any other field is refused by
-        # its domain type, and the error names the record.
+        # A spec built in code skips the file parser's number and
+        # finiteness checks, so it may hold a string or an int too large for
+        # a float. The file layer checks the hours; any other field is
+        # refused by its domain type, and the error names the record.
         spec = scenario_spec(case_study())
         record = {"deadline_hours": spec, "dv_budget_mps": spec.servicers[0],
                   }.get(field, spec.targets[3])
         setattr(record, field, value)
         match = {"dv_budget_mps": "^servicer 'SSc1': dv_budget must be finite",
                  "raan_deg": "^target 'Beidou_G2': raan must be finite",
+                 "inclination_deg":
+                     "^target 'Beidou_G2': inclination must be finite",
                  }.get(field, f"{field} must be finite")
-        with pytest.raises(ValidationError, match=match):
+        with pytest.raises(ValidationError, match=match) as exc:
+            spec.to_scenario()
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("change, error, match", [
+        pytest.param({"epoch": 5}, ParseError, "^bad epoch 5: must be a str",
+                     id="epoch-int"),
+        pytest.param({"constants": {"mu_km3s2": "1", "t_geo_s": 86164.0}},
+                     ValidationError, "^constants: mu must be finite",
+                     id="mu-str"),
+    ])
+    def test_scenario_fields_of_the_wrong_type_are_named(self, change, error,
+                                                         match):
+        spec = replace(scenario_spec(case_study()), **change)
+        with pytest.raises(error, match=match):
             spec.to_scenario()
 
     @pytest.mark.parametrize("path,hours,field", [
@@ -471,6 +491,11 @@ class TestConstructorGate:
         pytest.param(lambda: GeoOrbit(0.1, math.nan, 0.3), id="raan-nan"),
         pytest.param(lambda: GeoOrbit(0.1, 0.2, -math.inf),
                      id="arg-lat-inf"),
+        pytest.param(lambda: GeoOrbit("0.1", 0.2, 0.3), id="inclination-str"),
+        pytest.param(lambda: GeoOrbit(0.1, 10 ** 400, 0.3),
+                     id="raan-int-overflow"),
+        pytest.param(lambda: GeoOrbit.from_degrees(1.0, 2.0, 10 ** 400),
+                     id="arg-lat-degrees-overflow"),
         pytest.param(lambda: PhysicalConstants(mu=math.inf), id="mu-inf"),
         pytest.param(lambda: PhysicalConstants(mu=math.nan), id="mu-nan"),
         pytest.param(lambda: PhysicalConstants(r_geo=math.inf),
@@ -481,6 +506,8 @@ class TestConstructorGate:
                      id="r-geo-cube-overflow"),
         pytest.param(lambda: Servicer(1, "S", GeoOrbit(0, 0, 0), math.nan),
                      id="budget-nan"),
+        pytest.param(lambda: Servicer(1, "S", GeoOrbit(0, 0, 0), "5"),
+                     id="budget-str"),
         pytest.param(lambda: Target(1, "T", GeoOrbit(0, 0, 0), math.inf),
                      id="repair-inf"),
         pytest.param(lambda: Target(1, "T", GeoOrbit(0, 0, 0), math.nan),

@@ -1067,8 +1067,7 @@ def reference_allocate_tofs(adapter, sid, seq):
             for key, orb in adapter._orbits.items()}
     grid = adapter.grid
     legs = len(seq)
-    model = adapter.model
-    budget = model.scenario.deadline - sum(model._td[t] for t in seq)
+    budget = adapter.scenario.deadline - sum(adapter._td[t] for t in seq)
     share = budget / legs
     below = [g for g in grid if g <= share]
     tofs = [below[-1] if below else grid[0]] * legs
@@ -1203,7 +1202,8 @@ class TestLambertReportsTheSearchPrice:
 
         monkeypatch.setattr(_LambertAdapter, "route_detail", spy)
         adapter = _LambertAdapter(case_study(), 1.0, 10.0)
-        adapter.final_evaluation(case_result.best_plan)
+        evaluate_plan(adapter.scenario, case_result.best_plan,
+                      legs=adapter.fly)
         assert sorted(calls) == [1, 2]
 
     def test_fallback_leg(self, monkeypatch):
@@ -1220,7 +1220,8 @@ class TestLambertReportsTheSearchPrice:
             return solve(r1, r2, tof, *args)
 
         monkeypatch.setattr(search, "lambert_solve", singular_at_grid_tof)
-        ev = _LambertAdapter(scenario, 1.0, 10.0).final_evaluation(plan)
+        ev = evaluate_plan(scenario, plan,
+                           legs=_LambertAdapter(scenario, 1.0, 10.0).fly)
         first = ev.leg_details[0].solution
         assert first.phase_time != grid_tof
         assert math.isfinite(first.total_dv)
@@ -1231,7 +1232,8 @@ class TestLambertReportsTheSearchPrice:
         plan = MissionPlan([Route(1, [1, 2, 99], [1] * 3),
                             Route(2, [4, 5, 6], [1] * 3)])
         with pytest.raises(ValueError, match="every target exactly once"):
-            _LambertAdapter(scenario, 1.0, 10.0).final_evaluation(plan)
+            evaluate_plan(scenario, plan,
+                          legs=_LambertAdapter(scenario, 1.0, 10.0).fly)
 
 
 class TestLambertWorkCounts:
@@ -1368,10 +1370,11 @@ class TestLambertNeedsNoBlas:
             adapter = _LambertAdapter(scenario, 1.0, 10.0)
             record = []
             for sid, seq in routes:
-                tofs, dv, p1 = adapter.route_detail(sid, seq)
-                record.append([[t.hex() for t in tofs], dv.hex(), p1.hex()])
+                tofs, dv, p1, end = adapter.route_detail(sid, seq)
+                record.append([[t.hex() for t in tofs], dv.hex(), p1.hex(),
+                               end.hex()])
             for plan in plans:
-                ev = adapter.final_evaluation(plan)
+                ev = evaluate_plan(scenario, plan, legs=adapter.fly)
                 record.append([ev.fitness.hex(), ev.total_dv.hex()])
                 for leg in ev.leg_details:
                     sol = leg.solution

@@ -1,9 +1,10 @@
 """The solver contract on drawn scenarios, for all three solvers.
 
 Every solve reports its history's best: ``best_evaluation.fitness`` is the
-least best fitness in ``history`` by ``float.hex``, because the engine,
-the LNS, the report and the oracle score a plan by one rule, the left sum
-of ``CostModel._score`` route scores. The scenarios are small: 1 to 3
+least best fitness in ``history`` by ``float.hex``, and its leg model's
+``plan_metrics`` of the best plan, because the engine, the LNS, the report
+and the oracle score a plan by one rule, the left sum of
+``CostModel._score`` route scores. The scenarios are small: 1 to 3
 servicers, 1 to 5 targets, round-degree angles and angles a few ulps from
 them, zero and non-zero repair times and deadlines of 1 to 30 days.
 """
@@ -20,6 +21,7 @@ from georepair.scenarios import random_scenario
 from georepair.search import (
     GaParams,
     LnsParams,
+    _LambertAdapter,
     solve_ga,
     solve_lambert_ga,
     solve_lns_aga,
@@ -35,6 +37,10 @@ SOLVERS = {
     "solve_lambert_ga": lambda sc, seed: solve_lambert_ga(sc, GA, seed=seed),
 }
 MIXED = ("solve_lns_aga", "solve_ga")
+# The leg model each solver searches with, whose ``plan_metrics`` must give
+# the reported evaluation.
+MODELS = {"solve_lns_aga": CostModel, "solve_ga": CostModel,
+          "solve_lambert_ga": _LambertAdapter}
 # Largest target count at which the oracle check runs, to keep it cheap.
 ORACLE_TARGETS = 3
 
@@ -91,15 +97,16 @@ def test_every_solve_reports_its_history_best(scenario, seed):
         assert again.history == result.history, name
         assert again.best_plan == result.best_plan, name
 
-        if name not in MIXED:
-            continue
-        fitness, total_dv, p1, p2, feasible = CostModel(
+        fitness, total_dv, p1, p2, feasible = MODELS[name](
             scenario, phi=GA.phi, gamma=GA.gamma).plan_metrics(
                 result.best_plan)
         assert [x.hex() for x in (fitness, total_dv, p1, p2)] == [
             x.hex() for x in (ev.fitness, ev.total_dv, ev.deadline_penalty,
                               ev.budget_penalty)], name
         assert feasible == ev.feasible, name
+
+        if name not in MIXED:
+            continue
         revs = [k for route in result.best_plan.routes
                 for k in route.revolutions]
         if len(scenario.targets) <= ORACLE_TARGETS and max(revs) <= 6:
