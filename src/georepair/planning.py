@@ -97,6 +97,13 @@ def _check_weights(phi: float, gamma: float) -> None:
     _check_finite("gamma", gamma, "non-negative")
 
 
+def _check_name(name) -> None:
+    """Refuse a servicer or target name that is not a string, which a
+    scenario file could not give back."""
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {type(name).__name__}")
+
+
 class InstanceTooLarge(Exception):
     """The exhaustive oracle refuses instances beyond its guard rails."""
 
@@ -110,6 +117,7 @@ class Target:
 
     def __post_init__(self):
         _check_positive_int("id", self.id)
+        _check_name(self.name)
         _check_finite("repair_duration", self.repair_duration, "non-negative")
 
 
@@ -122,6 +130,7 @@ class Servicer:
 
     def __post_init__(self):
         _check_positive_int("id", self.id)
+        _check_name(self.name)
         _check_finite("dv_budget", self.dv_budget, "positive")
 
 
@@ -134,7 +143,7 @@ class Scenario:
     servicers: list[Servicer]
     targets: list[Target]
     constants: PhysicalConstants = GEO
-    spec: object = None  # original file-format record, kept for exact saves
+    spec: dict | None = None  # the file record, kept for exact saves
 
     def __post_init__(self):
         if self.epoch.tzinfo is None:

@@ -2,31 +2,34 @@
 
 Angles live in degrees and durations in hours at the file boundary and are
 converted exactly once at load; everything downstream works in radians and
-seconds. A loaded or built-in scenario keeps its file-format record
-attached so that save(load(path)) reproduces the original decimal text.
-Validity is decided by the domain types, whose constructors refuse their
-own invalid values; the file layer only names the record in their error.
+seconds. A scenario has one form outside the domain types, its file
+record, and one way in, ``from_record``: files, ``case_study`` and
+``random_scenario`` all build their scenario through it. It checks the
+record's shape and numbers, normalizes it and keeps it on the scenario, so
+that save(load(path)) reproduces the original decimal text. Validity is
+decided by the domain types, whose constructors refuse their own invalid
+values; the file layer only names the record in their error.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
-from .astro import GEO, GeoOrbit, PhysicalConstants, _is_finite
+from .astro import GEO, GeoOrbit, PhysicalConstants
 from .planning import Scenario, Servicer, Target, _left_sum
 
 
 class ParseError(Exception):
-    """Malformed scenario file: missing/unknown/ill-typed fields."""
+    """Malformed scenario record: missing/unknown/ill-typed fields."""
 
 
 class ValidationError(ValueError):
-    """Well-formed scenario file whose values violate invariants."""
+    """Well-formed scenario record whose values violate invariants."""
 
 
 CASE_STUDY_EPOCH = "2021-03-12T04:00:00Z"
@@ -64,74 +67,76 @@ CASE_STUDY_TARGETS = (
     ("Tianlian1_03", 0.998, 98.186, 230.86),
 )
 
-
-@dataclass
-class ServicerSpec:
-    name: str
-    inclination_deg: float
-    raan_deg: float
-    true_anomaly_deg: float
-    dv_budget_mps: float
+# The fields of a file record, in the order ``save`` writes them.
+_ORBIT_FIELDS = ("inclination_deg", "raan_deg", "true_anomaly_deg")
+_SERVICER_FIELDS = ("name", *_ORBIT_FIELDS, "dv_budget_mps")
+_TARGET_FIELDS = ("name", *_ORBIT_FIELDS, "repair_hours")
+_TOP_FIELDS = {"epoch", "deadline_hours", "servicers", "targets"}
+_CONST_FIELDS = ("mu_km3s2", "t_geo_s")
 
 
-@dataclass
-class TargetSpec:
-    name: str
-    inclination_deg: float
-    raan_deg: float
-    true_anomaly_deg: float
-    repair_hours: float
+def from_record(data) -> Scenario:
+    """The scenario of a file record, in radians and seconds: the one way
+    in, for files and for records built in code.
+
+    Raises ``ParseError`` for a record of the wrong shape or a field that
+    is not a finite number, and ``ValidationError`` for values that the
+    domain constructors refuse, their error naming the record. The
+    scenario keeps the normalized record as ``spec``."""
+    _check_fields(data, _TOP_FIELDS, "scenario",
+                  optional=frozenset({"constants"}))
+    if not isinstance(data["epoch"], str):
+        raise ParseError("scenario: field 'epoch' must be a string")
+    servicer_recs, target_recs = (
+        [_fleet_record(keys, rec, f"{key}[{i}]")
+         for i, rec in enumerate(_list(data, key, "scenario"))]
+        for key, keys in (("servicers", _SERVICER_FIELDS),
+                          ("targets", _TARGET_FIELDS)))
+    constants = None
+    if "constants" in data:
+        _check_fields(data["constants"], set(_CONST_FIELDS), "constants")
+        constants = {k: _number(data["constants"], k, "constants")
+                     for k in _CONST_FIELDS}
+    record = {"epoch": data["epoch"],
+              "deadline_hours": _number(data, "deadline_hours", "scenario"),
+              "servicers": servicer_recs, "targets": target_recs}
+    if constants is not None:
+        record["constants"] = constants
+
+    _check_fleet_size(len(servicer_recs), len(target_recs))
+    consts = GEO if constants is None else _constants(constants)
+    try:
+        epoch = _parse_epoch(record["epoch"])
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"bad epoch {record['epoch']!r}: {exc}") from exc
+    # Every time a schedule reports must be a datetime. A route ends by the
+    # deadline or within 2 t_geo plus the repair per leg, a Lambert leg
+    # lasts at most 2 t_geo and an oracle leg at most 7 t_geo, so
+    # deadline + repairs + 8 t_geo per target bounds them all.
+    room = ((_LATEST_TIME - epoch).total_seconds()
+            - 8 * len(target_recs) * consts.t_geo)
+    for field, hours in (("deadline_hours", [record["deadline_hours"]]),
+                         ("repair_hours",
+                          [t["repair_hours"] for t in target_recs])):
+        room -= _left_sum(h * 3600.0 for h in hours)
+        if room < 0.0:
+            raise ValidationError(
+                f"{field} too large: a schedule could end after "
+                f"{_LATEST_TIME:%Y-%m-%d}")
+    servicers = [_named(f"servicer {s['name']!r}", lambda: Servicer(
+        i + 1, s["name"], _orbit(s), s["dv_budget_mps"]))
+        for i, s in enumerate(servicer_recs)]
+    targets = [_named(f"target {t['name']!r}", lambda: Target(
+        i + 1, t["name"], _orbit(t), t["repair_hours"] * 3600.0))
+        for i, t in enumerate(target_recs)]
+    return _named("scenario", lambda: Scenario(
+        epoch=epoch, deadline=record["deadline_hours"] * 3600.0,
+        servicers=servicers, targets=targets, constants=consts,
+        spec=record))
 
 
-@dataclass
-class ScenarioSpec:
-    """File-format mirror of a scenario: degrees and hours, no radians."""
-
-    epoch: str
-    deadline_hours: float
-    servicers: list[ServicerSpec]
-    targets: list[TargetSpec]
-    constants: dict | None = None
-
-    def to_scenario(self) -> Scenario:
-        """The scenario in radians and seconds. The domain constructors
-        decide validity, and their ``ValueError`` is raised as a
-        ``ValidationError`` naming the record; only the checks that name a
-        file field are made here."""
-        _check_fleet_size(len(self.servicers), len(self.targets))
-        consts = GEO if self.constants is None else _constants(self.constants)
-        try:
-            epoch = _parse_epoch(self.epoch)
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"bad epoch {self.epoch!r}: {exc}") from exc
-        # Every time a schedule reports must be a datetime. A route ends by
-        # the deadline or within 2 t_geo plus the repair per leg, a Lambert
-        # leg lasts at most 2 t_geo and an oracle leg at most 7 t_geo, so
-        # deadline + repairs + 8 t_geo per target bounds them all.
-        room = ((_LATEST_TIME - epoch).total_seconds()
-                - 8 * len(self.targets) * consts.t_geo)
-        for field, hours in (("deadline_hours", [self.deadline_hours]),
-                             ("repair_hours",
-                              [t.repair_hours for t in self.targets])):
-            if not all(map(_is_finite, hours)):
-                raise ValidationError(f"{field} must be finite")
-            room -= _left_sum(h * 3600.0 for h in hours)
-            if room < 0.0:
-                raise ValidationError(
-                    f"{field} too large: a schedule could end after "
-                    f"{_LATEST_TIME:%Y-%m-%d}")
-        servicers = [_named(f"servicer {s.name!r}", lambda: Servicer(
-            i + 1, s.name, GeoOrbit.from_degrees(
-                s.inclination_deg, s.raan_deg, s.true_anomaly_deg),
-            s.dv_budget_mps)) for i, s in enumerate(self.servicers)]
-        targets = [_named(f"target {t.name!r}", lambda: Target(
-            i + 1, t.name, GeoOrbit.from_degrees(
-                t.inclination_deg, t.raan_deg, t.true_anomaly_deg),
-            t.repair_hours * 3600.0)) for i, t in enumerate(self.targets)]
-        return _named("scenario", lambda: Scenario(
-            epoch=epoch, deadline=self.deadline_hours * 3600.0,
-            servicers=servicers, targets=targets, constants=consts,
-            spec=self))
+def _orbit(rec: dict) -> GeoOrbit:
+    return GeoOrbit.from_degrees(*(rec[k] for k in _ORBIT_FIELDS))
 
 
 def _named(record: str, build):
@@ -151,62 +156,18 @@ def _check_fleet_size(n_servicers: int, n_targets: int):
 
 
 def _constants(record: dict) -> PhysicalConstants:
-    for key in ("mu_km3s2", "t_geo_s"):
-        if _is_finite(record[key]) and record[key] <= 0.0:
+    for key in _CONST_FIELDS:
+        if record[key] <= 0.0:
             raise ValidationError(f"constants: {key} must be positive")
     return _named("constants", lambda: PhysicalConstants(
         mu=record["mu_km3s2"], t_geo=record["t_geo_s"]))
 
 
 def _parse_epoch(text: str) -> datetime:
-    if not isinstance(text, str):
-        raise ValueError("must be a string")
     dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
-
-
-def case_study() -> Scenario:
-    """The embedded 14-target, 2-servicer GEO repair scenario.
-
-    30-day deadline, 20-hour repairs, 1000 m/s budget per servicer.
-    """
-    spec = ScenarioSpec(
-        epoch=CASE_STUDY_EPOCH,
-        deadline_hours=30 * 24.0,
-        servicers=[ServicerSpec(name, inc, raan, anom, 1000.0)
-                   for name, inc, raan, anom in CASE_STUDY_SERVICERS],
-        targets=[TargetSpec(name, inc, raan, anom, 20.0)
-                 for name, inc, raan, anom in CASE_STUDY_TARGETS])
-    return spec.to_scenario()
-
-
-def random_scenario(n_targets: int, n_servicers: int, duration_days: float,
-                    seed: int) -> Scenario:
-    """Random fleet: inclinations uniform in [0, 10] deg, RAAN and phase
-    uniform in [0, 360) deg, 2000 m/s budgets, 1-day repairs."""
-    _check_fleet_size(n_servicers, n_targets)
-    rng = random.Random(seed)
-
-    def draw(name, cls, extra):
-        return cls(name, rng.uniform(0.0, 10.0), rng.uniform(0.0, 360.0),
-                   rng.uniform(0.0, 360.0), extra)
-
-    spec = ScenarioSpec(
-        epoch=CASE_STUDY_EPOCH,
-        deadline_hours=duration_days * 24.0,
-        servicers=[draw(f"SSc{i + 1}", ServicerSpec, 2000.0)
-                   for i in range(n_servicers)],
-        targets=[draw(f"Target_{i + 1:02d}", TargetSpec, 24.0)
-                 for i in range(n_targets)])
-    return spec.to_scenario()
-
-
-_SERVICER_FIELDS = {f.name for f in fields(ServicerSpec)}
-_TARGET_FIELDS = {f.name for f in fields(TargetSpec)}
-_TOP_FIELDS = {"epoch", "deadline_hours", "servicers", "targets", "constants"}
-_CONST_FIELDS = {"mu_km3s2", "t_geo_s"}
 
 
 def _check_fields(record: dict, required: set, what: str,
@@ -241,64 +202,70 @@ def _list(record: dict, key: str, what: str) -> list:
     return v
 
 
-def _fleet_record(cls, required: set, rec: dict, what: str):
-    """A ``ServicerSpec`` or ``TargetSpec`` from its file record: ``name``
-    through ``str``, every other field through ``_number``, in field
-    order."""
-    _check_fields(rec, required, what)
-    return cls(*(str(rec[f.name]) if f.name == "name"
-                 else _number(rec, f.name, what) for f in fields(cls)))
+def _fleet_record(keys: tuple, rec: dict, what: str) -> dict:
+    """A servicer or target record, normalized: ``name`` through ``str``,
+    every other field through ``_number``, in the order of ``keys``."""
+    _check_fields(rec, set(keys), what)
+    return {k: str(rec[k]) if k == "name" else _number(rec, k, what)
+            for k in keys}
 
 
-def spec_from_dict(data: dict) -> ScenarioSpec:
-    _check_fields(data, _TOP_FIELDS - {"constants"}, "scenario",
-                  optional=frozenset({"constants"}))
-    if not isinstance(data["epoch"], str):
-        raise ParseError("scenario: field 'epoch' must be a string")
-    servicers = [_fleet_record(ServicerSpec, _SERVICER_FIELDS, rec,
-                               f"servicers[{i}]")
-                 for i, rec in enumerate(_list(data, "servicers", "scenario"))]
-    targets = [_fleet_record(TargetSpec, _TARGET_FIELDS, rec, f"targets[{i}]")
-               for i, rec in enumerate(_list(data, "targets", "scenario"))]
-    constants = None
-    if "constants" in data:
-        _check_fields(data["constants"], _CONST_FIELDS, "constants")
-        constants = {k: _number(data["constants"], k, "constants")
-                     for k in sorted(_CONST_FIELDS)}
-    return ScenarioSpec(epoch=data["epoch"],
-                        deadline_hours=_number(data, "deadline_hours",
-                                               "scenario"),
-                        servicers=servicers, targets=targets,
-                        constants=constants)
+def case_study() -> Scenario:
+    """The embedded 14-target, 2-servicer GEO repair scenario.
+
+    30-day deadline, 20-hour repairs, 1000 m/s budget per servicer.
+    """
+    return from_record({
+        "epoch": CASE_STUDY_EPOCH, "deadline_hours": 30 * 24.0,
+        "servicers": [dict(zip(_SERVICER_FIELDS, (*row, 1000.0)))
+                      for row in CASE_STUDY_SERVICERS],
+        "targets": [dict(zip(_TARGET_FIELDS, (*row, 20.0)))
+                    for row in CASE_STUDY_TARGETS]})
 
 
-def spec_to_dict(spec: ScenarioSpec) -> dict:
-    data = asdict(spec)
-    if spec.constants is None:
-        del data["constants"]
-    return data
+def random_scenario(n_targets: int, n_servicers: int, duration_days: float,
+                    seed: int) -> Scenario:
+    """Random fleet: inclinations uniform in [0, 10] deg, RAAN and phase
+    uniform in [0, 360) deg, 2000 m/s budgets, 1-day repairs."""
+    _check_fleet_size(n_servicers, n_targets)
+    rng = random.Random(seed)
+
+    def draw(keys, name, extra):
+        return dict(zip(keys, (name, rng.uniform(0.0, 10.0),
+                               rng.uniform(0.0, 360.0),
+                               rng.uniform(0.0, 360.0), extra)))
+
+    return from_record({
+        "epoch": CASE_STUDY_EPOCH, "deadline_hours": duration_days * 24.0,
+        "servicers": [draw(_SERVICER_FIELDS, f"SSc{i + 1}", 2000.0)
+                      for i in range(n_servicers)],
+        "targets": [draw(_TARGET_FIELDS, f"Target_{i + 1:02d}", 24.0)
+                    for i in range(n_targets)]})
 
 
-def scenario_spec(scenario: Scenario) -> ScenarioSpec:
-    """The scenario's retained file record, reconstructed if absent."""
-    if isinstance(scenario.spec, ScenarioSpec):
-        return scenario.spec
-    consts = None
+def scenario_record(scenario: Scenario) -> dict:
+    """The scenario's file record: a copy of the one it was built from, or
+    one rebuilt from its fields."""
+    if scenario.spec is not None:
+        return copy.deepcopy(scenario.spec)
+
+    def row(keys, body, extra):
+        orbit = body.orbit
+        return dict(zip(keys, (body.name, math.degrees(orbit.inclination),
+                               math.degrees(orbit.raan),
+                               math.degrees(orbit.arg_lat0), extra)))
+
+    record = {
+        "epoch": scenario.epoch.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "deadline_hours": scenario.deadline / 3600.0,
+        "servicers": [row(_SERVICER_FIELDS, s, s.dv_budget)
+                      for s in scenario.servicers],
+        "targets": [row(_TARGET_FIELDS, t, t.repair_duration / 3600.0)
+                    for t in scenario.targets]}
     if scenario.constants != GEO:
-        consts = {"mu_km3s2": scenario.constants.mu,
-                  "t_geo_s": scenario.constants.t_geo}
-    return ScenarioSpec(
-        epoch=scenario.epoch.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        deadline_hours=scenario.deadline / 3600.0,
-        servicers=[ServicerSpec(
-            s.name, math.degrees(s.orbit.inclination),
-            math.degrees(s.orbit.raan), math.degrees(s.orbit.arg_lat0),
-            s.dv_budget) for s in scenario.servicers],
-        targets=[TargetSpec(
-            t.name, math.degrees(t.orbit.inclination),
-            math.degrees(t.orbit.raan), math.degrees(t.orbit.arg_lat0),
-            t.repair_duration / 3600.0) for t in scenario.targets],
-        constants=consts)
+        record["constants"] = {"mu_km3s2": scenario.constants.mu,
+                               "t_geo_s": scenario.constants.t_geo}
+    return record
 
 
 def load(path) -> Scenario:
@@ -317,12 +284,12 @@ def load(path) -> Scenario:
                          f"{exc.msg}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
-    return spec_from_dict(data).to_scenario()
+    return from_record(data)
 
 
 def save(scenario: Scenario, path):
     """Write a scenario file; exact round trip for loaded/built scenarios."""
-    data = spec_to_dict(scenario_spec(scenario))
+    data = scenario_record(scenario)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")

@@ -20,8 +20,7 @@ from georepair.scenarios import (
     case_study,
     random_scenario,
     save,
-    scenario_spec,
-    spec_to_dict,
+    scenario_record,
 )
 from georepair.search import GaParams, LnsParams
 from scenario_builders import make_scenario
@@ -244,7 +243,7 @@ _SOLVABLE_DOCUMENTS = st.fixed_dictionaries(
 
 
 def _huge_deadline_document():
-    data = spec_to_dict(scenario_spec(random_scenario(3, 1, 10.0, seed=1)))
+    data = scenario_record(random_scenario(3, 1, 10.0, seed=1))
     data["deadline_hours"] = 1e300
     return data
 
@@ -513,7 +512,7 @@ class TestCountBounds:
                                         field):
         scen_path = tmp_path / "scenario.json"
         write_small_scenario(scen_path)
-        big = spec_to_dict(scenario_spec(case_study()))
+        big = scenario_record(case_study())
         big["targets"] = big["targets"][:1] * 1001
         (tmp_path / "big.json").write_text(json.dumps(big))
         paths = {"S": scen_path, "BIG": tmp_path / "big.json",
@@ -658,5 +657,6 @@ class TestGen:
         out = tmp_path / "gen.json"
         assert main(["gen", str(out), "--targets", "3", "--servicers", "1",
                      f"--days={days}"]) == 1
-        assert "deadline_hours must be finite" in _one_line_error(capsys)
+        assert ("scenario: field 'deadline_hours' must be finite"
+                in _one_line_error(capsys))
         assert not out.exists()

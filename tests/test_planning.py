@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from georepair import planning
 from georepair.astro import GEO, TWO_PI, GeoOrbit, fold_angle, phasing_solution
 from georepair.planning import (
+    DEFAULT_GAMMA,
+    DEFAULT_PHI,
     CostModel,
     InstanceTooLarge,
     MissionPlan,
@@ -26,7 +28,7 @@ from georepair.planning import (
     penalized_fitness,
 )
 from georepair.scenarios import random_scenario
-from georepair.search import GaParams, solve_lns_aga
+from georepair.search import GaParams, _LambertAdapter, solve_lns_aga
 from scenario_builders import make_scenario, random_scenario_tuple
 
 T = GEO.t_geo
@@ -653,6 +655,32 @@ class TestRaanRotation:
             turned_revs, turned_dv, _, _ = turned.priced_route(sid, seq)
             assert turned_revs == revs
             assert turned_dv == pytest.approx(dv, rel=1e-12)
+
+    # Lambert legs should keep their flight times and delta-v to 1e-8
+    # relative. They do not at legs whose transfer angle is within a few
+    # degrees of a whole turn (ROADMAP item 4): these three routes
+    # were found among 42,000 random ones on random_scenario(8, 2, 15,
+    # seed) and in 200 runs of a 60-draw hypothesis test, one of which
+    # failed. Each should pass once such legs are fixed.
+    @pytest.mark.xfail(strict=True, reason="near-collinear Lambert legs are "
+                       "ill-conditioned (ROADMAP item 4)")
+    @pytest.mark.parametrize("seed,angle,sid,seq", [
+        pytest.param(325, 0.6671089358518445, 2, [5, 1, 3, 8, 7, 2],
+                     id="fallback-flight-time-flips"),
+        pytest.param(467, 5.245032498024499, 2, [8, 7, 2],
+                     id="delta-v-2.7e-8"),
+        pytest.param(253590, 0.125, 1, [1], id="delta-v-1.4e-8"),
+    ])
+    def test_lambert_flight_times_and_delta_v_are_invariant(self, seed,
+                                                            angle, sid, seq):
+        scenario = random_scenario(8, 2, 15.0, seed)
+        tofs, dv, _, _ = _LambertAdapter(
+            scenario, DEFAULT_PHI, DEFAULT_GAMMA).route_detail(sid, seq)
+        turned_tofs, turned_dv, _, _ = _LambertAdapter(
+            _raan_turned(scenario, angle), DEFAULT_PHI,
+            DEFAULT_GAMMA).route_detail(sid, seq)
+        assert turned_tofs == tofs
+        assert turned_dv == pytest.approx(dv, rel=1e-8)
 
 
 @st.composite
