@@ -11,7 +11,6 @@ from .astro import (
     GEO,
     CartesianState,
     GeoOrbit,
-    PhysicalConstants,
     RendezvousSolution,
 )
 from .planning import (
@@ -39,8 +38,7 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GEO", "CartesianState", "GeoOrbit", "PhysicalConstants",
-    "RendezvousSolution",
+    "GEO", "CartesianState", "GeoOrbit", "RendezvousSolution",
     "Evaluation", "MissionPlan", "Route", "Scenario", "Servicer", "Target",
     "allocate_revolutions", "evaluate_plan", "evaluate_route",
     "exhaustive_solve",

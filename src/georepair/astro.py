@@ -71,45 +71,21 @@ def _check_finite(name: str, value, sign: str = "") -> None:
                          + (f" and {sign}" if sign else ""))
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Gravitational parameter and the GEO radius/period it implies.
+class GEO:
+    """Earth's geosynchronous orbit: the gravitational parameter, the
+    sidereal day, and the radius, speed and mean motion they imply. A
+    namespace of fixed constants, read as ``GEO.t_geo``; it takes no
+    arguments, so no other values can be built.
 
     ``r_geo`` is derived from ``t_geo`` so that the period invariant
-    ``t_geo == 2*pi*sqrt(r_geo**3 / mu)`` holds exactly.
+    ``t_geo == 2*pi*sqrt(r_geo**3 / mu)`` holds to rounding.
     """
 
-    mu: float = 398600.4418      # km^3/s^2
-    t_geo: float = 86164.0905    # s (sidereal day)
-    r_geo: float = 0.0           # km, derived when left at 0
-
-    def __post_init__(self):
-        _check_finite("mu", self.mu, "positive")
-        _check_finite("t_geo", self.t_geo, "positive")
-        try:
-            if self.r_geo == 0.0:
-                r = (self.mu * (self.t_geo / TWO_PI) ** 2) ** (1.0 / 3.0)
-                object.__setattr__(self, "r_geo", r)
-            _check_finite("r_geo", self.r_geo, "positive")
-            period = TWO_PI * math.sqrt(self.r_geo ** 3 / self.mu)
-        except OverflowError:
-            raise ValueError(
-                "mu, t_geo and r_geo overflow the float range") from None
-        if abs(period - self.t_geo) > 1e-9 * self.t_geo:
-            raise ValueError("t_geo inconsistent with mu and r_geo")
-
-    @property
-    def v_geo(self) -> float:
-        """Circular orbital speed at GEO radius (km/s)."""
-        return math.sqrt(self.mu / self.r_geo)
-
-    @property
-    def mean_motion(self) -> float:
-        """GEO mean motion (rad/s)."""
-        return TWO_PI / self.t_geo
-
-
-GEO = PhysicalConstants()
+    mu = 398600.4418                                      # km^3/s^2
+    t_geo = 86164.0905                                    # s (sidereal day)
+    r_geo = (mu * (t_geo / TWO_PI) ** 2) ** (1.0 / 3.0)   # km
+    v_geo = math.sqrt(mu / r_geo)                         # km/s
+    mean_motion = TWO_PI / t_geo                          # rad/s
 
 
 def fold_angle(angle: float) -> float:
@@ -124,8 +100,8 @@ def fold_angle(angle: float) -> float:
 class GeoOrbit:
     """Circular GEO orbit: inclination, RAAN, argument of latitude at epoch.
 
-    Angles are radians. The radius is always the GEO radius of the active
-    constants (eccentricity identically zero), so neither is stored.
+    Angles are radians. The radius is always ``GEO.r_geo`` (eccentricity
+    identically zero), so neither is stored.
     """
 
     inclination: float
@@ -188,8 +164,7 @@ class RendezvousSolution:
     theta: float
 
 
-def orbit_to_state(orbit: GeoOrbit, t: float,
-                   consts: PhysicalConstants = GEO) -> CartesianState:
+def orbit_to_state(orbit: GeoOrbit, t: float) -> CartesianState:
     """Propagate a circular GEO orbit to time ``t`` since epoch.
 
     The argument of latitude advances at the GEO mean motion; position and
@@ -205,9 +180,9 @@ def orbit_to_state(orbit: GeoOrbit, t: float,
     co, so = math.cos(orbit.raan), math.sin(orbit.raan)
     ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
     e2x, e2y = -so * ci, co * ci
-    u = orbit.arg_lat0 + consts.mean_motion * t
+    u = orbit.arg_lat0 + GEO.mean_motion * t
     cu, su = math.cos(u), math.sin(u)
-    r_geo, v_geo, nsu = consts.r_geo, consts.v_geo, -su
+    r_geo, v_geo, nsu = GEO.r_geo, GEO.v_geo, -su
     r = (r_geo * (cu * co + su * e2x), r_geo * (cu * so + su * e2y),
          r_geo * (cu * 0.0 + su * si))
     v = (v_geo * (nsu * co + cu * e2x), v_geo * (nsu * so + cu * e2y),
@@ -215,9 +190,7 @@ def orbit_to_state(orbit: GeoOrbit, t: float,
     return CartesianState(r, v, t)
 
 
-def phasing_solution(theta: float, k: int,
-                     consts: PhysicalConstants = GEO
-                     ) -> tuple[float, float, float]:
+def phasing_solution(theta: float, k: int) -> tuple[float, float, float]:
     """Phasing ellipse closing a signed phase gap ``theta`` in ``k`` turns.
 
     ``theta`` is the angle the target must sweep beyond ``k`` full
@@ -233,12 +206,12 @@ def phasing_solution(theta: float, k: int,
     """
     _check_positive_int("revolution count", k, InvalidRevolutions)
     span = TWO_PI * k + theta
-    t_phase = (span / TWO_PI) * consts.t_geo
-    a_phase = consts.r_geo * (span / (TWO_PI * k)) ** (2.0 / 3.0)
+    t_phase = (span / TWO_PI) * GEO.t_geo
+    a_phase = GEO.r_geo * (span / (TWO_PI * k)) ** (2.0 / 3.0)
     # Rounded as CostModel._route_cost rounds it: twice one burn in m/s.
-    dv = 2.0 * ((1000.0 * math.sqrt(consts.mu)) * abs(
-        math.sqrt(2.0 / consts.r_geo - 1.0 / a_phase)
-        - math.sqrt(1.0 / consts.r_geo)))
+    dv = 2.0 * ((1000.0 * math.sqrt(GEO.mu)) * abs(
+        math.sqrt(2.0 / GEO.r_geo - 1.0 / a_phase)
+        - math.sqrt(1.0 / GEO.r_geo)))
     return t_phase, a_phase, dv
 
 
@@ -252,8 +225,7 @@ def _check_positive_int(name: str, k, exc_class=ValueError) -> None:
 
 def rendezvous_mixed(departure: GeoOrbit, target: GeoOrbit, t: float,
                      coast: float, theta: float, alpha: float, k: int,
-                     total_dv: float, consts: PhysicalConstants = GEO
-                     ) -> RendezvousSolution:
+                     total_dv: float) -> RendezvousSolution:
     """Impulses and times of one mixed plane-change/phasing leg.
 
     The leg leaves ``departure`` at time ``t``, coasts ``coast`` s to a node
@@ -267,18 +239,18 @@ def rendezvous_mixed(departure: GeoOrbit, target: GeoOrbit, t: float,
     burns lie along the latter. Planes less than ``COPLANAR_TOL`` apart are
     one plane, as the kernel prices them: no plane change.
     """
-    t_phase, _, dv_mag = phasing_solution(theta, k, consts)
+    t_phase, _, dv_mag = phasing_solution(theta, k)
     t1 = t + coast
     t2 = t1 + t_phase
-    bx, by, bz = orbit_to_state(departure, t1, consts).v
+    bx, by, bz = orbit_to_state(departure, t1).v
     if alpha < COPLANAR_TOL:
         ax, ay, az = bx, by, bz
     else:
-        ax, ay, az = orbit_to_state(target, t2, consts).v
+        ax, ay, az = orbit_to_state(target, t2).v
     # The phasing burns are tangential and cancel. A target ahead of the
     # maneuver point (theta < 0) is caught on a faster, lower ellipse, so
     # the entry burn is retrograde.
-    s = 0.5 * dv_mag / consts.v_geo * ((theta > 0.0) - (theta < 0.0))
+    s = 0.5 * dv_mag / GEO.v_geo * ((theta > 0.0) - (theta < 0.0))
     px, py, pz = ax * s, ay * s, az * s
     return RendezvousSolution(
         impulse1=((ax - bx) * 1000.0 + px, (ay - by) * 1000.0 + py,
@@ -308,7 +280,7 @@ def _stumpff(z: float) -> tuple[float, float]:
 
 
 def lambert_solve(r1, r2, tof: float, prograde: bool = True,
-                  consts: PhysicalConstants = GEO, max_iter: int = 80
+                  max_iter: int = 80
                   ) -> tuple[tuple[float, float, float],
                              tuple[float, float, float]]:
     """Zero-revolution Lambert transfer via universal variables.
@@ -329,7 +301,7 @@ def lambert_solve(r1, r2, tof: float, prograde: bool = True,
         raise ValueError("time of flight must be positive")
     x1, y1, z1 = r1
     x2, y2, z2 = r2
-    mu = consts.mu
+    mu = GEO.mu
     r1n = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
     r2n = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
     # Only the sign of the z component of r1 x r2 is read.

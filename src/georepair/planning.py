@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .astro import (
@@ -56,7 +56,6 @@ from .astro import (
     TWO_PI,
     GeoOrbit,
     InvalidRevolutions,
-    PhysicalConstants,
     RendezvousSolution,
     _check_finite,
     _check_positive_int,
@@ -136,14 +135,19 @@ class Servicer:
 
 @dataclass
 class Scenario:
-    """Immutable mission description: fleet, targets, deadline, constants."""
+    """Immutable mission description: fleet, targets and deadline.
+
+    ``spec`` is the file record that ``scenarios.from_record`` built the
+    scenario from, kept for exact saves. Only ``from_record`` sets it, so a
+    scenario built in code or by ``dataclasses.replace`` has none; it takes
+    no part in equality.
+    """
 
     epoch: datetime
     deadline: float  # s since epoch
     servicers: list[Servicer]
     targets: list[Target]
-    constants: PhysicalConstants = GEO
-    spec: dict | None = None  # the file record, kept for exact saves
+    spec: dict | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if self.epoch.tzinfo is None:
@@ -386,28 +390,26 @@ class CostModel:
         self.slack_rule = slack_rule
         self.phi = phi
         self.gamma = gamma
-        c = scenario.constants
-        self.t_geo = c.t_geo
+        self.t_geo = GEO.t_geo
         self.deadline = scenario.deadline
-        self.mean_motion = c.mean_motion
-        self._sqrt_mu = math.sqrt(c.mu)
-        self._r = c.r_geo
-        self._two_over_r = 2.0 / c.r_geo
-        self._inv_sqrt_r = math.sqrt(1.0 / c.r_geo)
-        v_geo = c.v_geo
+        self.mean_motion = GEO.mean_motion
+        self._sqrt_mu = math.sqrt(GEO.mu)
+        self._r = GEO.r_geo
+        self._two_over_r = 2.0 / GEO.r_geo
+        self._inv_sqrt_r = math.sqrt(1.0 / GEO.r_geo)
         self._bodies = {}
         for s in scenario.servicers:
             self._bodies[("S", s.id)] = _Body(s.orbit)
         for t in scenario.targets:
             self._bodies[t.id] = _Body(t.orbit)
-        self._v_geo = v_geo
+        self._v_geo = GEO.v_geo
         self._pairs: dict = {}
         self._priced: dict = {}
         self._insertions: dict = {}
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
         self.servicer_ids = tuple(s.id for s in scenario.servicers)
-        self._max_revs = max(1, math.ceil(scenario.deadline / c.t_geo) - 1)
+        self._max_revs = max(1, math.ceil(scenario.deadline / GEO.t_geo) - 1)
         self._pair_costs: dict = {}
 
     # -- the per-leg kernel --------------------------------------------------
@@ -514,7 +516,6 @@ class CostModel:
         """
         sid, seq = route.servicer_id, route.target_sequence
         geom = self.route_geometry(sid, seq)
-        consts = self.scenario.constants
         from_key = ("S", sid)
         departure = self.scenario.servicer(sid).orbit
         t = 0.0
@@ -524,7 +525,7 @@ class CostModel:
             sol = rendezvous_mixed(
                 departure, target, t, geom.coasts[q], geom.thetas[q],
                 self._pairs[from_key, tid].alpha, k,
-                self._route_cost(geom.leg(q), (k,))[0], consts)
+                self._route_cost(geom.leg(q), (k,))[0])
             legs.append(sol)
             t = sol.t2 + geom.tds[q]
             from_key, departure = tid, target
@@ -827,7 +828,6 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
     if max_revolutions < 1:
         raise ValueError("max_revolutions must be >= 1")
     model = CostModel(scenario, phi=phi, gamma=gamma)
-    consts = scenario.constants
     sids = [s.id for s in scenario.servicers]
     tids = [t.id for t in scenario.targets]
     rev_range = range(1, max_revolutions + 1)
@@ -850,7 +850,7 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
                 # sum starts at 0.0, and 0.0 + x == x. The clock adds each
                 # leg's coast, phase time and repair in the kernel's order.
                 tab = [[(model._route_cost(geom.leg(q), (k,))[0],
-                         phasing_solution(geom.thetas[q], k, consts)[0])
+                         phasing_solution(geom.thetas[q], k)[0])
                         for k in rev_range] for q in range(len(perm))]
                 deadline = model.deadline
                 for revs in itertools.product(rev_range, repeat=len(perm)):

@@ -20,7 +20,7 @@ import math
 import random
 from datetime import datetime, timezone
 
-from .astro import GEO, GeoOrbit, PhysicalConstants
+from .astro import GEO, GeoOrbit
 from .planning import Scenario, Servicer, Target, _left_sum
 
 
@@ -72,7 +72,6 @@ _ORBIT_FIELDS = ("inclination_deg", "raan_deg", "true_anomaly_deg")
 _SERVICER_FIELDS = ("name", *_ORBIT_FIELDS, "dv_budget_mps")
 _TARGET_FIELDS = ("name", *_ORBIT_FIELDS, "repair_hours")
 _TOP_FIELDS = {"epoch", "deadline_hours", "servicers", "targets"}
-_CONST_FIELDS = ("mu_km3s2", "t_geo_s")
 
 
 def from_record(data) -> Scenario:
@@ -83,8 +82,7 @@ def from_record(data) -> Scenario:
     is not a finite number, and ``ValidationError`` for values that the
     domain constructors refuse, their error naming the record. The
     scenario keeps the normalized record as ``spec``."""
-    _check_fields(data, _TOP_FIELDS, "scenario",
-                  optional=frozenset({"constants"}))
+    _check_fields(data, _TOP_FIELDS, "scenario")
     if not isinstance(data["epoch"], str):
         raise ParseError("scenario: field 'epoch' must be a string")
     servicer_recs, target_recs = (
@@ -92,19 +90,11 @@ def from_record(data) -> Scenario:
          for i, rec in enumerate(_list(data, key, "scenario"))]
         for key, keys in (("servicers", _SERVICER_FIELDS),
                           ("targets", _TARGET_FIELDS)))
-    constants = None
-    if "constants" in data:
-        _check_fields(data["constants"], set(_CONST_FIELDS), "constants")
-        constants = {k: _number(data["constants"], k, "constants")
-                     for k in _CONST_FIELDS}
     record = {"epoch": data["epoch"],
               "deadline_hours": _number(data, "deadline_hours", "scenario"),
               "servicers": servicer_recs, "targets": target_recs}
-    if constants is not None:
-        record["constants"] = constants
 
     _check_fleet_size(len(servicer_recs), len(target_recs))
-    consts = GEO if constants is None else _constants(constants)
     try:
         epoch = _parse_epoch(record["epoch"])
     except (ValueError, OverflowError) as exc:
@@ -114,7 +104,7 @@ def from_record(data) -> Scenario:
     # lasts at most 2 t_geo and an oracle leg at most 7 t_geo, so
     # deadline + repairs + 8 t_geo per target bounds them all.
     room = ((_LATEST_TIME - epoch).total_seconds()
-            - 8 * len(target_recs) * consts.t_geo)
+            - 8 * len(target_recs) * GEO.t_geo)
     for field, hours in (("deadline_hours", [record["deadline_hours"]]),
                          ("repair_hours",
                           [t["repair_hours"] for t in target_recs])):
@@ -129,10 +119,11 @@ def from_record(data) -> Scenario:
     targets = [_named(f"target {t['name']!r}", lambda: Target(
         i + 1, t["name"], _orbit(t), t["repair_hours"] * 3600.0))
         for i, t in enumerate(target_recs)]
-    return _named("scenario", lambda: Scenario(
+    scenario = _named("scenario", lambda: Scenario(
         epoch=epoch, deadline=record["deadline_hours"] * 3600.0,
-        servicers=servicers, targets=targets, constants=consts,
-        spec=record))
+        servicers=servicers, targets=targets))
+    scenario.spec = record
+    return scenario
 
 
 def _orbit(rec: dict) -> GeoOrbit:
@@ -155,14 +146,6 @@ def _check_fleet_size(n_servicers: int, n_targets: int):
             raise ValidationError(f"{name}: {count} exceeds the cap of {cap}")
 
 
-def _constants(record: dict) -> PhysicalConstants:
-    for key in _CONST_FIELDS:
-        if record[key] <= 0.0:
-            raise ValidationError(f"constants: {key} must be positive")
-    return _named("constants", lambda: PhysicalConstants(
-        mu=record["mu_km3s2"], t_geo=record["t_geo_s"]))
-
-
 def _parse_epoch(text: str) -> datetime:
     dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
@@ -170,14 +153,13 @@ def _parse_epoch(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _check_fields(record: dict, required: set, what: str,
-                  optional: frozenset = frozenset()):
+def _check_fields(record: dict, required: set, what: str):
     if not isinstance(record, dict):
         raise ParseError(f"{what} must be an object")
     missing = required - set(record)
     if missing:
         raise ParseError(f"{what}: missing field {sorted(missing)[0]!r}")
-    unknown = set(record) - required - optional
+    unknown = set(record) - required
     if unknown:
         raise ParseError(f"{what}: unknown field {sorted(unknown)[0]!r}")
 
@@ -244,8 +226,9 @@ def random_scenario(n_targets: int, n_servicers: int, duration_days: float,
 
 
 def scenario_record(scenario: Scenario) -> dict:
-    """The scenario's file record: a copy of the one it was built from, or
-    one rebuilt from its fields."""
+    """The scenario's file record: a copy of the one ``from_record`` kept,
+    or, for a scenario built in code or by ``dataclasses.replace``, one
+    rebuilt from its fields."""
     if scenario.spec is not None:
         return copy.deepcopy(scenario.spec)
 
@@ -255,17 +238,13 @@ def scenario_record(scenario: Scenario) -> dict:
                                math.degrees(orbit.raan),
                                math.degrees(orbit.arg_lat0), extra)))
 
-    record = {
+    return {
         "epoch": scenario.epoch.strftime("%Y-%m-%dT%H:%M:%SZ"),
         "deadline_hours": scenario.deadline / 3600.0,
         "servicers": [row(_SERVICER_FIELDS, s, s.dv_budget)
                       for s in scenario.servicers],
         "targets": [row(_TARGET_FIELDS, t, t.repair_duration / 3600.0)
                     for t in scenario.targets]}
-    if scenario.constants != GEO:
-        record["constants"] = {"mu_km3s2": scenario.constants.mu,
-                               "t_geo_s": scenario.constants.t_geo}
-    return record
 
 
 def load(path) -> Scenario:

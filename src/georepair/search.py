@@ -508,8 +508,7 @@ class _LambertAdapter(CostModel):
         if state is None:
             if len(memo) >= _LEG_CACHE_CAP:
                 memo.clear()
-            state = memo[key, t] = orbit_to_state(
-                self._orbits[key], t, self.scenario.constants)
+            state = memo[key, t] = orbit_to_state(self._orbits[key], t)
         return state
 
     def _fly(self, state, to_id: int, tof: float):
@@ -520,7 +519,7 @@ class _LambertAdapter(CostModel):
         ``AstroError`` when the arc fails."""
         arrive = self._state(to_id, state.t + tof)
         (v1x, v1y, v1z), (v2x, v2y, v2z) = lambert_solve(
-            state.r, arrive.r, tof, True, self.scenario.constants)
+            state.r, arrive.r, tof)
         (sx, sy, sz), (tx, ty, tz) = state.v, arrive.v
         d1x, d1y, d1z = v1x - sx, v1y - sy, v1z - sz
         d2x, d2y, d2z = tx - v2x, ty - v2y, tz - v2z
@@ -677,7 +676,10 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
 
     def refine(pop, fits):
         """LNS phase, in place: destroy/repair each finite chromosome of the
-        best ``elite_fraction``, best first, keeping a strict improvement."""
+        best ``elite_fraction``, best first, and replace it with the strict
+        improvement ``lns_improve`` finds, if any. Its fitness is the left
+        sum of the same memoized route scores that ``lns_improve`` compared,
+        so it is lower than the one it replaces."""
         k_top = max(1, math.ceil(lns.elite_fraction * len(pop)))
         for i in sorted(range(len(pop)), key=lambda i: fits[i])[:k_top]:
             if not math.isfinite(fits[i]):
@@ -686,11 +688,8 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
             improved = lns_improve(seqs, lns, rng, model)
             if improved is seqs:
                 continue
-            genes = encode_sequences(improved, m)
-            f_new = evaluate(genes)
-            if f_new < fits[i]:
-                pop[i] = genes
-                fits[i] = f_new
+            pop[i] = encode_sequences(improved, m)
+            fits[i] = evaluate(pop[i])
 
     pop = init_population(m, n, ga.population_size, rng)
     fits = [evaluate(c) for c in pop]

@@ -30,7 +30,6 @@ from georepair.astro import (
     GeoOrbit,
     InvalidRevolutions,
     NoConvergence,
-    PhysicalConstants,
     RendezvousSolution,
     _stumpff,
     orbit_to_state,
@@ -59,8 +58,7 @@ def angular_momentum_dir(orbit: GeoOrbit) -> np.ndarray:
 
 
 def coast_time_to_node(state: CartesianState, node: np.ndarray,
-                       orbit_normal: np.ndarray,
-                       consts: PhysicalConstants = GEO) -> float:
+                       orbit_normal: np.ndarray) -> float:
     """Prograde coast duration from ``state`` to the given node direction.
 
     The node must lie in the orbit plane. Returns the shortest non-negative
@@ -72,7 +70,7 @@ def coast_time_to_node(state: CartesianState, node: np.ndarray,
     ang = math.acos(cosang)
     if float(np.dot(np.cross(r_hat, n_hat), orbit_normal)) < 0.0:
         ang = TWO_PI - ang
-    return ang / TWO_PI * consts.t_geo
+    return ang / TWO_PI * GEO.t_geo
 
 
 def phasing_impulses(v_m: np.ndarray, theta: float, dv_mag: float
@@ -94,8 +92,8 @@ def phasing_impulses(v_m: np.ndarray, theta: float, dv_mag: float
     return dv2, -dv2
 
 
-def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
-                     consts: PhysicalConstants = GEO) -> RendezvousSolution:
+def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit,
+                     k: int) -> RendezvousSolution:
     """Mixed plane-change/phasing rendezvous from a GEO state to a target.
 
     Coasts to the nearer of the two plane intersection points, combines the
@@ -122,12 +120,12 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
     else:
         n_hat = _unit(np.cross(h_s, h_t))
         best = None
-        for node in (n_hat * consts.r_geo, -n_hat * consts.r_geo):
-            tc = coast_time_to_node(servicer_state, node, h_s, consts)
+        for node in (n_hat * GEO.r_geo, -n_hat * GEO.r_geo):
+            tc = coast_time_to_node(servicer_state, node, h_s)
             if best is None or tc < best[0]:
                 best = (tc, node)
         coast, node = best
-        angle = coast * consts.mean_motion
+        angle = coast * GEO.mean_motion
         r_node = _rotate(r0, h_s, angle)
         v_before = _rotate(v0, h_s, angle)
         v_after = v_mag * _unit(np.cross(h_t, _unit(r_node)))
@@ -138,13 +136,13 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
     # Signed gap from the target's position to the maneuver point, measured
     # prograde in the target plane: this is the theta of the phasing-orbit
     # equations (its negation carries the lead-angle sign convention).
-    tgt = orbit_to_state(target, t1, consts)
+    tgt = orbit_to_state(target, t1)
     r_hat_t = _unit(np.asarray(tgt.r, dtype=float))
     r_hat_n = _unit(r_node)
     theta = math.atan2(float(np.dot(np.cross(r_hat_t, r_hat_n), h_t)),
                        float(np.dot(r_hat_t, r_hat_n)))
 
-    t_phase, _, dv_mag = phasing_solution(theta, k, consts)
+    t_phase, _, dv_mag = phasing_solution(theta, k)
     dv2, dv3 = phasing_impulses(v_after, -theta, dv_mag)
 
     impulse1 = dv1 * 1000.0 + dv2
@@ -158,7 +156,6 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit, k: int,
 
 
 def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
-                        consts: PhysicalConstants = GEO,
                         tol: float = 1e-11, max_iter: int = 120
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Exact two-body propagation via the universal Kepler equation.
@@ -170,7 +167,7 @@ def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
     v0 = np.asarray(v0, dtype=float)
     if dt == 0.0:
         return r0.copy(), v0.copy()
-    mu = consts.mu
+    mu = GEO.mu
     sqrt_mu = math.sqrt(mu)
     r0n = float(np.linalg.norm(r0))
     vr0 = float(np.dot(r0, v0)) / r0n
@@ -229,9 +226,9 @@ def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
     return r, v
 
 
-def propagate_through_solution(state, sol, consts=GEO):
+def propagate_through_solution(state, sol):
     """Fly the two impulses with the independent Kepler propagator."""
-    angle = sol.coast_time * consts.mean_motion
+    angle = sol.coast_time * GEO.mean_motion
     h = np.cross(state.r, state.v)
     h /= np.linalg.norm(h)
 
@@ -241,5 +238,5 @@ def propagate_through_solution(state, sol, consts=GEO):
 
     r1, v1 = rot(np.asarray(state.r)), rot(np.asarray(state.v))
     v1 = v1 + np.asarray(sol.impulse1) / 1000.0
-    r2, v2 = propagate_universal(r1, v1, sol.phase_time, consts)
+    r2, v2 = propagate_universal(r1, v1, sol.phase_time)
     return r2, v2 + np.asarray(sol.impulse2) / 1000.0

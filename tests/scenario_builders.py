@@ -8,7 +8,7 @@ from georepair.planning import Route, Scenario, Servicer, Target, evaluate_route
 EPOCH = datetime(2021, 3, 12, 4, 0, 0, tzinfo=timezone.utc)
 
 
-def make_scenario(servicers, targets, deadline_s, constants=GEO):
+def make_scenario(servicers, targets, deadline_s):
     """Build a Scenario from (inc_deg, raan_deg, u_deg, dv_budget_mps) servicer
     tuples and (inc_deg, raan_deg, u_deg, repair_s) target tuples."""
     svc = [Servicer(i + 1, f"SSc{i + 1}",
@@ -18,7 +18,7 @@ def make_scenario(servicers, targets, deadline_s, constants=GEO):
                   GeoOrbit.from_degrees(inc, raan, u), repair)
            for i, (inc, raan, u, repair) in enumerate(targets)]
     return Scenario(epoch=EPOCH, deadline=deadline_s, servicers=svc,
-                    targets=tgt, constants=constants)
+                    targets=tgt)
 
 
 def random_scenario_tuple(rng, n_targets, n_servicers, deadline_s,

@@ -629,8 +629,7 @@ def _raan_turned(scenario, angle: float):
                                             o.arg_lat0))
     return Scenario(epoch=scenario.epoch, deadline=scenario.deadline,
                     servicers=[turned(s) for s in scenario.servicers],
-                    targets=[turned(t) for t in scenario.targets],
-                    constants=scenario.constants)
+                    targets=[turned(t) for t in scenario.targets])
 
 
 class TestRaanRotation:

@@ -2,15 +2,16 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from georepair import scenarios
-from georepair.astro import GEO, GeoOrbit, PhysicalConstants
+from georepair.astro import GeoOrbit
 from georepair.planning import Scenario, Servicer, Target
 from georepair.scenarios import (
     CASE_STUDY_TARGETS,
@@ -133,17 +134,6 @@ class TestSaveLoad:
         save(load(p1), p2)
         assert p1.read_text() == p2.read_text()
 
-    def test_custom_constants_round_trip(self, tmp_path):
-        data = scenario_record(case_study())
-        data["constants"] = {"mu_km3s2": GEO.mu, "t_geo_s": GEO.t_geo}
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(data))
-        sc = load(path)
-        assert sc.constants.mu == GEO.mu
-        out = tmp_path / "d.json"
-        save(sc, out)
-        assert json.loads(out.read_text())["constants"]["t_geo_s"] == GEO.t_geo
-
     def test_the_record_is_a_copy(self, tmp_path):
         original = case_study()
         record = scenario_record(original)
@@ -151,6 +141,11 @@ class TestSaveLoad:
         path = tmp_path / "case.json"
         save(original, path)
         assert load(path) == original
+
+    def test_a_replaced_scenario_saves_its_own_fields(self, tmp_path):
+        path = tmp_path / "ten_days.json"
+        save(replace(case_study(), deadline=10 * 86400.0), path)
+        assert load(path).deadline == 864000.0
 
     def test_a_number_as_a_name_loads_as_its_text(self, tmp_path):
         data = scenario_record(case_study())
@@ -292,7 +287,7 @@ class TestMalformedValues:
                      "^scenario: field 'epoch' must be a string$",
                      id="epoch-int"),
         pytest.param({"constants": {"mu_km3s2": "1", "t_geo_s": 86164.0}},
-                     "^constants: field 'mu_km3s2' must be a number$",
+                     "^scenario: unknown field 'constants'$",
                      id="mu-str"),
     ])
     def test_scenario_fields_of_the_wrong_type_are_named(self, change,
@@ -377,27 +372,6 @@ class TestMalformedValues:
         path.write_text(json.dumps(data))
         assert load(path).deadline == 6.9e7 * 3600.0
 
-    @pytest.mark.parametrize("constants,field", [
-        pytest.param({"mu_km3s2": 398600, "t_geo_s": 1e300}, "constants",
-                     id="overflow"),
-        pytest.param({"mu_km3s2": 0, "t_geo_s": 86164.0}, "mu_km3s2",
-                     id="mu-zero"),
-        pytest.param({"mu_km3s2": 398600.4418, "t_geo_s": -1.0}, "t_geo_s",
-                     id="t-geo-negative"),
-        pytest.param({"mu_km3s2": 1e-300, "t_geo_s": 1e-300}, "constants",
-                     id="radius-underflow"),
-    ])
-    def test_bad_constants_are_one_line_validation_errors(
-            self, tmp_path, constants, field):
-        data = scenario_record(case_study())
-        data["constants"] = constants
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
-        with pytest.raises(ValidationError, match=field) as exc:
-            load(bad)
-        assert str(exc.value).startswith("constants: ")
-        assert "\n" not in str(exc.value)
-
 
 # -- fuzzing the file boundary ----------------------------------------------
 
@@ -425,9 +399,7 @@ _DOCUMENTS = st.fixed_dictionaries(
      | st.text(max_size=30),
      "deadline_hours": _NUMBERS,
      "servicers": st.lists(_records("dv_budget_mps"), max_size=3),
-     "targets": st.lists(_records("repair_hours"), max_size=3)},
-    optional={"constants": st.fixed_dictionaries(
-        {"mu_km3s2": _NUMBERS, "t_geo_s": _NUMBERS})})
+     "targets": st.lists(_records("repair_hours"), max_size=3)})
 
 
 def _nodes(value, path=()):
@@ -464,16 +436,9 @@ def scenario_documents(draw, base=_DOCUMENTS):
     return doc
 
 
-def _overflowing_constants():
-    data = scenario_record(case_study())
-    data["constants"] = {"mu_km3s2": 398600, "t_geo_s": 1e300}
-    return data
-
-
 class TestFuzzScenarioDocuments:
     @settings(max_examples=400, deadline=None)
     @given(scenario_documents())
-    @example(_overflowing_constants())
     def test_loads_or_fails_with_a_scenario_error(self, doc):
         try:
             scenario = from_record(doc)
@@ -485,12 +450,10 @@ class TestFuzzScenarioDocuments:
 # -- the domain constructors are the scenario gate --------------------------
 
 _ODD_VALUES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, True)
-# Every numeric field of GeoOrbit, PhysicalConstants, Servicer, Target and
-# Scenario, with its value in a valid one-servicer, two-target scenario.
-# The orbit fields go to the servicer's orbit, the target fields to the
-# first target.
+# Every numeric field of GeoOrbit, Servicer, Target and Scenario, with its
+# value in a valid one-servicer, two-target scenario. The orbit fields go
+# to the servicer's orbit, the target fields to the first target.
 _GATE_FIELDS = {
-    "mu": GEO.mu, "t_geo": GEO.t_geo, "r_geo": 0.0,
     "inclination": 0.02, "raan": 1.0, "arg_lat0": 2.0,
     "servicer_id": 1, "dv_budget": 2000.0,
     "target_id": 1, "repair_duration": 3600.0,
@@ -506,8 +469,7 @@ def _gate_scenario(v: dict) -> Scenario:
                                      v["arg_lat0"]), v["dv_budget"])],
         targets=[Target(v["target_id"], "T1", GeoOrbit(0.05, 3.0, 4.0),
                         v["repair_duration"]),
-                 Target(2, "T2", GeoOrbit(0.03, 5.0, 1.0), 3600.0)],
-        constants=PhysicalConstants(v["mu"], v["t_geo"], v["r_geo"]))
+                 Target(2, "T2", GeoOrbit(0.03, 5.0, 1.0), 3600.0)])
 
 
 class TestConstructorGate:
@@ -520,14 +482,6 @@ class TestConstructorGate:
                      id="raan-int-overflow"),
         pytest.param(lambda: GeoOrbit.from_degrees(1.0, 2.0, 10 ** 400),
                      id="arg-lat-degrees-overflow"),
-        pytest.param(lambda: PhysicalConstants(mu=math.inf), id="mu-inf"),
-        pytest.param(lambda: PhysicalConstants(mu=math.nan), id="mu-nan"),
-        pytest.param(lambda: PhysicalConstants(r_geo=math.inf),
-                     id="r-geo-inf"),
-        pytest.param(lambda: PhysicalConstants(t_geo=1e300),
-                     id="t-geo-overflow"),
-        pytest.param(lambda: PhysicalConstants(r_geo=1e200),
-                     id="r-geo-cube-overflow"),
         pytest.param(lambda: Servicer(1, "S", GeoOrbit(0, 0, 0), math.nan),
                      id="budget-nan"),
         pytest.param(lambda: Servicer(1, "S", GeoOrbit(0, 0, 0), "5"),

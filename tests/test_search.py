@@ -1002,7 +1002,7 @@ class TestSolvers:
                                  [(0.0, 0.0, 135.0, 0.0)], 4 * HOUR)
         adapter = _LambertAdapter(scenario, 1.0, 0.0)
         assert adapter.grid == [0.125 * T]
-        start = astro.orbit_to_state(scenario.servicers[0].orbit, 0.0, GEO)
+        start = astro.orbit_to_state(scenario.servicers[0].orbit, 0.0)
         with pytest.raises(CollinearGeometry):
             adapter._fly(start, 1, 0.125 * T)
         assert adapter.route(1, [1]) == math.inf
@@ -1298,12 +1298,12 @@ class TestLambertWorkCounts:
 
         original = search.orbit_to_state
 
-        def spy(orbit, t, consts):
+        def spy(orbit, t):
             key = (id(orbit), t)
             assert key not in since_clear
             since_clear.add(key)
             computed.append(key)
-            return original(orbit, t, consts)
+            return original(orbit, t)
 
         monkeypatch.setattr(_LambertAdapter, "__init__", memo_init)
         monkeypatch.setattr(search, "orbit_to_state", spy)
