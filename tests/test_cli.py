@@ -106,12 +106,20 @@ class TestSolve:
         assert err.startswith("error:") and "deadline_hours" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_a_constants_field_exits_one(self, tmp_path, capsys):
-        # GEO's constants are fixed; a file cannot override them.
+    @pytest.mark.parametrize("constants", [
+        pytest.param({"mu_km3s2": 398600, "t_geo_s": 1e300}, id="overflow"),
+        pytest.param({"mu_km3s2": -1.0, "t_geo_s": 86164.0},
+                     id="negative-mu"),
+        pytest.param({"mu_km3s2": GEO.mu, "t_geo_s": GEO.t_geo},
+                     id="geo-values"),
+    ])
+    def test_bad_constants_exit_one(self, tmp_path, capsys, constants):
+        # GEO's constants are fixed; a file cannot override them, not even
+        # with GEO's own values.
         scen_path = tmp_path / "scenario.json"
         write_small_scenario(scen_path)
         data = json.loads(scen_path.read_text())
-        data["constants"] = {"mu_km3s2": GEO.mu, "t_geo_s": GEO.t_geo}
+        data["constants"] = constants
         scen_path.write_text(json.dumps(data))
         assert main(["solve", str(scen_path)]) == 1
         err = capsys.readouterr().err
