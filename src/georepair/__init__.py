@@ -22,7 +22,6 @@ from .planning import (
     Target,
     allocate_revolutions,
     evaluate_plan,
-    evaluate_route,
     exhaustive_solve,
 )
 from .scenarios import case_study, load, random_scenario, save
@@ -40,8 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GEO", "CartesianState", "GeoOrbit", "RendezvousSolution",
     "Evaluation", "MissionPlan", "Route", "Scenario", "Servicer", "Target",
-    "allocate_revolutions", "evaluate_plan", "evaluate_route",
-    "exhaustive_solve",
+    "allocate_revolutions", "evaluate_plan", "exhaustive_solve",
     "case_study", "load", "random_scenario", "save",
     "GaParams", "LnsParams", "SolveResult",
     "solve_ga", "solve_lambert_ga", "solve_lns_aga",

@@ -10,15 +10,17 @@ adds the scores up left to right, as the search adds up a chromosome, so
 every solve, mixed or Lambert, reports its history's best fitness, and
 ``exhaustive_solve`` the total it minimized.
 
-``evaluate_route``/``evaluate_plan`` are the only code that builds an
-``Evaluation``. They report every leg with its impulses and times for
-schedule output, and take the legs as an argument, a leg model's ``fly``:
-the default is ``CostModel.fly``, the mixed legs the search prices, and
-the Lambert model in ``search``, a ``CostModel`` too, flies its own
-two-impulse legs. ``CostModel`` is the one copy of the mixed leg's
-geometry. Its kernel is ``CostModel.route_geometry``, which simulates a
-route's legs, and ``CostModel._route_cost``, which prices them; each is
-one loop per route with no call per leg. The search, the exhaustive
+``evaluate_plan`` is the only code that builds an ``Evaluation``. It
+takes the legs as an argument, a leg model's ``fly``, which walks a route
+once and returns its ``LegDetail``s, each leg with its impulses, its
+departure, arrival and completion times, for schedule output: the
+default is ``CostModel.fly``, the mixed legs the search prices, and the
+Lambert model in ``search``, a ``CostModel`` too, flies its own
+two-impulse legs; ``evaluate_plan`` only adds up each route's legs.
+``CostModel`` is the one copy of the mixed leg's geometry. Its kernel is
+``CostModel.route_geometry``, which simulates a route's legs, and
+``CostModel._route_cost``, which prices them; each is one loop per route
+with no call per leg. The search, the exhaustive
 oracle's per-leg tables and the report all read it: ``fly`` hands each
 leg's coast, phase gap and price to ``astro.rendezvous_mixed``, which only
 adds impulses and times, so a reported mixed plan is
@@ -39,8 +41,9 @@ reported plan. The insertion memo scans each (servicer, sequence, target)
 once for its cheapest slots, so LNS repair reuses a scan across repair
 rounds, attempts and generations.
 Plans are checked once, by ``MissionPlan.validate_against`` in
-``evaluate_plan``. The search trusts its own input: ``decode`` does not
-check chromosomes, which the engine builds as permutations.
+``evaluate_plan``; a leg model's ``fly`` trusts its route, and the
+search its own input: ``decode`` does not check chromosomes, which the
+engine builds as permutations.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ class Scenario:
     ``spec`` is the file record that ``scenarios.from_record`` built the
     scenario from, kept for exact saves. Only ``from_record`` sets it, so a
     scenario built in code or by ``dataclasses.replace`` has none; it takes
-    no part in equality.
+    no part in equality. The epoch is kept in UTC, a naive one read as UTC.
     """
 
     epoch: datetime
@@ -152,6 +155,10 @@ class Scenario:
     def __post_init__(self):
         if self.epoch.tzinfo is None:
             self.epoch = self.epoch.replace(tzinfo=timezone.utc)
+        try:
+            self.epoch = self.epoch.astimezone(timezone.utc)
+        except OverflowError:
+            raise ValueError("epoch is out of range in UTC") from None
         _check_finite("deadline", self.deadline, "positive")
         if not self.servicers or not self.targets:
             raise ValueError("need at least one servicer and one target")
@@ -505,14 +512,14 @@ class CostModel:
                 p1 += t - deadline
         return dv, p1, t
 
-    def fly(self, route: Route) -> list[RendezvousSolution]:
-        """The legs of ``route`` as ``evaluate_route`` reports them.
+    def fly(self, route: Route) -> list[LegDetail]:
+        """The reported legs of ``route``, which ``evaluate_plan`` checked.
 
         Each leg is the one the kernel priced: ``rendezvous_mixed`` turns
         its coast and phase gap from ``route_geometry``, read once for the
         route, into impulses and times, at the price ``_route_cost`` gives
         the leg alone. Each leg departs at the completion of the repair
-        before it, as the kernel's clock has it.
+        before it, arrival plus repair, as the kernel's clock has it.
         """
         sid, seq = route.servicer_id, route.target_sequence
         geom = self.route_geometry(sid, seq)
@@ -526,8 +533,9 @@ class CostModel:
                 departure, target, t, geom.coasts[q], geom.thetas[q],
                 self._pairs[from_key, tid].alpha, k,
                 self._route_cost(geom.leg(q), (k,))[0])
-            legs.append(sol)
-            t = sol.t2 + geom.tds[q]
+            completion = sol.t2 + geom.tds[q]
+            legs.append(LegDetail(sid, tid, sol, t, sol.t2, completion))
+            t = completion
             from_key, departure = tid, target
         return legs
 
@@ -745,50 +753,22 @@ def allocate_revolutions(scenario: Scenario, servicer_id: int, sequence,
     return CostModel(scenario, slack_rule).allocate(servicer_id, sequence)
 
 
-@dataclass
-class RouteResult:
-    legs: list[LegDetail]
-    dv: float        # m/s
-    end_time: float  # completion of the route's last repair
-
-
-def evaluate_route(scenario: Scenario, route: Route,
-                   legs=None) -> RouteResult:
-    """Fly a route leg by leg with a transfer model.
-
-    ``legs(route)`` returns the route's legs in order as
-    ``RendezvousSolution``s, whose ``t2`` is the arrival: a leg model's
-    ``fly``. The default is ``CostModel(scenario).fly``, the mixed legs the
-    search prices; the Lambert model in ``search`` flies two-impulse legs.
-    The servicer departs at the epoch, repairs each target for its repair
-    duration on arrival and departs again on completion; the final move to
-    a parking orbit is free and not simulated.
-    """
-    route.validate()
-    scenario.servicer(route.servicer_id)
-    targets = [scenario.target(tid) for tid in route.target_sequence]
-    if legs is None:
-        legs = CostModel(scenario).fly
-    details = []
-    dv = 0.0
-    t = 0.0
-    for target, sol in zip(targets, legs(route), strict=True):
-        completion = sol.t2 + target.repair_duration
-        details.append(LegDetail(route.servicer_id, target.id, sol, t,
-                                 sol.t2, completion))
-        dv += sol.total_dv
-        t = completion
-    return RouteResult(legs=details, dv=dv, end_time=t)
-
-
 def evaluate_plan(scenario: Scenario, plan: MissionPlan,
                   phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA,
                   legs=None) -> Evaluation:
-    """Penalized fitness of a complete plan, every route flown by ``legs``
-    (see ``evaluate_route``). A ``CostModel(scenario, phi=phi,
-    gamma=gamma)`` scores each route and adds the scores up, as
-    ``plan_metrics`` does, so on the default mixed legs, that model's
-    ``fly``, the two agree to the last bit."""
+    """Penalized fitness of a complete plan, each route flown once by
+    ``legs(route)``, a leg model's ``fly``, which returns the route's
+    ``LegDetail``s in order.
+
+    The default is ``CostModel(scenario).fly``, the mixed legs the search
+    prices; the Lambert model in ``search`` flies two-impulse legs. Each
+    servicer departs at the epoch; the final move to a parking orbit is
+    free and not simulated. A route's delta-v and deadline violation are
+    the left sums of its legs' ``total_dv`` and ``max(completion -
+    deadline, 0)``. A ``CostModel(scenario, phi=phi, gamma=gamma)`` scores
+    each route and adds the scores up, as ``plan_metrics`` does, so on the
+    default mixed legs, that model's ``fly``, the two agree to the last
+    bit."""
     plan.validate_against(scenario)
     model = CostModel(scenario, phi=phi, gamma=gamma)
     if legs is None:
@@ -796,11 +776,12 @@ def evaluate_plan(scenario: Scenario, plan: MissionPlan,
     details = []
     scores = []
     for route in plan.routes:
-        result = evaluate_route(scenario, route, legs)
-        details.extend(result.legs)
+        flown = legs(route)
+        details.extend(flown)
+        dv = _left_sum(leg.solution.total_dv for leg in flown)
         late = _left_sum(max(leg.completion_time - scenario.deadline, 0.0)
-                         for leg in result.legs)
-        scores.append(model._score(route.servicer_id, result.dv, late))
+                         for leg in flown)
+        scores.append(model._score(route.servicer_id, dv, late))
     fitness, total_dv, p1, p2, feasible = model._plan_sums(scores)
     return Evaluation(leg_details=details,
                       per_servicer_dv=[score[1] for score in scores],
@@ -819,14 +800,13 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
     subset) is minimized once over every ordering and revolution tuple and
     assignments are scanned over the per-route optima.
     """
+    _check_positive_int("max_revolutions", max_revolutions)
     m = len(scenario.targets)
     n = len(scenario.servicers)
     if m > 5 or n > 5 or max_revolutions > 6:
         raise InstanceTooLarge(
             f"{m} targets / {n} servicers / {max_revolutions} revolutions "
             "exceed oracle guards (5 targets, 5 servicers, 6 revolutions)")
-    if max_revolutions < 1:
-        raise ValueError("max_revolutions must be >= 1")
     model = CostModel(scenario, phi=phi, gamma=gamma)
     sids = [s.id for s in scenario.servicers]
     tids = [t.id for t in scenario.targets]

@@ -228,7 +228,7 @@ def random_scenario(n_targets: int, n_servicers: int, duration_days: float,
 def scenario_record(scenario: Scenario) -> dict:
     """The scenario's file record: a copy of the one ``from_record`` kept,
     or, for a scenario built in code or by ``dataclasses.replace``, one
-    rebuilt from its fields."""
+    rebuilt from its fields, the UTC epoch to the microsecond."""
     if scenario.spec is not None:
         return copy.deepcopy(scenario.spec)
 
@@ -239,7 +239,7 @@ def scenario_record(scenario: Scenario) -> dict:
                                math.degrees(orbit.arg_lat0), extra)))
 
     return {
-        "epoch": scenario.epoch.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "epoch": scenario.epoch.isoformat().removesuffix("+00:00") + "Z",
         "deadline_hours": scenario.deadline / 3600.0,
         "servicers": [row(_SERVICER_FIELDS, s, s.dv_budget)
                       for s in scenario.servicers],
@@ -267,7 +267,14 @@ def load(path) -> Scenario:
 
 
 def save(scenario: Scenario, path):
-    """Write a scenario file; exact round trip for loaded/built scenarios."""
+    """Write a scenario file.
+
+    ``load`` gives back a loaded scenario exactly, its record being the
+    one it was read from. A scenario built in code or by
+    ``dataclasses.replace`` is written from its fields: its epoch comes
+    back to the microsecond, but its angles and durations pass through
+    degrees and hours, so a radian or a second may come back one ulp
+    off."""
     data = scenario_record(scenario)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)

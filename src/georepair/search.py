@@ -69,6 +69,7 @@ from .planning import (
     DEFAULT_PHI,
     CostModel,
     Evaluation,
+    LegDetail,
     MissionPlan,
     Route,
     Scenario,
@@ -591,14 +592,15 @@ class _LambertAdapter(CostModel):
         _, dv, p1, _ = self.route_detail(sid, seq)
         return self._score(sid, dv, p1)[0]
 
-    def fly(self, route: Route) -> list[RendezvousSolution]:
-        """The legs of ``route`` as ``evaluate_route`` reports them, each
-        flown by ``_fly`` at the flight time ``route_detail`` chose, so a
-        leg reports the price the search used; a failed leg has (nan, nan,
-        nan) impulses and infinite delta-v."""
-        seq = route.target_sequence
-        tofs = self.route_detail(route.servicer_id, seq)[0]
-        from_key = ("S", route.servicer_id)
+    def fly(self, route: Route) -> list[LegDetail]:
+        """The reported legs of ``route``, each flown by ``_fly`` at the
+        flight time ``route_detail`` chose, so a leg reports the price the
+        search used; a failed leg has (nan, nan, nan) impulses and infinite
+        delta-v. Each leg departs at the completion of the repair before
+        it."""
+        sid, seq = route.servicer_id, route.target_sequence
+        tofs = self.route_detail(sid, seq)[0]
+        from_key = ("S", sid)
         t = 0.0
         out = []
         for tid, tof in zip(seq, tofs):
@@ -611,11 +613,13 @@ class _LambertAdapter(CostModel):
             else:
                 imp1 = (dv1[0] * 1000.0, dv1[1] * 1000.0, dv1[2] * 1000.0)
                 imp2 = (dv2[0] * 1000.0, dv2[1] * 1000.0, dv2[2] * 1000.0)
-            out.append(RendezvousSolution(
+            sol = RendezvousSolution(
                 impulse1=imp1, impulse2=imp2, t1=t, t2=t + tof,
                 coast_time=0.0, phase_time=tof, total_time=tof,
-                total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0))
-            t = t + tof + self._td[tid]
+                total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0)
+            completion = sol.t2 + self._td[tid]
+            out.append(LegDetail(sid, tid, sol, t, sol.t2, completion))
+            t = completion
             from_key = tid
         return out
 

@@ -3,7 +3,14 @@
 from datetime import datetime, timezone
 
 from georepair.astro import GEO, GeoOrbit, orbit_to_state
-from georepair.planning import Route, Scenario, Servicer, Target, evaluate_route
+from georepair.planning import (
+    MissionPlan,
+    Route,
+    Scenario,
+    Servicer,
+    Target,
+    evaluate_plan,
+)
 
 EPOCH = datetime(2021, 3, 12, 4, 0, 0, tzinfo=timezone.utc)
 
@@ -32,7 +39,8 @@ def random_scenario_tuple(rng, n_targets, n_servicers, deadline_s,
 
 def kernel_leg(departure: GeoOrbit, target: GeoOrbit, k, t: float = 0.0):
     """The mixed leg from ``departure`` at time ``t`` to ``target`` on ``k``
-    revolutions, as ``evaluate_route`` reports it.
+    revolutions, as ``evaluate_plan`` reports it on the default mixed legs,
+    ``CostModel.fly``, after checking ``k``.
 
     Routes depart at the epoch, so the leg is the one leg of a one-target
     scenario whose two orbits are advanced by ``t``, and its times count
@@ -47,5 +55,6 @@ def kernel_leg(departure: GeoOrbit, target: GeoOrbit, k, t: float = 0.0):
     scenario = Scenario(epoch=EPOCH, deadline=1e9,
                         servicers=[Servicer(1, "S", departure, 1e9)],
                         targets=[Target(1, "T", target, 0.0)])
-    sol = evaluate_route(scenario, Route(1, [1], [k])).legs[0].solution
+    plan = MissionPlan([Route(1, [1], [k])])
+    sol = evaluate_plan(scenario, plan).leg_details[0].solution
     return orbit_to_state(departure, 0.0), target, sol

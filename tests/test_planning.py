@@ -23,12 +23,16 @@ from georepair.planning import (
     decode,
     encode_sequences,
     evaluate_plan,
-    evaluate_route,
     exhaustive_solve,
     penalized_fitness,
 )
 from georepair.scenarios import random_scenario
-from georepair.search import GaParams, _LambertAdapter, solve_lns_aga
+from georepair.search import (
+    GaParams,
+    _LambertAdapter,
+    evaluate_plan_lambert,
+    solve_lns_aga,
+)
 from scenario_builders import make_scenario, random_scenario_tuple
 
 T = GEO.t_geo
@@ -138,9 +142,10 @@ class TestAllocate:
         rng = random.Random(22)
         scenario = random_scenario_tuple(rng, 4, 1, deadline_s=40 * 86400.0)
         seq = [1, 2, 3, 4]
-        base = evaluate_route(scenario, Route(1, seq, [1, 1, 1, 1]))
-        bumped = evaluate_route(scenario, Route(1, seq, [3, 1, 2, 1]))
-        for a, b in zip(base.legs, bumped.legs):
+        model = CostModel(scenario)
+        base = model.fly(Route(1, seq, [1, 1, 1, 1]))
+        bumped = model.fly(Route(1, seq, [3, 1, 2, 1]))
+        for a, b in zip(base, bumped):
             assert b.solution.coast_time == pytest.approx(
                 a.solution.coast_time, abs=1e-3)
             assert b.solution.theta == pytest.approx(a.solution.theta,
@@ -148,45 +153,45 @@ class TestAllocate:
 
 
 class TestEvaluateRoute:
-    @pytest.mark.parametrize("route", [Route(99, [1], [1]),
-                                       Route(1, [99], [1]),
-                                       Route(True, [1], [1]),
-                                       Route(0, [1], [1]),
-                                       Route(1, [1.5], [1])],
-                             ids=["unknown-servicer", "unknown-target",
-                                  "bool-servicer", "zero-servicer",
-                                  "fractional-target"])
-    def test_rejects_a_route_the_scenario_cannot_fly(self, route):
-        with pytest.raises(ValueError) as exc:
-            evaluate_route(random_scenario(3, 2, 20.0, seed=1), route)
-        assert len(str(exc.value).splitlines()) == 1
+    """A route is evaluated by its leg model's ``fly``, which returns the
+    route's reported legs."""
 
     def test_empty_route(self):
         scenario = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
                                  [(0.0, 0.0, 10.0, HOUR)], deadline_s=10 * T)
-        result = evaluate_route(scenario, Route(1, [], []))
-        assert result.dv == 0.0 and result.legs == []
+        for model in (CostModel(scenario),
+                      _LambertAdapter(scenario, DEFAULT_PHI, DEFAULT_GAMMA)):
+            assert model.fly(Route(1, [], [])) == []
 
     def test_same_orbit_target_is_free(self):
         scenario = make_scenario([(2.0, 30.0, 75.0, 1000.0)],
                                  [(2.0, 30.0, 75.0, HOUR)], deadline_s=10 * T)
-        result = evaluate_route(scenario, Route(1, [1], [1]))
-        assert result.dv == pytest.approx(0.0, abs=1e-9)
-        assert result.legs[0].arrival_time == pytest.approx(T, rel=1e-12)
+        (leg,) = CostModel(scenario).fly(Route(1, [1], [1]))
+        assert leg.solution.total_dv == pytest.approx(0.0, abs=1e-9)
+        assert leg.arrival_time == pytest.approx(T, rel=1e-12)
 
     def test_arrival_recursion_matches_leg_times(self):
+        # Each leg model's ``fly`` owns the clock: a leg arrives at its
+        # solution's t2, completes one repair later, and the next departs
+        # then. Both leg models are held to it.
         rng = random.Random(23)
         scenario = random_scenario_tuple(rng, 5, 2, deadline_s=30 * 86400.0)
         plan = random_plan(scenario, rng)
-        ev = evaluate_plan(scenario, plan)
-        by_route = {}
-        for leg in ev.leg_details:
-            by_route.setdefault(leg.servicer_id, []).append(leg)
-        for legs in by_route.values():
-            for prev, nxt in zip(legs, legs[1:]):
-                gap = nxt.arrival_time - prev.completion_time
-                assert gap == pytest.approx(nxt.solution.total_time, rel=1e-12)
-                assert nxt.depart_time == prev.completion_time
+        for evaluate in (evaluate_plan, evaluate_plan_lambert):
+            ev = evaluate(scenario, plan)
+            by_route = {}
+            for leg in ev.leg_details:
+                by_route.setdefault(leg.servicer_id, []).append(leg)
+                assert leg.arrival_time == leg.solution.t2
+                assert leg.completion_time == leg.arrival_time + \
+                    scenario.target(leg.target_id).repair_duration
+            for legs in by_route.values():
+                assert legs[0].depart_time == 0.0
+                for prev, nxt in zip(legs, legs[1:]):
+                    gap = nxt.arrival_time - prev.completion_time
+                    assert gap == pytest.approx(nxt.solution.total_time,
+                                                rel=1e-12)
+                    assert nxt.depart_time == prev.completion_time
 
 
 class TestEvaluatePlan:
@@ -258,8 +263,12 @@ class TestEvaluatePlan:
         (2, 1, [(1, [1, 2], [1, True])]),
         (3, 2, [(True, [True, 2, 3], [1, 1, 1])]),
         (3, 2, [(1, [True, 2, 3], [1, 1, 1])]),
+        (3, 2, [(0, [1], [1]), (2, [2, 3], [1, 1])]),
+        (2, 1, [(1, [1, 1.5], [1, 1])]),
+        (2, 1, [(1, [1, 99], [1, 1])]),
     ], ids=["incomplete", "unknown-servicer", "repeated-servicer",
-            "fractional-revs", "bool-revs", "bool-ids", "bool-target"])
+            "fractional-revs", "bool-revs", "bool-ids", "bool-target",
+            "zero-servicer", "fractional-target", "unknown-target"])
     def test_rejects_invalid_plan(self, targets, servicers, routes):
         scenario = random_scenario(targets, servicers, 20.0, seed=1)
         plan = MissionPlan([Route(*r) for r in routes])
@@ -347,10 +356,11 @@ class TestCostModelAgreement:
         model = CostModel(scenario)
         seq = [1, 2, 3, 4, 5]
         revs = [2, 1, 3, 1, 2]
-        result = evaluate_route(scenario, Route(1, seq, revs))
+        legs = model.fly(Route(1, seq, revs))
         dv, _, end = model.route_metrics(1, seq, revs)
-        assert dv == pytest.approx(result.dv, rel=1e-9)
-        assert end == pytest.approx(result.end_time, rel=1e-12)
+        assert dv == pytest.approx(math.fsum(leg.solution.total_dv
+                                             for leg in legs), rel=1e-9)
+        assert end == pytest.approx(legs[-1].completion_time, rel=1e-12)
 
 
 class TestRouteMemo:
@@ -1027,6 +1037,9 @@ class TestExhaustive:
         small = random_scenario_tuple(rng, 2, 1, deadline_s=30 * 86400.0)
         with pytest.raises(InstanceTooLarge):
             exhaustive_solve(small, 7)
+        for cap in (0, -1, 2.5, "3", True):
+            with pytest.raises(ValueError, match="max_revolutions"):
+                exhaustive_solve(small, cap)
 
     def test_dominates_random_plans(self):
         rng = random.Random(28)

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,21 @@ class TestSaveLoad:
         path = tmp_path / "ten_days.json"
         save(replace(case_study(), deadline=10 * 86400.0), path)
         assert load(path).deadline == 864000.0
+
+    @pytest.mark.parametrize("epoch", [
+        datetime(2021, 3, 12, 12, 0, tzinfo=timezone(timedelta(hours=8))),
+        datetime(2021, 3, 12, 4, 0, 0, 500000, tzinfo=timezone.utc),
+        datetime(2021, 3, 12, 4, 0, 0),
+    ], ids=["utc-plus-8", "half-second", "naive"])
+    def test_a_code_built_epoch_saves_its_instant(self, tmp_path, epoch):
+        scenario = replace(case_study(), epoch=epoch)
+        assert scenario.epoch.tzinfo is timezone.utc
+        path = tmp_path / "epoch.json"
+        save(scenario, path)
+        assert load(path).epoch == scenario.epoch
+        if not epoch.microsecond:
+            assert json.loads(path.read_text())["epoch"] \
+                == scenarios.CASE_STUDY_EPOCH
 
     def test_a_number_as_a_name_loads_as_its_text(self, tmp_path):
         data = scenario_record(case_study())
@@ -502,6 +518,9 @@ class TestConstructorGate:
                      id="servicer-name-none"),
         pytest.param(lambda: Target(1, 5, GeoOrbit(0, 0, 0), 1.0),
                      id="target-name-int"),
+        pytest.param(lambda: replace(case_study(), epoch=datetime(
+            1, 1, 1, tzinfo=timezone(timedelta(hours=8)))),
+                     id="epoch-before-year-1"),
     ])
     def test_each_invalid_value_is_refused_in_one_line(self, build):
         with pytest.raises(ValueError) as exc:
