@@ -14,8 +14,8 @@ revolutions later exactly when the target sweeps through the maneuver
 point. Its geometry, the coast and the phase gap of each leg, has one
 copy, the route kernel of ``planning.CostModel``; ``phasing_solution``
 gives the ellipse of a gap and ``rendezvous_mixed`` turns a priced leg
-into impulses and times. A zero-revolution Lambert solver, a safeguarded
-Newton iteration on the universal variable, is included as the baseline
+into impulses and times. A zero-revolution Lambert solver, Izzo's
+Householder iteration kept inside a bracket, is included as the baseline
 transfer model for comparisons.
 
 Everything here works on plain floats. ``orbit_to_state`` gives position
@@ -261,134 +261,134 @@ def rendezvous_mixed(departure: GeoOrbit, target: GeoOrbit, t: float,
         total_dv=total_dv, revolutions=int(k), alpha=alpha, theta=theta)
 
 
-def _stumpff(z: float) -> tuple[float, float]:
-    """Stumpff functions (C(z), S(z)) of the universal variable ``z``.
+def _izzo_tof(x: float, ll: float) -> tuple[float, float, float, float]:
+    """Izzo's non-dimensional flight time T(x) on the zero-revolution
+    branch of ``lambert_solve``, with its first three derivatives in x.
 
-    Both share one square root of ``|z|``; within 1e-8 of zero they switch
-    to their series, which avoids cancellation in ``1 - cos`` and
-    ``sz - sin``.
+    ``ll`` is Izzo's lambda and y = sqrt(1 - ll^2 (1 - x^2)); x < 1 is an
+    ellipse and x > 1 a hyperbola. Lancaster's closed form cancels near the
+    parabola x = 1, so within sqrt(0.6) < x < sqrt(1.4) T comes from
+    Battin's series in the hypergeometric function 2F1(3, 1; 5/2; s1),
+    summed until a term no longer changes the sum.
     """
-    if z > 1e-8:
-        sz = math.sqrt(z)
-        return (1.0 - math.cos(sz)) / z, (sz - math.sin(sz)) / (sz * z)
-    if z < -1e-8:
-        sz = math.sqrt(-z)
-        return ((math.cosh(sz) - 1.0) / (-z),
-                (math.sinh(sz) - sz) / (sz * (-z)))
-    return (0.5 - z / 24.0 + z * z / 720.0,
-            1.0 / 6.0 - z / 120.0 + z * z / 5040.0)
+    ll2 = ll * ll
+    one_x2 = 1.0 - x * x
+    y = math.sqrt(1.0 - ll2 * one_x2)
+    if 0.7745966692414834 < x < 1.1832159566199232:
+        eta = y - ll * x
+        s1 = 0.5 * (1.0 - ll - x * eta)
+        # 2F1(3, 1; 5/2; s1): term n = term n - 1 * s1 (n + 2) / (n + 1.5).
+        q, term, prev, k = 1.0, 1.0, 0.0, 3.0
+        while q != prev:
+            term *= k / (k - 0.5) * s1
+            q, prev, k = q + term, q, k + 1.0
+        t = 0.5 * (eta * eta * eta * (4.0 / 3.0) * q + 4.0 * ll * eta)
+    elif x < 1.0:
+        # Rounding can carry the cosine of psi past 1.
+        psi = math.acos(min(1.0, max(-1.0, x * y + ll * one_x2)))
+        t = (psi / math.sqrt(one_x2) - x + ll * y) / one_x2
+    else:
+        psi = math.asinh((y - x * ll) * math.sqrt(-one_x2))
+        t = (psi / math.sqrt(-one_x2) - x + ll * y) / one_x2
+    ll3 = ll2 * ll
+    w = (1.0 - ll2) * ll3 / (y * y * y)
+    dt = (3.0 * t * x - 2.0 + 2.0 * ll3 * x / y) / one_x2
+    ddt = (3.0 * t + 5.0 * x * dt + 2.0 * w) / one_x2
+    dddt = (7.0 * x * ddt + 8.0 * dt - 6.0 * w * ll2 * x / (y * y)) / one_x2
+    return t, dt, ddt, dddt
 
 
 def lambert_solve(r1, r2, tof: float, prograde: bool = True,
                   max_iter: int = 80
                   ) -> tuple[tuple[float, float, float],
                              tuple[float, float, float]]:
-    """Zero-revolution Lambert transfer via universal variables.
+    """Zero-revolution Lambert transfer by Izzo's method.
 
     Returns the departure and arrival velocities (km/s), as 3-tuples, of the
     two-body arc from positions ``r1`` to ``r2`` (any 3-sequences, km) in
-    ``tof`` seconds. ``|r1|``, ``|r2|`` and ``r1 . r2`` are left-to-right
-    sums of products under ``math.sqrt``. The sweep direction is
-    prograde (counterclockwise about +z) unless ``prograde`` is False.
-    The time-of-flight root in the universal variable z is found by Newton's
-    method (Curtis, Orbital Mechanics for Engineering Students, Alg. 5.2),
-    started at z = 0 and kept inside a bracket that every evaluation
-    shrinks. Raises CollinearGeometry near 0/180 deg transfer angles and
-    NoConvergence if the root is not bracketed, not reached within
-    ``max_iter`` steps, or lies where the geometry is invalid.
+    ``tof`` seconds. The sweep direction is prograde (counterclockwise
+    about +z) unless ``prograde`` is False. As in Izzo (2015, "Revisiting
+    Lambert's problem", CMDA 121), Householder steps on x from his initial
+    guess solve T(x) of ``_izzo_tof`` for the non-dimensional flight time;
+    T falls from infinity at x = -1, so each evaluation shrinks a bracket
+    on x, and a step that would leave it goes to its midpoint. v1 and v2
+    are built from their radial and tangential parts. Norms, dot and cross
+    products are left-to-right sums of products. Raises CollinearGeometry
+    where the transfer angle's sine, |r1 x r2| / (|r1| |r2|), is below
+    1e-8, and NoConvergence if no step in x is below 1e-13 (1 + |x|)
+    within ``max_iter`` steps.
     """
     if tof <= 0.0:
         raise ValueError("time of flight must be positive")
     x1, y1, z1 = r1
     x2, y2, z2 = r2
-    mu = GEO.mu
-    r1n = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
-    r2n = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
-    # Only the sign of the z component of r1 x r2 is read.
-    cross_z = x1 * y2 - y1 * x2
-    cosd = min(1.0, max(-1.0, (x1 * x2 + y1 * y2 + z1 * z2) / (r1n * r2n)))
-    dnu = math.acos(cosd)
-    if (cross_z >= 0.0) != prograde:
-        dnu = TWO_PI - dnu
-
-    sind = math.sin(dnu)
-    if abs(sind) < 1e-8 or dnu < 1e-8 or TWO_PI - dnu < 1e-8:
-        raise CollinearGeometry(f"singular transfer angle {dnu!r} rad")
-    a_coef = sind * math.sqrt(r1n * r2n / (1.0 - cosd))
-
-    sqrt_mu = math.sqrt(mu)
-    target = sqrt_mu * tof
     sqrt = math.sqrt
-    # y(z) = r1n + r2n + a_coef * (z * S - 1) / sqrt(C), with the Stumpff
-    # functions C and S of z; the flight time F(z) = (y / C)**1.5 * S
-    # + a_coef * sqrt(y) - target counts as too short (negative) where
-    # y < 0, below the valid branch. Each evaluation is written out where
-    # it is needed.
-    r12 = r1n + r2n
-
-    # Bracket the root in z (zero-revolution branch: z < (2 pi)^2). The
-    # flight time is monotone increasing in z, so expand the hyperbolic
-    # side until it undershoots. Newton steps from z = 0 then narrow the
-    # bracket; a step that leaves it, or one from an iterate where y <= 0
-    # (counted as too short a flight), becomes the midpoint.
-    z_hi = TWO_PI ** 2 * 0.999
-    z_lo = -4.0 * TWO_PI ** 2
-    for _ in range(40):
-        c, s = _stumpff(z_lo)
-        y = r12 + a_coef * (z_lo * s - 1.0) / sqrt(c)
-        if y < 0.0 or (y / c) ** 1.5 * s + a_coef * sqrt(y) - target < 0.0:
-            break
-        z_lo *= 2.0
+    r1n = sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    r2n = sqrt(x2 * x2 + y2 * y2 + z2 * z2)
+    cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+    cn = sqrt(cx * cx + cy * cy + cz * cz)
+    dot = x1 * x2 + y1 * y2 + z1 * z2
+    if cn < 1e-8 * (r1n * r2n):
+        dnu = math.atan2(cn, dot)
+        raise CollinearGeometry(f"singular transfer angle {dnu!r} rad")
+    dx, dy, dz = x2 - x1, y2 - y1, z2 - z1
+    c = sqrt(dx * dx + dy * dy + dz * dz)
+    s = 0.5 * (r1n + r2n + c)
+    # ll^2 = 1 - c / s = |r1| |r2| (1 + cos dnu) / (2 s^2). Past a quarter
+    # turn 1 + cos dnu cancels, so it is taken as sin^2 dnu / (1 - cos dnu).
+    rr = r1n * r2n
+    ll = sqrt(0.5 * (rr + dot if dot >= 0.0 else cn * cn / (rr - dot))) / s
+    # The arc's orbit normal is (r1 x r2) * h; it sweeps the long way, past
+    # half a turn (ll < 0), where that normal points against r1 x r2.
+    h = 1.0 / cn
+    if (cz >= 0.0) != prograde:
+        ll, h = -ll, -h
+    target = sqrt(2.0 * GEO.mu / s) / s * tof
+    # Izzo's initial guess, from T at x = 0 and at the parabola x = 1.
+    t00 = math.acos(ll) + ll * sqrt(1.0 - ll * ll)
+    t1 = 2.0 / 3.0 * (1.0 - ll * ll * ll)
+    if target >= t00:
+        x = (t00 / target) ** (2.0 / 3.0) - 1.0
+    elif target < t1:
+        x = 2.5 * t1 * (t1 - target) / (target * (1.0 - ll ** 5)) + 1.0
     else:
-        raise NoConvergence("Lambert time of flight not bracketed")
-    c, s = _stumpff(z_hi)
-    y = r12 + a_coef * (z_hi * s - 1.0) / sqrt(c)
-    if y < 0.0 or (y / c) ** 1.5 * s + a_coef * sqrt(y) - target < 0.0:
-        raise NoConvergence("Lambert time of flight not bracketed")
-    z = 0.0
+        x = (target / t00) ** (math.log(2.0) / math.log(t1 / t00)) - 1.0
+    lo, hi = -1.0, math.inf
     for _ in range(max_iter):
-        c, s = _stumpff(z)
-        y = r12 + a_coef * (z * s - 1.0) / sqrt(c)
-        z_new = None
-        if y <= 0.0:
-            z_lo = z
+        if x == 1.0:  # the parabola, where T's derivatives are 0 / 0
+            x = math.nextafter(1.0, 2.0)
+        t, dt, ddt, dddt = _izzo_tof(x, ll)
+        f = t - target
+        if f > 0.0:
+            lo = x
         else:
-            sqrt_y = sqrt(y)
-            x3 = (y / c) ** 1.5
-            f = x3 * s + a_coef * sqrt_y - target
-            if f > 0.0:
-                z_hi = z
-            else:
-                z_lo = z
-            # dF/dz; its general form cancels to 0/0 at z = 0, so within
-            # the Stumpff series band the z = 0 limit is used.
-            if abs(z) > 1e-8:
-                dfdz = (x3 * ((c - 1.5 * s / c) / (2.0 * z)
-                              + 0.75 * s * s / c)
-                        + a_coef / 8.0 * (3.0 * s / c * sqrt_y
-                                          + a_coef * sqrt(c / y)))
-            else:
-                dfdz = (sqrt(2.0) / 40.0 * y * sqrt_y
-                        + a_coef / 8.0 * (sqrt_y
-                                          + a_coef * sqrt(0.5 / y)))
-            if dfdz > 0.0:
-                z_new = z - f / dfdz
-        if z_new is None or not z_lo <= z_new <= z_hi:
-            z_new = 0.5 * (z_lo + z_hi)
-        if abs(z_new - z) < 1e-13 * max(1.0, abs(z_new)):
-            z = z_new
+            hi = x
+        # A zero f is the root; on the parabola its step would be 0 / 0.
+        dt2 = dt * dt
+        x_new = x - f * (dt2 - 0.5 * f * ddt) / (
+            dt * (dt2 - f * ddt) + dddt * f * f / 6.0) if f else x
+        if abs(x_new - x) < 1e-13 * (1.0 + abs(x)):
+            x = x_new
             break
-        z = z_new
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi) if hi < math.inf else 1.5 + 2.0 * abs(lo)
+        x = x_new
     else:
         raise NoConvergence("Lambert iteration did not converge")
-    c, s = _stumpff(z)
-    y = r12 + a_coef * (z * s - 1.0) / sqrt(c)
-    if y <= 0.0:
-        raise NoConvergence("Lambert iteration converged to invalid geometry")
 
-    fl = 1.0 - y / r1n
-    g = a_coef * math.sqrt(y / mu)
-    gdot = 1.0 - y / r2n
-    v1 = ((x2 - fl * x1) / g, (y2 - fl * y1) / g, (z2 - fl * z1) / g)
-    v2 = ((gdot * x2 - x1) / g, (gdot * y2 - y1) / g, (gdot * z2 - z1) / g)
-    return v1, v2
+    y = sqrt(1.0 - ll * ll * (1.0 - x * x))
+    gamma = sqrt(0.5 * GEO.mu * s)
+    rho = (r1n - r2n) / c
+    radial = gamma * (ll * y - x)
+    skew = gamma * rho * (ll * y + x)
+    tangential = gamma * sqrt(max(0.0, 1.0 - rho * rho)) * (y + ll * x) * h
+    # Each velocity is a * r + b * (r1 x r2) x r: its radial and tangential
+    # speeds over |r|, the tangential one also times h.
+    a1, b1 = (radial - skew) / (r1n * r1n), tangential / (r1n * r1n)
+    a2, b2 = -(radial + skew) / (r2n * r2n), tangential / (r2n * r2n)
+    return ((a1 * x1 + b1 * (cy * z1 - cz * y1),
+             a1 * y1 + b1 * (cz * x1 - cx * z1),
+             a1 * z1 + b1 * (cx * y1 - cy * x1)),
+            (a2 * x2 + b2 * (cy * z2 - cz * y2),
+             a2 * y2 + b2 * (cz * x2 - cx * z2),
+             a2 * z2 + b2 * (cx * y2 - cy * x2)))

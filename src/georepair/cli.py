@@ -291,8 +291,25 @@ def _summary_payload(scenario, result: SolveResult, config: RunConfig,
     }
 
 
-def cmd_solve(scenario_path: Path, config: RunConfig, out_dir: Path) -> int:
+def _load_named(scenario_path: Path):
+    """``load``, refusing with a ``ParseError`` a scenario in which two
+    servicers or two targets share a name: ``schedule.csv`` and
+    ``summary.json`` tell bodies apart by name, so the second would vanish
+    from ``per_servicer_dv_mps`` or merge with the first in the routes."""
     scenario = load(scenario_path)
+    for key, bodies in (("servicers", scenario.servicers),
+                        ("targets", scenario.targets)):
+        first = {}
+        for i, body in enumerate(bodies):
+            j = first.setdefault(body.name, i)
+            if j != i:
+                raise ParseError(f"{key}[{i}]: name {body.name!r} repeats "
+                                 f"{key}[{j}]")
+    return scenario
+
+
+def cmd_solve(scenario_path: Path, config: RunConfig, out_dir: Path) -> int:
+    scenario = _load_named(scenario_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     result, wall = _run_one(scenario, config)
     write_schedule(out_dir / "schedule.csv", scenario, result.best_evaluation)

@@ -14,8 +14,8 @@ whose rounding depends on the BLAS kernel numpy picks. The two agree to
 1e-12 of each field's scale away from the branch points (a gap of a half
 turn, a departure on a node), where the kernel's rule decides. It shares
 ``phasing_solution`` with the package. ``propagate_universal`` is the
-independent two-body propagator, and ``propagate_through_solution`` flies
-a leg's impulses through it.
+independent two-body propagator, on the Stumpff functions of ``stumpff``,
+and ``propagate_through_solution`` flies a leg's impulses through it.
 """
 
 import math
@@ -31,7 +31,6 @@ from georepair.astro import (
     InvalidRevolutions,
     NoConvergence,
     RendezvousSolution,
-    _stumpff,
     orbit_to_state,
     phasing_solution,
 )
@@ -155,6 +154,23 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit,
         total_dv=total_dv, revolutions=int(k), alpha=alpha, theta=theta)
 
 
+def stumpff(z: float) -> tuple[float, float]:
+    """Stumpff functions (C(z), S(z)) of the universal variable ``z``.
+
+    Within 1e-8 of zero they switch to their series, which avoids
+    cancellation in ``1 - cos`` and ``sz - sin``.
+    """
+    if z > 1e-8:
+        sz = math.sqrt(z)
+        return (1.0 - math.cos(sz)) / z, (sz - math.sin(sz)) / (sz * z)
+    if z < -1e-8:
+        sz = math.sqrt(-z)
+        return ((math.cosh(sz) - 1.0) / (-z),
+                (math.sinh(sz) - sz) / (sz * (-z)))
+    return (0.5 - z / 24.0 + z * z / 720.0,
+            1.0 / 6.0 - z / 120.0 + z * z / 5040.0)
+
+
 def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
                         tol: float = 1e-11, max_iter: int = 120
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +191,7 @@ def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
 
     def kepler(chi):
         z = alpha * chi * chi
-        c, s = _stumpff(z)
+        c, s = stumpff(z)
         f = (r0n * vr0 / sqrt_mu * chi * chi * c
              + (1.0 - alpha * r0n) * chi ** 3 * s + r0n * chi - sqrt_mu * dt)
         fp = (r0n * vr0 / sqrt_mu * chi * (1.0 - z * s)
@@ -215,7 +231,7 @@ def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
         raise NoConvergence("universal Kepler iteration did not converge")
 
     z = alpha * chi * chi
-    c, s = _stumpff(z)
+    c, s = stumpff(z)
     fl = 1.0 - chi * chi * c / r0n
     g = dt - chi ** 3 * s / sqrt_mu
     r = fl * r0 + g * v0

@@ -125,6 +125,24 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == "error: scenario: unknown field 'constants'\n"
 
+    @pytest.mark.parametrize("key, first, second", [
+        ("servicers", 0, 1), ("targets", 0, 2)])
+    def test_repeated_name_exits_one(self, tmp_path, capsys, key, first,
+                                     second):
+        # summary.json keys per_servicer_dv_mps by servicer name and lists
+        # routes by names, so a repeated name would lose a body's numbers.
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        data = json.loads(scen_path.read_text())
+        name = data[key][first]["name"]
+        data[key][second]["name"] = name
+        scen_path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["solve", str(scen_path), "--out", str(out)] + FAST) == 1
+        assert capsys.readouterr().err == (
+            f"error: {key}[{second}]: name {name!r} repeats {key}[{first}]\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("path,field", [
         pytest.param(("deadline_hours",), "deadline_hours", id="deadline"),
         pytest.param(("targets", 1, "repair_hours"), "repair_hours",

@@ -681,14 +681,11 @@ class TestRaanRotation:
             assert turned_revs == revs
             assert turned_dv == pytest.approx(dv, rel=1e-12)
 
-    # Lambert legs should keep their flight times and delta-v to 1e-8
-    # relative. They do not at legs whose transfer angle is within a few
-    # degrees of a whole turn (ROADMAP item 4): these three routes
-    # were found among 42,000 random ones on random_scenario(8, 2, 15,
-    # seed) and in 200 runs of a 60-draw hypothesis test, one of which
-    # failed. Each should pass once such legs are fixed.
-    @pytest.mark.xfail(strict=True, reason="near-collinear Lambert legs are "
-                       "ill-conditioned (ROADMAP item 4)")
+    # Lambert legs keep their flight times and delta-v to 1e-8 relative.
+    # Each of these three routes, the hardest found among 42,000 random
+    # ones on random_scenario(8, 2, 15, seed) and in 200 runs of a 60-draw
+    # hypothesis test, has legs within a few degrees of a whole turn, where
+    # a Lambert solve is ill-conditioned.
     @pytest.mark.parametrize("seed,angle,sid,seq", [
         pytest.param(325, 0.6671089358518445, 2, [5, 1, 3, 8, 7, 2],
                      id="fallback-flight-time-flips"),

@@ -187,6 +187,11 @@ class TestSelection:
                 hits += 1
         assert hits / n == pytest.approx(0.75, abs=0.02)
 
+    def test_zero_fitness_gets_the_largest_positive_weight(self):
+        weights = selection_weights([0.0, 1e-9, 1.0, 3.0])
+        assert weights[0] == max(weights) == 1.0 / search.FITNESS_EPS
+        assert all(w > 0.0 for w in weights)
+
     def test_best_always_in_slot_zero(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -368,6 +373,22 @@ class TestSwapMutation:
             diffs = [i for i in range(len(chrom)) if mutated[i] != chrom[i]]
             assert len(diffs) == 2
             assert sorted(mutated) == sorted(chrom)
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (1, 2)])
+    def test_a_solve_mutates_its_two_gene_chromosomes(self, monkeypatch, m,
+                                                      n):
+        # With m + n = 3 a chromosome holds two genes, the fewest that one
+        # swap can reorder, and ``breed`` still mutates it.
+        mutated = []
+
+        def spy(chrom, rng):
+            mutated.append(len(chrom))
+            return swap_mutation(chrom, rng)
+
+        monkeypatch.setattr(search, "swap_mutation", spy)
+        solve_ga(random_scenario(m, n, 10.0, seed=5), small_ga(10, 10, 5),
+                 seed=1)
+        assert mutated and set(mutated) == {2}
 
     def test_swap_is_involution(self):
         chrom = [4, 2, 7, 1, 3]
@@ -1032,31 +1053,31 @@ class TestSolvers:
             # Equal distances keep grid order, as a stable sort gives.
             assert tried == sorted(grid, key=lambda g: abs(g - tof))
 
-    def test_lambert_solve_iterates_by_newton_steps(self, monkeypatch):
-        # Over the case study's Lambert legs (solve_lambert_ga, seed 1) the
-        # bisection that Newton's method replaced evaluated the Stumpff
-        # functions 47.6 times per lambert_solve call and Newton does 11.5
-        # times, bracket set-up included; a mean above 16 means the
-        # iteration has fallen back to bisecting.
-        counts = {"stumpff": 0, "solves": 0}
-        stumpff, solve = astro._stumpff, search.lambert_solve
+    def test_lambert_solve_iterates_by_householder_steps(self, monkeypatch):
+        # Over the case study's Lambert legs (solve_lambert_ga, seed 1)
+        # Householder steps from Izzo's initial guess evaluate T(x) 3.0
+        # times per lambert_solve call: two steps and the one that confirms
+        # convergence. A mean above 4 means the iteration has fallen back
+        # to bisecting its bracket.
+        counts = {"steps": 0, "solves": 0}
+        tof, solve = astro._izzo_tof, search.lambert_solve
 
-        def counted_stumpff(z):
-            counts["stumpff"] += 1
-            return stumpff(z)
+        def counted_tof(*args):
+            counts["steps"] += 1
+            return tof(*args)
 
         def counted_solve(*args, **kwargs):
             counts["solves"] += 1
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(astro, "_stumpff", counted_stumpff)
+        monkeypatch.setattr(astro, "_izzo_tof", counted_tof)
         monkeypatch.setattr(search, "lambert_solve", counted_solve)
         solve_lambert_ga(case_study(), seed=1)
         assert counts["solves"] > 5000
-        assert counts["stumpff"] <= 16 * counts["solves"]
+        assert counts["steps"] <= 4 * counts["solves"]
         # The exact count: a rewrite of the iteration must take the same
         # steps.
-        assert counts == {"stumpff": 115_044, "solves": 10_019}
+        assert counts == {"steps": 30_091, "solves": 10_019}
 
 
 def reference_allocate_tofs(adapter, sid, seq):
