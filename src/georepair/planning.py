@@ -6,9 +6,10 @@ fitness: total delta-v (m/s) plus weighted penalties for finishing repairs
 after the deadline and for exceeding per-servicer delta-v budgets. One
 rule scores a plan: ``CostModel._score``, the one call of the formula
 ``penalized_fitness``, scores each route, and ``CostModel._plan_sums``
-adds the scores up left to right, as the search adds up a chromosome, so
-every solve, mixed or Lambert, reports its history's best fitness, and
-``exhaustive_solve`` the total it minimized.
+adds the scores up left to right, as the search adds up a chromosome and
+``plan_fitness`` its memoized route scores, so every solve, mixed or
+Lambert, reports its history's best fitness, and ``exhaustive_solve`` the
+total it minimized.
 
 ``evaluate_plan`` is the only code that builds an ``Evaluation``. It
 takes the legs as an argument, a leg model's ``fly``, which walks a route
@@ -33,13 +34,14 @@ phase gaps are invariant under whole-revolution shifts of earlier legs, so
 one simulation of a route with every leg at one revolution serves any
 revolution allocation. A model prices under one policy, the allocator's
 slack rule and the penalty weights phi and gamma, fixed when it is built,
-and keeps two bounded memos under it. The route memo prices each
-(servicer, sequence) once: the route is simulated, allocated on end times
-alone and costed once; the search reads it through ``priced_score`` on
-target sequences alone, and ``allocate`` gives the revolutions of a
-reported plan. The insertion memo scans each (servicer, sequence, target)
-once for its cheapest slots, so LNS repair reuses a scan across repair
-rounds, attempts and generations.
+and keeps two bounded memos under it. The route memo, read and written by
+``priced_score`` alone, prices each (servicer, sequence) once: the route is
+simulated, allocated on end times alone and costed once, and the memo keeps
+only what the search reads, its score and whether it is feasible, under
+one flat key ``(servicer, *sequence)``; ``allocate`` prices a reported
+route afresh for its revolutions. The insertion memo scans each
+(servicer, target, sequence) once for its cheapest slots, so LNS repair
+reuses a scan across repair rounds, attempts and generations.
 Plans are checked once, by ``MissionPlan.validate_against`` in
 ``evaluate_plan``; a leg model's ``fly`` trusts its route, and the
 search its own input: ``decode`` does not check chromosomes, which the
@@ -375,14 +377,15 @@ class CostModel:
     changing a leg's revolution count shifts all later departure phases by
     whole periods.
 
-    ``priced_route`` memoizes, per (servicer, sequence), the allocated
-    revolutions with their delta-v, deadline violation and end time, so
-    each route's geometry is built and allocated once. The memo empties
-    itself when it reaches ``_ROUTE_CACHE_CAP`` entries. The search reads
-    it through ``priced_score`` and holds no revolutions; ``allocate``
-    gives those of a reported plan.
+    ``priced_score`` memoizes, under the flat key ``(servicer, *sequence)``,
+    a route's penalized score on its ``allocate`` revolutions and whether
+    it meets the deadline and the budget, so each route's geometry is built
+    and allocated once in a search. An entry's size does not grow with its
+    route's length beyond the key. The memo empties itself when it reaches
+    ``_ROUTE_CACHE_CAP`` entries. ``priced_route`` prices a route afresh,
+    with its revolutions, for ``allocate`` on a reported plan.
 
-    ``insertion_scan`` memoizes, per (servicer, sequence, target), the
+    ``insertion_scan`` memoizes, per (servicer, target, sequence), the
     cheapest slots for that target in that route; it empties itself at the
     same cap. ``pair_cost_table`` tables the normalized target-pair costs
     that LNS relatedness reads, once per ``beta``.
@@ -558,10 +561,20 @@ class CostModel:
         return self._score(servicer_id, dv, p1)
 
     def priced_score(self, servicer_id: int, seq):
-        """``route_score`` of a route on its ``allocate`` revolutions, read
-        from the route memo."""
-        _, dv, p1, _ = self.priced_route(servicer_id, seq)
-        return self._score(servicer_id, dv, p1)
+        """(penalized fitness, feasible) of a route on its ``allocate``
+        revolutions, from the route memo: the score of ``route_score`` and
+        whether the route meets the deadline and the budget. A miss prices
+        the route by ``priced_route``."""
+        key = (servicer_id, *seq)
+        hit = self._priced.get(key)
+        if hit is None:
+            _, dv, p1, _ = self.priced_route(servicer_id, seq)
+            score, _, p1, p2 = self._score(servicer_id, dv, p1)
+            hit = (score, p1 == 0.0 and p2 == 0.0)
+            if len(self._priced) >= _ROUTE_CACHE_CAP:
+                self._priced.clear()
+            self._priced[key] = hit
+        return hit
 
     def insertion_scan(self, servicer_id: int, seq, target_id: int):
         """Cheapest slots for ``target_id`` in one route, from the memo.
@@ -573,22 +586,21 @@ class CostModel:
         no slot does) and the first of least delta among all slots, each as
         ``(delta, slot)``.
         """
-        seq = tuple(seq)
-        key = (servicer_id, seq, target_id)
+        key = (servicer_id, target_id, *seq)
         hit = self._insertions.get(key)
         if hit is None:
+            seq = tuple(seq)
             old_score = self.priced_score(servicer_id, seq)[0]
             best = None
             best_pen = None
             for pos in range(len(seq) + 1):
-                score, _, p1, p2 = self.priced_score(
+                score, feasible = self.priced_score(
                     servicer_id, seq[:pos] + (target_id,) + seq[pos:])
                 delta = score - old_score
                 # When one slot is both minima, both share one tuple, which
                 # keeps memo entries small.
                 slot = None
-                if (p1 == 0.0 and p2 == 0.0
-                        and (best is None or delta < best[0])):
+                if feasible and (best is None or delta < best[0]):
                     best = slot = (delta, pos)
                 if best_pen is None or delta < best_pen[0]:
                     best_pen = slot or (delta, pos)
@@ -620,19 +632,11 @@ class CostModel:
 
     def priced_route(self, servicer_id: int, seq):
         """(revolutions, delta-v m/s, deadline-violation s, end time s) of a
-        route under ``allocate``, from the memo."""
+        route under ``allocate``, priced afresh."""
         if not seq:
             return _EMPTY_ROUTE
-        key = (servicer_id, tuple(seq))
-        hit = self._priced.get(key)
-        if hit is None:
-            geom = self.route_geometry(servicer_id, seq)
-            revs, cost = self._allocate(geom)
-            hit = (tuple(revs),) + cost
-            if len(self._priced) >= _ROUTE_CACHE_CAP:
-                self._priced.clear()
-            self._priced[key] = hit
-        return hit
+        revs, cost = self._allocate(self.route_geometry(servicer_id, seq))
+        return (tuple(revs),) + cost
 
     def _end_time(self, geom: _RouteGeom, revs) -> float:
         """End time (s) of ``_route_cost``, accumulated in the same order,
@@ -707,8 +711,8 @@ class CostModel:
         """``plan_metrics`` fitness of one target sequence per servicer, in
         ``scenario.servicers`` order, each on its ``allocate`` revolutions
         from the route memo."""
-        return self._plan_sums(
-            map(self.priced_score, self.servicer_ids, seqs))[0]
+        return _left_sum(score for score, _ in map(
+            self.priced_score, self.servicer_ids, seqs))
 
     # -- static target-pair geometry (destroy-operator relatedness) -----------
 

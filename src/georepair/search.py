@@ -30,15 +30,18 @@ revolutions from the model's ``allocate``.
 The engine drives one ``planning.CostModel`` per solve, built with the
 solve's penalty weights, and reads only its ``route``, ``allocate``,
 ``fly``, ``phi`` and ``gamma``; the LNS operators take that same model, so
-one pricing policy and one set of memos serve the whole solve. Each leg
-model is a ``CostModel``: ``_MixedAdapter`` is ``CostModel`` itself, built
-with the solve's slack rule, and ``_LambertAdapter`` overrides route
-pricing and ``fly`` with two-impulse Lambert legs, one revolution each,
-flown and priced in one place, ``_fly``, on plain floats: states and
-Lambert velocities are 3-tuples and each norm is a left-to-right sum under
-``math.sqrt``. Its leg cache and state memo are bounded by
-``_LEG_CACHE_CAP``, and each value depends on its key alone, so a price
-does not depend on what a memo held. The best plan is reported by
+one pricing policy and one set of memos serve the whole solve. The mixed
+model's route memo keeps, per route, only the score and the feasibility
+that ``route``, ``plan_fitness`` and the insertion scan read, and
+``allocate`` prices the reported routes afresh for their revolutions.
+Each leg model is a ``CostModel``: ``_MixedAdapter`` is ``CostModel``
+itself, built with the solve's slack rule, and ``_LambertAdapter``
+overrides route pricing and ``fly`` with two-impulse Lambert legs, one
+revolution each, flown and priced in one place, ``_fly``, on plain
+floats: states and Lambert velocities are 3-tuples and each norm is a
+left-to-right sum under ``math.sqrt``. Its leg cache and state memo are
+bounded by ``_LEG_CACHE_CAP``, and each value depends on its key alone,
+so a price does not depend on what a memo held. The best plan is reported by
 ``planning.evaluate_plan`` on the model's own ``fly``, so every leg
 reports the price the search used, a failed leg infinite in both, and the
 engine, the LNS and the report score a plan by one rule, the left sum of

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -347,7 +348,8 @@ class TestCostModelAgreement:
             _, dv, p1, _ = model.priced_route(sid, seq)
             p2 = max(dv - scenario.servicer(sid).dv_budget, 0.0)
             assert model.priced_score(sid, seq) == (
-                penalized_fitness(dv, p1, p2, 3.0, 0.5), dv, p1, p2)
+                penalized_fitness(dv, p1, p2, 3.0, 0.5),
+                p1 == 0.0 and p2 == 0.0)
 
     def test_sequence_fitness_is_the_allocated_plan_fitness(self):
         rng = random.Random(31)
@@ -379,6 +381,14 @@ class TestCostModelAgreement:
         assert end == pytest.approx(legs[-1].completion_time, rel=1e-12)
 
 
+def deep_size(value) -> int:
+    """Bytes of ``value`` and, for a tuple, of everything it holds."""
+    size = sys.getsizeof(value)
+    if isinstance(value, tuple):
+        size += sum(map(deep_size, value))
+    return size
+
+
 class TestRouteMemo:
     """``CostModel`` prices each (servicer, sequence) once under its policy;
     the memo must not change any answer and must stay bounded."""
@@ -398,12 +408,19 @@ class TestRouteMemo:
         rng = random.Random(12)
         pool = self.random_routes(scenario, rng, 12)
         memos = [CostModel(scenario, **policy) for policy in self.POLICIES]
+        outcomes = set()
         for i in range(90):
             sid, seq = rng.choice(pool)
             policy = self.POLICIES[i % len(memos)]
             memo = memos[i % len(memos)]
-            revs = memo.allocate(sid, seq)
-            assert revs == CostModel(scenario, **policy).allocate(sid, seq)
+            score, feasible = memo.priced_score(sid, seq)
+            revs = CostModel(scenario, **policy).allocate(sid, seq)
+            fresh_score, _, p1, p2 = CostModel(
+                scenario, **policy).route_score(sid, seq, revs)
+            assert score.hex() == fresh_score.hex()
+            assert feasible == (p1 == 0.0 and p2 == 0.0)
+            outcomes.add(feasible)
+            assert memo.allocate(sid, seq) == revs
             assert memo.priced_route(sid, seq) == (
                 (tuple(revs),)
                 + CostModel(scenario, **policy).route_metrics(sid, seq, revs))
@@ -415,6 +432,7 @@ class TestRouteMemo:
                 assert memo.route_score(sid, seq, r) == fresh.route_score(
                     sid, seq, r)
         assert all(len(memo._priced) <= len(pool) for memo in memos)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("revs", [[1], [1, 1, 1]])
     def test_revolutions_must_match_the_sequence(self, revs):
@@ -428,10 +446,24 @@ class TestRouteMemo:
         model = CostModel(scenario)
         routes = self.random_routes(scenario, random.Random(14), 40)
         assert len({(sid, tuple(seq)) for sid, seq in routes}) > 5
-        for sid, seq in routes:
-            revs = model.allocate(sid, seq)
+        for sid, seq in routes + routes[::-1]:
+            score, feasible = model.priced_score(sid, seq)
             assert len(model._priced) <= 5
-            assert revs == CostModel(scenario).allocate(sid, seq)
+            fresh_score, fresh_feasible = CostModel(scenario).priced_score(
+                sid, seq)
+            assert score.hex() == fresh_score.hex()
+            assert feasible == fresh_feasible
+
+    def test_memo_value_does_not_grow_with_the_route(self):
+        # A value holds what the search reads, a score and a flag, and no
+        # per-leg data, so a 40-target route's takes a 2-target route's
+        # bytes.
+        model = CostModel(random_scenario(40, 1, 60.0, seed=16))
+        sizes = set()
+        for seq in ([1, 2], list(range(1, 41))):
+            model.priced_score(1, seq)
+            sizes.add(deep_size(model._priced[(1, *seq)]))
+        assert len(sizes) == 1
 
     def test_lns_solve_builds_each_route_geometry_once(self, monkeypatch):
         built = []
@@ -446,14 +478,16 @@ class TestRouteMemo:
         result = solve_lns_aga(scenario, GaParams(population_size=20,
                                                   min_iterations=10,
                                                   stall_iterations=5), seed=1)
-        # The report reads the geometry of each reported route once more,
-        # last, to fly the legs the search priced.
+        # The report reads the geometry of each reported route twice more,
+        # last: once in ``allocate``, which prices a non-empty route afresh
+        # for its revolutions, and once to fly the legs the search priced.
         reported = [(r.servicer_id, tuple(r.target_sequence))
                     for r in result.best_plan.routes]
-        searched = built[:-len(reported)]
+        report = [key for key in reported if key[1]] + reported
+        searched = built[:-len(report)]
         assert searched
         assert len(searched) == len(set(searched))
-        assert built[-len(reported):] == reported
+        assert built[-len(report):] == report
 
     def test_lns_solve_builds_each_leg_pair_once(self, monkeypatch):
         built = []
@@ -663,13 +697,17 @@ class TestRaanRotation:
     leg's dihedral, coast and phase gap as they were, so the allocation and
     the price of every route must not move."""
 
+    # A scenario seed, a turning angle and up to six routes of it.
+    ROTATED_ROUTES = dict(
+        seed=st.integers(1, 10 ** 6),
+        angle=st.floats(0.0, TWO_PI, exclude_max=True),
+        routes=st.lists(st.tuples(
+            st.sampled_from([1, 2]),
+            st.lists(st.integers(1, 8), min_size=1, max_size=8,
+                     unique=True)), min_size=1, max_size=6))
+
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(1, 10 ** 6),
-           angle=st.floats(0.0, TWO_PI, exclude_max=True),
-           routes=st.lists(st.tuples(
-               st.sampled_from([1, 2]),
-               st.lists(st.integers(1, 8), min_size=1, max_size=8,
-                        unique=True)), min_size=1, max_size=6))
+    @given(**ROTATED_ROUTES)
     def test_allocation_and_mixed_delta_v_are_invariant(self, seed, angle,
                                                         routes):
         scenario = random_scenario(8, 2, 15.0, seed)
@@ -682,27 +720,28 @@ class TestRaanRotation:
             assert turned_dv == pytest.approx(dv, rel=1e-12)
 
     # Lambert legs keep their flight times and delta-v to 1e-8 relative.
-    # Each of these three routes, the hardest found among 42,000 random
-    # ones on random_scenario(8, 2, 15, seed) and in 200 runs of a 60-draw
+    # Each of the three examples, the hardest found among 42,000 random
+    # routes on random_scenario(8, 2, 15, seed) and in 200 runs of a 60-draw
     # hypothesis test, has legs within a few degrees of a whole turn, where
-    # a Lambert solve is ill-conditioned.
-    @pytest.mark.parametrize("seed,angle,sid,seq", [
-        pytest.param(325, 0.6671089358518445, 2, [5, 1, 3, 8, 7, 2],
-                     id="fallback-flight-time-flips"),
-        pytest.param(467, 5.245032498024499, 2, [8, 7, 2],
-                     id="delta-v-2.7e-8"),
-        pytest.param(253590, 0.125, 1, [1], id="delta-v-1.4e-8"),
-    ])
+    # a Lambert solve is ill-conditioned; the first once changed a leg's
+    # fallback flight time.
+    @settings(max_examples=200, deadline=None)
+    @given(**ROTATED_ROUTES)
+    @example(seed=325, angle=0.6671089358518445,
+             routes=[(2, [5, 1, 3, 8, 7, 2])])
+    @example(seed=467, angle=5.245032498024499, routes=[(2, [8, 7, 2])])
+    @example(seed=253590, angle=0.125, routes=[(1, [1])])
     def test_lambert_flight_times_and_delta_v_are_invariant(self, seed,
-                                                            angle, sid, seq):
+                                                            angle, routes):
         scenario = random_scenario(8, 2, 15.0, seed)
-        tofs, dv, _, _ = _LambertAdapter(
-            scenario, DEFAULT_PHI, DEFAULT_GAMMA).route_detail(sid, seq)
-        turned_tofs, turned_dv, _, _ = _LambertAdapter(
-            _raan_turned(scenario, angle), DEFAULT_PHI,
-            DEFAULT_GAMMA).route_detail(sid, seq)
-        assert turned_tofs == tofs
-        assert turned_dv == pytest.approx(dv, rel=1e-8)
+        model = _LambertAdapter(scenario, DEFAULT_PHI, DEFAULT_GAMMA)
+        turned = _LambertAdapter(_raan_turned(scenario, angle), DEFAULT_PHI,
+                                 DEFAULT_GAMMA)
+        for sid, seq in routes:
+            tofs, dv, _, _ = model.route_detail(sid, seq)
+            turned_tofs, turned_dv, _, _ = turned.route_detail(sid, seq)
+            assert turned_tofs == tofs
+            assert turned_dv == pytest.approx(dv, rel=1e-8)
 
 
 @st.composite

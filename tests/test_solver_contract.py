@@ -4,9 +4,11 @@ Every solve reports its history's best: ``best_evaluation.fitness`` is the
 least best fitness in ``history`` by ``float.hex``, and its leg model's
 ``plan_metrics`` of the best plan, because the engine, the LNS, the report
 and the oracle score a plan by one rule, the left sum of
-``CostModel._score`` route scores. The scenarios are small: 1 to 3
-servicers, 1 to 5 targets, round-degree angles and angles a few ulps from
-them, zero and non-zero repair times and deadlines of 1 to 30 days.
+``CostModel._score`` route scores. Every reported leg, mixed or Lambert,
+lands on its target under the independent propagator. The scenarios are
+small: 1 to 3 servicers, 1 to 5 targets, round-degree angles and angles a
+few ulps from them, zero and non-zero repair times and deadlines of 1 to
+30 days.
 """
 
 import math
@@ -27,6 +29,7 @@ from georepair.search import (
     solve_lns_aga,
 )
 from scenario_builders import make_scenario
+from test_fingerprint import CLOSURE_BOUNDS, assert_legs_close
 
 DAY = 86400.0
 GA = GaParams(population_size=20, min_iterations=10, stall_iterations=5)
@@ -104,6 +107,11 @@ def test_every_solve_reports_its_history_best(scenario, seed):
             x.hex() for x in (ev.fitness, ev.total_dv, ev.deadline_penalty,
                               ev.budget_penalty)], name
         assert feasible == ev.feasible, name
+
+        flown, skipped = assert_legs_close(
+            scenario, result,
+            CLOSURE_BOUNDS["mixed" if name in MIXED else "lambert"])
+        assert flown + skipped == len(scenario.targets), name
 
         if name not in MIXED:
             continue
