@@ -7,12 +7,7 @@ using a mixed plane-change/phasing rendezvous model and a hybrid
 large-neighborhood-search adaptive genetic algorithm.
 """
 
-from .astro import (
-    GEO,
-    CartesianState,
-    GeoOrbit,
-    RendezvousSolution,
-)
+from .astro import GEO, CartesianState, GeoOrbit
 from .planning import (
     Evaluation,
     MissionPlan,
@@ -37,7 +32,7 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GEO", "CartesianState", "GeoOrbit", "RendezvousSolution",
+    "GEO", "CartesianState", "GeoOrbit",
     "Evaluation", "MissionPlan", "Route", "Scenario", "Servicer", "Target",
     "allocate_revolutions", "evaluate_plan", "exhaustive_solve",
     "case_study", "load", "random_scenario", "save",

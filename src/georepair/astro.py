@@ -11,19 +11,20 @@ on the departure orbit to the nearer intersection of the two orbit
 planes, rotate the velocity into the target plane while simultaneously
 entering a phasing ellipse tangent at that point, then recircularize k
 revolutions later exactly when the target sweeps through the maneuver
-point. Its geometry, the coast and the phase gap of each leg, has one
-copy, the route kernel of ``planning.CostModel``; ``phasing_solution``
-gives the ellipse of a gap and ``rendezvous_mixed`` turns a priced leg
-into impulses and times. A zero-revolution Lambert solver, Izzo's
+point. Its geometry, the coast and the phase gap of each leg, and its
+price have one copy, the route kernel of ``planning.CostModel``;
+``phasing_solution`` gives the ellipse of a gap and ``rendezvous_mixed``
+turns a leg's coast and phase gap into impulses and times, which
+``planning.LegDetail`` reports. A zero-revolution Lambert solver, Izzo's
 Householder iteration kept inside a bracket, is included as the baseline
 transfer model for comparisons.
 
 Everything here works on plain floats. ``orbit_to_state`` gives position
-and velocity as 3-tuples, ``rendezvous_mixed`` returns its impulses as
-3-tuples, and ``lambert_solve`` takes any 3-sequences and returns 3-tuples.
-Every norm and dot product is a left-to-right sum of products, under
-``math.sqrt`` for a norm, so each float depends only on IEEE double
-arithmetic and libm.
+and velocity as 3-tuples, ``rendezvous_mixed`` returns a plain tuple whose
+impulses are 3-tuples, and ``lambert_solve`` takes any 3-sequences and
+returns 3-tuples. Every norm and dot product is a left-to-right sum of
+products, under ``math.sqrt`` for a norm, so each float depends only on
+IEEE double arithmetic and libm.
 """
 
 from __future__ import annotations
@@ -137,33 +138,6 @@ class CartesianState:
     t: float
 
 
-@dataclass(frozen=True)
-class RendezvousSolution:
-    """One reported transfer leg.
-
-    ``impulse1`` (m/s) combines the plane-change and phasing-entry burns at
-    time ``t1``; ``impulse2`` (m/s) recircularizes at ``t2``; ``total_dv``
-    (m/s) is the price the search gave the leg. ``theta`` is the signed
-    phase gap fed to the phasing-orbit equations, measured from the target
-    to the maneuver point (positive: target trails and must catch up while
-    the servicer rides a slower ellipse). ``alpha`` is the dihedral angle
-    between the departure and target planes. Both impulses are 3-tuples of
-    floats.
-    """
-
-    impulse1: tuple[float, float, float]
-    impulse2: tuple[float, float, float]
-    t1: float
-    t2: float
-    coast_time: float
-    phase_time: float
-    total_time: float
-    total_dv: float
-    revolutions: int
-    alpha: float
-    theta: float
-
-
 def orbit_to_state(orbit: GeoOrbit, t: float) -> CartesianState:
     """Propagate a circular GEO orbit to time ``t`` since epoch.
 
@@ -224,20 +198,28 @@ def _check_positive_int(name: str, k, exc_class=ValueError) -> None:
 
 
 def rendezvous_mixed(departure: GeoOrbit, target: GeoOrbit, t: float,
-                     coast: float, theta: float, alpha: float, k: int,
-                     total_dv: float) -> RendezvousSolution:
+                     coast: float, theta: float, alpha: float, k: int
+                     ) -> tuple[tuple[float, float, float],
+                                tuple[float, float, float],
+                                float, float, float]:
     """Impulses and times of one mixed plane-change/phasing leg.
 
     The leg leaves ``departure`` at time ``t``, coasts ``coast`` s to a node
     of the two planes, which are ``alpha`` apart, and there turns into the
     target plane while entering a phasing ellipse that closes the signed
     phase gap ``theta`` in ``k`` revolutions; it recircularizes on the
-    target at ``t2``. The geometry and the price ``total_dv`` (m/s) are
-    ``planning.CostModel``'s, and the times add up in its order. The plane
-    change takes the velocity of ``departure`` at ``t1`` to that of the
-    target at ``t2``, when the target passes the node, and the two phasing
-    burns lie along the latter. Planes less than ``COPLANAR_TOL`` apart are
-    one plane, as the kernel prices them: no plane change.
+    target at ``t2``. The geometry is ``planning.CostModel``'s, and the
+    times add up in its order. The plane change takes the velocity of
+    ``departure`` at ``t1`` to that of the target at ``t2``, when the target
+    passes the node, and the two phasing burns lie along the latter. Planes
+    less than ``COPLANAR_TOL`` apart are one plane, as the kernel prices
+    them: no plane change.
+
+    Returns ``(impulse1, impulse2, t1, t2, phase time)``: the combined
+    plane-change and phasing-entry burn (m/s, a 3-tuple of floats) at
+    ``t1 = t + coast``, the recircularizing burn (m/s) at ``t2``, and the
+    phasing time (s) that ``t2`` adds to ``t1``. The leg's price is the
+    kernel's, not recomputed here.
     """
     t_phase, _, dv_mag = phasing_solution(theta, k)
     t1 = t + coast
@@ -252,13 +234,9 @@ def rendezvous_mixed(departure: GeoOrbit, target: GeoOrbit, t: float,
     # the entry burn is retrograde.
     s = 0.5 * dv_mag / GEO.v_geo * ((theta > 0.0) - (theta < 0.0))
     px, py, pz = ax * s, ay * s, az * s
-    return RendezvousSolution(
-        impulse1=((ax - bx) * 1000.0 + px, (ay - by) * 1000.0 + py,
-                  (az - bz) * 1000.0 + pz),
-        impulse2=(-px, -py, -pz),
-        t1=t1, t2=t2,
-        coast_time=coast, phase_time=t_phase, total_time=coast + t_phase,
-        total_dv=total_dv, revolutions=int(k), alpha=alpha, theta=theta)
+    return (((ax - bx) * 1000.0 + px, (ay - by) * 1000.0 + py,
+             (az - bz) * 1000.0 + pz),
+            (-px, -py, -pz), t1, t2, t_phase)
 
 
 def _izzo_tof(x: float, ll: float) -> tuple[float, float, float, float]:

@@ -212,19 +212,15 @@ def write_schedule(path: Path, scenario, evaluation: Evaluation):
         writer = csv.writer(fh)
         writer.writerow(SCHEDULE_COLUMNS)
         for leg in evaluation.leg_details:
-            sol = leg.solution
             writer.writerow([
                 names[leg.servicer_id], names_t[leg.target_id],
-                f"{sol.impulse1[0]:.6f}", f"{sol.impulse1[1]:.6f}",
-                f"{sol.impulse1[2]:.6f}",
-                f"{sol.impulse2[0]:.6f}", f"{sol.impulse2[1]:.6f}",
-                f"{sol.impulse2[2]:.6f}",
-                _fmt_time(scenario.epoch, sol.t1),
-                _fmt_time(scenario.epoch, sol.t1, iso=True),
-                _fmt_time(scenario.epoch, sol.t2),
-                _fmt_time(scenario.epoch, sol.t2, iso=True),
-                f"{sol.coast_time:.3f}", f"{sol.phase_time:.3f}",
-                f"{sol.total_dv:.6f}",
+                *(f"{x:.6f}" for x in leg.impulse1 + leg.impulse2),
+                _fmt_time(scenario.epoch, leg.impulse1_time),
+                _fmt_time(scenario.epoch, leg.impulse1_time, iso=True),
+                _fmt_time(scenario.epoch, leg.arrival_time),
+                _fmt_time(scenario.epoch, leg.arrival_time, iso=True),
+                f"{leg.coast_time:.3f}", f"{leg.phase_time:.3f}",
+                f"{leg.total_dv:.6f}",
             ])
 
 
@@ -244,7 +240,7 @@ def _route_record(scenario, route, config: RunConfig, ev: Evaluation
     }
     if config.algorithm == "lambert-ga":
         record["flight_times_s"] = [
-            leg.solution.total_time for leg in ev.leg_details
+            leg.phase_time for leg in ev.leg_details
             if leg.servicer_id == route.servicer_id]
     else:
         record["revolutions"] = list(route.revolutions)

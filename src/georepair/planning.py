@@ -13,21 +13,20 @@ total it minimized.
 
 ``evaluate_plan`` is the only code that builds an ``Evaluation``. It
 takes the legs as an argument, a leg model's ``fly``, which walks a route
-once and returns its ``LegDetail``s, each leg with its impulses, its
-departure, arrival and completion times, for schedule output: the
-default is ``CostModel.fly``, the mixed legs the search prices, and the
-Lambert model in ``search``, a ``CostModel`` too, flies its own
-two-impulse legs; ``evaluate_plan`` only adds up each route's legs.
-``CostModel`` is the one copy of the mixed leg's geometry. Its kernel is
-``CostModel.route_geometry``, which simulates a route's legs, and
-``CostModel._route_cost``, which prices them; each is one loop per route
-with no call per leg. The search, the exhaustive
-oracle's per-leg tables and the report all read it: ``fly`` hands each
-leg's coast, phase gap and price to ``astro.rendezvous_mixed``, which only
-adds impulses and times, so a reported mixed plan is
-``CostModel.plan_metrics`` to the last bit. The kernel must keep the IEEE
-operation order of every expression: the memos, the search and the
-fingerprint tests rely on its floats being bit-for-bit what they are.
+once and returns its ``LegDetail``s, one record per leg holding each of
+its facts once: the default is ``CostModel.fly``, the mixed legs the
+search prices, and the Lambert model in ``search``, a ``CostModel`` too,
+flies its own two-impulse legs; ``evaluate_plan`` only adds up each
+route's legs. ``CostModel`` is the one copy of the mixed leg's geometry.
+Its kernel is ``CostModel.route_geometry``, which simulates a route's
+legs, and ``CostModel._route_cost``, which prices them; each is one loop
+per route with no call per leg. The search, the exhaustive oracle's
+per-leg tables and the report all read it: ``fly`` hands each leg's
+coast, phase gap and dihedral to ``astro.rendezvous_mixed`` for impulses
+and times and reports the leg at the kernel's price, so a reported mixed
+plan is ``CostModel.plan_metrics`` to the last bit. The kernel must keep
+the IEEE operation order of every expression: the memos, the search and
+the fingerprint tests rely on its floats being bit-for-bit what they are.
 Every sum of floats adds left to right (``_left_sum``), never through
 ``sum``, whose rounding depends on the Python version. Coast times and
 phase gaps are invariant under whole-revolution shifts of earlier legs, so
@@ -61,7 +60,6 @@ from .astro import (
     TWO_PI,
     GeoOrbit,
     InvalidRevolutions,
-    RendezvousSolution,
     _check_finite,
     _check_positive_int,
     fold_angle,
@@ -71,6 +69,11 @@ from .astro import (
 
 DEFAULT_PHI = 1.0     # fitness per minute of deadline violation
 DEFAULT_GAMMA = 10.0  # fitness per m/s of budget excess
+
+# GEO quantities of the phasing-burn formula, in the kernel's expressions.
+_SQRT_MU = math.sqrt(GEO.mu)
+_TWO_OVER_R = 2.0 / GEO.r_geo
+_INV_SQRT_R = math.sqrt(1.0 / GEO.r_geo)
 
 
 def penalized_fitness(dv: float, p1: float, p2: float, phi: float,
@@ -228,21 +231,40 @@ class MissionPlan:
             raise ValueError("plan must cover every target exactly once")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LegDetail:
+    """One reported leg of a route, flown by a leg model's ``fly``.
+
+    ``impulse1`` (m/s, a 3-tuple of floats) is fired at ``impulse1_time``
+    and ``impulse2`` at ``arrival_time``, when the servicer reaches the
+    target; a mixed leg first coasts ``coast_time`` s on its departure
+    orbit and then spends ``phase_time`` s between its burns, a Lambert leg
+    fires at once and ``phase_time`` is its flight time. The four instants
+    are seconds since the epoch. ``total_dv`` (m/s) is the price the search
+    gave the leg: infinite, with NaN impulses, for a Lambert leg that
+    cannot fly.
+    """
+
     servicer_id: int
     target_id: int
-    solution: RendezvousSolution
-    depart_time: float      # s since epoch, start of the leg
-    arrival_time: float     # s since epoch, s_ik
+    impulse1: tuple[float, float, float]
+    impulse2: tuple[float, float, float]
+    depart_time: float      # end of the previous repair, or the epoch
+    impulse1_time: float    # depart_time + coast_time
+    arrival_time: float     # s_ik, the second burn
     completion_time: float  # arrival + repair duration
+    coast_time: float
+    phase_time: float
+    total_dv: float
 
 
 @dataclass
 class Evaluation:
     """Penalized fitness of a plan: ``fitness`` is the left sum, in route
     order, of the route scores ``penalized_fitness(dv, p1, p2, phi,
-    gamma)``, phi and gamma being the penalty weights of the solve."""
+    gamma)``, phi and gamma being the penalty weights of the solve.
+    ``per_servicer_dv`` holds each servicer's route delta-v in
+    ``scenario.servicers`` order, 0.0 for a servicer without a route."""
 
     leg_details: list[LegDetail]
     per_servicer_dv: list[float]
@@ -304,7 +326,7 @@ class _Pair:
     __slots__ = ("degenerate", "alpha", "dv1", "s_half", "psi_from", "psi_to",
                  "lam_diff", "u0_from", "u0_to")
 
-    def __init__(self, frm: _Body, to: _Body, v_geo: float):
+    def __init__(self, frm: _Body, to: _Body):
         self.u0_from = frm.u0
         self.u0_to = to.u0
         hf, ht = frm.h, to.h
@@ -324,7 +346,7 @@ class _Pair:
         else:
             nx, ny, nz = cx / cn, cy / cn, cz / cn
             self.s_half = math.sin(self.alpha / 2.0)
-            self.dv1 = 2.0 * v_geo * 1000.0 * self.s_half
+            self.dv1 = 2.0 * GEO.v_geo * 1000.0 * self.s_half
             self.psi_from = math.atan2(
                 nx * frm.e2[0] + ny * frm.e2[1] + nz * frm.e2[2],
                 nx * frm.e1[0] + ny * frm.e1[1] + nz * frm.e1[2]) % TWO_PI
@@ -400,19 +422,12 @@ class CostModel:
         self.slack_rule = slack_rule
         self.phi = phi
         self.gamma = gamma
-        self.t_geo = GEO.t_geo
         self.deadline = scenario.deadline
-        self.mean_motion = GEO.mean_motion
-        self._sqrt_mu = math.sqrt(GEO.mu)
-        self._r = GEO.r_geo
-        self._two_over_r = 2.0 / GEO.r_geo
-        self._inv_sqrt_r = math.sqrt(1.0 / GEO.r_geo)
         self._bodies = {}
         for s in scenario.servicers:
             self._bodies[("S", s.id)] = _Body(s.orbit)
         for t in scenario.targets:
             self._bodies[t.id] = _Body(t.orbit)
-        self._v_geo = GEO.v_geo
         self._pairs: dict = {}
         self._priced: dict = {}
         self._insertions: dict = {}
@@ -427,7 +442,7 @@ class CostModel:
     def _pair(self, from_key, to_id) -> _Pair:
         """Build and keep the geometry of one (from, to) pair; callers look
         in ``_pairs`` first, so each pair is built once."""
-        p = _Pair(self._bodies[from_key], self._bodies[to_id], self._v_geo)
+        p = _Pair(self._bodies[from_key], self._bodies[to_id])
         self._pairs[(from_key, to_id)] = p
         return p
 
@@ -443,8 +458,8 @@ class CostModel:
         """
         pairs = self._pairs
         td_of = self._td
-        n = self.mean_motion
-        t_geo = self.t_geo
+        n = GEO.mean_motion
+        t_geo = GEO.t_geo
         pi = math.pi
         coasts, thetas, dv1s, shalves, tds = [], [], [], [], []
         t = 0.0
@@ -492,11 +507,11 @@ class CostModel:
         dv = 0.0
         p1 = 0.0
         deadline = self.deadline
-        t_geo = self.t_geo
-        r = self._r
-        burn_scale = 1000.0 * self._sqrt_mu
-        two_over_r = self._two_over_r
-        inv_sqrt_r = self._inv_sqrt_r
+        t_geo = GEO.t_geo
+        r = GEO.r_geo
+        burn_scale = 1000.0 * _SQRT_MU
+        two_over_r = _TWO_OVER_R
+        inv_sqrt_r = _INV_SQRT_R
         sqrt = math.sqrt
         for coast, theta, dv1, s_half, td, k in zip(
                 geom.coasts, geom.thetas, geom.dv1s, geom.shalves, geom.tds,
@@ -532,12 +547,14 @@ class CostModel:
         legs = []
         for q, (tid, k) in enumerate(zip(seq, route.revolutions)):
             target = self.scenario.target(tid).orbit
-            sol = rendezvous_mixed(
-                departure, target, t, geom.coasts[q], geom.thetas[q],
-                self._pairs[from_key, tid].alpha, k,
-                self._route_cost(geom.leg(q), (k,))[0])
-            completion = sol.t2 + geom.tds[q]
-            legs.append(LegDetail(sid, tid, sol, t, sol.t2, completion))
+            coast = geom.coasts[q]
+            imp1, imp2, t1, t2, phase = rendezvous_mixed(
+                departure, target, t, coast, geom.thetas[q],
+                self._pairs[from_key, tid].alpha, k)
+            completion = t2 + geom.tds[q]
+            legs.append(LegDetail(
+                sid, tid, imp1, imp2, t, t1, t2, completion, coast, phase,
+                self._route_cost(geom.leg(q), (k,))[0]))
             t = completion
             from_key, departure = tid, target
         return legs
@@ -642,7 +659,7 @@ class CostModel:
         """End time (s) of ``_route_cost``, accumulated in the same order,
         without the delta-v."""
         t = 0.0
-        t_geo = self.t_geo
+        t_geo = GEO.t_geo
         for coast, theta, td, k in zip(geom.coasts, geom.thetas, geom.tds,
                                        revs):
             t = t + coast + ((TWO_PI * k + theta) / TWO_PI) * t_geo + td
@@ -657,7 +674,7 @@ class CostModel:
         n_max = self._max_revs
         deadline = self.deadline
         t_phase_budget = deadline - geom.sum_td - geom.sum_coast
-        pieces = math.floor(t_phase_budget / self.t_geo)
+        pieces = math.floor(t_phase_budget / GEO.t_geo)
         base = min(max(pieces // legs, 1), n_max)
         revs = [base] * legs
         gaps = [abs(th) for th in geom.thetas]
@@ -673,7 +690,7 @@ class CostModel:
         else:
             slack = deadline - end
             if slack > 0.0:
-                extra = math.floor(slack / self.t_geo)
+                extra = math.floor(slack / GEO.t_geo)
                 if extra >= 1:
                     # Ties go to the first leg of the largest gap, or to
                     # the last leg of the smallest.
@@ -779,16 +796,19 @@ def evaluate_plan(scenario: Scenario, plan: MissionPlan,
         legs = model.fly
     details = []
     scores = []
+    route_dv = {}
     for route in plan.routes:
         flown = legs(route)
         details.extend(flown)
-        dv = _left_sum(leg.solution.total_dv for leg in flown)
+        dv = _left_sum(leg.total_dv for leg in flown)
         late = _left_sum(max(leg.completion_time - scenario.deadline, 0.0)
                          for leg in flown)
         scores.append(model._score(route.servicer_id, dv, late))
+        route_dv[route.servicer_id] = dv
     fitness, total_dv, p1, p2, feasible = model._plan_sums(scores)
     return Evaluation(leg_details=details,
-                      per_servicer_dv=[score[1] for score in scores],
+                      per_servicer_dv=[route_dv.get(s.id, 0.0)
+                                       for s in scenario.servicers],
                       total_dv=total_dv, deadline_penalty=p1,
                       budget_penalty=p2, fitness=fitness, feasible=feasible)
 

@@ -41,15 +41,17 @@ revolution each, flown and priced in one place, ``_fly``, on plain
 floats: states and Lambert velocities are 3-tuples and each norm is a
 left-to-right sum under ``math.sqrt``. Its leg cache and state memo are
 bounded by ``_LEG_CACHE_CAP``, and each value depends on its key alone,
-so a price does not depend on what a memo held. The best plan is reported by
-``planning.evaluate_plan`` on the model's own ``fly``, so every leg
-reports the price the search used, a failed leg infinite in both, and the
-engine, the LNS and the report score a plan by one rule, the left sum of
-``CostModel._score`` route scores: every solve, mixed or Lambert, reports
-the fitness of its history's best, and ``plan_metrics`` equals it. Both
-leg models run on plain floats, and every sum of floats adds left to
-right (``planning._left_sum``), so no reported float depends on the
-host's linear-algebra library or on the Python version.
+so a price does not depend on what a memo held. The best plan is reported
+by ``planning.evaluate_plan`` on the model's own ``fly``, so every leg
+reports the price the search used, a failed leg infinite in both; a
+Lambert ``LegDetail`` does not coast, fires at departure and gives its
+flight time as its phasing time. The engine, the LNS and the report score
+a plan by one rule, the left sum of ``CostModel._score`` route scores:
+every solve, mixed or Lambert, reports the fitness of its history's best,
+and ``plan_metrics`` equals it. Both leg models run on plain floats, and
+every sum of floats adds left to right (``planning._left_sum``), so no
+reported float depends on the host's linear-algebra library or on the
+Python version.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .astro import (
+    GEO,
     AstroError,
-    RendezvousSolution,
     fold_angle,
     lambert_solve,
     orbit_to_state,
@@ -454,8 +456,8 @@ class _LambertAdapter(CostModel):
 
     def __init__(self, scenario: Scenario, phi: float, gamma: float):
         super().__init__(scenario, phi=phi, gamma=gamma)
-        grid = sorted(f * self.t_geo for f in DEFAULT_TOF_FRACTIONS
-                      if f * self.t_geo < self.deadline)
+        grid = sorted(f * GEO.t_geo for f in DEFAULT_TOF_FRACTIONS
+                      if f * GEO.t_geo < self.deadline)
         if not grid:
             raise ValueError("no candidate flight time is below the deadline")
         self.grid = grid
@@ -616,12 +618,10 @@ class _LambertAdapter(CostModel):
             else:
                 imp1 = (dv1[0] * 1000.0, dv1[1] * 1000.0, dv1[2] * 1000.0)
                 imp2 = (dv2[0] * 1000.0, dv2[1] * 1000.0, dv2[2] * 1000.0)
-            sol = RendezvousSolution(
-                impulse1=imp1, impulse2=imp2, t1=t, t2=t + tof,
-                coast_time=0.0, phase_time=tof, total_time=tof,
-                total_dv=leg_dv, revolutions=1, alpha=0.0, theta=0.0)
-            completion = sol.t2 + self._td[tid]
-            out.append(LegDetail(sid, tid, sol, t, sol.t2, completion))
+            arrival = t + tof
+            completion = arrival + self._td[tid]
+            out.append(LegDetail(sid, tid, imp1, imp2, t, t, arrival,
+                                 completion, 0.0, tof, leg_dv))
             t = completion
             from_key = tid
         return out

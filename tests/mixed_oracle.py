@@ -15,10 +15,13 @@ whose rounding depends on the BLAS kernel numpy picks. The two agree to
 turn, a departure on a node), where the kernel's rule decides. It shares
 ``phasing_solution`` with the package. ``propagate_universal`` is the
 independent two-body propagator, on the Stumpff functions of ``stumpff``,
-and ``propagate_through_solution`` flies a leg's impulses through it.
+``propagate_through_solution`` flies a leg's impulses through it, and
+``assert_legs_close`` holds every reported leg of a solve to
+``CLOSURE_BOUNDS``.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +33,27 @@ from georepair.astro import (
     GeoOrbit,
     InvalidRevolutions,
     NoConvergence,
-    RendezvousSolution,
     orbit_to_state,
     phasing_solution,
 )
+
+
+@dataclass(frozen=True)
+class VectorLeg:
+    """The oracle's leg: impulses (m/s, numpy arrays) at ``t1`` and ``t2``,
+    the coast and phasing times, the delta-v of its two impulses, and the
+    dihedral ``alpha`` and signed phase gap ``theta`` it found from
+    vectors."""
+
+    impulse1: np.ndarray
+    impulse2: np.ndarray
+    t1: float
+    t2: float
+    coast_time: float
+    phase_time: float
+    total_dv: float
+    alpha: float
+    theta: float
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -92,7 +112,7 @@ def phasing_impulses(v_m: np.ndarray, theta: float, dv_mag: float
 
 
 def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit,
-                     k: int) -> RendezvousSolution:
+                     k: int) -> VectorLeg:
     """Mixed plane-change/phasing rendezvous from a GEO state to a target.
 
     Coasts to the nearer of the two plane intersection points, combines the
@@ -147,11 +167,10 @@ def rendezvous_mixed(servicer_state: CartesianState, target: GeoOrbit,
     impulse1 = dv1 * 1000.0 + dv2
     impulse2 = dv3
     total_dv = float(np.linalg.norm(impulse1)) + float(np.linalg.norm(impulse2))
-    return RendezvousSolution(
-        impulse1=impulse1, impulse2=impulse2,
-        t1=t1, t2=t1 + t_phase,
-        coast_time=coast, phase_time=t_phase, total_time=coast + t_phase,
-        total_dv=total_dv, revolutions=int(k), alpha=alpha, theta=theta)
+    return VectorLeg(
+        impulse1=impulse1, impulse2=impulse2, t1=t1, t2=t1 + t_phase,
+        coast_time=coast, phase_time=t_phase, total_dv=total_dv,
+        alpha=alpha, theta=theta)
 
 
 def stumpff(z: float) -> tuple[float, float]:
@@ -242,9 +261,11 @@ def propagate_universal(r0: np.ndarray, v0: np.ndarray, dt: float,
     return r, v
 
 
-def propagate_through_solution(state, sol):
-    """Fly the two impulses with the independent Kepler propagator."""
-    angle = sol.coast_time * GEO.mean_motion
+def propagate_through_solution(state, leg):
+    """Fly a leg's two impulses from ``state`` with the independent Kepler
+    propagator: coast ``leg.coast_time``, fire ``leg.impulse1``, ride
+    ``leg.phase_time`` and fire ``leg.impulse2``. Returns (r, v)."""
+    angle = leg.coast_time * GEO.mean_motion
     h = np.cross(state.r, state.v)
     h /= np.linalg.norm(h)
 
@@ -253,6 +274,38 @@ def propagate_through_solution(state, sol):
         return vec * c + np.cross(h, vec) * s + h * np.dot(h, vec) * (1 - c)
 
     r1, v1 = rot(np.asarray(state.r)), rot(np.asarray(state.v))
-    v1 = v1 + np.asarray(sol.impulse1) / 1000.0
-    r2, v2 = propagate_universal(r1, v1, sol.phase_time)
-    return r2, v2 + np.asarray(sol.impulse2) / 1000.0
+    v1 = v1 + np.asarray(leg.impulse1) / 1000.0
+    r2, v2 = propagate_universal(r1, v1, leg.phase_time)
+    return r2, v2 + np.asarray(leg.impulse2) / 1000.0
+
+
+# Where a reported leg may land off its target (km, km/s), flown through
+# the independent propagator: acceptance criterion 6's bounds for mixed
+# legs, and for Lambert arcs about 20 times the worst miss of these solves
+# and the case study's, 5.3e-9 km and 3.8e-13 km/s. Unflyable Lambert legs
+# report infinite delta-v and are not flown; their count is pinned per
+# solver.
+CLOSURE_BOUNDS = {"mixed": (1e-6, 1e-9), "lambert": (1e-7, 1e-11)}
+UNFLYABLE_LEGS = {"solve_lns_aga": 0, "solve_ga": 0, "solve_lambert_ga": 0}
+
+
+def assert_legs_close(scenario, result, bounds) -> tuple[int, int]:
+    """Fly each reported leg of ``result`` through the independent
+    propagator and check that it lands on its target within ``bounds``;
+    return (legs flown, unflyable legs skipped)."""
+    max_r, max_v = bounds
+    flown = skipped = 0
+    at = {s.id: s.orbit for s in scenario.servicers}
+    for leg in result.best_evaluation.leg_details:
+        target = scenario.target(leg.target_id).orbit
+        start = orbit_to_state(at[leg.servicer_id], leg.depart_time)
+        at[leg.servicer_id] = target
+        if leg.total_dv == math.inf:
+            skipped += 1
+            continue
+        r, v = propagate_through_solution(start, leg)
+        arrive = orbit_to_state(target, leg.arrival_time)
+        assert np.linalg.norm(r - arrive.r) < max_r, leg
+        assert np.linalg.norm(v - arrive.v) < max_v, leg
+        flown += 1
+    return flown, skipped

@@ -4,6 +4,7 @@ from datetime import datetime, timezone
 
 from georepair.astro import GEO, GeoOrbit, orbit_to_state
 from georepair.planning import (
+    CostModel,
     MissionPlan,
     Route,
     Scenario,
@@ -44,8 +45,11 @@ def kernel_leg(departure: GeoOrbit, target: GeoOrbit, k, t: float = 0.0):
 
     Routes depart at the epoch, so the leg is the one leg of a one-target
     scenario whose two orbits are advanced by ``t``, and its times count
-    from ``t``. Returns (departure state, advanced target orbit, solution),
-    the state and the orbit in that frame.
+    from ``t``. Returns (departure state, advanced target orbit, leg,
+    alpha, theta), the state and the orbit in that frame: the
+    ``LegDetail``, and the dihedral between the two planes and the signed
+    phase gap that the kernel flew it on, from ``CostModel._pairs`` and
+    ``CostModel.route_geometry``.
     """
     def advanced(orbit):
         return GeoOrbit(orbit.inclination, orbit.raan,
@@ -56,5 +60,8 @@ def kernel_leg(departure: GeoOrbit, target: GeoOrbit, k, t: float = 0.0):
                         servicers=[Servicer(1, "S", departure, 1e9)],
                         targets=[Target(1, "T", target, 0.0)])
     plan = MissionPlan([Route(1, [1], [k])])
-    sol = evaluate_plan(scenario, plan).leg_details[0].solution
-    return orbit_to_state(departure, 0.0), target, sol
+    (leg,) = evaluate_plan(scenario, plan).leg_details
+    model = CostModel(scenario)
+    theta = model.route_geometry(1, [1]).thetas[0]
+    alpha = model._pairs[("S", 1), 1].alpha
+    return orbit_to_state(departure, 0.0), target, leg, alpha, theta

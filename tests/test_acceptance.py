@@ -196,10 +196,10 @@ def test_criterion_6_phasing_closure_oracle():
                           rng.uniform(0, 2 * math.pi),
                           rng.uniform(0, 2 * math.pi))
         t = rng.uniform(0.0, 3.0 * T)
-        state, target, sol = kernel_leg(servicer, target, rng.randint(1, 10),
-                                        t)
-        r_fin, v_fin = propagate_through_solution(state, sol)
-        tgt = orbit_to_state(target, sol.t2)
+        state, target, leg, _, _ = kernel_leg(servicer, target,
+                                              rng.randint(1, 10), t)
+        r_fin, v_fin = propagate_through_solution(state, leg)
+        tgt = orbit_to_state(target, leg.arrival_time)
         worst_r = max(worst_r, float(np.linalg.norm(r_fin - tgt.r)))
         worst_v = max(worst_v, float(np.linalg.norm(v_fin - tgt.v)))
     ok = worst_r < 1e-6 and worst_v < 1e-9
@@ -295,15 +295,16 @@ def test_criterion_10_combined_impulse_inequality():
                           rng.uniform(0, 2 * math.pi),
                           rng.uniform(0, 2 * math.pi))
         t = rng.uniform(0.0, T)
-        _, _, sol = kernel_leg(servicer, target, rng.randint(1, 8), t)
-        dv1 = 2.0 * GEO.v_geo * 1000.0 * math.sin(sol.alpha / 2.0)
-        dv2 = 0.5 * phasing_solution(sol.theta, sol.revolutions)[2]
-        vec = float(np.linalg.norm(sol.impulse1))
+        k = rng.randint(1, 8)
+        _, _, leg, alpha, theta = kernel_leg(servicer, target, k, t)
+        dv1 = 2.0 * GEO.v_geo * 1000.0 * math.sin(alpha / 2.0)
+        dv2 = 0.5 * phasing_solution(theta, k)[2]
+        vec = float(np.linalg.norm(leg.impulse1))
         if vec > dv1 + dv2 + 1e-9:
             ok = False
-        sgn = 1.0 if sol.theta > 0 else (-1.0 if sol.theta < 0 else 0.0)
+        sgn = 1.0 if theta > 0 else (-1.0 if theta < 0 else 0.0)
         closed = math.sqrt(dv1 ** 2 + dv2 ** 2
-                           + 2.0 * dv1 * dv2 * sgn * math.sin(sol.alpha / 2))
+                           + 2.0 * dv1 * dv2 * sgn * math.sin(alpha / 2))
         if closed > 0:
             err = abs(vec - closed) / closed
             worst = max(worst, err)

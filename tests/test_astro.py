@@ -208,20 +208,21 @@ class TestRendezvousMixed:
 
     def test_identical_orbit_and_phase(self):
         orb = GeoOrbit.from_degrees(3.0, 50.0, 120.0)
-        _, _, sol = kernel_leg(orb, orb, 1)
-        assert sol.total_dv == pytest.approx(0.0, abs=1e-9)
-        assert sol.coast_time == 0.0
-        assert sol.total_time == pytest.approx(GEO.t_geo, rel=1e-12)
-        assert sol.theta == pytest.approx(0.0, abs=1e-12)
+        _, _, leg, _, theta = kernel_leg(orb, orb, 1)
+        assert leg.total_dv == pytest.approx(0.0, abs=1e-9)
+        assert leg.coast_time == 0.0
+        assert leg.arrival_time - leg.depart_time == pytest.approx(
+            GEO.t_geo, rel=1e-12)
+        assert theta == pytest.approx(0.0, abs=1e-12)
 
     def test_coplanar_quarter_gap_costs_phasing_only(self):
         servicer = GeoOrbit(0.0, 0.0, math.pi / 2.0)  # target trails by 90 deg
         target = GeoOrbit(0.0, 0.0, 0.0)
-        _, _, sol = kernel_leg(servicer, target, 1)
+        _, _, leg, _, theta = kernel_leg(servicer, target, 1)
         _, _, dv_oracle = phasing_solution(math.pi / 2.0, 1)
-        assert sol.theta == pytest.approx(math.pi / 2.0, abs=1e-12)
-        assert sol.total_dv == pytest.approx(dv_oracle, rel=1e-9)
-        assert sol.total_dv == pytest.approx(411.0, abs=1.0)
+        assert theta == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert leg.total_dv == pytest.approx(dv_oracle, rel=1e-9)
+        assert leg.total_dv == pytest.approx(411.0, abs=1.0)
 
     def test_bookkeeping_invariants(self):
         rng = random.Random(9)
@@ -229,12 +230,11 @@ class TestRendezvousMixed:
             servicer, target = random_orbit(rng), random_orbit(rng)
             t = rng.uniform(0.0, 5.0 * GEO.t_geo)
             k = rng.randint(1, 6)
-            st, _, sol = kernel_leg(servicer, target, k, t)
-            assert sol.total_time == sol.coast_time + sol.phase_time
-            assert sol.t2 == sol.t1 + sol.phase_time
-            i1, i2 = np.linalg.norm(sol.impulse1), np.linalg.norm(sol.impulse2)
-            assert sol.total_dv == pytest.approx(i1 + i2, rel=1e-12)
-            assert sol.t1 == pytest.approx(st.t + sol.coast_time)
+            st, _, leg, _, _ = kernel_leg(servicer, target, k, t)
+            assert leg.arrival_time == leg.impulse1_time + leg.phase_time
+            i1, i2 = np.linalg.norm(leg.impulse1), np.linalg.norm(leg.impulse2)
+            assert leg.total_dv == pytest.approx(i1 + i2, rel=1e-12)
+            assert leg.impulse1_time == pytest.approx(st.t + leg.coast_time)
 
     def test_combined_impulse_law(self):
         # |dv1 + dv2| matches the law-of-cosines closed form and never
@@ -244,17 +244,18 @@ class TestRendezvousMixed:
         for _ in range(300):
             servicer, target = random_orbit(rng), random_orbit(rng)
             t = rng.uniform(0.0, GEO.t_geo)
-            _, _, sol = kernel_leg(servicer, target, rng.randint(1, 5), t)
-            if sol.alpha < 1e-10:
+            k = rng.randint(1, 5)
+            _, _, leg, alpha, theta = kernel_leg(servicer, target, k, t)
+            if alpha < 1e-10:
                 continue
-            dv1_mag = 2.0 * GEO.v_geo * 1000.0 * math.sin(sol.alpha / 2.0)
-            dv2_mag = 0.5 * phasing_solution(sol.theta, sol.revolutions)[2]
-            sgn = 1.0 if sol.theta > 0 else -1.0
-            cos_hat = sgn * math.sin(sol.alpha / 2.0)
+            dv1_mag = 2.0 * GEO.v_geo * 1000.0 * math.sin(alpha / 2.0)
+            dv2_mag = 0.5 * phasing_solution(theta, k)[2]
+            sgn = 1.0 if theta > 0 else -1.0
+            cos_hat = sgn * math.sin(alpha / 2.0)
             closed = math.sqrt(dv1_mag ** 2 + dv2_mag ** 2
                                + 2.0 * dv1_mag * dv2_mag * cos_hat)
-            assert np.linalg.norm(sol.impulse1) == pytest.approx(closed, rel=1e-9)
-            assert np.linalg.norm(sol.impulse1) <= dv1_mag + dv2_mag + 1e-9
+            assert np.linalg.norm(leg.impulse1) == pytest.approx(closed, rel=1e-9)
+            assert np.linalg.norm(leg.impulse1) <= dv1_mag + dv2_mag + 1e-9
             checked += 1
         assert checked > 200
 
@@ -263,10 +264,11 @@ class TestRendezvousMixed:
         for _ in range(200):
             servicer, target = random_orbit(rng), random_orbit(rng)
             t = rng.uniform(0.0, GEO.t_geo)
-            _, _, sol = kernel_leg(servicer, target, rng.randint(1, 5), t)
-            dv1_mag = 2.0 * GEO.v_geo * 1000.0 * math.sin(sol.alpha / 2.0)
-            dv_phase = phasing_solution(sol.theta, sol.revolutions)[2]
-            assert sol.total_dv <= dv1_mag + dv_phase + 1e-9
+            k = rng.randint(1, 5)
+            _, _, leg, alpha, theta = kernel_leg(servicer, target, k, t)
+            dv1_mag = 2.0 * GEO.v_geo * 1000.0 * math.sin(alpha / 2.0)
+            dv_phase = phasing_solution(theta, k)[2]
+            assert leg.total_dv <= dv1_mag + dv_phase + 1e-9
 
     def test_phasing_closure(self):
         # End-to-end oracle: flying both impulses through the independent
@@ -276,28 +278,27 @@ class TestRendezvousMixed:
             servicer, target = random_orbit(rng), random_orbit(rng)
             t = rng.uniform(0.0, 3.0 * GEO.t_geo)
             k = rng.randint(1, 10)
-            st, target, sol = kernel_leg(servicer, target, k, t)
-            r_fin, v_fin = propagate_through_solution(st, sol)
-            tgt = orbit_to_state(target, sol.t2)
+            st, target, leg, _, _ = kernel_leg(servicer, target, k, t)
+            r_fin, v_fin = propagate_through_solution(st, leg)
+            tgt = orbit_to_state(target, leg.arrival_time)
             assert np.linalg.norm(r_fin - tgt.r) < 1e-6
             assert np.linalg.norm(v_fin - tgt.v) < 1e-9
 
     def test_rejects_bad_revolutions(self):
         orb = GeoOrbit(0.0, 0.0, 0.0)
         with pytest.raises(InvalidRevolutions):
-            rendezvous_mixed(orb, orb, 0.0, 0.0, 0.0, 0.0, 0, 0.0)
+            rendezvous_mixed(orb, orb, 0.0, 0.0, 0.0, 0.0, 0)
         with pytest.raises(InvalidRevolutions):
             kernel_leg(orb, orb, 0)
 
     def test_revolutions_may_be_any_integral_but_bool(self):
         servicer = GeoOrbit.from_degrees(2.0, 10.0, 30.0)
         target = GeoOrbit.from_degrees(4.0, 60.0, 200.0)
-        _, _, sol = kernel_leg(servicer, target, np.int64(3))
-        assert sol == kernel_leg(servicer, target, 3)[2]
-        assert type(sol.revolutions) is int
+        _, _, leg, _, _ = kernel_leg(servicer, target, np.int64(3))
+        assert leg == kernel_leg(servicer, target, 3)[2]
         for k in (True, 2.0, np.float64(2.0)):
             with pytest.raises(InvalidRevolutions):
-                rendezvous_mixed(servicer, target, 0.0, 0.0, 0.1, 0.0, k, 0.0)
+                rendezvous_mixed(servicer, target, 0.0, 0.0, 0.1, 0.0, k)
             with pytest.raises(InvalidRevolutions):
                 kernel_leg(servicer, target, k)
             with pytest.raises(InvalidRevolutions):
@@ -305,8 +306,8 @@ class TestRendezvousMixed:
 
     def test_impulses_are_float_triples(self):
         rng = random.Random(45)
-        _, _, sol = kernel_leg(random_orbit(rng), random_orbit(rng), 2)
-        for impulse in (sol.impulse1, sol.impulse2):
+        _, _, leg, _, _ = kernel_leg(random_orbit(rng), random_orbit(rng), 2)
+        for impulse in (leg.impulse1, leg.impulse2):
             assert type(impulse) is tuple and len(impulse) == 3
             assert all(type(x) is float for x in impulse)
 
@@ -326,16 +327,18 @@ class TestRendezvousMixed:
                 target = GeoOrbit(0.0, 0.0, rng.uniform(0.0, TWO_PI))
             t = rng.uniform(0.0, 5.0 * GEO.t_geo)
             k = rng.randint(1, 10)
-            st, target, got = kernel_leg(servicer, target, k, t)
+            st, target, got, alpha, theta = kernel_leg(servicer, target, k, t)
             want = vector_rendezvous_mixed(st, target, k)
-            assert got.revolutions == want.revolutions
-            assert (got.alpha < 1e-10) == (want.alpha < 1e-10)
-            scales = {"t1": GEO.t_geo, "t2": GEO.t_geo,
-                      "coast_time": GEO.t_geo, "phase_time": GEO.t_geo,
-                      "total_time": GEO.t_geo, "alpha": math.pi,
-                      "theta": math.pi, "total_dv": want.total_dv}
-            for name, scale in scales.items():
-                g, w = getattr(got, name), getattr(want, name)
+            assert (alpha < 1e-10) == (want.alpha < 1e-10)
+            pairs = [
+                ("t1", got.impulse1_time, want.t1, GEO.t_geo),
+                ("t2", got.arrival_time, want.t2, GEO.t_geo),
+                ("coast_time", got.coast_time, want.coast_time, GEO.t_geo),
+                ("phase_time", got.phase_time, want.phase_time, GEO.t_geo),
+                ("alpha", alpha, want.alpha, math.pi),
+                ("theta", theta, want.theta, math.pi),
+                ("total_dv", got.total_dv, want.total_dv, want.total_dv)]
+            for name, g, w, scale in pairs:
                 assert math.isclose(g, w, rel_tol=1e-12,
                                     abs_tol=1e-12 * scale), (name, g, w)
             for g, w in zip(got.impulse1 + got.impulse2,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -17,13 +18,15 @@ from hypothesis import strategies as st
 from georepair import cli, scenarios
 from georepair.astro import GEO
 from georepair.cli import ALGORITHMS, SCHEDULE_COLUMNS, _build_parser, main
+from georepair.planning import MissionPlan, Route, evaluate_plan
 from georepair.scenarios import (
     case_study,
+    load,
     random_scenario,
     save,
     scenario_record,
 )
-from georepair.search import GaParams, LnsParams
+from georepair.search import GaParams, LnsParams, _LambertAdapter
 from scenario_builders import make_scenario
 from test_scenarios import _set, scenario_documents
 
@@ -267,6 +270,93 @@ def _huge_deadline_document():
     data = scenario_record(random_scenario(3, 1, 10.0, seed=1))
     data["deadline_hours"] = 1e300
     return data
+
+
+def _hex(value):
+    """A number of ``summary.json`` or of a report as ``float.hex``; None
+    for a JSON null or a non-finite float, which the writer saves as null."""
+    if value is None or not math.isfinite(value):
+        return None
+    return float(value).hex()
+
+
+class TestReplay:
+    """A solve's files are enough to check it again: the plan rebuilt from
+    ``summary.json`` and the scenario file alone, evaluated again with the
+    saved penalty weights on the algorithm's leg model, gives the saved
+    totals by ``float.hex`` and the saved schedule rows."""
+
+    SCENARIOS = {
+        "roomy": write_small_scenario,
+        "tight": lambda path: write_small_scenario(path, 300.0, 3.0),
+        "unflyable": TestStrictJson._unflyable,
+    }
+
+    @staticmethod
+    def _plan(scenario, summary) -> MissionPlan:
+        """The saved plan: names map to ids, and a route without saved
+        revolutions is a Lambert route, one revolution per leg, whose
+        flight times its model works out from the sequence."""
+        servicer = {s.name: s.id for s in scenario.servicers}
+        target = {t.name: t.id for t in scenario.targets}
+        routes = []
+        for record in summary["routes"]:
+            seq = [target[name] for name in record["targets"]]
+            routes.append(Route(servicer[record["servicer"]], seq,
+                                record.get("revolutions", [1] * len(seq))))
+        return MissionPlan(routes)
+
+    @staticmethod
+    def _row(scenario, leg) -> list[str]:
+        """The ``schedule.csv`` row of a leg, at the precision of each
+        column of ``SCHEDULE_COLUMNS``."""
+        def at(seconds, fmt):
+            return (scenario.epoch + timedelta(seconds=seconds)).strftime(fmt)
+
+        clock, iso = "%m/%d %H:%M:%S", "%Y-%m-%dT%H:%M:%SZ"
+        return [scenario.servicer(leg.servicer_id).name,
+                scenario.target(leg.target_id).name,
+                *(f"{x:.6f}" for x in leg.impulse1 + leg.impulse2),
+                at(leg.impulse1_time, clock), at(leg.impulse1_time, iso),
+                at(leg.arrival_time, clock), at(leg.arrival_time, iso),
+                f"{leg.coast_time:.3f}", f"{leg.phase_time:.3f}",
+                f"{leg.total_dv:.6f}"]
+
+    @pytest.mark.parametrize("case", sorted(SCENARIOS))
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_files_replay_the_solve(self, tmp_path, algo, case):
+        scen_path = tmp_path / "scenario.json"
+        self.SCENARIOS[case](scen_path)
+        out = tmp_path / "out"
+        assert main(["solve", str(scen_path), "--algo", algo, "--phi", "2.5",
+                     "--gamma", "0.5", "--max-rev", "3", "--out", str(out)]
+                    + FAST) in (0, 2)
+        summary = _strict_json(out / "summary.json")
+
+        scenario = load(scen_path)
+        phi, gamma = summary["params"]["phi"], summary["params"]["gamma"]
+        assert (phi, gamma) == (2.5, 0.5)
+        legs = (_LambertAdapter(scenario, phi, gamma).fly
+                if algo == "lambert-ga" else None)
+        ev = evaluate_plan(scenario, self._plan(scenario, summary), phi,
+                           gamma, legs)
+
+        for key, value in (("fitness", ev.fitness),
+                           ("total_dv_mps", ev.total_dv),
+                           ("deadline_penalty_s", ev.deadline_penalty),
+                           ("budget_penalty_mps", ev.budget_penalty)):
+            assert _hex(summary[key]) == _hex(value), key
+        assert summary["feasible"] is ev.feasible
+        assert {name: _hex(dv) for name, dv
+                in summary["per_servicer_dv_mps"].items()} == {
+            s.name: _hex(dv)
+            for s, dv in zip(scenario.servicers, ev.per_servicer_dv)}
+        if algo == "lambert-ga":
+            assert [_hex(t) for r in summary["routes"]
+                    for t in r["flight_times_s"]] == [
+                _hex(leg.phase_time) for leg in ev.leg_details]
+        assert read_csv(out / "schedule.csv") == [SCHEDULE_COLUMNS] + [
+            self._row(scenario, leg) for leg in ev.leg_details]
 
 
 class TestFuzzSolve:

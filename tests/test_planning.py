@@ -144,13 +144,17 @@ class TestAllocate:
         scenario = random_scenario_tuple(rng, 4, 1, deadline_s=40 * 86400.0)
         seq = [1, 2, 3, 4]
         model = CostModel(scenario)
-        base = model.fly(Route(1, seq, [1, 1, 1, 1]))
-        bumped = model.fly(Route(1, seq, [3, 1, 2, 1]))
-        for a, b in zip(base, bumped):
-            assert b.solution.coast_time == pytest.approx(
-                a.solution.coast_time, abs=1e-3)
-            assert b.solution.theta == pytest.approx(a.solution.theta,
-                                                     abs=1e-9)
+        base_revs, bumped_revs = [1, 1, 1, 1], [3, 1, 2, 1]
+        base = model.fly(Route(1, seq, base_revs))
+        bumped = model.fly(Route(1, seq, bumped_revs))
+
+        def gap(leg, k):
+            # The phase gap that a leg's phasing time closes on k turns.
+            return TWO_PI * (leg.phase_time / T - k)
+
+        for a, ka, b, kb in zip(base, base_revs, bumped, bumped_revs):
+            assert b.coast_time == pytest.approx(a.coast_time, abs=1e-3)
+            assert gap(b, kb) == pytest.approx(gap(a, ka), abs=1e-9)
 
 
 class TestEvaluateRoute:
@@ -188,13 +192,14 @@ class TestEvaluateRoute:
         scenario = make_scenario([(2.0, 30.0, 75.0, 1000.0)],
                                  [(2.0, 30.0, 75.0, HOUR)], deadline_s=10 * T)
         (leg,) = CostModel(scenario).fly(Route(1, [1], [1]))
-        assert leg.solution.total_dv == pytest.approx(0.0, abs=1e-9)
+        assert leg.total_dv == pytest.approx(0.0, abs=1e-9)
         assert leg.arrival_time == pytest.approx(T, rel=1e-12)
 
     def test_arrival_recursion_matches_leg_times(self):
-        # Each leg model's ``fly`` owns the clock: a leg arrives at its
-        # solution's t2, completes one repair later, and the next departs
-        # then. Both leg models are held to it.
+        # Each leg model's ``fly`` owns the clock: a leg fires its first
+        # burn after its coast, arrives one phasing time later, completes
+        # one repair later, and the next departs then. Both leg models are
+        # held to it.
         rng = random.Random(23)
         scenario = random_scenario_tuple(rng, 5, 2, deadline_s=30 * 86400.0)
         plan = random_plan(scenario, rng)
@@ -203,15 +208,17 @@ class TestEvaluateRoute:
             by_route = {}
             for leg in ev.leg_details:
                 by_route.setdefault(leg.servicer_id, []).append(leg)
-                assert leg.arrival_time == leg.solution.t2
+                assert leg.impulse1_time == leg.depart_time + leg.coast_time
+                assert leg.arrival_time == (leg.impulse1_time
+                                            + leg.phase_time)
                 assert leg.completion_time == leg.arrival_time + \
                     scenario.target(leg.target_id).repair_duration
             for legs in by_route.values():
                 assert legs[0].depart_time == 0.0
                 for prev, nxt in zip(legs, legs[1:]):
                     gap = nxt.arrival_time - prev.completion_time
-                    assert gap == pytest.approx(nxt.solution.total_time,
-                                                rel=1e-12)
+                    assert gap == pytest.approx(
+                        nxt.coast_time + nxt.phase_time, rel=1e-12)
                     assert nxt.depart_time == prev.completion_time
 
 
@@ -228,6 +235,27 @@ class TestEvaluatePlan:
         assert ev.deadline_penalty == 0.0 and ev.budget_penalty == 0.0
         assert ev.fitness == ev.total_dv
         assert ev.total_dv == pytest.approx(sum(ev.per_servicer_dv), rel=1e-12)
+
+    @pytest.mark.parametrize("evaluate, leg_model", [
+        (evaluate_plan, CostModel),
+        (evaluate_plan_lambert,
+         lambda sc: _LambertAdapter(sc, DEFAULT_PHI, DEFAULT_GAMMA))],
+        ids=["mixed", "lambert"])
+    def test_per_servicer_dv_follows_the_scenario_servicers(self, evaluate,
+                                                            leg_model):
+        # Routes listed out of servicer order, servicer 1 idle: each entry
+        # is its servicer's route delta-v, in ``scenario.servicers`` order,
+        # and 0.0 for the idle one.
+        scenario = random_scenario(4, 3, 20.0, seed=5)
+        plan = MissionPlan([Route(3, [4, 1], [2, 1]),
+                            Route(2, [2, 3], [1, 3])])
+        model = leg_model(scenario)
+        want = [0.0] + [model.route_metrics(sid, seq, revs)[0]
+                        for sid, seq, revs in ((2, [2, 3], [1, 3]),
+                                               (3, [4, 1], [2, 1]))]
+        assert want[1] > 0.0 and want[2] > 0.0
+        assert [dv.hex() for dv in evaluate(scenario, plan).per_servicer_dv] \
+            == [dv.hex() for dv in want]
 
     def test_two_hours_late_adds_120_phi(self):
         base = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
@@ -376,8 +404,8 @@ class TestCostModelAgreement:
         revs = [2, 1, 3, 1, 2]
         legs = model.fly(Route(1, seq, revs))
         dv, _, end = model.route_metrics(1, seq, revs)
-        assert dv == pytest.approx(math.fsum(leg.solution.total_dv
-                                             for leg in legs), rel=1e-9)
+        assert dv == pytest.approx(math.fsum(leg.total_dv for leg in legs),
+                                   rel=1e-9)
         assert end == pytest.approx(legs[-1].completion_time, rel=1e-12)
 
 
@@ -517,8 +545,7 @@ class PerLegCostModel(CostModel):
         key = (from_key, to_id)
         p = self._pairs.get(key)
         if p is None:
-            p = planning._Pair(self._bodies[from_key], self._bodies[to_id],
-                               self._v_geo)
+            p = planning._Pair(self._bodies[from_key], self._bodies[to_id])
             self._pairs[key] = p
         return p
 
@@ -526,17 +553,17 @@ class PerLegCostModel(CostModel):
         p = self._pair(from_key, to_id)
         if p.degenerate:
             return 0.0, p.lam_diff, p
-        u_dep = self._bodies[from_key].u0 + self.mean_motion * t_dep
+        u_dep = self._bodies[from_key].u0 + GEO.mean_motion * t_dep
         za = (p.psi_from - u_dep) % TWO_PI
         zb = (za + math.pi) % TWO_PI
         if za <= zb:
             ang, u_node = za, p.psi_to
         else:
             ang, u_node = zb, p.psi_to + math.pi
-        coast = ang / TWO_PI * self.t_geo
+        coast = ang / TWO_PI * GEO.t_geo
         t1 = t_dep + coast
         theta = fold_angle(u_node - (self._bodies[to_id].u0
-                                     + self.mean_motion * t1))
+                                     + GEO.mean_motion * t1))
         return coast, theta, p
 
     def route_geometry(self, servicer_id: int, seq):
@@ -551,19 +578,19 @@ class PerLegCostModel(CostModel):
             shalves.append(p.s_half)
             td = self._td[tid]
             tds.append(td)
-            t = t + coast + ((TWO_PI + theta) / TWO_PI) * self.t_geo + td
+            t = t + coast + ((TWO_PI + theta) / TWO_PI) * GEO.t_geo + td
             from_key = tid
         return planning._RouteGeom(tuple(coasts), tuple(thetas), tuple(dv1s),
                                    tuple(shalves), tuple(tds))
 
     def phasing_half_dv(self, theta: float, k: int) -> float:
         span = TWO_PI * k + theta
-        a = self._r * (span / (TWO_PI * k)) ** (2.0 / 3.0)
-        return 1000.0 * self._sqrt_mu * abs(
-            math.sqrt(self._two_over_r - 1.0 / a) - self._inv_sqrt_r)
+        a = GEO.r_geo * (span / (TWO_PI * k)) ** (2.0 / 3.0)
+        return 1000.0 * planning._SQRT_MU * abs(
+            math.sqrt(planning._TWO_OVER_R - 1.0 / a) - planning._INV_SQRT_R)
 
     def t_phase(self, theta: float, k: int) -> float:
-        return ((TWO_PI * k + theta) / TWO_PI) * self.t_geo
+        return ((TWO_PI * k + theta) / TWO_PI) * GEO.t_geo
 
     @staticmethod
     def leg_dv(dv1: float, s_half: float, theta: float, half: float) -> float:
@@ -590,7 +617,7 @@ class PerLegCostModel(CostModel):
 
     def _end_time(self, geom, revs) -> float:
         t = 0.0
-        t_geo = self.t_geo
+        t_geo = GEO.t_geo
         for coast, theta, td, k in zip(geom.coasts, geom.thetas, geom.tds,
                                        revs):
             t = t + coast + ((TWO_PI * k + theta) / TWO_PI) * t_geo + td
@@ -601,7 +628,7 @@ class PerLegCostModel(CostModel):
         n_max = self._max_revs
         deadline = self.deadline
         t_phase_budget = deadline - geom.sum_td - geom.sum_coast
-        pieces = math.floor(t_phase_budget / self.t_geo)
+        pieces = math.floor(t_phase_budget / GEO.t_geo)
         base = min(max(pieces // legs, 1), n_max)
         revs = [base] * legs
         gaps = [abs(th) for th in geom.thetas]
@@ -617,7 +644,7 @@ class PerLegCostModel(CostModel):
         else:
             slack = deadline - end
             if slack > 0.0:
-                extra = math.floor(slack / self.t_geo)
+                extra = math.floor(slack / GEO.t_geo)
                 if extra >= 1:
                     pick = (max if self.slack_rule == "largest" else min)(
                         range(legs), key=lambda q: (gaps[q], -q))
@@ -969,7 +996,7 @@ def trial_priced_allocate(model, geom, slack_rule):
     legs = len(geom.thetas)
     n_max = model._max_revs
     t_phase_budget = model.deadline - geom.sum_td - geom.sum_coast
-    pieces = math.floor(t_phase_budget / model.t_geo)
+    pieces = math.floor(t_phase_budget / GEO.t_geo)
     base = min(max(pieces // legs, 1), n_max)
     revs = [base] * legs
     gaps = [abs(th) for th in geom.thetas]
@@ -985,7 +1012,7 @@ def trial_priced_allocate(model, geom, slack_rule):
         return revs, cost, True
     slack = model.deadline - cost[2]
     if slack > 0.0:
-        extra = math.floor(slack / model.t_geo)
+        extra = math.floor(slack / GEO.t_geo)
         if extra >= 1:
             pick = (max if slack_rule == "largest" else min)(
                 range(legs), key=lambda q: (gaps[q], -q))

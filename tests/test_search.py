@@ -989,7 +989,7 @@ class TestSolvers:
         rng = random.Random(18)
         scenario = random_scenario_tuple(rng, 4, 2, deadline_s=5 * DAY)
         result = solve_lambert_ga(scenario, small_ga(), seed=2)
-        assert any(leg.solution.phase_time < T
+        assert any(leg.phase_time < T
                    for leg in result.best_evaluation.leg_details)
 
     def test_failed_lambert_leg_is_infinite_in_search_and_final_evaluation(
@@ -1008,8 +1008,8 @@ class TestSolvers:
         assert ev.total_dv == math.inf and ev.fitness == math.inf
         assert not ev.feasible
         for leg in ev.leg_details:
-            assert all(math.isnan(x) for x in leg.solution.impulse1)
-            assert all(math.isnan(x) for x in leg.solution.impulse2)
+            assert all(math.isnan(x) for x in leg.impulse1)
+            assert all(math.isnan(x) for x in leg.impulse2)
         assert_reports_search_prices(scenario, plan, ev)
         result = solve_lambert_ga(scenario, small_ga(), seed=1)
         assert result.history[-1][0] == math.inf
@@ -1184,8 +1184,8 @@ def assert_reports_search_prices(scenario, plan, evaluation):
             leg = next(legs)
             assert (leg.servicer_id, leg.target_id) == (sid, tid)
             actual, price = adapter._leg(from_key, tid, leg.depart_time, tof)
-            assert leg.solution.phase_time == actual
-            assert leg.solution.total_dv.hex() == price.hex()
+            assert leg.phase_time == actual
+            assert leg.total_dv.hex() == price.hex()
             from_key = tid
         assert route_dv.hex() == adapter.route_detail(sid, seq)[1].hex()
     assert next(legs, None) is None
@@ -1243,7 +1243,7 @@ class TestLambertReportsTheSearchPrice:
         monkeypatch.setattr(search, "lambert_solve", singular_at_grid_tof)
         ev = evaluate_plan(scenario, plan,
                            legs=_LambertAdapter(scenario, 1.0, 10.0).fly)
-        first = ev.leg_details[0].solution
+        first = ev.leg_details[0]
         assert first.phase_time != grid_tof
         assert math.isfinite(first.total_dv)
         assert_reports_search_prices(scenario, plan, ev)
@@ -1398,10 +1398,9 @@ class TestLambertNeedsNoBlas:
                 ev = evaluate_plan(scenario, plan, legs=adapter.fly)
                 record.append([ev.fitness.hex(), ev.total_dv.hex()])
                 for leg in ev.leg_details:
-                    sol = leg.solution
-                    record.append([sol.total_dv.hex(), sol.t2.hex()]
-                                  + [float(x).hex() for x in sol.impulse1]
-                                  + [float(x).hex() for x in sol.impulse2])
+                    record.append([leg.total_dv.hex(), leg.arrival_time.hex()]
+                                  + [float(x).hex() for x in leg.impulse1]
+                                  + [float(x).hex() for x in leg.impulse2])
             return record
 
         want = run()

@@ -28,8 +28,8 @@ from georepair.search import (
     solve_lambert_ga,
     solve_lns_aga,
 )
+from mixed_oracle import CLOSURE_BOUNDS, assert_legs_close
 from scenario_builders import make_scenario
-from test_fingerprint import CLOSURE_BOUNDS, assert_legs_close
 
 DAY = 86400.0
 GA = GaParams(population_size=20, min_iterations=10, stall_iterations=5)
