@@ -182,7 +182,8 @@ def phasing_solution(theta: float, k: int) -> tuple[float, float, float]:
     span = TWO_PI * k + theta
     t_phase = (span / TWO_PI) * GEO.t_geo
     a_phase = GEO.r_geo * (span / (TWO_PI * k)) ** (2.0 / 3.0)
-    # Rounded as CostModel._route_cost rounds it: twice one burn in m/s.
+    # Rounded as CostModel._route_cost rounds it on a one-record route,
+    # a coplanar leg with no coast or repair: twice one burn in m/s.
     dv = 2.0 * ((1000.0 * math.sqrt(GEO.mu)) * abs(
         math.sqrt(2.0 / GEO.r_geo - 1.0 / a_phase)
         - math.sqrt(1.0 / GEO.r_geo)))

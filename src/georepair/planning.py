@@ -11,40 +11,42 @@ adds the scores up left to right, as the search adds up a chromosome and
 Lambert, reports its history's best fitness, and ``exhaustive_solve`` the
 total it minimized.
 
-``evaluate_plan`` is the only code that builds an ``Evaluation``. It
-takes the legs as an argument, a leg model's ``fly``, which walks a route
-once and returns its ``LegDetail``s, one record per leg holding each of
-its facts once: the default is ``CostModel.fly``, the mixed legs the
-search prices, and the Lambert model in ``search``, a ``CostModel`` too,
-flies its own two-impulse legs; ``evaluate_plan`` only adds up each
-route's legs. ``CostModel`` is the one copy of the mixed leg's geometry.
-Its kernel is ``CostModel.route_geometry``, which simulates a route's
-legs, and ``CostModel._route_cost``, which prices them; each is one loop
-per route with no call per leg. The search, the exhaustive oracle's
-per-leg tables and the report all read it: ``fly`` hands each leg's
-coast, phase gap and dihedral to ``astro.rendezvous_mixed`` for impulses
-and times and reports the leg at the kernel's price, so a reported mixed
-plan is ``CostModel.plan_metrics`` to the last bit. The kernel must keep
-the IEEE operation order of every expression: the memos, the search and
-the fingerprint tests rely on its floats being bit-for-bit what they are.
-Every sum of floats adds left to right (``_left_sum``), never through
-``sum``, whose rounding depends on the Python version. Coast times and
-phase gaps are invariant under whole-revolution shifts of earlier legs, so
-one simulation of a route with every leg at one revolution serves any
+``evaluate_plan`` is the only code that builds an ``Evaluation``. It takes
+the legs as an argument, a leg model's ``fly``, which walks a route once
+and returns its ``LegDetail``s, one record per leg holding each of its
+facts once: the default is ``CostModel.fly``, the mixed legs the search
+prices, and the Lambert model in ``search``, a ``CostModel`` too, flies its
+own two-impulse legs; ``evaluate_plan`` only adds up each route's legs.
+``CostModel`` is the one copy of the mixed leg's geometry. Its kernel is
+``CostModel.route_geometry``, which simulates a route's legs into a list of
+``(coast, theta, dv1, s_half, td)`` records, and ``CostModel._route_cost``,
+which prices the records; each is one loop per route with no call per leg,
+and ``_allocate`` reads the same records, so pricing a route is one
+geometry loop, one end-time pass per trial allocation and one cost pass.
+The search, the exhaustive oracle's per-leg tables and the report all read
+it: ``fly`` hands each leg's coast, phase gap and dihedral to
+``astro.rendezvous_mixed`` for impulses and times and reports the leg at
+the kernel's price, a one-record slice of the route's legs, so a reported
+mixed plan is ``CostModel.plan_metrics`` to the last bit. The kernel must
+keep the IEEE operation order of every expression: the memos, the search
+and the fingerprint tests rely on its floats being bit-for-bit what they
+are. Every sum of floats adds left to right (as ``_left_sum`` does), never
+through ``sum``, whose rounding depends on the Python version. Coast times
+and phase gaps are invariant under whole-revolution shifts of earlier legs,
+so one simulation of a route with every leg at one revolution serves any
 revolution allocation. A model prices under one policy, the allocator's
 slack rule and the penalty weights phi and gamma, fixed when it is built,
 and keeps two bounded memos under it. The route memo, read and written by
 ``priced_score`` alone, prices each (servicer, sequence) once: the route is
 simulated, allocated on end times alone and costed once, and the memo keeps
-only what the search reads, its score and whether it is feasible, under
-one flat key ``(servicer, *sequence)``; ``allocate`` prices a reported
-route afresh for its revolutions. The insertion memo scans each
-(servicer, target, sequence) once for its cheapest slots, so LNS repair
-reuses a scan across repair rounds, attempts and generations.
-Plans are checked once, by ``MissionPlan.validate_against`` in
-``evaluate_plan``; a leg model's ``fly`` trusts its route, and the
-search its own input: ``decode`` does not check chromosomes, which the
-engine builds as permutations.
+only what the search reads, its score and whether it is feasible, under one
+flat key ``(servicer, *sequence)``; ``allocate`` prices a reported route
+afresh for its revolutions. The insertion memo scans each (servicer,
+target, sequence) once for its cheapest slots, so LNS repair reuses a scan
+across repair rounds, attempts and generations. Plans are checked once, by
+``MissionPlan.validate_against`` in ``evaluate_plan``; a leg model's
+``fly`` trusts its route, and the search its own input: ``decode`` does not
+check chromosomes, which the engine builds as permutations.
 """
 
 from __future__ import annotations
@@ -355,26 +357,6 @@ class _Pair:
                 nx * to.e1[0] + ny * to.e1[1] + nz * to.e1[2]) % TWO_PI
 
 
-class _RouteGeom:
-    __slots__ = ("coasts", "thetas", "dv1s", "shalves", "tds", "sum_coast",
-                 "sum_td")
-
-    def __init__(self, coasts, thetas, dv1s, shalves, tds):
-        self.coasts = coasts
-        self.thetas = thetas
-        self.dv1s = dv1s
-        self.shalves = shalves
-        self.tds = tds
-        self.sum_coast = _left_sum(coasts)
-        self.sum_td = _left_sum(tds)
-
-    def leg(self, q: int) -> "_RouteGeom":
-        """Leg ``q`` alone, as a one-leg route."""
-        return _RouteGeom(self.coasts[q:q + 1], self.thetas[q:q + 1],
-                          self.dv1s[q:q + 1], self.shalves[q:q + 1],
-                          self.tds[q:q + 1])
-
-
 _ROUTE_CACHE_CAP = 400_000
 SLACK_RULES = ("largest", "smallest")
 _EMPTY_ROUTE = ((), 0.0, 0.0, 0.0)
@@ -392,7 +374,11 @@ class CostModel:
     signed phase gap at that point) and ``_route_cost`` (phasing burns,
     combined first impulse, phase time) are the one per-leg kernel, one
     loop per route, reading each leg pair's static geometry from
-    ``_pairs``; ``fly`` reports a route's legs from it. Every expression
+    ``_pairs``. The geometry is a list of ``(coast, theta, dv1, s_half,
+    td)`` leg records, with the left sums of the coasts and of the repair
+    times; ``_allocate`` and ``_route_cost`` read the records as they
+    are, and ``fly`` and ``exhaustive_solve`` price one leg as the
+    one-record route ``legs[q:q + 1]``. Every expression
     keeps its IEEE operation order, so a rewrite for speed must leave each
     float bit-identical. A route's geometry is simulated at one revolution
     per leg and serves every revolution allocation, which is exact because
@@ -446,22 +432,27 @@ class CostModel:
         self._pairs[(from_key, to_id)] = p
         return p
 
-    def route_geometry(self, servicer_id: int, seq) -> _RouteGeom:
-        """Coasts, phase gaps and repair times of a route flown at one
-        revolution per leg.
+    def route_geometry(self, servicer_id: int, seq):
+        """``(legs, sum_coast, sum_td)`` of a route flown at one revolution
+        per leg: one ``(coast, theta, dv1, s_half, td)`` record per leg,
+        and the left sums of its coasts and of its repair times.
 
         Each leg coasts to the nearer plane-intersection point; its gap is
         measured from the target to that point, prograde in the target
         plane, and folded into (-pi, pi]: the theta of the phasing-orbit
         equations. Coplanar legs do not coast; their gap is the folded
         difference of the two longitudes, which does not change in time.
+        ``dv1`` and ``s_half`` are the leg pair's plane-change impulse and
+        sin(alpha/2), and ``td`` the target's repair time.
         """
         pairs = self._pairs
         td_of = self._td
         n = GEO.mean_motion
         t_geo = GEO.t_geo
         pi = math.pi
-        coasts, thetas, dv1s, shalves, tds = [], [], [], [], []
+        legs = []
+        sum_coast = 0.0
+        sum_td = 0.0
         t = 0.0
         from_key = ("S", servicer_id)
         for tid in seq:
@@ -482,19 +473,16 @@ class CostModel:
                 if theta > pi:
                     theta -= TWO_PI
             td = td_of[tid]
-            coasts.append(coast)
-            thetas.append(theta)
-            dv1s.append(p.dv1)
-            shalves.append(p.s_half)
-            tds.append(td)
+            legs.append((coast, theta, p.dv1, p.s_half, td))
+            sum_coast += coast
+            sum_td += td
             t = t + coast + ((TWO_PI + theta) / TWO_PI) * t_geo + td
             from_key = tid
-        return _RouteGeom(tuple(coasts), tuple(thetas), tuple(dv1s),
-                          tuple(shalves), tuple(tds))
+        return legs, sum_coast, sum_td
 
-    def _route_cost(self, geom: _RouteGeom, revs):
+    def _route_cost(self, legs, revs):
         """(delta-v m/s, deadline-violation seconds, end time s) of a route's
-        geometry flown on ``revs``.
+        leg records, from ``route_geometry``, flown on ``revs``.
 
         Each leg closes its gap theta in k revolutions on a phasing ellipse
         of semimajor axis a = r_geo * (span / (2 pi k))**(2/3), where
@@ -513,9 +501,8 @@ class CostModel:
         two_over_r = _TWO_OVER_R
         inv_sqrt_r = _INV_SQRT_R
         sqrt = math.sqrt
-        for coast, theta, dv1, s_half, td, k in zip(
-                geom.coasts, geom.thetas, geom.dv1s, geom.shalves, geom.tds,
-                revs, strict=True):
+        for (coast, theta, dv1, s_half, td), k in zip(legs, revs,
+                                                       strict=True):
             span = TWO_PI * k + theta
             a = r * (span / (TWO_PI * k)) ** (2.0 / 3.0)
             half = burn_scale * abs(sqrt(two_over_r - 1.0 / a) - inv_sqrt_r)
@@ -540,30 +527,31 @@ class CostModel:
         before it, arrival plus repair, as the kernel's clock has it.
         """
         sid, seq = route.servicer_id, route.target_sequence
-        geom = self.route_geometry(sid, seq)
+        legs, _, _ = self.route_geometry(sid, seq)
         from_key = ("S", sid)
         departure = self.scenario.servicer(sid).orbit
         t = 0.0
-        legs = []
+        flown = []
         for q, (tid, k) in enumerate(zip(seq, route.revolutions)):
             target = self.scenario.target(tid).orbit
-            coast = geom.coasts[q]
+            coast, theta, _, _, td = legs[q]
             imp1, imp2, t1, t2, phase = rendezvous_mixed(
-                departure, target, t, coast, geom.thetas[q],
+                departure, target, t, coast, theta,
                 self._pairs[from_key, tid].alpha, k)
-            completion = t2 + geom.tds[q]
-            legs.append(LegDetail(
+            completion = t2 + td
+            flown.append(LegDetail(
                 sid, tid, imp1, imp2, t, t1, t2, completion, coast, phase,
-                self._route_cost(geom.leg(q), (k,))[0]))
+                self._route_cost(legs[q:q + 1], (k,))[0]))
             t = completion
             from_key, departure = tid, target
-        return legs
+        return flown
 
     # -- route-level evaluation ----------------------------------------------
 
     def route_metrics(self, servicer_id: int, seq, revs):
         """(delta-v m/s, deadline-violation seconds, end time s) of a route."""
-        return self._route_cost(self.route_geometry(servicer_id, seq), revs)
+        return self._route_cost(self.route_geometry(servicer_id, seq)[0],
+                                revs)
 
     def _score(self, servicer_id: int, dv: float, p1: float):
         """(penalized fitness, delta-v m/s, deadline violation s, budget
@@ -652,54 +640,51 @@ class CostModel:
         route under ``allocate``, priced afresh."""
         if not seq:
             return _EMPTY_ROUTE
-        revs, cost = self._allocate(self.route_geometry(servicer_id, seq))
+        revs, cost = self._allocate(*self.route_geometry(servicer_id, seq))
         return (tuple(revs),) + cost
 
-    def _end_time(self, geom: _RouteGeom, revs) -> float:
-        """End time (s) of ``_route_cost``, accumulated in the same order,
-        without the delta-v."""
-        t = 0.0
-        t_geo = GEO.t_geo
-        for coast, theta, td, k in zip(geom.coasts, geom.thetas, geom.tds,
-                                       revs):
-            t = t + coast + ((TWO_PI * k + theta) / TWO_PI) * t_geo + td
-        return t
-
-    def _allocate(self, geom: _RouteGeom):
-        """``allocate`` on a route's geometry; returns the revolutions and
-        their ``_route_cost``. The base, trim and top-up steps look at end
-        times only, so the route is costed once, on the final revolutions.
+    def _allocate(self, legs, sum_coast: float, sum_td: float):
+        """``allocate`` on a route's ``route_geometry``; returns the
+        revolutions and their ``_route_cost``. The base, trim and top-up
+        steps look at end times only, each added up in ``_route_cost``'s
+        order, so the route is costed once, on the final revolutions.
         """
-        legs = len(geom.thetas)
+        n_legs = len(legs)
         n_max = self._max_revs
         deadline = self.deadline
-        t_phase_budget = deadline - geom.sum_td - geom.sum_coast
-        pieces = math.floor(t_phase_budget / GEO.t_geo)
-        base = min(max(pieces // legs, 1), n_max)
-        revs = [base] * legs
-        gaps = [abs(th) for th in geom.thetas]
-        end = self._end_time(geom, revs)
-        if end > deadline:
-            trim_order = sorted(range(legs), key=lambda q: (gaps[q], q))
-            while end > deadline:
-                cut = next((q for q in trim_order if revs[q] > 1), None)
-                if cut is None:
-                    break
-                revs[cut] -= 1
-                end = self._end_time(geom, revs)
-        else:
-            slack = deadline - end
+        t_geo = GEO.t_geo
+        t_phase_budget = deadline - sum_td - sum_coast
+        pieces = math.floor(t_phase_budget / t_geo)
+        base = min(max(pieces // n_legs, 1), n_max)
+        revs = [base] * n_legs
+        trim_order = None
+        while True:
+            t = 0.0
+            for (coast, theta, _, _, td), k in zip(legs, revs):
+                t = t + coast + ((TWO_PI * k + theta) / TWO_PI) * t_geo + td
+            if not t > deadline:
+                break
+            if trim_order is None:
+                trim_order = sorted(range(n_legs),
+                                    key=lambda q: (abs(legs[q][1]), q))
+            cut = next((q for q in trim_order if revs[q] > 1), None)
+            if cut is None:
+                break
+            revs[cut] -= 1
+        if trim_order is None:  # the even split meets the deadline
+            slack = deadline - t
             if slack > 0.0:
-                extra = math.floor(slack / GEO.t_geo)
+                extra = math.floor(slack / t_geo)
                 if extra >= 1:
                     # Ties go to the first leg of the largest gap, or to
                     # the last leg of the smallest.
+                    gaps = [abs(leg[1]) for leg in legs]
                     if self.slack_rule == "largest":
                         pick = gaps.index(max(gaps))
                     else:
-                        pick = legs - 1 - gaps[::-1].index(min(gaps))
+                        pick = n_legs - 1 - gaps[::-1].index(min(gaps))
                     revs[pick] = min(revs[pick] + extra, n_max)
-        return revs, self._route_cost(geom, revs)
+        return revs, self._route_cost(legs, revs)
 
     # -- plan-level ----------------------------------------------------------
 
@@ -848,23 +833,24 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
         else:
             best = None
             for perm in itertools.permutations(sorted(subset)):
-                geom = model.route_geometry(sid, perm)
+                legs, _, _ = model.route_geometry(sid, perm)
                 # Per-leg (delta-v, phase time) tables make the revolution
                 # scan cheap. A leg priced as a one-leg route is exact: its
                 # sum starts at 0.0, and 0.0 + x == x. The clock adds each
                 # leg's coast, phase time and repair in the kernel's order.
-                tab = [[(model._route_cost(geom.leg(q), (k,))[0],
-                         phasing_solution(geom.thetas[q], k)[0])
+                tab = [[(model._route_cost(legs[q:q + 1], (k,))[0],
+                         phasing_solution(legs[q][1], k)[0])
                         for k in rev_range] for q in range(len(perm))]
                 deadline = model.deadline
                 for revs in itertools.product(rev_range, repeat=len(perm)):
                     dv = 0.0
                     t = 0.0
                     p1 = 0.0
-                    for q, k in enumerate(revs):
-                        leg_dv, phase = tab[q][k - 1]
+                    for (coast, _, _, _, td), row, k in zip(legs, tab,
+                                                            revs):
+                        leg_dv, phase = row[k - 1]
                         dv += leg_dv
-                        t = t + geom.coasts[q] + phase + geom.tds[q]
+                        t = t + coast + phase + td
                         if t > deadline:
                             p1 += t - deadline
                     score = model._score(sid, dv, p1)[0]

@@ -248,9 +248,9 @@ def scenario_record(scenario: Scenario) -> dict:
 
 
 def load(path) -> Scenario:
-    """Read a scenario file; ParseError for malformed files and for files
-    over ``MAX_SCENARIO_BYTES``, ValidationError for invariant
-    violations."""
+    """Read a scenario file; ParseError, naming the file, for malformed,
+    undecodable or too deeply nested files and for files over
+    ``MAX_SCENARIO_BYTES``, ValidationError for invariant violations."""
     with open(path, "rb") as fh:
         raw = fh.read(MAX_SCENARIO_BYTES + 1)
     if len(raw) > MAX_SCENARIO_BYTES:
@@ -261,6 +261,11 @@ def load(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: "
                          f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except RecursionError:
+        # The traceback of a recursion error is as deep as the nesting.
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     return from_record(data)

@@ -62,6 +62,6 @@ def kernel_leg(departure: GeoOrbit, target: GeoOrbit, k, t: float = 0.0):
     plan = MissionPlan([Route(1, [1], [k])])
     (leg,) = evaluate_plan(scenario, plan).leg_details
     model = CostModel(scenario)
-    theta = model.route_geometry(1, [1]).thetas[0]
+    (_, theta, _, _, _), = model.route_geometry(1, [1])[0]
     alpha = model._pairs[("S", 1), 1].alpha
     return orbit_to_state(departure, 0.0), target, leg, alpha, theta

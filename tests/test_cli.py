@@ -645,6 +645,20 @@ class TestCountBounds:
         assert "exceeds the cap" in _one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"[" * 200_000, id="deep"),
+        pytest.param(b"\xff{}", id="undecodable"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "oracle", "bench"])
+    def test_unreadable_scenario_file_names_its_path(self, tmp_path, capsys,
+                                                     command, content):
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main([command, str(scen_path), "--out", str(out)]) == 1
+        assert _one_line_error(capsys).startswith(f"error: {scen_path}: ")
+        assert not out.exists()
+
 
 def _subcommand_parsers():
     action = next(a for a in _build_parser()._actions

@@ -494,18 +494,27 @@ class TestRouteMemo:
         assert len(sizes) == 1
 
     def test_lns_solve_builds_each_route_geometry_once(self, monkeypatch):
-        built = []
-        original = CostModel.route_geometry
+        # Each call of the kernel, in order: a route key for each geometry
+        # and None for each cost pass.
+        calls = []
+        geometry = CostModel.route_geometry
+        route_cost = CostModel._route_cost
 
-        def spy(self, servicer_id, seq):
-            built.append((servicer_id, tuple(seq)))
-            return original(self, servicer_id, seq)
+        def geometry_spy(self, servicer_id, seq):
+            calls.append((servicer_id, tuple(seq)))
+            return geometry(self, servicer_id, seq)
 
-        monkeypatch.setattr(CostModel, "route_geometry", spy)
+        def cost_spy(self, legs, revs):
+            calls.append(None)
+            return route_cost(self, legs, revs)
+
+        monkeypatch.setattr(CostModel, "route_geometry", geometry_spy)
+        monkeypatch.setattr(CostModel, "_route_cost", cost_spy)
         scenario = random_scenario(6, 2, 10.0, seed=7)
         result = solve_lns_aga(scenario, GaParams(population_size=20,
                                                   min_iterations=10,
                                                   stall_iterations=5), seed=1)
+        built = [key for key in calls if key is not None]
         # The report reads the geometry of each reported route twice more,
         # last: once in ``allocate``, which prices a non-empty route afresh
         # for its revolutions, and once to fly the legs the search priced.
@@ -516,6 +525,11 @@ class TestRouteMemo:
         assert searched
         assert len(searched) == len(set(searched))
         assert built[-len(report):] == report
+        # Before the report, the search costs each route once, right after
+        # building its geometry: one geometry pass and one cost pass.
+        geometry_at = [i for i, key in enumerate(calls) if key is not None]
+        assert calls[:geometry_at[len(searched)]] == [
+            call for key in searched for call in (key, None)]
 
     def test_lns_solve_builds_each_leg_pair_once(self, monkeypatch):
         built = []
@@ -580,8 +594,8 @@ class PerLegCostModel(CostModel):
             tds.append(td)
             t = t + coast + ((TWO_PI + theta) / TWO_PI) * GEO.t_geo + td
             from_key = tid
-        return planning._RouteGeom(tuple(coasts), tuple(thetas), tuple(dv1s),
-                                   tuple(shalves), tuple(tds))
+        return (list(zip(coasts, thetas, dv1s, shalves, tds)),
+                planning._left_sum(coasts), planning._left_sum(tds))
 
     def phasing_half_dv(self, theta: float, k: int) -> float:
         span = TWO_PI * k + theta
@@ -601,16 +615,16 @@ class PerLegCostModel(CostModel):
                          + 2.0 * dv1 * half * sgn * s_half)
         return imp1 + half
 
-    def _route_cost(self, geom, revs):
+    def _route_cost(self, legs, revs):
         t = 0.0
         dv = 0.0
         p1 = 0.0
         deadline = self.deadline
         for q, k in enumerate(revs):
-            theta = geom.thetas[q]
+            coast, theta, dv1, s_half, td = legs[q]
             half = self.phasing_half_dv(theta, k)
-            dv += self.leg_dv(geom.dv1s[q], geom.shalves[q], theta, half)
-            t = t + geom.coasts[q] + self.t_phase(theta, k) + geom.tds[q]
+            dv += self.leg_dv(dv1, s_half, theta, half)
+            t = t + coast + self.t_phase(theta, k) + td
             if t > deadline:
                 p1 += t - deadline
         return dv, p1, t
@@ -618,20 +632,19 @@ class PerLegCostModel(CostModel):
     def _end_time(self, geom, revs) -> float:
         t = 0.0
         t_geo = GEO.t_geo
-        for coast, theta, td, k in zip(geom.coasts, geom.thetas, geom.tds,
-                                       revs):
+        for (coast, theta, _, _, td), k in zip(geom, revs):
             t = t + coast + ((TWO_PI * k + theta) / TWO_PI) * t_geo + td
         return t
 
-    def _allocate(self, geom):
-        legs = len(geom.thetas)
+    def _allocate(self, geom, sum_coast, sum_td):
+        legs = len(geom)
         n_max = self._max_revs
         deadline = self.deadline
-        t_phase_budget = deadline - geom.sum_td - geom.sum_coast
+        t_phase_budget = deadline - sum_td - sum_coast
         pieces = math.floor(t_phase_budget / GEO.t_geo)
         base = min(max(pieces // legs, 1), n_max)
         revs = [base] * legs
-        gaps = [abs(th) for th in geom.thetas]
+        gaps = [abs(leg[1]) for leg in geom]
         end = self._end_time(geom, revs)
         if end > deadline:
             trim_order = sorted(range(legs), key=lambda q: (gaps[q], q))
@@ -659,11 +672,6 @@ def hexed(value):
     if isinstance(value, (tuple, list)):
         return type(value)(hexed(v) for v in value)
     return value
-
-
-def geometry_fields(geom):
-    return hexed((geom.coasts, geom.thetas, geom.dv1s, geom.shalves, geom.tds,
-                  geom.sum_coast, geom.sum_td))
 
 
 # Round degrees, the multiples of 90 deg and angles a few ulps from them:
@@ -823,10 +831,39 @@ class TestOracleSymmetries:
         assert longer.fitness <= ev.fitness
 
 
+def allocation_branches(model, sid, seq) -> set[str]:
+    """The ``allocate`` branches one route reaches, read from its even
+    split, that split's end time and its final revolutions: 'trim-twice'
+    when the trim pass cuts two revolutions or more, 'clamped-top-up' when
+    the top-up is cut off at ``_max_revs`` and 'smallest-tie' when, under
+    ``slack_rule='smallest'``, a top-up is due and the smallest gap is
+    shared by two legs or more."""
+    legs, sum_coast, sum_td = model.route_geometry(sid, seq)
+    pieces = math.floor((model.deadline - sum_td - sum_coast) / T)
+    base = min(max(pieces // len(legs), 1), model._max_revs)
+    end = model.route_metrics(sid, seq, [base] * len(legs))[2]
+    revs = model.priced_route(sid, seq)[0]
+    branches = set()
+    if end > model.deadline:
+        if base * len(legs) - sum(revs) >= 2:
+            branches.add("trim-twice")
+    elif model.deadline - end > 0.0:
+        extra = math.floor((model.deadline - end) / T)
+        gaps = [abs(leg[1]) for leg in legs]
+        if extra >= 1 and base + extra > model._max_revs:
+            branches.add("clamped-top-up")
+        if (extra >= 1 and model.slack_rule == "smallest"
+                and gaps.count(min(gaps)) > 1):
+            branches.add("smallest-tie")
+    return branches
+
+
 class TestExactKernel:
     """The inlined route kernel gives, float for float, what the per-leg
     code it replaced gave (``PerLegCostModel``), and each leg priced as a
-    one-leg route, as ``exhaustive_solve`` tables it, is that leg's share."""
+    one-leg route, as ``exhaustive_solve`` tables it, is that leg's share.
+    An explicit example may name, last, the ``allocation_branches`` it must
+    reach."""
 
     @given(kernel_cases())
     @example((  # A half-turn lead: the phase gap folds to +pi.
@@ -843,30 +880,49 @@ class TestExactKernel:
          (2.0, 45.0, 45.0, HOUR)], 6 * 86400.0,
         [(1, [1, 2, 5], [1, 2, 3]), (2, [3, 4], [2, 1]),
          (2, [4, 3, 5, 1, 2], [1, 1, 1, 1, 1])]))
+    @example((  # Three gaps of nearly +pi overrun the even split by 1.5
+        # periods, so the trim pass cuts twice.
+        [(0.0, 0.0, 0.0, 2000.0)],
+        [(0.0, 0.0, 181.0, 0.0), (0.0, 0.0, 2.0, 0.0),
+         (0.0, 0.0, 183.0, 0.0)], 6 * 86400.0,
+        [(1, [1, 2, 3], [2, 2, 2])], "trim-twice"))
+    @example((  # One leg whose gap of nearly -pi, with the 0.6 period left
+        # by the deadline, asks for a top-up past ``_max_revs``.
+        [(0.0, 0.0, 0.0, 2000.0)], [(0.0, 0.0, 179.0, 0.0)],
+        5.6 * 86400.0, [(1, [1], [5])], "clamped-top-up"))
+    @example((  # Two legs tie on the smallest gap, pi/2.
+        [(0.0, 0.0, 0.0, 2000.0)],
+        [(0.0, 0.0, 90.0, 0.0), (0.0, 0.0, 180.0, 0.0),
+         (0.0, 0.0, 0.0, 0.0)], 10 * 86400.0,
+        [(1, [1, 2, 3], [3, 3, 3])], "smallest-tie"))
     @settings(max_examples=100, deadline=None)
     def test_matches_the_per_leg_code(self, case):
-        servicers, targets, deadline, routes = case
+        servicers, targets, deadline, routes, *branches = case
         scenario = make_scenario(servicers, targets, deadline)
+        reached = set()
         for rule in planning.SLACK_RULES:
             model = CostModel(scenario, rule)
             reference = PerLegCostModel(scenario, rule)
             for sid, seq, revs in routes:
+                reached |= allocation_branches(model, sid, seq)
                 geom = model.route_geometry(sid, seq)
-                assert geometry_fields(geom) == geometry_fields(
+                assert hexed(geom) == hexed(
                     reference.route_geometry(sid, seq))
                 assert hexed(model.priced_route(sid, seq)) == hexed(
                     reference.priced_route(sid, seq))
                 assert hexed(model.route_metrics(sid, seq, revs)) == hexed(
                     reference.route_metrics(sid, seq, revs))
+                legs = geom[0]
                 for q, k in enumerate(revs):
-                    leg_dv, _, leg_time = model._route_cost(geom.leg(q), (k,))
-                    theta = geom.thetas[q]
+                    leg_dv, _, leg_time = model._route_cost(legs[q:q + 1],
+                                                            (k,))
+                    coast, theta, dv1, s_half, td = legs[q]
                     assert leg_dv.hex() == reference.leg_dv(
-                        geom.dv1s[q], geom.shalves[q], theta,
+                        dv1, s_half, theta,
                         reference.phasing_half_dv(theta, k)).hex()
                     assert leg_time.hex() == (
-                        geom.coasts[q] + reference.t_phase(theta, k)
-                        + geom.tds[q]).hex()
+                        coast + reference.t_phase(theta, k) + td).hex()
+        assert set(branches) <= reached
 
     @given(thetas=st.lists(st.sampled_from(
                [-math.pi, -math.pi / 2, 0.0, 0.25, math.pi / 2,
@@ -883,15 +939,15 @@ class TestExactKernel:
                                   min_size=legs, max_size=legs))
         tds = data.draw(st.lists(st.sampled_from([0.0, HOUR, 86400.0]),
                                  min_size=legs, max_size=legs))
-        geom = planning._RouteGeom(tuple(coasts), tuple(thetas), tuple(dv1s),
-                                   tuple(0.04 if d else 0.0 for d in dv1s),
-                                   tuple(tds))
+        geom = (list(zip(coasts, thetas, dv1s,
+                         [0.04 if d else 0.0 for d in dv1s], tds)),
+                planning._left_sum(coasts), planning._left_sum(tds))
         days = data.draw(st.integers(1, 20))
         scenario = make_scenario([(0.0, 0.0, 0.0, 2000.0)],
                                  [(0.0, 0.0, 0.0, 0.0)], days * 86400.0)
         for rule in planning.SLACK_RULES:
-            assert hexed(CostModel(scenario, rule)._allocate(geom)) == hexed(
-                PerLegCostModel(scenario, rule)._allocate(geom))
+            assert hexed(CostModel(scenario, rule)._allocate(*geom)) == hexed(
+                PerLegCostModel(scenario, rule)._allocate(*geom))
 
 
 @st.composite
@@ -993,13 +1049,14 @@ def trial_priced_allocate(model, geom, slack_rule):
     """The revolution allocator as it reads with every trial allocation
     fully priced by ``_route_cost``. Returns the revolutions, their cost
     and whether the trim pass ran."""
-    legs = len(geom.thetas)
+    geom, sum_coast, sum_td = geom
+    legs = len(geom)
     n_max = model._max_revs
-    t_phase_budget = model.deadline - geom.sum_td - geom.sum_coast
+    t_phase_budget = model.deadline - sum_td - sum_coast
     pieces = math.floor(t_phase_budget / GEO.t_geo)
     base = min(max(pieces // legs, 1), n_max)
     revs = [base] * legs
-    gaps = [abs(th) for th in geom.thetas]
+    gaps = [abs(leg[1]) for leg in geom]
     cost = model._route_cost(geom, revs)
     if cost[2] > model.deadline:
         trim_order = sorted(range(legs), key=lambda q: (gaps[q], q))
@@ -1032,6 +1089,9 @@ class TestTimeOnlyAllocation:
         # overrun the deadline, so the trim pass decides at its boundary.
         scenario = random_scenario(10, 2, 10.0, seed=2101)
         model = CostModel(scenario, rule)
+        # The allocator's end-time expression, as the per-leg code wrote it
+        # in a method of its own.
+        end_time = PerLegCostModel(scenario, rule)._end_time
         rng = random.Random(2102)
         tids = [t.id for t in scenario.targets]
         trims = trims_to_fit = 0
@@ -1044,8 +1104,8 @@ class TestTimeOnlyAllocation:
             trims_to_fit += trimmed and cost[2] <= model.deadline
             assert model.priced_route(sid, seq) == (tuple(revs),) + cost
             other = [rng.randint(1, model._max_revs) for _ in seq]
-            assert model._end_time(geom, other) == model._route_cost(
-                geom, other)[2]
+            assert end_time(geom[0], other) == model._route_cost(
+                geom[0], other)[2]
         assert trims > 500 and trims_to_fit > 10
 
 
@@ -1189,7 +1249,7 @@ def test_phasing_consistency_with_astro():
         theta = rng.uniform(-math.pi, math.pi)
         k = rng.randint(1, 10)
         t_phase, _, dv = phasing_solution(theta, k)
-        geom = planning._RouteGeom((0.0,), (theta,), (0.0,), (0.0,), (0.0,))
-        cost_dv, _, end = model._route_cost(geom, (k,))
+        cost_dv, _, end = model._route_cost([(0.0, theta, 0.0, 0.0, 0.0)],
+                                            (k,))
         assert end.hex() == t_phase.hex()
         assert cost_dv.hex() == dv.hex()

@@ -218,6 +218,20 @@ class TestSaveLoad:
         with pytest.raises(ParseError, match="line"):
             load(path)
 
+    @pytest.mark.parametrize("content,reason", [
+        pytest.param(b"[" * 200_000, "nested too deeply", id="deep"),
+        pytest.param(b"\xff{}", "not UTF-8", id="undecodable"),
+    ])
+    def test_unreadable_json_is_a_parse_error_naming_the_file(
+            self, tmp_path, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert reason in str(exc.value)
+        assert "\n" not in str(exc.value)
+
 
 def _set(path, value):
     """Edit of a case-study record: ``path`` is a tuple of keys and indices
