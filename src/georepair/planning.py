@@ -39,11 +39,14 @@ slack rule and the penalty weights phi and gamma, fixed when it is built,
 and keeps two bounded memos under it. The route memo, read and written by
 ``priced_score`` alone, prices each (servicer, sequence) once: the route is
 simulated, allocated on end times alone and costed once, and the memo keeps
-only what the search reads, its score and whether it is feasible, under one
-flat key ``(servicer, *sequence)``; ``allocate`` prices a reported route
-afresh for its revolutions. The insertion memo scans each (servicer,
-target, sequence) once for its cheapest slots, so LNS repair reuses a scan
-across repair rounds, attempts and generations. Plans are checked once, by
+only what the search reads, one float, its score negated when the route
+misses the deadline or the budget, under one flat key ``(servicer,
+*sequence)``; ``allocate`` prices a reported route afresh for its
+revolutions. The insertion memo scans each (servicer, target, sequence)
+once for its cheapest slots, so LNS repair reuses a scan across repair
+rounds, attempts and generations. Each memo value has a fixed size, and
+each memo empties itself when its keys would hold more than
+``_MEMO_ID_BUDGET`` ids. Plans are checked once, by
 ``MissionPlan.validate_against`` in ``evaluate_plan``; a leg model's
 ``fly`` trusts its route, and the search its own input: ``decode`` does not
 check chromosomes, which the engine builds as permutations.
@@ -357,7 +360,11 @@ class _Pair:
                 nx * to.e1[0] + ny * to.e1[1] + nz * to.e1[2]) % TWO_PI
 
 
-_ROUTE_CACHE_CAP = 400_000
+# Ids (servicer, target and sequence ids) that the keys of each of the
+# route and insertion memos may hold in all; a memo empties itself when an
+# insert would go past it. A key holds at most MAX_TARGETS + 2 ids, and a
+# key longer than the budget would be kept alone.
+_MEMO_ID_BUDGET = 4_000_000
 SLACK_RULES = ("largest", "smallest")
 _EMPTY_ROUTE = ((), 0.0, 0.0, 0.0)
 
@@ -386,17 +393,20 @@ class CostModel:
     whole periods.
 
     ``priced_score`` memoizes, under the flat key ``(servicer, *sequence)``,
-    a route's penalized score on its ``allocate`` revolutions and whether
-    it meets the deadline and the budget, so each route's geometry is built
-    and allocated once in a search. An entry's size does not grow with its
-    route's length beyond the key. The memo empties itself when it reaches
-    ``_ROUTE_CACHE_CAP`` entries. ``priced_route`` prices a route afresh,
-    with its revolutions, for ``allocate`` on a reported plan.
+    a route's penalized score on its ``allocate`` revolutions as one float,
+    negated when the route misses the deadline or the budget, so each
+    route's geometry is built and allocated once in a search. A score is
+    never negative, so its sign bit is free; it is read with
+    ``math.copysign``, since an infeasible route can score 0.0, stored as
+    -0.0. ``priced_route`` prices a route afresh, with its revolutions, for
+    ``allocate`` on a reported plan.
 
     ``insertion_scan`` memoizes, per (servicer, target, sequence), the
-    cheapest slots for that target in that route; it empties itself at the
-    same cap. ``pair_cost_table`` tables the normalized target-pair costs
-    that LNS relatedness reads, once per ``beta``.
+    cheapest slots for that target in that route as one flat tuple. Both
+    memos are capped by the ids their keys hold, their summed length: each
+    empties itself when an insert would take it past ``_MEMO_ID_BUDGET``.
+    ``pair_cost_table`` tables the normalized target-pair costs that LNS
+    relatedness reads, once per ``beta``.
     """
 
     def __init__(self, scenario: Scenario, slack_rule: str = "largest",
@@ -416,7 +426,9 @@ class CostModel:
             self._bodies[t.id] = _Body(t.orbit)
         self._pairs: dict = {}
         self._priced: dict = {}
+        self._priced_ids = 0
         self._insertions: dict = {}
+        self._insertion_ids = 0
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
         self.servicer_ids = tuple(s.id for s in scenario.servicers)
@@ -565,19 +577,23 @@ class CostModel:
         dv, p1, _ = self.route_metrics(servicer_id, seq, revs)
         return self._score(servicer_id, dv, p1)
 
-    def priced_score(self, servicer_id: int, seq):
-        """(penalized fitness, feasible) of a route on its ``allocate``
-        revolutions, from the route memo: the score of ``route_score`` and
-        whether the route meets the deadline and the budget. A miss prices
-        the route by ``priced_route``."""
+    def priced_score(self, servicer_id: int, seq) -> float:
+        """The route memo's value for a route on its ``allocate``
+        revolutions: the score of ``route_score``, negated unless the route
+        meets the deadline and the budget. ``abs`` gives the score, and
+        ``math.copysign(1.0, value) > 0.0`` whether it is feasible, also
+        for a zero score. A miss prices the route by
+        ``priced_route``."""
         key = (servicer_id, *seq)
         hit = self._priced.get(key)
         if hit is None:
             _, dv, p1, _ = self.priced_route(servicer_id, seq)
             score, _, p1, p2 = self._score(servicer_id, dv, p1)
-            hit = (score, p1 == 0.0 and p2 == 0.0)
-            if len(self._priced) >= _ROUTE_CACHE_CAP:
+            hit = score if p1 == 0.0 and p2 == 0.0 else -score
+            self._priced_ids += len(key)
+            if self._priced_ids > _MEMO_ID_BUDGET:
                 self._priced.clear()
+                self._priced_ids = len(key)
             self._priced[key] = hit
         return hit
 
@@ -586,32 +602,32 @@ class CostModel:
 
         Each slot's route and ``seq`` itself are priced by ``priced_score``,
         and a slot's delta is the difference of their penalized fitnesses.
-        Returns ``(feasible, penalized)``: the first slot of least delta
-        among those whose route meets the deadline and the budget (None if
-        no slot does) and the first of least delta among all slots, each as
-        ``(delta, slot)``.
+        Returns ``(feasible delta, slot, penalized delta, slot)``: the first
+        slot of least delta among those whose route meets the deadline and
+        the budget (``None, None`` if no slot does) and the first of least
+        delta among all slots.
         """
         key = (servicer_id, target_id, *seq)
         hit = self._insertions.get(key)
         if hit is None:
             seq = tuple(seq)
-            old_score = self.priced_score(servicer_id, seq)[0]
-            best = None
-            best_pen = None
+            copysign = math.copysign
+            old_score = abs(self.priced_score(servicer_id, seq))
+            best = best_slot = best_pen = pen_slot = None
             for pos in range(len(seq) + 1):
-                score, feasible = self.priced_score(
+                value = self.priced_score(
                     servicer_id, seq[:pos] + (target_id,) + seq[pos:])
-                delta = score - old_score
-                # When one slot is both minima, both share one tuple, which
-                # keeps memo entries small.
-                slot = None
-                if feasible and (best is None or delta < best[0]):
-                    best = slot = (delta, pos)
-                if best_pen is None or delta < best_pen[0]:
-                    best_pen = slot or (delta, pos)
-            hit = (best, best_pen)
-            if len(self._insertions) >= _ROUTE_CACHE_CAP:
+                delta = abs(value) - old_score
+                if copysign(1.0, value) > 0.0 and (best is None
+                                                   or delta < best):
+                    best, best_slot = delta, pos
+                if best_pen is None or delta < best_pen:
+                    best_pen, pen_slot = delta, pos
+            hit = (best, best_slot, best_pen, pen_slot)
+            self._insertion_ids += len(key)
+            if self._insertion_ids > _MEMO_ID_BUDGET:
                 self._insertions.clear()
+                self._insertion_ids = len(key)
             self._insertions[key] = hit
         return hit
 
@@ -713,8 +729,8 @@ class CostModel:
         """``plan_metrics`` fitness of one target sequence per servicer, in
         ``scenario.servicers`` order, each on its ``allocate`` revolutions
         from the route memo."""
-        return _left_sum(score for score, _ in map(
-            self.priced_score, self.servicer_ids, seqs))
+        return _left_sum(map(abs, map(self.priced_score, self.servicer_ids,
+                                      seqs)))
 
     # -- static target-pair geometry (destroy-operator relatedness) -----------
 

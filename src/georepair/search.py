@@ -31,8 +31,8 @@ The engine drives one ``planning.CostModel`` per solve, built with the
 solve's penalty weights, and reads only its ``route``, ``allocate``,
 ``fly``, ``phi`` and ``gamma``; the LNS operators take that same model, so
 one pricing policy and one set of memos serve the whole solve. The mixed
-model's route memo keeps, per route, only the score and the feasibility
-that ``route``, ``plan_fitness`` and the insertion scan read, and
+model's route memo keeps, per route, one float, the score that ``route``,
+``plan_fitness`` and the insertion scan read, its sign the feasibility, and
 ``allocate`` prices the reported routes afresh for their revolutions.
 Each leg model is a ``CostModel``: ``_MixedAdapter`` is ``CostModel``
 itself, built with the solve's slack rule, and ``_LambertAdapter``
@@ -88,9 +88,11 @@ from .planning import (
 FITNESS_EPS = 1e-12
 RELATEDNESS_EPS = 1e-6
 
-# Entries at which the engine's chromosome cache and the Lambert model's
-# leg cache and state memo empty themselves.
-_GENE_CACHE_CAP = 200_000
+# Genes that the engine's chromosome cache may hold in all, m + n - 1 per
+# entry; it empties itself when an insert would go past them.
+_GENE_ID_BUDGET = 3_000_000
+# Entries at which the Lambert model's leg cache and state memo, whose
+# entries have a fixed size, empty themselves.
 _LEG_CACHE_CAP = 300_000
 
 # Largest population, generation and LNS attempt counts a solve accepts: far
@@ -369,15 +371,15 @@ def insertion_cost(target_id: int, seqs: list[list[int]], model: CostModel
     best_pen = None
     for j, (sid, seq) in enumerate(zip(model.servicer_ids, seqs,
                                        strict=True)):
-        feasible, pen = model.insertion_scan(sid, seq, target_id)
-        if feasible is not None and (best is None
-                                     or feasible[0] < best[0]):
-            best, best_j = feasible, j
-        if best_pen is None or pen[0] < best_pen[0]:
-            best_pen, pen_j = pen, j
+        delta, slot, pen, pen_slot = model.insertion_scan(sid, seq,
+                                                          target_id)
+        if delta is not None and (best is None or delta < best):
+            best, best_pos = delta, (j, slot)
+        if best_pen is None or pen < best_pen:
+            best_pen, pen_pos = pen, (j, pen_slot)
     if best is not None:
-        return best[0], (best_j, best[1])
-    raise AllInfeasible((pen_j, best_pen[1]), best_pen[0])
+        return best, best_pos
+    raise AllInfeasible(pen_pos, best_pen)
 
 
 def repair(removed, partial: list[list[int]], model: CostModel
@@ -428,7 +430,7 @@ class _MixedAdapter(CostModel):
     the Lambert model's."""
 
     def route(self, sid: int, seq) -> float:
-        return self.priced_score(sid, seq)[0]
+        return abs(self.priced_score(sid, seq))
 
 
 class _LambertAdapter(CostModel):
@@ -630,7 +632,8 @@ class _LambertAdapter(CostModel):
 def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,
                           phi: float = DEFAULT_PHI,
                           gamma: float = DEFAULT_GAMMA) -> Evaluation:
-    """Vector-level evaluation of a plan under the Lambert leg model."""
+    """``evaluate_plan`` with each route flown by the Lambert leg model's
+    ``fly``."""
     return evaluate_plan(scenario, plan, phi, gamma,
                          _LambertAdapter(scenario, phi, gamma).fly)
 
@@ -641,6 +644,7 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
     rng = random.Random(seed)
     sids = [s.id for s in scenario.servicers]
     cache: dict = {}
+    cache_cap = _GENE_ID_BUDGET // (m + n - 1)
 
     def evaluate(genes) -> float:
         key = tuple(genes)
@@ -649,7 +653,7 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
             fitness = 0.0
             for sid, seq in zip(sids, decode(genes, m, n)):
                 fitness += model.route(sid, seq)
-            if len(cache) >= _GENE_CACHE_CAP:
+            if len(cache) >= cache_cap:
                 cache.clear()
             cache[key] = fitness
         return fitness

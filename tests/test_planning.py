@@ -29,9 +29,11 @@ from georepair.planning import (
 )
 from georepair.scenarios import random_scenario
 from georepair.search import (
+    AllInfeasible,
     GaParams,
     _LambertAdapter,
     evaluate_plan_lambert,
+    insertion_cost,
     solve_lns_aga,
 )
 from scenario_builders import make_scenario, random_scenario_tuple
@@ -375,7 +377,7 @@ class TestCostModelAgreement:
             assert score == penalized_fitness(dv, p1, p2, 3.0, 0.5)
             _, dv, p1, _ = model.priced_route(sid, seq)
             p2 = max(dv - scenario.servicer(sid).dv_budget, 0.0)
-            assert model.priced_score(sid, seq) == (
+            assert read_priced(model.priced_score(sid, seq)) == (
                 penalized_fitness(dv, p1, p2, 3.0, 0.5),
                 p1 == 0.0 and p2 == 0.0)
 
@@ -407,6 +409,12 @@ class TestCostModelAgreement:
         assert dv == pytest.approx(math.fsum(leg.total_dv for leg in legs),
                                    rel=1e-9)
         assert end == pytest.approx(legs[-1].completion_time, rel=1e-12)
+
+
+def read_priced(value):
+    """(score, feasible) of a route-memo value: the score, negated unless
+    the route is feasible, so the sign bit is the flag."""
+    return abs(value), math.copysign(1.0, value) > 0.0
 
 
 def deep_size(value) -> int:
@@ -441,7 +449,7 @@ class TestRouteMemo:
             sid, seq = rng.choice(pool)
             policy = self.POLICIES[i % len(memos)]
             memo = memos[i % len(memos)]
-            score, feasible = memo.priced_score(sid, seq)
+            score, feasible = read_priced(memo.priced_score(sid, seq))
             revs = CostModel(scenario, **policy).allocate(sid, seq)
             fresh_score, _, p1, p2 = CostModel(
                 scenario, **policy).route_score(sid, seq, revs)
@@ -469,22 +477,24 @@ class TestRouteMemo:
             CostModel(scenario).route_metrics(1, [1, 2], revs)
 
     def test_memo_stays_within_its_cap(self, monkeypatch):
-        monkeypatch.setattr(planning, "_ROUTE_CACHE_CAP", 5)
+        # Keys of 2 to 6 ids: the memo holds a few routes at a time.
+        monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", 15)
         scenario = random_scenario(8, 3, 12.0, seed=13)
         model = CostModel(scenario)
         routes = self.random_routes(scenario, random.Random(14), 40)
         assert len({(sid, tuple(seq)) for sid, seq in routes}) > 5
+        held = []
         for sid, seq in routes + routes[::-1]:
-            score, feasible = model.priced_score(sid, seq)
-            assert len(model._priced) <= 5
-            fresh_score, fresh_feasible = CostModel(scenario).priced_score(
-                sid, seq)
-            assert score.hex() == fresh_score.hex()
-            assert feasible == fresh_feasible
+            value = model.priced_score(sid, seq)
+            held.append(sum(map(len, model._priced)))
+            assert held[-1] == model._priced_ids <= 15
+            fresh = CostModel(scenario).priced_score(sid, seq)
+            assert value.hex() == fresh.hex()
+        assert any(b < a for a, b in zip(held, held[1:]))
 
     def test_memo_value_does_not_grow_with_the_route(self):
-        # A value holds what the search reads, a score and a flag, and no
-        # per-leg data, so a 40-target route's takes a 2-target route's
+        # A value holds what the search reads, a score whose sign is the
+        # feasibility, and no per-leg data, so a 40-target route's takes a 2-target route's
         # bytes.
         model = CostModel(random_scenario(40, 1, 60.0, seed=16))
         sizes = set()
@@ -492,6 +502,37 @@ class TestRouteMemo:
             model.priced_score(1, seq)
             sizes.add(deep_size(model._priced[(1, *seq)]))
         assert len(sizes) == 1
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 40])
+    def test_memo_value_is_one_float(self, length):
+        model = CostModel(random_scenario(40, 1, 60.0, seed=16))
+        seq = list(range(1, length + 1))
+        value = model.priced_score(1, seq)
+        assert type(value) is float
+        assert model._priced == {(1, *seq): value}
+
+    @pytest.mark.parametrize("deadline, feasible", [(DAY, False),
+                                                    (3 * DAY, True)])
+    def test_a_zero_score_keeps_its_feasibility(self, deadline, feasible):
+        # The target sits at the servicer's own orbit position, so the leg
+        # costs no delta-v. With phi = 0, a route whose repair alone runs
+        # past the deadline scores 0.0 too, and only the sign of the stored
+        # zero tells it from the feasible one.
+        scenario = make_scenario([(1.0, 20.0, 30.0, 100.0)],
+                                 [(1.0, 20.0, 30.0, 2 * DAY)], deadline)
+        model = CostModel(scenario, phi=0.0)
+        score, dv, p1, p2 = model.route_score(1, [1], model.allocate(1, [1]))
+        assert (score, dv, p2) == (0.0, 0.0, 0.0)
+        assert (p1 == 0.0) == feasible
+        value = model.priced_score(1, [1])
+        assert value.hex() == (0.0 if feasible else -0.0).hex()
+        assert read_priced(value) == (0.0, feasible)
+        assert model.plan_fitness([[1]]).hex() == (0.0).hex()
+        if feasible:
+            assert insertion_cost(1, [[]], model) == (0.0, (0, 0))
+        else:
+            with pytest.raises(AllInfeasible):
+                insertion_cost(1, [[]], model)
 
     def test_lns_solve_builds_each_route_geometry_once(self, monkeypatch):
         # Each call of the kernel, in order: a route key for each geometry

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -698,15 +699,41 @@ class TestInsertionMemo:
         assert outcomes == {"feasible", "infeasible"}
 
     def test_memo_stays_within_its_cap(self, monkeypatch):
-        monkeypatch.setattr(planning, "_ROUTE_CACHE_CAP", 5)
+        # Keys of 2 to 9 ids: each memo holds a few at a time.
+        monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", 30)
         scenario = random_scenario(10, 2, 10.0, seed=2101)
         model = CostModel(scenario)
         partials = random_partials(scenario, random.Random(33), 10)
+        held = []
         for plan, missing in partials:
             for tid in missing:
                 got = insertion_answer(tid, plan, model)
-                assert len(model._insertions) <= 5
+                held.append(sum(map(len, model._insertions)))
+                assert held[-1] == model._insertion_ids <= 30
+                assert sum(map(len, model._priced)) == model._priced_ids <= 30
                 assert got == insertion_answer(tid, plan, CostModel(scenario))
+        assert any(b < a for a, b in zip(held, held[1:]))
+
+    def test_memo_value_is_one_flat_tuple(self):
+        scenario = random_scenario(10, 2, 10.0, seed=2101)
+        model = CostModel(scenario)
+        kinds = set()
+        for plan, missing in random_partials(scenario, random.Random(34), 10):
+            for tid in missing:
+                insertion_answer(tid, plan, model)
+        for key, value in model._insertions.items():
+            assert type(value) is tuple and len(value) == 4
+            delta, slot, pen, pen_slot = value
+            assert type(pen) is float and type(pen_slot) is int
+            assert 0 <= pen_slot <= len(key) - 2
+            if delta is None:
+                assert slot is None
+                kinds.add("infeasible")
+            else:
+                assert type(delta) is float and type(slot) is int
+                assert pen <= delta
+                kinds.add("feasible")
+        assert kinds == {"feasible", "infeasible"}
 
 
 class TestBoundedSearchCaches:
@@ -732,7 +759,8 @@ class TestBoundedSearchCaches:
             return original(self, sid, seq)
 
         monkeypatch.setattr(search._MixedAdapter, "route", spy)
-        monkeypatch.setattr(search, "_GENE_CACHE_CAP", 5)
+        # Chromosomes of m + n - 1 = 7 genes: five fit in 38 genes.
+        monkeypatch.setattr(search, "_GENE_ID_BUDGET", 38)
         capped = solve_lns_aga(scenario, small_ga(20, 20, 10), LnsParams(),
                                seed=1)
         assert max(sizes) == 5
@@ -763,6 +791,36 @@ class TestBoundedSearchCaches:
         assert capped.history == fresh.history
         assert capped.best_plan == fresh.best_plan
         assert capped.best_evaluation.fitness == fresh.best_evaluation.fitness
+
+    def test_memory_held_by_a_thousand_target_solve_stays_flat(
+            self, monkeypatch):
+        # At m = 1000 a chromosome key holds 1,001 genes and a route key
+        # about 500 ids, so each new chromosome adds some 16 kB to uncapped
+        # memos: about 45 kB a generation here, where every child mutates.
+        # With each budget patched to 4,004 ids, four chromosomes or about
+        # eight routes, the memory held at the start of each generation, by
+        # tracemalloc, stays within 100 kB of the first generation's.
+        m = 1000
+        scenario = random_scenario(m, 2, 30.0, seed=1)
+        monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", 4 * (m + 1))
+        monkeypatch.setattr(search, "_GENE_ID_BUDGET", 4 * (m + 1))
+        held = []
+        weights = search.selection_weights
+
+        def spy(fitnesses):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return weights(fitnesses)
+
+        monkeypatch.setattr(search, "selection_weights", spy)
+        ga = GaParams(population_size=4, min_iterations=10,
+                      stall_iterations=0, pm_lo=1.0, pm_hi=1.0)
+        tracemalloc.start()
+        try:
+            solve_ga(scenario, ga, seed=1)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 10
+        assert max(held) - held[0] < 100_000
 
 
 class TestEngineState:
@@ -872,6 +930,21 @@ class TestMixedWorkCounts:
         # Every chromosome the engine holds is evaluated, and the gene cache
         # never fills here, so each distinct one is a single miss.
         assert len(routed) == len(scenario.servicers) * len(seen)
+
+    def test_case_study_memo_sizes(self, monkeypatch):
+        # The benchmark's case_lns solve ends its search with these memo
+        # sizes, so a memo that is bypassed or keyed differently shows here.
+        sizes = []
+        report = search.evaluate_plan
+
+        def spy(scenario, plan, phi, gamma, legs):
+            model = legs.__self__
+            sizes.append((len(model._priced), len(model._insertions)))
+            return report(scenario, plan, phi, gamma, legs)
+
+        monkeypatch.setattr(search, "evaluate_plan", spy)
+        solve_lns_aga(case_study(), seed=1)
+        assert sizes == [(41_184, 7_058)]
 
 
 class TestLnsImprove:
@@ -1255,6 +1328,69 @@ class TestLambertReportsTheSearchPrice:
         with pytest.raises(ValueError, match="every target exactly once"):
             evaluate_plan(scenario, plan,
                           legs=_LambertAdapter(scenario, 1.0, 10.0).fly)
+
+
+class TestLambertRouteMemo:
+    """``_LambertAdapter`` inherits ``CostModel.priced_score``, which the
+    Lambert search does not read: its memo value must still be the route's
+    ``route`` score, negated exactly when ``route_detail`` gives the route
+    lateness or a delta-v over its budget."""
+
+    @staticmethod
+    def check(adapter, sid, seq):
+        value = adapter.priced_score(sid, seq)
+        assert abs(value).hex() == adapter.route(sid, seq).hex()
+        _, dv, p1, _ = adapter.route_detail(sid, seq)
+        feasible = p1 == 0.0 and dv <= adapter.scenario.servicer(sid).dv_budget
+        assert (math.copysign(1.0, value) > 0.0) == feasible
+        return feasible
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 3), st.sampled_from([2.0, 10.0]),
+           st.integers(0, 50), st.data())
+    def test_drawn_routes(self, m, n, days, seed, data):
+        adapter = _LambertAdapter(random_scenario(m, n, days, seed=seed),
+                                  1.0, 10.0)
+        sid = data.draw(st.integers(1, n))
+        seq = data.draw(st.permutations(range(1, m + 1)))
+        self.check(adapter, sid, seq[:data.draw(st.integers(0, m))])
+
+    def test_both_signs_on_random_scenarios(self):
+        rng = random.Random(35)
+        outcomes = set()
+        for days in (2.0, 10.0):
+            adapter = _LambertAdapter(random_scenario(6, 2, days, seed=7),
+                                      1.0, 10.0)
+            for _ in range(20):
+                seq = rng.sample(range(1, 7), rng.randint(1, 4))
+                outcomes.add(self.check(adapter, rng.choice((1, 2)), seq))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("gamma", [10.0, 0.0])
+    def test_unflyable_leg(self, monkeypatch, gamma):
+        # Only the 0.125-period grid time fits in 4 h, and after it target
+        # 1 sits 180 degrees from the servicer: a singular first leg.
+        scenario = make_scenario([(0.0, 0.0, 0.0, 2000.0)],
+                                 [(0.0, 0.0, 135.0, 0.0),
+                                  (1.0, 20.0, 50.0, 0.0)], 4 * HOUR)
+        adapter = _LambertAdapter(scenario, 1.0, gamma)
+        assert adapter.route_detail(1, [1, 2])[1] == math.inf
+        assert not self.check(adapter, 1, [1, 2])
+        assert adapter.priced_score(1, [1, 2]) == -math.inf
+        # On a random scenario, every arc into target 3 fails.
+        fly = _LambertAdapter._fly
+
+        def fail_into_3(self, state, to_id, tof):
+            if to_id == 3:
+                raise CollinearGeometry("forced failure")
+            return fly(self, state, to_id, tof)
+
+        monkeypatch.setattr(_LambertAdapter, "_fly", fail_into_3)
+        adapter = _LambertAdapter(random_scenario(6, 2, 10.0, seed=7), 1.0,
+                                  gamma)
+        for seq in ([1, 3, 2], [3], [4, 5]):
+            self.check(adapter, 1, seq)
+            assert (adapter.priced_score(1, seq) == -math.inf) == (3 in seq)
 
 
 class TestLambertWorkCounts:

@@ -92,10 +92,12 @@ def test_every_solve_reports_its_history_best(scenario, seed):
         ev = result.best_evaluation
         assert ev.fitness.hex() == min(best).hex(), name
 
-        # Every route, gene, leg and state memo capped at 5 entries.
-        with (mock.patch.multiple(search, _GENE_CACHE_CAP=5,
+        # Every route, insertion and gene memo capped at a few keys' ids,
+        # and the leg cache and state memo at 5 entries.
+        genes = len(scenario.targets) + len(scenario.servicers) - 1
+        with (mock.patch.multiple(search, _GENE_ID_BUDGET=5 * genes,
                                   _LEG_CACHE_CAP=5),
-              mock.patch.object(planning, "_ROUTE_CACHE_CAP", 5)):
+              mock.patch.object(planning, "_MEMO_ID_BUDGET", 12)):
             again = solve(scenario, seed)
         assert again.history == result.history, name
         assert again.best_plan == result.best_plan, name
