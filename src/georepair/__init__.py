@@ -15,7 +15,6 @@ from .planning import (
     Scenario,
     Servicer,
     Target,
-    allocate_revolutions,
     evaluate_plan,
     exhaustive_solve,
 )
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GEO", "CartesianState", "GeoOrbit",
     "Evaluation", "MissionPlan", "Route", "Scenario", "Servicer", "Target",
-    "allocate_revolutions", "evaluate_plan", "exhaustive_solve",
+    "evaluate_plan", "exhaustive_solve",
     "case_study", "load", "random_scenario", "save",
     "GaParams", "LnsParams", "SolveResult",
     "solve_ga", "solve_lambert_ga", "solve_lns_aga",

@@ -12,11 +12,14 @@ Lambert, reports its history's best fitness, and ``exhaustive_solve`` the
 total it minimized.
 
 ``evaluate_plan`` is the only code that builds an ``Evaluation``. It takes
-the legs as an argument, a leg model's ``fly``, which walks a route once
-and returns its ``LegDetail``s, one record per leg holding each of its
-facts once: the default is ``CostModel.fly``, the mixed legs the search
-prices, and the Lambert model in ``search``, a ``CostModel`` too, flies its
-own two-impulse legs; ``evaluate_plan`` only adds up each route's legs.
+the leg model that priced the plan, a ``CostModel`` built on the plan's
+scenario, and flies, scores and sums each route on that one model: its
+``fly`` walks a route once and returns its ``LegDetail``s, one record per
+leg holding each of its facts once. The default is ``CostModel``, the
+mixed legs the search prices, and the Lambert model in ``search``, a
+``CostModel`` too, flies its own two-impulse legs; ``evaluate_plan`` only
+adds up each route's legs, so a solve builds one model and scores its
+report by the policy it searched under.
 ``CostModel`` is the one copy of the mixed leg's geometry. Its kernel is
 ``CostModel.route_geometry``, which simulates a route's legs into a list of
 ``(coast, theta, dv1, s_half, td)`` records, and ``CostModel._route_cost``,
@@ -74,6 +77,7 @@ from .astro import (
 
 DEFAULT_PHI = 1.0     # fitness per minute of deadline violation
 DEFAULT_GAMMA = 10.0  # fitness per m/s of budget excess
+_LATEST_TIME = datetime.max.replace(tzinfo=timezone.utc)
 
 # GEO quantities of the phasing-burn formula, in the kernel's expressions.
 _SQRT_MU = math.sqrt(GEO.mu)
@@ -176,6 +180,19 @@ class Scenario:
             raise ValueError("target ids must be 1..m, unique and contiguous")
         if sorted(s.id for s in self.servicers) != list(range(1, len(self.servicers) + 1)):
             raise ValueError("servicer ids must be 1..n, unique and contiguous")
+        # Every time a schedule reports must be a datetime. A route ends by
+        # the deadline or within 2 t_geo plus the repair per leg, a Lambert
+        # leg lasts at most 2 t_geo and an oracle leg at most 7 t_geo, so
+        # deadline + repairs + 8 t_geo per target bounds them all.
+        room = ((_LATEST_TIME - self.epoch).total_seconds()
+                - 8 * len(self.targets) * GEO.t_geo)
+        for name, seconds in (("deadline", [self.deadline]),
+                              ("repair_duration",
+                               [t.repair_duration for t in self.targets])):
+            room -= _left_sum(seconds)
+            if room < 0.0:
+                raise ValueError(f"{name} too large: a schedule could end "
+                                 f"after {_LATEST_TIME:%Y-%m-%d}")
         self._target_by_id = {t.id: t for t in self.targets}
         self._servicer_by_id = {s.id: s for s in self.servicers}
 
@@ -735,8 +752,11 @@ class CostModel:
     # -- static target-pair geometry (destroy-operator relatedness) -----------
 
     def target_pair_cost(self, i: int, j: int, beta: float) -> float:
-        """Orbit-difference proxy: beta*|dihedral| + (1-beta)*|phase gap|."""
-        p = self._pairs.get((i, j)) or self._pair(i, j)
+        """Orbit-difference proxy: beta*|dihedral| + (1-beta)*|phase gap|,
+        from the leg pair in ``_pairs`` or from one built for this call and
+        not kept, so the table keeps no pair that no route flew."""
+        p = (self._pairs.get((i, j))
+             or _Pair(self._bodies[i], self._bodies[j]))
         return beta * abs(p.alpha) + (1.0 - beta) * abs(p.lam_diff)
 
     def pair_cost_table(self, beta: float) -> list[list[float]]:
@@ -763,43 +783,31 @@ class CostModel:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def allocate_revolutions(scenario: Scenario, servicer_id: int, sequence,
-                         slack_rule: str = "largest") -> list[int]:
-    """Revolution counts for one servicer's target sequence (Algorithm-1 style).
-
-    May return an allocation that misses the deadline when the time budget
-    is too small; the penalty fitness absorbs that case.
-    """
-    if not sequence:
-        raise ValueError("sequence must be non-empty")
-    return CostModel(scenario, slack_rule).allocate(servicer_id, sequence)
-
-
 def evaluate_plan(scenario: Scenario, plan: MissionPlan,
-                  phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA,
-                  legs=None) -> Evaluation:
+                  model: CostModel | None = None) -> Evaluation:
     """Penalized fitness of a complete plan, each route flown once by
-    ``legs(route)``, a leg model's ``fly``, which returns the route's
-    ``LegDetail``s in order.
+    ``model.fly``, which returns the route's ``LegDetail``s in order, and
+    scored by ``model``'s own policy.
 
-    The default is ``CostModel(scenario).fly``, the mixed legs the search
-    prices; the Lambert model in ``search`` flies two-impulse legs. Each
-    servicer departs at the epoch; the final move to a parking orbit is
-    free and not simulated. A route's delta-v and deadline violation are
-    the left sums of its legs' ``total_dv`` and ``max(completion -
-    deadline, 0)``. A ``CostModel(scenario, phi=phi, gamma=gamma)`` scores
-    each route and adds the scores up, as ``plan_metrics`` does, so on the
-    default mixed legs, that model's ``fly``, the two agree to the last
-    bit."""
+    ``model`` is the leg model that priced the plan, built on
+    ``scenario``; the default ``CostModel(scenario)`` flies the mixed legs
+    the search prices, and the Lambert model in ``search`` flies
+    two-impulse legs. Each servicer departs at the epoch; the final move
+    to a parking orbit is free and not simulated. A route's delta-v and
+    deadline violation are the left sums of its legs' ``total_dv`` and
+    ``max(completion - deadline, 0)``. ``model._score`` scores each route
+    and ``model._plan_sums`` adds the scores up, as ``plan_metrics`` does,
+    so on the mixed legs the two agree to the last bit."""
+    if model is None:
+        model = CostModel(scenario)
+    elif model.scenario != scenario:
+        raise ValueError("the model was built on another scenario")
     plan.validate_against(scenario)
-    model = CostModel(scenario, phi=phi, gamma=gamma)
-    if legs is None:
-        legs = model.fly
     details = []
     scores = []
     route_dv = {}
     for route in plan.routes:
-        flown = legs(route)
+        flown = model.fly(route)
         details.extend(flown)
         dv = _left_sum(leg.total_dv for leg in flown)
         late = _left_sum(max(leg.completion_time - scenario.deadline, 0.0)
@@ -891,4 +899,4 @@ def exhaustive_solve(scenario: Scenario, max_revolutions: int,
 
     plan = MissionPlan([Route(sid, list(perm), list(revs))
                         for sid, perm, revs in best_total[1]])
-    return plan, evaluate_plan(scenario, plan, phi, gamma, model.fly)
+    return plan, evaluate_plan(scenario, plan, model)

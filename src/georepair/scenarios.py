@@ -20,8 +20,8 @@ import math
 import random
 from datetime import datetime, timezone
 
-from .astro import GEO, GeoOrbit
-from .planning import Scenario, Servicer, Target, _left_sum
+from .astro import GeoOrbit
+from .planning import Scenario, Servicer, Target
 
 
 class ParseError(Exception):
@@ -41,7 +41,6 @@ MAX_SERVICERS = 100
 # Largest scenario file ``load`` reads, checked before parsing. A file at
 # both fleet caps, saved by ``save``, takes about 0.2 MB.
 MAX_SCENARIO_BYTES = 16 * 1024 * 1024
-_LATEST_TIME = datetime.max.replace(tzinfo=timezone.utc)
 
 # GEO fleet snapshot used throughout: name, inclination (deg), RAAN (deg),
 # angular position at epoch (deg).
@@ -99,20 +98,6 @@ def from_record(data) -> Scenario:
         epoch = _parse_epoch(record["epoch"])
     except (ValueError, OverflowError) as exc:
         raise ParseError(f"bad epoch {record['epoch']!r}: {exc}") from exc
-    # Every time a schedule reports must be a datetime. A route ends by the
-    # deadline or within 2 t_geo plus the repair per leg, a Lambert leg
-    # lasts at most 2 t_geo and an oracle leg at most 7 t_geo, so
-    # deadline + repairs + 8 t_geo per target bounds them all.
-    room = ((_LATEST_TIME - epoch).total_seconds()
-            - 8 * len(target_recs) * GEO.t_geo)
-    for field, hours in (("deadline_hours", [record["deadline_hours"]]),
-                         ("repair_hours",
-                          [t["repair_hours"] for t in target_recs])):
-        room -= _left_sum(h * 3600.0 for h in hours)
-        if room < 0.0:
-            raise ValidationError(
-                f"{field} too large: a schedule could end after "
-                f"{_LATEST_TIME:%Y-%m-%d}")
     servicers = [_named(f"servicer {s['name']!r}", lambda: Servicer(
         i + 1, s["name"], _orbit(s), s["dv_budget_mps"]))
         for i, s in enumerate(servicer_recs)]

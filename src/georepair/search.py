@@ -28,12 +28,14 @@ changes the sequences it is given cannot reach the engine's state. A
 revolutions from the model's ``allocate``.
 
 The engine drives one ``planning.CostModel`` per solve, built with the
-solve's penalty weights, and reads only its ``route``, ``allocate``,
-``fly``, ``phi`` and ``gamma``; the LNS operators take that same model, so
-one pricing policy and one set of memos serve the whole solve. The mixed
-model's route memo keeps, per route, one float, the score that ``route``,
-``plan_fitness`` and the insertion scan read, its sign the feasibility, and
-``allocate`` prices the reported routes afresh for their revolutions.
+solve's penalty weights. It reads only the model's ``scenario``,
+``servicer_ids``, ``route`` and ``allocate``, and hands the model itself to
+the report; the LNS operators take that same model, so one pricing policy
+and one set of memos serve the whole solve, and a solve builds no other
+model. The mixed model's route memo keeps, per route, one float, the
+score that ``route``, ``plan_fitness`` and the insertion scan read, its
+sign the feasibility, and ``allocate`` prices the reported routes afresh
+for their revolutions.
 Each leg model is a ``CostModel``: ``_MixedAdapter`` is ``CostModel``
 itself, built with the solve's slack rule, and ``_LambertAdapter``
 overrides route pricing and ``fly`` with two-impulse Lambert legs, one
@@ -632,17 +634,17 @@ class _LambertAdapter(CostModel):
 def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,
                           phi: float = DEFAULT_PHI,
                           gamma: float = DEFAULT_GAMMA) -> Evaluation:
-    """``evaluate_plan`` with each route flown by the Lambert leg model's
-    ``fly``."""
-    return evaluate_plan(scenario, plan, phi, gamma,
-                         _LambertAdapter(scenario, phi, gamma).fly)
+    """``evaluate_plan`` on the Lambert leg model."""
+    return evaluate_plan(scenario, plan,
+                         _LambertAdapter(scenario, phi, gamma))
 
 
-def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
-                seed: int, model: CostModel) -> SolveResult:
+def _run_engine(ga: GaParams, lns: LnsParams | None, seed: int,
+                model: CostModel) -> SolveResult:
+    scenario = model.scenario
     m, n = len(scenario.targets), len(scenario.servicers)
     rng = random.Random(seed)
-    sids = [s.id for s in scenario.servicers]
+    sids = model.servicer_ids
     cache: dict = {}
     cache_cap = _GENE_ID_BUDGET // (m + n - 1)
 
@@ -726,8 +728,7 @@ def _run_engine(scenario: Scenario, ga: GaParams, lns: LnsParams | None,
     best_plan = MissionPlan([
         Route(sid, seq, model.allocate(sid, seq))
         for sid, seq in zip(sids, decode(best_genes, m, n))])
-    best_evaluation = evaluate_plan(scenario, best_plan, model.phi,
-                                    model.gamma, model.fly)
+    best_evaluation = evaluate_plan(scenario, best_plan, model)
     return SolveResult(best_plan=best_plan, best_evaluation=best_evaluation,
                        history=history, generations_run=gen, seed=seed)
 
@@ -744,7 +745,7 @@ def solve_lns_aga(scenario: Scenario, ga: GaParams | None = None,
     ga = ga or GaParams()
     lns = lns or LnsParams()
     model = _MixedAdapter(scenario, slack_rule, ga.phi, ga.gamma)
-    return _run_engine(scenario, ga, lns, seed, model)
+    return _run_engine(ga, lns, seed, model)
 
 
 def solve_ga(scenario: Scenario, ga: GaParams | None = None, seed: int = 0,
@@ -752,7 +753,7 @@ def solve_ga(scenario: Scenario, ga: GaParams | None = None, seed: int = 0,
     """Plain adaptive GA: the identical pipeline minus the LNS hook."""
     ga = ga or GaParams()
     model = _MixedAdapter(scenario, slack_rule, ga.phi, ga.gamma)
-    return _run_engine(scenario, ga, None, seed, model)
+    return _run_engine(ga, None, seed, model)
 
 
 def solve_lambert_ga(scenario: Scenario, ga: GaParams | None = None,
@@ -760,4 +761,4 @@ def solve_lambert_ga(scenario: Scenario, ga: GaParams | None = None,
     """GA baseline whose legs are two-impulse Lambert transfers."""
     ga = ga or GaParams()
     model = _LambertAdapter(scenario, ga.phi, ga.gamma)
-    return _run_engine(scenario, ga, None, seed, model)
+    return _run_engine(ga, None, seed, model)

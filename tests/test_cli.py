@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from georepair import cli, scenarios
 from georepair.astro import GEO
 from georepair.cli import ALGORITHMS, SCHEDULE_COLUMNS, _build_parser, main
-from georepair.planning import MissionPlan, Route, evaluate_plan
+from georepair.planning import CostModel, MissionPlan, Route, evaluate_plan
 from georepair.scenarios import (
     case_study,
     load,
@@ -147,8 +147,8 @@ class TestSolve:
         assert not out.exists()
 
     @pytest.mark.parametrize("path,field", [
-        pytest.param(("deadline_hours",), "deadline_hours", id="deadline"),
-        pytest.param(("targets", 1, "repair_hours"), "repair_hours",
+        pytest.param(("deadline_hours",), "deadline", id="deadline"),
+        pytest.param(("targets", 1, "repair_hours"), "repair_duration",
                      id="repair"),
     ])
     def test_schedule_past_the_last_datetime_exits_one(self, tmp_path,
@@ -161,7 +161,7 @@ class TestSolve:
         assert main(["solve", str(scen_path), "--out",
                      str(tmp_path / "out")] + FAST) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field}")
+        assert err.startswith(f"error: scenario: {field} too large")
         assert len(err.strip().splitlines()) == 1
 
     def test_case_study_emits_one_row_per_target(self, tmp_path):
@@ -336,10 +336,10 @@ class TestReplay:
         scenario = load(scen_path)
         phi, gamma = summary["params"]["phi"], summary["params"]["gamma"]
         assert (phi, gamma) == (2.5, 0.5)
-        legs = (_LambertAdapter(scenario, phi, gamma).fly
-                if algo == "lambert-ga" else None)
-        ev = evaluate_plan(scenario, self._plan(scenario, summary), phi,
-                           gamma, legs)
+        model = (_LambertAdapter(scenario, phi, gamma)
+                 if algo == "lambert-ga"
+                 else CostModel(scenario, phi=phi, gamma=gamma))
+        ev = evaluate_plan(scenario, self._plan(scenario, summary), model)
 
         for key, value in (("fitness", ev.fitness),
                            ("total_dv_mps", ev.total_dv),

@@ -20,7 +20,6 @@ from georepair.planning import (
     MissionPlan,
     Route,
     Scenario,
-    allocate_revolutions,
     decode,
     encode_sequences,
     evaluate_plan,
@@ -93,7 +92,7 @@ class TestAllocate:
         scenario = make_scenario([(0.0, 0.0, 40.0, 1000.0)],
                                  [(0.0, 0.0, 40.0, 20 * HOUR)],
                                  deadline_s=20 * HOUR + 5 * T + 60.0)
-        assert allocate_revolutions(scenario, 1, [1]) == [5]
+        assert CostModel(scenario).allocate(1, [1]) == [5]
 
     def test_two_legs_split_five_pieces_and_top_up(self):
         # Coplanar chain with controlled phase gaps: +30 deg then +50 deg.
@@ -101,9 +100,9 @@ class TestAllocate:
             [(0.0, 0.0, 0.0, 1000.0)],
             [(0.0, 0.0, 330.0, 10 * HOUR), (0.0, 0.0, 280.0, 10 * HOUR)],
             deadline_s=20 * HOUR + 5.5 * T)
-        assert allocate_revolutions(scenario, 1, [1, 2]) == [2, 3]
-        assert allocate_revolutions(scenario, 1, [1, 2],
-                                    slack_rule="smallest") == [3, 2]
+        assert CostModel(scenario).allocate(1, [1, 2]) == [2, 3]
+        assert CostModel(scenario, slack_rule="smallest").allocate(
+            1, [1, 2]) == [3, 2]
 
     def test_tight_budget_clamps_to_one(self):
         scenario = make_scenario(
@@ -111,19 +110,13 @@ class TestAllocate:
             [(1.0, 10.0, 50.0, 10 * HOUR), (2.0, 200.0, 150.0, 10 * HOUR),
              (3.0, 100.0, 250.0, 10 * HOUR)],
             deadline_s=30 * HOUR + 0.5 * T)
-        assert allocate_revolutions(scenario, 1, [1, 2, 3]) == [1, 1, 1]
+        assert CostModel(scenario).allocate(1, [1, 2, 3]) == [1, 1, 1]
 
     def test_rejects_unknown_slack_rule(self):
         scenario = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
                                  [(0.0, 0.0, 10.0, HOUR)], deadline_s=10 * T)
         with pytest.raises(ValueError, match="slack_rule"):
             CostModel(scenario, "bogus")
-
-    def test_rejects_empty_sequence(self):
-        scenario = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
-                                 [(0.0, 0.0, 10.0, HOUR)], deadline_s=10 * T)
-        with pytest.raises(ValueError):
-            allocate_revolutions(scenario, 1, [])
 
     def test_bounds_respected_on_random_instances(self):
         rng = random.Random(21)
@@ -134,7 +127,7 @@ class TestAllocate:
                 repair_s=rng.uniform(0.0, 2.0) * 86400.0)
             seq = [t.id for t in scenario.targets]
             rng.shuffle(seq)
-            revs = allocate_revolutions(scenario, 1, seq)
+            revs = CostModel(scenario).allocate(1, seq)
             assert len(revs) == len(seq)
             for n in revs:
                 assert 1 <= n < scenario.deadline / T
@@ -231,7 +224,7 @@ class TestEvaluatePlan:
             [(1.0, 20.0, 90.0, HOUR), (2.0, 200.0, 200.0, HOUR)],
             deadline_s=30 * 86400.0)
         plan = MissionPlan([Route(1, [1, 2],
-                                  allocate_revolutions(scenario, 1, [1, 2]))])
+                                  CostModel(scenario).allocate(1, [1, 2]))])
         ev = evaluate_plan(scenario, plan)
         assert ev.feasible
         assert ev.deadline_penalty == 0.0 and ev.budget_penalty == 0.0
@@ -268,7 +261,7 @@ class TestEvaluatePlan:
         tight = make_scenario([(0.0, 0.0, 0.0, 1000.0)],
                               [(1.0, 20.0, 90.0, 10 * HOUR)],
                               deadline_s=completion - 2 * HOUR)
-        ev = evaluate_plan(tight, plan, phi=1.0)
+        ev = evaluate_plan(tight, plan, CostModel(tight, phi=1.0))
         assert not ev.feasible
         assert ev.deadline_penalty == pytest.approx(2 * HOUR, rel=1e-9)
         assert ev.fitness - ev.total_dv == pytest.approx(120.0, rel=1e-9)
@@ -283,10 +276,24 @@ class TestEvaluatePlan:
         squeezed = make_scenario([(0.0, 0.0, 0.0, dv - 50.0)],
                                  [(4.0, 20.0, 90.0, 10 * HOUR)],
                                  deadline_s=30 * 86400.0)
-        ev = evaluate_plan(squeezed, plan, gamma=10.0)
+        ev = evaluate_plan(squeezed, plan, CostModel(squeezed, gamma=10.0))
         assert not ev.feasible
         assert ev.budget_penalty == pytest.approx(50.0, rel=1e-9)
         assert ev.fitness - ev.total_dv == pytest.approx(500.0, rel=1e-9)
+
+    def test_refuses_a_model_of_another_scenario(self):
+        scenario = random_scenario(3, 2, 20.0, seed=1)
+        other = random_scenario(3, 2, 20.0, seed=2)
+        plan = MissionPlan([Route(1, [1], [1]), Route(2, [2, 3], [1, 1])])
+        for model in (CostModel(other),
+                      _LambertAdapter(other, DEFAULT_PHI, DEFAULT_GAMMA)):
+            with pytest.raises(ValueError) as exc:
+                evaluate_plan(scenario, plan, model)
+            assert str(exc.value) == "the model was built on another scenario"
+        # A model of an equal scenario, built again, flies the plan.
+        again = CostModel(random_scenario(3, 2, 20.0, seed=1))
+        assert evaluate_plan(scenario, plan, again) == evaluate_plan(
+            scenario, plan)
 
     def test_penalty_soundness(self):
         rng = random.Random(24)
@@ -367,7 +374,8 @@ class TestCostModelAgreement:
                                          budget=300.0)
         model = CostModel(scenario, phi=3.0, gamma=0.5)
         plan = random_plan(scenario, rng)
-        ev = evaluate_plan(scenario, plan, phi=3.0, gamma=0.5)
+        ev = evaluate_plan(scenario, plan, CostModel(scenario, phi=3.0,
+                                                     gamma=0.5))
         assert ev.deadline_penalty > 0.0 and ev.budget_penalty > 0.0
         assert model.plan_metrics(plan)[0] == pytest.approx(ev.fitness,
                                                             rel=1e-9)
@@ -396,7 +404,7 @@ class TestCostModelAgreement:
             fresh = CostModel(scenario, phi=3.0, gamma=0.5)
             assert fitness.hex() == fresh.plan_metrics(plan)[0].hex()
             assert fitness == pytest.approx(
-                evaluate_plan(scenario, plan, 3.0, 0.5).fitness, rel=1e-9)
+                evaluate_plan(scenario, plan, fresh).fitness, rel=1e-9)
 
     def test_route_metrics_match_route_result(self):
         rng = random.Random(26)
@@ -588,6 +596,20 @@ class TestRouteMemo:
                                          stall_iterations=5), seed=1)
         assert built
         assert len(built) == len(set(built)) <= (n + m) * m
+
+    def test_pair_cost_table_keeps_no_pair(self):
+        # Relatedness reads every target pair, most of which no route
+        # flies: the table keeps their costs, not their leg geometry, and
+        # a pair a route flew gives the cost a temporary pair does.
+        scenario = random_scenario(12, 2, 10.0, seed=3)
+        fresh = CostModel(scenario)
+        table = fresh.pair_cost_table(0.5)
+        assert fresh._pairs == {}
+        flown = CostModel(scenario)
+        flown.fly(Route(1, list(range(1, 13)), [1] * 12))
+        assert len(flown._pairs) == 12
+        assert [[c.hex() for c in row] for row in table] == [
+            [c.hex() for c in row] for row in flown.pair_cost_table(0.5)]
 
 
 class PerLegCostModel(CostModel):

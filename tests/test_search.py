@@ -937,10 +937,9 @@ class TestMixedWorkCounts:
         sizes = []
         report = search.evaluate_plan
 
-        def spy(scenario, plan, phi, gamma, legs):
-            model = legs.__self__
+        def spy(scenario, plan, model):
             sizes.append((len(model._priced), len(model._insertions)))
-            return report(scenario, plan, phi, gamma, legs)
+            return report(scenario, plan, model)
 
         monkeypatch.setattr(search, "evaluate_plan", spy)
         solve_lns_aga(case_study(), seed=1)
@@ -1296,8 +1295,7 @@ class TestLambertReportsTheSearchPrice:
 
         monkeypatch.setattr(_LambertAdapter, "route_detail", spy)
         adapter = _LambertAdapter(case_study(), 1.0, 10.0)
-        evaluate_plan(adapter.scenario, case_result.best_plan,
-                      legs=adapter.fly)
+        evaluate_plan(adapter.scenario, case_result.best_plan, adapter)
         assert sorted(calls) == [1, 2]
 
     def test_fallback_leg(self, monkeypatch):
@@ -1315,7 +1313,7 @@ class TestLambertReportsTheSearchPrice:
 
         monkeypatch.setattr(search, "lambert_solve", singular_at_grid_tof)
         ev = evaluate_plan(scenario, plan,
-                           legs=_LambertAdapter(scenario, 1.0, 10.0).fly)
+                           _LambertAdapter(scenario, 1.0, 10.0))
         first = ev.leg_details[0]
         assert first.phase_time != grid_tof
         assert math.isfinite(first.total_dv)
@@ -1327,7 +1325,7 @@ class TestLambertReportsTheSearchPrice:
                             Route(2, [4, 5, 6], [1] * 3)])
         with pytest.raises(ValueError, match="every target exactly once"):
             evaluate_plan(scenario, plan,
-                          legs=_LambertAdapter(scenario, 1.0, 10.0).fly)
+                          _LambertAdapter(scenario, 1.0, 10.0))
 
 
 class TestLambertRouteMemo:
@@ -1531,7 +1529,7 @@ class TestLambertNeedsNoBlas:
                 record.append([[t.hex() for t in tofs], dv.hex(), p1.hex(),
                                end.hex()])
             for plan in plans:
-                ev = evaluate_plan(scenario, plan, legs=adapter.fly)
+                ev = evaluate_plan(scenario, plan, adapter)
                 record.append([ev.fitness.hex(), ev.total_dv.hex()])
                 for leg in ev.leg_details:
                     record.append([leg.total_dv.hex(), leg.arrival_time.hex()]

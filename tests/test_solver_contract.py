@@ -122,3 +122,23 @@ def test_every_solve_reports_its_history_best(scenario, seed):
         if len(scenario.targets) <= ORACLE_TARGETS and max(revs) <= 6:
             _, oracle = exhaustive_solve(scenario, 6, GA.phi, GA.gamma)
             assert oracle.fitness <= ev.fitness, name
+
+
+def test_each_solve_builds_one_cost_model(monkeypatch):
+    # The search, the LNS and the report share the solve's one leg model,
+    # so no solve builds a second model to score its report with.
+    built = []
+    init = CostModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CostModel, "__init__", counted)
+    scenario = random_scenario(4, 2, 10.0, seed=3)
+    solves = {**SOLVERS,
+              "exhaustive_solve": lambda sc, seed: exhaustive_solve(sc, 3)}
+    for name, solve in solves.items():
+        built.clear()
+        solve(scenario, 1)
+        assert len(built) == 1, (name, built)
