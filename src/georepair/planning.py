@@ -4,22 +4,23 @@ A mission plan assigns every target to exactly one servicer route and fixes
 the phasing revolution count of every leg. Plans are scored by a penalized
 fitness: total delta-v (m/s) plus weighted penalties for finishing repairs
 after the deadline and for exceeding per-servicer delta-v budgets. One
-rule scores a plan: ``CostModel._score``, the one call of the formula
-``penalized_fitness``, scores each route, and ``CostModel._plan_sums``
+rule scores a plan: ``_LegModel._score``, the one call of the formula
+``penalized_fitness``, scores each route, and ``_LegModel._plan_sums``
 adds the scores up left to right, as the search adds up a chromosome and
 ``plan_fitness`` its memoized route scores, so every solve, mixed or
 Lambert, reports its history's best fitness, and ``exhaustive_solve`` the
 total it minimized.
 
 ``evaluate_plan`` is the only code that builds an ``Evaluation``. It takes
-the leg model that priced the plan, a ``CostModel`` built on the plan's
-scenario, and flies, scores and sums each route on that one model: its
-``fly`` walks a route once and returns its ``LegDetail``s, one record per
-leg holding each of its facts once. The default is ``CostModel``, the
-mixed legs the search prices, and the Lambert model in ``search``, a
-``CostModel`` too, flies its own two-impulse legs; ``evaluate_plan`` only
-adds up each route's legs, so a solve builds one model and scores its
-report by the policy it searched under.
+the leg model that priced the plan, built on the plan's scenario, and
+flies, scores and sums each route on that one model: its ``fly`` walks a
+route once and returns its ``LegDetail``s, one record per leg holding each
+of its facts once. Every leg model is a ``_LegModel``, which holds only
+the scenario, the policy's weights, ``_score`` and ``_plan_sums``: the
+default, ``CostModel``, adds the mixed legs the search prices, its kernel
+and memos, and the Lambert model in ``search`` its own two-impulse legs.
+``evaluate_plan`` only adds up each route's legs, so a solve builds one
+model and scores its report by the policy it searched under.
 ``CostModel`` is the one copy of the mixed leg's geometry. Its kernel is
 ``CostModel.route_geometry``, which simulates a route's legs into a list of
 ``(coast, theta, dv1, s_half, td)`` records, and ``CostModel._route_cost``,
@@ -37,19 +38,10 @@ are. Every sum of floats adds left to right (as ``_left_sum`` does), never
 through ``sum``, whose rounding depends on the Python version. Coast times
 and phase gaps are invariant under whole-revolution shifts of earlier legs,
 so one simulation of a route with every leg at one revolution serves any
-revolution allocation. A model prices under one policy, the allocator's
-slack rule and the penalty weights phi and gamma, fixed when it is built,
-and keeps two bounded memos under it. The route memo, read and written by
-``priced_score`` alone, prices each (servicer, sequence) once: the route is
-simulated, allocated on end times alone and costed once, and the memo keeps
-only what the search reads, one float, its score negated when the route
-misses the deadline or the budget, under one flat key ``(servicer,
-*sequence)``; ``allocate`` prices a reported route afresh for its
-revolutions. The insertion memo scans each (servicer, target, sequence)
-once for its cheapest slots, so LNS repair reuses a scan across repair
-rounds, attempts and generations. Each memo value has a fixed size, and
-each memo empties itself when its keys would hold more than
-``_MEMO_ID_BUDGET`` ids. Plans are checked once, by
+revolution allocation. A ``CostModel`` prices under one policy, the
+allocator's slack rule and the penalty weights phi and gamma, fixed when it
+is built, and keeps two bounded memos under it, of route scores and of
+insertion scans, as its docstring says. Plans are checked once, by
 ``MissionPlan.validate_against`` in ``evaluate_plan``; a leg model's
 ``fly`` trusts its route, and the search its own input: ``decode`` does not
 check chromosomes, which the engine builds as permutations.
@@ -383,12 +375,49 @@ class _Pair:
 # key longer than the budget would be kept alone.
 _MEMO_ID_BUDGET = 4_000_000
 SLACK_RULES = ("largest", "smallest")
-_EMPTY_ROUTE = ((), 0.0, 0.0, 0.0)
 
 
-class CostModel:
-    """Scalar per-leg transfer costs under one pricing policy, with memos of
-    priced routes and of insertion scans.
+class _LegModel:
+    """What the engine and ``evaluate_plan`` read of every leg model: the
+    scenario, its servicer ids, deadline, repairs and budgets, the weights
+    ``phi`` and ``gamma``, the route score and the plan sums. ``CostModel``
+    and the Lambert model in ``search`` define ``allocate`` and ``fly``."""
+
+    def __init__(self, scenario: Scenario, phi: float, gamma: float):
+        _check_weights(phi, gamma)
+        self.scenario = scenario
+        self.phi = phi
+        self.gamma = gamma
+        self.deadline = scenario.deadline
+        self.servicer_ids = tuple(s.id for s in scenario.servicers)
+        self._td = {t.id: t.repair_duration for t in scenario.targets}
+        self._budget = {s.id: s.dv_budget for s in scenario.servicers}
+
+    def _score(self, servicer_id: int, dv: float, p1: float):
+        """(penalized fitness, delta-v m/s, deadline violation s, budget
+        excess m/s) of a route of servicer ``servicer_id``."""
+        p2 = max(dv - self._budget[servicer_id], 0.0)
+        return penalized_fitness(dv, p1, p2, self.phi, self.gamma), dv, p1, p2
+
+    def _plan_sums(self, scores):
+        """(fitness, total_dv, p1 seconds, p2 m/s, feasible) of a plan from
+        its routes' ``_score`` tuples, each term added left to right in
+        route order, as the search adds up a chromosome."""
+        fitness = 0.0
+        total_dv = 0.0
+        p1 = 0.0
+        p2 = 0.0
+        for score, dv, r_p1, r_p2 in scores:
+            fitness += score
+            total_dv += dv
+            p1 += r_p1
+            p2 += r_p2
+        return fitness, total_dv, p1, p2, (p1 == 0.0 and p2 == 0.0)
+
+
+class CostModel(_LegModel):
+    """The mixed leg model: scalar per-leg transfer costs under one pricing
+    policy, with memos of priced routes and of insertion scans.
 
     The policy is fixed at construction: ``slack_rule`` ('largest' or
     'smallest') picks the leg that ``allocate`` tops up, and ``phi`` and
@@ -402,9 +431,9 @@ class CostModel:
     td)`` leg records, with the left sums of the coasts and of the repair
     times; ``_allocate`` and ``_route_cost`` read the records as they
     are, and ``fly`` and ``exhaustive_solve`` price one leg as the
-    one-record route ``legs[q:q + 1]``. Every expression
-    keeps its IEEE operation order, so a rewrite for speed must leave each
-    float bit-identical. A route's geometry is simulated at one revolution
+    one-record route ``legs[q:q + 1]``. Every expression keeps its IEEE
+    operation order, so a rewrite for speed must leave each float
+    bit-identical. A route's geometry is simulated at one revolution
     per leg and serves every revolution allocation, which is exact because
     changing a leg's revolution count shifts all later departure phases by
     whole periods.
@@ -415,8 +444,7 @@ class CostModel:
     route's geometry is built and allocated once in a search. A score is
     never negative, so its sign bit is free; it is read with
     ``math.copysign``, since an infeasible route can score 0.0, stored as
-    -0.0. ``priced_route`` prices a route afresh, with its revolutions, for
-    ``allocate`` on a reported plan.
+    -0.0. ``allocate`` prices a reported route afresh for its revolutions.
 
     ``insertion_scan`` memoizes, per (servicer, target, sequence), the
     cheapest slots for that target in that route as one flat tuple. Both
@@ -430,12 +458,8 @@ class CostModel:
                  phi: float = DEFAULT_PHI, gamma: float = DEFAULT_GAMMA):
         if slack_rule not in SLACK_RULES:
             raise ValueError("slack_rule must be 'largest' or 'smallest'")
-        _check_weights(phi, gamma)
-        self.scenario = scenario
+        super().__init__(scenario, phi, gamma)
         self.slack_rule = slack_rule
-        self.phi = phi
-        self.gamma = gamma
-        self.deadline = scenario.deadline
         self._bodies = {}
         for s in scenario.servicers:
             self._bodies[("S", s.id)] = _Body(s.orbit)
@@ -446,9 +470,6 @@ class CostModel:
         self._priced_ids = 0
         self._insertions: dict = {}
         self._insertion_ids = 0
-        self._td = {t.id: t.repair_duration for t in scenario.targets}
-        self._budget = {s.id: s.dv_budget for s in scenario.servicers}
-        self.servicer_ids = tuple(s.id for s in scenario.servicers)
         self._max_revs = max(1, math.ceil(scenario.deadline / GEO.t_geo) - 1)
         self._pair_costs: dict = {}
 
@@ -582,12 +603,6 @@ class CostModel:
         return self._route_cost(self.route_geometry(servicer_id, seq)[0],
                                 revs)
 
-    def _score(self, servicer_id: int, dv: float, p1: float):
-        """(penalized fitness, delta-v m/s, deadline violation s, budget
-        excess m/s) of a route of servicer ``servicer_id``."""
-        p2 = max(dv - self._budget[servicer_id], 0.0)
-        return penalized_fitness(dv, p1, p2, self.phi, self.gamma), dv, p1, p2
-
     def route_score(self, servicer_id: int, seq, revs):
         """Route contribution to plan fitness (penalties included), as
         ``(score, dv, p1, p2)``."""
@@ -599,14 +614,17 @@ class CostModel:
         revolutions: the score of ``route_score``, negated unless the route
         meets the deadline and the budget. ``abs`` gives the score, and
         ``math.copysign(1.0, value) > 0.0`` whether it is feasible, also
-        for a zero score. A miss prices the route by
-        ``priced_route``."""
+        for a zero score. A miss prices the route by ``_allocate``; an
+        empty route scores 0.0."""
         key = (servicer_id, *seq)
         hit = self._priced.get(key)
         if hit is None:
-            _, dv, p1, _ = self.priced_route(servicer_id, seq)
-            score, _, p1, p2 = self._score(servicer_id, dv, p1)
-            hit = score if p1 == 0.0 and p2 == 0.0 else -score
+            hit = 0.0
+            if seq:
+                _, (dv, p1, _) = self._allocate(
+                    *self.route_geometry(servicer_id, seq))
+                score, _, p1, p2 = self._score(servicer_id, dv, p1)
+                hit = score if p1 == 0.0 and p2 == 0.0 else -score
             self._priced_ids += len(key)
             if self._priced_ids > _MEMO_ID_BUDGET:
                 self._priced.clear()
@@ -666,15 +684,9 @@ class CostModel:
         removes revolutions (smallest gap first, where the delta-v increase
         is least) until the route fits or every leg is at one.
         """
-        return list(self.priced_route(servicer_id, seq)[0])
-
-    def priced_route(self, servicer_id: int, seq):
-        """(revolutions, delta-v m/s, deadline-violation s, end time s) of a
-        route under ``allocate``, priced afresh."""
         if not seq:
-            return _EMPTY_ROUTE
-        revs, cost = self._allocate(*self.route_geometry(servicer_id, seq))
-        return (tuple(revs),) + cost
+            return []
+        return self._allocate(*self.route_geometry(servicer_id, seq))[0]
 
     def _allocate(self, legs, sum_coast: float, sum_td: float):
         """``allocate`` on a route's ``route_geometry``; returns the
@@ -721,21 +733,6 @@ class CostModel:
 
     # -- plan-level ----------------------------------------------------------
 
-    def _plan_sums(self, scores):
-        """(fitness, total_dv, p1 seconds, p2 m/s, feasible) of a plan from
-        its routes' ``_score`` tuples, each term added left to right in
-        route order, as the search adds up a chromosome."""
-        fitness = 0.0
-        total_dv = 0.0
-        p1 = 0.0
-        p2 = 0.0
-        for score, dv, r_p1, r_p2 in scores:
-            fitness += score
-            total_dv += dv
-            p1 += r_p1
-            p2 += r_p2
-        return fitness, total_dv, p1, p2, (p1 == 0.0 and p2 == 0.0)
-
     def plan_metrics(self, plan: MissionPlan):
         """(fitness, total_dv, p1 seconds, p2 m/s, feasible) of a plan."""
         return self._plan_sums(
@@ -762,19 +759,22 @@ class CostModel:
     def pair_cost_table(self, beta: float) -> list[list[float]]:
         """``table[i][j]``: ``target_pair_cost(i, j, beta)`` over its
         maximum across target pairs (0 when that maximum is 0), for every
-        two distinct target ids; built once per ``beta``."""
+        two distinct target ids; built once per ``beta``, one pair cost
+        per ordered pair, the maximum taken over the unordered ones."""
         table = self._pair_costs.get(beta)
         if table is None:
             ids = [t.id for t in self.scenario.targets]
-            c_max = max((self.target_pair_cost(i, j, beta)
-                         for i, j in itertools.combinations(ids, 2)),
-                        default=0.0)
             table = [[0.0] * (len(ids) + 1) for _ in range(len(ids) + 1)]
             for i in ids:
                 for j in ids:
                     if i != j:
-                        c = self.target_pair_cost(i, j, beta)
-                        table[i][j] = c / c_max if c_max > 0.0 else 0.0
+                        table[i][j] = self.target_pair_cost(i, j, beta)
+            c_max = max((table[i][j]
+                         for i, j in itertools.combinations(ids, 2)),
+                        default=0.0)
+            for row in table:
+                for j, c in enumerate(row):
+                    row[j] = c / c_max if c_max > 0.0 else 0.0
             self._pair_costs[beta] = table
         return table
 
@@ -784,20 +784,18 @@ class CostModel:
 # ---------------------------------------------------------------------------
 
 def evaluate_plan(scenario: Scenario, plan: MissionPlan,
-                  model: CostModel | None = None) -> Evaluation:
+                  model: _LegModel | None = None) -> Evaluation:
     """Penalized fitness of a complete plan, each route flown once by
     ``model.fly``, which returns the route's ``LegDetail``s in order, and
     scored by ``model``'s own policy.
 
-    ``model`` is the leg model that priced the plan, built on
-    ``scenario``; the default ``CostModel(scenario)`` flies the mixed legs
-    the search prices, and the Lambert model in ``search`` flies
-    two-impulse legs. Each servicer departs at the epoch; the final move
-    to a parking orbit is free and not simulated. A route's delta-v and
-    deadline violation are the left sums of its legs' ``total_dv`` and
-    ``max(completion - deadline, 0)``. ``model._score`` scores each route
-    and ``model._plan_sums`` adds the scores up, as ``plan_metrics`` does,
-    so on the mixed legs the two agree to the last bit."""
+    ``model``, by default ``CostModel(scenario)``, is the leg model that
+    priced the plan, built on ``scenario``. Each servicer departs at the
+    epoch; the final move to a parking orbit is free and not simulated. A
+    route's delta-v and deadline violation are the left sums of its legs'
+    ``total_dv`` and ``max(completion - deadline, 0)``. ``model._score``
+    scores each route and ``model._plan_sums`` adds the scores up, as
+    ``plan_metrics`` does, so on mixed legs the two agree to the last bit."""
     if model is None:
         model = CostModel(scenario)
     elif model.scenario != scenario:

@@ -8,7 +8,7 @@ record, and one way in, ``from_record``: files, ``case_study`` and
 record's shape and numbers, normalizes it and keeps it on the scenario, so
 that save(load(path)) reproduces the original decimal text. Validity is
 decided by the domain types, whose constructors refuse their own invalid
-values; the file layer only names the record in their error.
+values; the file layer names the record, or hours that overflow seconds.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def from_record(data) -> Scenario:
         i + 1, s["name"], _orbit(s), s["dv_budget_mps"]))
         for i, s in enumerate(servicer_recs)]
     targets = [_named(f"target {t['name']!r}", lambda: Target(
-        i + 1, t["name"], _orbit(t), t["repair_hours"] * 3600.0))
+        i + 1, t["name"], _orbit(t), _seconds(t, "repair_hours")))
         for i, t in enumerate(target_recs)]
     scenario = _named("scenario", lambda: Scenario(
-        epoch=epoch, deadline=record["deadline_hours"] * 3600.0,
+        epoch=epoch, deadline=_seconds(record, "deadline_hours"),
         servicers=servicers, targets=targets))
     scenario.spec = record
     return scenario
@@ -113,6 +113,14 @@ def from_record(data) -> Scenario:
 
 def _orbit(rec: dict) -> GeoOrbit:
     return GeoOrbit.from_degrees(*(rec[k] for k in _ORBIT_FIELDS))
+
+
+def _seconds(rec: dict, key: str) -> float:
+    """The hours field ``key`` in seconds, refused by name on overflow."""
+    seconds = rec[key] * 3600.0
+    if math.isinf(seconds):
+        raise ValueError(f"field {key!r} is out of range")
+    return seconds
 
 
 def _named(record: str, build):

@@ -27,33 +27,32 @@ changes the sequences it is given cannot reach the engine's state. A
 ``MissionPlan`` is built once per solve, for the best chromosome, with its
 revolutions from the model's ``allocate``.
 
-The engine drives one ``planning.CostModel`` per solve, built with the
-solve's penalty weights. It reads only the model's ``scenario``,
-``servicer_ids``, ``route`` and ``allocate``, and hands the model itself to
-the report; the LNS operators take that same model, so one pricing policy
-and one set of memos serve the whole solve, and a solve builds no other
-model. The mixed model's route memo keeps, per route, one float, the
-score that ``route``, ``plan_fitness`` and the insertion scan read, its
-sign the feasibility, and ``allocate`` prices the reported routes afresh
-for their revolutions.
-Each leg model is a ``CostModel``: ``_MixedAdapter`` is ``CostModel``
-itself, built with the solve's slack rule, and ``_LambertAdapter``
-overrides route pricing and ``fly`` with two-impulse Lambert legs, one
-revolution each, flown and priced in one place, ``_fly``, on plain
-floats: states and Lambert velocities are 3-tuples and each norm is a
-left-to-right sum under ``math.sqrt``. Its leg cache and state memo are
-bounded by ``_LEG_CACHE_CAP``, and each value depends on its key alone,
-so a price does not depend on what a memo held. The best plan is reported
-by ``planning.evaluate_plan`` on the model's own ``fly``, so every leg
-reports the price the search used, a failed leg infinite in both; a
-Lambert ``LegDetail`` does not coast, fires at departure and gives its
-flight time as its phasing time. The engine, the LNS and the report score
-a plan by one rule, the left sum of ``CostModel._score`` route scores:
-every solve, mixed or Lambert, reports the fitness of its history's best,
-and ``plan_metrics`` equals it. Both leg models run on plain floats, and
-every sum of floats adds left to right (``planning._left_sum``), so no
-reported float depends on the host's linear-algebra library or on the
-Python version.
+The engine drives one leg model, a ``planning._LegModel``, per solve,
+built with the solve's penalty weights. It reads only the model's
+``scenario``, ``servicer_ids``, ``route`` and ``allocate``, and hands the
+model itself to the report; the LNS operators take that same model, so one
+pricing policy and one set of memos serve the whole solve, and a solve
+builds no other model. The mixed model's route memo keeps, per route, one
+float, the score that ``route``, ``plan_fitness`` and the insertion scan
+read, its sign the feasibility, and ``allocate`` prices the reported
+routes afresh for their revolutions.
+The two leg models are siblings: ``_MixedAdapter`` is ``CostModel``, its
+kernel, memos and the LNS's pair costs, built with the solve's slack rule;
+``_LambertAdapter`` holds only two-impulse Lambert legs, one revolution
+each, flown and priced in one place, ``_fly``, on plain floats: states and
+Lambert velocities are 3-tuples and each norm is a left-to-right sum under
+``math.sqrt``. Its leg cache and state memo are bounded by
+``_LEG_CACHE_CAP``, and each value depends on its key alone, so a price does
+not depend on what a memo held. The best plan is reported by
+``planning.evaluate_plan`` on the model's own ``fly``, so every leg reports
+the price the search used, a failed leg infinite in both; a Lambert
+``LegDetail`` does not coast, fires at departure and gives its flight time
+as its phasing time. The engine, the LNS and the report score a plan by one
+rule, the left sum of ``_LegModel._score`` route scores: every solve, mixed
+or Lambert, reports the fitness of its history's best, and on mixed legs
+``plan_metrics`` equals it. Both leg models run on plain floats, and every
+sum of floats adds left to right (``planning._left_sum``), so no reported
+float depends on the host's linear-algebra library or on the Python version.
 """
 
 from __future__ import annotations
@@ -80,6 +79,7 @@ from .planning import (
     MissionPlan,
     Route,
     Scenario,
+    _LegModel,
     _check_weights,
     _left_sum,
     decode,
@@ -435,9 +435,9 @@ class _MixedAdapter(CostModel):
         return abs(self.priced_score(sid, seq))
 
 
-class _LambertAdapter(CostModel):
-    """The Lambert leg model: a ``CostModel`` whose legs are two-impulse
-    Lambert rendezvous, one revolution each.
+class _LambertAdapter(_LegModel):
+    """The Lambert leg model, a sibling of ``CostModel`` with no mixed
+    kernel or memo: two-impulse Lambert rendezvous, one revolution a leg.
 
     The leg flight time is allocated from the route's residual mission time
     (deadline minus repairs, split equally), snapped down to the candidate
@@ -448,18 +448,18 @@ class _LambertAdapter(CostModel):
     candidate through it, and ``fly`` reports each leg through it at the
     flight time the search settled on.
 
-    It overrides route pricing, ``priced_route`` and ``route_metrics``, and
-    the report's legs, ``fly``; ``allocate``, ``_score`` and the plan sums
-    are the ``CostModel``'s. Routes are summed again on every call, from
-    two memos, each emptied when an insert would pass ``_LEG_CACHE_CAP``:
-    the leg cache, from ``(from key, target id, departure time, grid
-    time)`` to the leg's (flight time, price), and the state memo
-    ``_state``, from ``(body key, time)`` to the body's ``CartesianState``,
-    so each distinct departure or arrival state is computed once.
+    It defines the engine's ``route``, ``allocate`` and the report's legs,
+    ``fly``; ``_score`` and the plan sums are the ``_LegModel``'s. Routes
+    are summed again on every call, from two memos, each emptied when an
+    insert would pass ``_LEG_CACHE_CAP``: the leg cache, from ``(from key,
+    target id, departure time, grid time)`` to the leg's (flight time,
+    price), and the state memo ``_state``, from ``(body key, time)`` to the
+    body's ``CartesianState``, so each distinct departure or arrival state
+    is computed once.
     """
 
     def __init__(self, scenario: Scenario, phi: float, gamma: float):
-        super().__init__(scenario, phi=phi, gamma=gamma)
+        super().__init__(scenario, phi, gamma)
         grid = sorted(f * GEO.t_geo for f in DEFAULT_TOF_FRACTIONS
                       if f * GEO.t_geo < self.deadline)
         if not grid:
@@ -472,10 +472,11 @@ class _LambertAdapter(CostModel):
         self._orbits = {("S", s.id): s.orbit for s in scenario.servicers}
         self._orbits.update({t.id: t.orbit for t in scenario.targets})
         # Static phase gap |fold(lam0[from] - lam0[to])| of every leg a
-        # route can fly: one row per departure body, keyed by target id.
-        bodies = self._bodies
+        # route can fly, lam0 = raan + arg_lat0 as the mixed kernel's:
+        # one row per departure body, keyed by target id.
+        lam0 = {k: o.raan + o.arg_lat0 for k, o in self._orbits.items()}
         self._gap_rows = {
-            key: {t.id: abs(fold_angle(bodies[key].lam0 - bodies[t.id].lam0))
+            key: {t.id: abs(fold_angle(lam0[key] - lam0[t.id]))
                   for t in scenario.targets}
             for key in self._orbits}
         self._leg_cache = {}
@@ -559,11 +560,10 @@ class _LambertAdapter(CostModel):
         return result
 
     def route_detail(self, sid: int, seq):
-        """(flight times, delta-v m/s, deadline violation s, end time s) of
-        a route, each leg from the leg cache, priced by ``_leg`` on a
-        miss."""
+        """(flight times, delta-v m/s, deadline violation s) of a route,
+        each leg from the leg cache, priced by ``_leg`` on a miss."""
         if not seq:
-            return (), 0.0, 0.0, 0.0
+            return (), 0.0, 0.0
         tofs = self._allocate_tofs(sid, seq)
         cache = self._leg_cache
         td = self._td
@@ -584,22 +584,16 @@ class _LambertAdapter(CostModel):
             if t > deadline:
                 p1 += t - deadline
             from_key = tid
-        return tuple(used), dv, p1, t
-
-    def priced_route(self, sid: int, seq):
-        """(revolutions, delta-v m/s, deadline violation s, end time s) of a
-        route: one revolution per leg, priced by ``route_detail``."""
-        _, dv, p1, end = self.route_detail(sid, seq)
-        return (1,) * len(seq), dv, p1, end
-
-    def route_metrics(self, sid: int, seq, revs):
-        """``priced_route`` without the revolutions, which a Lambert leg
-        does not choose."""
-        return self.priced_route(sid, seq)[1:]
+        return tuple(used), dv, p1
 
     def route(self, sid: int, seq) -> float:
-        _, dv, p1, _ = self.route_detail(sid, seq)
+        _, dv, p1 = self.route_detail(sid, seq)
         return self._score(sid, dv, p1)[0]
+
+    def allocate(self, sid: int, seq) -> list[int]:
+        """One revolution per leg: a Lambert leg does not choose its
+        revolutions."""
+        return [1] * len(seq)
 
     def fly(self, route: Route) -> list[LegDetail]:
         """The reported legs of ``route``, each flown by ``_fly`` at the
@@ -640,7 +634,7 @@ def evaluate_plan_lambert(scenario: Scenario, plan: MissionPlan,
 
 
 def _run_engine(ga: GaParams, lns: LnsParams | None, seed: int,
-                model: CostModel) -> SolveResult:
+                model: _LegModel) -> SolveResult:
     scenario = model.scenario
     m, n = len(scenario.targets), len(scenario.servicers)
     rng = random.Random(seed)

@@ -65,3 +65,14 @@ def kernel_leg(departure: GeoOrbit, target: GeoOrbit, k, t: float = 0.0):
     (_, theta, _, _, _), = model.route_geometry(1, [1])[0]
     alpha = model._pairs[("S", 1), 1].alpha
     return orbit_to_state(departure, 0.0), target, leg, alpha, theta
+
+
+def allocated_route(model: CostModel, servicer_id: int, seq):
+    """(revolutions, delta-v m/s, deadline violation s, end time s) of a
+    mixed route on the revolutions ``model.allocate`` gives it, from one
+    ``_allocate`` on its ``route_geometry``; an empty route costs
+    nothing."""
+    if not seq:
+        return (), 0.0, 0.0, 0.0
+    revs, cost = model._allocate(*model.route_geometry(servicer_id, seq))
+    return (tuple(revs),) + cost

@@ -1,8 +1,9 @@
 """One rule scores a route: ``penalized_fitness`` is called in
-``CostModel._score`` and nowhere else in ``src/georepair``.
+``_LegModel._score``, the base of both leg models, and nowhere else in
+``src/georepair``.
 
 Every score the search, the LNS, the oracle, the Lambert baseline and the
-report compare goes through that call, and ``CostModel._plan_sums`` adds
+report compare goes through that call, and ``_LegModel._plan_sums`` adds
 the scores of a plan up left to right, so a solve reports the fitness it
 optimized to the last bit. A second call site would be a second rule.
 """
@@ -43,7 +44,7 @@ def test_penalized_fitness_is_called_only_by_the_route_score():
     calls = [call for path in sorted(SRC.glob("*.py"))
              for call in _calls(ast.parse(path.read_text(encoding="utf-8")),
                                 path.stem, "penalized_fitness")]
-    assert calls == ["planning:CostModel._score"]
+    assert calls == ["planning:_LegModel._score"]
 
 
 def test_finds_calls_by_owner():

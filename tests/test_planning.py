@@ -35,7 +35,11 @@ from georepair.search import (
     insertion_cost,
     solve_lns_aga,
 )
-from scenario_builders import make_scenario, random_scenario_tuple
+from scenario_builders import (
+    allocated_route,
+    make_scenario,
+    random_scenario_tuple,
+)
 
 T = GEO.t_geo
 HOUR = 3600.0
@@ -231,21 +235,21 @@ class TestEvaluatePlan:
         assert ev.fitness == ev.total_dv
         assert ev.total_dv == pytest.approx(sum(ev.per_servicer_dv), rel=1e-12)
 
-    @pytest.mark.parametrize("evaluate, leg_model", [
-        (evaluate_plan, CostModel),
-        (evaluate_plan_lambert,
-         lambda sc: _LambertAdapter(sc, DEFAULT_PHI, DEFAULT_GAMMA))],
+    @pytest.mark.parametrize("evaluate, route_dv", [
+        (evaluate_plan, lambda sc, sid, seq, revs: CostModel(
+            sc).route_metrics(sid, seq, revs)[0]),
+        (evaluate_plan_lambert, lambda sc, sid, seq, revs: _LambertAdapter(
+            sc, DEFAULT_PHI, DEFAULT_GAMMA).route_detail(sid, seq)[1])],
         ids=["mixed", "lambert"])
     def test_per_servicer_dv_follows_the_scenario_servicers(self, evaluate,
-                                                            leg_model):
+                                                            route_dv):
         # Routes listed out of servicer order, servicer 1 idle: each entry
         # is its servicer's route delta-v, in ``scenario.servicers`` order,
         # and 0.0 for the idle one.
         scenario = random_scenario(4, 3, 20.0, seed=5)
         plan = MissionPlan([Route(3, [4, 1], [2, 1]),
                             Route(2, [2, 3], [1, 3])])
-        model = leg_model(scenario)
-        want = [0.0] + [model.route_metrics(sid, seq, revs)[0]
+        want = [0.0] + [route_dv(scenario, sid, seq, revs)
                         for sid, seq, revs in ((2, [2, 3], [1, 3]),
                                                (3, [4, 1], [2, 1]))]
         assert want[1] > 0.0 and want[2] > 0.0
@@ -383,7 +387,7 @@ class TestCostModelAgreement:
             sid, seq = route.servicer_id, route.target_sequence
             score, dv, p1, p2 = model.route_score(sid, seq, route.revolutions)
             assert score == penalized_fitness(dv, p1, p2, 3.0, 0.5)
-            _, dv, p1, _ = model.priced_route(sid, seq)
+            _, dv, p1, _ = allocated_route(model, sid, seq)
             p2 = max(dv - scenario.servicer(sid).dv_budget, 0.0)
             assert read_priced(model.priced_score(sid, seq)) == (
                 penalized_fitness(dv, p1, p2, 3.0, 0.5),
@@ -465,7 +469,7 @@ class TestRouteMemo:
             assert feasible == (p1 == 0.0 and p2 == 0.0)
             outcomes.add(feasible)
             assert memo.allocate(sid, seq) == revs
-            assert memo.priced_route(sid, seq) == (
+            assert allocated_route(memo, sid, seq) == (
                 (tuple(revs),)
                 + CostModel(scenario, **policy).route_metrics(sid, seq, revs))
             other = [k + rng.randint(0, 2) for k in revs]
@@ -611,6 +615,37 @@ class TestRouteMemo:
         assert [[c.hex() for c in row] for row in table] == [
             [c.hex() for c in row] for row in flown.pair_cost_table(0.5)]
 
+
+    def test_pair_cost_table_builds_each_ordered_pair_once(self,
+                                                           monkeypatch):
+        # One temporary pair per ordered target pair, and the table that a
+        # two-pass build gives, the maximum taken first over the unordered
+        # pairs: the same float in every entry.
+        m, beta = 12, 0.5
+        scenario = random_scenario(m, 2, 10.0, seed=3)
+        reference = CostModel(scenario)
+        ids = [t.id for t in scenario.targets]
+        c_max = max(reference.target_pair_cost(i, j, beta)
+                    for i, j in itertools.combinations(ids, 2))
+        want = [[0.0] * (m + 1) for _ in range(m + 1)]
+        for i in ids:
+            for j in ids:
+                if i != j:
+                    want[i][j] = reference.target_pair_cost(i, j, beta) / c_max
+        built = []
+        init = planning._Pair.__init__
+
+        def counted(self, frm, to):
+            built.append(None)
+            init(self, frm, to)
+
+        monkeypatch.setattr(planning._Pair, "__init__", counted)
+        model = CostModel(scenario)
+        table = model.pair_cost_table(beta)
+        assert len(built) == m * (m - 1)
+        assert hexed(table) == hexed(want)
+        assert model.pair_cost_table(beta) is table
+        assert len(built) == m * (m - 1)
 
 class PerLegCostModel(CostModel):
     """``CostModel`` with its per-leg code as it read before the route
@@ -812,8 +847,9 @@ class TestRaanRotation:
         model = CostModel(scenario)
         turned = CostModel(_raan_turned(scenario, angle))
         for sid, seq in routes:
-            revs, dv, _, _ = model.priced_route(sid, seq)
-            turned_revs, turned_dv, _, _ = turned.priced_route(sid, seq)
+            revs, dv, _, _ = allocated_route(model, sid, seq)
+            turned_revs, turned_dv, _, _ = allocated_route(turned, sid,
+                                                           seq)
             assert turned_revs == revs
             assert turned_dv == pytest.approx(dv, rel=1e-12)
 
@@ -848,8 +884,8 @@ class TestRaanRotation:
         turned = _LambertAdapter(_raan_turned(scenario, angle), DEFAULT_PHI,
                                  DEFAULT_GAMMA)
         for sid, seq in routes:
-            tofs, dv, _, _ = model.route_detail(sid, seq)
-            turned_tofs, turned_dv, _, _ = turned.route_detail(sid, seq)
+            tofs, dv, _ = model.route_detail(sid, seq)
+            turned_tofs, turned_dv, _ = turned.route_detail(sid, seq)
             assert turned_tofs == tofs
             assert turned_dv == pytest.approx(dv, rel=1e-8)
 
@@ -905,7 +941,7 @@ def allocation_branches(model, sid, seq) -> set[str]:
     pieces = math.floor((model.deadline - sum_td - sum_coast) / T)
     base = min(max(pieces // len(legs), 1), model._max_revs)
     end = model.route_metrics(sid, seq, [base] * len(legs))[2]
-    revs = model.priced_route(sid, seq)[0]
+    revs = allocated_route(model, sid, seq)[0]
     branches = set()
     if end > model.deadline:
         if base * len(legs) - sum(revs) >= 2:
@@ -971,8 +1007,8 @@ class TestExactKernel:
                 geom = model.route_geometry(sid, seq)
                 assert hexed(geom) == hexed(
                     reference.route_geometry(sid, seq))
-                assert hexed(model.priced_route(sid, seq)) == hexed(
-                    reference.priced_route(sid, seq))
+                assert hexed(allocated_route(model, sid, seq)) == hexed(
+                    allocated_route(reference, sid, seq))
                 assert hexed(model.route_metrics(sid, seq, revs)) == hexed(
                     reference.route_metrics(sid, seq, revs))
                 legs = geom[0]
@@ -1165,7 +1201,8 @@ class TestTimeOnlyAllocation:
             revs, cost, trimmed = trial_priced_allocate(model, geom, rule)
             trims += trimmed
             trims_to_fit += trimmed and cost[2] <= model.deadline
-            assert model.priced_route(sid, seq) == (tuple(revs),) + cost
+            assert allocated_route(model, sid, seq) == (
+                (tuple(revs),) + cost)
             other = [rng.randint(1, model._max_revs) for _ in seq]
             assert end_time(geom[0], other) == model._route_cost(
                 geom[0], other)[2]

@@ -285,8 +285,8 @@ class TestMalformedValues:
         _refused_by_the_record_checks(tmp_path, path, value, field)
 
     @pytest.mark.parametrize("path,field", [
-        pytest.param(("deadline_hours",), "deadline", id="deadline"),
-        pytest.param(("targets", 3, "repair_hours"), "repair_duration",
+        pytest.param(("deadline_hours",), "deadline_hours", id="deadline"),
+        pytest.param(("targets", 3, "repair_hours"), "repair_hours",
                      id="repair"),
     ])
     def test_finite_hours_that_overflow_seconds_are_rejected(
@@ -295,7 +295,8 @@ class TestMalformedValues:
         _set(path, 1e307)(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
-        with pytest.raises(ValidationError, match=field):
+        with pytest.raises(ValidationError,
+                           match=f": field '{field}' is out of range$"):
             load(bad)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,

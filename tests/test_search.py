@@ -21,6 +21,7 @@ from georepair.planning import (
     CostModel,
     MissionPlan,
     Route,
+    _LegModel,
     decode,
     evaluate_plan,
     exhaustive_solve,
@@ -51,7 +52,11 @@ from georepair.search import (
     swap_mutation,
     swap_positions,
 )
-from scenario_builders import make_scenario, random_scenario_tuple
+from scenario_builders import (
+    allocated_route,
+    make_scenario,
+    random_scenario_tuple,
+)
 from test_fingerprint import EXPECTED, SEEDS, _ga, fingerprint
 
 HOUR = 3600.0
@@ -598,7 +603,7 @@ def scan_every_slot(target_id, partial, model):
         budget = model.scenario.servicer(sid).dv_budget
         for pos in range(len(seq) + 1):
             cand = seq[:pos] + [target_id] + seq[pos:]
-            _, dv, p1, _ = model.priced_route(sid, cand)
+            _, dv, p1, _ = allocated_route(model, sid, cand)
             p2 = max(dv - budget, 0.0)
             delta = penalized_fitness(dv, p1, p2, model.phi,
                                       model.gamma) - old_score
@@ -1328,67 +1333,55 @@ class TestLambertReportsTheSearchPrice:
                           _LambertAdapter(scenario, 1.0, 10.0))
 
 
-class TestLambertRouteMemo:
-    """``_LambertAdapter`` inherits ``CostModel.priced_score``, which the
-    Lambert search does not read: its memo value must still be the route's
-    ``route`` score, negated exactly when ``route_detail`` gives the route
-    lateness or a delta-v over its budget."""
+class TestLegModels:
+    """The two leg models share only ``planning._LegModel``: the Lambert
+    model is not a ``CostModel`` and holds none of the mixed kernel or its
+    memos, and each defines its own ``allocate`` and ``fly``."""
 
-    @staticmethod
-    def check(adapter, sid, seq):
-        value = adapter.priced_score(sid, seq)
-        assert abs(value).hex() == adapter.route(sid, seq).hex()
-        _, dv, p1, _ = adapter.route_detail(sid, seq)
-        feasible = p1 == 0.0 and dv <= adapter.scenario.servicer(sid).dv_budget
-        assert (math.copysign(1.0, value) > 0.0) == feasible
-        return feasible
+    def test_the_lambert_model_is_not_a_cost_model(self):
+        assert not issubclass(_LambertAdapter, CostModel)
+        adapter = _LambertAdapter(case_study(), 1.0, 10.0)
+        for name in ("route_geometry", "_route_cost", "_allocate", "_pairs",
+                     "_priced", "_insertions", "priced_score",
+                     "insertion_scan", "pair_cost_table", "route_metrics"):
+            assert not hasattr(adapter, name), name
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 6), st.integers(1, 3), st.sampled_from([2.0, 10.0]),
-           st.integers(0, 50), st.data())
-    def test_drawn_routes(self, m, n, days, seed, data):
-        adapter = _LambertAdapter(random_scenario(m, n, days, seed=seed),
-                                  1.0, 10.0)
-        sid = data.draw(st.integers(1, n))
-        seq = data.draw(st.permutations(range(1, m + 1)))
-        self.check(adapter, sid, seq[:data.draw(st.integers(0, m))])
+    @pytest.mark.parametrize("model", [CostModel, _LambertAdapter])
+    def test_each_leg_model_defines_allocate_and_fly(self, model):
+        assert issubclass(model, _LegModel)
+        assert {"allocate", "fly"} <= set(vars(model))
 
-    def test_both_signs_on_random_scenarios(self):
-        rng = random.Random(35)
-        outcomes = set()
-        for days in (2.0, 10.0):
-            adapter = _LambertAdapter(random_scenario(6, 2, days, seed=7),
-                                      1.0, 10.0)
-            for _ in range(20):
-                seq = rng.sample(range(1, 7), rng.randint(1, 4))
-                outcomes.add(self.check(adapter, rng.choice((1, 2)), seq))
-        assert outcomes == {True, False}
+    def test_no_source_names_priced_route(self):
+        src = Path(search.__file__).parent
+        assert [path.name for path in sorted(src.glob("*.py"))
+                if "priced_route" in path.read_text(encoding="utf-8")] == []
 
-    @pytest.mark.parametrize("gamma", [10.0, 0.0])
-    def test_unflyable_leg(self, monkeypatch, gamma):
-        # Only the 0.125-period grid time fits in 4 h, and after it target
-        # 1 sits 180 degrees from the servicer: a singular first leg.
-        scenario = make_scenario([(0.0, 0.0, 0.0, 2000.0)],
-                                 [(0.0, 0.0, 135.0, 0.0),
-                                  (1.0, 20.0, 50.0, 0.0)], 4 * HOUR)
-        adapter = _LambertAdapter(scenario, 1.0, gamma)
-        assert adapter.route_detail(1, [1, 2])[1] == math.inf
-        assert not self.check(adapter, 1, [1, 2])
-        assert adapter.priced_score(1, [1, 2]) == -math.inf
-        # On a random scenario, every arc into target 3 fails.
-        fly = _LambertAdapter._fly
+    def test_lambert_allocate_gives_one_revolution_per_leg(self):
+        adapter = _LambertAdapter(random_scenario(4, 2, 10.0, seed=1), 1.0,
+                                  10.0)
+        assert adapter.allocate(1, []) == []
+        assert adapter.allocate(2, (3, 1, 4)) == [1, 1, 1]
 
-        def fail_into_3(self, state, to_id, tof):
-            if to_id == 3:
-                raise CollinearGeometry("forced failure")
-            return fly(self, state, to_id, tof)
+    def test_lambert_phase_gaps_read_the_mixed_kernel_longitudes(self):
+        scenario = case_study()
+        bodies = CostModel(scenario)._bodies
+        rows = _LambertAdapter(scenario, 1.0, 10.0)._gap_rows
+        assert set(rows) == set(bodies)
+        for key, row in rows.items():
+            assert {tid: gap.hex() for tid, gap in row.items()} == {
+                t.id: abs(fold_angle(bodies[key].lam0
+                                     - bodies[t.id].lam0)).hex()
+                for t in scenario.targets}
 
-        monkeypatch.setattr(_LambertAdapter, "_fly", fail_into_3)
-        adapter = _LambertAdapter(random_scenario(6, 2, 10.0, seed=7), 1.0,
-                                  gamma)
-        for seq in ([1, 3, 2], [3], [4, 5]):
-            self.check(adapter, 1, seq)
-            assert (adapter.priced_score(1, seq) == -math.inf) == (3 in seq)
+    def test_each_leg_model_refuses_bad_weights(self):
+        scenario = random_scenario(3, 2, 10.0, seed=1)
+        for build in (lambda: CostModel(scenario, phi=-1.0),
+                      lambda: _LambertAdapter(scenario, 1.0, math.nan)):
+            with pytest.raises(ValueError, match="phi|gamma"):
+                build()
+        # The mixed model checks its slack rule before the weights.
+        with pytest.raises(ValueError, match="^slack_rule must be"):
+            CostModel(scenario, "middle", phi=-1.0)
 
 
 class TestLambertWorkCounts:
@@ -1525,9 +1518,8 @@ class TestLambertNeedsNoBlas:
             adapter = _LambertAdapter(scenario, 1.0, 10.0)
             record = []
             for sid, seq in routes:
-                tofs, dv, p1, end = adapter.route_detail(sid, seq)
-                record.append([[t.hex() for t in tofs], dv.hex(), p1.hex(),
-                               end.hex()])
+                tofs, dv, p1 = adapter.route_detail(sid, seq)
+                record.append([[t.hex() for t in tofs], dv.hex(), p1.hex()])
             for plan in plans:
                 ev = evaluate_plan(scenario, plan, adapter)
                 record.append([ev.fitness.hex(), ev.total_dv.hex()])

@@ -1,14 +1,14 @@
 """The solver contract on drawn scenarios, for all three solvers.
 
 Every solve reports its history's best: ``best_evaluation.fitness`` is the
-least best fitness in ``history`` by ``float.hex``, and its leg model's
-``plan_metrics`` of the best plan, because the engine, the LNS, the report
-and the oracle score a plan by one rule, the left sum of
-``CostModel._score`` route scores. Every reported leg, mixed or Lambert,
-lands on its target under the independent propagator. The scenarios are
-small: 1 to 3 servicers, 1 to 5 targets, round-degree angles and angles a
-few ulps from them, zero and non-zero repair times and deadlines of 1 to
-30 days.
+least best fitness in ``history`` by ``float.hex``, and the best plan's
+route scores on a fresh leg model of the solve's kind, added up by
+``_plan_sums``, because the engine, the LNS, the report and the oracle
+score a plan by one rule, the left sum of ``_LegModel._score`` route
+scores. Every reported leg, mixed or Lambert, lands on its target under the
+independent propagator. The scenarios are small: 1 to 3 servicers, 1 to 5
+targets, round-degree angles and angles a few ulps from them, zero and
+non-zero repair times and deadlines of 1 to 30 days.
 """
 
 import math
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from georepair import planning, search
-from georepair.planning import CostModel, exhaustive_solve
+from georepair.planning import CostModel, _LegModel, exhaustive_solve
 from georepair.scenarios import random_scenario
 from georepair.search import (
     GaParams,
@@ -40,12 +40,24 @@ SOLVERS = {
     "solve_lambert_ga": lambda sc, seed: solve_lambert_ga(sc, GA, seed=seed),
 }
 MIXED = ("solve_lns_aga", "solve_ga")
-# The leg model each solver searches with, whose ``plan_metrics`` must give
-# the reported evaluation.
-MODELS = {"solve_lns_aga": CostModel, "solve_ga": CostModel,
-          "solve_lambert_ga": _LambertAdapter}
 # Largest target count at which the oracle check runs, to keep it cheap.
 ORACLE_TARGETS = 3
+
+
+def plan_sums(name, scenario, plan):
+    """(fitness, total_dv, p1, p2, feasible) of ``plan`` on a fresh leg
+    model of the kind solver ``name`` searches with: the mixed model's
+    ``plan_metrics``, or the Lambert model's ``route_detail`` route scores
+    added up by ``_plan_sums``."""
+    if name in MIXED:
+        return CostModel(scenario, phi=GA.phi, gamma=GA.gamma).plan_metrics(
+            plan)
+    model = _LambertAdapter(scenario, GA.phi, GA.gamma)
+    return model._plan_sums(
+        model._score(r.servicer_id,
+                     *model.route_detail(r.servicer_id,
+                                         r.target_sequence)[1:])
+        for r in plan.routes)
 
 
 def _nudge(x: float, ulps: int) -> float:
@@ -102,9 +114,8 @@ def test_every_solve_reports_its_history_best(scenario, seed):
         assert again.history == result.history, name
         assert again.best_plan == result.best_plan, name
 
-        fitness, total_dv, p1, p2, feasible = MODELS[name](
-            scenario, phi=GA.phi, gamma=GA.gamma).plan_metrics(
-                result.best_plan)
+        fitness, total_dv, p1, p2, feasible = plan_sums(
+            name, scenario, result.best_plan)
         assert [x.hex() for x in (fitness, total_dv, p1, p2)] == [
             x.hex() for x in (ev.fitness, ev.total_dv, ev.deadline_penalty,
                               ev.budget_penalty)], name
@@ -126,15 +137,16 @@ def test_every_solve_reports_its_history_best(scenario, seed):
 
 def test_each_solve_builds_one_cost_model(monkeypatch):
     # The search, the LNS and the report share the solve's one leg model,
-    # so no solve builds a second model to score its report with.
+    # so no solve builds a second model to score its report with. Every
+    # leg model, mixed or Lambert, runs the base's constructor once.
     built = []
-    init = CostModel.__init__
+    init = _LegModel.__init__
 
     def counted(self, *args, **kwargs):
         built.append(type(self).__name__)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(CostModel, "__init__", counted)
+    monkeypatch.setattr(_LegModel, "__init__", counted)
     scenario = random_scenario(4, 2, 10.0, seed=3)
     solves = {**SOLVERS,
               "exhaustive_solve": lambda sc, seed: exhaustive_solve(sc, 3)}
