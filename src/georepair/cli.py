@@ -208,20 +208,16 @@ def _fmt_time(epoch, seconds: float, iso: bool = False) -> str:
 def write_schedule(path: Path, scenario, evaluation: Evaluation):
     names = {s.id: s.name for s in scenario.servicers}
     names_t = {t.id: t.name for t in scenario.targets}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHEDULE_COLUMNS)
-        for leg in evaluation.leg_details:
-            writer.writerow([
-                names[leg.servicer_id], names_t[leg.target_id],
-                *(f"{x:.6f}" for x in leg.impulse1 + leg.impulse2),
-                _fmt_time(scenario.epoch, leg.impulse1_time),
-                _fmt_time(scenario.epoch, leg.impulse1_time, iso=True),
-                _fmt_time(scenario.epoch, leg.arrival_time),
-                _fmt_time(scenario.epoch, leg.arrival_time, iso=True),
-                f"{leg.coast_time:.3f}", f"{leg.phase_time:.3f}",
-                f"{leg.total_dv:.6f}",
-            ])
+    _write_csv(path, [dict(zip(SCHEDULE_COLUMNS, (
+        names[leg.servicer_id], names_t[leg.target_id],
+        *(f"{x:.6f}" for x in leg.impulse1 + leg.impulse2),
+        _fmt_time(scenario.epoch, leg.impulse1_time),
+        _fmt_time(scenario.epoch, leg.impulse1_time, iso=True),
+        _fmt_time(scenario.epoch, leg.arrival_time),
+        _fmt_time(scenario.epoch, leg.arrival_time, iso=True),
+        f"{leg.coast_time:.3f}", f"{leg.phase_time:.3f}",
+        f"{leg.total_dv:.6f}"), strict=True))
+        for leg in evaluation.leg_details])
 
 
 def write_convergence(path: Path, result: SolveResult):

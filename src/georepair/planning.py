@@ -374,6 +374,9 @@ class _Pair:
 # insert would go past it. A key holds at most MAX_TARGETS + 2 ids, and a
 # key longer than the budget would be kept alone.
 _MEMO_ID_BUDGET = 4_000_000
+# Entries at which the leg-pair memo, whose entries have a fixed size,
+# empties itself.
+_PAIR_CAP = 300_000
 SLACK_RULES = ("largest", "smallest")
 
 
@@ -450,8 +453,10 @@ class CostModel(_LegModel):
     cheapest slots for that target in that route as one flat tuple. Both
     memos are capped by the ids their keys hold, their summed length: each
     empties itself when an insert would take it past ``_MEMO_ID_BUDGET``.
-    ``pair_cost_table`` tables the normalized target-pair costs that LNS
-    relatedness reads, once per ``beta``.
+    ``_pairs``, the leg-pair memo, empties itself when an insert would take
+    it past ``_PAIR_CAP`` entries, so every reader gets a pair from it or
+    builds one with ``_pair``. ``pair_cost_table`` tables the normalized
+    target-pair costs that LNS relatedness reads, once per ``beta``.
     """
 
     def __init__(self, scenario: Scenario, slack_rule: str = "largest",
@@ -476,9 +481,12 @@ class CostModel(_LegModel):
     # -- the per-leg kernel --------------------------------------------------
 
     def _pair(self, from_key, to_id) -> _Pair:
-        """Build and keep the geometry of one (from, to) pair; callers look
-        in ``_pairs`` first, so each pair is built once."""
+        """Build and keep the geometry of one (from, to) pair, emptying
+        ``_pairs`` first when it is full; callers look in ``_pairs`` first,
+        so each pair is built once until the memo empties."""
         p = _Pair(self._bodies[from_key], self._bodies[to_id])
+        if len(self._pairs) >= _PAIR_CAP:
+            self._pairs.clear()
         self._pairs[(from_key, to_id)] = p
         return p
 
@@ -585,9 +593,10 @@ class CostModel(_LegModel):
         for q, (tid, k) in enumerate(zip(seq, route.revolutions)):
             target = self.scenario.target(tid).orbit
             coast, theta, _, _, td = legs[q]
+            pair = (self._pairs.get((from_key, tid))
+                    or self._pair(from_key, tid))
             imp1, imp2, t1, t2, phase = rendezvous_mixed(
-                departure, target, t, coast, theta,
-                self._pairs[from_key, tid].alpha, k)
+                departure, target, t, coast, theta, pair.alpha, k)
             completion = t2 + td
             flown.append(LegDetail(
                 sid, tid, imp1, imp2, t, t1, t2, completion, coast, phase,

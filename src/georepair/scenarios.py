@@ -9,6 +9,8 @@ record's shape and numbers, normalizes it and keeps it on the scenario, so
 that save(load(path)) reproduces the original decimal text. Validity is
 decided by the domain types, whose constructors refuse their own invalid
 values; the file layer names the record, or hours that overflow seconds.
+It parses the epoch text, and ``Scenario`` makes the epoch UTC, a naive one
+read as UTC.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import io
 import json
 import math
 import random
-from datetime import datetime, timezone
+from datetime import datetime
 
 from .astro import GeoOrbit
 from .planning import Scenario, Servicer, Target
@@ -95,8 +97,8 @@ def from_record(data) -> Scenario:
 
     _check_fleet_size(len(servicer_recs), len(target_recs))
     try:
-        epoch = _parse_epoch(record["epoch"])
-    except (ValueError, OverflowError) as exc:
+        epoch = datetime.fromisoformat(record["epoch"].replace("Z", "+00:00"))
+    except ValueError as exc:
         raise ParseError(f"bad epoch {record['epoch']!r}: {exc}") from exc
     servicers = [_named(f"servicer {s['name']!r}", lambda: Servicer(
         i + 1, s["name"], _orbit(s), s["dv_budget_mps"]))
@@ -137,13 +139,6 @@ def _check_fleet_size(n_servicers: int, n_targets: int):
                              ("targets", n_targets, MAX_TARGETS)):
         if count > cap:
             raise ValidationError(f"{name}: {count} exceeds the cap of {cap}")
-
-
-def _parse_epoch(text: str) -> datetime:
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
 
 
 def _check_fields(record: dict, required: set, what: str):

@@ -188,8 +188,6 @@ class SolveResult:
 def init_population(m: int, n: int, size: int, rng: random.Random
                     ) -> list[list[int]]:
     """Uniform random permutation chromosomes for m targets, n servicers."""
-    if size < 2:
-        raise ValueError("population size must be >= 2")
     length = m + n - 1
     return [rng.sample(range(1, length + 1), length) for _ in range(size)]
 

@@ -164,6 +164,17 @@ class TestSolve:
         assert err.startswith(f"error: scenario: {field} too large")
         assert len(err.strip().splitlines()) == 1
 
+    def test_epoch_out_of_range_in_utc_exits_one(self, tmp_path, capsys):
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        data = json.loads(scen_path.read_text())
+        data["epoch"] = "0001-01-01T00:00:00+01:00"
+        scen_path.write_text(json.dumps(data))
+        assert main(["solve", str(scen_path), "--out",
+                     str(tmp_path / "out")] + FAST) == 1
+        assert capsys.readouterr().err == (
+            "error: scenario: epoch is out of range in UTC\n")
+
     def test_case_study_emits_one_row_per_target(self, tmp_path):
         scen_path = tmp_path / "case.json"
         save(case_study(), scen_path)
@@ -322,6 +333,18 @@ class TestReplay:
                 f"{leg.coast_time:.3f}", f"{leg.phase_time:.3f}",
                 f"{leg.total_dv:.6f}"]
 
+    @classmethod
+    def _replayed(cls, scen_path, summary, algo):
+        """The scenario file and the saved plan evaluated again with the
+        saved penalty weights on the algorithm's leg model."""
+        scenario = load(scen_path)
+        phi, gamma = summary["params"]["phi"], summary["params"]["gamma"]
+        model = (_LambertAdapter(scenario, phi, gamma)
+                 if algo == "lambert-ga"
+                 else CostModel(scenario, phi=phi, gamma=gamma))
+        return scenario, evaluate_plan(scenario, cls._plan(scenario, summary),
+                                       model)
+
     @pytest.mark.parametrize("case", sorted(SCENARIOS))
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_files_replay_the_solve(self, tmp_path, algo, case):
@@ -332,14 +355,9 @@ class TestReplay:
                      "--gamma", "0.5", "--max-rev", "3", "--out", str(out)]
                     + FAST) in (0, 2)
         summary = _strict_json(out / "summary.json")
-
-        scenario = load(scen_path)
-        phi, gamma = summary["params"]["phi"], summary["params"]["gamma"]
-        assert (phi, gamma) == (2.5, 0.5)
-        model = (_LambertAdapter(scenario, phi, gamma)
-                 if algo == "lambert-ga"
-                 else CostModel(scenario, phi=phi, gamma=gamma))
-        ev = evaluate_plan(scenario, self._plan(scenario, summary), model)
+        assert (summary["params"]["phi"], summary["params"]["gamma"]) == (
+            2.5, 0.5)
+        scenario, ev = self._replayed(scen_path, summary, algo)
 
         for key, value in (("fitness", ev.fitness),
                            ("total_dv_mps", ev.total_dv),
@@ -357,6 +375,26 @@ class TestReplay:
                 _hex(leg.phase_time) for leg in ev.leg_details]
         assert read_csv(out / "schedule.csv") == [SCHEDULE_COLUMNS] + [
             self._row(scenario, leg) for leg in ev.leg_details]
+
+    @pytest.mark.parametrize("algo", ["lns-aga", "lambert-ga"])
+    def test_schedule_is_what_a_plain_csv_writer_writes(self, tmp_path,
+                                                        algo):
+        # The reference writer: the header row, then one row of formatted
+        # fields per reported leg, through csv.writer's defaults.
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        out = tmp_path / "out"
+        assert main(["solve", str(scen_path), "--algo", algo, "--out",
+                     str(out)] + FAST) in (0, 2)
+        scenario, ev = self._replayed(
+            scen_path, _strict_json(out / "summary.json"), algo)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SCHEDULE_COLUMNS)
+            writer.writerows(self._row(scenario, leg)
+                             for leg in ev.leg_details)
+        assert (out / "schedule.csv").read_bytes() == reference.read_bytes()
 
 
 class TestFuzzSolve:

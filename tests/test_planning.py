@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +26,7 @@ from georepair.planning import (
     exhaustive_solve,
     penalized_fitness,
 )
-from georepair.scenarios import random_scenario
+from georepair.scenarios import case_study, random_scenario
 from georepair.search import (
     AllInfeasible,
     GaParams,
@@ -600,6 +600,42 @@ class TestRouteMemo:
                                          stall_iterations=5), seed=1)
         assert built
         assert len(built) == len(set(built)) <= (n + m) * m
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(lambda: random_scenario(8, 2, 12.0, seed=5),
+                     id="random-8"),
+        pytest.param(case_study, id="case-study"),
+    ])
+    def test_a_capped_leg_pair_memo_gives_the_uncapped_solve(
+            self, monkeypatch, scenario):
+        # At a cap of 3 the memo empties inside most routes, so the report
+        # flies pairs that it no longer holds and builds them again. A
+        # pair depends on its two bodies alone: the history, the plan and
+        # every reported leg are the uncapped solve's, by float.hex.
+        def solve():
+            result = solve_lns_aga(scenario(), GaParams(
+                population_size=20, min_iterations=10, stall_iterations=5),
+                seed=1)
+            return (hexed(result.history),
+                    [(r.servicer_id, r.target_sequence, r.revolutions)
+                     for r in result.best_plan.routes],
+                    [hexed(astuple(leg))
+                     for leg in result.best_evaluation.leg_details])
+
+        want = solve()
+        held = []
+        original = CostModel._pair
+
+        def spy(self, from_key, to_id):
+            p = original(self, from_key, to_id)
+            held.append(len(self._pairs))
+            return p
+
+        monkeypatch.setattr(planning, "_PAIR_CAP", 3)
+        monkeypatch.setattr(CostModel, "_pair", spy)
+        assert solve() == want
+        assert max(held) == 3
+        assert held.count(1) > 1
 
     def test_pair_cost_table_keeps_no_pair(self):
         # Relatedness reads every target pair, most of which no route

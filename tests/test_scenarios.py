@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from georepair import scenarios
 from georepair.astro import GeoOrbit
@@ -103,8 +102,14 @@ class TestRandomScenario:
             sc = random_scenario(50, 1, 15.0, seed=seed)
             incs.extend(math.degrees(t.orbit.inclination) for t in sc.targets)
             seed += 1
-        result = stats.kstest(incs[:10_000], stats.uniform(0, 10).cdf)
-        assert result.pvalue > 0.01
+        # D is the largest gap between the empirical CDF, just before and
+        # at each sorted draw, and the uniform(0, 10) CDF; the 1% critical
+        # value is 1.628 / (sqrt(n) + 0.12 + 0.11 / sqrt(n)).
+        draws = sorted(incs[:10_000])
+        n = len(draws)
+        d = max(max((i + 1) / n - x / 10.0, x / 10.0 - i / n)
+                for i, x in enumerate(draws))
+        assert d < 1.628 / (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -162,6 +167,18 @@ class TestSaveLoad:
         if not epoch.microsecond:
             assert json.loads(path.read_text())["epoch"] \
                 == scenarios.CASE_STUDY_EPOCH
+
+    @pytest.mark.parametrize("text", [
+        "2021-03-12T04:00:00Z", "2021-03-12T12:00:00+08:00",
+        "2021-03-12T04:00:00"], ids=["z", "utc-plus-8", "naive"])
+    def test_a_file_epoch_loads_as_its_utc_instant(self, tmp_path, text):
+        data = scenario_record(case_study())
+        data["epoch"] = text
+        path = tmp_path / "epoch.json"
+        path.write_text(json.dumps(data))
+        epoch = load(path).epoch
+        assert epoch.tzinfo is timezone.utc
+        assert epoch == datetime(2021, 3, 12, 4, tzinfo=timezone.utc)
 
     def test_a_number_as_a_name_loads_as_its_text(self, tmp_path):
         data = scenario_record(case_study())
@@ -312,6 +329,27 @@ class TestMalformedValues:
                 "dv_budget_mps": ("servicers", 0, field)}.get(
                     field, ("targets", 3, field))
         _refused_by_the_record_checks(tmp_path, path, value, field)
+
+    @pytest.mark.parametrize("epoch", ["2021-13-01T00:00:00Z", "yesterday",
+                                       ""])
+    def test_a_malformed_epoch_is_a_parse_error_naming_it(self, epoch):
+        record = {**scenario_record(case_study()), "epoch": epoch}
+        with pytest.raises(ParseError) as exc:
+            from_record(record)
+        assert str(exc.value).startswith(f"bad epoch {epoch!r}: ")
+        assert "\n" not in str(exc.value)
+
+    def test_an_epoch_out_of_range_in_utc_is_a_validation_error(
+            self, tmp_path):
+        # Well formed, but an hour before the first UTC instant: the file
+        # layer parses it and ``Scenario`` refuses it.
+        data = scenario_record(case_study())
+        data["epoch"] = "0001-01-01T00:00:00+01:00"
+        path = tmp_path / "early.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        assert str(exc.value) == "scenario: epoch is out of range in UTC"
 
     @pytest.mark.parametrize("change, match", [
         pytest.param({"epoch": 5},

@@ -803,12 +803,14 @@ class TestBoundedSearchCaches:
         # about 500 ids, so each new chromosome adds some 16 kB to uncapped
         # memos: about 45 kB a generation here, where every child mutates.
         # With each budget patched to 4,004 ids, four chromosomes or about
-        # eight routes, the memory held at the start of each generation, by
-        # tracemalloc, stays within 100 kB of the first generation's.
+        # eight routes, and the leg-pair memo to 4,004 pairs, the memory
+        # held at the start of each generation, by tracemalloc, stays
+        # within 100 kB of the first generation's.
         m = 1000
         scenario = random_scenario(m, 2, 30.0, seed=1)
         monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", 4 * (m + 1))
         monkeypatch.setattr(search, "_GENE_ID_BUDGET", 4 * (m + 1))
+        monkeypatch.setattr(planning, "_PAIR_CAP", 4 * (m + 1))
         held = []
         weights = search.selection_weights
 
