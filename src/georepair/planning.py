@@ -40,11 +40,12 @@ and phase gaps are invariant under whole-revolution shifts of earlier legs,
 so one simulation of a route with every leg at one revolution serves any
 revolution allocation. A ``CostModel`` prices under one policy, the
 allocator's slack rule and the penalty weights phi and gamma, fixed when it
-is built, and keeps two bounded memos under it, of route scores and of
-insertion scans, as its docstring says. Plans are checked once, by
-``MissionPlan.validate_against`` in ``evaluate_plan``; a leg model's
-``fly`` trusts its route, and the search its own input: ``decode`` does not
-check chromosomes, which the engine builds as permutations.
+is built, and keeps three bounded memos under it, of route scores, of
+insertion scans and of LNS attempts, as its docstring says. Plans are
+checked once, by ``MissionPlan.validate_against`` in ``evaluate_plan``; a
+leg model's ``fly`` trusts its route, and the search its own input:
+``decode`` does not check chromosomes, which the engine builds as
+permutations.
 """
 
 from __future__ import annotations
@@ -369,10 +370,12 @@ class _Pair:
                 nx * to.e1[0] + ny * to.e1[1] + nz * to.e1[2]) % TWO_PI
 
 
-# Ids (servicer, target and sequence ids) that the keys of each of the
-# route and insertion memos may hold in all; a memo empties itself when an
-# insert would go past it. A key holds at most MAX_TARGETS + 2 ids, and a
-# key longer than the budget would be kept alone.
+# Ids (servicer, target and sequence ids, or an attempt's beta, count,
+# draws and genes) that the keys of each of the route, insertion and
+# attempt memos may hold in all; a memo empties itself when an insert
+# would go past it. A route or insertion key holds at most MAX_TARGETS + 2
+# ids and an attempt key 2 * MAX_TARGETS + MAX_SERVICERS + 1; a key longer
+# than the budget would be kept alone.
 _MEMO_ID_BUDGET = 4_000_000
 # Entries at which the leg-pair memo, whose entries have a fixed size,
 # empties itself.
@@ -450,9 +453,16 @@ class CostModel(_LegModel):
     -0.0. ``allocate`` prices a reported route afresh for its revolutions.
 
     ``insertion_scan`` memoizes, per (servicer, target, sequence), the
-    cheapest slots for that target in that route as one flat tuple. Both
-    memos are capped by the ids their keys hold, their summed length: each
-    empties itself when an insert would take it past ``_MEMO_ID_BUDGET``.
+    cheapest slots for that target in that route as one flat tuple.
+    ``attempt_outcome`` memoizes the outcome of one LNS destroy/repair
+    attempt under the flat key ``(beta, removal count, *draws,
+    *chromosome)`` that ``search.lns_improve`` builds: the plan's
+    chromosome if the repaired plan beats it, else ``()``. Destroy reads
+    only the key and this model's pair costs, and repair and the fitnesses
+    only the two memos above, whose values depend on their keys alone, so
+    a hit is the outcome the attempt would give again. The three memos are
+    capped by the ids their keys hold, their summed length: each empties
+    itself when an insert would take it past ``_MEMO_ID_BUDGET``.
     ``_pairs``, the leg-pair memo, empties itself when an insert would take
     it past ``_PAIR_CAP`` entries, so every reader gets a pair from it or
     builds one with ``_pair``. ``pair_cost_table`` tables the normalized
@@ -475,6 +485,8 @@ class CostModel(_LegModel):
         self._priced_ids = 0
         self._insertions: dict = {}
         self._insertion_ids = 0
+        self._attempts: dict = {}
+        self._attempt_ids = 0
         self._max_revs = max(1, math.ceil(scenario.deadline / GEO.t_geo) - 1)
         self._pair_costs: dict = {}
 
@@ -673,6 +685,22 @@ class CostModel(_LegModel):
                 self._insertions.clear()
                 self._insertion_ids = len(key)
             self._insertions[key] = hit
+        return hit
+
+    def attempt_outcome(self, key, attempt):
+        """The attempt memo's value for ``key``, one LNS destroy/repair
+        attempt: ``attempt()``, called on a miss only and stored. The
+        caller keys the attempt on everything its outcome reads besides
+        this model's exact memos, so the value depends on its key alone.
+        """
+        hit = self._attempts.get(key)
+        if hit is None:
+            hit = attempt()
+            self._attempt_ids += len(key)
+            if self._attempt_ids > _MEMO_ID_BUDGET:
+                self._attempts.clear()
+                self._attempt_ids = len(key)
+            self._attempts[key] = hit
         return hit
 
     # -- revolution allocation (one-pass heuristic) ---------------------------

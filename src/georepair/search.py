@@ -35,7 +35,14 @@ pricing policy and one set of memos serve the whole solve, and a solve
 builds no other model. The mixed model's route memo keeps, per route, one
 float, the score that ``route``, ``plan_fitness`` and the insertion scan
 read, its sign the feasibility, and ``allocate`` prices the reported
-routes afresh for their revolutions.
+routes afresh for their revolutions. ``lns_improve`` splits each attempt
+into its random draws, ``destroy_draws``, and a removal that replays
+them, ``destroy``; it keys the attempt on ``beta``, the removal count, the
+draws and the plan's chromosome, and reads its outcome from the model's
+attempt memo, so an attempt that repeats an earlier one, as most do once
+the elite settles, runs neither destroy nor repair. Every number is drawn
+whether the memo hits or not, so the random stream, and with it every
+plan and history, is the one that running each attempt gives.
 The two leg models are siblings: ``_MixedAdapter`` is ``CostModel``, its
 kernel, memos and the LNS's pair costs, built with the solve's slack rule;
 ``_LambertAdapter`` holds only two-impulse Lambert legs, one revolution
@@ -322,32 +329,53 @@ def _relatedness(c_norm: float, same_route: bool) -> float:
     return 1.0 / (c_norm + (0.0 if same_route else 1.0) + RELATEDNESS_EPS)
 
 
-def destroy(seqs: list[list[int]], params: LnsParams, rng: random.Random,
+def destroy_draws(seqs: list[list[int]], params: LnsParams,
+                  rng: random.Random) -> tuple[int, ...]:
+    """The random draws of one ``destroy`` of ``seqs``: the first target,
+    ``rng.choice`` of the targets in route order, then for each later
+    removal the clamped rank ``min(int(y ** p * size), size - 1)`` of one
+    ``rng.random()`` draw y, p being ``determinism_p`` and size the count
+    of targets not yet removed. ceil(remove_rate * m) entries in all.
+
+    The ranking draws nothing, so drawing every number first draws the
+    stream that drawing them between the sorts did.
+    """
+    all_targets = [tid for seq in seqs for tid in seq]
+    m = len(all_targets)
+    count = math.ceil(m * params.remove_rate)
+    p = params.determinism_p
+    draw = rng.random
+    draws = [rng.choice(all_targets)]
+    for size in range(m - 1, m - count, -1):
+        draws.append(min(int(draw() ** p * size), size - 1))
+    return tuple(draws)
+
+
+def destroy(seqs: list[list[int]], draws, params: LnsParams,
             model: CostModel) -> tuple[list[int], list[list[int]]]:
     """Shaw-style removal: seed with a random target, then repeatedly drop
     the most related remaining target with determinism-p noise.
 
-    ``seqs`` holds one target sequence per servicer. Removes
-    ceil(remove_rate * m) targets and returns them with the partial
-    sequences, new lists. Relatedness is judged against the input's route
-    assignment.
+    ``seqs`` holds one target sequence per servicer and ``draws`` is its
+    ``destroy_draws``: the first target, then the rank, most related
+    first, of each later removal among the targets left. Relatedness is
+    judged against the input's route assignment on the model's pair costs
+    at ``params.beta``, so the removal depends on ``seqs``, ``draws`` and
+    ``beta`` alone. Returns the removed targets and the partial
+    sequences, new lists.
     """
     pair_cost = model.pair_cost_table(params.beta)
     route_of = {tid: j for j, seq in enumerate(seqs) for tid in seq}
-    all_targets = [tid for seq in seqs for tid in seq]
-    count = math.ceil(len(all_targets) * params.remove_rate)
-    first = rng.choice(all_targets)
-    remaining = [tid for tid in all_targets if tid != first]
+    first, *ranks = draws
+    remaining = [tid for seq in seqs for tid in seq if tid != first]
     removed = [first]
-    while len(removed) < count:
+    for rank in ranks:
         row = pair_cost[removed[-1]]
         home = route_of[removed[-1]]
         ranked = sorted(
             remaining,
             key=lambda t: (-_relatedness(row[t], route_of[t] == home), t))
-        y = rng.random()
-        idx = int(y ** params.determinism_p * len(ranked))
-        pick = ranked[min(idx, len(ranked) - 1)]
+        pick = ranked[rank]
         remaining.remove(pick)
         removed.append(pick)
     gone = set(removed)
@@ -408,15 +436,36 @@ def lns_improve(seqs: list[list[int]], params: LnsParams,
                 rng: random.Random, model: CostModel) -> list[list[int]]:
     """Hill-climbing destroy/repair: returns new sequences on the first
     strict improvement, or ``seqs`` itself after ``lns_iterations``
-    attempts without one, so never worse than the input."""
+    attempts without one, so never worse than the input.
+
+    Each attempt draws its ``destroy_draws`` and reads its outcome from
+    the model's attempt memo, ``CostModel.attempt_outcome``, keyed on
+    ``beta``, the removal count, the draws and ``seqs`` as a chromosome.
+    A miss runs ``destroy`` and ``repair`` and stores the repaired plan's
+    chromosome if it beats ``seqs``, else ``()``. Destroy reads only its
+    key, and repair and both fitnesses only memos whose values depend on
+    their keys alone, so a hit returns what running the attempt again
+    would, and the random stream is drawn as before either way.
+    """
     if params.lns_iterations <= 0:
         return seqs
+    m = len(model.scenario.targets)
+    plan = encode_sequences(seqs, m)
     base = model.plan_fitness(seqs)
     for _ in range(params.lns_iterations):
-        removed, part = destroy(seqs, params, rng, model)
-        cand = repair(removed, part, model)
-        if model.plan_fitness(cand) < base:
-            return cand
+        draws = destroy_draws(seqs, params, rng)
+
+        def attempt():
+            removed, part = destroy(seqs, draws, params, model)
+            cand = repair(removed, part, model)
+            if model.plan_fitness(cand) < base:
+                return tuple(encode_sequences(cand, m))
+            return ()
+
+        better = model.attempt_outcome(
+            (params.beta, len(draws), *draws, *plan), attempt)
+        if better:
+            return decode(better, m, len(seqs))
     return seqs
 
 

@@ -27,6 +27,7 @@ from georepair.search import (
     adaptive_pc,
     adaptive_pm,
     destroy,
+    destroy_draws,
     pmx_crossover,
     solve_ga,
     solve_lambert_ga,
@@ -240,8 +241,9 @@ def test_criterion_8_operator_property_suite(case_battery):
     seqs = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
     for trial in range(10_000):
         q = rng.uniform(0.05, 0.95)
-        removed, partial = destroy(seqs, LnsParams(remove_rate=q), rng,
-                                   model)
+        params = LnsParams(remove_rate=q)
+        removed, partial = destroy(seqs, destroy_draws(seqs, params, rng),
+                                   params, model)
         if len(removed) != math.ceil(10 * q):
             ok = False
         if sorted(removed + [t for seq in partial for t in seq]) != list(

@@ -637,6 +637,48 @@ class TestRouteMemo:
         assert max(held) == 3
         assert held.count(1) > 1
 
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(lambda: random_scenario(8, 2, 12.0, seed=5),
+                     id="random-8"),
+        pytest.param(case_study, id="case-study"),
+    ])
+    def test_a_capped_attempt_memo_gives_the_uncapped_solve(
+            self, monkeypatch, scenario):
+        # An attempt key is beta, the removal count, its draws and the
+        # plan's m + n - 1 genes. With the id budget of the memos patched to
+        # three such keys, the attempt memo keeps at most three outcomes
+        # and empties often, so most repeated attempts run again. An
+        # outcome depends on its key alone: the history, the plan and every
+        # reported leg are the uncapped solve's, by float.hex.
+        def solve():
+            result = solve_lns_aga(scenario(), GaParams(
+                population_size=20, min_iterations=10, stall_iterations=5),
+                seed=1)
+            return (hexed(result.history),
+                    [(r.servicer_id, r.target_sequence, r.revolutions)
+                     for r in result.best_plan.routes],
+                    [hexed(astuple(leg))
+                     for leg in result.best_evaluation.leg_details])
+
+        want = solve()
+        sc = scenario()
+        m, n = len(sc.targets), len(sc.servicers)
+        budget = 3 * (2 + math.ceil(0.3 * m) + m + n - 1)
+        held = []
+        original = CostModel.attempt_outcome
+
+        def spy(self, key, attempt):
+            value = original(self, key, attempt)
+            assert len(key) == budget // 3
+            held.append((len(self._attempts), self._attempt_ids))
+            return value
+
+        monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", budget)
+        monkeypatch.setattr(CostModel, "attempt_outcome", spy)
+        assert solve() == want
+        assert max(held) == (3, budget)
+        assert held.count((1, budget // 3)) > 1
+
     def test_pair_cost_table_keeps_no_pair(self):
         # Relatedness reads every target pair, most of which no route
         # flies: the table keeps their costs, not their leg geometry, and

@@ -38,6 +38,7 @@ from georepair.search import (
     adaptive_pc,
     adaptive_pm,
     destroy,
+    destroy_draws,
     evaluate_plan_lambert,
     init_population,
     insertion_cost,
@@ -82,6 +83,11 @@ def relatedness(i, j, seqs, beta, model):
 
 def flat(seqs):
     return [tid for seq in seqs for tid in seq]
+
+
+def drawn_destroy(seqs, params, rng, model):
+    """``destroy`` on ``seqs`` with draws made from ``rng``."""
+    return destroy(seqs, destroy_draws(seqs, params, rng), params, model)
 
 
 def allocated_plan(model, seqs):
@@ -350,6 +356,20 @@ class TestPmx:
             assert (pmx_crossover(a, b, cut1, cut2)
                     == reference_pmx_crossover(a, b, cut1, cut2))
 
+    @pytest.mark.parametrize("length, pairs", [(200, 100), (1001, 30)])
+    def test_matches_the_reference_at_long_lengths(self, length, pairs):
+        # Chromosomes of 1,001 genes are MAX_TARGETS targets and two
+        # servicers; each pair is crossed at random cuts and over the
+        # whole string.
+        rng = random.Random(length)
+        genes = list(range(1, length + 1))
+        for _ in range(pairs):
+            a, b = rng.sample(genes, length), rng.sample(genes, length)
+            cut1, cut2 = sorted(rng.sample(range(length + 1), 2))
+            for cuts in ((cut1, cut2), (0, length)):
+                assert (pmx_crossover(a, b, *cuts)
+                        == reference_pmx_crossover(a, b, *cuts))
+
 
 class TestTwoSites:
     """``_two_sites`` is ``random.Random.sample(range(n), 2)`` draw for draw,
@@ -456,6 +476,32 @@ class TestRelatedness:
                 1.0 / (c + v + 1e-6))
 
 
+def reference_destroy(seqs, params, rng, model):
+    """``destroy`` as it read before its draws were split out, copied
+    verbatim: each rank is drawn between the sorts. The oracle of
+    ``TestDestroy``."""
+    pair_cost = model.pair_cost_table(params.beta)
+    route_of = {tid: j for j, seq in enumerate(seqs) for tid in seq}
+    all_targets = [tid for seq in seqs for tid in seq]
+    count = math.ceil(len(all_targets) * params.remove_rate)
+    first = rng.choice(all_targets)
+    remaining = [tid for tid in all_targets if tid != first]
+    removed = [first]
+    while len(removed) < count:
+        row = pair_cost[removed[-1]]
+        home = route_of[removed[-1]]
+        ranked = sorted(
+            remaining,
+            key=lambda t: (-_relatedness(row[t], route_of[t] == home), t))
+        y = rng.random()
+        idx = int(y ** params.determinism_p * len(ranked))
+        pick = ranked[min(idx, len(ranked) - 1)]
+        remaining.remove(pick)
+        removed.append(pick)
+    gone = set(removed)
+    return removed, [[tid for tid in seq if tid not in gone] for seq in seqs]
+
+
 class TestDestroy:
     def setup_method(self):
         rng = random.Random(6)
@@ -465,21 +511,23 @@ class TestDestroy:
         self.seqs = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
 
     def test_exact_removal_count(self):
-        removed, partial = destroy(self.seqs, LnsParams(remove_rate=0.3),
-                                   random.Random(7), self.model)
+        removed, partial = drawn_destroy(
+            self.seqs, LnsParams(remove_rate=0.3), random.Random(7),
+            self.model)
         assert len(removed) == 3
         assert sorted(flat(partial) + removed) == list(range(1, 11))
 
     def test_single_removal(self):
-        removed, partial = destroy(self.seqs, LnsParams(remove_rate=0.05),
-                                   random.Random(8), self.model)
+        removed, partial = drawn_destroy(
+            self.seqs, LnsParams(remove_rate=0.05), random.Random(8),
+            self.model)
         assert len(removed) == 1
         assert removed[0] not in flat(partial)
 
     def test_high_determinism_is_greedy(self):
         params = LnsParams(remove_rate=0.3, determinism_p=200.0)
         rng = random.Random(9)
-        removed, _ = destroy(self.seqs, params, rng, self.model)
+        removed, _ = drawn_destroy(self.seqs, params, rng, self.model)
         # Replay: after the seeded removal every pick must be the single
         # most related remaining target.
         rng2 = random.Random(9)
@@ -497,10 +545,39 @@ class TestDestroy:
         assert removed == picks
 
     def test_surviving_routes_keep_their_order(self):
-        removed, partial = destroy(self.seqs, LnsParams(remove_rate=0.3),
-                                   random.Random(10), self.model)
+        removed, partial = drawn_destroy(
+            self.seqs, LnsParams(remove_rate=0.3), random.Random(10),
+            self.model)
         assert partial == [[t for t in seq if t not in removed]
                            for seq in self.seqs]
+
+    def test_draws_are_the_first_target_and_clamped_ranks(self):
+        m = 10
+        for rate, p in [(0.05, 6.0), (0.3, 1.0), (0.95, 6.0), (0.5, 200.0)]:
+            params = LnsParams(remove_rate=rate, determinism_p=p)
+            for seed in range(20):
+                draws = destroy_draws(self.seqs, params, random.Random(seed))
+                assert len(draws) == math.ceil(m * rate)
+                assert draws[0] in flat(self.seqs)
+                sizes = range(m - 1, m - len(draws), -1)
+                assert all(0 <= rank < size
+                           for rank, size in zip(draws[1:], sizes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(list(range(1, 11))), st.integers(0, 9),
+           st.floats(0.05, 0.95), st.floats(1.0, 12.0),
+           st.sampled_from([0.2, 0.5]), st.integers(0, 2**32 - 1))
+    def test_split_destroy_is_the_reference_draw_for_draw(
+            self, order, cut, rate, p, beta, seed):
+        # Drawing every number first draws the stream that drawing each
+        # rank between the sorts did: the same removal, the same partial
+        # routes and the same generator state after.
+        seqs = [order[:cut], order[cut:]]
+        params = LnsParams(remove_rate=rate, determinism_p=p, beta=beta)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert (drawn_destroy(seqs, params, ours, self.model)
+                == reference_destroy(seqs, params, theirs, self.model))
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestInsertionAndRepair:
@@ -829,6 +906,50 @@ class TestBoundedSearchCaches:
         assert len(held) == 10
         assert max(held) - held[0] < 100_000
 
+    def test_memory_held_by_a_sixty_target_lns_solve_stays_flat(
+            self, monkeypatch):
+        # The LNS adds the insertion and attempt memos to the GA's. At
+        # m = 60 a route key holds about 30 ids and an attempt key 66, too
+        # long for CPython's tuple free lists, which would keep freed
+        # short keys alive and look like growth. Uncapped, the memory held
+        # at the start of a generation grows by about 200 kB a generation
+        # here; with every budget patched to 244 ids it stayed within
+        # 17-24 kB of the second generation's over three seeds (the first
+        # generation's LNS step builds the pair-cost table, bounded by the
+        # scenario's size). The bound is 100 kB.
+        m = 60
+        budget = 4 * (m + 1)
+        scenario = random_scenario(m, 2, 30.0, seed=1)
+        monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", budget)
+        monkeypatch.setattr(search, "_GENE_ID_BUDGET", budget)
+        monkeypatch.setattr(planning, "_PAIR_CAP", budget)
+        held, attempt_ids = [], []
+        weights = search.selection_weights
+        outcome = CostModel.attempt_outcome
+
+        def spy(fitnesses):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return weights(fitnesses)
+
+        def count_attempt(self, key, attempt):
+            value = outcome(self, key, attempt)
+            attempt_ids.append(self._attempt_ids)
+            return value
+
+        monkeypatch.setattr(search, "selection_weights", spy)
+        monkeypatch.setattr(CostModel, "attempt_outcome", count_attempt)
+        ga = GaParams(population_size=4, min_iterations=6,
+                      stall_iterations=0, pm_lo=1.0, pm_hi=1.0)
+        tracemalloc.start()
+        try:
+            solve_lns_aga(scenario, ga, LnsParams(remove_rate=0.05), seed=1)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 6 and attempt_ids
+        assert max(held[1:]) - held[1] < 100_000
+        assert max(attempt_ids) <= budget
+        assert any(b < a for a, b in zip(attempt_ids, attempt_ids[1:]))
+
 
 class TestEngineState:
     """The engine keeps chromosomes and fitnesses; an operator that changes
@@ -945,12 +1066,42 @@ class TestMixedWorkCounts:
         report = search.evaluate_plan
 
         def spy(scenario, plan, model):
-            sizes.append((len(model._priced), len(model._insertions)))
+            sizes.append((len(model._priced), len(model._insertions),
+                          len(model._attempts)))
             return report(scenario, plan, model)
 
         monkeypatch.setattr(search, "evaluate_plan", spy)
         solve_lns_aga(case_study(), seed=1)
-        assert sizes == [(41_184, 7_058)]
+        assert sizes == [(41_184, 7_058, 1_892)]
+
+    @pytest.mark.parametrize("scenario, calls, repairs", [
+        pytest.param(lambda: random_scenario(10, 2, 10.0, seed=2101), 1_000,
+                     425, id="tight"),
+        pytest.param(case_study, 1_450, 1_892, id="case-study"),
+    ])
+    def test_each_distinct_attempt_is_repaired_once(self, monkeypatch,
+                                                    scenario, calls, repairs):
+        # The benchmark's tight_lns and case_lns solves. Without the attempt
+        # memo they repair 1,970 and 2,822 times, once per attempt; with it,
+        # once per distinct (draws, plan) key, each of which the memo keeps.
+        counts = {"lns_improve": 0, "repair": 0}
+        attempts = []
+
+        def counted(name):
+            original = getattr(search, name)
+
+            def call(*args):
+                counts[name] += 1
+                if name == "lns_improve":
+                    attempts.append(args[3]._attempts)
+                return original(*args)
+            monkeypatch.setattr(search, name, call)
+
+        counted("lns_improve")
+        counted("repair")
+        solve_lns_aga(scenario(), seed=1)
+        assert counts == {"lns_improve": calls, "repair": repairs}
+        assert len(attempts[-1]) == repairs
 
 
 class TestLnsImprove:
@@ -984,7 +1135,7 @@ class TestLnsImprove:
         improved = 0
         for seed in range(20):
             rng = random.Random(seed)
-            removed, partial = destroy(seqs, params, rng, self.model)
+            removed, partial = drawn_destroy(seqs, params, rng, self.model)
             kept = [list(seq) for seq in partial]
             repaired = repair(removed, partial, self.model)
             out = lns_improve(seqs, params, rng, self.model)
@@ -996,6 +1147,77 @@ class TestLnsImprove:
             assert not any(a is b for a in repaired for b in partial)
             improved += out is not seqs
         assert improved > 0
+
+    def test_a_repeated_attempt_is_read_from_the_memo(self, monkeypatch):
+        # The same draws on the same plan give the stored outcome without a
+        # destroy or a repair, as new lists that share nothing with the
+        # memo or with the first call's result.
+        repairs = []
+        original = search.repair
+
+        def spy(removed, partial, model):
+            repairs.append(removed)
+            return original(removed, partial, model)
+
+        monkeypatch.setattr(search, "repair", spy)
+        params = LnsParams(remove_rate=0.5)
+        seeds = [seed for seed in range(40)
+                 if lns_improve(self.seqs, params, random.Random(seed),
+                                self.model) is not self.seqs]
+        assert seeds and len(repairs) > 0
+        for seed in seeds:
+            done = len(repairs)
+            first = lns_improve(self.seqs, params, random.Random(seed),
+                                self.model)
+            again = lns_improve(self.seqs, params, random.Random(seed),
+                                self.model)
+            assert len(repairs) == done
+            assert again == first and again is not first
+            assert not any(a is b for a in again for b in first)
+            first[0].append(99)
+            assert lns_improve(self.seqs, params, random.Random(seed),
+                               self.model) == again
+
+    def test_one_model_under_many_params_answers_as_fresh_models(self):
+        # The key holds beta and the removal count, so a model that serves
+        # several LnsParams never reads another's outcome. On the same
+        # draws, betas of 0.05 and 0.95 remove other targets in 22 of these
+        # 40 seeds at the default remove rate, and 13 give another outcome.
+        variants = [LnsParams(beta=0.05), LnsParams(beta=0.95),
+                    LnsParams(remove_rate=0.5),
+                    LnsParams(remove_rate=0.5, determinism_p=1.0)]
+        for seed in range(40):
+            for params in variants + variants[::-1]:
+                shared = lns_improve(self.seqs, params, random.Random(seed),
+                                     self.model)
+                fresh = lns_improve(self.seqs, params, random.Random(seed),
+                                    CostModel(self.scenario))
+                assert shared == fresh
+
+    def test_memo_value_is_the_better_chromosome_or_empty(self):
+        # Each value is the repaired plan's chromosome when it beats the
+        # key's plan, else (); a key is beta, the removal count, the draws
+        # and the plan's chromosome.
+        m, n = 8, 2
+        params = LnsParams()
+        for seed in range(30):
+            lns_improve(self.seqs, params, random.Random(seed), self.model)
+        base = self.model.plan_fitness(self.seqs)
+        kinds = set()
+        for key, value in self.model._attempts.items():
+            beta, count, *rest = key
+            draws, plan = rest[:count], rest[count:]
+            assert beta == params.beta and count == math.ceil(m * 0.3)
+            assert draws[0] in flat(self.seqs)
+            assert plan == planning.encode_sequences(self.seqs, m)
+            assert type(value) is tuple
+            if value:
+                assert sorted(value) == list(range(1, m + n))
+                assert self.model.plan_fitness(decode(value, m, n)) < base
+                kinds.add("better")
+            else:
+                kinds.add("not better")
+        assert kinds == {"better", "not better"}
 
 class TestSolvers:
     def test_trivial_instance_matches_oracle_exactly(self):
