@@ -4,7 +4,8 @@ All geometry lives in an Earth-centered inertial frame. Internal units are
 km, km/s, seconds and radians; impulse vectors and delta-v magnitudes are
 reported in m/s to match mission budgets. Every orbit handled here is
 circular at GEO radius and is described by its inclination, RAAN and the
-argument of latitude at the scenario epoch.
+argument of latitude at the scenario epoch, and stores the plane frame and
+epoch longitude they imply, the one copy of that geometry in the package.
 
 The core transfer model is a mixed plane-change/phasing rendezvous: coast
 on the departure orbit to the nearer intersection of the two orbit
@@ -30,7 +31,7 @@ IEEE double arithmetic and libm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 
 TWO_PI = 2.0 * math.pi
@@ -102,12 +103,19 @@ class GeoOrbit:
     """Circular GEO orbit: inclination, RAAN, argument of latitude at epoch.
 
     Angles are radians. The radius is always ``GEO.r_geo`` (eccentricity
-    identically zero), so neither is stored.
+    identically zero), so neither is stored. Derived once, and outside the
+    constructor, ``repr``, ``==`` and ``hash``: the plane frame, 3-tuples
+    ``e1`` to the ascending node, ``e2`` a quarter turn ahead of it and the
+    normal ``h``, and the epoch longitude ``lam0 = raan + arg_lat0``.
     """
 
     inclination: float
     raan: float
     arg_lat0: float
+    e1: tuple = field(init=False, repr=False, compare=False)
+    e2: tuple = field(init=False, repr=False, compare=False)
+    h: tuple = field(init=False, repr=False, compare=False)
+    lam0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (_is_finite(self.inclination)
@@ -116,6 +124,12 @@ class GeoOrbit:
         for name in ("raan", "arg_lat0"):
             _check_finite(name, getattr(self, name))
             object.__setattr__(self, name, getattr(self, name) % TWO_PI)
+        co, so = math.cos(self.raan), math.sin(self.raan)
+        ci, si = math.cos(self.inclination), math.sin(self.inclination)
+        object.__setattr__(self, "e1", (co, so, 0.0))
+        object.__setattr__(self, "e2", (-so * ci, co * ci, si))
+        object.__setattr__(self, "h", (so * si, -co * si, ci))
+        object.__setattr__(self, "lam0", self.raan + self.arg_lat0)
 
     @classmethod
     def from_degrees(cls, inclination_deg: float, raan_deg: float,
@@ -142,25 +156,23 @@ def orbit_to_state(orbit: GeoOrbit, t: float) -> CartesianState:
     """Propagate a circular GEO orbit to time ``t`` since epoch.
 
     The argument of latitude advances at the GEO mean motion; position and
-    velocity follow from the RAAN/inclination rotation of the in-plane
-    circular motion.
+    velocity are the in-plane circular motion laid on the orbit's plane
+    frame ``e1``, ``e2``.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    # r_geo * (cu*e1 + su*e2) and v_geo * (-su*e1 + cu*e2) over the in-plane
-    # basis e1 = (co, so, 0), e2 = (-so*ci, co*ci, si), one component at a
-    # time with the operations of the vector form, whose floats it keeps:
-    # the 0.0 terms decide the sign of a zero z component.
-    co, so = math.cos(orbit.raan), math.sin(orbit.raan)
-    ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
-    e2x, e2y = -so * ci, co * ci
+    # r_geo * (cu*e1 + su*e2) and v_geo * (-su*e1 + cu*e2) over the orbit's
+    # stored in-plane basis, one component at a time with the operations of
+    # the vector form, whose floats it keeps: e1's zero z component, kept
+    # as the terms cu * e1z and nsu * e1z, decides the sign of a zero z.
+    (e1x, e1y, e1z), (e2x, e2y, e2z) = orbit.e1, orbit.e2
     u = orbit.arg_lat0 + GEO.mean_motion * t
     cu, su = math.cos(u), math.sin(u)
     r_geo, v_geo, nsu = GEO.r_geo, GEO.v_geo, -su
-    r = (r_geo * (cu * co + su * e2x), r_geo * (cu * so + su * e2y),
-         r_geo * (cu * 0.0 + su * si))
-    v = (v_geo * (nsu * co + cu * e2x), v_geo * (nsu * so + cu * e2y),
-         v_geo * (nsu * 0.0 + cu * si))
+    r = (r_geo * (cu * e1x + su * e2x), r_geo * (cu * e1y + su * e2y),
+         r_geo * (cu * e1z + su * e2z))
+    v = (v_geo * (nsu * e1x + cu * e2x), v_geo * (nsu * e1y + cu * e2y),
+         v_geo * (nsu * e1z + cu * e2z))
     return CartesianState(r, v, t)
 
 

@@ -16,9 +16,11 @@ the leg model that priced the plan, built on the plan's scenario, and
 flies, scores and sums each route on that one model: its ``fly`` walks a
 route once and returns its ``LegDetail``s, one record per leg holding each
 of its facts once. Every leg model is a ``_LegModel``, which holds only
-the scenario, the policy's weights, ``_score`` and ``_plan_sums``: the
-default, ``CostModel``, adds the mixed legs the search prices, its kernel
-and memos, and the Lambert model in ``search`` its own two-impulse legs.
+the scenario, its one map from body key to ``GeoOrbit``, the policy's
+weights, ``_score`` and ``_plan_sums``: the default, ``CostModel``, adds
+the mixed legs the search prices, its kernel and memos, and the Lambert
+model in ``search`` its own two-impulse legs; each reads plane frames as
+the ``GeoOrbit``s store them.
 ``evaluate_plan`` only adds up each route's legs, so a solve builds one
 model and scores its report by the policy it searched under.
 ``CostModel`` is the one copy of the mixed leg's geometry. Its kernel is
@@ -324,26 +326,16 @@ def encode_sequences(sequences: list[list[int]], m: int) -> list[int]:
 # Fast scalar cost engine
 # ---------------------------------------------------------------------------
 
-class _Body:
-    __slots__ = ("u0", "lam0", "e1", "e2", "h")
-
-    def __init__(self, orbit: GeoOrbit):
-        co, so = math.cos(orbit.raan), math.sin(orbit.raan)
-        ci, si = math.cos(orbit.inclination), math.sin(orbit.inclination)
-        self.u0 = orbit.arg_lat0
-        self.lam0 = orbit.raan + orbit.arg_lat0
-        self.e1 = (co, so, 0.0)
-        self.e2 = (-so * ci, co * ci, si)
-        self.h = (so * si, -co * si, ci)
-
-
 class _Pair:
+    """A leg's static geometry, from two orbits' stored frames: dihedral,
+    epoch-longitude gap, node angles and plane-change impulse."""
+
     __slots__ = ("degenerate", "alpha", "dv1", "s_half", "psi_from", "psi_to",
                  "lam_diff", "u0_from", "u0_to")
 
-    def __init__(self, frm: _Body, to: _Body):
-        self.u0_from = frm.u0
-        self.u0_to = to.u0
+    def __init__(self, frm: GeoOrbit, to: GeoOrbit):
+        self.u0_from = frm.arg_lat0
+        self.u0_to = to.arg_lat0
         hf, ht = frm.h, to.h
         cx = hf[1] * ht[2] - hf[2] * ht[1]
         cy = hf[2] * ht[0] - hf[0] * ht[2]
@@ -387,7 +379,8 @@ class _LegModel:
     """What the engine and ``evaluate_plan`` read of every leg model: the
     scenario, its servicer ids, deadline, repairs and budgets, the weights
     ``phi`` and ``gamma``, the route score and the plan sums. ``CostModel``
-    and the Lambert model in ``search`` define ``allocate`` and ``fly``."""
+    and the Lambert model in ``search`` define ``allocate`` and ``fly``,
+    reading each orbit from ``_orbits``, by ``("S", sid)`` or target id."""
 
     def __init__(self, scenario: Scenario, phi: float, gamma: float):
         _check_weights(phi, gamma)
@@ -396,6 +389,8 @@ class _LegModel:
         self.gamma = gamma
         self.deadline = scenario.deadline
         self.servicer_ids = tuple(s.id for s in scenario.servicers)
+        self._orbits = {("S", s.id): s.orbit for s in scenario.servicers}
+        self._orbits.update({t.id: t.orbit for t in scenario.targets})
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
 
@@ -475,11 +470,6 @@ class CostModel(_LegModel):
             raise ValueError("slack_rule must be 'largest' or 'smallest'")
         super().__init__(scenario, phi, gamma)
         self.slack_rule = slack_rule
-        self._bodies = {}
-        for s in scenario.servicers:
-            self._bodies[("S", s.id)] = _Body(s.orbit)
-        for t in scenario.targets:
-            self._bodies[t.id] = _Body(t.orbit)
         self._pairs: dict = {}
         self._priced: dict = {}
         self._priced_ids = 0
@@ -496,7 +486,7 @@ class CostModel(_LegModel):
         """Build and keep the geometry of one (from, to) pair, emptying
         ``_pairs`` first when it is full; callers look in ``_pairs`` first,
         so each pair is built once until the memo empties."""
-        p = _Pair(self._bodies[from_key], self._bodies[to_id])
+        p = _Pair(self._orbits[from_key], self._orbits[to_id])
         if len(self._pairs) >= _PAIR_CAP:
             self._pairs.clear()
         self._pairs[(from_key, to_id)] = p
@@ -599,11 +589,11 @@ class CostModel(_LegModel):
         sid, seq = route.servicer_id, route.target_sequence
         legs, _, _ = self.route_geometry(sid, seq)
         from_key = ("S", sid)
-        departure = self.scenario.servicer(sid).orbit
+        departure = self._orbits[from_key]
         t = 0.0
         flown = []
         for q, (tid, k) in enumerate(zip(seq, route.revolutions)):
-            target = self.scenario.target(tid).orbit
+            target = self._orbits[tid]
             coast, theta, _, _, td = legs[q]
             pair = (self._pairs.get((from_key, tid))
                     or self._pair(from_key, tid))
@@ -790,7 +780,7 @@ class CostModel(_LegModel):
         from the leg pair in ``_pairs`` or from one built for this call and
         not kept, so the table keeps no pair that no route flew."""
         p = (self._pairs.get((i, j))
-             or _Pair(self._bodies[i], self._bodies[j]))
+             or _Pair(self._orbits[i], self._orbits[j]))
         return beta * abs(p.alpha) + (1.0 - beta) * abs(p.lam_diff)
 
     def pair_cost_table(self, beta: float) -> list[list[float]]:

@@ -501,8 +501,8 @@ class _LambertAdapter(_LegModel):
     insert would pass ``_LEG_CACHE_CAP``: the leg cache, from ``(from key,
     target id, departure time, grid time)`` to the leg's (flight time,
     price), and the state memo ``_state``, from ``(body key, time)`` to the
-    body's ``CartesianState``, so each distinct departure or arrival state
-    is computed once.
+    ``CartesianState`` of that key's orbit in the ``_LegModel``'s body map,
+    so each distinct departure or arrival state is computed once.
     """
 
     def __init__(self, scenario: Scenario, phi: float, gamma: float):
@@ -516,16 +516,13 @@ class _LambertAdapter(_LegModel):
         # ``_leg`` tries them; ``sorted`` is stable, so ties keep grid order.
         self._fallbacks = {g: sorted(grid, key=lambda c: abs(c - g))
                            for g in grid}
-        self._orbits = {("S", s.id): s.orbit for s in scenario.servicers}
-        self._orbits.update({t.id: t.orbit for t in scenario.targets})
         # Static phase gap |fold(lam0[from] - lam0[to])| of every leg a
-        # route can fly, lam0 = raan + arg_lat0 as the mixed kernel's:
+        # route can fly, from each orbit's stored lam0 as the mixed kernel's:
         # one row per departure body, keyed by target id.
-        lam0 = {k: o.raan + o.arg_lat0 for k, o in self._orbits.items()}
         self._gap_rows = {
-            key: {t.id: abs(fold_angle(lam0[key] - lam0[t.id]))
+            key: {t.id: abs(fold_angle(orbit.lam0 - self._orbits[t.id].lam0))
                   for t in scenario.targets}
-            for key in self._orbits}
+            for key, orbit in self._orbits.items()}
         self._leg_cache = {}
         self._states = {}
 

@@ -1,10 +1,14 @@
 """Geometry and transfer-model tests against independent oracles."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georepair import astro
 from georepair.astro import (
@@ -60,6 +64,60 @@ def test_orbit_angle_normalization():
     assert orb.arg_lat0 == pytest.approx(0.25)
     with pytest.raises(ValueError):
         GeoOrbit(math.pi, 0.0, 0.0)
+
+
+def _frame(orbit):
+    return [float(x).hex() for x in (*orbit.e1, *orbit.e2, *orbit.h,
+                                     orbit.lam0)]
+
+
+class TestStoredFrame:
+    """Each ``GeoOrbit`` stores its plane frame and epoch longitude, derived
+    from its normalized angles; the derived fields change nothing that the
+    three stored angles decide."""
+
+    INCLINATIONS = st.floats(0.0, math.pi, exclude_max=True)
+    ANGLES = st.floats(-20.0, 20.0)
+    # Angles that are their own normal form, so that an orbit rebuilt from
+    # its stored angles is built from the angles it was given.
+    NORMAL = st.floats(0.0, TWO_PI, exclude_max=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(INCLINATIONS, ANGLES, NORMAL, ANGLES)
+    def test_frame_of_a_drawn_orbit(self, i, raan, u, other_raan):
+        orbit = GeoOrbit(i, raan, u)
+        e1, e2, h = orbit.e1, orbit.e2, orbit.h
+        for a in (e1, e2, h):
+            for b in (e1, e2, h):
+                dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+                assert abs(dot - (1.0 if a is b else 0.0)) <= 1e-15
+        assert _frame(orbit)[6:9] == [
+            float(x).hex() for x in angular_momentum_dir(orbit)]
+        assert orbit.lam0 == orbit.raan + orbit.arg_lat0
+        assert _frame(dataclasses.replace(orbit, raan=other_raan)) == \
+            _frame(GeoOrbit(i, other_raan, u))
+
+    @settings(max_examples=100, deadline=None)
+    @given(INCLINATIONS, NORMAL, NORMAL)
+    def test_identity_is_the_three_angles(self, i, raan, u):
+        orbit = GeoOrbit(i, raan, u)
+        assert repr(orbit) == (f"GeoOrbit(inclination={i!r}, raan={raan!r}, "
+                               f"arg_lat0={u!r})")
+        assert hash(orbit) == hash((i, raan, u))
+        twin = GeoOrbit(i, raan, u)
+        assert twin == orbit
+        # A frame that differed would not make two orbits differ.
+        object.__setattr__(twin, "lam0", orbit.lam0 + 1.0)
+        assert twin == orbit and hash(twin) == hash(orbit)
+        assert orbit != GeoOrbit(i, raan, u + 0.5)
+        copy = pickle.loads(pickle.dumps(orbit))
+        assert copy == orbit and _frame(copy) == _frame(orbit)
+
+    def test_derived_fields_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            GeoOrbit(0.1, 0.2, 0.3, (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            dataclasses.replace(GeoOrbit(0.1, 0.2, 0.3), lam0=0.0)
 
 
 class TestOrbitToState:

@@ -141,6 +141,19 @@ def test_case_study_ga_fingerprint():
     assert fingerprint([result]) == "c468c8366d2e6412"
 
 
+def test_tight_lns_fingerprint():
+    # The benchmark's tight_lns workload: acceptance criterion 5's random
+    # scenario (10 targets, 2 servicers, 10 days, seed 2101) under
+    # solve_lns_aga with default parameters, seed 1. No plan meets the
+    # deadline, so penalties shape the whole search.
+    scenario = random_scenario(10, 2, 10, seed=2101)
+    result = solve_lns_aga(scenario, seed=1)
+    assert_reports_the_kernel_price(scenario, result)
+    assert result.best_evaluation.fitness == 12969.21840401325
+    assert result.generations_run == 100
+    assert fingerprint([result]) == "1b335d397174dbf6"
+
+
 def test_long_chromosome_ga_fingerprint():
     # 24 targets and 2 servicers: the crossover cuts are drawn from
     # m + n = 26 sites and the mutation sites from 25, both above the 21

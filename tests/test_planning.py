@@ -735,7 +735,7 @@ class PerLegCostModel(CostModel):
         key = (from_key, to_id)
         p = self._pairs.get(key)
         if p is None:
-            p = planning._Pair(self._bodies[from_key], self._bodies[to_id])
+            p = planning._Pair(self._orbits[from_key], self._orbits[to_id])
             self._pairs[key] = p
         return p
 
@@ -743,7 +743,7 @@ class PerLegCostModel(CostModel):
         p = self._pair(from_key, to_id)
         if p.degenerate:
             return 0.0, p.lam_diff, p
-        u_dep = self._bodies[from_key].u0 + GEO.mean_motion * t_dep
+        u_dep = self._orbits[from_key].arg_lat0 + GEO.mean_motion * t_dep
         za = (p.psi_from - u_dep) % TWO_PI
         zb = (za + math.pi) % TWO_PI
         if za <= zb:
@@ -752,7 +752,7 @@ class PerLegCostModel(CostModel):
             ang, u_node = zb, p.psi_to + math.pi
         coast = ang / TWO_PI * GEO.t_geo
         t1 = t_dep + coast
-        theta = fold_angle(u_node - (self._bodies[to_id].u0
+        theta = fold_angle(u_node - (self._orbits[to_id].arg_lat0
                                      + GEO.mean_motion * t1))
         return coast, theta, p
 

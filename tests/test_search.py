@@ -1588,13 +1588,14 @@ class TestLegModels:
 
     def test_lambert_phase_gaps_read_the_mixed_kernel_longitudes(self):
         scenario = case_study()
-        bodies = CostModel(scenario)._bodies
+        orbits = {("S", s.id): s.orbit for s in scenario.servicers}
+        orbits.update({t.id: t.orbit for t in scenario.targets})
         rows = _LambertAdapter(scenario, 1.0, 10.0)._gap_rows
-        assert set(rows) == set(bodies)
+        assert set(rows) == set(orbits)
         for key, row in rows.items():
             assert {tid: gap.hex() for tid, gap in row.items()} == {
-                t.id: abs(fold_angle(bodies[key].lam0
-                                     - bodies[t.id].lam0)).hex()
+                t.id: abs(planning._Pair(orbits[key],
+                                         t.orbit).lam_diff).hex()
                 for t in scenario.targets}
 
     def test_each_leg_model_refuses_bad_weights(self):
