@@ -102,11 +102,13 @@ def fold_angle(angle: float) -> float:
 class GeoOrbit:
     """Circular GEO orbit: inclination, RAAN, argument of latitude at epoch.
 
-    Angles are radians. The radius is always ``GEO.r_geo`` (eccentricity
-    identically zero), so neither is stored. Derived once, and outside the
-    constructor, ``repr``, ``==`` and ``hash``: the plane frame, 3-tuples
-    ``e1`` to the ascending node, ``e2`` a quarter turn ahead of it and the
-    normal ``h``, and the epoch longitude ``lam0 = raan + arg_lat0``.
+    Angles are radians; ``raan`` and ``arg_lat0`` are stored normalized
+    into [0, 2 pi), so rebuilding an orbit from its angles gives it again.
+    The radius is always ``GEO.r_geo`` (eccentricity identically zero), so
+    neither is stored. Derived once, and outside the constructor, ``repr``,
+    ``==`` and ``hash``: the plane frame, 3-tuples ``e1`` to the ascending
+    node, ``e2`` a quarter turn ahead of it and the normal ``h``, and the
+    epoch longitude ``lam0 = raan + arg_lat0``.
     """
 
     inclination: float
@@ -123,7 +125,10 @@ class GeoOrbit:
             raise ValueError(f"inclination {self.inclination!r} outside [0, pi)")
         for name in ("raan", "arg_lat0"):
             _check_finite(name, getattr(self, name))
-            object.__setattr__(self, name, getattr(self, name) % TWO_PI)
+            # A tiny negative angle rounds up to exactly TWO_PI, which is
+            # 0.0 again, so normalizing a normalized angle keeps it.
+            angle = getattr(self, name) % TWO_PI
+            object.__setattr__(self, name, 0.0 if angle == TWO_PI else angle)
         co, so = math.cos(self.raan), math.sin(self.raan)
         ci, si = math.cos(self.inclination), math.sin(self.inclination)
         object.__setattr__(self, "e1", (co, so, 0.0))

@@ -448,7 +448,10 @@ class CostModel(_LegModel):
     -0.0. ``allocate`` prices a reported route afresh for its revolutions.
 
     ``insertion_scan`` memoizes, per (servicer, target, sequence), the
-    cheapest slots for that target in that route as one flat tuple.
+    cheapest slots for that target in that route as one flat tuple; a scan
+    that ``search.repair`` stops early, at a slot that shows the target
+    cannot be the round's pick, stores nothing. ``insertion_bound`` reads
+    a target's upper bound from that memo alone.
     ``attempt_outcome`` memoizes the outcome of one LNS destroy/repair
     attempt under the flat key ``(beta, removal count, *draws,
     *chromosome)`` that ``search.lns_improve`` builds: the plan's
@@ -643,7 +646,8 @@ class CostModel(_LegModel):
             self._priced[key] = hit
         return hit
 
-    def insertion_scan(self, servicer_id: int, seq, target_id: int):
+    def insertion_scan(self, servicer_id: int, seq, target_id: int,
+                       bar: float = -math.inf, tie_stops: bool = False):
         """Cheapest slots for ``target_id`` in one route, from the memo.
 
         Each slot's route and ``seq`` itself are priced by ``priced_score``,
@@ -652,6 +656,12 @@ class CostModel(_LegModel):
         slot of least delta among those whose route meets the deadline and
         the budget (``None, None`` if no slot does) and the first of least
         delta among all slots.
+
+        A scan that is not in the memo stops at the first feasible slot
+        whose delta is below ``bar``, or equal to it when ``tie_stops``,
+        and returns ``None`` without storing an entry: that delta bounds the
+        target's insertion cost from above, and ``search.repair`` only needs
+        to know that it falls short of ``bar``.
         """
         key = (servicer_id, target_id, *seq)
         hit = self._insertions.get(key)
@@ -664,9 +674,11 @@ class CostModel(_LegModel):
                 value = self.priced_score(
                     servicer_id, seq[:pos] + (target_id,) + seq[pos:])
                 delta = abs(value) - old_score
-                if copysign(1.0, value) > 0.0 and (best is None
-                                                   or delta < best):
-                    best, best_slot = delta, pos
+                if copysign(1.0, value) > 0.0:
+                    if delta < bar or tie_stops and delta == bar:
+                        return None
+                    if best is None or delta < best:
+                        best, best_slot = delta, pos
                 if best_pen is None or delta < best_pen:
                     best_pen, pen_slot = delta, pos
             hit = (best, best_slot, best_pen, pen_slot)
@@ -676,6 +688,20 @@ class CostModel(_LegModel):
                 self._insertion_ids = len(key)
             self._insertions[key] = hit
         return hit
+
+    def insertion_bound(self, target_id: int, seqs) -> float:
+        """The least feasible delta that the insertion memo holds for
+        ``target_id`` over ``seqs``, one target sequence per servicer:
+        an upper bound of the target's insertion cost, exact when every
+        route is in the memo, and ``inf`` when the memo holds none. Prices
+        nothing."""
+        memo = self._insertions
+        bound = math.inf
+        for sid, seq in zip(self.servicer_ids, seqs):
+            hit = memo.get((sid, target_id, *seq))
+            if hit is not None and hit[0] is not None and hit[0] < bound:
+                bound = hit[0]
+        return bound
 
     def attempt_outcome(self, key, attempt):
         """The attempt memo's value for ``key``, one LNS destroy/repair
@@ -737,6 +763,10 @@ class CostModel(_LegModel):
             if not t > deadline:
                 break
             if trim_order is None:
+                # At one revolution a leg no leg can lose one; a late
+                # route's slack is negative, so the top-up adds nothing.
+                if base == 1:
+                    break
                 trim_order = sorted(range(n_legs),
                                     key=lambda q: (abs(legs[q][1]), q))
             cut = next((q for q in trim_order if revs[q] > 1), None)

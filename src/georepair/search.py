@@ -42,7 +42,12 @@ draws and the plan's chromosome, and reads its outcome from the model's
 attempt memo, so an attempt that repeats an earlier one, as most do once
 the elite settles, runs neither destroy nor repair. Every number is drawn
 whether the memo hits or not, so the random stream, and with it every
-plan and history, is the one that running each attempt gives.
+plan and history, is the one that running each attempt gives. ``repair``
+inserts, each round, the target that a full ``insertion_cost`` scan of
+every remaining target would pick, but scans in full only the targets
+that can still be that pick: a feasible slot's delta bounds its target's
+cost from above, so the insertion memo's entries order the targets, and a
+target's scan stops at its first slot that shows it cannot win.
 The two leg models are siblings: ``_MixedAdapter`` is ``CostModel``, its
 kernel, memos and the LNS's pair costs, built with the solve's slack rule;
 ``_LambertAdapter`` holds only two-impulse Lambert legs, one revolution
@@ -413,22 +418,45 @@ def insertion_cost(target_id: int, seqs: list[list[int]], model: CostModel
 def repair(removed, partial: list[list[int]], model: CostModel
            ) -> list[list[int]]:
     """Farthest insertion: repeatedly insert the hardest remaining target
-    (highest insertion cost, infeasible counting as hardest) at its own
-    cheapest position, so constrained targets claim slots first. Returns
-    new sequences."""
+    (highest insertion cost, infeasible counting as hardest, the first in
+    ``removed`` among equals) at its own cheapest position, so constrained
+    targets claim slots first. Returns new sequences.
+
+    Each round picks the target that ``max`` over every remaining target's
+    ``insertion_cost`` picks, but scans in full only the targets that can
+    still be that pick. Any feasible slot's delta bounds its target's cost
+    from above, so a target loses to the pick so far, of cost M, once one
+    of its feasible deltas is below M, or equal to M when the target comes
+    after the pick in ``removed``. The round reads each target's bound from
+    the insertion memo alone, ``CostModel.insertion_bound``, and visits the
+    targets from the highest bound down, equal bounds in ``removed`` order.
+    It skips a target whose bound loses and walks each other target's
+    routes with ``CostModel.insertion_scan``, which stops at its first
+    losing slot. A target whose walk ends can win: ``insertion_cost`` then
+    reads its full scan from the memo, and it is the new pick.
+    """
     seqs = [list(seq) for seq in partial]
     remaining = list(removed)
+    sids = model.servicer_ids
     while remaining:
-        scored = []
-        for tid in remaining:
+        bounds = [model.insertion_bound(tid, seqs) for tid in remaining]
+        cost, pick = -math.inf, None
+        for i in sorted(range(len(remaining)), key=bounds.__getitem__,
+                        reverse=True):
+            tid = remaining[i]
+            tie_stops = pick is not None and i > pick
+            if bounds[i] < cost or tie_stops and bounds[i] == cost:
+                continue
+            if any(model.insertion_scan(sid, seq, tid, cost, tie_stops)
+                   is None for sid, seq in zip(sids, seqs)):
+                continue
             try:
                 cost, pos = insertion_cost(tid, seqs, model)
             except AllInfeasible as exc:
                 cost, pos = math.inf, exc.best_position
-            scored.append((cost, tid, pos))
-        cost, tid, (j, slot) = max(scored, key=lambda item: item[0])
-        seqs[j].insert(slot, tid)
-        remaining.remove(tid)
+            pick = i
+        j, slot = pos
+        seqs[j].insert(slot, remaining.pop(pick))
     return seqs
 
 

@@ -66,6 +66,28 @@ def test_orbit_angle_normalization():
         GeoOrbit(math.pi, 0.0, 0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, math.pi, exclude_max=True),
+       st.one_of(st.floats(-20.0, 20.0), st.floats(-1e-15, 1e-15)),
+       st.one_of(st.floats(-20.0, 20.0), st.floats(-1e-15, 1e-15)))
+def test_orbit_angle_normalization_is_idempotent(i, raan, u):
+    # A tiny negative angle once rounded up to exactly TWO_PI, and an orbit
+    # rebuilt from its stored angles then held 0.0 and was not ``==``.
+    orbit = GeoOrbit(i, raan, u)
+    for angle in (orbit.raan, orbit.arg_lat0):
+        assert 0.0 <= angle < TWO_PI
+    rebuilt = GeoOrbit(orbit.inclination, orbit.raan, orbit.arg_lat0)
+    assert (rebuilt.raan, rebuilt.arg_lat0) == (orbit.raan, orbit.arg_lat0)
+    assert dataclasses.replace(orbit) == orbit
+    assert dataclasses.replace(orbit, inclination=i) == orbit
+
+
+def test_tiny_negative_angle_normalizes_to_zero():
+    orbit = GeoOrbit(0.0, -3.13e-22, -3.13e-22)
+    assert (orbit.raan, orbit.arg_lat0) == (0.0, 0.0)
+    assert dataclasses.replace(orbit) == orbit == GeoOrbit(0.0, 0.0, 0.0)
+
+
 def _frame(orbit):
     return [float(x).hex() for x in (*orbit.e1, *orbit.e2, *orbit.h,
                                      orbit.lam0)]

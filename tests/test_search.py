@@ -818,6 +818,97 @@ class TestInsertionMemo:
         assert kinds == {"feasible", "infeasible"}
 
 
+def reference_repair(removed, partial, model):
+    """Farthest insertion as one plain loop: each round scores every
+    remaining target by ``insertion_cost`` in full, ``inf`` when it raises
+    ``AllInfeasible``, and inserts the first of greatest cost by ``max``.
+    """
+    seqs = [list(seq) for seq in partial]
+    remaining = list(removed)
+    while remaining:
+        scored = []
+        for tid in remaining:
+            try:
+                cost, pos = insertion_cost(tid, seqs, model)
+            except AllInfeasible as exc:
+                cost, pos = math.inf, exc.best_position
+            scored.append((cost, tid, pos))
+        cost, tid, (j, slot) = max(scored, key=lambda item: item[0])
+        seqs[j].insert(slot, tid)
+        remaining.remove(tid)
+    return seqs
+
+
+class TestBoundedRepair:
+    """``repair`` scans in full only the targets that can still be a
+    round's pick, yet returns what ``reference_repair`` does: on warm and
+    fresh models, with exact ties between twin targets in either order of
+    ``removed``, and in rounds where every target is infeasible."""
+
+    @staticmethod
+    def check(removed, partial, scenario, warm):
+        expected = reference_repair(removed, partial, CostModel(scenario))
+        before = [list(seq) for seq in partial]
+        assert repair(removed, partial, CostModel(scenario)) == expected
+        # The warm model's insertion memo gives bounds for earlier queries.
+        assert repair(removed, partial, warm) == expected
+        assert repair(removed, partial, warm) == expected
+        assert partial == before
+        return expected
+
+    @pytest.mark.parametrize("days, outcome", [(3.0, "infeasible"),
+                                               (25.0, "feasible")])
+    def test_matches_the_full_scan_on_random_partials(self, days, outcome):
+        rng = random.Random(int(days))
+        outcomes = set()
+        for _ in range(12):
+            scenario = random_scenario_tuple(
+                rng, rng.randint(4, 8), rng.randint(1, 3),
+                deadline_s=days * DAY * rng.uniform(0.8, 1.2),
+                repair_s=rng.uniform(2, 20) * HOUR)
+            warm = CostModel(scenario)
+            for plan, missing in random_partials(scenario, rng, 6,
+                                                 removed=rng.randint(2, 4)):
+                outcomes.update(insertion_answer(tid, plan, warm)[0]
+                                for tid in missing)
+                self.check(missing, plan, scenario, warm)
+        assert outcome in outcomes
+
+    @pytest.mark.parametrize("days", [20.0, 1.5])
+    def test_twin_targets_tie_in_either_order(self, days):
+        # Targets 1 and 2 are twins, as are 3 and 4: equal orbits and
+        # repair times, so their insertion costs tie exactly, finite at 20
+        # days and infinite at 1.5.
+        scenario = TestInsertionMemo.twin_scenario(days)
+        warm = CostModel(scenario)
+        for partial in ([[], []], [[5], []], [[5], [3]], [[3, 5], [4]]):
+            missing = [t for t in (1, 2, 3, 4, 5) if t not in flat(partial)]
+            results = {}
+            for removed in itertools.permutations(missing):
+                results[removed] = self.check(list(removed), partial,
+                                              scenario, warm)
+            # Which twin the round picks follows the order of ``removed``.
+            assert len({json.dumps(r) for r in results.values()}) > 1
+        outcome = "feasible" if days > 10 else "infeasible"
+        assert insertion_answer(1, [[], []], warm)[0] == outcome
+
+    def test_rounds_where_every_target_is_infeasible(self):
+        # A 1.2-day deadline absorbs no phasing leg: every insertion of
+        # every round is infeasible, so every cost is inf and each round
+        # picks the first remaining target in ``removed``.
+        scenario = make_scenario(
+            [(0.0, 0.0, 0.0, 2000.0), (1.0, 20.0, 40.0, 2000.0)],
+            [(2.0, 10.0, 100.0, 20 * HOUR), (3.0, 50.0, 200.0, 20 * HOUR),
+             (1.0, 80.0, 300.0, 20 * HOUR), (2.5, 30.0, 10.0, 20 * HOUR)],
+            deadline_s=1.2 * DAY)
+        warm = CostModel(scenario)
+        for removed in itertools.permutations([1, 2, 3, 4]):
+            partial = [[], []]
+            for tid in removed:
+                assert insertion_answer(tid, partial, warm)[0] == "infeasible"
+            self.check(list(removed), partial, scenario, warm)
+
+
 class TestBoundedSearchCaches:
     """The engine's chromosome cache and the Lambert leg cache and state
     memo never exceed their caps, and emptying them leaves a solve as it
@@ -1059,20 +1150,53 @@ class TestMixedWorkCounts:
         # never fills here, so each distinct one is a single miss.
         assert len(routed) == len(scenario.servicers) * len(seen)
 
+    @staticmethod
+    def memo_sizes(monkeypatch, scenario):
+        """Route, insertion and attempt memo sizes at the end of the search
+        of ``solve_lns_aga(scenario, seed=1)``, and the ``route_geometry``
+        calls up to its report."""
+        sizes = []
+        built = []
+        report = search.evaluate_plan
+        geometry = CostModel.route_geometry
+
+        def spy(scenario, plan, model):
+            routes = model._priced
+            sizes.append((len(routes), len(model._insertions),
+                          len(model._attempts), len(built)))
+            # Each non-empty route in the memo was built once, and
+            # ``allocate`` built each non-empty reported route once more.
+            # An empty route is priced without a geometry.
+            assert len(built) == (
+                sum(len(key) > 1 for key in routes)
+                + sum(bool(r.target_sequence) for r in plan.routes))
+            return report(scenario, plan, model)
+
+        def count_geometry(self, sid, seq):
+            built.append(None)
+            return geometry(self, sid, seq)
+
+        monkeypatch.setattr(search, "evaluate_plan", spy)
+        monkeypatch.setattr(CostModel, "route_geometry", count_geometry)
+        solve_lns_aga(scenario, seed=1)
+        return sizes
+
     def test_case_study_memo_sizes(self, monkeypatch):
         # The benchmark's case_lns solve ends its search with these memo
         # sizes, so a memo that is bypassed or keyed differently shows here.
-        sizes = []
-        report = search.evaluate_plan
+        # The repair's bounded scan prices 33,218 routes where a full scan
+        # of every target priced 41,184; the two empty routes in the memo
+        # and the two reported routes leave the geometry count equal to
+        # the route memo's size.
+        assert self.memo_sizes(monkeypatch, case_study()) == [
+            (33_218, 5_124, 1_892, 33_218)]
 
-        def spy(scenario, plan, model):
-            sizes.append((len(model._priced), len(model._insertions),
-                          len(model._attempts)))
-            return report(scenario, plan, model)
-
-        monkeypatch.setattr(search, "evaluate_plan", spy)
-        solve_lns_aga(case_study(), seed=1)
-        assert sizes == [(41_184, 7_058, 1_892)]
+    def test_tight_lns_memo_sizes(self, monkeypatch):
+        # The benchmark's tight_lns solve: 3,856 routes priced where a full
+        # scan of every target priced 4,270.
+        assert self.memo_sizes(
+            monkeypatch, random_scenario(10, 2, 10.0, seed=2101)) == [
+            (3_856, 669, 425, 3_856)]
 
     @pytest.mark.parametrize("scenario, calls, repairs", [
         pytest.param(lambda: random_scenario(10, 2, 10.0, seed=2101), 1_000,
