@@ -4,7 +4,9 @@ Artifacts per solve, ``oracle`` included: ``schedule.csv`` (one row per
 repaired target with impulse vectors and timing), ``convergence.csv``
 (per-generation best and average fitness) and ``summary.json``. Each solver
 flag sets the field of ``RunConfig``, ``GaParams`` or ``LnsParams`` that
-``SOLVER_FLAGS`` names and takes that field's default. JSON files are
+``SOLVER_FLAGS`` names and takes that field's default. ``SOLVERS`` is the
+one place that maps an algorithm, the oracle included, to its solve, and
+``bench`` refuses every scenario that ``solve`` refuses. JSON files are
 strict JSON, with ``null`` for an infinite or NaN value. Exit codes: 0 when
 the best plan is feasible, 2 when the best plan violates a constraint, 1 on
 errors, usage errors included.
@@ -41,7 +43,26 @@ from .search import (
     solve_lns_aga,
 )
 
-ALGORITHMS = ("lns-aga", "ga", "lambert-ga", "oracle")
+
+def _oracle(scenario, config: RunConfig) -> SolveResult:
+    """The exhaustive optimum as a solve with a one-point history."""
+    plan, evaluation = exhaustive_solve(scenario, config.max_revolutions,
+                                        config.ga.phi, config.ga.gamma)
+    return SolveResult(best_plan=plan, best_evaluation=evaluation,
+                       history=[(evaluation.fitness, evaluation.fitness)],
+                       generations_run=0, seed=config.seed)
+
+
+# --algo name -> its solve of (scenario, RunConfig): the one place that
+# maps an algorithm to the function and arguments that run it.
+SOLVERS = {
+    "lns-aga": lambda sc, c: solve_lns_aga(sc, c.ga, c.lns, c.seed,
+                                           c.slack_rule),
+    "ga": lambda sc, c: solve_ga(sc, c.ga, c.seed, c.slack_rule),
+    "lambert-ga": lambda sc, c: solve_lambert_ga(sc, c.ga, c.seed),
+    "oracle": _oracle,
+}
+ALGORITHMS = tuple(SOLVERS)
 MAX_RUNS = 10_000  # seeded runs per algorithm in one bench
 
 SCHEDULE_COLUMNS = [
@@ -157,20 +178,7 @@ def _config_from_args(args) -> RunConfig:
 def _run_one(scenario, config: RunConfig) -> tuple[SolveResult, float]:
     """One solver execution: (result, wall seconds)."""
     start = time.perf_counter()
-    if config.algorithm == "lns-aga":
-        result = solve_lns_aga(scenario, config.ga, config.lns, config.seed,
-                               config.slack_rule)
-    elif config.algorithm == "ga":
-        result = solve_ga(scenario, config.ga, config.seed, config.slack_rule)
-    elif config.algorithm == "lambert-ga":
-        result = solve_lambert_ga(scenario, config.ga, config.seed)
-    else:
-        plan, evaluation = exhaustive_solve(scenario, config.max_revolutions,
-                                            config.ga.phi, config.ga.gamma)
-        result = SolveResult(best_plan=plan, best_evaluation=evaluation,
-                             history=[(evaluation.fitness,
-                                       evaluation.fitness)],
-                             generations_run=0, seed=config.seed)
+    result = SOLVERS[config.algorithm](scenario, config)
     return result, time.perf_counter() - start
 
 
@@ -337,7 +345,7 @@ def cmd_bench(scenario_path: Path, config: RunConfig, algorithms: list[str],
     for algo in algorithms:
         if algorithms.count(algo) > 1:
             raise ValueError(f"algorithm {algo!r} listed more than once")
-    scenario = load(scenario_path)
+    scenario = _load_named(scenario_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     configs = [replace(config, algorithm=algo, seed=config.seed + i)
                for algo in algorithms for i in range(runs)]

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from georepair import astro
@@ -27,6 +27,7 @@ from georepair.astro import (
     rendezvous_mixed,
 )
 from mixed_oracle import (
+    CLOSURE_BOUNDS,
     angular_momentum_dir,
     coast_time_to_node,
     phasing_impulses,
@@ -427,6 +428,35 @@ class TestRendezvousMixed:
                                     abs_tol=1e-12 * want.total_dv), (g, w)
 
 
+# Equatorial transfer angles (deg) of the parabolic-time Lambert tests.
+PARABOLIC_DEGREES = [d for d in range(5, 360, 5) if d != 180]
+
+
+def parabolic_tof(r1, r2, deg):
+    """Euler's flight time (s) of the parabola from ``r1`` to ``r2`` that
+    sweeps ``deg`` degrees: minus under half a turn, plus over it."""
+    c = math.dist(r1, r2)
+    s = 0.5 * (plain_norm(r1) + plain_norm(r2) + c)
+    sign = 1.0 if deg < 180 else -1.0
+    return (math.sqrt(2.0) / 3.0 * (s ** 1.5 - sign * (s - c) ** 1.5)
+            / math.sqrt(GEO.mu))
+
+
+def exact_stumpff(z):
+    """(C(z), S(z)) as 40 terms of their series, summed exactly and
+    rounded once: for |z| <= 16 the 41st term is below 1e-60 of either.
+    With z = p / q, term k is (-p / q)^k / (2k + 2)! for C and
+    (-p / q)^k / (2k + 3)! for S, each an integer over q^39 * 81!."""
+    p, q = z.as_integer_ratio()
+    top = math.factorial(81)
+    c = s = 0
+    for k in range(40):
+        power = (-p) ** k * q ** (39 - k)
+        c += power * (top // math.factorial(2 * k + 2))
+        s += power * (top // math.factorial(2 * k + 3))
+    return c / (q ** 39 * top), s / (q ** 39 * top)
+
+
 class TestPropagateUniversal:
     def test_circular_orbit_against_analytic(self):
         orb = GeoOrbit.from_degrees(4.0, 70.0, 10.0)
@@ -445,6 +475,39 @@ class TestPropagateUniversal:
         r, v = propagate_universal(r0, v0, 3.0 * period)
         assert np.linalg.norm(r - r0) < 1e-6
         assert np.linalg.norm(v - v0) < 1e-9
+
+    @settings(max_examples=300)
+    @given(st.floats(-16.0, 16.0))
+    @example(2e-8)
+    @example(-2e-8)
+    @example(1e-6)
+    @example(4.0)
+    @example(math.nextafter(4.0, 5.0))
+    @example(-math.nextafter(4.0, 5.0))
+    def test_stumpff_matches_its_exact_series(self, z):
+        # 1 - cos and sz - sin cancel near zero: computed that way, C and S
+        # are 4.4e-9 off at z = 2e-8 and 1.6e-11 at z = 1e-6. Both sides of
+        # the switch from series to closed form at |z| = 4 are drawn.
+        c, s = stumpff(z)
+        want_c, want_s = exact_stumpff(z)
+        assert abs(c - want_c) <= 1e-15 * want_c
+        assert abs(s - want_s) <= 1e-15 * want_s
+
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 - 1e-9, 1 + 1e-9,
+                                        1 + 1e-6])
+    def test_near_parabolic_arcs_close(self, factor):
+        # Near Euler's parabolic time the arc's universal variable z is
+        # near zero, where Stumpff functions computed through 1 - cos and
+        # sz - sin cancel and put these arcs' ends up to 8 m off.
+        max_r, max_v = CLOSURE_BOUNDS["lambert"]
+        r1 = orbit_to_state(GeoOrbit(0.0, 0.0, 0.0), 0.0).r
+        for deg in PARABOLIC_DEGREES:
+            r2 = orbit_to_state(GeoOrbit.from_degrees(0.0, 0.0, deg), 0.0).r
+            tof = factor * parabolic_tof(r1, r2, deg)
+            v1, v2 = lambert_solve(r1, r2, tof)
+            r, v = propagate_universal(r1, v1, tof)
+            assert np.linalg.norm(r - np.asarray(r2)) < max_r, deg
+            assert np.linalg.norm(v - np.asarray(v2)) < max_v, deg
 
 
 class TestLambert:
@@ -497,14 +560,9 @@ class TestLambert:
 
         monkeypatch.setattr(astro, "_izzo_tof", spy)
         r1 = orbit_to_state(GeoOrbit(0.0, 0.0, 0.0), 0.0).r
-        for deg in [d for d in range(5, 360, 5) if d != 180]:
+        for deg in PARABOLIC_DEGREES:
             r2 = orbit_to_state(GeoOrbit.from_degrees(0.0, 0.0, deg), 0.0).r
-            c = math.dist(r1, r2)
-            s = 0.5 * (plain_norm(r1) + plain_norm(r2) + c)
-            # Euler: minus under half a turn, plus over it.
-            sign = 1.0 if deg < 180 else -1.0
-            tof = (math.sqrt(2.0) / 3.0 * (s ** 1.5 - sign * (s - c) ** 1.5)
-                   / math.sqrt(GEO.mu))
+            tof = parabolic_tof(r1, r2, deg)
             v1, _ = lambert_solve(r1, r2, tof)
             assert closure_km(r1, r2, tof, v1) < 1e-3, deg
         assert math.nextafter(1.0, 2.0) in starts

@@ -26,7 +26,7 @@ from georepair.scenarios import (
     save,
     scenario_record,
 )
-from georepair.search import GaParams, LnsParams, _LambertAdapter
+from georepair.search import GaParams, LnsParams, SolveResult, _LambertAdapter
 from scenario_builders import make_scenario
 from test_scenarios import _set, scenario_documents
 
@@ -134,17 +134,21 @@ class TestSolve:
                                      second):
         # summary.json keys per_servicer_dv_mps by servicer name and lists
         # routes by names, so a repeated name would lose a body's numbers.
+        # bench reads the scenario through the same gate.
         scen_path = tmp_path / "scenario.json"
         write_small_scenario(scen_path)
         data = json.loads(scen_path.read_text())
         name = data[key][first]["name"]
         data[key][second]["name"] = name
         scen_path.write_text(json.dumps(data))
-        out = tmp_path / "out"
-        assert main(["solve", str(scen_path), "--out", str(out)] + FAST) == 1
-        assert capsys.readouterr().err == (
-            f"error: {key}[{second}]: name {name!r} repeats {key}[{first}]\n")
-        assert not out.exists()
+        for command in ("solve", "bench"):
+            out = tmp_path / command
+            assert main([command, str(scen_path), "--out", str(out)]
+                        + FAST) == 1
+            assert capsys.readouterr().err == (
+                f"error: {key}[{second}]: name {name!r} repeats "
+                f"{key}[{first}]\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("path,field", [
         pytest.param(("deadline_hours",), "deadline", id="deadline"),
@@ -729,6 +733,25 @@ class TestFlagTable:
         flags = [a for a in parser._actions
                  if a.option_strings and a.dest != "help"]
         assert len(flags) == count
+
+
+class TestSolverTable:
+    def test_algo_choices_are_the_table_keys(self):
+        algo = next(a for a in _subcommand_parsers()["solve"]._actions
+                    if a.dest == "algorithm")
+        assert tuple(algo.choices) == ALGORITHMS == tuple(cli.SOLVERS)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_each_entry_reports_its_seed_and_history_best(self, algo):
+        config = cli.RunConfig(algo, 7, GaParams(
+            population_size=20, min_iterations=10, stall_iterations=5),
+            max_revolutions=2)
+        result = cli.SOLVERS[algo](random_scenario(3, 2, 10.0, seed=5),
+                                   config)
+        assert isinstance(result, SolveResult)
+        assert result.seed == config.seed
+        assert result.best_evaluation.fitness.hex() == min(
+            best for best, _ in result.history).hex()
 
 
 class TestEntryPoint:

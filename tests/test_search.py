@@ -58,7 +58,7 @@ from scenario_builders import (
     make_scenario,
     random_scenario_tuple,
 )
-from test_fingerprint import EXPECTED, SEEDS, _ga, fingerprint
+from test_fingerprint import EXPECTED, GA, SEEDS, fingerprint
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -1082,8 +1082,8 @@ class TestEngineState:
 
         monkeypatch.setattr(search, "init_population", as_tuples)
         scenario = random_scenario(6, 2, 10.0, seed=7)
-        results = [solve_ga(scenario, _ga(), seed=seed) for seed in SEEDS]
-        assert fingerprint(results) == EXPECTED[("roomy", "solve_ga")]
+        results = [solve_ga(scenario, GA, seed=seed) for seed in SEEDS]
+        assert fingerprint(results) == EXPECTED[("roomy", "ga")]
 
     # ``decode`` does not check its input: the engine must only ever hand
     # it permutations of 1..m+n-1. The 24-target scenario has 26 crossover

@@ -18,35 +18,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from georepair import planning, search
-from georepair.planning import CostModel, _LegModel, exhaustive_solve
+from georepair.cli import SOLVERS, RunConfig
+from georepair.planning import CostModel, _LegModel
 from georepair.scenarios import random_scenario
-from georepair.search import (
-    GaParams,
-    LnsParams,
-    _LambertAdapter,
-    solve_ga,
-    solve_lambert_ga,
-    solve_lns_aga,
-)
+from georepair.search import GaParams, _LambertAdapter
 from mixed_oracle import CLOSURE_BOUNDS, assert_legs_close
 from scenario_builders import make_scenario
 
 DAY = 86400.0
 GA = GaParams(population_size=20, min_iterations=10, stall_iterations=5)
-SOLVERS = {
-    "solve_lns_aga": lambda sc, seed: solve_lns_aga(sc, GA, LnsParams(),
-                                                    seed=seed),
-    "solve_ga": lambda sc, seed: solve_ga(sc, GA, seed=seed),
-    "solve_lambert_ga": lambda sc, seed: solve_lambert_ga(sc, GA, seed=seed),
-}
-MIXED = ("solve_lns_aga", "solve_ga")
+MIXED = ("lns-aga", "ga")
 # Largest target count at which the oracle check runs, to keep it cheap.
 ORACLE_TARGETS = 3
 
 
 def plan_sums(name, scenario, plan):
     """(fitness, total_dv, p1, p2, feasible) of ``plan`` on a fresh leg
-    model of the kind solver ``name`` searches with: the mixed model's
+    model of the kind algorithm ``name`` searches with: the mixed model's
     ``plan_metrics``, or the Lambert model's ``route_detail`` route scores
     added up by ``_plan_sums``."""
     if name in MIXED:
@@ -96,8 +84,9 @@ def scenarios(draw):
 @example(random_scenario(6, 2, 4.0, 11), 11)
 @example(random_scenario(6, 2, 4.0, 1), 1)
 def test_every_solve_reports_its_history_best(scenario, seed):
-    for name, solve in SOLVERS.items():
-        result = solve(scenario, seed)
+    for name in (*MIXED, "lambert-ga"):
+        config = RunConfig(name, seed, GA)
+        result = SOLVERS[name](scenario, config)
         result.best_plan.validate_against(scenario)
         best = [b for b, _ in result.history]
         assert all(b <= a for a, b in zip(best, best[1:])), name
@@ -110,7 +99,7 @@ def test_every_solve_reports_its_history_best(scenario, seed):
         with (mock.patch.multiple(search, _GENE_ID_BUDGET=5 * genes,
                                   _LEG_CACHE_CAP=5),
               mock.patch.object(planning, "_MEMO_ID_BUDGET", 12)):
-            again = solve(scenario, seed)
+            again = SOLVERS[name](scenario, config)
         assert again.history == result.history, name
         assert again.best_plan == result.best_plan, name
 
@@ -131,8 +120,9 @@ def test_every_solve_reports_its_history_best(scenario, seed):
         revs = [k for route in result.best_plan.routes
                 for k in route.revolutions]
         if len(scenario.targets) <= ORACLE_TARGETS and max(revs) <= 6:
-            _, oracle = exhaustive_solve(scenario, 6, GA.phi, GA.gamma)
-            assert oracle.fitness <= ev.fitness, name
+            oracle = SOLVERS["oracle"](
+                scenario, RunConfig("oracle", seed, GA, max_revolutions=6))
+            assert oracle.best_evaluation.fitness <= ev.fitness, name
 
 
 def test_each_solve_builds_one_cost_model(monkeypatch):
@@ -148,9 +138,7 @@ def test_each_solve_builds_one_cost_model(monkeypatch):
 
     monkeypatch.setattr(_LegModel, "__init__", counted)
     scenario = random_scenario(4, 2, 10.0, seed=3)
-    solves = {**SOLVERS,
-              "exhaustive_solve": lambda sc, seed: exhaustive_solve(sc, 3)}
-    for name, solve in solves.items():
+    for name, solve in SOLVERS.items():
         built.clear()
-        solve(scenario, 1)
+        solve(scenario, RunConfig(name, 1, GA, max_revolutions=3))
         assert len(built) == 1, (name, built)
