@@ -291,25 +291,8 @@ def _summary_payload(scenario, result: SolveResult, config: RunConfig,
     }
 
 
-def _load_named(scenario_path: Path):
-    """``load``, refusing with a ``ParseError`` a scenario in which two
-    servicers or two targets share a name: ``schedule.csv`` and
-    ``summary.json`` tell bodies apart by name, so the second would vanish
-    from ``per_servicer_dv_mps`` or merge with the first in the routes."""
-    scenario = load(scenario_path)
-    for key, bodies in (("servicers", scenario.servicers),
-                        ("targets", scenario.targets)):
-        first = {}
-        for i, body in enumerate(bodies):
-            j = first.setdefault(body.name, i)
-            if j != i:
-                raise ParseError(f"{key}[{i}]: name {body.name!r} repeats "
-                                 f"{key}[{j}]")
-    return scenario
-
-
 def cmd_solve(scenario_path: Path, config: RunConfig, out_dir: Path) -> int:
-    scenario = _load_named(scenario_path)
+    scenario = load(scenario_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     result, wall = _run_one(scenario, config)
     write_schedule(out_dir / "schedule.csv", scenario, result.best_evaluation)
@@ -345,10 +328,14 @@ def cmd_bench(scenario_path: Path, config: RunConfig, algorithms: list[str],
     for algo in algorithms:
         if algorithms.count(algo) > 1:
             raise ValueError(f"algorithm {algo!r} listed more than once")
-    scenario = _load_named(scenario_path)
+    scenario = load(scenario_path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    configs = [replace(config, algorithm=algo, seed=config.seed + i)
-               for algo in algorithms for i in range(runs)]
+    # The exhaustive search draws no random numbers: it runs once, under
+    # seed 0, as the oracle subcommand reports it.
+    configs = [replace(config, algorithm=algo, seed=seed)
+               for algo in algorithms
+               for seed in ((0,) if algo == "oracle"
+                            else range(config.seed, config.seed + runs))]
     # A process pool forks all its workers at the first submit, so start
     # no more than there are tasks or cores.
     workers = min(jobs, len(configs), os.cpu_count() or 1)

@@ -43,7 +43,11 @@ so one simulation of a route with every leg at one revolution serves any
 revolution allocation. A ``CostModel`` prices under one policy, the
 allocator's slack rule and the penalty weights phi and gamma, fixed when it
 is built, and keeps three bounded memos under it, of route scores, of
-insertion scans and of LNS attempts, as its docstring says. Plans are
+insertion scans and of LNS attempts, as its docstring says. Two constants
+here bound every memo of a solve, the search's included: a memo keyed by
+id tuples empties when its keys would hold more than ``_MEMO_ID_BUDGET``
+ids, and a memo of fixed-size entries when it would hold more than
+``_ENTRY_CAP`` entries. Plans are
 checked once, by ``MissionPlan.validate_against`` in ``evaluate_plan``; a
 leg model's ``fly`` trusts its route, and the search its own input:
 ``decode`` does not check chromosomes, which the engine builds as
@@ -362,16 +366,19 @@ class _Pair:
                 nx * to.e1[0] + ny * to.e1[1] + nz * to.e1[2]) % TWO_PI
 
 
-# Ids (servicer, target and sequence ids, or an attempt's beta, count,
-# draws and genes) that the keys of each of the route, insertion and
-# attempt memos may hold in all; a memo empties itself when an insert
-# would go past it. A route or insertion key holds at most MAX_TARGETS + 2
-# ids and an attempt key 2 * MAX_TARGETS + MAX_SERVICERS + 1; a key longer
-# than the budget would be kept alone.
+# The two memory bounds of every memo, here and in ``search``, which reads
+# them through this module. A memo empties itself when an insert would go
+# past its bound.
+# Ids that the keys of each memo keyed by id tuples may hold in all: the
+# route, insertion and attempt memos (servicer, target and sequence ids, or
+# an attempt's beta, count, draws and genes) and the engine's gene cache,
+# m + n - 1 genes a key. A route or insertion key holds at most
+# MAX_TARGETS + 2 ids and an attempt key 2 * MAX_TARGETS + MAX_SERVICERS + 1;
+# a key longer than the budget would be kept alone.
 _MEMO_ID_BUDGET = 4_000_000
-# Entries at which the leg-pair memo, whose entries have a fixed size,
-# empties itself.
-_PAIR_CAP = 300_000
+# Entries of each memo whose entries have a fixed size: the leg-pair memo
+# and the Lambert leg cache and state memo.
+_ENTRY_CAP = 300_000
 SLACK_RULES = ("largest", "smallest")
 
 
@@ -462,7 +469,7 @@ class CostModel(_LegModel):
     capped by the ids their keys hold, their summed length: each empties
     itself when an insert would take it past ``_MEMO_ID_BUDGET``.
     ``_pairs``, the leg-pair memo, empties itself when an insert would take
-    it past ``_PAIR_CAP`` entries, so every reader gets a pair from it or
+    it past ``_ENTRY_CAP`` entries, so every reader gets a pair from it or
     builds one with ``_pair``. ``pair_cost_table`` tables the normalized
     target-pair costs that LNS relatedness reads, once per ``beta``.
     """
@@ -490,7 +497,7 @@ class CostModel(_LegModel):
         ``_pairs`` first when it is full; callers look in ``_pairs`` first,
         so each pair is built once until the memo empties."""
         p = _Pair(self._orbits[from_key], self._orbits[to_id])
-        if len(self._pairs) >= _PAIR_CAP:
+        if len(self._pairs) >= _ENTRY_CAP:
             self._pairs.clear()
         self._pairs[(from_key, to_id)] = p
         return p

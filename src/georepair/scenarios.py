@@ -79,8 +79,9 @@ def from_record(data) -> Scenario:
     """The scenario of a file record, in radians and seconds: the one way
     in, for files and for records built in code.
 
-    Raises ``ParseError`` for a record of the wrong shape or a field that
-    is not a finite number, and ``ValidationError`` for values that the
+    Raises ``ParseError`` for a record of the wrong shape, a field that is
+    not a finite number or a servicer or target name that repeats another
+    of its kind, and ``ValidationError`` for values that the
     domain constructors refuse, their error naming the record. The
     scenario keeps the normalized record as ``spec``."""
     _check_fields(data, _TOP_FIELDS, "scenario")
@@ -96,6 +97,15 @@ def from_record(data) -> Scenario:
               "servicers": servicer_recs, "targets": target_recs}
 
     _check_fleet_size(len(servicer_recs), len(target_recs))
+    # ``schedule.csv`` and ``summary.json`` tell bodies apart by name, so a
+    # repeated name would lose a body's numbers or merge it with another.
+    for key, recs in (("servicers", servicer_recs), ("targets", target_recs)):
+        first = {}
+        for i, rec in enumerate(recs):
+            j = first.setdefault(rec["name"], i)
+            if j != i:
+                raise ParseError(f"{key}[{i}]: name {rec['name']!r} repeats "
+                                 f"{key}[{j}]")
     try:
         epoch = datetime.fromisoformat(record["epoch"].replace("Z", "+00:00"))
     except ValueError as exc:

@@ -53,9 +53,12 @@ kernel, memos and the LNS's pair costs, built with the solve's slack rule;
 ``_LambertAdapter`` holds only two-impulse Lambert legs, one revolution
 each, flown and priced in one place, ``_fly``, on plain floats: states and
 Lambert velocities are 3-tuples and each norm is a left-to-right sum under
-``math.sqrt``. Its leg cache and state memo are bounded by
-``_LEG_CACHE_CAP``, and each value depends on its key alone, so a price does
-not depend on what a memo held. The best plan is reported by
+``math.sqrt``. Every memo of a solve is bounded by one of the two constants
+of ``planning``, read through that module so that patching it there reaches
+every memo: the gene cache by ``_MEMO_ID_BUDGET`` genes, m + n - 1 a
+chromosome, and the Lambert leg cache and state memo by ``_ENTRY_CAP``
+entries. Each value depends on its key alone, so a price does not depend on
+what a memo held. The best plan is reported by
 ``planning.evaluate_plan`` on the model's own ``fly``, so every leg reports
 the price the search used, a failed leg infinite in both; a Lambert
 ``LegDetail`` does not coast, fires at departure and gives its flight time
@@ -75,6 +78,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
+from . import planning
 from .astro import (
     GEO,
     AstroError,
@@ -101,13 +105,6 @@ from .planning import (
 
 FITNESS_EPS = 1e-12
 RELATEDNESS_EPS = 1e-6
-
-# Genes that the engine's chromosome cache may hold in all, m + n - 1 per
-# entry; it empties itself when an insert would go past them.
-_GENE_ID_BUDGET = 3_000_000
-# Entries at which the Lambert model's leg cache and state memo, whose
-# entries have a fixed size, empty themselves.
-_LEG_CACHE_CAP = 300_000
 
 # Largest population, generation and LNS attempt counts a solve accepts: far
 # above the experiments (a population of 100, at most a few hundred
@@ -526,7 +523,7 @@ class _LambertAdapter(_LegModel):
     It defines the engine's ``route``, ``allocate`` and the report's legs,
     ``fly``; ``_score`` and the plan sums are the ``_LegModel``'s. Routes
     are summed again on every call, from two memos, each emptied when an
-    insert would pass ``_LEG_CACHE_CAP``: the leg cache, from ``(from key,
+    insert would pass ``planning._ENTRY_CAP``: the leg cache, from ``(from key,
     target id, departure time, grid time)`` to the leg's (flight time,
     price), and the state memo ``_state``, from ``(body key, time)`` to the
     ``CartesianState`` of that key's orbit in the ``_LegModel``'s body map,
@@ -584,12 +581,12 @@ class _LambertAdapter(_LegModel):
     def _state(self, key, t: float):
         """The ``CartesianState`` of body ``key`` (``("S", servicer id)`` or
         a target id) at time ``t``, from the state memo. A state depends on
-        its key alone, so the memo is exact; it empties, as the leg cache
-        does, when an insert would pass ``_LEG_CACHE_CAP``."""
+        its key alone, so the memo is exact; it empties as the leg cache
+        does."""
         memo = self._states
         state = memo.get((key, t))
         if state is None:
-            if len(memo) >= _LEG_CACHE_CAP:
+            if len(memo) >= planning._ENTRY_CAP:
                 memo.clear()
             state = memo[key, t] = orbit_to_state(self._orbits[key], t)
         return state
@@ -626,7 +623,7 @@ class _LambertAdapter(_LegModel):
             except AstroError:
                 continue
             break
-        if len(self._leg_cache) >= _LEG_CACHE_CAP:
+        if len(self._leg_cache) >= planning._ENTRY_CAP:
             self._leg_cache.clear()
         self._leg_cache[key] = result
         return result
@@ -712,7 +709,7 @@ def _run_engine(ga: GaParams, lns: LnsParams | None, seed: int,
     rng = random.Random(seed)
     sids = model.servicer_ids
     cache: dict = {}
-    cache_cap = _GENE_ID_BUDGET // (m + n - 1)
+    cache_cap = planning._MEMO_ID_BUDGET // (m + n - 1)
 
     def evaluate(genes) -> float:
         key = tuple(genes)

@@ -512,11 +512,33 @@ class TestBench:
         scen_path = tmp_path / "scenario.json"
         write_small_scenario(scen_path)
         out = tmp_path / "bench"
-        assert main(["bench", str(scen_path), "--algo", "oracle", "--runs",
-                     str(runs), "--jobs", str(jobs), "--max-rev", "2",
-                     "--out", str(out)]) == 0
+        assert main(["bench", str(scen_path), "--algo", "ga", "--runs",
+                     str(runs), "--jobs", str(jobs), "--out", str(out)]
+                    + FAST) == 0
         assert started == expected
         assert len(read_csv(out / "runs.csv")) == 1 + runs
+
+    def test_the_oracle_runs_once(self, tmp_path, capsys):
+        # The exhaustive search draws no random numbers: one row, under the
+        # seed 0 that the oracle subcommand reports, next to one row per
+        # seed of a seeded algorithm.
+        scen_path = tmp_path / "scenario.json"
+        write_small_scenario(scen_path)
+        out = tmp_path / "bench"
+        assert main(["bench", str(scen_path), "--algo", "oracle,ga",
+                     "--runs", "2", "--max-rev", "3", "--out", str(out)]
+                    + FAST) == 0
+        rows = read_csv(out / "runs.csv")
+        assert [row[:2] for row in rows[1:]] == [
+            ["oracle", "0"], ["ga", "1"], ["ga", "2"]]
+        assert main(["oracle", str(scen_path), "--max-rev", "3", "--out",
+                     str(tmp_path / "oracle")]) == 0
+        summary = json.loads((tmp_path / "oracle" / "summary.json")
+                             .read_text())
+        assert summary["seed"] == 0
+        assert float(rows[1][2]) == summary["fitness"]
+        runs = json.loads((out / "summary.json").read_text())["algorithms"]
+        assert [s["runs"] for s in runs] == [1, 2]
 
 
 class TestOracle:

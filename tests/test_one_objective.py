@@ -16,9 +16,9 @@ import georepair
 SRC = Path(georepair.__file__).parent
 
 
-def _calls(tree, module, name):
+def _calls(tree, module, name, bare=False):
     """``module:Owner.function`` of every call to ``name``, whether called
-    by its bare name or as an attribute."""
+    by its bare name or, unless ``bare``, as an attribute."""
     out = []
 
     def visit(node, owner):
@@ -30,7 +30,8 @@ def _calls(tree, module, name):
             if isinstance(child, ast.Call):
                 func = child.func
                 called = (func.id if isinstance(func, ast.Name)
-                          else func.attr if isinstance(func, ast.Attribute)
+                          else func.attr
+                          if isinstance(func, ast.Attribute) and not bare
                           else None)
                 if called == name:
                     out.append(f"{module}:{owner or '<module>'}")

@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -439,7 +439,8 @@ def deep_size(value) -> int:
 
 class TestRouteMemo:
     """``CostModel`` prices each (servicer, sequence) once under its policy;
-    the memo must not change any answer and must stay bounded."""
+    the memo must not change any answer. Its bound, as every memo's, is
+    checked by ``test_search.TestBoundedSearchCaches``."""
 
     POLICIES = ({}, {"slack_rule": "smallest"}, {"phi": 2.0, "gamma": 7.0})
 
@@ -487,22 +488,6 @@ class TestRouteMemo:
         scenario = random_scenario(4, 1, 10.0, seed=15)
         with pytest.raises(ValueError):
             CostModel(scenario).route_metrics(1, [1, 2], revs)
-
-    def test_memo_stays_within_its_cap(self, monkeypatch):
-        # Keys of 2 to 6 ids: the memo holds a few routes at a time.
-        monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", 15)
-        scenario = random_scenario(8, 3, 12.0, seed=13)
-        model = CostModel(scenario)
-        routes = self.random_routes(scenario, random.Random(14), 40)
-        assert len({(sid, tuple(seq)) for sid, seq in routes}) > 5
-        held = []
-        for sid, seq in routes + routes[::-1]:
-            value = model.priced_score(sid, seq)
-            held.append(sum(map(len, model._priced)))
-            assert held[-1] == model._priced_ids <= 15
-            fresh = CostModel(scenario).priced_score(sid, seq)
-            assert value.hex() == fresh.hex()
-        assert any(b < a for a, b in zip(held, held[1:]))
 
     def test_memo_value_does_not_grow_with_the_route(self):
         # A value holds what the search reads, a score whose sign is the
@@ -600,84 +585,6 @@ class TestRouteMemo:
                                          stall_iterations=5), seed=1)
         assert built
         assert len(built) == len(set(built)) <= (n + m) * m
-
-    @pytest.mark.parametrize("scenario", [
-        pytest.param(lambda: random_scenario(8, 2, 12.0, seed=5),
-                     id="random-8"),
-        pytest.param(case_study, id="case-study"),
-    ])
-    def test_a_capped_leg_pair_memo_gives_the_uncapped_solve(
-            self, monkeypatch, scenario):
-        # At a cap of 3 the memo empties inside most routes, so the report
-        # flies pairs that it no longer holds and builds them again. A
-        # pair depends on its two bodies alone: the history, the plan and
-        # every reported leg are the uncapped solve's, by float.hex.
-        def solve():
-            result = solve_lns_aga(scenario(), GaParams(
-                population_size=20, min_iterations=10, stall_iterations=5),
-                seed=1)
-            return (hexed(result.history),
-                    [(r.servicer_id, r.target_sequence, r.revolutions)
-                     for r in result.best_plan.routes],
-                    [hexed(astuple(leg))
-                     for leg in result.best_evaluation.leg_details])
-
-        want = solve()
-        held = []
-        original = CostModel._pair
-
-        def spy(self, from_key, to_id):
-            p = original(self, from_key, to_id)
-            held.append(len(self._pairs))
-            return p
-
-        monkeypatch.setattr(planning, "_PAIR_CAP", 3)
-        monkeypatch.setattr(CostModel, "_pair", spy)
-        assert solve() == want
-        assert max(held) == 3
-        assert held.count(1) > 1
-
-    @pytest.mark.parametrize("scenario", [
-        pytest.param(lambda: random_scenario(8, 2, 12.0, seed=5),
-                     id="random-8"),
-        pytest.param(case_study, id="case-study"),
-    ])
-    def test_a_capped_attempt_memo_gives_the_uncapped_solve(
-            self, monkeypatch, scenario):
-        # An attempt key is beta, the removal count, its draws and the
-        # plan's m + n - 1 genes. With the id budget of the memos patched to
-        # three such keys, the attempt memo keeps at most three outcomes
-        # and empties often, so most repeated attempts run again. An
-        # outcome depends on its key alone: the history, the plan and every
-        # reported leg are the uncapped solve's, by float.hex.
-        def solve():
-            result = solve_lns_aga(scenario(), GaParams(
-                population_size=20, min_iterations=10, stall_iterations=5),
-                seed=1)
-            return (hexed(result.history),
-                    [(r.servicer_id, r.target_sequence, r.revolutions)
-                     for r in result.best_plan.routes],
-                    [hexed(astuple(leg))
-                     for leg in result.best_evaluation.leg_details])
-
-        want = solve()
-        sc = scenario()
-        m, n = len(sc.targets), len(sc.servicers)
-        budget = 3 * (2 + math.ceil(0.3 * m) + m + n - 1)
-        held = []
-        original = CostModel.attempt_outcome
-
-        def spy(self, key, attempt):
-            value = original(self, key, attempt)
-            assert len(key) == budget // 3
-            held.append((len(self._attempts), self._attempt_ids))
-            return value
-
-        monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", budget)
-        monkeypatch.setattr(CostModel, "attempt_outcome", spy)
-        assert solve() == want
-        assert max(held) == (3, budget)
-        assert held.count((1, budget // 3)) > 1
 
     def test_pair_cost_table_keeps_no_pair(self):
         # Relatedness reads every target pair, most of which no route

@@ -188,7 +188,8 @@ class TestSaveLoad:
         assert load(path).servicers[0].name == "7"
 
     @settings(max_examples=50, deadline=None)
-    @given(names=st.lists(st.text(max_size=12), min_size=3, max_size=3))
+    @given(names=st.lists(st.text(max_size=12), min_size=3, max_size=3,
+                          unique=True))
     def test_text_names_round_trip(self, tmp_path_factory, names):
         data = scenario_record(random_scenario(2, 1, 10.0, seed=1))
         for rec, name in zip(data["servicers"] + data["targets"], names):
@@ -199,6 +200,24 @@ class TestSaveLoad:
         assert load(path) == scenario
         assert [b.name for b in scenario.servicers + scenario.targets] \
             == names
+
+    @pytest.mark.parametrize("key, first, second, name", [
+        ("servicers", 0, 1, "SSc1"), ("targets", 2, 13, "Beidou_G1"),
+        # Names are read through ``str``: 7 and "7" are one name.
+        ("servicers", 0, 1, 7)])
+    def test_a_repeated_name_is_a_parse_error(self, key, first, second,
+                                              name):
+        data = scenario_record(case_study())
+        data[key][first]["name"] = name
+        data[key][second]["name"] = str(name)
+        with pytest.raises(ParseError) as exc:
+            from_record(data)
+        assert str(exc.value) == (
+            f"{key}[{second}]: name {str(name)!r} repeats {key}[{first}]")
+        # A servicer and a target may share a name.
+        data = scenario_record(case_study())
+        data["targets"][0]["name"] = data["servicers"][0]["name"]
+        assert from_record(data).targets[0].name == "SSc1"
 
     def test_missing_field_names_it(self, tmp_path):
         data = scenario_record(case_study())
@@ -402,10 +421,19 @@ class TestMalformedValues:
         assert str(exc.value) == (
             f"{field}: {count} exceeds the cap of {count - 1}")
 
-    def test_fleet_at_the_caps_loads(self, tmp_path):
+    @staticmethod
+    def fleet_at_the_caps():
+        """The case-study record with copies of its first servicer and
+        target up to both fleet caps, under names that do not repeat."""
         data = scenario_record(case_study())
-        data["servicers"] = [data["servicers"][0]] * MAX_SERVICERS
-        data["targets"] = [data["targets"][0]] * MAX_TARGETS
+        for key, count in (("servicers", MAX_SERVICERS),
+                           ("targets", MAX_TARGETS)):
+            data[key] = [dict(data[key][0], name=f"{key}{i}")
+                         for i in range(count)]
+        return data
+
+    def test_fleet_at_the_caps_loads(self, tmp_path):
+        data = self.fleet_at_the_caps()
         path = tmp_path / "cap.json"
         path.write_text(json.dumps(data))
         scenario = load(path)
@@ -426,11 +454,8 @@ class TestMalformedValues:
             f"{path}: file exceeds the cap of {size - 1} bytes")
 
     def test_size_cap_is_far_above_a_file_at_the_fleet_caps(self, tmp_path):
-        data = scenario_record(case_study())
-        data["servicers"] = [data["servicers"][0]] * MAX_SERVICERS
-        data["targets"] = [data["targets"][0]] * MAX_TARGETS
         path = tmp_path / "cap.json"
-        path.write_text(json.dumps(data, indent=2))
+        path.write_text(json.dumps(self.fleet_at_the_caps(), indent=2))
         assert 20 * path.stat().st_size < MAX_SCENARIO_BYTES
 
     def test_deadline_short_of_the_last_datetime_loads(self, tmp_path):

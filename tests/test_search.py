@@ -8,9 +8,10 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import astuple
+from operator import attrgetter
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,7 @@ from scenario_builders import (
     random_scenario_tuple,
 )
 from test_fingerprint import EXPECTED, GA, SEEDS, fingerprint
+from test_planning import hexed
 
 HOUR = 3600.0
 DAY = 86400.0
@@ -780,22 +782,6 @@ class TestInsertionMemo:
             ({}, {"phi": 3.0}, {"gamma": 0.5}, {"slack_rule": "smallest"}))
         assert outcomes == {"feasible", "infeasible"}
 
-    def test_memo_stays_within_its_cap(self, monkeypatch):
-        # Keys of 2 to 9 ids: each memo holds a few at a time.
-        monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", 30)
-        scenario = random_scenario(10, 2, 10.0, seed=2101)
-        model = CostModel(scenario)
-        partials = random_partials(scenario, random.Random(33), 10)
-        held = []
-        for plan, missing in partials:
-            for tid in missing:
-                got = insertion_answer(tid, plan, model)
-                held.append(sum(map(len, model._insertions)))
-                assert held[-1] == model._insertion_ids <= 30
-                assert sum(map(len, model._priced)) == model._priced_ids <= 30
-                assert got == insertion_answer(tid, plan, CostModel(scenario))
-        assert any(b < a for a, b in zip(held, held[1:]))
-
     def test_memo_value_is_one_flat_tuple(self):
         scenario = random_scenario(10, 2, 10.0, seed=2101)
         model = CostModel(scenario)
@@ -909,61 +895,118 @@ class TestBoundedRepair:
             self.check(list(removed), partial, scenario, warm)
 
 
+def engine_cache(model):
+    """The gene cache of the running engine: the ``cache`` local of
+    ``_run_engine``, found by walking up the stack."""
+    frame = sys._getframe(1)
+    while frame.f_code is not search._run_engine.__code__:
+        frame = frame.f_back
+    return frame.f_locals["cache"]
+
+
+# One row per memo: the solver that fills it, the method after each call of
+# which it is read, the memo, its id counter, the constant that bounds it,
+# and the ``search`` function, if any, that computes its values. Each insert
+# is made inside such a call, apart from the gene cache's, which is read at
+# each route pricing of a miss, before its insert.
+MEMOS = {
+    "route": (solve_lns_aga, CostModel, "priced_score",
+              attrgetter("_priced"), "_priced_ids", "_MEMO_ID_BUDGET", None),
+    "insertion": (solve_lns_aga, CostModel, "insertion_scan",
+                  attrgetter("_insertions"), "_insertion_ids",
+                  "_MEMO_ID_BUDGET", None),
+    "attempt": (solve_lns_aga, CostModel, "attempt_outcome",
+                attrgetter("_attempts"), "_attempt_ids", "_MEMO_ID_BUDGET",
+                None),
+    "gene": (solve_lns_aga, search._MixedAdapter, "route", engine_cache,
+             None, "_MEMO_ID_BUDGET", None),
+    "pair": (solve_lns_aga, CostModel, "_pair", attrgetter("_pairs"), None,
+             "_ENTRY_CAP", None),
+    "leg": (solve_lambert_ga, _LambertAdapter, "_leg",
+            attrgetter("_leg_cache"), None, "_ENTRY_CAP", None),
+    "state": (solve_lambert_ga, _LambertAdapter, "_state",
+              attrgetter("_states"), None, "_ENTRY_CAP", "orbit_to_state"),
+}
+
+
 class TestBoundedSearchCaches:
-    """The engine's chromosome cache and the Lambert leg cache and state
-    memo never exceed their caps, and emptying them leaves a solve as it
+    """Every memo of a solve stays within the bound that one of the two
+    constants of ``planning`` sets, and emptying it leaves the solve as it
     was."""
 
-    def test_gene_cache_stays_within_its_cap(self, monkeypatch):
-        scenario = random_scenario(6, 2, 6.0, seed=7)
-        fresh = solve_lns_aga(scenario, small_ga(20, 20, 10), LnsParams(),
-                              seed=1)
-        sizes = []
-        original = search._MixedAdapter.route
+    @staticmethod
+    def watched_solve(monkeypatch, memo, scenario, capped):
+        """(history, plan and reported legs by ``float.hex``, emptyings) of
+        a seed-1 solve that fills ``memo``. After each read, no value has
+        been computed twice since the memo last emptied, and, when
+        ``capped``, the memo holds at most its bound, in ids if it is keyed
+        by id tuples, else in entries, and its id counter is its summed key
+        length. Between two reads a memo gets one insert at most, and under
+        the table test's caps it empties only when it holds two or more,
+        so it has emptied when it shrinks."""
+        solve, cls, method, memo_of, counter, constant, computes = MEMOS[memo]
+        original = getattr(cls, method)
+        size, since, computed = {"now": 0, "empties": 0}, set(), []
 
-        def spy(self, sid, seq):
-            # The cache is the ``cache`` local of the running engine, found
-            # by walking up to its frame from whichever helper called the
-            # adapter; it is read before any insert.
-            frame = sys._getframe(1)
-            while frame.f_code is not search._run_engine.__code__:
-                frame = frame.f_back
-            sizes.append(len(frame.f_locals["cache"]))
-            return original(self, sid, seq)
+        def spy(self, *args):
+            result = original(self, *args)
+            keys = memo_of(self)
+            if len(keys) < size["now"]:
+                size["empties"] += 1
+                since.clear()
+            size["now"] = len(keys)
+            if capped:
+                held = (sum(map(len, keys)) if constant == "_MEMO_ID_BUDGET"
+                        else len(keys))
+                assert held <= getattr(planning, constant)
+                if counter is not None:
+                    assert getattr(self, counter) == held
+            assert since.isdisjoint(computed)
+            since.update(computed)
+            computed.clear()
+            return result
 
-        monkeypatch.setattr(search._MixedAdapter, "route", spy)
-        # Chromosomes of m + n - 1 = 7 genes: five fit in 38 genes.
-        monkeypatch.setattr(search, "_GENE_ID_BUDGET", 38)
-        capped = solve_lns_aga(scenario, small_ga(20, 20, 10), LnsParams(),
-                               seed=1)
-        assert max(sizes) == 5
-        assert capped.history == fresh.history
-        assert capped.best_plan == fresh.best_plan
-        assert capped.best_evaluation.fitness == fresh.best_evaluation.fitness
+        def compute(body, *args):
+            computed.append((id(body), *args))
+            return original_compute(body, *args)
 
-    def test_leg_cache_stays_within_its_cap(self, monkeypatch):
-        scenario = random_scenario(6, 2, 6.0, seed=7)
-        fresh = solve_lambert_ga(scenario, small_ga(20, 20, 10), seed=1)
-        sizes = {"_leg_cache": [], "_states": []}
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, method, spy)
+            if computes is not None:
+                original_compute = getattr(search, computes)
+                patch.setattr(search, computes, compute)
+            result = solve(scenario, small_ga(20, 10, 5), seed=1)
+        return ((hexed(result.history),
+                 [(r.servicer_id, r.target_sequence, r.revolutions)
+                  for r in result.best_plan.routes],
+                 [hexed(astuple(leg))
+                  for leg in result.best_evaluation.leg_details]),
+                size["empties"])
 
-        def spy(method, memo):
-            original = getattr(_LambertAdapter, method)
-
-            def call(self, *args):
-                result = original(self, *args)
-                sizes[memo].append(len(getattr(self, memo)))
-                return result
-            monkeypatch.setattr(_LambertAdapter, method, call)
-
-        spy("_leg", "_leg_cache")
-        spy("_state", "_states")
-        monkeypatch.setattr(search, "_LEG_CACHE_CAP", 5)
-        capped = solve_lambert_ga(scenario, small_ga(20, 20, 10), seed=1)
-        assert max(sizes["_leg_cache"]) == 5
-        assert max(sizes["_states"]) == 5
-        assert capped.history == fresh.history
-        assert capped.best_plan == fresh.best_plan
-        assert capped.best_evaluation.fitness == fresh.best_evaluation.fitness
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(lambda: random_scenario(8, 2, 12.0, seed=5),
+                     id="random-8"),
+        pytest.param(case_study, id="case-study"),
+    ])
+    @pytest.mark.parametrize("memo", MEMOS)
+    def test_a_capped_memo_keeps_the_solve(self, monkeypatch, memo,
+                                           scenario):
+        # Uncapped, no memo empties. With the id budget patched to three
+        # attempt keys (beta, count, ceil(0.3 m) draws, m + n - 1 genes)
+        # and the entry cap to 5, each memo empties again and again, and
+        # every value is computed afresh after it: a value depends on its
+        # key alone, so the history, the plan and every reported leg are
+        # the uncapped solve's, by float.hex.
+        sc = scenario()
+        m, n = len(sc.targets), len(sc.servicers)
+        want, empties = self.watched_solve(monkeypatch, memo, sc, False)
+        assert empties == 0
+        monkeypatch.setattr(planning, "_MEMO_ID_BUDGET",
+                            3 * (m + n + 1 + math.ceil(0.3 * m)))
+        monkeypatch.setattr(planning, "_ENTRY_CAP", 5)
+        got, empties = self.watched_solve(monkeypatch, memo, sc, True)
+        assert got == want
+        assert empties >= 1
 
     def test_memory_held_by_a_thousand_target_solve_stays_flat(
             self, monkeypatch):
@@ -977,8 +1020,7 @@ class TestBoundedSearchCaches:
         m = 1000
         scenario = random_scenario(m, 2, 30.0, seed=1)
         monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", 4 * (m + 1))
-        monkeypatch.setattr(search, "_GENE_ID_BUDGET", 4 * (m + 1))
-        monkeypatch.setattr(planning, "_PAIR_CAP", 4 * (m + 1))
+        monkeypatch.setattr(planning, "_ENTRY_CAP", 4 * (m + 1))
         held = []
         weights = search.selection_weights
 
@@ -1012,8 +1054,7 @@ class TestBoundedSearchCaches:
         budget = 4 * (m + 1)
         scenario = random_scenario(m, 2, 30.0, seed=1)
         monkeypatch.setattr(planning, "_MEMO_ID_BUDGET", budget)
-        monkeypatch.setattr(search, "_GENE_ID_BUDGET", budget)
-        monkeypatch.setattr(planning, "_PAIR_CAP", budget)
+        monkeypatch.setattr(planning, "_ENTRY_CAP", budget)
         held, attempt_ids = [], []
         weights = search.selection_weights
         outcome = CostModel.attempt_outcome
@@ -1776,42 +1817,6 @@ class TestLambertWorkCounts:
         assert (seen["lambert_solve"], seen["orbit_to_state"],
                 seen["misses"]) == counts
 
-    @pytest.mark.parametrize("cap", [None, 5])
-    def test_each_state_is_computed_once_until_the_memo_empties(
-            self, monkeypatch, cap):
-        since_clear = set()
-        computed = []
-
-        class StateMemo(dict):
-            def clear(self):
-                since_clear.clear()
-                super().clear()
-
-        init = _LambertAdapter.__init__
-
-        def memo_init(self, *args):
-            init(self, *args)
-            self._states = StateMemo()
-
-        original = search.orbit_to_state
-
-        def spy(orbit, t):
-            key = (id(orbit), t)
-            assert key not in since_clear
-            since_clear.add(key)
-            computed.append(key)
-            return original(orbit, t)
-
-        monkeypatch.setattr(_LambertAdapter, "__init__", memo_init)
-        monkeypatch.setattr(search, "orbit_to_state", spy)
-        if cap is not None:
-            monkeypatch.setattr(search, "_LEG_CACHE_CAP", cap)
-        solve_lambert_ga(random_scenario(6, 2, 10.0, seed=7),
-                         small_ga(20, 20, 10), seed=1)
-        # Uncapped, the memo never empties and no state repeats; capped,
-        # states are computed again after each emptying.
-        assert (len(set(computed)) == len(computed)) == (cap is None)
-
 
 class TestHashSeedIndependence:
     """No result depends on the order of a set or dict of str keys: the
@@ -1846,43 +1851,3 @@ class TestHashSeedIndependence:
             runs.append(proc.stdout)
         assert runs[0] == runs[1]
         assert len(json.loads(runs[0])) == 3
-
-
-class TestLambertNeedsNoBlas:
-    """The Lambert leg path runs on plain floats, so its prices and reports
-    do not depend on the BLAS kernel numpy dispatches to."""
-
-    def test_route_pricing_and_final_evaluation(self, monkeypatch):
-        scenario = case_study()
-        m, n = len(scenario.targets), len(scenario.servicers)
-        sids = [s.id for s in scenario.servicers]
-        chromosomes = init_population(m, n, 40, random.Random(23))
-        routes = [(sid, tuple(seq)) for genes in chromosomes
-                  for sid, seq in zip(sids, decode(genes, m, n))]
-        plans = [MissionPlan([Route(sid, list(seq), [1] * len(seq))
-                              for sid, seq in zip(sids, decode(genes, m, n))])
-                 for genes in chromosomes[:5]]
-
-        def run():
-            adapter = _LambertAdapter(scenario, 1.0, 10.0)
-            record = []
-            for sid, seq in routes:
-                tofs, dv, p1 = adapter.route_detail(sid, seq)
-                record.append([[t.hex() for t in tofs], dv.hex(), p1.hex()])
-            for plan in plans:
-                ev = evaluate_plan(scenario, plan, adapter)
-                record.append([ev.fitness.hex(), ev.total_dv.hex()])
-                for leg in ev.leg_details:
-                    record.append([leg.total_dv.hex(), leg.arrival_time.hex()]
-                                  + [float(x).hex() for x in leg.impulse1]
-                                  + [float(x).hex() for x in leg.impulse2])
-            return record
-
-        want = run()
-
-        def no_blas(*args, **kwargs):
-            raise AssertionError("a numpy reduction on the Lambert path")
-
-        for owner, name in ((np, "dot"), (np, "cross"), (np.linalg, "norm")):
-            monkeypatch.setattr(owner, name, no_blas)
-        assert run() == want

@@ -17,7 +17,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from georepair import planning, search
+from georepair import planning
 from georepair.cli import SOLVERS, RunConfig
 from georepair.planning import CostModel, _LegModel
 from georepair.scenarios import random_scenario
@@ -93,12 +93,9 @@ def test_every_solve_reports_its_history_best(scenario, seed):
         ev = result.best_evaluation
         assert ev.fitness.hex() == min(best).hex(), name
 
-        # Every route, insertion and gene memo capped at a few keys' ids,
-        # and the leg cache and state memo at 5 entries.
-        genes = len(scenario.targets) + len(scenario.servicers) - 1
-        with (mock.patch.multiple(search, _GENE_ID_BUDGET=5 * genes,
-                                  _LEG_CACHE_CAP=5),
-              mock.patch.object(planning, "_MEMO_ID_BUDGET", 12)):
+        # Every memo keyed by id tuples capped at 12 ids, and every memo of
+        # fixed-size entries at 5 entries.
+        with mock.patch.multiple(planning, _MEMO_ID_BUDGET=12, _ENTRY_CAP=5):
             again = SOLVERS[name](scenario, config)
         assert again.history == result.history, name
         assert again.best_plan == result.best_plan, name
