@@ -17,10 +17,11 @@ flies, scores and sums each route on that one model: its ``fly`` walks a
 route once and returns its ``LegDetail``s, one record per leg holding each
 of its facts once. Every leg model is a ``_LegModel``, which holds only
 the scenario, its one map from body key to ``GeoOrbit``, the policy's
-weights, ``_score`` and ``_plan_sums``: the default, ``CostModel``, adds
-the mixed legs the search prices, its kernel and memos, and the Lambert
-model in ``search`` its own two-impulse legs; each reads plane frames as
-the ``GeoOrbit``s store them.
+weights, ``_score``, ``_plan_sums`` and the route memo ``priced_score``,
+which prices each distinct route once through the model's ``_price``: the
+default, ``CostModel``, adds the mixed legs the search prices, its kernel
+and its other memos, and the Lambert model in ``search`` its own
+two-impulse legs; each reads plane frames as the ``GeoOrbit``s store them.
 ``evaluate_plan`` only adds up each route's legs, so a solve builds one
 model and scores its report by the policy it searched under.
 ``CostModel`` is the one copy of the mixed leg's geometry. Its kernel is
@@ -42,13 +43,13 @@ and phase gaps are invariant under whole-revolution shifts of earlier legs,
 so one simulation of a route with every leg at one revolution serves any
 revolution allocation. A ``CostModel`` prices under one policy, the
 allocator's slack rule and the penalty weights phi and gamma, fixed when it
-is built, and keeps three bounded memos under it, of route scores, of
-insertion scans and of LNS attempts, as its docstring says. Two constants
-here bound every memo of a solve, the search's included: a memo keyed by
-id tuples empties when its keys would hold more than ``_MEMO_ID_BUDGET``
-ids, and a memo of fixed-size entries when it would hold more than
-``_ENTRY_CAP`` entries. Plans are
-checked once, by ``MissionPlan.validate_against`` in ``evaluate_plan``; a
+is built, and keeps three bounded memos under it, the base's of route
+scores, and its own of insertion scans and of LNS attempts, as its
+docstring says. Two constants here bound every memo of a solve, the
+search's included: a memo keyed by id tuples empties when its keys would
+hold more than ``_MEMO_ID_BUDGET`` ids, and a memo of fixed-size entries
+when it would hold more than ``_ENTRY_CAP`` entries. Plans are checked
+once, by ``MissionPlan.validate_against`` in ``evaluate_plan``; a
 leg model's ``fly`` trusts its route, and the search its own input:
 ``decode`` does not check chromosomes, which the engine builds as
 permutations.
@@ -385,9 +386,21 @@ SLACK_RULES = ("largest", "smallest")
 class _LegModel:
     """What the engine and ``evaluate_plan`` read of every leg model: the
     scenario, its servicer ids, deadline, repairs and budgets, the weights
-    ``phi`` and ``gamma``, the route score and the plan sums. ``CostModel``
-    and the Lambert model in ``search`` define ``allocate`` and ``fly``,
-    reading each orbit from ``_orbits``, by ``("S", sid)`` or target id."""
+    ``phi`` and ``gamma``, the route score, the plan sums and the route
+    memo. ``CostModel`` and the Lambert model in ``search`` define
+    ``allocate``, ``fly`` and the memo's pricing hook ``_price``, reading
+    each orbit from ``_orbits``, by ``("S", sid)`` or target id.
+
+    ``priced_score`` memoizes, under the flat key ``(servicer, *sequence)``,
+    a route's penalized score as one float, negated when the route misses
+    the deadline or the budget, so each distinct route is priced once in a
+    search on either leg model. A score is never negative, so its sign bit
+    is free; it is read with ``math.copysign``, since an infeasible route
+    can score 0.0, stored as -0.0. The memo is capped by the ids its keys
+    hold, their summed length: it empties itself when an insert would take
+    it past ``_MEMO_ID_BUDGET``. The memo trades memory for time: on the
+    Lambert baseline's case study it holds some 12,000 routes, about 3 MB
+    of peak RSS, where 40% of the engine's route calls repeat a route."""
 
     def __init__(self, scenario: Scenario, phi: float, gamma: float):
         _check_weights(phi, gamma)
@@ -400,6 +413,8 @@ class _LegModel:
         self._orbits.update({t.id: t.orbit for t in scenario.targets})
         self._td = {t.id: t.repair_duration for t in scenario.targets}
         self._budget = {s.id: s.dv_budget for s in scenario.servicers}
+        self._priced: dict = {}
+        self._priced_ids = 0
 
     def _score(self, servicer_id: int, dv: float, p1: float):
         """(penalized fitness, delta-v m/s, deadline violation s, budget
@@ -421,6 +436,28 @@ class _LegModel:
             p1 += r_p1
             p2 += r_p2
         return fitness, total_dv, p1, p2, (p1 == 0.0 and p2 == 0.0)
+
+    def priced_score(self, servicer_id: int, seq) -> float:
+        """The route memo's value for a route as the model prices it: the
+        ``_score`` of its ``_price``, negated unless the route meets the
+        deadline and the budget. ``abs`` gives the score, and
+        ``math.copysign(1.0, value) > 0.0`` whether it is feasible, also
+        for a zero score. Only a miss calls ``_price``; an empty route
+        scores 0.0 and is priced by no model."""
+        key = (servicer_id, *seq)
+        hit = self._priced.get(key)
+        if hit is None:
+            hit = 0.0
+            if seq:
+                dv, p1 = self._price(servicer_id, seq)
+                score, _, p1, p2 = self._score(servicer_id, dv, p1)
+                hit = score if p1 == 0.0 and p2 == 0.0 else -score
+            self._priced_ids += len(key)
+            if self._priced_ids > _MEMO_ID_BUDGET:
+                self._priced.clear()
+                self._priced_ids = len(key)
+            self._priced[key] = hit
+        return hit
 
 
 class CostModel(_LegModel):
@@ -446,13 +483,10 @@ class CostModel(_LegModel):
     changing a leg's revolution count shifts all later departure phases by
     whole periods.
 
-    ``priced_score`` memoizes, under the flat key ``(servicer, *sequence)``,
-    a route's penalized score on its ``allocate`` revolutions as one float,
-    negated when the route misses the deadline or the budget, so each
-    route's geometry is built and allocated once in a search. A score is
-    never negative, so its sign bit is free; it is read with
-    ``math.copysign``, since an infeasible route can score 0.0, stored as
-    -0.0. ``allocate`` prices a reported route afresh for its revolutions.
+    The base's route memo, ``priced_score``, prices a route through
+    ``_price``, on its ``allocate`` revolutions, so each route's geometry
+    is built and allocated once in a search. ``allocate`` prices a
+    reported route afresh for its revolutions.
 
     ``insertion_scan`` memoizes, per (servicer, target, sequence), the
     cheapest slots for that target in that route as one flat tuple; a scan
@@ -481,8 +515,6 @@ class CostModel(_LegModel):
         super().__init__(scenario, phi, gamma)
         self.slack_rule = slack_rule
         self._pairs: dict = {}
-        self._priced: dict = {}
-        self._priced_ids = 0
         self._insertions: dict = {}
         self._insertion_ids = 0
         self._attempts: dict = {}
@@ -520,6 +552,7 @@ class CostModel(_LegModel):
         n = GEO.mean_motion
         t_geo = GEO.t_geo
         pi = math.pi
+        two_pi = TWO_PI
         legs = []
         sum_coast = 0.0
         sum_td = 0.0
@@ -531,22 +564,22 @@ class CostModel(_LegModel):
                 coast = 0.0
                 theta = p.lam_diff
             else:
-                za = (p.psi_from - (p.u0_from + n * t)) % TWO_PI
-                zb = (za + pi) % TWO_PI
+                za = (p.psi_from - (p.u0_from + n * t)) % two_pi
+                zb = (za + pi) % two_pi
                 if za <= zb:
-                    coast = za / TWO_PI * t_geo
+                    coast = za / two_pi * t_geo
                     u_node = p.psi_to
                 else:
-                    coast = zb / TWO_PI * t_geo
+                    coast = zb / two_pi * t_geo
                     u_node = p.psi_to + pi
-                theta = (u_node - (p.u0_to + n * (t + coast))) % TWO_PI
+                theta = (u_node - (p.u0_to + n * (t + coast))) % two_pi
                 if theta > pi:
-                    theta -= TWO_PI
+                    theta -= two_pi
             td = td_of[tid]
             legs.append((coast, theta, p.dv1, p.s_half, td))
             sum_coast += coast
             sum_td += td
-            t = t + coast + ((TWO_PI + theta) / TWO_PI) * t_geo + td
+            t = t + coast + ((two_pi + theta) / two_pi) * t_geo + td
             from_key = tid
         return legs, sum_coast, sum_td
 
@@ -571,10 +604,11 @@ class CostModel(_LegModel):
         two_over_r = _TWO_OVER_R
         inv_sqrt_r = _INV_SQRT_R
         sqrt = math.sqrt
+        two_pi = TWO_PI
         for (coast, theta, dv1, s_half, td), k in zip(legs, revs,
                                                        strict=True):
-            span = TWO_PI * k + theta
-            a = r * (span / (TWO_PI * k)) ** (2.0 / 3.0)
+            span = two_pi * k + theta
+            a = r * (span / (two_pi * k)) ** (2.0 / 3.0)
             half = burn_scale * abs(sqrt(two_over_r - 1.0 / a) - inv_sqrt_r)
             if dv1 == 0.0:
                 dv += 2.0 * half
@@ -582,7 +616,7 @@ class CostModel(_LegModel):
                 sgn = 1.0 if theta > 0.0 else (-1.0 if theta < 0.0 else 0.0)
                 dv += sqrt(dv1 * dv1 + half * half
                            + 2.0 * dv1 * half * sgn * s_half) + half
-            t = t + coast + (span / TWO_PI) * t_geo + td
+            t = t + coast + (span / two_pi) * t_geo + td
             if t > deadline:
                 p1 += t - deadline
         return dv, p1, t
@@ -630,28 +664,12 @@ class CostModel(_LegModel):
         dv, p1, _ = self.route_metrics(servicer_id, seq, revs)
         return self._score(servicer_id, dv, p1)
 
-    def priced_score(self, servicer_id: int, seq) -> float:
-        """The route memo's value for a route on its ``allocate``
-        revolutions: the score of ``route_score``, negated unless the route
-        meets the deadline and the budget. ``abs`` gives the score, and
-        ``math.copysign(1.0, value) > 0.0`` whether it is feasible, also
-        for a zero score. A miss prices the route by ``_allocate``; an
-        empty route scores 0.0."""
-        key = (servicer_id, *seq)
-        hit = self._priced.get(key)
-        if hit is None:
-            hit = 0.0
-            if seq:
-                _, (dv, p1, _) = self._allocate(
-                    *self.route_geometry(servicer_id, seq))
-                score, _, p1, p2 = self._score(servicer_id, dv, p1)
-                hit = score if p1 == 0.0 and p2 == 0.0 else -score
-            self._priced_ids += len(key)
-            if self._priced_ids > _MEMO_ID_BUDGET:
-                self._priced.clear()
-                self._priced_ids = len(key)
-            self._priced[key] = hit
-        return hit
+    def _price(self, servicer_id: int, seq):
+        """(delta-v m/s, deadline violation s) of a non-empty route on its
+        ``allocate`` revolutions: the route memo's pricing hook."""
+        _, (dv, p1, _) = self._allocate(*self.route_geometry(servicer_id,
+                                                             seq))
+        return dv, p1
 
     def insertion_scan(self, servicer_id: int, seq, target_id: int,
                        bar: float = -math.inf, tie_stops: bool = False):
@@ -758,6 +776,7 @@ class CostModel(_LegModel):
         n_max = self._max_revs
         deadline = self.deadline
         t_geo = GEO.t_geo
+        two_pi = TWO_PI
         t_phase_budget = deadline - sum_td - sum_coast
         pieces = math.floor(t_phase_budget / t_geo)
         base = min(max(pieces // n_legs, 1), n_max)
@@ -766,7 +785,7 @@ class CostModel(_LegModel):
         while True:
             t = 0.0
             for (coast, theta, _, _, td), k in zip(legs, revs):
-                t = t + coast + ((TWO_PI * k + theta) / TWO_PI) * t_geo + td
+                t = t + coast + ((two_pi * k + theta) / two_pi) * t_geo + td
             if not t > deadline:
                 break
             if trim_order is None:

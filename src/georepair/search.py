@@ -32,11 +32,12 @@ built with the solve's penalty weights. It reads only the model's
 ``scenario``, ``servicer_ids``, ``route`` and ``allocate``, and hands the
 model itself to the report; the LNS operators take that same model, so one
 pricing policy and one set of memos serve the whole solve, and a solve
-builds no other model. The mixed model's route memo keeps, per route, one
-float, the score that ``route``, ``plan_fitness`` and the insertion scan
-read, its sign the feasibility, and ``allocate`` prices the reported
-routes afresh for their revolutions. ``lns_improve`` splits each attempt
-into its random draws, ``destroy_draws``, and a removal that replays
+builds no other model. Both leg models keep one route memo, the base's
+``priced_score``: per distinct route, one float, the score that
+``route``, and on mixed legs ``plan_fitness`` and the insertion scan,
+read, its sign the feasibility; ``allocate`` and ``fly`` price the
+reported routes afresh. ``lns_improve`` splits each attempt into its
+random draws, ``destroy_draws``, and a removal that replays
 them, ``destroy``; it keys the attempt on ``beta``, the removal count, the
 draws and the plan's chromosome, and reads its outcome from the model's
 attempt memo, so an attempt that repeats an earlier one, as most do once
@@ -53,7 +54,9 @@ kernel, memos and the LNS's pair costs, built with the solve's slack rule;
 ``_LambertAdapter`` holds only two-impulse Lambert legs, one revolution
 each, flown and priced in one place, ``_fly``, on plain floats: states and
 Lambert velocities are 3-tuples and each norm is a left-to-right sum under
-``math.sqrt``. Every memo of a solve is bounded by one of the two constants
+``math.sqrt``. Both define the engine's ``route`` with one body, ``abs`` of
+the route memo's value, each in its own class so that a tracer can wrap
+either alone. Every memo of a solve is bounded by one of the two constants
 of ``planning``, read through that module so that patching it there reaches
 every memo: the gene cache by ``_MEMO_ID_BUDGET`` genes, m + n - 1 a
 chromosome, and the Lambert leg cache and state memo by ``_ENTRY_CAP``
@@ -520,12 +523,15 @@ class _LambertAdapter(_LegModel):
     candidate through it, and ``fly`` reports each leg through it at the
     flight time the search settled on.
 
-    It defines the engine's ``route``, ``allocate`` and the report's legs,
-    ``fly``; ``_score`` and the plan sums are the ``_LegModel``'s. Routes
-    are summed again on every call, from two memos, each emptied when an
-    insert would pass ``planning._ENTRY_CAP``: the leg cache, from ``(from key,
-    target id, departure time, grid time)`` to the leg's (flight time,
-    price), and the state memo ``_state``, from ``(body key, time)`` to the
+    It defines the engine's ``route``, ``allocate``, the report's legs,
+    ``fly``, and the route memo's pricing hook, ``_price``; ``_score``, the
+    plan sums and the route memo, ``priced_score``, are the
+    ``_LegModel``'s, so ``route`` sums each distinct route once in a
+    search, by ``route_detail``, as the mixed model does by its kernel.
+    ``route_detail`` reads two memos, each emptied when an insert would
+    pass ``planning._ENTRY_CAP``: the leg cache, from ``(from key, target
+    id, departure time, grid time)`` to the leg's (flight time, price), and
+    the state memo ``_state``, from ``(body key, time)`` to the
     ``CartesianState`` of that key's orbit in the ``_LegModel``'s body map,
     so each distinct departure or arrival state is computed once.
     """
@@ -655,9 +661,14 @@ class _LambertAdapter(_LegModel):
             from_key = tid
         return tuple(used), dv, p1
 
-    def route(self, sid: int, seq) -> float:
+    def _price(self, sid: int, seq):
+        """(delta-v m/s, deadline violation s) of a non-empty route: the
+        route memo's pricing hook."""
         _, dv, p1 = self.route_detail(sid, seq)
-        return self._score(sid, dv, p1)[0]
+        return dv, p1
+
+    def route(self, sid: int, seq) -> float:
+        return abs(self.priced_score(sid, seq))
 
     def allocate(self, sid: int, seq) -> list[int]:
         """One revolution per leg: a Lambert leg does not choose its

@@ -1,5 +1,6 @@
 """Genetic operator, LNS and solver behavior tests."""
 
+import inspect
 import itertools
 import json
 import math
@@ -922,6 +923,9 @@ MEMOS = {
              None, "_MEMO_ID_BUDGET", None),
     "pair": (solve_lns_aga, CostModel, "_pair", attrgetter("_pairs"), None,
              "_ENTRY_CAP", None),
+    "lambert-route": (solve_lambert_ga, _LambertAdapter, "priced_score",
+                      attrgetter("_priced"), "_priced_ids",
+                      "_MEMO_ID_BUDGET", None),
     "leg": (solve_lambert_ga, _LambertAdapter, "_leg",
             attrgetter("_leg_cache"), None, "_ENTRY_CAP", None),
     "state": (solve_lambert_ga, _LambertAdapter, "_state",
@@ -1731,9 +1735,22 @@ class TestLegModels:
         assert not issubclass(_LambertAdapter, CostModel)
         adapter = _LambertAdapter(case_study(), 1.0, 10.0)
         for name in ("route_geometry", "_route_cost", "_allocate", "_pairs",
-                     "_priced", "_insertions", "priced_score",
-                     "insertion_scan", "pair_cost_table", "route_metrics"):
+                     "_insertions", "insertion_scan", "pair_cost_table",
+                     "route_metrics"):
             assert not hasattr(adapter, name), name
+
+    def test_both_leg_models_route_through_one_route_memo(self):
+        # ``priced_score`` is the base's alone; each model adds only its
+        # pricing hook, and the engine's ``route`` has one body in both
+        # adapters' own classes, where a tracer wraps it.
+        classes = (CostModel, search._MixedAdapter, _LambertAdapter)
+        assert "priced_score" in vars(_LegModel)
+        assert not any("priced_score" in vars(cls) for cls in classes)
+        assert all("_price" in vars(cls) for cls in (CostModel,
+                                                     _LambertAdapter))
+        bodies = [inspect.getsource(cls.route).split("\n", 1)[1]
+                  for cls in (search._MixedAdapter, _LambertAdapter)]
+        assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("model", [CostModel, _LambertAdapter])
     def test_each_leg_model_defines_allocate_and_fly(self, model):
@@ -1774,22 +1791,75 @@ class TestLegModels:
             CostModel(scenario, "middle", phi=-1.0)
 
 
+class TestRouteMemoOnBothLegModels:
+    """The base's route memo keeps one signed float per route on either leg
+    model: an unflyable Lambert leg is stored as -inf, and an empty route
+    scores 0.0 with no pricing."""
+
+    def test_an_unflyable_lambert_route_is_stored_infeasible(self,
+                                                              monkeypatch):
+        # Only the 0.125-period grid time fits in 4 h; the target then
+        # leads the servicer by exactly 180 degrees, a singular arc.
+        scenario = make_scenario([(0.0, 0.0, 0.0, 2000.0)],
+                                 [(0.0, 0.0, 135.0, 0.0)], 4 * HOUR)
+        adapter = _LambertAdapter(scenario, 1.0, 10.0)
+        priced = []
+        price = _LambertAdapter._price
+
+        def counting_price(self, sid, seq):
+            priced.append((sid, tuple(seq)))
+            return price(self, sid, seq)
+
+        monkeypatch.setattr(_LambertAdapter, "_price", counting_price)
+        assert adapter.route_detail(1, [1])[1] == math.inf
+        for _ in range(2):
+            assert adapter.route(1, [1]) == math.inf
+        value = adapter._priced[(1, 1)]
+        assert value == -math.inf
+        assert math.copysign(1.0, value) < 0.0
+        assert adapter.priced_score(1, (1,)) == value
+        assert priced == [(1, (1,))]
+
+    @pytest.mark.parametrize("model", [
+        CostModel, lambda sc: _LambertAdapter(sc, 1.0, 10.0),
+    ], ids=["mixed", "lambert"])
+    def test_an_empty_route_scores_zero_unpriced(self, monkeypatch, model):
+        def refuse(self, sid, seq):
+            raise AssertionError("an empty route was priced")
+
+        scenario = random_scenario(4, 2, 10.0, seed=1)
+        built = model(scenario)
+        monkeypatch.setattr(type(built), "_price", refuse)
+        for seq in ([], ()):
+            value = built.priced_score(2, seq)
+            assert value == 0.0 and math.copysign(1.0, value) > 0.0
+        assert built._priced == {(2,): 0.0}
+        assert built._priced_ids == 1
+
+
 class TestLambertWorkCounts:
     """Exact work of fixed Lambert solves: a change to how a leg is flown or
     cached must do the same work, or say why it does not."""
 
     # ``orbit_to_state`` runs once per distinct (body, time) state that the
-    # legs read, through the adapter's state memo.
+    # legs read, through the adapter's state memo. The last two counts are
+    # the route memo's size at the end of the solve, two of its routes
+    # empty, and the ``route_detail`` calls: one per non-empty route in the
+    # memo and one per reported route. Without the route memo the case
+    # study calls ``route_detail`` 20,474 times.
     @pytest.mark.parametrize("case, scenario, ga, counts", [
         ("tight", lambda: random_scenario(6, 2, 6.0, seed=7),
-         lambda: small_ga(20, 20, 10), (269, 189, 263)),
+         lambda: small_ga(20, 20, 10), (269, 189, 263, 147, 147)),
         ("roomy", lambda: random_scenario(6, 2, 10.0, seed=7),
-         lambda: small_ga(20, 20, 10), (315, 228, 309)),
+         lambda: small_ga(20, 20, 10), (315, 228, 309, 131, 131)),
         # The benchmark's case_lambert workload.
-        ("case_study", case_study, lambda: None, (10_019, 2_512, 10_005)),
+        ("case_study", case_study, lambda: None,
+         (10_019, 2_512, 10_005, 12_294, 12_294)),
     ])
     def test_solve_counts(self, monkeypatch, case, scenario, ga, counts):
-        seen = {"lambert_solve": 0, "orbit_to_state": 0, "misses": 0}
+        seen = {"lambert_solve": 0, "orbit_to_state": 0, "misses": 0,
+                "route_detail": 0}
+        models = []
 
         class CountingCache(dict):
             def __setitem__(self, key, value):
@@ -1797,10 +1867,16 @@ class TestLambertWorkCounts:
                 super().__setitem__(key, value)
 
         init = _LambertAdapter.__init__
+        route_detail = _LambertAdapter.route_detail
 
         def counting_init(self, *args):
             init(self, *args)
             self._leg_cache = CountingCache()
+            models.append(self)
+
+        def counting_route_detail(self, sid, seq):
+            seen["route_detail"] += 1
+            return route_detail(self, sid, seq)
 
         def counted(name):
             original = getattr(search, name)
@@ -1811,11 +1887,15 @@ class TestLambertWorkCounts:
             return call
 
         monkeypatch.setattr(_LambertAdapter, "__init__", counting_init)
+        monkeypatch.setattr(_LambertAdapter, "route_detail",
+                            counting_route_detail)
         for name in ("lambert_solve", "orbit_to_state"):
             monkeypatch.setattr(search, name, counted(name))
         solve_lambert_ga(scenario(), ga(), seed=1)
+        [model] = models
         assert (seen["lambert_solve"], seen["orbit_to_state"],
-                seen["misses"]) == counts
+                seen["misses"], len(model._priced),
+                seen["route_detail"]) == counts
 
 
 class TestHashSeedIndependence:
